@@ -9,6 +9,7 @@
 //! as a miss — the crash-safety argument for the disk tier reduces to
 //! "an entry either decodes and matches its key, or it does not exist".
 
+use crate::crc::crc32;
 use crate::key::CacheKey;
 
 /// Leading magic of every encoded entry; the trailing digit is the
@@ -143,20 +144,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// CRC32 (IEEE 802.3, polynomial `0xEDB88320`) — the same framing
-/// checksum the durable store uses.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,12 +167,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

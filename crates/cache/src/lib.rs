@@ -18,6 +18,7 @@
 //! bytes hit across sessions, workspaces, and machines.
 
 pub mod backend;
+pub mod crc;
 pub mod disk;
 pub mod entry;
 pub mod key;
@@ -26,8 +27,9 @@ pub mod remote;
 pub mod tiered;
 
 pub use backend::{CacheBackend, TierUsage};
+pub use crc::crc32;
 pub use disk::{DiskTier, GcReport};
-pub use entry::{crc32, CacheEntry, CachedOutput};
+pub use entry::{CacheEntry, CachedOutput};
 pub use key::{sha256, CacheKey, KeyBuilder};
 pub use memory::{MemoryBudget, MemoryTier};
 pub use remote::{LocalDirRemote, RemoteCache, RemoteTier};

@@ -23,11 +23,13 @@
 //! [payload length: u32 LE][CRC32(payload): u32 LE][payload: JSON JournalOp]
 //! ```
 //!
-//! The CRC is IEEE 802.3 (the zlib/PNG polynomial). A torn tail — a
-//! frame whose length field runs past end-of-file, or whose checksum
-//! does not match — ends the journal: recovery truncates the file back
-//! to the last valid frame, reports how many bytes were discarded, and
-//! never panics or fails on any prefix of a well-formed journal.
+//! The CRC is IEEE 802.3 (the zlib/PNG polynomial), computed by
+//! [`hercules_cache::crc32`], which also frames cache entries. A torn
+//! tail — a frame whose length field runs past end-of-file, or whose
+//! checksum does not match — ends the journal: recovery truncates the
+//! file back to the last valid frame, reports how many bytes were
+//! discarded, and never panics or fails on any prefix of a well-formed
+//! journal.
 //!
 //! # Guarantees (and non-guarantees)
 //!
@@ -50,6 +52,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use hercules_cache::crc32;
 use hercules_exec::EncapsulationRegistry;
 use hercules_flow::NodeId;
 use hercules_history::{InstanceId, InstanceSpec};
@@ -65,19 +68,6 @@ use crate::session::{ExecEvent, Session};
 // ---------------------------------------------------------------------
 // Checksummed frames.
 // ---------------------------------------------------------------------
-
-/// CRC32 (IEEE 802.3 polynomial, bit-reflected) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Encodes one journal frame: `[len u32 LE][crc32 u32 LE][payload]`.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
@@ -2011,12 +2001,6 @@ mod tests {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("hercules-store-{tag}-{}-{n}", std::process::id()))
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

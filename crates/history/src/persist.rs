@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use hercules_schema::TaskSchema;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::clock::Timestamp;
 use crate::db::HistoryDb;
@@ -37,7 +37,7 @@ pub struct InstanceSpec {
     pub keywords: Vec<String>,
     /// Physical data (omitted for data-less instances).
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub data: Option<Vec<u8>>,
+    pub data: Option<HexBytes>,
     /// Tool instance index of the derivation, if derived by a tool.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub tool: Option<u64>,
@@ -45,6 +45,50 @@ pub struct InstanceSpec {
     /// instances (an empty list still means "derived").
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub inputs: Option<Vec<u64>>,
+}
+
+/// Instance payload bytes in a document: one lowercase-hex JSON string,
+/// two characters per byte. Reading also accepts the legacy form, an
+/// array of byte values, so workspaces written before the hex form
+/// still open.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct HexBytes(pub Vec<u8>);
+
+impl Serialize for HexBytes {
+    fn serialize_value(&self) -> Value {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut text = String::with_capacity(2 * self.0.len());
+        for &b in &self.0 {
+            text.push(char::from(HEX[usize::from(b >> 4)]));
+            text.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        Value::Str(text)
+    }
+}
+
+impl Deserialize for HexBytes {
+    fn deserialize_value(value: &Value) -> Result<Self, DeError> {
+        let Value::Str(text) = value else {
+            return Vec::<u8>::deserialize_value(value).map(HexBytes);
+        };
+        if text.len() % 2 != 0 {
+            return Err(DeError::custom("hex payload has an odd length"));
+        }
+        let mut bytes = Vec::with_capacity(text.len() / 2);
+        for pair in text.as_bytes().chunks_exact(2) {
+            bytes.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
+        }
+        Ok(HexBytes(bytes))
+    }
+}
+
+/// Value of one lowercase hex digit.
+fn nibble(c: u8) -> Result<u8, DeError> {
+    match c {
+        b'0'..=b'9' => Ok(c - b'0'),
+        b'a'..=b'f' => Ok(c - b'a' + 10),
+        _ => Err(DeError::custom("hex payload has a non-hex character")),
+    }
 }
 
 /// The complete serializable form of a history database.
@@ -71,7 +115,10 @@ impl InstanceSpec {
             name: m.name.clone(),
             comment: m.comment.clone(),
             keywords: m.keywords.clone(),
-            data: i.data().and_then(|h| db.store().get(h)).map(<[u8]>::to_vec),
+            data: i
+                .data()
+                .and_then(|h| db.store().get(h))
+                .map(|d| HexBytes(d.to_vec())),
             tool: i.derivation().and_then(|d| d.tool).map(InstanceId::raw),
             inputs: i
                 .derivation()
@@ -96,15 +143,15 @@ impl InstanceSpec {
             keywords: self.keywords.clone(),
         };
         db.clock_mut().advance_to(self.created);
-        let data = self.data.clone().unwrap_or_default();
+        let data = self.data.as_ref().map_or(&[][..], |d| &d.0[..]);
         match &self.inputs {
-            None => db.record_primary(entity, meta, &data),
+            None => db.record_primary(entity, meta, data),
             Some(inputs) => {
                 let derivation = Derivation {
                     tool: self.tool.map(InstanceId::from_raw),
                     inputs: inputs.iter().copied().map(InstanceId::from_raw).collect(),
                 };
-                db.record_derived(entity, meta, &data, derivation)
+                db.record_derived(entity, meta, data, derivation)
             }
         }
     }
@@ -198,6 +245,27 @@ mod tests {
             loaded.created_at(InstanceId::from_raw(1)).expect("ok"),
             Timestamp(50)
         );
+    }
+
+    #[test]
+    fn payloads_serialize_as_hex_and_legacy_arrays_still_load() {
+        let record =
+            |data: &str| format!(r#"{{"entity":"Netlist","user":"u","created":3,"data":{data}}}"#);
+        let hex: InstanceSpec = serde_json::from_str(&record(r#""6869""#)).expect("hex form");
+        let legacy: InstanceSpec =
+            serde_json::from_str(&record("[104,105]")).expect("legacy array form");
+        assert_eq!(hex, legacy);
+        assert_eq!(hex.data, Some(HexBytes(b"hi".to_vec())));
+        assert_eq!(
+            serde_json::to_string(&legacy).expect("serialize"),
+            record(r#""6869""#)
+        );
+        for bad in [r#""686""#, r#""zz""#, r#""6G""#, r#""6869 ""#] {
+            assert!(
+                serde_json::from_str::<InstanceSpec>(&record(bad)).is_err(),
+                "{bad} decoded"
+            );
+        }
     }
 
     #[test]

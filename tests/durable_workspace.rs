@@ -8,17 +8,18 @@
 //! the torn tail.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hercules::encaps::odyssey_registry;
 use hercules::exec::{ExecError, FailurePolicy, FaultPlan, FaultyEncapsulation, TaskAction};
 use hercules::flow::NodeId;
-use hercules::history::{Derivation, InstanceId, Metadata};
-use hercules::store::{scan_frames, Workspace};
+use hercules::history::{Derivation, HexBytes, InstanceId, Metadata};
+use hercules::store::{encode_frame, scan_frames, Workspace};
 use hercules::ui::{Command, Ui};
 use hercules::{eda, Session, SessionSpec};
+use serde::{Deserialize, Serialize, Value};
 
 fn temp_root(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -296,5 +297,118 @@ fn interrupted_run_resumes_after_reopen_from_disk() {
     assert_eq!(ws.generation(), 1);
     assert_eq!(recovery.ops_replayed, 0, "rotated journal is empty");
     assert!(session.last_report().expect("present").is_complete());
+    fs::remove_dir_all(&root).ok();
+}
+
+/// The value under `key` in a JSON object.
+fn field<'a>(value: &'a mut Value, key: &str) -> Option<&'a mut Value> {
+    match value {
+        Value::Map(entries) => entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// Rewrites the payload of every record in `instances` (a JSON array
+/// of `InstanceSpec`s) from the hex string into the legacy array of
+/// byte values; returns how many payloads it rewrote.
+fn legacy_payloads(instances: &mut Value) -> usize {
+    let Value::Seq(records) = instances else {
+        panic!("instances is an array");
+    };
+    let mut rewritten = 0;
+    for record in records {
+        if let Some(data) = field(record, "data") {
+            let HexBytes(bytes) = HexBytes::deserialize_value(data).expect("hex payload");
+            *data = bytes.serialize_value();
+            rewritten += 1;
+        }
+    }
+    rewritten
+}
+
+/// Copies the workspace at `from` into a fresh directory, rewriting
+/// the checkpoint's payloads — and, with `journal`, every journaled
+/// execution's payloads, re-framed — into the legacy array form.
+fn legacy_copy(from: &Path, journal: bool) -> PathBuf {
+    let dir = temp_root("legacy");
+    fs::create_dir_all(&dir).expect("mkdir");
+    fs::copy(from.join("MANIFEST"), dir.join("MANIFEST")).expect("manifest");
+
+    let mut checkpoint: Value =
+        serde_json::from_slice(&fs::read(from.join("checkpoint-0.json")).expect("checkpoint"))
+            .expect("checkpoint parses");
+    let history = field(&mut checkpoint, "history").expect("history");
+    let instances = field(history, "instances").expect("instances");
+    assert!(legacy_payloads(instances) > 0, "checkpoint holds payloads");
+    let text = serde_json::to_string(&checkpoint).expect("serializes");
+    assert!(text.contains(r#""data":["#), "checkpoint rewritten");
+    fs::write(dir.join("checkpoint-0.json"), text).expect("write checkpoint");
+
+    let frames = fs::read(from.join("journal-0.log")).expect("journal");
+    let frames = if journal {
+        let mut rewritten = 0;
+        let mut out = Vec::new();
+        for payload in scan_frames(&frames).payloads {
+            let mut op: Value = serde_json::from_slice(&payload).expect("frame parses");
+            if let Some(instances) = field(&mut op, "Exec").and_then(|e| field(e, "instances")) {
+                rewritten += legacy_payloads(instances);
+            }
+            out.extend(encode_frame(&serde_json::to_vec(&op).expect("serializes")));
+        }
+        assert!(rewritten > 0, "journaled executions hold payloads");
+        out
+    } else {
+        frames
+    };
+    fs::write(dir.join("journal-0.log"), frames).expect("write journal");
+    dir
+}
+
+/// Workspaces whose payloads are legacy integer arrays — in both the
+/// checkpoint and the journal, or in the checkpoint followed by
+/// hex-payload frames — open with the same history.
+#[test]
+fn legacy_array_payloads_open_with_the_same_history() {
+    let root = temp_root("legacy-src");
+    let mut ui = Ui::new(Session::odyssey("jbb"));
+    ui.execute(&format!("save {}", root.display()))
+        .expect("saves");
+    for cmd in [
+        "goal Layout",
+        "expand n0",
+        "specialize n2 EditedNetlist",
+        "expand n2",
+        "bind-latest",
+        "run",
+    ] {
+        ui.execute(cmd).expect(cmd);
+    }
+    let expected = SessionSpec::from_session(ui.session());
+    let payloads = |session: &Session| -> Vec<Option<Vec<u8>>> {
+        (0..session.db().len() as u64)
+            .map(|raw| {
+                let data = session.db().data_of(InstanceId::from_raw(raw));
+                data.expect("instance exists").map(<[u8]>::to_vec)
+            })
+            .collect()
+    };
+    let expected_payloads = payloads(ui.session());
+    drop(ui);
+
+    for journal in [true, false] {
+        let dir = legacy_copy(&root, journal);
+        let (_ws, session, report) = Workspace::open_session(&dir, |s| odyssey_registry(s))
+            .unwrap_or_else(|e| panic!("legacy workspace (journal: {journal}) opens: {e}"));
+        assert_eq!(report.ops_replayed, 6, "journal: {journal}");
+        assert_eq!(report.bytes_discarded, 0, "journal: {journal}");
+        assert_eq!(
+            session.db().len(),
+            expected_payloads.len(),
+            "journal: {journal}"
+        );
+        assert_eq!(payloads(&session), expected_payloads, "journal: {journal}");
+        assert_eq!(SessionSpec::from_session(&session), expected);
+        fs::remove_dir_all(&dir).ok();
+    }
     fs::remove_dir_all(&root).ok();
 }

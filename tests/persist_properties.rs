@@ -1,12 +1,53 @@
 //! Property tests for the durable store: journal-frame corruption
-//! detection and whole-session document round-trips over generated
-//! histories.
+//! detection, whole-session document round-trips over generated
+//! histories, and the JSON codec every document goes through (string
+//! escapes, pinned printer output, linear-time parsing, nesting limit).
+
+use std::time::{Duration, Instant};
 
 use hercules::encaps::odyssey_registry;
 use hercules::history::{Derivation, Metadata};
 use hercules::store::{encode_frame, scan_frames, JournalOp};
 use hercules::{FlowOp, Session, SessionSpec};
 use proptest::prelude::*;
+use serde::Value;
+
+/// One piece of a generated string: a character the printer escapes,
+/// a control character (U+0000–U+001F), a multi-byte UTF-8 character,
+/// or a long run that needs no escape.
+fn string_piece(kind: u8, n: u32) -> String {
+    const ESCAPED: [char; 6] = ['"', '\\', '/', '\n', '\r', '\t'];
+    const MULTI_BYTE: [char; 6] = ['é', '€', '中', '𝄞', '\u{7f}', '\u{2028}'];
+    match kind {
+        0 => ESCAPED[n as usize % ESCAPED.len()].to_string(),
+        1 => char::from_u32(n % 0x20).expect("ASCII").to_string(),
+        2 => MULTI_BYTE[n as usize % MULTI_BYTE.len()].to_string(),
+        _ => "abcdefghijklmnopqrstuvwxyz 0123456789"
+            .chars()
+            .cycle()
+            .take(n as usize % 600)
+            .collect(),
+    }
+}
+
+/// The printer's string output, written one character at a time: the
+/// reference the run-copying printer must match byte for byte.
+fn reference_json_string(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -156,4 +197,95 @@ proptest! {
             .collect();
         prop_assert_eq!(back, ops);
     }
+
+    /// Generated strings print exactly as the one-character-at-a-time
+    /// reference does and parse back to themselves.
+    #[test]
+    fn json_strings_print_like_the_reference_and_round_trip(
+        pieces in prop::collection::vec((0u8..4, 0u32..10_000), 0..24),
+    ) {
+        let s: String = pieces.iter().map(|&(kind, n)| string_piece(kind, n)).collect();
+        let text = serde_json::to_string(&s).expect("serializes");
+        prop_assert_eq!(&text, &reference_json_string(&s));
+        let back: String = serde_json::from_str(&text).expect("parses");
+        prop_assert_eq!(back, s);
+    }
+}
+
+#[test]
+fn printer_output_is_pinned() {
+    let controls: String = (0u32..0x20)
+        .map(|c| char::from_u32(c).expect("ASCII"))
+        .collect();
+    assert_eq!(
+        serde_json::to_string(&controls).expect("serializes"),
+        concat!(
+            r#""\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n\u000b"#,
+            r#"\u000c\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017"#,
+            r#"\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f""#,
+        )
+    );
+    assert_eq!(
+        serde_json::to_string(&"say \"a\\b\" / é € 𝄞 \u{7f}").expect("serializes"),
+        "\"say \\\"a\\\\b\\\" / é € 𝄞 \u{7f}\""
+    );
+    assert_eq!(serde_json::to_string(&0i64).expect("serializes"), "0");
+    assert_eq!(serde_json::to_string(&-1i64).expect("serializes"), "-1");
+    assert_eq!(
+        serde_json::to_string(&i64::MIN).expect("serializes"),
+        "-9223372036854775808"
+    );
+    assert_eq!(
+        serde_json::to_string(&u64::MAX).expect("serializes"),
+        "18446744073709551615"
+    );
+}
+
+#[test]
+fn parser_accepts_every_escape() {
+    let parsed: String =
+        serde_json::from_str(r#""\"\\\/\b\f\n\r\t\u0000\u001f\u00e9\u20ac""#).expect("parses");
+    assert_eq!(parsed, "\"\\/\u{8}\u{c}\n\r\t\u{0}\u{1f}é€");
+    for bad in [r#""\x""#, r#""\u12""#, r#""\ud800""#, r#""open"#] {
+        assert!(serde_json::from_str::<String>(bad).is_err(), "{bad} parsed");
+    }
+}
+
+/// Parsing is linear in the string length: one 4 MiB string takes
+/// well under a second even unoptimized (a scan that re-validates the
+/// rest of the document per character would take hours).
+#[test]
+fn a_four_mib_string_parses_in_linear_time() {
+    let chunk = r#"lorem ipsum dolor sit amet é € 𝄞 \" \\ \n "#;
+    let decoded = "lorem ipsum dolor sit amet é € 𝄞 \" \\ \n ";
+    let copies = (4 << 20) / chunk.len();
+    let document = format!("\"{}\"", chunk.repeat(copies));
+    let start = Instant::now();
+    let parsed: String = serde_json::from_str(&document).expect("parses");
+    let elapsed = start.elapsed();
+    assert!(parsed == decoded.repeat(copies), "decoded wrongly");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a {} byte string took {elapsed:?} to parse",
+        document.len()
+    );
+}
+
+#[test]
+fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+    let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    assert!(serde_json::from_str::<Value>(&"[".repeat(100_000)).is_err());
+    assert!(serde_json::from_str::<Value>(&nested(100_000)).is_err());
+    assert!(serde_json::from_str::<Value>(&"{\"k\":".repeat(100_000)).is_err());
+    let hundred: Value = serde_json::from_str(&nested(100)).expect("100 levels parse");
+    let mut depth = 0;
+    let mut v = &hundred;
+    while let Value::Seq(items) = v {
+        depth += 1;
+        match items.first() {
+            Some(inner) => v = inner,
+            None => break,
+        }
+    }
+    assert_eq!(depth, 100);
 }
