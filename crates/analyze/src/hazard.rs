@@ -20,10 +20,6 @@
 //!   touch distinct entity types of one subtype family, so version
 //!   queries over the family (`browse`, `bind-latest`) become
 //!   schedule-sensitive.
-//! * **barrier-limited flow** (`HL0312`) — the flow's level-set widths
-//!   vary so much that a wave-barrier schedule would idle at least half
-//!   the workers a maximally wide wave needs; such flows only reach
-//!   their parallelism under the dataflow scheduler.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -279,45 +275,6 @@ pub(crate) fn lint_family_overlap(flow: &TaskGraph, out: &mut Diagnostics) {
             }
         }
     }
-}
-
-/// `HL0312`: flags flows whose wave (level-set) widths are so uneven
-/// that a barrier schedule wastes most of the worker pool.
-///
-/// With `W = max_parallelism` workers — the count a wave executor needs
-/// to exploit the widest level — a barrier schedule occupies
-/// `Σ widths` of the `waves · W` worker-slots it holds; the rest is
-/// idle time imposed purely by the barriers. The pass fires when that
-/// idle share reaches 50% on a flow that is actually parallel
-/// (`W ≥ 2`) and actually staged (`≥ 2` waves). Narrow pipelines and
-/// flat fan-outs never trip it.
-pub fn lint_barrier_limited(flow: &TaskGraph, out: &mut Diagnostics) {
-    let Ok(waves) = flow.parallel_waves() else {
-        return;
-    };
-    let widths: Vec<usize> = waves.iter().map(Vec::len).collect();
-    let max_width = widths.iter().copied().max().unwrap_or(0);
-    if max_width < 2 || widths.len() < 2 {
-        return;
-    }
-    let occupied: usize = widths.iter().sum();
-    let slots = widths.len() * max_width;
-    let idle = 1.0 - occupied as f64 / slots as f64;
-    if idle < 0.5 {
-        return;
-    }
-    let span = Span::subflow(waves.iter().flat_map(|w| w.iter().map(|n| n.to_string())));
-    out.push(Diagnostic::new(
-        "HL0312",
-        Severity::Warn,
-        span,
-        format!(
-            "wave widths {widths:?} idle {:.0}% of {max_width} workers under \
-             barrier scheduling; this flow needs the dataflow scheduler to \
-             reach its parallelism",
-            idle * 100.0
-        ),
-    ));
 }
 
 fn names(s: &Subtask) -> String {

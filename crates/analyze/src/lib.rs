@@ -107,5 +107,4 @@ pub fn lint_flow(flow: &TaskGraph, out: &mut Diagnostics) {
     }
     flow_passes::lint_flow_passes(flow, out);
     hazard::lint_hazards(flow, out);
-    hazard::lint_barrier_limited(flow, out);
 }

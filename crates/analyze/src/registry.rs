@@ -172,13 +172,6 @@ pub const PASSES: &[PassInfo] = &[
         severity: Severity::Info,
     },
     PassInfo {
-        code: "HL0312",
-        layer: Layer::Hazard,
-        name: "barrier-limited-flow",
-        summary: "wave widths vary enough that barrier scheduling idles half the workers",
-        severity: Severity::Warn,
-    },
-    PassInfo {
         code: "HL0401",
         layer: Layer::Workspace,
         name: "manifest-missing",

@@ -85,7 +85,7 @@ pub fn lint_flow_timed(
         }
     })];
     type Pass = fn(&TaskGraph, &mut Diagnostics);
-    let passes: [(&'static str, Pass); 9] = [
+    let passes: [(&'static str, Pass); 8] = [
         ("HL0201", flow_passes::abstract_node),
         ("HL0202", flow_passes::incomplete_expansion),
         ("HL0203", flow_passes::duplicate_expansion),
@@ -94,7 +94,6 @@ pub fn lint_flow_timed(
         ("HL0301", hazard::lint_write_write),
         ("HL0302", hazard::lint_read_write),
         ("HL0303", hazard::lint_family_overlap),
-        ("HL0312", hazard::lint_barrier_limited),
     ];
     timings.extend(
         passes
@@ -195,7 +194,7 @@ mod tests {
         plain.sort();
         timed.sort();
         assert_eq!(plain.render_text(), timed.render_text());
-        assert_eq!(timings.len(), 10);
+        assert_eq!(timings.len(), 9);
         // The injected clock ticks twice per pass; nothing else reads it.
         assert!(timings.iter().all(|t| t.nanos == 1));
     }

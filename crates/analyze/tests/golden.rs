@@ -93,37 +93,6 @@ fn paper_flows_have_no_errors() {
     }
 }
 
-/// The barrier-limited fixture trips `HL0312` — its wave widths are
-/// `[width + 1, 1, 1, …]`, so a barrier schedule idles over half the
-/// workers — while flat fan-outs and the paper fixtures stay clean
-/// (their idle shares are below the 50% threshold, asserted above).
-#[test]
-fn barrier_limited_flow_reports_hl0312() {
-    let schema = Arc::new(fixtures::fig1());
-    let flow = flow_fixtures::barrier_limited(schema.clone(), 6, 6).expect("fixture builds");
-    let mut out = Diagnostics::new();
-    lint_flow(&flow, &mut out);
-    let d = out
-        .iter()
-        .find(|d| d.code == "HL0312")
-        .expect("barrier-limited fixture fires HL0312");
-    assert_eq!(d.severity, Severity::Warn);
-    assert!(
-        d.message.contains("dataflow scheduler"),
-        "message names the remedy: {d}"
-    );
-
-    // A flat fan-out of the same width has no barrier problem.
-    let wide = flow_fixtures::wide_parallel(schema, 6).expect("fixture builds");
-    let mut out = Diagnostics::new();
-    lint_flow(&wide, &mut out);
-    assert!(
-        out.iter().all(|d| d.code != "HL0312"),
-        "wide_parallel is barrier-friendly:\n{}",
-        out.render_text()
-    );
-}
-
 /// A spec whose required arcs cycle gets the full-membership `HL0101`
 /// report even though the build gate rejects it; the gate's own cycle
 /// error is not duplicated.

@@ -7,16 +7,18 @@
 //!   parallel untraced, and parallel fully traced (ring-buffer
 //!   collector + metrics registry);
 //! * the straggler workload — one branch 10× the work of the rest —
-//!   under the wave scheduler and the dataflow scheduler, which is
-//!   where barrier-free scheduling earns its keep;
+//!   whose makespan is compared with the critical path `obs::profile`
+//!   measures on traced runs of the same fixture: no schedule can beat
+//!   that path, and one that holds the chains behind the straggler
+//!   pays roughly twice it;
 //! * journal-append throughput, per-frame fsync vs group commit;
 //! * the content-addressed tool-execution cache — cold (all-miss)
 //!   vs warm (populated) vs a degraded remote tier with injected
 //!   round-trip latency, on the repeated-subflow fixture.
 //!
 //! With `--check`, exits nonzero when any gate fails: tracing overhead
-//! over budget (default 5% of the untraced median), dataflow slower
-//! than 1.3× wave on the straggler fixture, group commit under 2×
+//! over budget (default 5% of the untraced median), a straggler
+//! makespan over 1.5× its critical path, group commit under 2×
 //! per-frame-fsync throughput, or a warm cache run under 3× the cold
 //! run.
 //!
@@ -30,17 +32,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use hercules::cache::{CacheConfig, ContentCache, LocalDirRemote, RemoteCache};
-use hercules::exec::{toy, Binding, Executor, MultiInstanceMode, SchedulerKind};
+use hercules::exec::{toy, Binding, Executor, MultiInstanceMode};
 use hercules::flow::TaskGraph;
 use hercules::history::HistoryDb;
-use hercules::obs::{Collector, FlightRecorder, Metrics, MultiCollector, RingBuffer, Tracer};
+use hercules::obs::{
+    profile, Collector, FlightRecorder, Metrics, MultiCollector, RingBuffer, Tracer,
+};
 use hercules::schema::TaskSchema;
 use hercules::sim::{Clock, Fs};
 use hercules::{FlowOp, GroupCommitPolicy, JournalOp, Session, Workspace};
 
-/// `--check` gate: dataflow must beat wave by this factor on the
-/// straggler fixture.
-const STRAGGLER_GATE: f64 = 1.3;
+/// `--check` gate: the straggler fixture's makespan may exceed its
+/// measured critical path by at most this factor.
+const STRAGGLER_GATE: f64 = 1.5;
 /// `--check` gate: group commit must beat per-frame fsync by this
 /// factor on journal-append throughput.
 const JOURNAL_GATE: f64 = 2.0;
@@ -71,9 +75,9 @@ USAGE:
     --journal-ops N        appends per journal-throughput round [default: 256]
     --budget-percent P     tracing overhead budget for --check [default: 5]
     --check                fail (exit 1) when any gate fails: overhead
-                           over budget, dataflow < 1.3x wave on the
-                           straggler, group commit < 2x per-frame fsync,
-                           warm cache < 3x cold
+                           over budget, straggler makespan > 1.5x its
+                           critical path, group commit < 2x per-frame
+                           fsync, warm cache < 3x cold
 ";
 
 struct Options {
@@ -191,7 +195,6 @@ fn build_executor(
     opts: &Options,
     parallel: bool,
     tracing: &Tracing,
-    scheduler: SchedulerKind,
     workers: usize,
 ) -> Executor {
     let registry = toy::text_registry_with(
@@ -203,7 +206,6 @@ fn build_executor(
     );
     let mut executor = Executor::new(registry);
     executor.options_mut().parallel = parallel;
-    executor.options_mut().scheduler = scheduler;
     executor.options_mut().workers = workers;
     match tracing {
         Tracing::Off => {}
@@ -239,7 +241,7 @@ fn measure(
     parallel: bool,
     traced: bool,
 ) -> Sample {
-    measure_with(name, w, opts, parallel, traced, SchedulerKind::default(), 0)
+    measure_with(name, w, opts, parallel, traced, 0)
 }
 
 fn measure_with(
@@ -248,11 +250,10 @@ fn measure_with(
     opts: &Options,
     parallel: bool,
     traced: bool,
-    scheduler: SchedulerKind,
     workers: usize,
 ) -> Sample {
     let tracing = if traced { Tracing::Ring } else { Tracing::Off };
-    let executor = build_executor(w, opts, parallel, &tracing, scheduler, workers);
+    let executor = build_executor(w, opts, parallel, &tracing, workers);
     // One warm-up iteration, then the measured runs.
     let mut runs_ns = Vec::with_capacity(opts.iters);
     for i in 0..=opts.iters {
@@ -281,11 +282,10 @@ fn measure_paired(
     opts: &Options,
     parallel: bool,
     tracings: (Tracing, Tracing),
-    scheduler: SchedulerKind,
     workers: usize,
 ) -> (Sample, Sample) {
-    let base = build_executor(w, opts, parallel, &tracings.0, scheduler, workers);
-    let instrumented = build_executor(w, opts, parallel, &tracings.1, scheduler, workers);
+    let base = build_executor(w, opts, parallel, &tracings.0, workers);
+    let instrumented = build_executor(w, opts, parallel, &tracings.1, workers);
     let mut base_ns = Vec::with_capacity(opts.iters);
     let mut instrumented_ns = Vec::with_capacity(opts.iters);
     for i in 0..=opts.iters {
@@ -336,6 +336,40 @@ fn paired_overhead_raw_percent(base: &Sample, instrumented: &Sample) -> f64 {
         return 0.0;
     }
     deltas[deltas.len() / 2]
+}
+
+/// The straggler gate's two sides: the untraced makespan, and the
+/// longest dependency chain `obs::profile` measures on traced runs of
+/// the same fixture. The chain's task durations are measured, sleep
+/// overshoot included, so it is the floor any schedule of these tasks
+/// runs against; the ratio is the time scheduling adds on top.
+struct StragglerBound {
+    makespan_ns: u64,
+    critical_path_ns: u64,
+}
+
+impl StragglerBound {
+    fn ratio(&self) -> f64 {
+        self.makespan_ns as f64 / self.critical_path_ns.max(1) as f64
+    }
+}
+
+/// Median critical path over `opts.iters` traced runs (after one
+/// warm-up), each profiled from its own span stream.
+fn critical_path_ns(w: &Workload<'_>, opts: &Options, workers: usize) -> u64 {
+    let ring = Arc::new(RingBuffer::new(65_536));
+    let mut executor = build_executor(w, opts, true, &Tracing::Off, workers);
+    executor.options_mut().tracer = Tracer::new(ring.clone());
+    let mut paths = Vec::with_capacity(opts.iters);
+    for i in 0..=opts.iters {
+        ring.clear();
+        time_once(&executor, w);
+        if i > 0 {
+            paths.push(profile::profile(&ring.snapshot()).critical_path_ns);
+        }
+    }
+    paths.sort_unstable();
+    paths[paths.len() / 2]
 }
 
 /// Journal-append throughput: per-frame fsync, group commit, and
@@ -413,8 +447,7 @@ fn bench_cache(w: &Workload<'_>, opts: &Options) -> Result<CacheBench, String> {
         .map_err(|e| e.to_string())
     };
     let executor_with = |cache: ContentCache| {
-        let mut executor =
-            build_executor(w, opts, true, &Tracing::Off, SchedulerKind::default(), 0);
+        let mut executor = build_executor(w, opts, true, &Tracing::Off, 0);
         executor.options_mut().cache = Some(cache);
         executor
     };
@@ -550,7 +583,7 @@ fn render_json(
     overhead_percent: f64,
     overhead_raw_percent: f64,
     straggler: &[Sample],
-    straggler_speedup: f64,
+    bound: &StragglerBound,
     recorder_percent: f64,
     recorder_raw_percent: f64,
     journal: &JournalBench,
@@ -598,10 +631,14 @@ fn render_json(
     let _ = writeln!(
         out,
         "  \"straggler\": {{\"branches\": {}, \"depth\": {}, \"straggler_us\": {}, \
-         \"dataflow_speedup\": {straggler_speedup:.3}, \"gate\": {STRAGGLER_GATE:.1}}},",
+         \"makespan_ns\": {}, \"bound_ns\": {}, \"ratio\": {:.3}, \
+         \"gate\": {STRAGGLER_GATE:.1}}},",
         opts.straggler_branches,
         opts.straggler_depth,
-        opts.work_us * 10
+        opts.work_us * 10,
+        bound.makespan_ns,
+        bound.critical_path_ns,
+        bound.ratio()
     );
     let _ = writeln!(
         out,
@@ -671,7 +708,6 @@ fn run() -> Result<ExitCode, String> {
         &opts,
         true,
         (Tracing::Off, Tracing::Ring),
-        SchedulerKind::default(),
         0,
     );
     // Noise can still make the traced side come out faster; report the
@@ -684,8 +720,8 @@ fn run() -> Result<ExitCode, String> {
     let samples = [serial, parallel, parallel_traced];
 
     // The straggler fixture: one branch 10× the work of the others,
-    // workers pinned to the branch count so the schedulers differ only
-    // in barrier behavior.
+    // workers pinned to the branch count so every branch can run at
+    // once and the makespan can approach the critical path.
     let (schema, flow, db, binding) = hercules_bench::straggler_branches(
         opts.straggler_branches,
         opts.straggler_depth,
@@ -698,28 +734,18 @@ fn run() -> Result<ExitCode, String> {
         binding: &binding,
     };
     let workers = opts.straggler_branches.max(2);
-    let mut straggler = vec![
-        measure_with(
-            "straggler_wave",
-            &sw,
-            &opts,
-            true,
-            false,
-            SchedulerKind::Wave,
-            workers,
-        ),
-        measure_with(
-            "straggler_dataflow",
-            &sw,
-            &opts,
-            true,
-            false,
-            SchedulerKind::Dataflow,
-            workers,
-        ),
-    ];
-    let straggler_speedup =
-        straggler[0].median_ns() as f64 / straggler[1].median_ns().max(1) as f64;
+    let mut straggler = vec![measure_with(
+        "straggler_dataflow",
+        &sw,
+        &opts,
+        true,
+        false,
+        workers,
+    )];
+    let bound = StragglerBound {
+        makespan_ns: straggler[0].median_ns(),
+        critical_path_ns: critical_path_ns(&sw, &opts, workers),
+    };
 
     // Flight-recorder overhead on the straggler fixture: the always-on
     // telemetry pipeline (ring + recorder fan-out) against the ring
@@ -730,7 +756,6 @@ fn run() -> Result<ExitCode, String> {
         &opts,
         true,
         (Tracing::Ring, Tracing::Recorder),
-        SchedulerKind::Dataflow,
         workers,
     );
     let recorder_raw_percent = paired_overhead_raw_percent(&straggler_traced, &straggler_recorder);
@@ -757,7 +782,7 @@ fn run() -> Result<ExitCode, String> {
         overhead_percent,
         overhead_raw_percent,
         &straggler,
-        straggler_speedup,
+        &bound,
         recorder_percent,
         recorder_raw_percent,
         &journal,
@@ -775,9 +800,12 @@ fn run() -> Result<ExitCode, String> {
         opts.budget_percent
     );
     println!(
-        "straggler: dataflow {straggler_speedup:.2}x over wave \
+        "straggler: makespan {:.2}x its {:.2} ms critical path \
          ({} branches, depth {}, gate {STRAGGLER_GATE:.1}x)",
-        opts.straggler_branches, opts.straggler_depth
+        bound.ratio(),
+        bound.critical_path_ns as f64 / 1e6,
+        opts.straggler_branches,
+        opts.straggler_depth
     );
     println!(
         "flight recorder: {recorder_percent:.2}% over ring-only tracing on the \
@@ -814,10 +842,11 @@ fn run() -> Result<ExitCode, String> {
         );
         failed = true;
     }
-    if opts.check && straggler_speedup < STRAGGLER_GATE {
+    if opts.check && bound.ratio() > STRAGGLER_GATE {
         eprintln!(
-            "bench_exec: FAIL — dataflow only {straggler_speedup:.2}x over wave \
-             on the straggler fixture (gate {STRAGGLER_GATE:.1}x)"
+            "bench_exec: FAIL — straggler makespan is {:.2}x its critical path \
+             (gate {STRAGGLER_GATE:.1}x)",
+            bound.ratio()
         );
         failed = true;
     }

@@ -135,10 +135,11 @@ pub fn disjoint_branches(
 
 /// Builds the straggler workload: one branch that is a single task
 /// costing `straggler_us` microseconds, next to `branches − 1` chains of
-/// `depth` unit-cost tasks. Under wave scheduling the first barrier
-/// waits for the straggler while every chain sits at depth 1; a
-/// dataflow scheduler lets the chains advance concurrently, so the
-/// makespan gap between the two is the benchmark signal.
+/// `depth` unit-cost tasks. The critical path is the longer of the
+/// straggler and one chain; a scheduler that lets the chains advance
+/// while the straggler runs finishes close to it, while one that holds
+/// the chains behind the straggler pays about the sum of the two. The
+/// benchmark gates the makespan against that measured critical path.
 ///
 /// The unit cost comes from the registry's [`toy::TextTool::work`]; the
 /// straggler's cost rides in its tool instance data (`cost:<µs>`),
@@ -271,10 +272,10 @@ mod tests {
         let (schema, flow, mut db, binding) = straggler_branches(4, 3, 50);
         assert_eq!(flow.outputs().len(), 4, "3 chains + 1 straggler");
         binding.validate(&flow, &db).expect("fully bound");
-        // The wave schedule is barrier-limited: the first wave holds
-        // the straggler plus every chain head, later waves thin out.
+        // The first level set holds the straggler plus every chain
+        // head; later levels hold only the chains.
         let waves = flow.parallel_waves().expect("acyclic");
-        assert_eq!(waves.len(), 3, "chain depth bounds the wave count");
+        assert_eq!(waves.len(), 3, "chain depth bounds the level count");
 
         let registry = toy::text_registry(&schema);
         let executor = hercules::exec::Executor::new(registry);

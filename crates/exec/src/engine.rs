@@ -24,22 +24,6 @@ use crate::error::ExecError;
 use crate::policy::{FailurePolicy, RetryPolicy};
 use crate::supervise;
 
-/// How ready subtasks are sequenced onto workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Event-driven dataflow scheduling: per-task dependency counters,
-    /// a priority ready queue ordered by downstream critical-path
-    /// length, and a persistent worker pool. Completion of a task
-    /// enqueues its newly-ready successors immediately, so disjoint
-    /// sub-flows proceed independently with no barriers.
-    #[default]
-    Dataflow,
-    /// Legacy level-synchronized scheduling: ready subtasks run as one
-    /// wave and every worker idles at the barrier until the slowest
-    /// member finishes. Kept for A/B comparison and equivalence tests.
-    Wave,
-}
-
 /// Options controlling one execution.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
@@ -48,12 +32,10 @@ pub struct ExecOptions {
     /// Execute independent ready subtasks on separate threads (Fig. 6:
     /// "disjoint branches in the flow can be executed in parallel").
     pub parallel: bool,
-    /// Scheduling strategy; see [`SchedulerKind`].
-    pub scheduler: SchedulerKind,
-    /// Worker threads for the parallel dataflow scheduler. `0` sizes
-    /// the pool automatically (one per available core, at least 2),
-    /// and the pool never exceeds the subtask count. Ignored when
-    /// `parallel` is false or under [`SchedulerKind::Wave`].
+    /// Worker threads for the parallel scheduler. `0` sizes the pool
+    /// automatically (one per available core, at least 2), and the
+    /// pool never exceeds the subtask count. Ignored when `parallel`
+    /// is false.
     pub workers: usize,
     /// Reuse current cached results instead of re-running tools
     /// (§3.3's "has this extraction already been performed?").
@@ -104,7 +86,6 @@ impl Default for ExecOptions {
         ExecOptions {
             user: "hercules".into(),
             parallel: false,
-            scheduler: SchedulerKind::default(),
             workers: 0,
             reuse_cached: false,
             fanout_limit: 1024,
@@ -273,7 +254,7 @@ impl ExecReport {
 }
 
 /// One grouped subtask: output nodes sharing a tool application.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct Subtask {
     outputs: Vec<NodeId>,
     tool: Option<NodeId>,
@@ -355,7 +336,7 @@ impl Executor {
             a.bool("parallel", self.options.parallel);
             a.uint("nodes", flow.len() as u64);
         });
-        let result = self.execute_inner(flow, binding, db, epoch, exec_span);
+        let result = self.execute_dataflow(flow, binding, db, epoch, exec_span);
         match &result {
             Ok(report) => {
                 let metrics = &self.options.metrics;
@@ -383,186 +364,12 @@ impl Executor {
         result
     }
 
-    fn execute_inner(
-        &self,
-        flow: &TaskGraph,
-        binding: &Binding,
-        db: &mut HistoryDb,
-        epoch: SimInstant,
-        exec_span: SpanId,
-    ) -> Result<ExecReport, ExecError> {
-        match self.options.scheduler {
-            SchedulerKind::Dataflow => self.execute_dataflow(flow, binding, db, epoch, exec_span),
-            SchedulerKind::Wave => self.execute_wave(flow, binding, db, epoch, exec_span),
-        }
-    }
-
-    /// The legacy level-synchronized executor: each iteration runs every
-    /// currently-ready subtask as one wave and waits at the barrier.
-    fn execute_wave(
-        &self,
-        flow: &TaskGraph,
-        binding: &Binding,
-        db: &mut HistoryDb,
-        epoch: SimInstant,
-        exec_span: SpanId,
-    ) -> Result<ExecReport, ExecError> {
-        flow.validate_for_execution()?;
-        binding.validate(flow, db)?;
-
-        let tracer = &self.options.tracer;
-        let metrics = &self.options.metrics;
-
-        let mut report = ExecReport::default();
-        // Available instances per node: bindings seed the leaves.
-        let mut available: HashMap<NodeId, Vec<InstanceId>> = HashMap::new();
-        for (node, instances) in binding.iter() {
-            available.insert(node, instances.to_vec());
-            report.produced.insert(node, instances.to_vec());
-        }
-
-        let mut invocation_cache = InvocationCache::new();
-
-        // Nodes downstream of a permanent failure: their subtasks are
-        // reported as skipped instead of executed.
-        let mut dead: HashSet<NodeId> = HashSet::new();
-
-        let mut pending = group_subtasks(flow)?;
-        let mut wave_index = 0u64;
-        loop {
-            // Skip the downstream cone of failed subtasks: a subtask
-            // whose tool or any input is dead can never run, and its
-            // outputs kill their dependents in turn.
-            let mut culling = true;
-            while culling {
-                culling = false;
-                let mut still_pending = Vec::with_capacity(pending.len());
-                for s in pending {
-                    let doomed = s.inputs.iter().any(|i| dead.contains(i))
-                        || s.tool.is_some_and(|t| dead.contains(&t));
-                    if doomed {
-                        dead.extend(s.outputs.iter().copied());
-                        tracer.instant("skip", exec_span, |a| {
-                            a.str("outputs", node_list(&s.outputs));
-                        });
-                        report.tasks.push(TaskRecord {
-                            outputs: s.outputs,
-                            action: TaskAction::Skipped,
-                            attempts: 0,
-                            duration: Duration::ZERO,
-                            started: self.options.clock.since(epoch),
-                        });
-                        culling = true;
-                    } else {
-                        still_pending.push(s);
-                    }
-                }
-                pending = still_pending;
-            }
-            if pending.is_empty() {
-                break;
-            }
-
-            // Ready: all inputs (and the tool) have instances.
-            let ready: Vec<Subtask> = pending
-                .iter()
-                .filter(|s| {
-                    s.inputs.iter().all(|i| available.contains_key(i))
-                        && s.tool.is_none_or(|t| available.contains_key(&t))
-                })
-                .cloned()
-                .collect();
-            if ready.is_empty() {
-                // validate_for_execution guarantees progress; this is a
-                // defensive check against corrupt graphs.
-                return Err(ExecError::Flow(hercules_flow::FlowError::Cycle));
-            }
-            pending.retain(|s| !ready.contains(s));
-
-            let wave_span = tracer.begin_with("wave", exec_span, |a| {
-                a.uint("wave", wave_index);
-                a.uint("width", ready.len() as u64);
-            });
-            // Ends the wave span on every exit path, including error
-            // returns out of prepare/commit.
-            let _wave_guard = SpanGuard {
-                tracer,
-                id: wave_span,
-            };
-            wave_index += 1;
-            metrics.incr("exec.waves", 1);
-            metrics.observe("exec.wave_width", ready.len() as u64);
-
-            let prepared: Vec<PreparedSubtask> = ready
-                .iter()
-                .map(|s| self.prepare(flow, s, &available, db))
-                .collect::<Result<_, _>>()?;
-
-            let wave = DispatchCtx {
-                span: wave_span,
-                epoch,
-                dispatched: self.options.clock.now(),
-            };
-            let outcomes: Vec<SubtaskOutcome> = if self.options.parallel {
-                run_parallel(&prepared, flow, &self.options, &wave)
-            } else {
-                prepared
-                    .iter()
-                    .map(|p| p.run_all(flow.schema(), &self.options, &wave))
-                    .collect()
-            };
-
-            // Under Abort, a failure anywhere in the wave discards the
-            // whole wave: nothing commits, the error propagates.
-            if self.options.failure == FailurePolicy::Abort {
-                for outcome in &outcomes {
-                    if let Err(error) = &outcome.result {
-                        return Err(error.clone());
-                    }
-                }
-            }
-
-            // Commit serially, in subtask order, for determinism.
-            for (p, outcome) in prepared.iter().zip(outcomes) {
-                match outcome.result {
-                    Ok(runs) => {
-                        self.commit_runs(
-                            p,
-                            runs,
-                            outcome.attempts,
-                            outcome.duration,
-                            outcome.started,
-                            db,
-                            &mut invocation_cache,
-                            &mut available,
-                            &mut report,
-                        )?;
-                    }
-                    Err(error) => {
-                        // ContinueDisjoint: report the failure, kill
-                        // the downstream cone, keep going.
-                        dead.extend(p.subtask.outputs.iter().copied());
-                        report.tasks.push(TaskRecord {
-                            outputs: p.subtask.outputs.clone(),
-                            action: TaskAction::Failed { error },
-                            attempts: outcome.attempts,
-                            duration: outcome.duration,
-                            started: outcome.started,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(report)
-    }
-
     /// Commits one successful subtask outcome: records every produced
     /// instance in the history (deduplicating identical invocations
     /// through `invocation_cache`), publishes the instances to
-    /// `available`, and appends the [`TaskRecord`]. Shared by the wave
-    /// and dataflow schedulers — commits always happen serially on the
-    /// scheduling thread, which is what keeps dedup and the history
-    /// deterministic.
+    /// `available`, and appends the [`TaskRecord`]. Commits always happen
+    /// serially on the scheduling thread, which is what keeps dedup and
+    /// the history deterministic.
     #[allow(clippy::too_many_arguments)]
     fn commit_runs(
         &self,
@@ -655,7 +462,7 @@ impl Executor {
     /// critical-path length, and a persistent worker pool. A task's
     /// completion decrements its successors' counters and enqueues the
     /// newly-ready ones immediately — disjoint sub-flows proceed
-    /// independently, with no wave barriers (§3.3, Fig. 6).
+    /// independently, with no barriers between levels (§3.3, Fig. 6).
     fn execute_dataflow(
         &self,
         flow: &TaskGraph,
@@ -682,8 +489,7 @@ impl Executor {
         let workers = self.effective_workers(total);
 
         // One scheduler epoch spans the whole execution — the parent of
-        // every task span, where the wave executor opens one span per
-        // barrier round.
+        // every task span.
         let epoch_span = tracer.begin_with("epoch", exec_span, |a| {
             a.uint("tasks", total as u64);
             a.uint("workers", workers as u64);
@@ -934,8 +740,8 @@ impl Executor {
                     // propagates and the pool drains.
                     return Err(error);
                 }
-                // ContinueDisjoint: report the failure, then skip the
-                // downstream cone exactly as the wave executor would.
+                // ContinueDisjoint: report the failure, then skip its
+                // whole downstream cone.
                 st.dead.extend(prepared.subtask.outputs.iter().copied());
                 report.tasks.push(TaskRecord {
                     outputs: prepared.subtask.outputs.clone(),
@@ -1180,10 +986,9 @@ impl Drop for SpanGuard<'_> {
 }
 
 /// Per-dispatch context threaded into subtask runs: the parent span of
-/// the task span (the scheduler epoch under dataflow, the wave under
-/// the legacy scheduler), the execution epoch (task start offsets are
-/// relative to it), and the dispatch instant (queue wait = how long a
-/// ready subtask sat before a worker picked it up).
+/// the task span (the scheduler epoch), the execution epoch (task start
+/// offsets are relative to it), and the dispatch instant (queue wait =
+/// how long a ready subtask sat before a worker picked it up).
 struct DispatchCtx {
     span: SpanId,
     epoch: SimInstant,
@@ -1580,11 +1385,11 @@ impl PreparedSubtask {
         &self,
         schema: &std::sync::Arc<TaskSchema>,
         options: &ExecOptions,
-        wave: &DispatchCtx,
+        ctx: &DispatchCtx,
     ) -> SubtaskOutcome {
         let started = options.clock.now();
-        let started_offset = started.duration_since(wave.epoch);
-        let queue_wait = started.duration_since(wave.dispatched);
+        let started_offset = started.duration_since(ctx.epoch);
+        let queue_wait = started.duration_since(ctx.dispatched);
         options
             .metrics
             .observe_duration("exec.queue_wait_ns", queue_wait);
@@ -1593,7 +1398,7 @@ impl PreparedSubtask {
             .iter()
             .filter(|r| matches!(r, PreparedRun::Invoke { .. }))
             .count();
-        let task_span = options.tracer.begin_with("task", wave.span, |a| {
+        let task_span = options.tracer.begin_with("task", ctx.span, |a| {
             a.str("task", self.label.as_str());
             a.str("outputs", self.outputs_attr.as_str());
             a.str("inputs", self.inputs_attr.as_str());
@@ -1705,40 +1510,6 @@ impl PreparedSubtask {
             started: started_offset,
         }
     }
-}
-
-/// Runs every prepared subtask of a wave on its own thread — the
-/// "separate branches can be executed in parallel" of Fig. 6.
-fn run_parallel(
-    prepared: &[PreparedSubtask],
-    flow: &TaskGraph,
-    options: &ExecOptions,
-    wave: &DispatchCtx,
-) -> Vec<SubtaskOutcome> {
-    let schema = flow.schema();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = prepared
-            .iter()
-            .map(|p| scope.spawn(move || p.run_all(schema, options, wave)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                // run_all catches tool panics itself; this guards the
-                // engine against panics in its own plumbing so one
-                // subtask thread can never abort the whole execution.
-                h.join().unwrap_or_else(|payload| SubtaskOutcome {
-                    result: Err(ExecError::ToolPanicked {
-                        tool: "subtask worker".into(),
-                        message: supervise::panic_message(payload.as_ref()),
-                    }),
-                    attempts: 0,
-                    duration: Duration::ZERO,
-                    started: options.clock.since(wave.epoch),
-                })
-            })
-            .collect()
-    })
 }
 
 /// Groups the interior nodes of a flow into subtasks: nodes sharing the

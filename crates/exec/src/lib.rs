@@ -81,7 +81,7 @@ pub use binding::Binding;
 pub use encapsulation::{
     Encapsulation, EncapsulationRegistry, Invocation, MultiInstanceMode, ToolInput, ToolOutput,
 };
-pub use engine::{ExecOptions, ExecReport, Executor, SchedulerKind, TaskAction, TaskRecord};
+pub use engine::{ExecOptions, ExecReport, Executor, TaskAction, TaskRecord};
 pub use error::ExecError;
 pub use fault::{FaultPlan, FaultyEncapsulation};
 pub use policy::{FailurePolicy, RetryPolicy};

@@ -98,8 +98,9 @@ impl RetryPolicy {
 /// What a subtask's permanent failure means for the rest of the flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailurePolicy {
-    /// Stop the execution and return the error. Nothing from the
-    /// failing wave is committed.
+    /// Stop the execution and return the error. Subtasks committed
+    /// before the failure stay in the history; the failing subtask and
+    /// any subtask still in flight commit nothing.
     #[default]
     Abort,
     /// Keep executing disjoint branches (Fig. 6): the failed subtask is

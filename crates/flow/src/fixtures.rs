@@ -171,44 +171,6 @@ pub fn wide_parallel(schema: Arc<TaskSchema>, branches: usize) -> Result<TaskGra
     Ok(flow)
 }
 
-/// Builds a *barrier-limited* flow: `width` disjoint single-task
-/// `Layout` branches that all sit in the first wave, next to one
-/// netlist-edit chain `depth` versions deep that occupies every later
-/// wave alone. The level-set widths are `[width + 1, 1, 1, …]`, so a
-/// wave-barrier schedule holds `width + 1` workers for `depth` waves
-/// while only the chain makes progress — the shape `herclint`'s
-/// `HL0312` (barrier-limited flow) pass exists to flag.
-///
-/// # Errors
-///
-/// Returns an error if `schema` lacks the Fig. 1 entities.
-pub fn barrier_limited(
-    schema: Arc<TaskSchema>,
-    width: usize,
-    depth: usize,
-) -> Result<TaskGraph, FlowError> {
-    let netlist_ty = schema.require("Netlist")?;
-    let edited_ty = schema.require("EditedNetlist")?;
-    let layout_ty = schema.require("Layout")?;
-    let mut flow = TaskGraph::new(schema.clone());
-    for _ in 0..width.max(1) {
-        let layout = flow.seed(layout_ty)?;
-        flow.expand(layout)?;
-    }
-    let mut node = flow.seed(edited_ty)?;
-    for _ in 1..depth.max(1) {
-        let created = flow.expand_with(node, &Expansion::new().with_optional(netlist_ty))?;
-        let prior = created
-            .into_iter()
-            .find(|&n| flow.entity_of(n) == Ok(netlist_ty))
-            .ok_or(FlowError::NodeNotFound(node))?;
-        flow.specialize(prior, edited_ty)?;
-        node = prior;
-    }
-    flow.expand(node)?;
-    Ok(flow)
-}
-
 /// Builds the Fig. 8a synthesis flow: "synthesize the physical view of a
 /// circuit from the transistor view" — a `Layout` placed from a
 /// `Netlist`.

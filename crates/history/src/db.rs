@@ -15,7 +15,7 @@ use crate::clock::{LogicalClock, Timestamp};
 use crate::derivation::Derivation;
 use crate::error::HistoryError;
 use crate::instance::{EntityInstance, InstanceId, Metadata};
-use crate::store::{BlobHash, BlobStore};
+use crate::store::BlobStore;
 
 /// The design-history database: instances, meta-data, derivations, and
 /// the shared physical store.
@@ -318,12 +318,6 @@ impl HistoryDb {
     /// Returns `true` if the instance is of a tool entity.
     pub fn is_tool_instance(&self, id: InstanceId) -> Result<bool, HistoryError> {
         Ok(self.schema.entity(self.instance(id)?.entity()).kind() == EntityKind::Tool)
-    }
-
-    /// Returns the hash a given payload would share storage under —
-    /// useful for checking physical-data sharing (footnote 5).
-    pub fn blob_hash(bytes: &[u8]) -> BlobHash {
-        BlobHash::of(bytes)
     }
 }
 

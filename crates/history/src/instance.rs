@@ -103,8 +103,8 @@ pub struct EntityInstance {
     pub(crate) id: InstanceId,
     pub(crate) entity: EntityTypeId,
     pub(crate) meta: Metadata,
-    /// Content hash of the physical data in the blob store; instances
-    /// may share one blob (footnote 5's shared RCS files).
+    /// Blob-store key of the physical data; instances with identical
+    /// data share one blob (footnote 5's shared RCS files).
     pub(crate) data: Option<BlobHash>,
     pub(crate) derivation: Option<Derivation>,
 }
@@ -125,7 +125,7 @@ impl EntityInstance {
         &self.meta
     }
 
-    /// Returns the content hash of the instance's physical data, if it
+    /// Returns the blob-store key of the instance's physical data, if it
     /// has any (tool instances, for example, may be pure references).
     pub fn data(&self) -> Option<BlobHash> {
         self.data

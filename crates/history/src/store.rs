@@ -5,15 +5,20 @@
 //! associated meta-data, it may share the actual (physical) data with
 //! other instances. For example, several design history instances could
 //! point to the same Unix RCS … file." The [`BlobStore`] reproduces this
-//! sharing: identical contents hash to the same [`BlobHash`] and are
-//! stored once, with a reference count.
+//! sharing: identical contents are stored once under one [`BlobHash`],
+//! with a reference count. Keys start from a 64-bit hash, but a key is
+//! only shared after comparing bytes, so a hash collision can never make
+//! two different payloads share a blob.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Content hash of a stored blob (64-bit FNV-1a over the bytes).
+/// Key of a stored blob: the 64-bit FNV-1a hash of its bytes, or, when
+/// a blob with different bytes already holds that key, the next free
+/// key after it. Identical bytes share one key, and a key always names
+/// the bytes [`BlobStore::put`] stored under it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct BlobHash(u64);
 
@@ -23,7 +28,8 @@ impl BlobHash {
         self.0
     }
 
-    /// Hashes a byte string with 64-bit FNV-1a.
+    /// Hashes a byte string with 64-bit FNV-1a: the first key
+    /// [`BlobStore::put`] tries for it.
     pub fn of(bytes: &[u8]) -> BlobHash {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in bytes {
@@ -68,16 +74,26 @@ impl BlobStore {
     }
 
     /// Stores `bytes`, sharing storage with identical prior content.
-    /// Returns the content hash; each call adds one reference.
+    /// Returns the key the bytes are stored under; each call adds one
+    /// reference.
     pub fn put(&mut self, bytes: &[u8]) -> BlobHash {
-        let hash = BlobHash::of(bytes);
         self.logical_bytes += bytes.len() as u64;
-        let entry = self.blobs.entry(hash.0).or_insert_with(|| {
-            self.stored_bytes += bytes.len() as u64;
-            (bytes.to_vec(), 0)
-        });
-        entry.1 += 1;
-        hash
+        let mut key = BlobHash::of(bytes).0;
+        loop {
+            match self.blobs.get_mut(&key) {
+                Some((stored, refs)) if stored.as_slice() == bytes => {
+                    *refs += 1;
+                    return BlobHash(key);
+                }
+                // Different bytes under the same key: a hash collision.
+                Some(_) => key = key.wrapping_add(1),
+                None => {
+                    self.stored_bytes += bytes.len() as u64;
+                    self.blobs.insert(key, (bytes.to_vec(), 1));
+                    return BlobHash(key);
+                }
+            }
+        }
     }
 
     /// Returns the bytes stored under `hash`, if present.
@@ -165,6 +181,25 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.stored_bytes(), 0);
         assert_eq!(s.release(h), None);
+    }
+
+    #[test]
+    fn colliding_key_never_shares_different_bytes() {
+        let mut s = BlobStore::new();
+        // Plant different bytes under the key `b"x"` hashes to, as a
+        // 64-bit FNV collision would.
+        let planted = BlobHash::of(b"x");
+        s.blobs.insert(planted.raw(), (b"not x".to_vec(), 1));
+        let h = s.put(b"x");
+        assert_ne!(h, planted, "different bytes take another key");
+        assert_eq!(s.get(h), Some(&b"x"[..]));
+        assert_eq!(s.put(b"x"), h, "identical bytes still share");
+        assert_eq!(s.refcount(h), 2);
+        assert_eq!(s.release(h), Some(1));
+        assert_eq!(s.release(h), Some(0));
+        assert_eq!(s.get(h), None);
+        assert_eq!(s.refcount(planted), 1, "the planted blob is untouched");
+        assert_eq!(s.get(planted), Some(&b"not x"[..]));
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub struct TraceEvent {
     pub id: SpanId,
     /// Enclosing span, or [`SpanId::NONE`] for roots.
     pub parent: SpanId,
-    /// Span or event name (`execute`, `wave`, `task`, `attempt`,
+    /// Span or event name (`execute`, `epoch`, `task`, `attempt`,
     /// `retry`, …).
     pub name: String,
     /// Monotonic nanoseconds since the tracer's epoch.

@@ -2,7 +2,8 @@
 //!
 //! The verification flow has two independent input branches (the edited
 //! netlist and the extraction chain); with parallel execution enabled
-//! the engine runs ready subtasks of a wave on separate threads.
+//! the engine hands every ready subtask to a pool of worker threads, so
+//! the two branches run at the same time.
 //!
 //! ```sh
 //! cargo run --release --example parallel_branches

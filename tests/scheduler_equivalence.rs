@@ -1,29 +1,36 @@
-//! Property test (ISSUE 5 satellite): the dataflow scheduler is
-//! observationally equivalent to the legacy wave executor on random
-//! layered DAGs.
+//! Property test: every schedule the engine can pick produces what the
+//! flow itself predicts, on random layered DAGs.
 //!
-//! For every generated flow the wave schedule (serial) is the oracle;
-//! the dataflow scheduler — serial and parallel — must produce the same
-//! data for every output node, the same multiset of task actions (the
-//! invocation cache hands `Ran` to whichever twin commits first, so
-//! per-node `Ran`/`Cached` assignment is schedule-dependent but the
-//! counts are not), and, with a failing tool injected, the same
-//! `Failed` and `Skipped` subtask sets under
-//! [`FailurePolicy::ContinueDisjoint`] and an error under
-//! [`FailurePolicy::Abort`]. Data equality across every output also
-//! certifies dependency order: a consumer prepared before its producer
-//! committed would read stale or missing inputs and change the bytes.
+//! The oracle is computed from the flow and its bindings alone and
+//! shares no code with the engine:
+//!
+//! * the toy [`toy::TextTool`] writes the term `Tool(arg, …)`, whose
+//!   arguments are the input payloads in node order, so every node's
+//!   expected bytes follow from the flow by structural recursion;
+//! * the failing tool's subtasks are `Failed`, and every subtask
+//!   reachable downstream of them is `Skipped`;
+//! * identical invocations commit once, so the number of `Ran`
+//!   subtasks is the number of distinct invocations among the subtasks
+//!   that neither failed nor were skipped.
+//!
+//! Each flow runs under the serial pump in the engine's own priority
+//! order, under four seeded simulator interleavings of the serial pump,
+//! and under the parallel pump with two workers and with an
+//! automatically sized pool. Byte equality on every node also certifies
+//! dependency order: a consumer prepared before its producer committed
+//! would read missing inputs and change the bytes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use hercules::exec::{
-    toy, Binding, Encapsulation, EncapsulationRegistry, Executor, FailurePolicy, SchedulerKind,
-    TaskAction, TaskRecord,
+    toy, Binding, Encapsulation, EncapsulationRegistry, ExecError, ExecReport, Executor,
+    FailurePolicy, TaskAction,
 };
-use hercules::flow::TaskGraph;
+use hercules::flow::{NodeId, TaskGraph};
 use hercules::history::{HistoryDb, Metadata};
 use hercules::schema::{EntityTypeId, SchemaBuilder, TaskSchema};
+use hercules::sim::SimEnv;
 use proptest::prelude::*;
 
 /// A generated layered DAG: its schema, the tool entities in creation
@@ -126,9 +133,29 @@ fn registry(dag: &Dag, failing: Option<EntityTypeId>) -> EncapsulationRegistry {
     reg
 }
 
-struct Run {
-    report: Result<hercules::exec::ExecReport, hercules::exec::ExecError>,
-    db: HistoryDb,
+/// One way of sequencing a flow's ready subtasks.
+#[derive(Debug, Clone, Copy)]
+enum Schedule {
+    /// The serial pump in the engine's own priority order.
+    Serial,
+    /// The serial pump, picking among ready subtasks with
+    /// `SimEnv::new(seed).interleave()`.
+    Interleaved { sim_seed: u64 },
+    /// The parallel pump with this many workers (`0` sizes the pool
+    /// automatically).
+    Parallel { workers: usize },
+}
+
+/// Every schedule a generated flow runs under; the interleavings take
+/// their seeds from the flow's own seed, so a failure names them.
+fn schedules(seed: u64) -> Vec<Schedule> {
+    let mut all = vec![Schedule::Serial];
+    all.extend((0..4).map(|k| Schedule::Interleaved {
+        sim_seed: seed.wrapping_add(k),
+    }));
+    all.push(Schedule::Parallel { workers: 2 });
+    all.push(Schedule::Parallel { workers: 0 });
+    all
 }
 
 fn run(
@@ -137,95 +164,167 @@ fn run(
     db: &HistoryDb,
     binding: &Binding,
     failing: Option<EntityTypeId>,
-    (scheduler, parallel): (SchedulerKind, bool),
+    schedule: Schedule,
     policy: FailurePolicy,
-) -> Run {
+) -> (Result<ExecReport, ExecError>, HistoryDb) {
     let mut db = db.clone();
     let mut executor = Executor::new(registry(dag, failing));
-    executor.options_mut().parallel = parallel;
-    executor.options_mut().scheduler = scheduler;
-    executor.options_mut().failure = policy;
-    let report = executor.execute(flow, binding, &mut db);
-    Run { report, db }
-}
-
-/// Record key: the sorted output nodes of the subtask.
-fn keyed(tasks: &[TaskRecord]) -> BTreeMap<Vec<usize>, &TaskRecord> {
-    tasks
-        .iter()
-        .map(|r| {
-            let mut key: Vec<usize> = r.outputs.iter().map(|n| n.index()).collect();
-            key.sort_unstable();
-            (key, r)
-        })
-        .collect()
-}
-
-fn kind_counts(tasks: &[TaskRecord]) -> BTreeMap<&'static str, usize> {
-    let mut counts = BTreeMap::new();
-    for r in tasks {
-        let kind = match r.action {
-            TaskAction::Ran { .. } => "ran",
-            TaskAction::Cached => "cached",
-            TaskAction::Failed { .. } => "failed",
-            TaskAction::Skipped => "skipped",
-        };
-        *counts.entry(kind).or_insert(0) += 1;
+    let options = executor.options_mut();
+    options.failure = policy;
+    match schedule {
+        Schedule::Serial => {}
+        Schedule::Interleaved { sim_seed } => {
+            options.interleave = SimEnv::new(sim_seed).interleave();
+        }
+        Schedule::Parallel { workers } => {
+            options.parallel = true;
+            options.workers = workers;
+        }
     }
-    counts
+    let report = executor.execute(flow, binding, &mut db);
+    (report, db)
 }
 
-fn terminal_keys(tasks: &[TaskRecord], want_failed: bool) -> BTreeSet<Vec<usize>> {
-    keyed(tasks)
-        .into_iter()
-        .filter(|(_, r)| match r.action {
-            TaskAction::Failed { .. } => want_failed,
-            TaskAction::Skipped => !want_failed,
-            _ => false,
-        })
-        .map(|(k, _)| k)
-        .collect()
+/// What the flow predicts for one execution.
+#[derive(Debug, Default)]
+struct Oracle {
+    /// Expected payload of every leaf and of every interior node that
+    /// neither fails nor is skipped.
+    bytes: BTreeMap<NodeId, Vec<u8>>,
+    failed: BTreeSet<NodeId>,
+    skipped: BTreeSet<NodeId>,
+    /// Distinct invocations among the surviving subtasks.
+    ran: usize,
+}
+
+/// Derives the [`Oracle`] from the flow, the leaf bindings and the
+/// failing tool entity. Tools are seeded with empty payloads, so the
+/// text tool names itself by its entity.
+fn oracle(
+    flow: &TaskGraph,
+    db: &HistoryDb,
+    binding: &Binding,
+    failing: Option<EntityTypeId>,
+) -> Oracle {
+    let schema = flow.schema();
+    let mut o = Oracle::default();
+    let mut invocations = BTreeSet::new();
+    for node in flow.topo_order().expect("generated flows are acyclic") {
+        let Some(tool) = flow.tool_of(node) else {
+            let bound = binding.get(node)[0];
+            let data = db.data_of(bound).expect("bound").expect("has data");
+            o.bytes.insert(node, data.to_vec());
+            continue;
+        };
+        let mut inputs = flow.data_inputs_of(node);
+        inputs.sort();
+        // An input without predicted bytes failed or was skipped.
+        if inputs.iter().any(|i| !o.bytes.contains_key(i)) {
+            o.skipped.insert(node);
+            continue;
+        }
+        let tool_entity = flow.entity_of(tool).expect("live node");
+        if Some(tool_entity) == failing {
+            o.failed.insert(node);
+            continue;
+        }
+        let args: Vec<String> = inputs
+            .iter()
+            .map(|i| String::from_utf8_lossy(&o.bytes[i]).into_owned())
+            .collect();
+        let term = format!("{}({})", schema.entity(tool_entity).name(), args.join(", "));
+        // A term names its tool and spells out its inputs, so distinct
+        // invocations are exactly distinct terms.
+        invocations.insert(term.clone());
+        o.bytes.insert(node, term.into_bytes());
+    }
+    o.ran = invocations.len();
+    o
+}
+
+/// Checks one run against the oracle, describing the first mismatch.
+fn check(
+    flow: &TaskGraph,
+    want: &Oracle,
+    (report, db): (Result<ExecReport, ExecError>, HistoryDb),
+) -> Result<(), String> {
+    let report = report.map_err(|e| format!("execution failed: {e}"))?;
+    let mut failed = BTreeSet::new();
+    let mut skipped = BTreeSet::new();
+    let mut ran = 0;
+    for task in &report.tasks {
+        let [node] = task.outputs[..] else {
+            return Err(format!("subtask with outputs {:?}", task.outputs));
+        };
+        match task.action {
+            TaskAction::Ran { runs: 1 } => ran += 1,
+            TaskAction::Ran { runs } => return Err(format!("{node} ran {runs} times")),
+            TaskAction::Cached => {}
+            TaskAction::Failed { .. } => {
+                failed.insert(node);
+            }
+            TaskAction::Skipped => {
+                skipped.insert(node);
+            }
+        }
+    }
+    let interior = flow.node_ids().filter(|&n| flow.is_expanded(n)).count();
+    if report.tasks.len() != interior {
+        return Err(format!(
+            "{} task records for {interior} subtasks",
+            report.tasks.len()
+        ));
+    }
+    if failed != want.failed || skipped != want.skipped {
+        return Err(format!(
+            "failed {failed:?} / skipped {skipped:?}, predicted {:?} / {:?}",
+            want.failed, want.skipped
+        ));
+    }
+    if ran != want.ran {
+        return Err(format!("{ran} subtasks ran, predicted {}", want.ran));
+    }
+    for (&node, expected) in &want.bytes {
+        let inst = report
+            .try_single(node)
+            .map_err(|e| format!("node {node}: {e}"))?;
+        let have = db.data_of(inst).expect("present").expect("has data");
+        if have != expected.as_slice() {
+            return Err(format!(
+                "node {node} is `{}`, predicted `{}`",
+                String::from_utf8_lossy(have),
+                String::from_utf8_lossy(expected)
+            ));
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Success path: same bytes per output node, same action multiset,
-    /// same subtask count, whichever scheduler runs the flow.
+    /// Success path: every schedule produces the predicted bytes on
+    /// every node and the predicted number of tool runs.
     #[test]
-    fn dataflow_matches_wave_on_random_dags(
+    fn every_schedule_matches_the_flow_oracle(
         widths in prop::collection::vec(1usize..4, 2..5),
         seed in 0u64..u64::MAX,
     ) {
         let dag = build_dag(&widths, seed);
         let (flow, db, binding) = seed_and_bind(&dag);
-        let oracle = run(&dag, &flow, &db, &binding, None,
-                         (SchedulerKind::Wave, false), FailurePolicy::Abort);
-        let oracle_report = oracle.report.expect("wave oracle succeeds");
-        for (scheduler, parallel) in [
-            (SchedulerKind::Dataflow, false),
-            (SchedulerKind::Dataflow, true),
-            (SchedulerKind::Wave, true),
-        ] {
-            let got = run(&dag, &flow, &db, &binding, None,
-                          (scheduler, parallel), FailurePolicy::Abort);
-            let report = got.report.expect("scheduler succeeds");
-            prop_assert_eq!(report.tasks.len(), oracle_report.tasks.len());
-            prop_assert_eq!(kind_counts(&report.tasks), kind_counts(&oracle_report.tasks));
-            for node in flow.outputs() {
-                let want = oracle.db
-                    .data_of(oracle_report.single(node)).expect("present").expect("has data");
-                let have = got.db
-                    .data_of(report.single(node)).expect("present").expect("has data");
-                prop_assert_eq!(have, want, "output node {} bytes differ", node);
-            }
+        let want = oracle(&flow, &db, &binding, None);
+        for schedule in schedules(seed) {
+            let got = run(&dag, &flow, &db, &binding, None, schedule, FailurePolicy::Abort);
+            check(&flow, &want, got).map_err(|m| TestCaseError::fail(format!(
+                "widths {widths:?}, seed {seed}, {schedule:?}: {m}"
+            )))?;
         }
     }
 
     /// Failure path: inject one always-failing tool. Under
-    /// `ContinueDisjoint` every scheduler reports the same `Failed` and
-    /// `Skipped` subtask sets (the dead cone is structural, not
-    /// schedule-dependent); under `Abort` every scheduler errors.
+    /// `ContinueDisjoint` every schedule reports the predicted `Failed`
+    /// and `Skipped` sets and completes everything else as predicted;
+    /// under `Abort` every schedule errors.
     #[test]
     fn failure_cones_match_between_schedulers(
         widths in prop::collection::vec(1usize..4, 2..5),
@@ -245,26 +344,19 @@ proptest! {
         };
         prop_assert!(!used.is_empty());
         let failing = Some(used[failing_seed % used.len()]);
-        let oracle = run(&dag, &flow, &db, &binding, failing,
-                         (SchedulerKind::Wave, false), FailurePolicy::ContinueDisjoint);
-        let oracle_report = oracle.report.expect("ContinueDisjoint still reports");
-        let want_failed = terminal_keys(&oracle_report.tasks, true);
-        let want_skipped = terminal_keys(&oracle_report.tasks, false);
-        prop_assert!(!want_failed.is_empty(), "the failing tool is reachable");
-        for (scheduler, parallel) in [
-            (SchedulerKind::Dataflow, false),
-            (SchedulerKind::Dataflow, true),
-            (SchedulerKind::Wave, true),
-        ] {
-            let got = run(&dag, &flow, &db, &binding, failing,
-                          (scheduler, parallel), FailurePolicy::ContinueDisjoint);
-            let report = got.report.expect("ContinueDisjoint still reports");
-            prop_assert_eq!(terminal_keys(&report.tasks, true), want_failed.clone());
-            prop_assert_eq!(terminal_keys(&report.tasks, false), want_skipped.clone());
+        let want = oracle(&flow, &db, &binding, failing);
+        prop_assert!(!want.failed.is_empty(), "the failing tool is reachable");
+        for schedule in schedules(seed) {
+            let context = format!("widths {widths:?}, seed {seed}, failing seed \
+                                   {failing_seed}, {schedule:?}");
+            let got = run(&dag, &flow, &db, &binding, failing, schedule,
+                          FailurePolicy::ContinueDisjoint);
+            check(&flow, &want, got)
+                .map_err(|m| TestCaseError::fail(format!("{context}: {m}")))?;
 
-            let aborted = run(&dag, &flow, &db, &binding, failing,
-                              (scheduler, parallel), FailurePolicy::Abort);
-            prop_assert!(aborted.report.is_err(), "Abort surfaces the failure");
+            let (aborted, _) = run(&dag, &flow, &db, &binding, failing, schedule,
+                                   FailurePolicy::Abort);
+            prop_assert!(aborted.is_err(), "{}: Abort surfaces no failure", context);
         }
     }
 }
