@@ -222,7 +222,7 @@ impl CacheBackend for DiskTier {
         let tmp = shard.join(format!("{}{TMP_SUFFIX}", key.to_hex()));
         {
             let mut file = self.fs.create_truncate(&tmp)?;
-            file.write_all(&entry.encode())?;
+            file.write_all(&entry.encode()?)?;
             file.sync_all()?;
         }
         self.fs.rename(&tmp, &final_path)?;
@@ -283,7 +283,7 @@ mod tests {
         tier.put(&key, &e).unwrap();
         let usage = tier.usage().unwrap();
         assert_eq!(usage.entries, 1);
-        assert_eq!(usage.bytes, e.encode().len() as u64);
+        assert_eq!(usage.bytes, e.encode().expect("encodable").len() as u64);
     }
 
     #[test]
@@ -305,7 +305,7 @@ mod tests {
         for tag in 1..=4u8 {
             let (k, e) = entry(tag, 100);
             tier.put(&k, &e).unwrap();
-            encoded = e.encode().len() as u64;
+            encoded = e.encode().expect("encodable").len() as u64;
         }
         // A leftover temp file from an interrupted write-back.
         let (k5, _) = entry(5, 1);
@@ -359,7 +359,7 @@ mod tests {
         tier.fs
             .create_truncate(&path)
             .unwrap()
-            .write_all(&e1.encode())
+            .write_all(&e1.encode().expect("encodable"))
             .unwrap();
         assert_eq!(tier.get(&k2).unwrap(), None, "mis-filed entry served");
         assert_eq!(tier.get(&k1).unwrap(), None, "entry 1 was never committed");

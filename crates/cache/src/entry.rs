@@ -9,6 +9,8 @@
 //! as a miss — the crash-safety argument for the disk tier reduces to
 //! "an entry either decodes and matches its key, or it does not exist".
 
+use std::io;
+
 use crate::crc::crc32;
 use crate::key::CacheKey;
 
@@ -51,23 +53,49 @@ impl CacheEntry {
     }
 
     /// Encodes the entry as a self-validating byte blob.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64 + self.payload_bytes() as usize);
-        payload.extend_from_slice(self.key.as_bytes());
-        payload.extend_from_slice(&self.created_ms.to_le_bytes());
-        push_bytes(&mut payload, self.tool.as_bytes());
-        payload.extend_from_slice(&(self.outputs.len() as u32).to_le_bytes());
-        for out in &self.outputs {
-            push_bytes(&mut payload, out.entity.as_bytes());
-            push_bytes(&mut payload, out.name.as_bytes());
-            push_bytes(&mut payload, &out.data);
-        }
-        let mut blob = Vec::with_capacity(payload.len() + 12);
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] when the encoded payload would be
+    /// 4 GiB or more, too long for its `u32` length field.
+    pub fn encode(&self) -> io::Result<Vec<u8>> {
+        let payload_len = self.payload_len()?;
+        let mut blob = Vec::with_capacity(12 + payload_len as usize);
         blob.extend_from_slice(ENTRY_MAGIC);
-        blob.extend_from_slice(&crc32(&payload).to_le_bytes());
-        blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        blob.extend_from_slice(&payload);
-        blob
+        blob.extend_from_slice(&[0; 4]); // the CRC, once the payload is in
+        blob.extend_from_slice(&payload_len.to_le_bytes());
+        blob.extend_from_slice(self.key.as_bytes());
+        blob.extend_from_slice(&self.created_ms.to_le_bytes());
+        push_bytes(&mut blob, self.tool.as_bytes())?;
+        blob.extend_from_slice(&length_field(self.outputs.len())?.to_le_bytes());
+        for out in &self.outputs {
+            push_bytes(&mut blob, out.entity.as_bytes())?;
+            push_bytes(&mut blob, out.name.as_bytes())?;
+            push_bytes(&mut blob, &out.data)?;
+        }
+        let crc = crc32(&blob[12..]);
+        blob[4..8].copy_from_slice(&crc.to_le_bytes());
+        Ok(blob)
+    }
+
+    /// Whether the encoded payload fits its `u32` length field, i.e.
+    /// stays under 4 GiB. The cache stores no entry that does not.
+    pub(crate) fn encodable(&self) -> bool {
+        self.payload_len().is_ok()
+    }
+
+    /// Length of the encoded payload, all but the 12-byte header. Every
+    /// length field inside the payload is smaller, so once this check
+    /// passes no field conversion fails, and nothing is allocated for
+    /// an entry that does not fit.
+    fn payload_len(&self) -> io::Result<u32> {
+        // Key, creation time, the tool's length field, the output count.
+        let fixed = 32 + 8 + 4 + 4 + self.tool.len();
+        let len = self.outputs.iter().fold(fixed, |len, o| {
+            len.saturating_add(12 + o.entity.len() + o.name.len())
+                .saturating_add(o.data.len())
+        });
+        length_field(len)
     }
 
     /// Decodes a blob, returning `None` on any validation failure:
@@ -118,9 +146,22 @@ impl CacheEntry {
     }
 }
 
-fn push_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+/// Appends `bytes` after their length field.
+fn push_bytes(out: &mut Vec<u8>, bytes: &[u8]) -> io::Result<()> {
+    out.extend_from_slice(&length_field(bytes.len())?.to_le_bytes());
     out.extend_from_slice(bytes);
+    Ok(())
+}
+
+/// `len` as a `u32` length field. A cast would wrap a length past
+/// `u32::MAX`, and the entry would then fail its own validation.
+fn length_field(len: usize) -> io::Result<u32> {
+    u32::try_from(len).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("cache entry length {len} exceeds a u32 length field"),
+        )
+    })
 }
 
 struct Cursor<'a> {
@@ -172,14 +213,14 @@ mod tests {
     #[test]
     fn encode_decode_round_trips() {
         let entry = sample();
-        let blob = entry.encode();
+        let blob = entry.encode().expect("encodable");
         assert_eq!(CacheEntry::decode(&blob), Some(entry.clone()));
         assert_eq!(CacheEntry::decode_for(&blob, &entry.key), Some(entry));
     }
 
     #[test]
     fn every_truncation_is_rejected() {
-        let blob = sample().encode();
+        let blob = sample().encode().expect("encodable");
         for len in 0..blob.len() {
             assert_eq!(CacheEntry::decode(&blob[..len]), None, "truncated to {len}");
         }
@@ -188,7 +229,7 @@ mod tests {
     #[test]
     fn every_single_bit_flip_is_rejected() {
         let entry = sample();
-        let blob = entry.encode();
+        let blob = entry.encode().expect("encodable");
         for i in 0..blob.len() {
             let mut bad = blob.clone();
             bad[i] ^= 0x40;
@@ -203,10 +244,10 @@ mod tests {
     #[test]
     fn trailing_garbage_and_wrong_key_are_rejected() {
         let entry = sample();
-        let mut blob = entry.encode();
+        let mut blob = entry.encode().expect("encodable");
         blob.push(0);
         assert_eq!(CacheEntry::decode(&blob), None);
-        let blob = entry.encode();
+        let blob = entry.encode().expect("encodable");
         let other = CacheKey::from_bytes(sha256(b"other"));
         assert_eq!(CacheEntry::decode_for(&blob, &other), None);
     }
@@ -214,5 +255,22 @@ mod tests {
     #[test]
     fn payload_bytes_counts_outputs() {
         assert_eq!(sample().payload_bytes(), 27);
+    }
+
+    #[test]
+    fn payload_len_is_the_encoded_payload() {
+        let entry = sample();
+        assert!(entry.encodable());
+        let blob = entry.encode().expect("encodable");
+        assert_eq!(entry.payload_len().ok(), Some(blob.len() as u32 - 12));
+    }
+
+    #[test]
+    fn lengths_past_u32_are_refused_not_wrapped() {
+        assert_eq!(length_field(0).ok(), Some(0));
+        assert_eq!(length_field(u32::MAX as usize).ok(), Some(u32::MAX));
+        let err = length_field(u32::MAX as usize + 1).expect_err("wraps");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(length_field(usize::MAX).is_err());
     }
 }

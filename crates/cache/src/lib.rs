@@ -16,6 +16,15 @@
 //! within one dispatch) or the history DB's current-result reuse
 //! (same workspace), the content cache is *extensional*: identical
 //! bytes hit across sessions, workspaces, and machines.
+//!
+//! This is the one crate of the workspace that contains `unsafe`, and
+//! only in two private modules: `key::shani` and `crc::clmul`, the
+//! x86-64 SHA-256 and CRC32 kernels. Each calls its kernel only through
+//! a token type that runtime feature detection alone constructs, and
+//! every `unsafe` block states why it holds.
+
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod backend;
 pub mod crc;

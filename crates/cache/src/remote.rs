@@ -179,7 +179,7 @@ impl CacheBackend for RemoteTier {
     }
 
     fn put(&self, key: &CacheKey, entry: &CacheEntry) -> io::Result<()> {
-        self.remote.store(key, &entry.encode())
+        self.remote.store(key, &entry.encode()?)
     }
 
     fn usage(&self) -> io::Result<TierUsage> {

@@ -379,8 +379,13 @@ impl ContentCache {
     }
 
     /// Inserts a freshly produced result: memory immediately, the
-    /// persistent tiers via write-back.
+    /// persistent tiers via write-back. An entry too large to encode
+    /// (4 GiB or more) is not cached anywhere, only counted.
     pub fn insert(&self, key: &CacheKey, entry: &CacheEntry) {
+        if !entry.encodable() {
+            self.metrics().incr(names::CACHE_OVERSIZE, 1);
+            return;
+        }
         self.inner.tiers.inserts.fetch_add(1, Ordering::Relaxed);
         self.metrics().incr(names::CACHE_INSERTS, 1);
         let _ = self.inner.mem.put(key, entry);

@@ -70,12 +70,29 @@ use crate::session::{ExecEvent, Session};
 // ---------------------------------------------------------------------
 
 /// Encodes one journal frame: `[len u32 LE][crc32 u32 LE][payload]`.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
+///
+/// # Errors
+///
+/// [`StoreError::Format`] when the payload is 4 GiB or more, too long
+/// for the length field.
+pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, StoreError> {
+    let len = frame_len(payload.len())?;
     let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
+    Ok(out)
+}
+
+/// A payload length as the frame's `u32` length field. A cast would
+/// wrap a longer one: the frame would be acknowledged, then dropped by
+/// recovery as a torn tail together with every later frame.
+fn frame_len(len: usize) -> Result<u32, StoreError> {
+    u32::try_from(len).map_err(|_| {
+        StoreError::Format(format!(
+            "journal frame payload of {len} bytes exceeds the 4 GiB frame limit"
+        ))
+    })
 }
 
 /// The result of scanning a journal buffer for valid frames.
@@ -1421,7 +1438,7 @@ impl Workspace {
             return self.sync();
         }
         let payload = serde_json::to_vec(op)?;
-        let frame = encode_frame(&payload);
+        let frame = encode_frame(&payload)?;
         let journal = self.journal.as_mut().ok_or_else(journal_missing)?;
         journal.write_all(&frame)?;
         let fsync_started = self.env.clock.now();
@@ -1616,7 +1633,7 @@ impl Workspace {
             return Ok(0);
         }
         let payload = serde_json::to_vec(op)?;
-        let frame = encode_frame(&payload);
+        let frame = encode_frame(&payload)?;
         let frame_len = frame.len() as u64;
         let (seq, flush_now) = match self.group.as_mut().expect("group checked above") {
             GroupCommit::Threaded { shared, .. } => {
@@ -2007,7 +2024,7 @@ mod tests {
     fn frames_round_trip_and_scan() {
         let mut buf = Vec::new();
         for payload in [b"alpha".as_slice(), b"".as_slice(), b"gamma!".as_slice()] {
-            buf.extend_from_slice(&encode_frame(payload));
+            buf.extend_from_slice(&encode_frame(payload).expect("frames"));
         }
         let scan = scan_frames(&buf);
         assert_eq!(
@@ -2020,18 +2037,29 @@ mod tests {
     }
 
     #[test]
+    fn payloads_past_u32_are_refused_not_wrapped() {
+        assert_eq!(frame_len(0).ok(), Some(0));
+        assert_eq!(frame_len(u32::MAX as usize).ok(), Some(u32::MAX));
+        assert!(matches!(
+            frame_len(u32::MAX as usize + 1),
+            Err(StoreError::Format(_))
+        ));
+        assert!(frame_len(usize::MAX).is_err());
+    }
+
+    #[test]
     fn torn_and_corrupt_tails_stop_the_scan() {
-        let mut buf = encode_frame(b"keep me");
+        let mut buf = encode_frame(b"keep me").expect("frames");
         let keep = buf.len();
-        buf.extend_from_slice(&encode_frame(b"torn"));
+        buf.extend_from_slice(&encode_frame(b"torn").expect("frames"));
         buf.truncate(keep + 5); // mid-header tear
         let scan = scan_frames(&buf);
         assert_eq!(scan.payloads.len(), 1);
         assert_eq!(scan.valid_len, keep);
         assert_eq!(scan.trailing, 5);
 
-        let mut buf = encode_frame(b"keep me");
-        let mut second = encode_frame(b"rotted");
+        let mut buf = encode_frame(b"keep me").expect("frames");
+        let mut second = encode_frame(b"rotted").expect("frames");
         let last = second.len() - 1;
         second[last] ^= 0x40; // flip a payload bit
         buf.extend_from_slice(&second);
@@ -2043,8 +2071,8 @@ mod tests {
     #[test]
     fn every_byte_of_garbage_yields_a_valid_prefix() {
         // scan_frames on arbitrary prefixes/suffixes must never panic.
-        let mut buf = encode_frame(b"one");
-        buf.extend_from_slice(&encode_frame(b"two"));
+        let mut buf = encode_frame(b"one").expect("frames");
+        buf.extend_from_slice(&encode_frame(b"two").expect("frames"));
         for cut in 0..=buf.len() {
             let _ = scan_frames(&buf[..cut]);
         }

@@ -135,6 +135,25 @@ mod tests {
         assert_ne!(a, other, "different input payload, different key");
     }
 
+    /// Keys written to disk caches by earlier builds must keep hitting:
+    /// this digest was derived by the portable SHA-256 alone, before the
+    /// hardware kernels existed. The 1000-byte payload spans many blocks.
+    #[test]
+    fn key_matches_the_pinned_golden_digest() {
+        let schema = fixtures::fig1();
+        let mut inv = invocation(
+            &schema,
+            &(0..1000u32)
+                .map(|i| (i * 31 % 251) as u8)
+                .collect::<Vec<_>>(),
+        );
+        inv.inputs[0].instances.push(b"design-a".to_vec());
+        assert_eq!(
+            invocation_key(&schema, &inv).to_hex(),
+            "8f51dcc389f449069393666277889207077f8749a09cb183295e11f3f2b4846e"
+        );
+    }
+
     #[test]
     fn key_distinguishes_tool_data_absent_from_empty() {
         let schema = fixtures::fig1();

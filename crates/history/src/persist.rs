@@ -54,15 +54,27 @@ pub struct InstanceSpec {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HexBytes(pub Vec<u8>);
 
+/// `DIGIT_PAIRS[b]` is `b` as two lowercase hex digits.
+static DIGIT_PAIRS: [[u8; 2]; 256] = digit_pairs();
+
+const fn digit_pairs() -> [[u8; 2]; 256] {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut pairs = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        pairs[b] = [HEX[b >> 4], HEX[b & 0xf]];
+        b += 1;
+    }
+    pairs
+}
+
 impl Serialize for HexBytes {
     fn serialize_value(&self) -> Value {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        let mut text = String::with_capacity(2 * self.0.len());
-        for &b in &self.0 {
-            text.push(char::from(HEX[usize::from(b >> 4)]));
-            text.push(char::from(HEX[usize::from(b & 0xf)]));
+        let mut text = vec![0u8; 2 * self.0.len()];
+        for (pair, &b) in text.chunks_exact_mut(2).zip(&self.0) {
+            pair.copy_from_slice(&DIGIT_PAIRS[usize::from(b)]);
         }
-        Value::Str(text)
+        Value::Str(String::from_utf8(text).expect("hex digits are ASCII"))
     }
 }
 
@@ -266,6 +278,26 @@ mod tests {
                 "{bad} decoded"
             );
         }
+    }
+
+    /// The table encoder writes every byte value as the per-nibble
+    /// encoder it replaced did, and the decoder reads it back.
+    #[test]
+    fn every_byte_value_encodes_like_the_per_nibble_encoder() {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let all: Vec<u8> = (0..=255).collect();
+        let mut per_nibble = String::new();
+        for &b in &all {
+            per_nibble.push(char::from(HEX[usize::from(b >> 4)]));
+            per_nibble.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        let encoded = HexBytes(all.clone()).serialize_value();
+        assert_eq!(encoded, Value::Str(per_nibble));
+        assert_eq!(HexBytes::deserialize_value(&encoded), Ok(HexBytes(all)));
+        assert_eq!(
+            HexBytes(Vec::new()).serialize_value(),
+            Value::Str(String::new())
+        );
     }
 
     #[test]

@@ -185,6 +185,10 @@ pub const CACHE_REMOTE_LOOKUP_NS: &str = "cache.remote.lookup_ns";
 /// run that was written back, whatever tiers it reached).
 pub const CACHE_INSERTS: &str = "cache.inserts";
 
+/// Counter: produced results not cached because their entry would be
+/// 4 GiB or more, past the entry format's `u32` length fields.
+pub const CACHE_OVERSIZE: &str = "cache.oversize";
+
 /// Histogram: wall nanoseconds per write-back (disk + remote store).
 /// In the real environment write-backs run on a background thread, so
 /// this measures cache work, not executor hot-path stalls.
@@ -244,6 +248,7 @@ mod tests {
         (super::CACHE_REMOTE_ERRORS, "cache."),
         (super::CACHE_REMOTE_LOOKUP_NS, "cache."),
         (super::CACHE_INSERTS, "cache."),
+        (super::CACHE_OVERSIZE, "cache."),
         (super::CACHE_WRITEBACK_NS, "cache."),
         (super::CACHE_GC_RUNS, "cache."),
         (super::CACHE_GC_EVICTED, "cache."),

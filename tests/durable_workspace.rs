@@ -353,7 +353,9 @@ fn legacy_copy(from: &Path, journal: bool) -> PathBuf {
             if let Some(instances) = field(&mut op, "Exec").and_then(|e| field(e, "instances")) {
                 rewritten += legacy_payloads(instances);
             }
-            out.extend(encode_frame(&serde_json::to_vec(&op).expect("serializes")));
+            out.extend(
+                encode_frame(&serde_json::to_vec(&op).expect("serializes")).expect("frames"),
+            );
         }
         assert!(rewritten > 0, "journaled executions hold payloads");
         out

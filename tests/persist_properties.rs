@@ -64,8 +64,8 @@ proptest! {
         pos_seed in 0usize..100_000,
         mask in 1u8..=255,
     ) {
-        let mut buf = encode_frame(&payload);
-        buf.extend_from_slice(&encode_frame(&extra));
+        let mut buf = encode_frame(&payload).expect("frames");
+        buf.extend_from_slice(&encode_frame(&extra).expect("frames"));
         let clean = scan_frames(&buf);
         prop_assert_eq!(clean.payloads.len(), 2);
         prop_assert_eq!(clean.trailing, 0);
@@ -91,7 +91,7 @@ proptest! {
         let json = SessionSpec::from_session(&session)
             .to_json()
             .expect("serializes");
-        let buf = encode_frame(json.as_bytes());
+        let buf = encode_frame(json.as_bytes()).expect("frames");
         let pos = pos_seed % buf.len();
         let mut dirty = buf.clone();
         dirty[pos] ^= mask;
@@ -185,7 +185,7 @@ proptest! {
         let mut buf = Vec::new();
         for op in &ops {
             let payload = serde_json::to_vec(op).expect("encodes");
-            buf.extend_from_slice(&encode_frame(&payload));
+            buf.extend_from_slice(&encode_frame(&payload).expect("frames"));
         }
         let scan = scan_frames(&buf);
         prop_assert_eq!(scan.trailing, 0);
@@ -239,6 +239,36 @@ fn printer_output_is_pinned() {
         serde_json::to_string(&u64::MAX).expect("serializes"),
         "18446744073709551615"
     );
+}
+
+/// The printer tests eight bytes per step, so an escape must be found
+/// wherever it falls in or across those words: every escape-class byte
+/// at every position of a 25-byte string, and multi-byte characters
+/// straddling a word boundary next to an escape.
+#[test]
+fn escapes_print_like_the_reference_at_every_position() {
+    let escape_class = ['"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{1f}'];
+    let mut cases = Vec::new();
+    for c in escape_class {
+        for at in 0..=24 {
+            let mut s: String = "abcdefghijklmnopqrstuvwx".into();
+            s.insert(at, c);
+            cases.push(s);
+        }
+    }
+    for c in ['é', '€', '𝄞', '\u{2028}'] {
+        for prefix in 0..=9 {
+            for tail in ["\"", "\\z", "\u{1}", "no escape"] {
+                cases.push(format!("{}{c}{tail}", "a".repeat(prefix)));
+            }
+        }
+    }
+    for s in cases {
+        let text = serde_json::to_string(&s).expect("serializes");
+        assert_eq!(text, reference_json_string(&s), "{s:?}");
+        let back: String = serde_json::from_str(&text).expect("parses");
+        assert_eq!(back, s);
+    }
 }
 
 #[test]

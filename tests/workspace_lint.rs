@@ -94,7 +94,7 @@ fn checksummed_garbage_frame_is_an_error() {
     let root = seeded_workspace("badframe");
     let journal = root.join("journal-0.log");
     let mut buf = fs::read(&journal).expect("reads");
-    buf.extend_from_slice(&encode_frame(b"not an operation"));
+    buf.extend_from_slice(&encode_frame(b"not an operation").expect("frames"));
     fs::write(&journal, &buf).expect("writes");
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0407").expect("HL0407");
@@ -112,7 +112,7 @@ fn unreplayable_operation_is_an_error() {
     });
     let payload = serde_json::to_vec(&op).expect("serializes");
     let mut buf = fs::read(&journal).expect("reads");
-    buf.extend_from_slice(&encode_frame(&payload));
+    buf.extend_from_slice(&encode_frame(&payload).expect("frames"));
     fs::write(&journal, &buf).expect("writes");
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0408").expect("HL0408");
