@@ -91,21 +91,6 @@ impl SpanKind {
             SpanKind::Target => "target",
         }
     }
-
-    /// Parses the lowercase name back.
-    pub fn parse(s: &str) -> Option<SpanKind> {
-        match s {
-            "entity" => Some(SpanKind::Entity),
-            "dependency" => Some(SpanKind::Dependency),
-            "node" => Some(SpanKind::Node),
-            "subflow" => Some(SpanKind::Subflow),
-            "instance" => Some(SpanKind::Instance),
-            "frame" => Some(SpanKind::Frame),
-            "file" => Some(SpanKind::File),
-            "target" => Some(SpanKind::Target),
-            _ => None,
-        }
-    }
 }
 
 /// Where a finding points: the offending entity type, flow node,

@@ -3,17 +3,17 @@
 //!
 //! §3.3: "Queries into the design history can quickly determine whether
 //! such retracing need occur." The [`HistoryLinter`] answers that query
-//! *incrementally*: it keeps a [`RevDepIndex`] plus the fixpoint states
-//! of a stale-reachability dataflow problem, and after an edit
-//! re-analyzes only the dirty cone — the instances whose verdicts the
-//! edit can have changed — while producing diagnostics byte-identical
-//! to a full reanalysis.
+//! *incrementally*: it keeps the fixpoint states of a stale-reachability
+//! dataflow problem over the history's own reverse index, and after an
+//! edit re-analyzes only the dirty cone — the instances whose verdicts
+//! the edit can have changed — while producing diagnostics
+//! byte-identical to a full reanalysis.
 //!
 //! Four verdicts per instance:
 //!
 //! * **HL0501 stale-instance** — a direct input has a newer version
-//!   (the registry's original staleness check, now answered from the
-//!   index's `O(1)` newest-version cache);
+//!   (the registry's original staleness check, answered from the
+//!   history's `O(1)` newest-version lookup);
 //! * **HL0502 transitively-stale** — direct inputs are current, but a
 //!   superseded version reaches the instance through intermediate
 //!   derivations (the fixpoint reach-set is non-empty);
@@ -34,13 +34,11 @@
 //!   undeclared inputs changed.
 
 use hercules_flow::declared_reads;
-use hercules_history::{HistoryDb, HistoryError, InstanceId, RevDepIndex, RevDepIndexSpec};
+use hercules_history::{HistoryDb, HistoryError, InstanceId, RetraceCone};
 use hercules_schema::EntityTypeId;
-use serde::{Deserialize, Serialize};
 
 use crate::dataflow::{solve_seeded, BitSet, DataflowProblem, Interval, JoinSemiLattice};
-use crate::diag::{diagnose_staleness, Diagnostic, Diagnostics, Severity, Span, SpanKind};
-use crate::registry;
+use crate::diag::{diagnose_staleness, Diagnostic, Diagnostics, Severity, Span};
 
 /// Abstract state of one instance: which superseded versions reach it
 /// (through non-version-predecessor data edges), plus the interval hull
@@ -70,19 +68,17 @@ impl JoinSemiLattice for StaleState {
 /// [`HistoryDb::staleness_of`], which only inspects data inputs.
 pub struct StaleReach<'a> {
     db: &'a HistoryDb,
-    index: &'a RevDepIndex,
 }
 
 impl<'a> StaleReach<'a> {
-    /// Creates the problem over `db` with `index` (which must cover the
-    /// whole database).
-    pub fn new(db: &'a HistoryDb, index: &'a RevDepIndex) -> StaleReach<'a> {
-        StaleReach { db, index }
+    /// Creates the problem over `db`.
+    pub fn new(db: &'a HistoryDb) -> StaleReach<'a> {
+        StaleReach { db }
     }
 
     fn superseded(&self, id: InstanceId) -> bool {
-        self.index
-            .newest_version(id)
+        self.db
+            .newest_version_of(id)
             .map(|n| n != id)
             .unwrap_or(false)
     }
@@ -97,7 +93,8 @@ impl DataflowProblem for StaleReach<'_> {
 
     fn successors(&self, n: usize, out: &mut Vec<usize>) {
         let id = InstanceId::from_raw(n as u64);
-        out.extend(self.index.dependents(id).iter().map(|d| d.raw() as usize));
+        let dependents = self.db.direct_dependents(id).unwrap_or(&[]);
+        out.extend(dependents.iter().map(|d| d.raw() as usize));
     }
 
     fn transfer(&self, n: usize, states: &[StaleState]) -> StaleState {
@@ -109,7 +106,7 @@ impl DataflowProblem for StaleReach<'_> {
         let Some(d) = inst.derivation() else {
             return state;
         };
-        let version_parent = self.index.version_parent(id);
+        let version_parent = self.db.version_parent(id).ok().flatten();
         for &input in &d.inputs {
             if Some(input) == version_parent {
                 continue;
@@ -148,22 +145,24 @@ struct Verdicts {
     keys: Option<Diagnostic>,
 }
 
-/// The incremental consistency engine: reverse-dependency index +
-/// fixpoint states + per-instance verdict cache.
+/// The incremental consistency engine: fixpoint states + per-instance
+/// verdict cache over the history's own reverse index.
 ///
 /// `lint_full` rebuilds everything from scratch; `lint_incremental`
 /// folds in only what changed since the previous call on the same
 /// linter. Both emit identical diagnostics for identical databases.
+/// The verdict cache covers a prefix of the append-only history, so
+/// its length is how far the linter has analyzed.
 #[derive(Debug, Clone, Default)]
 pub struct HistoryLinter {
-    index: RevDepIndex,
     states: Vec<StaleState>,
     verdicts: Vec<Verdicts>,
     last_stats: LintStats,
 }
 
 impl HistoryLinter {
-    /// Creates an empty linter; the first lint indexes the database.
+    /// Creates an empty linter; the first lint analyzes the whole
+    /// database.
     pub fn new() -> HistoryLinter {
         HistoryLinter::default()
     }
@@ -171,11 +170,6 @@ impl HistoryLinter {
     /// Returns the work metrics of the most recent lint run.
     pub fn stats(&self) -> &LintStats {
         &self.last_stats
-    }
-
-    /// Returns the underlying reverse-dependency index.
-    pub fn index(&self) -> &RevDepIndex {
-        &self.index
     }
 
     /// Lints the history from scratch, discarding any previous state.
@@ -188,10 +182,11 @@ impl HistoryLinter {
         self.run(db, out, false)
     }
 
-    /// Lints the history incrementally: indexes the instances recorded
-    /// since the previous call, re-solves the fixpoint seeded from the
-    /// dirty cone, and recomputes only the cone's verdicts. On a fresh
-    /// linter this degenerates to a full lint.
+    /// Lints the history incrementally: takes the instances recorded
+    /// since the previous call, re-solves the fixpoint seeded from
+    /// their dirty cone, and recomputes only the cone's verdicts. On a
+    /// fresh linter, or a database shorter than the one it last saw,
+    /// this degenerates to a full lint.
     ///
     /// # Errors
     ///
@@ -210,10 +205,17 @@ impl HistoryLinter {
         out: &mut Diagnostics,
         incremental: bool,
     ) -> Result<(), HistoryError> {
-        let fresh = self.index.update(db)?;
-        let cone = self.index.dirty_cone(db, &fresh)?;
+        if db.len() < self.verdicts.len() {
+            // Not the history this state describes: the fixpoint only
+            // joins, so stale reach bits would survive.
+            *self = HistoryLinter::new();
+        }
+        let fresh: Vec<InstanceId> = (self.verdicts.len()..db.len())
+            .map(|raw| InstanceId::from_raw(raw as u64))
+            .collect();
+        let cone = db.dirty_cone(&fresh)?;
         let seeds: Vec<usize> = cone.members.iter().map(|i| i.raw() as usize).collect();
-        let problem = StaleReach::new(db, &self.index);
+        let problem = StaleReach::new(db);
         let result = solve_seeded(&problem, &seeds, std::mem::take(&mut self.states));
         self.states = result.states;
         self.verdicts.resize_with(db.len(), Verdicts::default);
@@ -272,8 +274,8 @@ impl HistoryLinter {
         Ok(())
     }
 
-    /// Recomputes the four verdicts of one instance from the current
-    /// index and fixpoint states.
+    /// Recomputes the four verdicts of one instance from the history's
+    /// lookups and the fixpoint states.
     fn verdicts_of(&self, db: &HistoryDb, id: InstanceId) -> Result<Verdicts, HistoryError> {
         let mut v = Verdicts::default();
         let inst = db.instance(id)?;
@@ -281,24 +283,8 @@ impl HistoryLinter {
             return Ok(v);
         };
 
-        // HL0501: first direct input with a newer version, exactly as
-        // `HistoryDb::staleness_of` — answered from the O(1) cache.
-        let version_parent = self.index.version_parent(id);
-        let mut direct = None;
-        for &input in &derivation.inputs {
-            if Some(input) == version_parent {
-                continue;
-            }
-            let newest = self.index.newest_version(input)?;
-            if newest != input {
-                direct = Some(hercules_history::Staleness {
-                    instance: id,
-                    outdated_input: input,
-                    newer_version: newest,
-                });
-                break;
-            }
-        }
+        // HL0501: first direct input with a newer version.
+        let direct = db.staleness_of(id)?;
         if let Some(s) = &direct {
             v.stale = Some(diagnose_staleness(s));
         }
@@ -307,7 +293,7 @@ impl HistoryLinter {
         let state = &self.states[id.raw() as usize];
         if direct.is_none() && !state.reach.is_empty() {
             let first = InstanceId::from_raw(state.reach.min().expect("non-empty") as u64);
-            let newest = self.index.newest_version(first)?;
+            let newest = db.newest_version_of(first)?;
             let (lo, hi) = (
                 state.versions.min().expect("non-empty"),
                 state.versions.max().expect("non-empty"),
@@ -332,8 +318,8 @@ impl HistoryLinter {
 
         // HL0503: a goal instance (nothing depends on it) that needs
         // retracing — report what the retrace would do.
-        if self.index.dependents(id).is_empty() && (direct.is_some() || !state.reach.is_empty()) {
-            let cone = self.index.retrace_cone(db, id)?;
+        if db.direct_dependents(id)?.is_empty() && (direct.is_some() || !state.reach.is_empty()) {
+            let cone = RetraceCone::compute(db, id)?;
             let cuts: Vec<String> = cone
                 .cuts
                 .iter()
@@ -385,143 +371,6 @@ impl HistoryLinter {
             }
         }
         Ok(v)
-    }
-
-    /// Captures the linter for persistence.
-    pub fn to_spec(&self) -> HistoryLinterSpec {
-        HistoryLinterSpec {
-            index: hercules_history::RevDepIndexSpec::capture(&self.index),
-            reach: self
-                .states
-                .iter()
-                .map(|s| s.reach.iter().map(|i| i as u64).collect())
-                .collect(),
-            verdicts: self
-                .verdicts
-                .iter()
-                .map(|v| VerdictsSpec {
-                    stale: v.stale.as_ref().map(DiagSpec::capture),
-                    transitive: v.transitive.as_ref().map(DiagSpec::capture),
-                    cone: v.cone.as_ref().map(DiagSpec::capture),
-                    keys: v.keys.as_ref().map(DiagSpec::capture),
-                })
-                .collect(),
-        }
-    }
-
-    /// Restores a linter against `db`, validating the captured index
-    /// fingerprint. Returns `None` when the spec does not describe this
-    /// database (caller starts fresh). A restored linter may trail the
-    /// database; the next incremental lint catches up.
-    pub fn from_spec(spec: &HistoryLinterSpec, db: &HistoryDb) -> Option<HistoryLinter> {
-        let index = spec.index.restore(db).ok()??;
-        let n = index.watermark();
-        if spec.reach.len() != n || spec.verdicts.len() != n {
-            return None;
-        }
-        let states: Vec<StaleState> = spec
-            .reach
-            .iter()
-            .map(|members| {
-                let mut s = StaleState::default();
-                for &m in members {
-                    s.reach.insert(m as usize);
-                    s.versions.insert(m);
-                }
-                s
-            })
-            .collect();
-        fn slot(s: &Option<DiagSpec>) -> Option<Option<Diagnostic>> {
-            match s {
-                Some(d) => d.restore().map(Some),
-                None => Some(None),
-            }
-        }
-        let mut verdicts = Vec::with_capacity(n);
-        for v in &spec.verdicts {
-            verdicts.push(Verdicts {
-                stale: slot(&v.stale)?,
-                transitive: slot(&v.transitive)?,
-                cone: slot(&v.cone)?,
-                keys: slot(&v.keys)?,
-            });
-        }
-        Some(HistoryLinter {
-            index,
-            states,
-            verdicts,
-            last_stats: LintStats::default(),
-        })
-    }
-}
-
-/// Serialized form of a [`HistoryLinter`]: the index spec plus the
-/// fixpoint reach-sets and cached verdicts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistoryLinterSpec {
-    /// The reverse-dependency index (with validation fingerprint).
-    pub index: RevDepIndexSpec,
-    /// Per-instance reach-set members (sorted raw ids).
-    pub reach: Vec<Vec<u64>>,
-    /// Per-instance cached verdicts.
-    pub verdicts: Vec<VerdictsSpec>,
-}
-
-/// Serialized verdicts of one instance.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VerdictsSpec {
-    /// HL0501, if the instance is directly stale.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub stale: Option<DiagSpec>,
-    /// HL0502, if superseded versions reach it indirectly.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub transitive: Option<DiagSpec>,
-    /// HL0503, if it is a goal needing retracing.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub cone: Option<DiagSpec>,
-    /// HL0504, if its derivation is under-keyed.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub keys: Option<DiagSpec>,
-}
-
-/// A serialized [`Diagnostic`]. Codes are resolved back to their
-/// `'static` registry entries on restore.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DiagSpec {
-    /// Stable code, e.g. `HL0502`.
-    pub code: String,
-    /// Severity name.
-    pub severity: String,
-    /// Span kind name.
-    pub span_kind: String,
-    /// Span location.
-    pub span: String,
-    /// Human-readable message.
-    pub message: String,
-}
-
-impl DiagSpec {
-    fn capture(d: &Diagnostic) -> DiagSpec {
-        DiagSpec {
-            code: d.code.to_owned(),
-            severity: d.severity.as_str().to_owned(),
-            span_kind: d.span.kind.as_str().to_owned(),
-            span: d.span.name.clone(),
-            message: d.message.clone(),
-        }
-    }
-
-    fn restore(&self) -> Option<Diagnostic> {
-        let info = registry::pass(&self.code)?;
-        Some(Diagnostic::new(
-            info.code,
-            Severity::parse(&self.severity)?,
-            Span {
-                kind: SpanKind::parse(&self.span_kind)?,
-                name: self.span.clone(),
-            },
-            self.message.clone(),
-        ))
     }
 }
 
@@ -680,6 +529,26 @@ mod tests {
     }
 
     #[test]
+    fn a_shorter_history_is_linted_from_scratch() {
+        let (prefix, ids) = extraction_db();
+        let mut db = prefix.clone();
+        edit_netlist(&mut db, ids[2], ids[3]);
+        let tool = db.schema().require("DeviceModelEditor").expect("known");
+        for _ in 0..4 {
+            db.record_primary(tool, Metadata::by("u"), b"s")
+                .expect("ok");
+        }
+        assert_eq!((prefix.len(), db.len()), (7, 12));
+        let mut linter = HistoryLinter::new();
+        linter.lint_full(&db, &mut Diagnostics::new()).expect("ok");
+        let text = render(&prefix, |db, out| {
+            linter.lint_incremental(db, out).expect("ok");
+        });
+        assert_eq!(text, "", "the prefix holds no edit, so nothing is stale");
+        assert_eq!(linter.stats().instances_analyzed, prefix.len());
+    }
+
+    #[test]
     fn under_keyed_derivation_is_flagged() {
         let (mut db, ids) = extraction_db();
         let extractor = ids[1];
@@ -730,35 +599,5 @@ mod tests {
             "aggregated tool verdict expected: {text}"
         );
         assert!(text.contains("cache-ineligible"));
-    }
-
-    #[test]
-    fn spec_round_trips_through_json() {
-        let (mut db, ids) = extraction_db();
-        edit_netlist(&mut db, ids[2], ids[3]);
-        let mut linter = HistoryLinter::new();
-        let mut out = Diagnostics::new();
-        linter.lint_full(&db, &mut out).expect("ok");
-
-        let spec = linter.to_spec();
-        let json = serde_json::to_string(&spec).expect("encode");
-        let back: HistoryLinterSpec = serde_json::from_str(&json).expect("decode");
-        let restored = HistoryLinter::from_spec(&back, &db).expect("valid");
-
-        // The restored linter produces the same diagnostics without
-        // recomputing anything.
-        let mut again = Diagnostics::new();
-        let mut restored = restored;
-        restored.lint_incremental(&db, &mut again).expect("ok");
-        assert_eq!(restored.stats().instances_analyzed, 0, "nothing dirty");
-        let mut a = Diagnostics::new();
-        linter.lint_incremental(&db, &mut a).expect("ok");
-        a.sort();
-        again.sort();
-        assert_eq!(a.render_text(), again.render_text());
-
-        // Restoring against a different database fails validation.
-        let other = HistoryDb::new(db.schema().clone());
-        assert!(HistoryLinter::from_spec(&back, &other).is_none());
     }
 }

@@ -59,7 +59,7 @@ pub use diag::{
     diagnose_flow_error, diagnose_schema_error, diagnose_staleness, Diagnostic, Diagnostics,
     JsonDiagnostic, JsonReport, LintConfig, Severity, Span, SpanKind,
 };
-pub use history_passes::{lint_history, HistoryLinter, HistoryLinterSpec, LintStats};
+pub use history_passes::{lint_history, HistoryLinter, LintStats};
 pub use registry::{pass, render_markdown_table, render_passes, Layer, PassInfo, PASSES};
 pub use runner::{
     lint_flow_timed, lint_history_timed, lint_schema_timed, JsonPassTiming, PassTiming,

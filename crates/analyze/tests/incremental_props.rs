@@ -1,12 +1,11 @@
 //! Property tests for the incremental consistency engine: over randomly
 //! grown histories, a persistent incremental linter must agree
-//! byte-for-byte with a fresh full lint, never do more solver work, and
-//! predict retrace cones identical to the from-scratch computation.
+//! byte-for-byte with a fresh full lint and never do more solver work.
 
 use std::sync::Arc;
 
 use hercules_analyze::{Diagnostics, HistoryLinter};
-use hercules_history::{Derivation, HistoryDb, InstanceId, Metadata, RetraceCone};
+use hercules_history::{Derivation, HistoryDb, InstanceId, Metadata};
 use hercules_schema::fixtures;
 use proptest::prelude::*;
 
@@ -181,27 +180,6 @@ proptest! {
                 inc_visits,
                 full_visits
             );
-        }
-    }
-
-    /// The persistent index predicts the same retrace cone for every
-    /// instance as a from-scratch computation.
-    #[test]
-    fn persistent_index_predicts_identical_retrace_cones(
-        ops in prop::collection::vec(op_strategy(), 1..24),
-    ) {
-        let mut fixture = Fixture::new();
-        let mut linter = HistoryLinter::new();
-        for op in &ops {
-            fixture.apply(op);
-        }
-        let mut out = Diagnostics::new();
-        linter.lint_incremental(&fixture.db, &mut out).expect("lints");
-        for raw in 0..fixture.db.len() {
-            let id = InstanceId::from_raw(raw as u64);
-            let fresh = RetraceCone::compute(&fixture.db, id).expect("computes");
-            let cached = linter.index().retrace_cone(&fixture.db, id).expect("computes");
-            prop_assert_eq!(&fresh, &cached, "cone diverged for {}", id);
         }
     }
 }

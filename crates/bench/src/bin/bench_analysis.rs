@@ -6,15 +6,14 @@
 //! then measures three latencies per size:
 //!
 //! * a from-scratch full `HL05xx` lint;
-//! * an incremental re-lint after a single netlist edit, on a linter
-//!   restored from its persisted [`HistoryLinterSpec`] — the REPL's
+//! * an incremental re-lint after a single netlist edit, on a copy of
+//!   a linter warmed over the base history — the REPL's
 //!   `lint --incremental` path;
-//! * predicting the edit's retrace cone from the persistent index.
+//! * predicting the edit's retrace cone from the history's lookups.
 //!
 //! With `--check`, exits nonzero when the incremental re-lint at the
 //! largest size is under 5× faster than the full lint — the gate that
-//! keeps the reverse-dependency index earning its keep as histories
-//! grow.
+//! keeps the dirty cone earning its keep as histories grow.
 //!
 //! ```sh
 //! cargo run --release -p hercules-bench --bin bench_analysis -- --check
@@ -25,7 +24,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use hercules::history::{Derivation, HistoryDb, InstanceId, Metadata};
+use hercules::history::{Derivation, HistoryDb, InstanceId, Metadata, RetraceCone};
 use hercules::schema::fixtures;
 use hercules_analyze::{Diagnostics, HistoryLinter};
 use serde::Value;
@@ -243,14 +242,12 @@ fn measure_size(modules: usize, opts: &Options) -> SizeSample {
         }
     }
 
-    // Incremental: warm a linter over the base history once, persist
-    // its spec, then per round restore it against a clone of the base,
-    // record one edit, and time only the re-lint — the REPL's
-    // checkpoint/open/`lint --incremental` cycle.
+    // Incremental: warm a linter over the base history once, then per
+    // round copy it and a clone of the base, record one edit, and time
+    // only the re-lint — the REPL's edit/`lint --incremental` cycle.
     let mut warm = HistoryLinter::new();
     let mut out = Diagnostics::new();
     warm.lint_incremental(&base.db, &mut out).expect("lints");
-    let spec = warm.to_spec();
 
     let mut inc_runs = Vec::with_capacity(opts.iters);
     let mut inc_analyzed = 0;
@@ -259,7 +256,7 @@ fn measure_size(modules: usize, opts: &Options) -> SizeSample {
     let mut cone_recall = 0;
     for i in 0..=opts.iters {
         let mut db = base.db.clone();
-        let mut linter = HistoryLinter::from_spec(&spec, &db).expect("spec matches its history");
+        let mut linter = warm.clone();
         db.record_derived(
             edited_entity,
             Metadata::by("bench"),
@@ -274,7 +271,7 @@ fn measure_size(modules: usize, opts: &Options) -> SizeSample {
         let lint_ns = started.elapsed().as_nanos() as u64;
 
         let started = Instant::now();
-        let cone = linter.index().retrace_cone(&db, base.goal).expect("cone");
+        let cone = RetraceCone::compute(&db, base.goal).expect("cone");
         let cone_ns = started.elapsed().as_nanos() as u64;
 
         if i > 0 {

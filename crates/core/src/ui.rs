@@ -11,10 +11,10 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-use hercules_analyze::{Diagnostics, HistoryLinter, HistoryLinterSpec};
+use hercules_analyze::{Diagnostics, HistoryLinter};
 use hercules_exec::report_to_trace;
 use hercules_flow::{render, NodeId};
-use hercules_history::{InstanceId, InstanceSpec};
+use hercules_history::{InstanceId, InstanceSpec, RetraceCone};
 use hercules_obs::{
     names, profile, AnalysisHealth, Collector, FlightRecorder, HealthReport, HealthThresholds,
     MetricsSnapshot,
@@ -112,7 +112,7 @@ pub enum Command {
     Stale,
     /// `health [--json]` — the aggregated workspace health report:
     /// store mode/lease/quarantine, scheduler rates, cache hit rate,
-    /// and analysis-index freshness, each mapped to ok/warn/critical.
+    /// and stale instances, each mapped to ok/warn/critical.
     Health {
         /// Render as a JSON object instead of text.
         json: bool,
@@ -358,13 +358,6 @@ struct Telemetry {
 /// How often (wall-clock) a metrics delta is exported into the
 /// telemetry stream — and, with it, how often the stream is fsynced.
 const TELEMETRY_EXPORT_INTERVAL_MS: u64 = 1_000;
-
-/// Sidecar file (under the workspace root) persisting the analysis
-/// state across processes: a [`HistoryLinterSpec`] as JSON. Written
-/// best-effort at `checkpoint`, validated against the history on
-/// `open` — a stale or damaged sidecar just means the first lint is a
-/// full one.
-const ANALYSIS_SIDECAR: &str = "analysis-index.json";
 
 impl Ui {
     /// Wraps a session (no workspace attached; use `save <dir>`).
@@ -889,21 +882,8 @@ impl Ui {
                 self.workspace = Some(ws);
                 self.attach_telemetry();
                 // The old analysis state described a different history;
-                // restore it from the workspace's sidecar when the
-                // sidecar still matches, else start fresh (the next
-                // lint will be a full one).
-                self.linter = match self.load_analysis_sidecar() {
-                    Some(linter) => {
-                        self.session.metrics().incr(names::ANALYZE_INDEX_HITS, 1);
-                        linter
-                    }
-                    None => {
-                        self.session
-                            .metrics()
-                            .incr(names::ANALYZE_INDEX_REBUILDS, 1);
-                        HistoryLinter::new()
-                    }
-                };
+                // the next lint is a full one.
+                self.linter = HistoryLinter::new();
                 let mut out = format!("opened workspace `{path}`: {recovery}\n");
                 let _ = writeln!(out, "recovery: {}", recovery.to_json());
                 self.last_recovery = Some(recovery);
@@ -916,7 +896,6 @@ impl Ui {
                 Some(ws) => {
                     ws.checkpoint(&self.session).map_err(HerculesError::from)?;
                     let generation = ws.generation();
-                    self.save_analysis_sidecar();
                     Ok(format!("checkpointed; now at generation {generation}\n"))
                 }
             },
@@ -988,24 +967,13 @@ impl Ui {
                 Ok(text)
             }
             Command::Stale => {
-                // Bring the persistent index up to date (cheap: only
-                // the instances recorded since the last lint/stale).
-                let mut scratch = Diagnostics::new();
-                self.linter
-                    .lint_incremental(self.session.db(), &mut scratch)
-                    .map_err(|e| HerculesError::Store {
-                        message: format!("history analysis failed: {e}"),
-                    })?;
                 let stale = self.session.db().stale_instances()?;
                 if stale.is_empty() {
                     return Ok("stale: everything is current\n".to_owned());
                 }
                 let mut out = format!("{} stale instance(s):\n", stale.len());
                 for s in &stale {
-                    let cone = self
-                        .linter
-                        .index()
-                        .retrace_cone(self.session.db(), s.instance)?;
+                    let cone = RetraceCone::compute(self.session.db(), s.instance)?;
                     self.session
                         .metrics()
                         .observe(names::ANALYZE_RETRACE_RERUN, cone.rerun.len() as u64);
@@ -1074,7 +1042,6 @@ impl Ui {
             .map(|ws| telemetry::store_health(ws, self.last_recovery.as_ref()));
         let analysis = AnalysisHealth {
             instances_total: self.session.db().len(),
-            instances_indexed: self.linter.index().watermark(),
             stale_instances: self
                 .session
                 .db()
@@ -1174,40 +1141,6 @@ impl Ui {
             // command's path.
             t.writer.sync();
         }
-    }
-
-    /// Writes the analysis sidecar next to the checkpoint, best-effort:
-    /// a failure only costs the next process a full re-lint. The linter
-    /// is brought current first so the sidecar covers the whole
-    /// journaled history.
-    fn save_analysis_sidecar(&mut self) {
-        let Some(ws) = &self.workspace else { return };
-        let mut scratch = Diagnostics::new();
-        if self
-            .linter
-            .lint_incremental(self.session.db(), &mut scratch)
-            .is_err()
-        {
-            return;
-        }
-        let Ok(json) = serde_json::to_string(&self.linter.to_spec()) else {
-            return;
-        };
-        let path = ws.root().join(ANALYSIS_SIDECAR);
-        let fs = &self.env.fs;
-        if let Ok(mut f) = fs.create_truncate(&path) {
-            let _ = f.write_all(json.as_bytes()).and_then(|()| f.sync_all());
-        }
-    }
-
-    /// Restores the analysis state from the attached workspace's
-    /// sidecar; `None` when there is no sidecar or it no longer matches
-    /// the recovered history.
-    fn load_analysis_sidecar(&self) -> Option<HistoryLinter> {
-        let ws = self.workspace.as_ref()?;
-        let bytes = self.env.fs.read(&ws.root().join(ANALYSIS_SIDECAR)).ok()?;
-        let spec: HistoryLinterSpec = serde_json::from_slice(&bytes).ok()?;
-        HistoryLinter::from_spec(&spec, self.session.db())
     }
 
     /// Runs a whole script (one command per line; `#` comments and
@@ -1721,7 +1654,7 @@ mod tests {
     }
 
     #[test]
-    fn analysis_sidecar_survives_checkpoint_and_open() {
+    fn reopened_workspace_lints_from_scratch() {
         let root = std::env::temp_dir().join(format!("hercules-ui-lintsc-{}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
         let mut ui = Ui::new(Session::odyssey("jbb"));
@@ -1732,22 +1665,44 @@ mod tests {
              specialize n2 EditedNetlist\n\
              expand n2\n\
              bind-latest\n\
-             run\n\
-             lint\n\
-             checkpoint\n",
+             run\n",
             root.display()
         ))
         .expect("script runs");
-        assert!(root.join(ANALYSIS_SIDECAR).exists(), "sidecar written");
+        let report = ui.session().last_report().expect("ran").clone();
+        let netlist = report.single(hercules_flow::NodeId::from_index(2));
+        supersede_netlist(ui.session_mut(), netlist);
+        ui.run_script("lint\ncheckpoint\n").expect("script runs");
         drop(ui);
 
         let mut ui = Ui::new(Session::odyssey("jbb"));
         ui.execute(&format!("open {}", root.display()))
             .expect("reopens");
-        // The restored index already covers the whole history, so the
-        // incremental lint analyzes nothing.
-        let out = ui.execute("lint --incremental").expect("lints");
-        assert!(out.contains("analyzed 0/"), "restored index: {out}");
+        let files: Vec<String> = std::fs::read_dir(&root)
+            .expect("lists")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            files.iter().all(|f| !f.starts_with("analysis")),
+            "no analysis state is persisted: {files:?}"
+        );
+        // A fresh linter analyzes the whole reopened history, and
+        // agrees with a full lint.
+        let incremental = ui.execute("lint --incremental").expect("lints");
+        let total = ui.session().db().len();
+        assert!(
+            incremental.contains(&format!("analyzed {total}/{total}")),
+            "{incremental}"
+        );
+        let full = ui.execute("lint").expect("lints");
+        let hl05 = |text: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| l.contains("HL05"))
+                .map(str::to_owned)
+                .collect()
+        };
+        assert!(!hl05(&full).is_empty(), "the edit is reported: {full}");
+        assert_eq!(hl05(&incremental), hl05(&full));
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -88,20 +88,21 @@ impl HistoryDb {
     /// Returns [`HistoryError::UnknownInstance`] for out-of-range ids.
     pub fn ancestors(&self, id: InstanceId) -> Result<Vec<InstanceId>, HistoryError> {
         self.instance(id)?;
-        let mut seen = Vec::new();
+        let mut seen = vec![false; self.len()];
+        let mut found = Vec::new();
         let mut stack = vec![id];
         while let Some(cur) = stack.pop() {
             if let Some(d) = self.instance(cur)?.derivation() {
                 for r in d.referenced() {
-                    if !seen.contains(&r) {
-                        seen.push(r);
+                    if !std::mem::replace(&mut seen[r.index()], true) {
+                        found.push(r);
                         stack.push(r);
                     }
                 }
             }
         }
-        seen.sort();
-        Ok(seen)
+        found.sort_unstable();
+        Ok(found)
     }
 
     /// Forward-chains from `id`: every instance that transitively
@@ -113,18 +114,19 @@ impl HistoryDb {
     /// Returns [`HistoryError::UnknownInstance`] for out-of-range ids.
     pub fn forward_chain(&self, id: InstanceId) -> Result<Vec<InstanceId>, HistoryError> {
         self.instance(id)?;
-        let mut seen = Vec::new();
+        let mut seen = vec![false; self.len()];
+        let mut found = Vec::new();
         let mut stack = vec![id];
         while let Some(cur) = stack.pop() {
             for &dep in self.direct_dependents(cur)? {
-                if !seen.contains(&dep) {
-                    seen.push(dep);
+                if !std::mem::replace(&mut seen[dep.index()], true) {
+                    found.push(dep);
                     stack.push(dep);
                 }
             }
         }
-        seen.sort();
-        Ok(seen)
+        found.sort_unstable();
+        Ok(found)
     }
 
     /// Forward-chains from `from` and keeps only instances of the

@@ -38,24 +38,6 @@ impl fmt::Display for Staleness {
 }
 
 impl HistoryDb {
-    /// Returns the newest version in the version subtree rooted at `id`
-    /// (i.e. `id` itself if nothing supersedes it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoryError::UnknownInstance`] for out-of-range ids.
-    pub fn newest_version_of(&self, id: InstanceId) -> Result<InstanceId, HistoryError> {
-        let entity = self.instance(id)?.entity();
-        let forest = self.version_forest(entity)?;
-        let mut best = id;
-        for d in forest.descendants(id) {
-            if self.created_at(d)?.is_after(self.created_at(best)?) {
-                best = d;
-            }
-        }
-        Ok(best)
-    }
-
     /// Checks whether `id` is out of date: does any input of its
     /// derivation have a version successor? Returns the first staleness
     /// found, or `None` if the instance is current (or primary).

@@ -51,8 +51,14 @@ pub struct HistoryDb {
     instances: Vec<EntityInstance>,
     by_entity: HashMap<EntityTypeId, Vec<InstanceId>>,
     /// Reverse index: instance → instances whose derivation references
-    /// it (drives forward chaining).
+    /// it, once each and in id order (drives forward chaining).
     dependents: Vec<Vec<InstanceId>>,
+    /// Version predecessor of each instance (see
+    /// [`HistoryDb::version_parent`]).
+    version_parent: Vec<Option<InstanceId>>,
+    /// Newest member of each instance's version subtree (see
+    /// [`HistoryDb::newest_version_of`]).
+    newest: Vec<InstanceId>,
     store: BlobStore,
     clock: LogicalClock,
 }
@@ -65,6 +71,8 @@ impl HistoryDb {
             instances: Vec::new(),
             by_entity: HashMap::new(),
             dependents: Vec::new(),
+            version_parent: Vec::new(),
+            newest: Vec::new(),
             store: BlobStore::new(),
             clock: LogicalClock::new(),
         }
@@ -169,10 +177,19 @@ impl HistoryDb {
         let id = InstanceId(self.instances.len() as u64);
         meta.created = self.clock.now();
         let blob = data.map(|bytes| self.store.put(bytes));
+        let mut version_parent = None;
         if let Some(d) = &derivation {
             for referenced in d.referenced() {
-                self.dependents[referenced.index()].push(id);
+                // Ids ascend, so a repeat reference is the last entry.
+                let deps = &mut self.dependents[referenced.index()];
+                if deps.last() != Some(&id) {
+                    deps.push(id);
+                }
             }
+            let family = self.family_root(entity);
+            let same_family =
+                |i: &InstanceId| self.family_root(self.instances[i.index()].entity()) == family;
+            version_parent = d.inputs.iter().copied().find(same_family);
         }
         self.instances.push(EntityInstance {
             id,
@@ -182,6 +199,16 @@ impl HistoryDb {
             derivation,
         });
         self.dependents.push(Vec::new());
+        self.version_parent.push(version_parent);
+        // The clock stamps every record later than the one before, so
+        // the newest version in a subtree is its last-appended member:
+        // `id` becomes the newest of each of its version ancestors.
+        self.newest.push(id);
+        let mut cur = version_parent;
+        while let Some(x) = cur {
+            self.newest[x.index()] = id;
+            cur = self.version_parent[x.index()];
+        }
         self.by_entity.entry(entity).or_default().push(id);
         Ok(id)
     }
@@ -247,6 +274,29 @@ impl HistoryDb {
     pub fn direct_dependents(&self, id: InstanceId) -> Result<&[InstanceId], HistoryError> {
         self.instance(id)?;
         Ok(&self.dependents[id.index()])
+    }
+
+    /// Returns the version predecessor of `id`: the first input of its
+    /// derivation that belongs to the same entity family (the paper's
+    /// edit-task signature), if any.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HistoryError::UnknownInstance`] for out-of-range ids.
+    pub fn version_parent(&self, id: InstanceId) -> Result<Option<InstanceId>, HistoryError> {
+        self.instance(id)?;
+        Ok(self.version_parent[id.index()])
+    }
+
+    /// Returns the newest version in the version subtree rooted at `id`
+    /// (i.e. `id` itself if nothing supersedes it).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HistoryError::UnknownInstance`] for out-of-range ids.
+    pub fn newest_version_of(&self, id: InstanceId) -> Result<InstanceId, HistoryError> {
+        self.instance(id)?;
+        Ok(self.newest[id.index()])
     }
 
     /// Updates an instance's annotation (name, comment, keywords). The
@@ -514,9 +564,19 @@ mod tests {
                 Derivation::by_tool(editor, [n1]),
             )
             .expect("ok");
-        assert_eq!(db.direct_dependents(editor).expect("ok"), &[n1, n2]);
+        // A derivation that references `n2` twice lists its product once.
+        let n3 = db
+            .record_derived(
+                edited_ty,
+                Metadata::by("u"),
+                b"n3",
+                Derivation::by_tool(editor, [n2, n2]),
+            )
+            .expect("ok");
+        assert_eq!(db.direct_dependents(editor).expect("ok"), &[n1, n2, n3]);
         assert_eq!(db.direct_dependents(n1).expect("ok"), &[n2]);
-        assert!(db.direct_dependents(n2).expect("ok").is_empty());
+        assert_eq!(db.direct_dependents(n2).expect("ok"), &[n3]);
+        assert!(db.direct_dependents(n3).expect("ok").is_empty());
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use error::HistoryError;
 pub use instance::{EntityInstance, InstanceId, Metadata};
 pub use persist::{HexBytes, HistorySpec, InstanceSpec};
 pub use query::BrowserQuery;
-pub use revdep::{DirtyCone, RetraceCone, RevDepIndex, RevDepIndexSpec, VersionCut};
+pub use revdep::{DirtyCone, RetraceCone, VersionCut};
 pub use store::{BlobHash, BlobStore};
 pub use trace::FlowTrace;
 pub use version::VersionForest;

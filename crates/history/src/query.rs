@@ -142,7 +142,8 @@ impl BrowserQuery {
                 }
             }
             if let Some(d) = &downstream {
-                if !d.contains(&id) {
+                // `forward_chain` returns its answer sorted.
+                if d.binary_search(&id).is_err() {
                     continue;
                 }
             }

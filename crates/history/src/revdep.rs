@@ -1,29 +1,16 @@
-//! Persistent reverse-dependency index for incremental consistency
-//! analysis (§3.3, ROADMAP item 3).
+//! Dirty cones and retrace cones over the history's reverse index
+//! (§3.3).
 //!
-//! The consistency queries in [`consistency`](crate::consistency) are
-//! correct but *global*: `newest_version_of` rebuilds a family's whole
-//! version forest and `stale_instances` rescans every derivation. This
-//! module maintains the same information incrementally:
+//! [`HistoryDb`] keeps, on every append, each instance's dependents,
+//! version predecessor and the newest version in its version subtree.
+//! Two analyses read those lookups:
 //!
-//! * a **reverse-dependency index** — for every instance, the instances
-//!   whose derivations reference it (the forward-chaining relation,
-//!   precomputed);
-//! * a **version cache** — each instance's version predecessor,
-//!   successors, and the *newest* version in its subtree, maintained in
-//!   `O(depth)` per append instead of `O(family)` per query;
 //! * a **dirty cone** — given the instances appended since the last
 //!   analysis, the set of instances whose consistency verdicts may have
 //!   changed (the forward closure of the edit over the reverse index);
 //! * a **retrace cone** — a structured prediction of what
 //!   `hercules_exec::retrace` will recall, cut, and re-run for a goal
 //!   instance, computed without executing anything.
-//!
-//! The index is append-only, mirroring the history database: `update`
-//! folds in exactly the instances recorded since the last call. A
-//! fingerprint over the indexed prefix lets a persisted index
-//! ([`RevDepIndexSpec`]) prove it still describes the database it is
-//! loaded against; on any mismatch the caller rebuilds from scratch.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -31,186 +18,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::db::HistoryDb;
 use crate::error::HistoryError;
-use crate::instance::{EntityInstance, InstanceId};
+use crate::instance::InstanceId;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut fp: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        fp = (fp ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    fp
-}
-
-/// Folds one instance's identity-relevant fields into a running
-/// fingerprint: id, entity type, and immediate derivation. Metadata is
-/// deliberately excluded — annotations do not change dependency
-/// structure.
-fn fingerprint_instance(mut fp: u64, inst: &EntityInstance) -> u64 {
-    fp = fnv_fold(fp, inst.id().raw());
-    fp = fnv_fold(fp, inst.entity().index() as u64);
-    match inst.derivation() {
-        None => fp = fnv_fold(fp, u64::MAX),
-        Some(d) => {
-            fp = fnv_fold(fp, d.tool.map(|t| t.raw() + 1).unwrap_or(0));
-            fp = fnv_fold(fp, d.inputs.len() as u64);
-            for &i in &d.inputs {
-                fp = fnv_fold(fp, i.raw());
-            }
-        }
-    }
-    fp
-}
-
-/// The incremental reverse-dependency index over a [`HistoryDb`].
-///
-/// Invariants (for the `indexed` prefix of the database):
-///
-/// * `dependents[x]` lists, in id order, every indexed instance whose
-///   derivation references `x` (tool or input);
-/// * `version_parent[x]` equals [`HistoryDb::version_parent`];
-/// * `version_children[x]` lists the instances whose version parent is
-///   `x`, in id order;
-/// * `newest[x]` equals [`HistoryDb::newest_version_of`] — the newest
-///   version in the version subtree rooted at `x`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RevDepIndex {
-    indexed: usize,
-    fingerprint: u64,
-    dependents: Vec<Vec<InstanceId>>,
-    version_parent: Vec<Option<InstanceId>>,
-    version_children: Vec<Vec<InstanceId>>,
-    newest: Vec<InstanceId>,
-}
-
-impl Default for RevDepIndex {
-    fn default() -> RevDepIndex {
-        RevDepIndex::new()
-    }
-}
-
-impl RevDepIndex {
-    /// Creates an empty index (watermark 0).
-    pub fn new() -> RevDepIndex {
-        RevDepIndex {
-            indexed: 0,
-            fingerprint: FNV_OFFSET,
-            dependents: Vec::new(),
-            version_parent: Vec::new(),
-            version_children: Vec::new(),
-            newest: Vec::new(),
-        }
-    }
-
-    /// Builds a fresh index over the whole database.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lookup errors (none occur on a well-formed database).
-    pub fn build(db: &HistoryDb) -> Result<RevDepIndex, HistoryError> {
-        let mut index = RevDepIndex::new();
-        index.update(db)?;
-        Ok(index)
-    }
-
-    /// Returns the watermark: how many instances (a prefix of the
-    /// database, in id order) this index covers.
-    pub fn watermark(&self) -> usize {
-        self.indexed
-    }
-
-    /// Returns the fingerprint of the indexed prefix.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Folds in every instance recorded since the last update and
-    /// returns their ids. The database must be the same append-only
-    /// database previous updates saw; if it has *shrunk* the index
-    /// rebuilds from scratch (and returns every id as new).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lookup errors (none occur on a well-formed database).
-    pub fn update(&mut self, db: &HistoryDb) -> Result<Vec<InstanceId>, HistoryError> {
-        if self.indexed > db.len() {
-            *self = RevDepIndex::new();
-        }
-        let mut fresh = Vec::new();
-        for inst in db.instances().skip(self.indexed) {
-            let id = inst.id();
-            self.fingerprint = fingerprint_instance(self.fingerprint, inst);
-            self.dependents.push(Vec::new());
-            self.version_children.push(Vec::new());
-            self.newest.push(id);
-            let vp = db.version_parent(id)?;
-            self.version_parent.push(vp);
-            if let Some(p) = vp {
-                self.version_children[p.index()].push(id);
-            }
-            if let Some(d) = inst.derivation() {
-                for r in d.referenced() {
-                    let deps = &mut self.dependents[r.index()];
-                    if deps.last() != Some(&id) {
-                        deps.push(id);
-                    }
-                }
-            }
-            // `id` is now the newest member of every version subtree
-            // containing it, unless a cached entry is at least as
-            // recent (same tie-breaking as the forest scan in
-            // `newest_version_of`: replace only on strictly-later).
-            let created = inst.meta().created;
-            let mut cur = vp;
-            while let Some(x) = cur {
-                if created.is_after(db.created_at(self.newest[x.index()])?) {
-                    self.newest[x.index()] = id;
-                }
-                cur = self.version_parent[x.index()];
-            }
-            self.indexed += 1;
-            fresh.push(id);
-        }
-        Ok(fresh)
-    }
-
-    /// Returns the indexed instances whose derivations reference `id`
-    /// (empty for unindexed ids).
-    pub fn dependents(&self, id: InstanceId) -> &[InstanceId] {
-        self.dependents
-            .get(id.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Returns the cached version predecessor of `id`.
-    pub fn version_parent(&self, id: InstanceId) -> Option<InstanceId> {
-        self.version_parent.get(id.index()).copied().flatten()
-    }
-
-    /// Returns the cached direct version successors of `id`.
-    pub fn version_children(&self, id: InstanceId) -> &[InstanceId] {
-        self.version_children
-            .get(id.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Returns the newest version in the version subtree rooted at `id`
-    /// in `O(1)` (the cached equivalent of
-    /// [`HistoryDb::newest_version_of`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoryError::UnknownInstance`] for unindexed ids.
-    pub fn newest_version(&self, id: InstanceId) -> Result<InstanceId, HistoryError> {
-        self.newest
-            .get(id.index())
-            .copied()
-            .ok_or(HistoryError::UnknownInstance(id))
-    }
-
+impl HistoryDb {
     /// Computes the dirty cone of an edit: the instances whose
     /// consistency verdicts may differ after `fresh` were appended.
     ///
@@ -222,30 +32,20 @@ impl RevDepIndex {
     /// reverse-dependency relation: anything downstream of a superseded
     /// version may have become transitively stale.
     ///
-    /// Call [`RevDepIndex::update`] first; every id in `fresh` must be
-    /// indexed.
-    ///
     /// # Errors
     ///
-    /// Returns [`HistoryError::UnknownInstance`] for unindexed ids.
-    pub fn dirty_cone(
-        &self,
-        db: &HistoryDb,
-        fresh: &[InstanceId],
-    ) -> Result<DirtyCone, HistoryError> {
+    /// Returns [`HistoryError::UnknownInstance`] for out-of-range ids.
+    pub fn dirty_cone(&self, fresh: &[InstanceId]) -> Result<DirtyCone, HistoryError> {
         let mut seeds: BTreeSet<InstanceId> = BTreeSet::new();
         for &id in fresh {
-            if id.index() >= self.indexed {
-                return Err(HistoryError::UnknownInstance(id));
-            }
             seeds.insert(id);
-            if let Some(d) = db.instance(id)?.derivation() {
+            if let Some(d) = self.instance(id)?.derivation() {
                 seeds.extend(d.referenced());
             }
-            let mut cur = self.version_parent(id);
+            let mut cur = self.version_parent(id)?;
             while let Some(x) = cur {
                 seeds.insert(x);
-                cur = self.version_parent(x);
+                cur = self.version_parent(x)?;
             }
         }
         let seeds: Vec<InstanceId> = seeds.into_iter().collect();
@@ -254,7 +54,7 @@ impl RevDepIndex {
         let mut visited = 0usize;
         while let Some(x) = stack.pop() {
             visited += 1;
-            for &d in self.dependents(x) {
+            for &d in self.direct_dependents(x)? {
                 if members.insert(d) {
                     stack.push(d);
                 }
@@ -265,22 +65,6 @@ impl RevDepIndex {
             seeds,
             visited,
         })
-    }
-
-    /// Computes the retrace cone for `goal` using this index's cached
-    /// newest-version table (the fast path of
-    /// [`RetraceCone::compute`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lookup errors; every instance reachable from `goal`
-    /// must be indexed.
-    pub fn retrace_cone(
-        &self,
-        db: &HistoryDb,
-        goal: InstanceId,
-    ) -> Result<RetraceCone, HistoryError> {
-        compute_cone(db, goal, &mut |i| self.newest_version(i))
     }
 }
 
@@ -345,17 +129,13 @@ pub struct RetraceCone {
 }
 
 impl RetraceCone {
-    /// Computes the retrace cone for `goal`, building a fresh
-    /// [`RevDepIndex`] for the newest-version lookups. Reuse an
-    /// existing index via [`RevDepIndex::retrace_cone`] when analyzing
-    /// repeatedly.
+    /// Computes the retrace cone for `goal`.
     ///
     /// # Errors
     ///
     /// Propagates lookup errors for unknown instances.
     pub fn compute(db: &HistoryDb, goal: InstanceId) -> Result<RetraceCone, HistoryError> {
-        let index = RevDepIndex::build(db)?;
-        index.retrace_cone(db, goal)
+        compute_cone(db, goal)
     }
 
     /// Renders a one-line summary ("3 to re-run, 1 cut, 14 recalled").
@@ -380,15 +160,14 @@ struct ConeSlot {
     bound: Option<InstanceId>,
 }
 
-struct ConeBuilder<'a, 'f> {
+struct ConeBuilder<'a> {
     db: &'a HistoryDb,
-    newest: &'f mut dyn FnMut(InstanceId) -> Result<InstanceId, HistoryError>,
     slots: HashMap<InstanceId, ConeSlot>,
     cuts: Vec<VersionCut>,
     visited: usize,
 }
 
-impl ConeBuilder<'_, '_> {
+impl ConeBuilder<'_> {
     /// Mirrors `Recall::visit` in `hercules_exec::retrace`: same
     /// memoization, same fast-forward rule, same version-predecessor
     /// pinning — so the predicted flow is the one retrace will build.
@@ -406,7 +185,7 @@ impl ConeBuilder<'_, '_> {
         );
         let record = self.db.instance(inst)?;
         if fast_forward {
-            let newest = (self.newest)(inst)?;
+            let newest = self.db.newest_version_of(inst)?;
             if newest != inst {
                 self.slots.get_mut(&inst).expect("just inserted").bound = Some(newest);
                 self.cuts.push(VersionCut {
@@ -439,14 +218,9 @@ impl ConeBuilder<'_, '_> {
     }
 }
 
-fn compute_cone(
-    db: &HistoryDb,
-    goal: InstanceId,
-    newest: &mut dyn FnMut(InstanceId) -> Result<InstanceId, HistoryError>,
-) -> Result<RetraceCone, HistoryError> {
+fn compute_cone(db: &HistoryDb, goal: InstanceId) -> Result<RetraceCone, HistoryError> {
     let mut builder = ConeBuilder {
         db,
-        newest,
         slots: HashMap::new(),
         cuts: Vec::new(),
         visited: 0,
@@ -516,107 +290,12 @@ fn self_derivation(
         .expect("expanded slots are derived"))
 }
 
-/// Serialized form of a [`RevDepIndex`]: the semantic caches plus a
-/// fingerprint proving which database prefix they describe.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RevDepIndexSpec {
-    /// Watermark: instances covered, a prefix of the database.
-    pub indexed: u64,
-    /// Fingerprint of the covered prefix.
-    pub fingerprint: u64,
-    /// Cached version predecessors, by raw id.
-    pub version_parent: Vec<Option<u64>>,
-    /// Cached newest-version table, by raw id.
-    pub newest: Vec<u64>,
-}
-
-impl RevDepIndexSpec {
-    /// Captures an index for persistence.
-    pub fn capture(index: &RevDepIndex) -> RevDepIndexSpec {
-        RevDepIndexSpec {
-            indexed: index.indexed as u64,
-            fingerprint: index.fingerprint,
-            version_parent: index
-                .version_parent
-                .iter()
-                .map(|p| p.map(InstanceId::raw))
-                .collect(),
-            newest: index.newest.iter().map(|n| n.raw()).collect(),
-        }
-    }
-
-    /// Restores an index against `db`, validating that the captured
-    /// prefix still matches: the watermark must not exceed the database
-    /// and the prefix fingerprint must agree. Returns `None` when the
-    /// spec does not describe this database (caller rebuilds).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lookup errors (none occur on a well-formed database).
-    pub fn restore(&self, db: &HistoryDb) -> Result<Option<RevDepIndex>, HistoryError> {
-        let indexed = self.indexed as usize;
-        if indexed > db.len()
-            || self.version_parent.len() != indexed
-            || self.newest.len() != indexed
-        {
-            return Ok(None);
-        }
-        let mut fp = FNV_OFFSET;
-        for inst in db.instances().take(indexed) {
-            fp = fingerprint_instance(fp, inst);
-        }
-        if fp != self.fingerprint {
-            return Ok(None);
-        }
-        let in_prefix = |raw: u64| (raw as usize) < indexed;
-        if self.newest.iter().any(|&n| !in_prefix(n))
-            || self.version_parent.iter().flatten().any(|&p| !in_prefix(p))
-        {
-            return Ok(None);
-        }
-        // Structure (reverse edges, version children) is cheap to
-        // re-derive; only the caches above carry cross-instance work.
-        let version_parent: Vec<Option<InstanceId>> = self
-            .version_parent
-            .iter()
-            .map(|p| p.map(InstanceId::from_raw))
-            .collect();
-        let mut dependents: Vec<Vec<InstanceId>> = vec![Vec::new(); indexed];
-        let mut version_children: Vec<Vec<InstanceId>> = vec![Vec::new(); indexed];
-        for inst in db.instances().take(indexed) {
-            let id = inst.id();
-            if let Some(d) = inst.derivation() {
-                for r in d.referenced() {
-                    let deps = &mut dependents[r.index()];
-                    if deps.last() != Some(&id) {
-                        deps.push(id);
-                    }
-                }
-            }
-            if let Some(p) = version_parent[id.index()] {
-                version_children[p.index()].push(id);
-            }
-        }
-        Ok(Some(RevDepIndex {
-            indexed,
-            fingerprint: self.fingerprint,
-            dependents,
-            version_parent,
-            version_children,
-            newest: self
-                .newest
-                .iter()
-                .map(|&n| InstanceId::from_raw(n))
-                .collect(),
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::derivation::Derivation;
     use crate::instance::Metadata;
+    use crate::persist::HistorySpec;
     use hercules_schema::fixtures;
     use std::sync::Arc;
 
@@ -680,37 +359,60 @@ mod tests {
         let (mut db, ids) = extraction_db();
         let net2 = edit_netlist(&mut db, ids[2], ids[3]);
         let net3 = edit_netlist(&mut db, ids[2], net2);
-        let index = RevDepIndex::build(&db).expect("ok");
         for inst in db.instances() {
             let id = inst.id();
+            let forest = db.version_forest(inst.entity()).expect("ok");
+            let newest = forest.descendants(id).into_iter().max().unwrap_or(id);
             assert_eq!(
-                index.newest_version(id).expect("ok"),
                 db.newest_version_of(id).expect("ok"),
+                newest,
                 "newest of {id}"
             );
             assert_eq!(
-                index.version_parent(id),
                 db.version_parent(id).expect("ok"),
+                forest.parent(id),
                 "version parent of {id}"
             );
+            let dependents: Vec<InstanceId> = db
+                .instances()
+                .filter(|d| {
+                    d.derivation()
+                        .is_some_and(|d| d.referenced().any(|r| r == id))
+                })
+                .map(|d| d.id())
+                .collect();
             assert_eq!(
-                index.dependents(id),
                 db.direct_dependents(id).expect("ok"),
+                dependents,
                 "dependents of {id}"
             );
         }
-        assert_eq!(index.newest_version(ids[3]).expect("ok"), net3);
+        assert_eq!(db.newest_version_of(ids[3]).expect("ok"), net3);
     }
 
     #[test]
     fn incremental_update_equals_fresh_build() {
         let (mut db, ids) = extraction_db();
-        let mut live = RevDepIndex::build(&db).expect("ok");
         let net2 = edit_netlist(&mut db, ids[2], ids[3]);
-        let fresh_ids = live.update(&db).expect("ok");
-        assert_eq!(fresh_ids, vec![net2]);
-        assert_eq!(live, RevDepIndex::build(&db).expect("ok"));
-        assert!(live.update(&db).expect("ok").is_empty());
+        assert_eq!(db.newest_version_of(ids[3]).expect("ok"), net2);
+        let fresh = HistorySpec::from_db(&db)
+            .load(db.schema().clone())
+            .expect("replays");
+        for inst in db.instances() {
+            let id = inst.id();
+            assert_eq!(
+                db.newest_version_of(id).expect("ok"),
+                fresh.newest_version_of(id).expect("ok")
+            );
+            assert_eq!(
+                db.version_parent(id).expect("ok"),
+                fresh.version_parent(id).expect("ok")
+            );
+            assert_eq!(
+                db.direct_dependents(id).expect("ok"),
+                fresh.direct_dependents(id).expect("ok")
+            );
+        }
     }
 
     #[test]
@@ -718,8 +420,7 @@ mod tests {
         let (mut db, ids) = extraction_db();
         let (editor, net, l1, x1) = (ids[2], ids[3], ids[5], ids[6]);
         let net2 = edit_netlist(&mut db, editor, net);
-        let index = RevDepIndex::build(&db).expect("ok");
-        let cone = index.dirty_cone(&db, &[net2]).expect("ok");
+        let cone = db.dirty_cone(&[net2]).expect("ok");
         for id in [net, net2, l1, x1, editor] {
             assert!(cone.contains(id), "{id} should be dirty");
         }
@@ -763,57 +464,5 @@ mod tests {
         let cone = RetraceCone::compute(&db, net2).expect("ok");
         assert!(cone.already_current, "edit of a pinned parent is current");
         assert!(cone.cuts.is_empty());
-    }
-
-    #[test]
-    fn index_cone_matches_fresh_cone() {
-        let (mut db, ids) = extraction_db();
-        let mut index = RevDepIndex::build(&db).expect("ok");
-        let net2 = edit_netlist(&mut db, ids[2], ids[3]);
-        let _ = net2;
-        index.update(&db).expect("ok");
-        for inst in db.instances() {
-            let id = inst.id();
-            assert_eq!(
-                index.retrace_cone(&db, id).expect("ok"),
-                RetraceCone::compute(&db, id).expect("ok"),
-                "cone of {id}"
-            );
-        }
-    }
-
-    #[test]
-    fn spec_round_trips_and_rejects_mismatches() {
-        let (mut db, ids) = extraction_db();
-        let index = RevDepIndex::build(&db).expect("ok");
-        let spec = RevDepIndexSpec::capture(&index);
-        let restored = spec.restore(&db).expect("ok").expect("valid");
-        assert_eq!(restored, index);
-
-        // A stale spec (captured before more edits) still validates as
-        // a prefix and catches up via update().
-        let net2 = edit_netlist(&mut db, ids[2], ids[3]);
-        let mut caught_up = spec.restore(&db).expect("ok").expect("prefix valid");
-        assert_eq!(caught_up.update(&db).expect("ok"), vec![net2]);
-        assert_eq!(caught_up, RevDepIndex::build(&db).expect("ok"));
-
-        // A tampered fingerprint is rejected.
-        let mut bad = spec.clone();
-        bad.fingerprint ^= 1;
-        assert!(bad.restore(&db).expect("ok").is_none());
-
-        // A spec from a different database is rejected.
-        let other = HistoryDb::new(Arc::new(fixtures::fig1()));
-        assert!(spec.restore(&other).expect("ok").is_none());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let (db, _) = extraction_db();
-        let index = RevDepIndex::build(&db).expect("ok");
-        let spec = RevDepIndexSpec::capture(&index);
-        let json = serde_json::to_string(&spec).expect("encode");
-        let back: RevDepIndexSpec = serde_json::from_str(&json).expect("decode");
-        assert_eq!(back, spec);
     }
 }

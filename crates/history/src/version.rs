@@ -109,28 +109,6 @@ impl VersionForest {
 }
 
 impl HistoryDb {
-    /// Returns the version predecessor of `id`: the input of its
-    /// derivation that belongs to the same entity family (the paper's
-    /// edit-task signature), if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoryError::UnknownInstance`] for out-of-range ids.
-    pub fn version_parent(&self, id: InstanceId) -> Result<Option<InstanceId>, HistoryError> {
-        let inst = self.instance(id)?;
-        let family = self.family_root(inst.entity());
-        let Some(d) = inst.derivation() else {
-            return Ok(None);
-        };
-        for &input in &d.inputs {
-            let input_entity = self.instance(input)?.entity();
-            if self.family_root(input_entity) == family {
-                return Ok(Some(input));
-            }
-        }
-        Ok(None)
-    }
-
     /// Returns the topmost supertype of `entity` (its family root).
     pub fn family_root(&self, entity: EntityTypeId) -> EntityTypeId {
         self.schema()
@@ -142,7 +120,7 @@ impl HistoryDb {
 
     /// Builds the version forest of an entity family (Fig. 11a): the
     /// projection of the design history onto same-family edit
-    /// derivations.
+    /// derivations, read from the version parents recorded on append.
     ///
     /// # Errors
     ///

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use hercules_history::{Derivation, HistoryDb, HistorySpec, InstanceId, Metadata};
+use hercules_history::{Derivation, HistoryDb, HistorySpec, InstanceId, Metadata, Staleness};
 use hercules_schema::fixtures;
 use proptest::prelude::*;
 
@@ -41,6 +41,121 @@ fn random_history(parents: &[Option<usize>]) -> (HistoryDb, Vec<InstanceId>) {
 
 fn parent_vec() -> impl Strategy<Value = Vec<Option<usize>>> {
     prop::collection::vec(prop::option::of(0usize..16), 1..16)
+}
+
+/// Reference version parent: scans the derivation's inputs for the
+/// first one in the instance's entity family.
+fn scan_version_parent(db: &HistoryDb, id: InstanceId) -> Option<InstanceId> {
+    let inst = db.instance(id).expect("present");
+    let family = db.family_root(inst.entity());
+    let entity_of = |i: InstanceId| db.instance(i).expect("present").entity();
+    inst.derivation()?
+        .inputs
+        .iter()
+        .copied()
+        .find(|&i| db.family_root(entity_of(i)) == family)
+}
+
+/// Reference newest version: the latest-created member of the version
+/// subtree under `id`, found by scanning its family's version forest.
+fn scan_newest_version(db: &HistoryDb, id: InstanceId) -> InstanceId {
+    let entity = db.instance(id).expect("present").entity();
+    let forest = db.version_forest(entity).expect("builds");
+    let created = |i: InstanceId| db.created_at(i).expect("present");
+    let mut best = id;
+    for d in forest.descendants(id) {
+        if created(d).is_after(created(best)) {
+            best = d;
+        }
+    }
+    best
+}
+
+/// Reference dependents: every instance whose derivation references
+/// `id`, by scanning all derivations.
+fn scan_dependents(db: &HistoryDb, id: InstanceId) -> Vec<InstanceId> {
+    db.instances()
+        .filter(|i| {
+            i.derivation()
+                .is_some_and(|d| d.referenced().any(|r| r == id))
+        })
+        .map(|i| i.id())
+        .collect()
+}
+
+/// Reference staleness: the first input, other than the version
+/// parent, whose reference newest version is not itself.
+fn scan_staleness(db: &HistoryDb, id: InstanceId) -> Option<Staleness> {
+    let version_parent = scan_version_parent(db, id);
+    let inst = db.instance(id).expect("present");
+    inst.derivation()?.inputs.iter().find_map(|&input| {
+        let newest = scan_newest_version(db, input);
+        (Some(input) != version_parent && newest != input).then_some(Staleness {
+            instance: id,
+            outdated_input: input,
+            newer_version: newest,
+        })
+    })
+}
+
+/// One generated append on top of an edit forest. Seeds pick an
+/// existing target modulo the live count.
+#[derive(Debug, Clone)]
+enum Op {
+    /// A new version of any netlist, edited or extracted.
+    Edit(usize),
+    /// An edit with two netlist inputs: only the first is its version
+    /// parent.
+    Merge(usize, usize),
+    /// The one shared placer lays out a netlist.
+    Place(usize),
+    /// A placement whose derivation lists the same netlist twice.
+    PlaceTwice(usize),
+    /// The one shared extractor extracts a netlist from a layout.
+    Extract(usize),
+}
+
+fn op_vec() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0usize..64).prop_map(Op::Edit),
+            (0usize..64, 0usize..64).prop_map(|(a, b)| Op::Merge(a, b)),
+            (0usize..64).prop_map(Op::Place),
+            (0usize..64).prop_map(Op::PlaceTwice),
+            (0usize..64).prop_map(Op::Extract),
+        ],
+        0..24,
+    )
+}
+
+/// Checks every instance's indexed lookups against the reference
+/// scans, on `db` and on a copy reloaded from its spec.
+fn check_against_scans(db: &HistoryDb) -> Result<(), TestCaseError> {
+    let reloaded = HistorySpec::from_db(db)
+        .load(db.schema().clone())
+        .expect("replays");
+    for inst in db.instances() {
+        let id = inst.id();
+        for copy in [db, &reloaded] {
+            prop_assert_eq!(
+                copy.newest_version_of(id).expect("present"),
+                scan_newest_version(db, id)
+            );
+            prop_assert_eq!(
+                copy.version_parent(id).expect("present"),
+                scan_version_parent(db, id)
+            );
+            prop_assert_eq!(
+                copy.direct_dependents(id).expect("present").to_vec(),
+                scan_dependents(db, id)
+            );
+            prop_assert_eq!(
+                copy.staleness_of(id).expect("present"),
+                scan_staleness(db, id)
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -96,6 +211,68 @@ proptest! {
         }
         for &r in forest.roots() {
             prop_assert!(forest.parent(r).is_none());
+        }
+    }
+
+    /// The lookups `HistoryDb` keeps on append answer exactly like
+    /// scans of the whole history, after every append and after a
+    /// reload: over edit chains and branches, merges of two versions,
+    /// a shared placer and extractor feeding many products, versions
+    /// across netlist subtypes, and derivations that list an input
+    /// twice.
+    #[test]
+    fn indexed_lookups_equal_reference_scans(parents in parent_vec(), ops in op_vec()) {
+        let schema = Arc::new(fixtures::fig1());
+        let mut db = HistoryDb::new(schema.clone());
+        let mut record = |name: &str, derivation: Option<Derivation>| {
+            let entity = schema.require(name).expect("known");
+            let meta = Metadata::by("prop");
+            let id = match derivation {
+                None => db.record_primary(entity, meta, name.as_bytes()),
+                Some(d) => db.record_derived(entity, meta, name.as_bytes(), d),
+            }
+            .expect("records");
+            check_against_scans(&db).map(|()| id)
+        };
+        let editor = record("CircuitEditor", None)?;
+        let placer = record("Placer", None)?;
+        let extractor = record("Extractor", None)?;
+        let rules = record("PlacementRules", None)?;
+        let mut netlists: Vec<InstanceId> = Vec::new();
+        for (i, parent) in parents.iter().enumerate() {
+            let from = if i == 0 { None } else { parent.map(|p| netlists[p % i]) };
+            netlists.push(record("EditedNetlist", Some(Derivation::by_tool(editor, from)))?);
+        }
+        let mut layouts = Vec::new();
+        for op in &ops {
+            match *op {
+                Op::Edit(seed) => {
+                    let from = netlists[seed % netlists.len()];
+                    let d = Derivation::by_tool(editor, [from]);
+                    netlists.push(record("EditedNetlist", Some(d))?);
+                }
+                Op::Merge(a, b) => {
+                    let (a, b) = (netlists[a % netlists.len()], netlists[b % netlists.len()]);
+                    let d = Derivation::by_tool(editor, [a, b]);
+                    netlists.push(record("EditedNetlist", Some(d))?);
+                }
+                Op::Place(seed) => {
+                    let net = netlists[seed % netlists.len()];
+                    let d = Derivation::by_tool(placer, [net, rules]);
+                    layouts.push(record("Layout", Some(d))?);
+                }
+                Op::PlaceTwice(seed) => {
+                    let net = netlists[seed % netlists.len()];
+                    let d = Derivation::by_tool(placer, [net, net, rules]);
+                    layouts.push(record("Layout", Some(d))?);
+                }
+                Op::Extract(seed) => {
+                    if let Some(&layout) = layouts.get(seed % layouts.len().max(1)) {
+                        let d = Derivation::by_tool(extractor, [layout]);
+                        netlists.push(record("ExtractedNetlist", Some(d))?);
+                    }
+                }
+            }
         }
     }
 

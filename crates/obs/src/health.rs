@@ -1,5 +1,6 @@
 //! The workspace health model: a typed report aggregating store,
-//! scheduler, cache, and analysis-index signals into ok/warn/critical.
+//! scheduler, cache, and design-history staleness signals into
+//! ok/warn/critical.
 //!
 //! The report is computed from data the caller already has — a
 //! [`MetricsSnapshot`], plus optional store and analysis summaries
@@ -75,7 +76,7 @@ pub struct HealthThresholds {
     /// Remaining lease milliseconds below which the writer should
     /// have renewed already.
     pub lease_remaining_warn_ms: i64,
-    /// Stale-instance count (from the analysis index) that warns.
+    /// Stale-instance count that warns.
     pub stale_instances_warn: usize,
 }
 
@@ -121,14 +122,12 @@ pub struct StoreHealth {
     pub recovery_bytes_discarded: u64,
 }
 
-/// Analysis-index inputs: how fresh the revdep/lint layer is.
+/// Design-history inputs: how much of the history is out of date.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisHealth {
     /// Instances in the history database.
     pub instances_total: usize,
-    /// Instances covered by the revdep index watermark.
-    pub instances_indexed: usize,
-    /// Instances currently flagged stale (HL0501/HL0502).
+    /// Instances currently out of date (HL0501).
     pub stale_instances: usize,
 }
 
@@ -423,37 +422,21 @@ impl HealthReport {
 
         match analysis {
             None => push(
-                "analysis.index",
+                "analysis.stale",
                 HealthStatus::Ok,
                 "detached".into(),
-                "no analysis index loaded".into(),
+                "no design history attached".into(),
             ),
-            Some(a) => {
-                let behind = a.instances_total.saturating_sub(a.instances_indexed);
-                let stale_status = if a.stale_instances >= t.stale_instances_warn {
+            Some(a) => push(
+                "analysis.stale",
+                if a.stale_instances >= t.stale_instances_warn {
                     HealthStatus::Warn
                 } else {
                     HealthStatus::Ok
-                };
-                let status = if behind > 0 {
-                    HealthStatus::Warn.max(stale_status)
-                } else {
-                    stale_status
-                };
-                push(
-                    "analysis.index",
-                    status,
-                    format!("{}/{} indexed", a.instances_indexed, a.instances_total),
-                    if behind > 0 {
-                        format!(
-                            "revdep index {behind} instance(s) behind; {} stale",
-                            a.stale_instances
-                        )
-                    } else {
-                        format!("index fresh; {} stale instance(s)", a.stale_instances)
-                    },
-                );
-            }
+                },
+                format!("{}/{} stale", a.stale_instances, a.instances_total),
+                format!("{} instance(s) out of date", a.stale_instances),
+            ),
         }
 
         HealthReport {
@@ -553,7 +536,6 @@ mod tests {
             Some(&healthy_store()),
             Some(&AnalysisHealth {
                 instances_total: 4,
-                instances_indexed: 4,
                 stale_instances: 0,
             }),
             &Metrics::new().snapshot(),
@@ -720,18 +702,18 @@ mod tests {
             None,
             Some(&AnalysisHealth {
                 instances_total: 10,
-                instances_indexed: 7,
                 stale_instances: 2,
             }),
             &Metrics::new().snapshot(),
             &HealthThresholds::default(),
         );
-        let idx = report
+        let stale = report
             .checks
             .iter()
-            .find(|c| c.name == "analysis.index")
+            .find(|c| c.name == "analysis.stale")
             .unwrap();
-        assert_eq!(idx.status, HealthStatus::Warn);
-        assert!(idx.detail.contains("3 instance(s) behind"));
+        assert_eq!(stale.status, HealthStatus::Warn);
+        assert_eq!(stale.value, "2/10 stale");
+        assert!(stale.detail.contains("2 instance(s) out of date"));
     }
 }

@@ -23,8 +23,8 @@
 //!   (spans, instants, metric deltas) feeding the durable
 //!   `telemetry-N.jsonl` workspace sidecar;
 //! * [`HealthReport`] — typed ok/warn/critical aggregation of store,
-//!   scheduler, cache, and analysis-index signals under configurable
-//!   [`HealthThresholds`];
+//!   scheduler, cache, and design-history staleness signals under
+//!   configurable [`HealthThresholds`];
 //! * [`render_prometheus`] — one-shot Prometheus text exposition of a
 //!   metrics snapshot;
 //! * [`profile`] — reconstructs the span tree, derives the task DAG

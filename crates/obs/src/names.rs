@@ -115,15 +115,6 @@ pub const ANALYZE_CONE_INSTANCES: &str = "analyze.cone_instances";
 /// `stale` and HL0503).
 pub const ANALYZE_RETRACE_RERUN: &str = "analyze.retrace_rerun";
 
-/// Counter: revdep-index reuses — an `open` or incremental lint found
-/// the persisted/cached index fingerprint-valid and skipped the
-/// rebuild.
-pub const ANALYZE_INDEX_HITS: &str = "analyze.index_hits";
-
-/// Counter: revdep-index rebuilds from scratch (no sidecar, stale
-/// fingerprint, or watermark ahead of the database).
-pub const ANALYZE_INDEX_REBUILDS: &str = "analyze.index_rebuilds";
-
 /// Counter: content-cache lookups answered by the in-memory tier.
 pub const CACHE_MEM_HITS: &str = "cache.mem.hits";
 
@@ -229,8 +220,6 @@ mod tests {
         (super::ANALYZE_PASS_NS, "analyze."),
         (super::ANALYZE_CONE_INSTANCES, "analyze."),
         (super::ANALYZE_RETRACE_RERUN, "analyze."),
-        (super::ANALYZE_INDEX_HITS, "analyze."),
-        (super::ANALYZE_INDEX_REBUILDS, "analyze."),
         (super::CACHE_MEM_HITS, "cache."),
         (super::CACHE_MEM_MISSES, "cache."),
         (super::CACHE_MEM_ENTRIES, "cache."),
