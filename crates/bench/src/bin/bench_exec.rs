@@ -11,7 +11,8 @@
 //!   measures on traced runs of the same fixture: no schedule can beat
 //!   that path, and one that holds the chains behind the straggler
 //!   pays roughly twice it;
-//! * journal-append throughput, per-frame fsync vs group commit;
+//! * journal-append throughput, one fsync per frame vs one per
+//!   batch of deferred frames (group commit);
 //! * the content-addressed tool-execution cache — cold (all-miss)
 //!   vs warm (populated) vs a degraded remote tier with injected
 //!   round-trip latency, on the repeated-subflow fixture.
@@ -40,7 +41,7 @@ use hercules::obs::{
 };
 use hercules::schema::TaskSchema;
 use hercules::sim::{Clock, Fs};
-use hercules::{FlowOp, GroupCommitPolicy, JournalOp, Session, Workspace};
+use hercules::{FlowOp, JournalOp, Session, Workspace};
 
 /// `--check` gate: the straggler fixture's makespan may exceed its
 /// measured critical path by at most this factor.
@@ -537,10 +538,6 @@ fn bench_journal(opts: &Options) -> Result<JournalBench, String> {
             let mut ws = Workspace::create(&root, &session).map_err(|e| e.to_string())?;
             if let Some(max) = segment_max {
                 ws.set_segment_max_bytes(max);
-            }
-            if group {
-                ws.enable_group_commit(GroupCommitPolicy::default())
-                    .map_err(|e| e.to_string())?;
             }
             let mut runs = Vec::with_capacity(rounds);
             for r in 0..=rounds {

@@ -5,9 +5,8 @@
 //! disk, a disk hit in memory). Inserts land in memory immediately;
 //! the persistent tiers are written back *asynchronously* on a
 //! dedicated writer thread, so the executor's hot path never blocks
-//! on cache I/O. Under simulation (or when configured explicitly)
-//! write-back is synchronous instead, which makes crash-point sweeps
-//! over the disk tier deterministic.
+//! on cache I/O. Under simulation write-back is synchronous instead,
+//! which makes crash-point sweeps over the disk tier deterministic.
 //!
 //! Every tier is best-effort: an I/O error degrades the cache (and
 //! shows up in `cache.*` metrics and the health report), it never
@@ -36,10 +35,6 @@ pub struct CacheConfig {
     pub memory: MemoryBudget,
     /// Disk tier byte budget (enforced by `gc`).
     pub disk_budget_bytes: u64,
-    /// `Some(true)` forces synchronous write-back, `Some(false)`
-    /// forces the background writer; `None` (default) picks sync under
-    /// a simulated filesystem and async on a real one.
-    pub sync_writes: Option<bool>,
 }
 
 impl Default for CacheConfig {
@@ -47,7 +42,6 @@ impl Default for CacheConfig {
         CacheConfig {
             memory: MemoryBudget::default(),
             disk_budget_bytes: 256 << 20,
-            sync_writes: None,
         }
     }
 }
@@ -215,7 +209,9 @@ impl ContentCache {
 
     /// Opens a cache with a disk tier rooted at `root` (shared across
     /// sessions and workspaces that open the same root) and an
-    /// optional remote tier behind it.
+    /// optional remote tier behind it. Write-back runs on the calling
+    /// thread under a simulated filesystem and on a background writer
+    /// thread on a real one.
     pub fn open(
         fs: &Fs,
         root: impl Into<PathBuf>,
@@ -225,12 +221,11 @@ impl ContentCache {
         metrics: Metrics,
     ) -> io::Result<ContentCache> {
         let disk = DiskTier::open(fs.clone(), root, config.disk_budget_bytes)?;
-        let sync_writes = config.sync_writes.unwrap_or_else(|| fs.is_sim());
         Ok(ContentCache::build(
             MemoryTier::new(config.memory),
             Some(disk),
             remote.map(RemoteTier::new),
-            sync_writes,
+            fs.is_sim(),
             clock,
             metrics,
         ))
@@ -601,15 +596,12 @@ mod tests {
             &fs,
             &dir,
             None,
-            CacheConfig {
-                sync_writes: Some(false),
-                ..CacheConfig::default()
-            },
+            CacheConfig::default(),
             Clock::real(),
             Metrics::disabled(),
         )
         .expect("open");
-        assert!(!cache.sync_writes());
+        assert!(!cache.sync_writes(), "a real fs writes back on a thread");
         let (key, e) = entry(3);
         cache.insert(&key, &e);
         cache.flush();

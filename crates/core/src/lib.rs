@@ -79,8 +79,8 @@ pub use error::HerculesError;
 pub use persist::{ExecReportSpec, FlowOp, SessionSpec, TaskActionSpec, TaskRecordSpec};
 pub use session::{Approach, ExecEvent, Session};
 pub use store::{
-    DegradedReason, GroupCommitPolicy, JournalOp, RecoveryReport, ScrubReport, SegmentRecovery,
-    SegmentScrub, StoreError, Workspace, WriteState,
+    DegradedReason, JournalOp, RecoveryReport, ScrubReport, SegmentRecovery, SegmentScrub,
+    StoreError, Workspace, WriteState,
 };
 pub use telemetry::{
     read_postmortem, store_health, PostmortemRecord, PostmortemReport, SessionStamp,

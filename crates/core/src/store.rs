@@ -31,6 +31,19 @@
 //! discarded, and never panics or fails on any prefix of a well-formed
 //! journal.
 //!
+//! # Write path
+//!
+//! The journal has one write path. [`Workspace::append_deferred`]
+//! encodes a frame into the handle's pending buffer; [`Workspace::sync`]
+//! writes every pending frame with one `write` and makes them durable
+//! with one `fsync`, then rolls the segment once it reaches its size
+//! bound. [`Workspace::append`] is the two in sequence, so one command
+//! costs one `write` + one `fsync`, and a caller that acknowledges
+//! several operations at once pays one `fsync` for all of them. A
+//! failed write or `fsync` poisons the handle: the tail may end in a
+//! torn frame, so every later append fails instead of landing behind
+//! it, where recovery could not reach it.
+//!
 //! # Guarantees (and non-guarantees)
 //!
 //! - Every operation acknowledged before a crash is replayed on open;
@@ -49,8 +62,7 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
 
 use hercules_cache::crc32;
 use hercules_exec::EncapsulationRegistry;
@@ -58,7 +70,7 @@ use hercules_flow::NodeId;
 use hercules_history::{InstanceId, InstanceSpec};
 use hercules_obs::{names, Metrics};
 use hercules_schema::TaskSchema;
-use hercules_sim::{Clock, Env, Fs, FsFile};
+use hercules_sim::{Env, Fs, FsFile};
 use serde::{Deserialize, Serialize};
 
 use crate::error::HerculesError;
@@ -583,6 +595,48 @@ fn write_atomic(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<(), Sto
     Ok(())
 }
 
+/// Creates the empty journal segment `name` under `dir` and makes it
+/// and its directory entry durable, returning its write handle. A
+/// MANIFEST may name a segment only after this returns: otherwise a
+/// crash can keep the manifest swap but lose the segment, leaving a
+/// manifest that points at nothing.
+fn create_segment(fs: &Fs, dir: &Path, name: &str) -> Result<Box<dyn FsFile>, StoreError> {
+    let mut file = fs.create_truncate(&dir.join(name))?;
+    file.sync_all()?;
+    fs.sync_dir(dir)?;
+    Ok(file)
+}
+
+/// Atomically swaps in the MANIFEST naming `checkpoint` and the
+/// segment chain `segments` (oldest first; the last is the active
+/// journal) of `generation`, under `fencing_token`. Every file it
+/// names must already be durable (see [`create_segment`]).
+fn publish_manifest(
+    fs: &Fs,
+    dir: &Path,
+    generation: u64,
+    checkpoint: &str,
+    segments: &[String],
+    fencing_token: u64,
+) -> Result<(), StoreError> {
+    let manifest = Manifest {
+        generation,
+        checkpoint: checkpoint.to_owned(),
+        journal: segments
+            .last()
+            .expect("a segment chain is never empty")
+            .clone(),
+        segments: segments.to_vec(),
+        fencing_token,
+    };
+    write_atomic(
+        fs,
+        dir,
+        "MANIFEST",
+        serde_json::to_string(&manifest)?.as_bytes(),
+    )
+}
+
 fn checkpoint_name(generation: u64) -> String {
     format!("checkpoint-{generation}.json")
 }
@@ -719,173 +773,6 @@ fn has_resync_frame(buf: &[u8]) -> bool {
     count_resync_frames(buf) > 0
 }
 
-/// Group-commit tuning: when the background flusher turns queued
-/// frames into one `write` + `fsync`.
-///
-/// With group commit enabled, frames appended while an fsync is in
-/// flight accumulate and are flushed together, so N concurrent-ish
-/// appends cost far fewer than N fsyncs. Per-frame CRC32 framing and
-/// the prefix-recovery guarantee are unchanged: the flusher writes
-/// whole frames in order, so any crash leaves a journal whose valid
-/// prefix is exactly the durable history and whose tail is at most the
-/// unacknowledged batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommitPolicy {
-    /// Flush as soon as this many frames are queued, even if no one is
-    /// waiting on durability.
-    pub max_batch: usize,
-    /// Longest a queued frame may linger before the flusher writes it
-    /// out when no [`Workspace::sync`] caller is waiting.
-    pub max_delay: Duration,
-}
-
-impl Default for GroupCommitPolicy {
-    fn default() -> GroupCommitPolicy {
-        GroupCommitPolicy {
-            max_batch: 64,
-            max_delay: Duration::from_millis(1),
-        }
-    }
-}
-
-/// Shared state between appenders, [`Workspace::sync`] waiters, and the
-/// flusher thread.
-#[derive(Debug, Default)]
-struct GroupState {
-    /// Encoded frames waiting for the next flush, concatenated.
-    queue: Vec<u8>,
-    /// Frames currently in `queue`.
-    pending_frames: u64,
-    /// Sequence number of the last enqueued frame.
-    enqueued: u64,
-    /// Sequence number of the last frame known durable on disk.
-    durable: u64,
-    /// `sync` callers currently blocked — a nonzero count makes the
-    /// flusher skip its batching linger.
-    waiters: usize,
-    /// Tells the flusher to drain and exit.
-    shutdown: bool,
-    /// Sticky first flush failure; surfaced to every later caller.
-    error: Option<String>,
-}
-
-#[derive(Debug, Default)]
-struct GroupShared {
-    state: Mutex<GroupState>,
-    /// Signaled when frames arrive or shutdown is requested.
-    work: Condvar,
-    /// Signaled when `durable` advances (or the flusher errors).
-    done: Condvar,
-}
-
-/// How deferred frames reach the journal.
-#[derive(Debug)]
-enum GroupCommit {
-    /// The background flusher thread (real environment): appenders
-    /// enqueue, the thread batches frames into one `write` + `fsync`.
-    Threaded {
-        shared: Arc<GroupShared>,
-        handle: Option<std::thread::JoinHandle<()>>,
-        policy: GroupCommitPolicy,
-    },
-    /// Deterministic in-process batching, used when the workspace runs
-    /// on a simulated filesystem: frames queue here and flush on
-    /// [`Workspace::sync`] or when the batch fills. Identical
-    /// durability semantics — unsynced frames are exactly the
-    /// unacknowledged tail — with no thread and no timing, so every
-    /// flush is an explicit simulator event.
-    Inline {
-        queue: Vec<u8>,
-        pending_frames: u64,
-        policy: GroupCommitPolicy,
-    },
-}
-
-impl GroupCommit {
-    fn policy(&self) -> GroupCommitPolicy {
-        match self {
-            GroupCommit::Threaded { policy, .. } | GroupCommit::Inline { policy, .. } => *policy,
-        }
-    }
-}
-
-fn lock_state(shared: &GroupShared) -> std::sync::MutexGuard<'_, GroupState> {
-    shared.state.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The flusher loop: wait for queued frames, optionally linger for a
-/// fuller batch, then issue one `write_all` + `sync_data` for the whole
-/// batch and publish the new durable sequence number.
-///
-/// After a flush failure the error is sticky and later batches are
-/// **discarded without writing**: the failed write may have left a
-/// torn frame mid-journal, and appending after that hole would put
-/// acknowledged-looking frames beyond recovery's reach.
-fn flusher_loop(
-    shared: &GroupShared,
-    mut journal: Box<dyn FsFile>,
-    policy: GroupCommitPolicy,
-    metrics: Metrics,
-    clock: Clock,
-) {
-    loop {
-        let (batch, upto, frames, poisoned) = {
-            let mut st = lock_state(shared);
-            loop {
-                if st.queue.is_empty() {
-                    if st.shutdown {
-                        return;
-                    }
-                    st = shared.work.wait(st).unwrap_or_else(|e| e.into_inner());
-                    continue;
-                }
-                // Batching window: with no one waiting on durability
-                // and headroom in the batch, linger briefly so frames
-                // appended while this round was forming ride along.
-                if st.waiters == 0 && !st.shutdown && st.pending_frames < policy.max_batch as u64 {
-                    let before = st.enqueued;
-                    let (guard, _) = shared
-                        .work
-                        .wait_timeout(st, policy.max_delay)
-                        .unwrap_or_else(|e| e.into_inner());
-                    st = guard;
-                    if st.enqueued > before {
-                        // More arrived; re-evaluate (flush at once if a
-                        // waiter showed up or the batch filled).
-                        continue;
-                    }
-                }
-                break;
-            }
-            let frames = st.pending_frames;
-            st.pending_frames = 0;
-            let poisoned = st.error.is_some();
-            (std::mem::take(&mut st.queue), st.enqueued, frames, poisoned)
-        };
-        if poisoned {
-            metrics.incr(names::STORE_GROUP_DISCARDED_BATCHES, 1);
-            shared.done.notify_all();
-            continue;
-        }
-        let fsync_started = clock.now();
-        let result = journal.write_all(&batch).and_then(|()| journal.sync_data());
-        metrics.observe_duration("store.fsync_ns", clock.since(fsync_started));
-        metrics.incr("store.group_flushes", 1);
-        metrics.observe("store.group_batch_frames", frames);
-        let mut st = lock_state(shared);
-        match result {
-            Ok(()) => st.durable = upto,
-            Err(e) => {
-                if st.error.is_none() {
-                    st.error = Some(e.to_string());
-                }
-            }
-        }
-        drop(st);
-        shared.done.notify_all();
-    }
-}
-
 /// A durable workspace directory: the current journal handle plus the
 /// generation bookkeeping. Create one with [`Workspace::create`], or
 /// recover one (plus its session) with [`Workspace::open_session`].
@@ -899,17 +786,19 @@ pub struct Workspace {
     /// Journal segments of the current generation, oldest first; the
     /// last one is the active segment `journal` points at.
     segments: Vec<String>,
-    /// Bytes appended (or enqueued) to the active segment so far.
+    /// Encoded frames appended since the last flush, not yet written.
+    pending: Vec<u8>,
+    /// Bytes appended to the active segment so far, pending ones
+    /// included.
     active_len: u64,
     /// Roll the active segment once it reaches this size.
     segment_max_bytes: u64,
     metrics: Metrics,
-    group: Option<GroupCommit>,
     env: Env,
-    /// Workspace-level sticky poison: once a group flush fails the
-    /// journal tail may be torn mid-frame, so every later append or
-    /// sync fails with this error instead of writing past the hole.
-    flusher_error: Option<String>,
+    /// Sticky poison: once a journal write or fsync fails the tail may
+    /// be torn mid-frame, so every later append or sync fails with this
+    /// error instead of writing past the hole.
+    poisoned: Option<String>,
     /// Whether this handle may write; sticky once degraded.
     write_state: WriteState,
     /// Owner id this handle leases (and renews) the store under.
@@ -929,8 +818,8 @@ impl fmt::Debug for Workspace {
             .field("generation", &self.generation)
             .field("journal_path", &self.journal_path)
             .field("segments", &self.segments)
-            .field("group_commit", &self.group.is_some())
-            .field("flusher_error", &self.flusher_error)
+            .field("pending_bytes", &self.pending.len())
+            .field("poisoned", &self.poisoned)
             .field("write_state", &self.write_state)
             .field("token", &self.token)
             .finish_non_exhaustive()
@@ -979,41 +868,23 @@ impl Workspace {
         let spec = SessionSpec::from_session(session);
         let json = spec.to_json().map_err(StoreError::from)?;
         write_atomic(&env.fs, root, &checkpoint_name(0), json.as_bytes())?;
-        let journal_path = root.join(journal_name(0));
-        let mut journal = env.fs.create_truncate(&journal_path)?;
-        journal.sync_all()?;
-        // The journal's directory entry must be durable *before* the
-        // manifest names it — otherwise a crash can keep the manifest
-        // swap but lose the journal, leaving a manifest that points at
-        // nothing.
-        env.fs.sync_dir(root)?;
-        let manifest = Manifest {
-            generation: 0,
-            checkpoint: checkpoint_name(0),
-            journal: journal_name(0),
-            segments: vec![journal_name(0)],
-            fencing_token: token,
-        };
-        write_atomic(
-            &env.fs,
-            root,
-            "MANIFEST",
-            serde_json::to_string(&manifest)?.as_bytes(),
-        )?;
+        let segments = vec![journal_name(0)];
+        let journal = create_segment(&env.fs, root, &segments[0])?;
+        publish_manifest(&env.fs, root, 0, &checkpoint_name(0), &segments, token)?;
         let expires = now_ms + DEFAULT_LEASE_MS;
         write_lease(&env.fs, root, DEFAULT_OWNER, expires, token)?;
         Ok(Workspace {
             root: root.to_owned(),
             generation: 0,
             journal: Some(journal),
-            journal_path,
-            segments: vec![journal_name(0)],
+            journal_path: root.join(&segments[0]),
+            segments,
+            pending: Vec::new(),
             active_len: 0,
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
             metrics: Metrics::disabled(),
-            group: None,
             env,
-            flusher_error: None,
+            poisoned: None,
             write_state: WriteState::Writable,
             owner: DEFAULT_OWNER.into(),
             lease_ms: DEFAULT_LEASE_MS,
@@ -1246,9 +1117,7 @@ impl Workspace {
                             // The whole chain is gone; restart it with
                             // a fresh empty head segment.
                             let head = segment_name(manifest.generation, 0);
-                            let mut f = env.fs.create_truncate(&root.join(&head))?;
-                            f.sync_all()?;
-                            env.fs.sync_dir(root)?;
+                            create_segment(&env.fs, root, &head)?;
                             kept_segments.push(head);
                         }
                     }
@@ -1272,19 +1141,13 @@ impl Workspace {
                 .fencing_token
                 .max(lease.as_ref().map(|l| l.token).unwrap_or(0))
                 + 1;
-            let active = kept_segments.last().expect("chain is never empty").clone();
-            let new_manifest = Manifest {
-                generation: manifest.generation,
-                checkpoint: manifest.checkpoint.clone(),
-                journal: active,
-                segments: kept_segments.clone(),
-                fencing_token: token,
-            };
-            write_atomic(
+            publish_manifest(
                 &env.fs,
                 root,
-                "MANIFEST",
-                serde_json::to_string(&new_manifest)?.as_bytes(),
+                manifest.generation,
+                &manifest.checkpoint,
+                &kept_segments,
+                token,
             )?;
             write_lease(&env.fs, root, owner, now_ms + lease_ms, token)?;
         }
@@ -1322,12 +1185,12 @@ impl Workspace {
             journal,
             journal_path,
             segments: kept_segments,
+            pending: Vec::new(),
             active_len,
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
             metrics: Metrics::disabled(),
-            group: None,
             env,
-            flusher_error: None,
+            poisoned: None,
             write_state: match degraded_reason {
                 None => WriteState::Writable,
                 Some(reason) => WriteState::Degraded(reason),
@@ -1396,7 +1259,7 @@ impl Workspace {
     }
 
     /// Swaps the journal handle for a mock — lets tests inject I/O
-    /// failures on the real (threaded) group-commit path.
+    /// failures into the write path.
     #[cfg(test)]
     fn set_journal_for_tests(&mut self, journal: Box<dyn FsFile>) {
         self.journal = Some(journal);
@@ -1416,44 +1279,104 @@ impl Workspace {
     }
 
     /// Appends one operation to the journal, durably — once this
-    /// returns, the operation survives a crash.
+    /// returns, the operation survives a crash. One `write` + one
+    /// `fsync`: [`append_deferred`] followed by [`sync`], so any frames
+    /// deferred earlier share this fsync.
     ///
-    /// Without group commit this is one `write` + `fsync`. With
-    /// [`enable_group_commit`] the frame is handed to the flusher and
-    /// this call waits for durability, so frames from interleaved
-    /// [`append_deferred`] work share the fsync — same guarantee,
-    /// amortized cost.
-    ///
-    /// [`enable_group_commit`]: Workspace::enable_group_commit
     /// [`append_deferred`]: Workspace::append_deferred
+    /// [`sync`]: Workspace::sync
     ///
     /// # Errors
     ///
-    /// I/O and serialization errors.
+    /// As [`Workspace::append_deferred`] and [`Workspace::sync`].
     pub fn append(&mut self, op: &JournalOp) -> Result<(), StoreError> {
-        self.check_flusher_error()?;
+        self.append_deferred(op)?;
+        self.sync()
+    }
+
+    /// Encodes one operation into the pending buffer without writing
+    /// it. The frame is durable only after a later [`sync`] (or
+    /// [`append`]) returns; a crash before that loses at most the
+    /// pending frames, none of which was acknowledged.
+    ///
+    /// [`sync`]: Workspace::sync
+    /// [`append`]: Workspace::append
+    ///
+    /// # Errors
+    ///
+    /// Serialization errors, a lost lease ([`StoreError::Degraded`]),
+    /// or the poison of an earlier failed write.
+    pub fn append_deferred(&mut self, op: &JournalOp) -> Result<(), StoreError> {
+        self.check_poisoned()?;
         self.check_writable()?;
-        if self.group.is_some() {
-            self.append_deferred(op)?;
-            return self.sync();
-        }
-        let payload = serde_json::to_vec(op)?;
-        let frame = encode_frame(&payload)?;
-        let journal = self.journal.as_mut().ok_or_else(journal_missing)?;
-        journal.write_all(&frame)?;
-        let fsync_started = self.env.clock.now();
-        journal.sync_data()?;
-        self.metrics
-            .observe_duration("store.fsync_ns", self.env.clock.since(fsync_started));
+        let frame = encode_frame(&serde_json::to_vec(op)?)?;
         self.metrics
             .observe("store.append_bytes", frame.len() as u64);
         self.active_len += frame.len() as u64;
+        if self.pending.is_empty() {
+            // One frame per sync is the common case: no copy.
+            self.pending = frame;
+        } else {
+            self.pending.extend_from_slice(&frame);
+        }
+        Ok(())
+    }
+
+    /// Makes every pending frame durable with one `write` and one
+    /// `fsync`, then rolls the active segment once it has reached its
+    /// size bound. With nothing pending it writes nothing, but still
+    /// fails on a poisoned or fenced handle.
+    ///
+    /// # Errors
+    ///
+    /// The poison of an earlier failed write; a lost lease
+    /// ([`StoreError::Degraded`]), which discards the pending frames;
+    /// or an I/O error, which poisons the handle.
+    pub fn sync(&mut self) -> Result<(), StoreError> {
+        self.check_poisoned()?;
+        self.flush()?;
+        // With nothing pending, `flush` checked no lease: a fenced
+        // handle's sync must fail all the same.
+        self.check_writable()?;
         self.maybe_roll()
     }
 
-    /// Fails if a previous group flush left the journal poisoned.
-    fn check_flusher_error(&self) -> Result<(), StoreError> {
-        match &self.flusher_error {
+    /// The journal's one write path: writes every pending frame with
+    /// one `write_all` and makes them durable with one `sync_data`. A
+    /// fenced handle discards them instead, since another writer owns
+    /// the journal now; a write or fsync error poisons the handle.
+    fn flush(&mut self) -> Result<(), StoreError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        if let Err(e) = self.check_writable() {
+            if matches!(e, StoreError::Degraded(_)) {
+                self.pending.clear();
+                self.metrics.incr(names::STORE_GROUP_DISCARDED_BATCHES, 1);
+            }
+            return Err(e);
+        }
+        let journal = self.journal.as_mut().ok_or_else(journal_missing)?;
+        // Taken, not cleared, so a large batch's buffer is freed once
+        // written instead of staying allocated for the session.
+        let batch = std::mem::take(&mut self.pending);
+        let mut result = journal.write_all(&batch);
+        if result.is_ok() {
+            let fsync_started = self.env.clock.now();
+            result = journal.sync_data();
+            self.metrics
+                .observe_duration("store.fsync_ns", self.env.clock.since(fsync_started));
+        }
+        if let Err(e) = result {
+            self.poisoned = Some(e.to_string());
+            return Err(StoreError::Io(e));
+        }
+        Ok(())
+    }
+
+    /// Fails if an earlier failed write or fsync poisoned the journal.
+    fn check_poisoned(&self) -> Result<(), StoreError> {
+        match &self.poisoned {
             Some(error) => Err(StoreError::Io(std::io::Error::other(error.clone()))),
             None => Ok(()),
         }
@@ -1505,303 +1428,48 @@ impl Workspace {
         Ok(())
     }
 
-    /// Rolls the active segment once it crosses the size threshold:
-    /// drains the group-commit queue, starts `journal-G.K.log`, records
-    /// the grown chain in the manifest (new file durable first), and
-    /// re-attaches group commit to the new segment.
+    /// Rolls the active segment once it has reached the size bound:
+    /// starts `journal-G.K.log` and publishes the grown chain in the
+    /// MANIFEST. Runs only after a flush, so a batch never straddles
+    /// two segments.
     fn maybe_roll(&mut self) -> Result<(), StoreError> {
         if self.active_len < self.segment_max_bytes {
             return Ok(());
         }
         self.check_writable()?;
-        let group_policy = self.group.as_ref().map(|g| g.policy());
-        self.stop_group()?;
-        let seq = self.segments.len() as u64;
-        let name = segment_name(self.generation, seq);
+        let name = segment_name(self.generation, self.segments.len() as u64);
+        let file = create_segment(&self.env.fs, &self.root, &name)?;
         let path = self.root.join(&name);
-        let mut file = self.env.fs.create_truncate(&path)?;
-        file.sync_all()?;
-        self.env.fs.sync_dir(&self.root)?;
         let mut segments = self.segments.clone();
-        segments.push(name.clone());
-        let manifest = Manifest {
-            generation: self.generation,
-            checkpoint: checkpoint_name(self.generation),
-            journal: name,
-            segments: segments.clone(),
-            fencing_token: self.token,
-        };
-        write_atomic(
+        segments.push(name);
+        publish_manifest(
             &self.env.fs,
             &self.root,
-            "MANIFEST",
-            serde_json::to_string(&manifest)?.as_bytes(),
+            self.generation,
+            &checkpoint_name(self.generation),
+            &segments,
+            self.token,
         )?;
         self.segments = segments;
         self.journal = Some(file);
         self.journal_path = path;
         self.active_len = 0;
         self.metrics.incr(names::STORE_SEGMENT_ROLLS, 1);
-        if let Some(policy) = group_policy {
-            self.enable_group_commit(policy)?;
-        }
         Ok(())
     }
 
-    /// Starts the group-commit flusher: subsequent appends batch frames
-    /// accumulated while an fsync is in flight into a single
-    /// `write` + `fsync`, per `policy`. Durability semantics are
-    /// unchanged — [`append`] still blocks until its frame is on disk,
-    /// and [`append_deferred`] + [`sync`] lets callers batch
-    /// explicitly. Install metrics ([`set_metrics`]) before enabling so
-    /// the flusher reports into the right registry.
-    ///
-    /// [`append`]: Workspace::append
-    /// [`append_deferred`]: Workspace::append_deferred
-    /// [`sync`]: Workspace::sync
-    /// [`set_metrics`]: Workspace::set_metrics
+    /// Shuts the workspace down cleanly: flushes the pending frames and
+    /// surfaces any write failure that the best-effort `Drop` would
+    /// swallow. Call this at end of session when you need a positive
+    /// durability confirmation.
     ///
     /// # Errors
     ///
-    /// I/O errors duplicating the journal handle for the flusher.
-    pub fn enable_group_commit(&mut self, policy: GroupCommitPolicy) -> Result<(), StoreError> {
-        if self.group.is_some() {
-            return Ok(());
-        }
-        if self.env.fs.is_sim() {
-            // Under simulation, batch in-process with no thread: every
-            // flush happens inside a deterministic `sync` call.
-            self.group = Some(GroupCommit::Inline {
-                queue: Vec::new(),
-                pending_frames: 0,
-                policy,
-            });
-            return Ok(());
-        }
-        let journal = self
-            .journal
-            .as_ref()
-            .ok_or_else(journal_missing)?
-            .try_clone()?;
-        let shared = Arc::new(GroupShared::default());
-        let thread_shared = Arc::clone(&shared);
-        let metrics = self.metrics.clone();
-        let clock = self.env.clock.clone();
-        let handle = std::thread::Builder::new()
-            .name("journal-flusher".into())
-            .spawn(move || flusher_loop(&thread_shared, journal, policy, metrics, clock))?;
-        self.group = Some(GroupCommit::Threaded {
-            shared,
-            handle: Some(handle),
-            policy,
-        });
-        Ok(())
-    }
-
-    /// Stops the group-commit flusher after draining every queued
-    /// frame; later appends go back to one fsync each.
-    ///
-    /// # Errors
-    ///
-    /// A flush failure the flusher hit while draining.
-    pub fn disable_group_commit(&mut self) -> Result<(), StoreError> {
-        self.stop_group()
-    }
-
-    /// Returns `true` while group commit is active.
-    pub fn group_commit_enabled(&self) -> bool {
-        self.group.is_some()
-    }
-
-    /// Enqueues one operation for the flusher without waiting for
-    /// durability, returning its journal sequence number. The frame is
-    /// on disk only after a later [`sync`] (or [`append`]) returns;
-    /// a crash before that loses at most this unacknowledged tail.
-    /// Without group commit enabled this is identical to [`append`].
-    ///
-    /// [`sync`]: Workspace::sync
-    /// [`append`]: Workspace::append
-    ///
-    /// # Errors
-    ///
-    /// Serialization errors, or a sticky flusher failure.
-    pub fn append_deferred(&mut self, op: &JournalOp) -> Result<u64, StoreError> {
-        self.check_flusher_error()?;
-        self.check_writable()?;
-        if self.group.is_none() {
-            self.append(op)?;
-            return Ok(0);
-        }
-        let payload = serde_json::to_vec(op)?;
-        let frame = encode_frame(&payload)?;
-        let frame_len = frame.len() as u64;
-        let (seq, flush_now) = match self.group.as_mut().expect("group checked above") {
-            GroupCommit::Threaded { shared, .. } => {
-                let mut st = lock_state(shared);
-                if let Some(error) = &st.error {
-                    // Latch the flusher's sticky failure at enqueue
-                    // time: callers find out *now* instead of queuing
-                    // doomed work until the next sync/close.
-                    let error = error.clone();
-                    drop(st);
-                    if self.flusher_error.is_none() {
-                        self.flusher_error = Some(error.clone());
-                    }
-                    return Err(StoreError::Io(std::io::Error::other(error)));
-                }
-                st.queue.extend_from_slice(&frame);
-                st.enqueued += 1;
-                st.pending_frames += 1;
-                let seq = st.enqueued;
-                drop(st);
-                shared.work.notify_one();
-                (seq, false)
-            }
-            GroupCommit::Inline {
-                queue,
-                pending_frames,
-                policy,
-            } => {
-                queue.extend_from_slice(&frame);
-                *pending_frames += 1;
-                (*pending_frames, *pending_frames >= policy.max_batch as u64)
-            }
-        };
-        self.metrics.observe("store.append_bytes", frame_len);
-        if flush_now {
-            self.flush_inline()?;
-        }
-        Ok(seq)
-    }
-
-    /// Writes and fsyncs the inline queue as one batch.
-    fn flush_inline(&mut self) -> Result<(), StoreError> {
-        let Some(GroupCommit::Inline {
-            queue,
-            pending_frames,
-            ..
-        }) = self.group.as_mut()
-        else {
-            return Ok(());
-        };
-        if queue.is_empty() {
-            return Ok(());
-        }
-        let batch = std::mem::take(queue);
-        let frames = std::mem::take(pending_frames);
-        if let WriteState::Degraded(reason) = &self.write_state {
-            // Fenced mid-batch: the queued frames must never reach the
-            // journal — another writer owns it now. Discard them; the
-            // enqueuers were already (or will be) told via the typed
-            // error.
-            self.metrics.incr(names::STORE_GROUP_DISCARDED_BATCHES, 1);
-            return Err(StoreError::Degraded(reason.clone()));
-        }
-        let journal = self.journal.as_mut().ok_or_else(journal_missing)?;
-        let fsync_started = self.env.clock.now();
-        let result = journal.write_all(&batch).and_then(|()| journal.sync_data());
-        self.metrics
-            .observe_duration("store.fsync_ns", self.env.clock.since(fsync_started));
-        self.metrics.incr("store.group_flushes", 1);
-        self.metrics.observe("store.group_batch_frames", frames);
-        if let Err(e) = result {
-            let msg = e.to_string();
-            if self.flusher_error.is_none() {
-                self.flusher_error = Some(msg.clone());
-            }
-            return Err(StoreError::Io(std::io::Error::other(msg)));
-        }
-        Ok(())
-    }
-
-    /// Blocks until every frame enqueued so far is durable on disk.
-    /// A no-op without group commit (plain appends are already
-    /// durable).
-    ///
-    /// # Errors
-    ///
-    /// The flusher's sticky flush failure, if any.
-    pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.check_flusher_error()?;
-        self.check_writable()?;
-        let shared = match &self.group {
-            None => return Ok(()),
-            Some(GroupCommit::Inline { .. }) => {
-                self.flush_inline()?;
-                return self.maybe_roll();
-            }
-            Some(GroupCommit::Threaded { shared, .. }) => Arc::clone(shared),
-        };
-        let mut st = lock_state(&shared);
-        let target = st.enqueued;
-        st.waiters += 1;
-        // Wake the flusher out of its batching linger: someone is
-        // waiting now.
-        shared.work.notify_all();
-        while st.durable < target && st.error.is_none() {
-            st = shared.done.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        st.waiters -= 1;
-        let error = st.error.clone();
-        drop(st);
-        if let Some(error) = error {
-            if self.flusher_error.is_none() {
-                self.flusher_error = Some(error.clone());
-            }
-            return Err(StoreError::Io(std::io::Error::other(error)));
-        }
-        self.maybe_roll()
-    }
-
-    /// Drains and joins (or flushes) the group-commit machinery,
-    /// surfacing any flush failure.
-    fn stop_group(&mut self) -> Result<(), StoreError> {
-        match self.group.take() {
-            None => Ok(()),
-            Some(inline @ GroupCommit::Inline { .. }) => {
-                // Put it back so flush_inline can drain it, then drop.
-                self.group = Some(inline);
-                let result = self.flush_inline();
-                self.group = None;
-                result
-            }
-            Some(GroupCommit::Threaded {
-                shared, mut handle, ..
-            }) => {
-                {
-                    let mut st = lock_state(&shared);
-                    st.shutdown = true;
-                    shared.work.notify_all();
-                }
-                if let Some(handle) = handle.take() {
-                    let _ = handle.join();
-                }
-                let st = lock_state(&shared);
-                if let Some(error) = &st.error {
-                    let error = error.clone();
-                    drop(st);
-                    if self.flusher_error.is_none() {
-                        self.flusher_error = Some(error.clone());
-                    }
-                    return Err(StoreError::Io(std::io::Error::other(error)));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Shuts the workspace down cleanly: drains and joins the flusher
-    /// and surfaces any sticky flush error that would otherwise be
-    /// dropped by the best-effort `Drop`. Call this at end of session
-    /// when you need a positive durability confirmation.
-    ///
-    /// # Errors
-    ///
-    /// Any flush failure hit while draining, or a sticky error from an
-    /// earlier failed flush.
+    /// A failure flushing the pending frames, or the poison of an
+    /// earlier failed write.
     pub fn close(mut self) -> Result<(), StoreError> {
-        self.stop_group()?;
-        self.check_flusher_error()?;
+        self.flush()?;
+        self.check_poisoned()?;
         self.release_lease();
         Ok(())
     }
@@ -1833,10 +1501,9 @@ impl Workspace {
     /// still intact and current.
     pub fn checkpoint(&mut self, session: &Session) -> Result<(), StoreError> {
         self.check_writable()?;
-        // The flusher holds a handle to the *old* journal; drain and
-        // stop it before rotating, then re-attach to the new file.
-        let group_policy = self.group.as_ref().map(|g| g.policy());
-        self.stop_group()?;
+        // Pending frames belong to the old generation, which stays
+        // current until the manifest swap below.
+        self.flush()?;
         let next = self.generation + 1;
         let spec = SessionSpec::from_session(session);
         let json = spec.to_json().map_err(StoreError::from)?;
@@ -1846,24 +1513,15 @@ impl Workspace {
             &checkpoint_name(next),
             json.as_bytes(),
         )?;
-        let next_journal_path = self.root.join(journal_name(next));
-        let mut next_journal = self.env.fs.create_truncate(&next_journal_path)?;
-        next_journal.sync_all()?;
-        // Make the new journal's directory entry durable before the
-        // manifest swap names it (same ordering rule as `create_in`).
-        self.env.fs.sync_dir(&self.root)?;
-        let manifest = Manifest {
-            generation: next,
-            checkpoint: checkpoint_name(next),
-            journal: journal_name(next),
-            segments: vec![journal_name(next)],
-            fencing_token: self.token,
-        };
-        write_atomic(
+        let segments = vec![journal_name(next)];
+        let next_journal = create_segment(&self.env.fs, &self.root, &segments[0])?;
+        publish_manifest(
             &self.env.fs,
             &self.root,
-            "MANIFEST",
-            serde_json::to_string(&manifest)?.as_bytes(),
+            next,
+            &checkpoint_name(next),
+            &segments,
+            self.token,
         )?;
         // The swap is durable; retire the previous generation — every
         // segment of it, but never quarantine files.
@@ -1876,15 +1534,12 @@ impl Workspace {
         }
         self.generation = next;
         self.journal = Some(next_journal);
-        self.journal_path = next_journal_path;
-        self.segments = vec![journal_name(next)];
+        self.journal_path = self.root.join(&segments[0]);
+        self.segments = segments;
         self.active_len = 0;
         self.metrics.incr("store.checkpoints", 1);
         self.metrics
             .observe("store.checkpoint_bytes", json.len() as u64);
-        if let Some(policy) = group_policy {
-            self.enable_group_commit(policy)?;
-        }
         Ok(())
     }
 
@@ -2001,9 +1656,9 @@ impl Workspace {
 
 impl Drop for Workspace {
     fn drop(&mut self) {
-        // Best-effort drain so enqueued-but-unsynced frames reach disk;
-        // errors are already sticky and were surfaced to sync callers.
-        let _ = self.stop_group();
+        // Best-effort flush so pending frames reach disk; `close`
+        // reports what this swallows.
+        let _ = self.flush();
         self.release_lease();
     }
 }
@@ -2269,20 +1924,15 @@ mod tests {
         let root = temp_root("group-basic");
         let mut session = Session::odyssey("jbb");
         let mut ws = Workspace::create(&root, &session).expect("creates");
-        ws.enable_group_commit(GroupCommitPolicy::default())
-            .expect("enables");
-        assert!(ws.group_commit_enabled());
         for n in 0..5 {
             ws.append_deferred(&seed_op(n)).expect("enqueues");
         }
         ws.sync().expect("flushes");
-        // Blocking append under group commit is durable on return too.
+        // A plain append after the batch is durable on return too.
         ws.append(&seed_op(5)).expect("appends");
-        // Rotation drains the flusher, retargets it at the new journal,
-        // and later frames land there.
+        // Later frames land in the rotated journal.
         session.start_from_goal("Layout").expect("starts");
         ws.checkpoint(&session).expect("rotates");
-        assert!(ws.group_commit_enabled(), "survives rotation");
         ws.append(&seed_op(6)).expect("appends post-rotation");
         drop(ws);
 
@@ -2301,30 +1951,17 @@ mod tests {
         let mut ws = Workspace::create(&root, &session).expect("creates");
         let metrics = Metrics::new();
         ws.set_metrics(metrics.clone());
-        ws.enable_group_commit(GroupCommitPolicy {
-            max_batch: 64,
-            max_delay: Duration::from_millis(20),
-        })
-        .expect("enables");
         let frames = 48;
         for n in 0..frames {
             ws.append_deferred(&seed_op(n)).expect("enqueues");
         }
         ws.sync().expect("flushes");
-        ws.disable_group_commit().expect("drains");
 
         let snap = metrics.snapshot();
-        let flushes = *snap.counters.get("store.group_flushes").expect("flushes");
-        assert!(flushes >= 1);
-        assert!(
-            flushes < frames,
-            "{frames} frames shared {flushes} fsyncs — no batching happened"
-        );
-        let batch = snap
-            .histograms
-            .get("store.group_batch_frames")
-            .expect("batch sizes");
-        assert_eq!(batch.sum, frames, "every frame flushed exactly once");
+        let flushes = snap.histograms.get("store.fsync_ns").expect("fsyncs").count;
+        assert_eq!(flushes, 1, "{frames} frames shared {flushes} fsyncs");
+        let appended = snap.histograms.get("store.append_bytes").expect("frames");
+        assert_eq!(appended.count, frames, "every frame appended exactly once");
         let (_ws, _restored, report) =
             Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
                 .expect("reopens");
@@ -2341,8 +1978,6 @@ mod tests {
         let root = temp_root("group-crash");
         let session = Session::odyssey("jbb");
         let mut ws = Workspace::create(&root, &session).expect("creates");
-        ws.enable_group_commit(GroupCommitPolicy::default())
-            .expect("enables");
         for n in 0..6 {
             ws.append_deferred(&seed_op(n)).expect("enqueues");
         }
@@ -2623,7 +2258,7 @@ mod tests {
     }
 
     /// A journal handle whose writes succeed but whose fsyncs always
-    /// fail — the flusher's first flush poisons the workspace.
+    /// fail — the first flush poisons the workspace.
     struct FailingFile;
 
     impl FsFile for FailingFile {
@@ -2639,9 +2274,6 @@ mod tests {
         fn set_len(&mut self, _len: u64) -> std::io::Result<()> {
             Ok(())
         }
-        fn try_clone(&self) -> std::io::Result<Box<dyn FsFile>> {
-            Ok(Box::new(FailingFile))
-        }
     }
 
     #[test]
@@ -2649,37 +2281,113 @@ mod tests {
         let root = temp_root("sticky-enqueue");
         let session = Session::odyssey("jbb");
         let mut ws = Workspace::create(&root, &session).expect("creates");
-        // Inject before enabling: the flusher clones this handle.
         ws.set_journal_for_tests(Box::new(FailingFile));
-        ws.enable_group_commit(GroupCommitPolicy {
-            max_batch: 4,
-            max_delay: Duration::from_micros(100),
-        })
-        .expect("enables");
-        // The flusher hits the failure on its first flush; soon after,
-        // append_deferred itself must return the sticky error rather
-        // than queuing doomed work until sync/close.
-        let mut surfaced = false;
-        for n in 0..1000 {
-            match ws.append_deferred(&seed_op(n)) {
-                Ok(_) => std::thread::sleep(Duration::from_millis(1)),
-                Err(e) => {
-                    assert!(
-                        e.to_string().contains("injected fsync failure"),
-                        "unexpected error: {e}"
-                    );
-                    surfaced = true;
-                    break;
-                }
-            }
-        }
-        assert!(surfaced, "the flusher failure never reached enqueue");
-        // Latched: the very next enqueue fails without touching the
-        // group state, and close surfaces it too.
-        let err = ws.append_deferred(&seed_op(0)).expect_err("still sticky");
+        ws.append_deferred(&seed_op(0)).expect("enqueues");
+        let err = ws.sync().expect_err("the fsync fails");
+        assert!(
+            err.to_string().contains("injected fsync failure"),
+            "unexpected error: {err}"
+        );
+        // The failed sync poisoned the handle: the very next enqueue
+        // fails instead of queuing doomed work, and close surfaces it.
+        let err = ws.append_deferred(&seed_op(1)).expect_err("still sticky");
         assert!(err.to_string().contains("injected fsync failure"));
         let err = ws.close().expect_err("close surfaces the poison");
         assert!(err.to_string().contains("injected fsync failure"));
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// A journal handle that tears its first write (half the bytes
+    /// land, then the write fails) and passes every later call through.
+    struct TearOnce {
+        inner: Box<dyn FsFile>,
+        torn: bool,
+    }
+
+    impl FsFile for TearOnce {
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            if self.torn {
+                return self.inner.write_all(buf);
+            }
+            self.torn = true;
+            self.inner.write_all(&buf[..buf.len() / 2])?;
+            Err(std::io::Error::other("injected torn write"))
+        }
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            self.inner.sync_data()
+        }
+        fn sync_all(&mut self) -> std::io::Result<()> {
+            self.inner.sync_all()
+        }
+        fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+            self.inner.set_len(len)
+        }
+    }
+
+    #[test]
+    fn failed_append_poisons_the_handle() {
+        let root = temp_root("tear-once");
+        let session = Session::odyssey("jbb");
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        ws.append(&seed_op(0)).expect("appends");
+        let inner = ws
+            .env
+            .fs
+            .open_append(&ws.journal_path)
+            .expect("opens the journal");
+        ws.set_journal_for_tests(Box::new(TearOnce { inner, torn: false }));
+        let mut acknowledged = 1;
+        for n in 1..3 {
+            if ws.append(&seed_op(n)).is_ok() {
+                acknowledged += 1;
+            }
+        }
+        drop(ws);
+
+        let (_ws, _restored, report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("recovers");
+        assert_eq!(
+            report.ops_replayed, acknowledged,
+            "every acknowledged append replays"
+        );
+        assert!(
+            !report.quarantined(),
+            "no frame was acknowledged behind the torn one: {report}"
+        );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn segments_roll_after_a_deferred_batch() {
+        let root = temp_root("deferred-roll");
+        let session = Session::odyssey("jbb");
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        let metrics = Metrics::new();
+        ws.set_metrics(metrics.clone());
+        ws.set_segment_max_bytes(1);
+        for n in 0..3 {
+            ws.append_deferred(&seed_op(n)).expect("enqueues");
+        }
+        ws.sync().expect("flushes");
+        assert_eq!(ws.segments().len(), 2, "the synced batch rolled once");
+        let head = fs::read(root.join(journal_name(0))).expect("reads");
+        assert_eq!(
+            scan_frames(&head).payloads.len(),
+            3,
+            "the batch never straddles a roll"
+        );
+        ws.append(&seed_op(3)).expect("appends");
+        assert_eq!(ws.segments().len(), 3);
+        let fsyncs = metrics.snapshot().histograms["store.fsync_ns"].count;
+        assert_eq!(fsyncs, 2, "one fsync for the batch, one for the append");
+        drop(ws);
+
+        let (_ws, _restored, report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("reopens");
+        assert_eq!(report.ops_replayed, 4);
+        assert_eq!(report.segments.len(), 3);
         fs::remove_dir_all(&root).ok();
     }
 
@@ -2688,12 +2396,14 @@ mod tests {
         let root = temp_root("group-empty");
         let session = Session::odyssey("jbb");
         let mut ws = Workspace::create(&root, &session).expect("creates");
-        ws.sync().expect("no-op without group commit");
-        ws.enable_group_commit(GroupCommitPolicy::default())
-            .expect("enables");
-        ws.sync().expect("no-op with an empty queue");
-        ws.disable_group_commit().expect("stops");
-        assert!(!ws.group_commit_enabled());
+        let metrics = Metrics::new();
+        ws.set_metrics(metrics.clone());
+        ws.sync().expect("no-op with nothing pending");
+        ws.sync().expect("still a no-op");
+        assert!(
+            !metrics.snapshot().histograms.contains_key("store.fsync_ns"),
+            "nothing pending, nothing written"
+        );
         fs::remove_dir_all(&root).ok();
     }
 }

@@ -47,8 +47,8 @@ pub const STORE_FENCED_WRITES: &str = "store.fenced_writes";
 /// but immutable.
 pub const STORE_DEGRADED_OPENS: &str = "store.degraded_opens";
 
-/// Counter: queued group-commit batches discarded unflushed because
-/// the handle lost its lease before the flusher drained them.
+/// Counter: batches of pending journal frames discarded unwritten
+/// because the handle was fenced out before a `sync` wrote them.
 pub const STORE_GROUP_DISCARDED_BATCHES: &str = "store.group_discarded_batches";
 
 /// Counter: stale-lease takeovers — an open found a foreign lease

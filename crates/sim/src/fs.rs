@@ -36,9 +36,6 @@ pub trait FsFile: Send {
     fn sync_all(&mut self) -> io::Result<()>;
     /// Truncates (or extends with zeros) to `len` bytes.
     fn set_len(&mut self, len: u64) -> io::Result<()>;
-    /// A second handle to the same file, sharing content but not
-    /// cursor — used to hand the journal to the flusher thread.
-    fn try_clone(&self) -> io::Result<Box<dyn FsFile>>;
 }
 
 impl FsFile for std::fs::File {
@@ -56,10 +53,6 @@ impl FsFile for std::fs::File {
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         std::fs::File::set_len(self, len)
-    }
-
-    fn try_clone(&self) -> io::Result<Box<dyn FsFile>> {
-        std::fs::File::try_clone(self).map(|f| Box::new(f) as Box<dyn FsFile>)
     }
 }
 

@@ -618,20 +618,6 @@ impl FsFile for SimFileHandle {
         }
         Ok(())
     }
-
-    fn try_clone(&self) -> io::Result<Box<dyn FsFile>> {
-        let inner = self.state.lock();
-        if inner.crashed {
-            return Err(crash_err("disk is dead"));
-        }
-        drop(inner);
-        Ok(Box::new(SimFileHandle {
-            state: Arc::clone(&self.state),
-            id: self.id,
-            append: self.append,
-            pos: 0,
-        }))
-    }
 }
 
 #[cfg(test)]

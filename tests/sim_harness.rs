@@ -19,14 +19,12 @@ use hercules::exec::{
 };
 use hercules::flow::TaskGraph;
 use hercules::history::{Derivation, HistoryDb, InstanceId, Metadata};
-use hercules::obs::HealthStatus;
+use hercules::obs::{names, HealthStatus, Metrics};
 use hercules::schema::synth::SynthConfig;
 use hercules::sim::{repro_command, SimEnv, SimRng, SIM_CRASH_MARKER};
-use hercules::store::{
-    scan_frames, DegradedReason, GroupCommitPolicy, JournalOp, StoreError, Workspace,
-};
+use hercules::store::{scan_frames, DegradedReason, ExecSpec, JournalOp, StoreError, Workspace};
 use hercules::ui::Ui;
-use hercules::{eda, read_postmortem, HerculesError, Session, SessionSpec};
+use hercules::{eda, read_postmortem, ExecEvent, HerculesError, Session, SessionSpec};
 
 /// Master seed: the env override if set, a fixed default otherwise.
 fn master_seed() -> u64 {
@@ -607,8 +605,7 @@ fn sim_retry_backoff_is_seed_deterministic() {
     );
 }
 
-/// Satellite: under simulation, group commit batches inline with no
-/// flusher thread; a failed flush poisons the workspace — later
+/// Satellite: a failed batch flush poisons the workspace — later
 /// appends are refused and `close()` surfaces the sticky error instead
 /// of dropping it.
 #[test]
@@ -619,9 +616,6 @@ fn sim_group_commit_flush_failure_is_sticky_and_surfaces_on_close() {
 
     let session = sim_session(&sim, "group");
     let mut ws = Workspace::create_in(Path::new(WS_ROOT), &session, sim.env()).expect("creates");
-    ws.enable_group_commit(GroupCommitPolicy::default())
-        .expect("enables");
-    assert!(ws.group_commit_enabled());
 
     // Three acknowledged frames: enqueue, then one explicit sync.
     // `Clear` replays unconditionally, so recovery can count them.
@@ -680,6 +674,158 @@ fn sim_group_commit_flush_failure_is_sticky_and_surfaces_on_close() {
             report.ops_replayed
         ),
     );
+}
+
+/// Segment bound of the deferred-batch sweep: a few frames, so
+/// segments roll between and after batches.
+const BATCH_SEGMENT_MAX: u64 = 512;
+
+/// An `Exec` frame that only appends the event `label` to the log, so
+/// the recovered event log names exactly which frames replayed.
+fn event_op(label: &str) -> JournalOp {
+    JournalOp::Exec(ExecSpec {
+        instances: Vec::new(),
+        report: None,
+        event: Some(ExecEvent {
+            operation: label.to_owned(),
+            tasks: 0,
+            runs: 0,
+            cache_hits: 0,
+            failed: 0,
+            skipped: 0,
+            failures: Vec::new(),
+            error: None,
+            wall_unix_ms: 0,
+            mono_ns: 0,
+        }),
+    })
+}
+
+/// How far the deferred-batch workload got before it stopped.
+#[derive(Default)]
+struct BatchProgress {
+    /// Labels of every frame handed to `append_deferred`, in order.
+    submitted: Vec<String>,
+    /// How many of `submitted` a returned `sync` acknowledged.
+    acknowledged: usize,
+}
+
+/// Drives the deferred-batch workload: three generations of four
+/// rounds, each round `k` deferred frames (`k` in 1..=4, drawn from
+/// `seed`) made durable by one `sync`, with a checkpoint between
+/// generations. The live session replays every frame too, so each
+/// checkpoint captures the event log so far. Stops at the first error.
+fn drive_deferred_batches(
+    sim: &SimEnv,
+    seed: u64,
+    metrics: &Metrics,
+    progress: &mut BatchProgress,
+) -> Result<(), StoreError> {
+    let mut session = sim_session(sim, "batch");
+    let mut ws = Workspace::create_in(Path::new(WS_ROOT), &session, sim.env())?;
+    ws.set_metrics(metrics.clone());
+    ws.set_segment_max_bytes(BATCH_SEGMENT_MAX);
+    let mut rng = SimRng::new(seed);
+    for gen in 0..3 {
+        if gen > 0 {
+            ws.checkpoint(&session)?;
+        }
+        for round in 0..4 {
+            for i in 0..=rng.below(4) {
+                let label = format!("g{gen} r{round} f{i}");
+                let op = event_op(&label);
+                op.replay(&mut session).expect("an event frame replays");
+                ws.append_deferred(&op)?;
+                progress.submitted.push(label);
+            }
+            ws.sync()?;
+            progress.acknowledged = progress.submitted.len();
+        }
+    }
+    ws.close()
+}
+
+/// One fsync per batch loses nothing acknowledged: a crash at every
+/// mutating op of a batched workload — deferred frames, one `sync` per
+/// batch, segment rolls and checkpoints — recovers every acknowledged
+/// frame plus at most a prefix of the in-flight batch.
+#[test]
+fn sim_deferred_batch_crash_sweep() {
+    const TEST: &str = "sim_deferred_batch_crash_sweep";
+    let master = master_seed();
+    let seed = master.wrapping_add(12);
+
+    let clean = SimEnv::new(seed);
+    let metrics = Metrics::new();
+    let mut progress = BatchProgress::default();
+    drive_deferred_batches(&clean, seed, &metrics, &mut progress).expect("clean run completes");
+    let snap = metrics.snapshot();
+    let frames = snap.histograms["store.append_bytes"].count;
+    let fsyncs = snap.histograms["store.fsync_ns"].count;
+    sim_assert(
+        fsyncs < frames && snap.counters.get(names::STORE_SEGMENT_ROLLS) > Some(&0),
+        master,
+        TEST,
+        &format!("the workload must batch and roll: {frames} frames, {fsyncs} fsyncs"),
+    );
+    let total_ops = clean.fs_state().op_count();
+    // Only sweep ops after workspace creation: before the manifest is
+    // durable there is nothing to recover.
+    let create_ops = {
+        let probe = SimEnv::new(seed);
+        let session = sim_session(&probe, "batch");
+        Workspace::create_in(Path::new(WS_ROOT), &session, probe.env()).expect("creates");
+        probe.fs_state().op_count()
+    };
+
+    for k in (create_ops + 1)..=total_ops {
+        let sim = SimEnv::new(seed);
+        sim.fs_state().set_crash_at(Some(k));
+        let mut progress = BatchProgress::default();
+        let outcome = drive_deferred_batches(&sim, seed, &Metrics::disabled(), &mut progress);
+        if let Err(err) = outcome {
+            sim_assert(
+                err.to_string().contains(SIM_CRASH_MARKER),
+                master,
+                TEST,
+                &format!("crash at op {k}: expected the simulated crash, got: {err}"),
+            );
+        }
+        let rebooted = sim.crash_and_reboot();
+        let (_ws, recovered, _report) =
+            Workspace::open_session_in(Path::new(WS_ROOT), |s| odyssey_registry(s), rebooted.env())
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "crash at op {k}: recovery failed: {e}\n  failing seed: {master}\n  \
+                         reproduce: {}",
+                        repro_command(master, TEST)
+                    )
+                });
+        let replayed: Vec<&str> = recovered
+            .events()
+            .iter()
+            .map(|e| e.operation.as_str())
+            .collect();
+        sim_assert(
+            (progress.acknowledged..=progress.submitted.len()).contains(&replayed.len()),
+            master,
+            TEST,
+            &format!(
+                "crash at op {k}: recovered {} frames; {} acknowledged, {} submitted",
+                replayed.len(),
+                progress.acknowledged,
+                progress.submitted.len()
+            ),
+        );
+        sim_assert(
+            replayed == progress.submitted[..replayed.len()],
+            master,
+            TEST,
+            &format!(
+                "crash at op {k}: the recovered frames are not a prefix of the submitted ones"
+            ),
+        );
+    }
 }
 
 /// Builds a tiny multi-segment store: segment size 1 forces a roll
@@ -1111,6 +1257,67 @@ fn sim_split_brain_fencing() {
             "the successor must replay exactly the 5 legitimate frames, got {}",
             report_c.ops_replayed
         ),
+    );
+}
+
+/// A deposed writer's deferred frames never reach the journal: the
+/// `sync` that finds the newer token discards them and fails typed,
+/// and dropping the handle writes nothing either.
+#[test]
+fn sim_fenced_sync_discards_pending_frames() {
+    const TEST: &str = "sim_fenced_sync_discards_pending_frames";
+    let master = master_seed();
+    let sim = SimEnv::new(master.wrapping_add(13));
+
+    let session_a = sim_session(&sim, "a");
+    let mut ws_a =
+        Workspace::create_in(Path::new(WS_ROOT), &session_a, sim.env()).expect("creates");
+    let metrics = Metrics::new();
+    ws_a.set_metrics(metrics.clone());
+    ws_a.append(&JournalOp::Clear).expect("appends");
+    for _ in 0..2 {
+        ws_a.append_deferred(&JournalOp::Clear)
+            .expect("defers while the lease holds");
+    }
+
+    // "a" stalls past its lease with two frames pending; "b" takes over.
+    sim.clock().advance(Duration::from_millis(31_000));
+    let (_ws_b, _session_b, _) = Workspace::open_session_as(
+        Path::new(WS_ROOT),
+        |s| odyssey_registry(s),
+        sim.env(),
+        "b",
+        30_000,
+    )
+    .expect("takes over the expired lease");
+
+    let err = ws_a.sync().expect_err("the deposed sync is fenced");
+    sim_assert(
+        matches!(err, StoreError::Degraded(DegradedReason::Fenced { .. })),
+        master,
+        TEST,
+        &format!("the rejection must be a typed fencing error, got: {err}"),
+    );
+    sim_assert(
+        metrics
+            .snapshot()
+            .counters
+            .get(names::STORE_GROUP_DISCARDED_BATCHES)
+            == Some(&1),
+        master,
+        TEST,
+        "the pending batch must be counted as discarded",
+    );
+    drop(ws_a);
+    let journal = sim
+        .fs()
+        .read(&Path::new(WS_ROOT).join("journal-0.log"))
+        .expect("journal readable");
+    sim_assert(
+        scan_frames(&journal).payloads.len() == 1,
+        master,
+        TEST,
+        "only a's acknowledged frame may reach the journal",
     );
 }
 
