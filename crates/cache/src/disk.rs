@@ -18,6 +18,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use hercules_digest::hex;
 use hercules_sim::Fs;
 
 use crate::backend::{CacheBackend, TierUsage};
@@ -109,8 +110,8 @@ impl DiskTier {
     /// path for determinism. Missing shard directories read as empty.
     fn scan(&self) -> io::Result<Vec<(PathBuf, Vec<u8>)>> {
         let mut out = Vec::new();
-        for shard in 0..=0xffu32 {
-            let dir = self.root.join(format!("{shard:02x}"));
+        for shard in 0..=u8::MAX {
+            let dir = self.root.join(hex::encode(&[shard]));
             let Ok(paths) = self.fs.list_dir(&dir) else {
                 continue;
             };
@@ -127,8 +128,8 @@ impl DiskTier {
     /// Reaps `.tmp` leftovers from interrupted write-backs.
     fn reap_tmp(&self) -> io::Result<u64> {
         let mut reaped = 0;
-        for shard in 0..=0xffu32 {
-            let dir = self.root.join(format!("{shard:02x}"));
+        for shard in 0..=u8::MAX {
+            let dir = self.root.join(hex::encode(&[shard]));
             let Ok(paths) = self.fs.list_dir(&dir) else {
                 continue;
             };
@@ -244,7 +245,7 @@ impl CacheBackend for DiskTier {
 mod tests {
     use super::*;
     use crate::entry::CachedOutput;
-    use crate::key::sha256;
+    use hercules_digest::sha256;
     use std::sync::Arc;
 
     fn entry(tag: u8, size: usize) -> (CacheKey, CacheEntry) {

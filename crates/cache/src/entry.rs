@@ -11,7 +11,8 @@
 
 use std::io;
 
-use crate::crc::crc32;
+use hercules_digest::crc32;
+
 use crate::key::CacheKey;
 
 /// Leading magic of every encoded entry; the trailing digit is the
@@ -188,7 +189,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::sha256;
+    use hercules_digest::sha256;
 
     fn sample() -> CacheEntry {
         CacheEntry {

@@ -4,8 +4,10 @@
 //! tool; when the tool, its configuration, and every data dependency
 //! are byte-identical to a prior run, the result is too. This crate
 //! keys that observation: a [`CacheKey`] is a canonical content hash
-//! over tool identity + declared-dependency fingerprint + all input
-//! payloads, and a [`CacheEntry`] holds the produced outputs. Three
+//! over tool identity + declared-dependency fingerprint + the SHA-256
+//! digest of the tool payload and of every input payload (the digest
+//! the history computed once, when it stored the payload), and a
+//! [`CacheEntry`] holds the produced outputs. Three
 //! tiers sit behind one [`CacheBackend`] trait — a bounded in-memory
 //! LRU ([`MemoryTier`]), a crash-safe sharded on-disk store
 //! ([`DiskTier`]), and a pluggable remote ([`RemoteCache`] /
@@ -17,17 +19,13 @@
 //! (same workspace), the content cache is *extensional*: identical
 //! bytes hit across sessions, workspaces, and machines.
 //!
-//! This is the one crate of the workspace that contains `unsafe`, and
-//! only in two private modules: `key::shani` and `crc::clmul`, the
-//! x86-64 SHA-256 and CRC32 kernels. Each calls its kernel only through
-//! a token type that runtime feature detection alone constructs, and
-//! every `unsafe` block states why it holds.
+//! Keys are built on `hercules-digest`, the dependency-free leaf
+//! crate that holds the workspace's SHA-256 and CRC32 kernels; this
+//! crate contains no `unsafe`.
 
-#![deny(unsafe_code)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
-pub mod crc;
 pub mod disk;
 pub mod entry;
 pub mod key;
@@ -36,10 +34,9 @@ pub mod remote;
 pub mod tiered;
 
 pub use backend::{CacheBackend, TierUsage};
-pub use crc::crc32;
 pub use disk::{DiskTier, GcReport};
 pub use entry::{CacheEntry, CachedOutput};
-pub use key::{sha256, CacheKey, KeyBuilder};
+pub use key::{CacheKey, KeyBuilder};
 pub use memory::{MemoryBudget, MemoryTier};
 pub use remote::{LocalDirRemote, RemoteCache, RemoteTier};
 pub use tiered::{CacheConfig, CacheStats, ContentCache, TierStats};

@@ -116,7 +116,7 @@ impl CacheBackend for MemoryTier {
 mod tests {
     use super::*;
     use crate::entry::CachedOutput;
-    use crate::key::sha256;
+    use hercules_digest::sha256;
 
     fn entry(tag: u8, size: usize) -> (CacheKey, CacheEntry) {
         let key = CacheKey::from_bytes(sha256(&[tag]));

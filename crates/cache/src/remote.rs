@@ -193,7 +193,7 @@ impl CacheBackend for RemoteTier {
 mod tests {
     use super::*;
     use crate::entry::CachedOutput;
-    use crate::key::sha256;
+    use hercules_digest::sha256;
     use std::sync::Arc;
 
     fn entry(tag: u8) -> (CacheKey, CacheEntry) {

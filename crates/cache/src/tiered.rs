@@ -520,8 +520,8 @@ impl TierUsage {
 mod tests {
     use super::*;
     use crate::entry::CachedOutput;
-    use crate::key::sha256;
     use crate::remote::LocalDirRemote;
+    use hercules_digest::sha256;
     use std::time::Duration;
 
     fn entry(tag: u8) -> (CacheKey, CacheEntry) {

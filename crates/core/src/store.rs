@@ -24,7 +24,7 @@
 //! ```
 //!
 //! The CRC is IEEE 802.3 (the zlib/PNG polynomial), computed by
-//! [`hercules_cache::crc32`], which also frames cache entries. A torn
+//! [`hercules_digest::crc32`], which also frames cache entries. A torn
 //! tail — a frame whose length field runs past end-of-file, or whose
 //! checksum does not match — ends the journal: recovery truncates the
 //! file back to the last valid frame, reports how many bytes were
@@ -64,7 +64,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use hercules_cache::crc32;
+use hercules_digest::crc32;
 use hercules_exec::EncapsulationRegistry;
 use hercules_flow::NodeId;
 use hercules_history::{InstanceId, InstanceSpec};

@@ -6,11 +6,14 @@
 //! payload, the declared-dependency fingerprint of every output (the
 //! same under-key machinery HL0504 audits — if the schema's declared
 //! dependencies change, the key changes), and every input's entity
-//! name and payload bytes. Two invocations with the same key are
-//! byte-for-byte the same work, no matter which session, workspace,
-//! or machine prepared them.
+//! name and payload. Payloads enter the key as their [`BlobHash`], the
+//! SHA-256 digest the history computed once when it stored them, so a
+//! key costs the same however large the payloads are. Two invocations
+//! with the same key are byte-for-byte the same work, no matter which
+//! session, workspace, or machine prepared them.
 
 use hercules_cache::{CacheEntry, CacheKey, CachedOutput, KeyBuilder};
+use hercules_history::BlobHash;
 use hercules_schema::TaskSchema;
 
 use crate::encapsulation::{Invocation, ToolOutput};
@@ -18,20 +21,30 @@ use hercules_schema::EntityTypeId;
 
 /// Domain tag of the key derivation. Bumping the version invalidates
 /// every cached result at once — the escape hatch for semantic changes
-/// to the executor or the entry format.
-const KEY_DOMAIN: &str = "hercules.exec.v1";
+/// to the executor or the entry format. `v2` keys fold payload digests
+/// where `v1` keys folded payload bytes.
+const KEY_DOMAIN: &str = "hercules.exec.v2";
 
-/// Derives the content key of one prepared invocation.
-pub fn invocation_key(schema: &TaskSchema, invocation: &Invocation) -> CacheKey {
+/// Derives the content key of one prepared run. `tool` is the digest
+/// of the tool instance's payload (`None` when there is none), and
+/// `inputs` pairs each input's entity with the digests of its
+/// instances, in [`Invocation::inputs`] order.
+pub fn invocation_key(
+    schema: &TaskSchema,
+    tool_entity: EntityTypeId,
+    tool: Option<BlobHash>,
+    inputs: &[(EntityTypeId, Vec<BlobHash>)],
+    outputs: &[EntityTypeId],
+) -> CacheKey {
     let mut b = KeyBuilder::new(KEY_DOMAIN);
-    b.field_str("tool", schema.entity(invocation.tool_entity).name());
-    match &invocation.tool_data {
-        Some(data) => b.field("tool_data", data),
+    b.field_str("tool", schema.entity(tool_entity).name());
+    match tool {
+        Some(digest) => b.field("tool_data", digest.as_bytes()),
         // A missing tool payload is distinct from an empty one.
         None => b.field_u64("tool_data_absent", 1),
     }
-    b.field_u64("outputs", invocation.outputs.len() as u64);
-    for &out in &invocation.outputs {
+    b.field_u64("outputs", outputs.len() as u64);
+    for &out in outputs {
         b.field_str("output", schema.entity(out).name());
         // The declared-dependency fingerprint: what the schema says
         // this product may depend on (functional arc first, then data
@@ -40,15 +53,22 @@ pub fn invocation_key(schema: &TaskSchema, invocation: &Invocation) -> CacheKey 
             b.field_str("declared_dep", schema.entity(dep.source()).name());
         }
     }
-    b.field_u64("inputs", invocation.inputs.len() as u64);
-    for input in &invocation.inputs {
-        b.field_str("input", schema.entity(input.entity).name());
-        b.field_u64("instances", input.instances.len() as u64);
-        for payload in &input.instances {
-            b.field("payload", payload);
+    b.field_u64("inputs", inputs.len() as u64);
+    for (entity, digests) in inputs {
+        b.field_str("input", schema.entity(*entity).name());
+        b.field_u64("instances", digests.len() as u64);
+        for digest in digests {
+            b.field("payload", digest.as_bytes());
         }
     }
     b.finish()
+}
+
+/// The digest an input instance keys as: its payload's, or the empty
+/// payload's when it has no data, because the tool receives empty bytes
+/// for it either way.
+pub fn input_digest(data: Option<BlobHash>) -> BlobHash {
+    data.unwrap_or(BlobHash::EMPTY)
 }
 
 /// Packages a successful run's outputs as a cache entry. Entity ids
@@ -108,6 +128,7 @@ pub fn outputs_from_entry(
 mod tests {
     use super::*;
     use crate::encapsulation::ToolInput;
+    use hercules_history::BlobStore;
     use hercules_schema::fixtures;
 
     fn invocation(schema: &TaskSchema, payload: &[u8]) -> Invocation {
@@ -125,45 +146,70 @@ mod tests {
         }
     }
 
+    fn digest(bytes: &[u8]) -> BlobHash {
+        BlobStore::new().put(bytes)
+    }
+
+    /// Key of an `Extractor` run on `tool` over layouts with the given
+    /// digests.
+    fn key(schema: &TaskSchema, tool: Option<&[u8]>, layouts: Vec<BlobHash>) -> CacheKey {
+        let entity = |name| schema.entity_id(name).expect("entity");
+        invocation_key(
+            schema,
+            entity("Extractor"),
+            tool.map(digest),
+            &[(entity("Layout"), layouts)],
+            &[entity("ExtractedNetlist")],
+        )
+    }
+
     #[test]
     fn key_is_stable_and_input_sensitive() {
         let schema = fixtures::fig1();
-        let a = invocation_key(&schema, &invocation(&schema, b"design-a"));
-        let again = invocation_key(&schema, &invocation(&schema, b"design-a"));
-        let other = invocation_key(&schema, &invocation(&schema, b"design-b"));
+        let tool = Some(&b"extract --fast"[..]);
+        let a = key(&schema, tool, vec![digest(b"design-a")]);
+        let again = key(&schema, tool, vec![digest(b"design-a")]);
+        let other = key(&schema, tool, vec![digest(b"design-b")]);
         assert_eq!(a, again, "same bytes, same key");
         assert_ne!(a, other, "different input payload, different key");
     }
 
-    /// Keys written to disk caches by earlier builds must keep hitting:
-    /// this digest was derived by the portable SHA-256 alone, before the
-    /// hardware kernels existed. The 1000-byte payload spans many blocks.
+    /// Keys written to disk caches must keep hitting across builds.
+    /// This digest was derived outside the workspace's SHA-256: Python's
+    /// `hashlib` over the same framed field stream, with the payloads'
+    /// SHA-256 digests as the payload fields. The 1000-byte payload
+    /// spans many blocks.
     #[test]
     fn key_matches_the_pinned_golden_digest() {
         let schema = fixtures::fig1();
-        let mut inv = invocation(
-            &schema,
-            &(0..1000u32)
-                .map(|i| (i * 31 % 251) as u8)
-                .collect::<Vec<_>>(),
-        );
-        inv.inputs[0].instances.push(b"design-a".to_vec());
+        let long: Vec<u8> = (0..1000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let layouts = vec![digest(&long), digest(b"design-a")];
         assert_eq!(
-            invocation_key(&schema, &inv).to_hex(),
-            "8f51dcc389f449069393666277889207077f8749a09cb183295e11f3f2b4846e"
+            key(&schema, Some(b"extract --fast"), layouts).to_hex(),
+            "e2bebab0c1950cb014990e3874fddbc13d31783ce9d721e926100642269152f9"
         );
     }
 
     #[test]
     fn key_distinguishes_tool_data_absent_from_empty() {
         let schema = fixtures::fig1();
-        let mut absent = invocation(&schema, b"d");
-        absent.tool_data = None;
-        let mut empty = invocation(&schema, b"d");
-        empty.tool_data = Some(Vec::new());
+        let layouts = || vec![digest(b"d")];
         assert_ne!(
-            invocation_key(&schema, &absent),
-            invocation_key(&schema, &empty)
+            key(&schema, None, layouts()),
+            key(&schema, Some(b""), layouts())
+        );
+    }
+
+    /// An input instance without data keys like one holding empty
+    /// bytes: the tool receives empty bytes for both.
+    #[test]
+    fn input_without_data_keys_like_empty_data() {
+        let schema = fixtures::fig1();
+        let empty = digest(b"");
+        assert_eq!(input_digest(None), empty);
+        assert_eq!(
+            key(&schema, None, vec![input_digest(None)]),
+            key(&schema, None, vec![input_digest(Some(empty))])
         );
     }
 
@@ -177,7 +223,7 @@ mod tests {
             data: b"netlist-bytes".to_vec(),
             name: "fast".into(),
         }];
-        let key = invocation_key(&schema, &inv);
+        let key = key(&schema, inv.tool_data.as_deref(), vec![digest(b"d")]);
         let entry = entry_from_outputs(key, &schema, &inv, &produced, 42);
         assert_eq!(entry.tool, "Extractor");
         let back = outputs_from_entry(&schema, &entry, &[extracted]).expect("resolves");

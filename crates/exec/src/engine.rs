@@ -8,6 +8,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Duration;
 
+use hercules_cache::CacheKey;
 use hercules_flow::{NodeId, TaskGraph};
 use hercules_history::{Derivation, HistoryDb, InstanceId, Metadata};
 use hercules_obs::profile::{downstream_critical, TaskProfile};
@@ -928,6 +929,35 @@ impl Executor {
                     })
                 })
                 .collect::<Result<_, ExecError>>()?;
+            // The content key folds the digests the history computed
+            // when it stored each payload; only a cache reads it.
+            let key = match &self.options.cache {
+                Some(_) => {
+                    let tool = match combo.tool {
+                        Some(t) => db.instance(t)?.data(),
+                        None => None,
+                    };
+                    let inputs = combo
+                        .inputs
+                        .iter()
+                        .map(|(node, instances)| {
+                            let digests = instances
+                                .iter()
+                                .map(|&i| Ok(content_cache::input_digest(db.instance(i)?.data())))
+                                .collect::<Result<_, ExecError>>()?;
+                            Ok((flow.entity_of(*node)?, digests))
+                        })
+                        .collect::<Result<Vec<_>, ExecError>>()?;
+                    Some(content_cache::invocation_key(
+                        schema,
+                        lookup_entity,
+                        tool,
+                        &inputs,
+                        &output_entities,
+                    ))
+                }
+                None => None,
+            };
             runs.push(PreparedRun::Invoke {
                 invocation: Invocation {
                     tool_entity: lookup_entity,
@@ -935,6 +965,7 @@ impl Executor {
                     inputs,
                     outputs: output_entities.clone(),
                 },
+                key,
                 tool_instance: combo.tool,
                 input_instances: flat_inputs,
             });
@@ -1231,6 +1262,8 @@ enum PreparedRun {
     Cached(Vec<InstanceId>),
     Invoke {
         invocation: Invocation,
+        /// Content-cache key, derived only when a cache is attached.
+        key: Option<CacheKey>,
         tool_instance: Option<InstanceId>,
         input_instances: Vec<InstanceId>,
     },
@@ -1416,16 +1449,13 @@ impl PreparedSubtask {
                 }
                 PreparedRun::Invoke {
                     invocation,
+                    key,
                     tool_instance,
                     input_instances,
                 } => {
                     // Content cache first: a hit replays the recorded
                     // outputs instead of dispatching the tool.
-                    let content_key = options
-                        .cache
-                        .as_ref()
-                        .map(|_| content_cache::invocation_key(schema, invocation));
-                    if let (Some(cache), Some(key)) = (&options.cache, &content_key) {
+                    if let (Some(cache), Some(key)) = (&options.cache, key) {
                         if let Some(outputs) = cache.lookup(key).and_then(|entry| {
                             content_cache::outputs_from_entry(schema, &entry, &self.output_entities)
                         }) {
@@ -1454,7 +1484,7 @@ impl PreparedSubtask {
                             // Write the fresh result back for future
                             // sessions; insert is non-blocking (memory
                             // now, persistent tiers asynchronously).
-                            if let (Some(cache), Some(key)) = (&options.cache, &content_key) {
+                            if let (Some(cache), Some(key)) = (&options.cache, key) {
                                 cache.insert(
                                     key,
                                     &content_cache::entry_from_outputs(
@@ -1817,6 +1847,50 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.tiers[0].hits, 1);
         assert_eq!(stats.inserts, 1);
+    }
+
+    /// Content keys name bytes, not instance ids: two histories that
+    /// hold the same tool and input bytes under different ids (one has
+    /// an unrelated record first) derive the same key.
+    #[test]
+    fn content_keys_ignore_instance_numbering() {
+        let (schema, _, _) = setup();
+        let (flow, _) = perf_flow(&schema);
+        let subtasks = group_subtasks(&flow).expect("grouped");
+        let prepare = |unrelated_first: bool| {
+            let mut db = HistoryDb::new(schema.clone());
+            if unrelated_first {
+                let editor = schema.require("CircuitEditor").expect("known");
+                db.record_primary(editor, Metadata::by("u"), b"unrelated")
+                    .expect("recorded");
+            }
+            toy::seed_everything(&mut db, "setup");
+            let mut executor = Executor::new(toy::text_registry(&schema));
+            executor.options_mut().cache = Some(hercules_cache::ContentCache::in_memory(
+                hercules_cache::MemoryBudget::default(),
+                Clock::real(),
+                Metrics::disabled(),
+            ));
+            let mut binding = Binding::new();
+            binding.bind_latest(&flow, &db);
+            let available: HashMap<NodeId, Vec<InstanceId>> = binding
+                .iter()
+                .map(|(node, instances)| (node, instances.to_vec()))
+                .collect();
+            let prepared = executor
+                .prepare(&flow, &subtasks[0], &available, &db)
+                .expect("prepared");
+            let [PreparedRun::Invoke { key, .. }] = &prepared.runs[..] else {
+                panic!("one invocation expected");
+            };
+            let mut bound: Vec<InstanceId> = available.into_values().flatten().collect();
+            bound.sort();
+            (key.expect("a cache is attached"), bound)
+        };
+        let (key_a, ids_a) = prepare(false);
+        let (key_b, ids_b) = prepare(true);
+        assert_ne!(ids_a, ids_b, "the histories number their instances apart");
+        assert_eq!(key_a, key_b);
     }
 
     #[test]

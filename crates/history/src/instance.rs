@@ -98,7 +98,7 @@ impl Metadata {
 /// design object, indicating the immediate tool and data used in
 /// creating that object, the complete derivation history of a design may
 /// be stored."
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntityInstance {
     pub(crate) id: InstanceId,
     pub(crate) entity: EntityTypeId,

@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use hercules_digest::hex;
 use hercules_schema::TaskSchema;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -54,27 +55,9 @@ pub struct InstanceSpec {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HexBytes(pub Vec<u8>);
 
-/// `DIGIT_PAIRS[b]` is `b` as two lowercase hex digits.
-static DIGIT_PAIRS: [[u8; 2]; 256] = digit_pairs();
-
-const fn digit_pairs() -> [[u8; 2]; 256] {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut pairs = [[0u8; 2]; 256];
-    let mut b = 0;
-    while b < 256 {
-        pairs[b] = [HEX[b >> 4], HEX[b & 0xf]];
-        b += 1;
-    }
-    pairs
-}
-
 impl Serialize for HexBytes {
     fn serialize_value(&self) -> Value {
-        let mut text = vec![0u8; 2 * self.0.len()];
-        for (pair, &b) in text.chunks_exact_mut(2).zip(&self.0) {
-            pair.copy_from_slice(&DIGIT_PAIRS[usize::from(b)]);
-        }
-        Value::Str(String::from_utf8(text).expect("hex digits are ASCII"))
+        Value::Str(hex::encode(&self.0))
     }
 }
 
@@ -83,23 +66,9 @@ impl Deserialize for HexBytes {
         let Value::Str(text) = value else {
             return Vec::<u8>::deserialize_value(value).map(HexBytes);
         };
-        if text.len() % 2 != 0 {
-            return Err(DeError::custom("hex payload has an odd length"));
-        }
-        let mut bytes = Vec::with_capacity(text.len() / 2);
-        for pair in text.as_bytes().chunks_exact(2) {
-            bytes.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-        }
-        Ok(HexBytes(bytes))
-    }
-}
-
-/// Value of one lowercase hex digit.
-fn nibble(c: u8) -> Result<u8, DeError> {
-    match c {
-        b'0'..=b'9' => Ok(c - b'0'),
-        b'a'..=b'f' => Ok(c - b'a' + 10),
-        _ => Err(DeError::custom("hex payload has a non-hex character")),
+        hex::decode(text)
+            .map(HexBytes)
+            .ok_or_else(|| DeError::custom("payload is not an even number of lowercase hex digits"))
     }
 }
 
@@ -278,26 +247,6 @@ mod tests {
                 "{bad} decoded"
             );
         }
-    }
-
-    /// The table encoder writes every byte value as the per-nibble
-    /// encoder it replaced did, and the decoder reads it back.
-    #[test]
-    fn every_byte_value_encodes_like_the_per_nibble_encoder() {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        let all: Vec<u8> = (0..=255).collect();
-        let mut per_nibble = String::new();
-        for &b in &all {
-            per_nibble.push(char::from(HEX[usize::from(b >> 4)]));
-            per_nibble.push(char::from(HEX[usize::from(b & 0xf)]));
-        }
-        let encoded = HexBytes(all.clone()).serialize_value();
-        assert_eq!(encoded, Value::Str(per_nibble));
-        assert_eq!(HexBytes::deserialize_value(&encoded), Ok(HexBytes(all)));
-        assert_eq!(
-            HexBytes(Vec::new()).serialize_value(),
-            Value::Str(String::new())
-        );
     }
 
     #[test]

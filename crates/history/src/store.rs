@@ -6,43 +6,42 @@
 //! other instances. For example, several design history instances could
 //! point to the same Unix RCS … file." The [`BlobStore`] reproduces this
 //! sharing: identical contents are stored once under one [`BlobHash`],
-//! with a reference count. Keys start from a 64-bit hash, but a key is
-//! only shared after comparing bytes, so a hash collision can never make
+//! with a reference count. The key is the SHA-256 digest that
+//! [`BlobStore::put`] computes once per payload, and it is the payload's
+//! content identity everywhere else too: the executor folds it into
+//! content-cache keys instead of hashing the bytes again. A key is only
+//! shared after comparing bytes, so even a hash collision can never make
 //! two different payloads share a blob.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use hercules_digest::{hex, sha256};
 
-/// Key of a stored blob: the 64-bit FNV-1a hash of its bytes, or, when
-/// a blob with different bytes already holds that key, the next free
-/// key after it. Identical bytes share one key, and a key always names
-/// the bytes [`BlobStore::put`] stored under it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct BlobHash(u64);
+/// Key of a stored blob: the SHA-256 digest of its bytes, or, when a
+/// blob with different bytes already holds that key, the next free key
+/// after it. Identical bytes share one key, and a key always names the
+/// bytes [`BlobStore::put`] stored under it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct BlobHash([u8; 32]);
 
 impl BlobHash {
-    /// Returns the raw hash value.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
+    /// The key of the empty payload: the SHA-256 digest of no bytes.
+    pub const EMPTY: BlobHash = BlobHash([
+        0xe3, 0xb0, 0xc4, 0x42, 0x98, 0xfc, 0x1c, 0x14, 0x9a, 0xfb, 0xf4, 0xc8, 0x99, 0x6f, 0xb9,
+        0x24, 0x27, 0xae, 0x41, 0xe4, 0x64, 0x9b, 0x93, 0x4c, 0xa4, 0x95, 0x99, 0x1b, 0x78, 0x52,
+        0xb8, 0x55,
+    ]);
 
-    /// Hashes a byte string with 64-bit FNV-1a: the first key
-    /// [`BlobStore::put`] tries for it.
-    pub fn of(bytes: &[u8]) -> BlobHash {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        BlobHash(h)
+    /// The raw digest.
+    pub fn as_bytes(&self) -> &[u8; 32] {
+        &self.0
     }
 }
 
 impl fmt::Display for BlobHash {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
+        f.write_str(&hex::encode(&self.0))
     }
 }
 
@@ -60,9 +59,9 @@ impl fmt::Display for BlobHash {
 /// assert_eq!(store.blob_count(), 1);
 /// assert_eq!(store.refcount(a), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlobStore {
-    blobs: HashMap<u64, (Vec<u8>, usize)>,
+    blobs: HashMap<BlobHash, (Vec<u8>, usize)>,
     stored_bytes: u64,
     logical_bytes: u64,
 }
@@ -78,19 +77,23 @@ impl BlobStore {
     /// reference.
     pub fn put(&mut self, bytes: &[u8]) -> BlobHash {
         self.logical_bytes += bytes.len() as u64;
-        let mut key = BlobHash::of(bytes).0;
+        let mut key = BlobHash(sha256(bytes));
         loop {
             match self.blobs.get_mut(&key) {
                 Some((stored, refs)) if stored.as_slice() == bytes => {
                     *refs += 1;
-                    return BlobHash(key);
+                    return key;
                 }
                 // Different bytes under the same key: a hash collision.
-                Some(_) => key = key.wrapping_add(1),
+                // Probe the next key, counting up in its last 8 bytes.
+                Some(_) => {
+                    let tail = u64::from_be_bytes(key.0[24..].try_into().expect("8 bytes"));
+                    key.0[24..].copy_from_slice(&tail.wrapping_add(1).to_be_bytes());
+                }
                 None => {
                     self.stored_bytes += bytes.len() as u64;
                     self.blobs.insert(key, (bytes.to_vec(), 1));
-                    return BlobHash(key);
+                    return key;
                 }
             }
         }
@@ -98,7 +101,7 @@ impl BlobStore {
 
     /// Returns the bytes stored under `hash`, if present.
     pub fn get(&self, hash: BlobHash) -> Option<&[u8]> {
-        self.blobs.get(&hash.0).map(|(b, _)| b.as_slice())
+        self.blobs.get(&hash).map(|(b, _)| b.as_slice())
     }
 
     /// Drops one reference; removes the blob when the count reaches
@@ -106,12 +109,12 @@ impl BlobStore {
     /// hash was unknown.
     pub fn release(&mut self, hash: BlobHash) -> Option<usize> {
         let (bytes_len, remaining) = {
-            let entry = self.blobs.get_mut(&hash.0)?;
+            let entry = self.blobs.get_mut(&hash)?;
             entry.1 -= 1;
             (entry.0.len() as u64, entry.1)
         };
         if remaining == 0 {
-            self.blobs.remove(&hash.0);
+            self.blobs.remove(&hash);
             self.stored_bytes -= bytes_len;
         }
         Some(remaining)
@@ -119,7 +122,7 @@ impl BlobStore {
 
     /// Returns the reference count of a blob (0 if unknown).
     pub fn refcount(&self, hash: BlobHash) -> usize {
-        self.blobs.get(&hash.0).map_or(0, |(_, c)| *c)
+        self.blobs.get(&hash).map_or(0, |(_, c)| *c)
     }
 
     /// Returns the number of distinct blobs stored.
@@ -167,7 +170,7 @@ mod tests {
         let mut s = BlobStore::new();
         let h = s.put(b"netlist v1");
         assert_eq!(s.get(h), Some(&b"netlist v1"[..]));
-        assert_eq!(s.get(BlobHash::of(b"missing")), None);
+        assert_eq!(s.get(BlobHash::EMPTY), None);
     }
 
     #[test]
@@ -187,9 +190,9 @@ mod tests {
     fn colliding_key_never_shares_different_bytes() {
         let mut s = BlobStore::new();
         // Plant different bytes under the key `b"x"` hashes to, as a
-        // 64-bit FNV collision would.
-        let planted = BlobHash::of(b"x");
-        s.blobs.insert(planted.raw(), (b"not x".to_vec(), 1));
+        // SHA-256 collision would.
+        let planted = BlobHash(sha256(b"x"));
+        s.blobs.insert(planted, (b"not x".to_vec(), 1));
         let h = s.put(b"x");
         assert_ne!(h, planted, "different bytes take another key");
         assert_eq!(s.get(h), Some(&b"x"[..]));
@@ -202,15 +205,27 @@ mod tests {
         assert_eq!(s.get(planted), Some(&b"not x"[..]));
     }
 
+    /// Fresh bytes are stored under their SHA-256 digest (the FIPS
+    /// 180-4 "abc" vector).
     #[test]
-    fn fnv_matches_known_vector() {
-        // FNV-1a of empty input is the offset basis.
-        assert_eq!(BlobHash::of(b"").raw(), 0xcbf2_9ce4_8422_2325);
+    fn fresh_bytes_key_as_their_sha256() {
+        let mut s = BlobStore::new();
+        let abc = hex::decode("ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+            .expect("valid hex");
+        assert_eq!(&s.put(b"abc").as_bytes()[..], &abc[..]);
+        assert_eq!(s.put(b""), BlobHash::EMPTY);
     }
 
     #[test]
     fn display_is_hex() {
-        let h = BlobHash::of(b"");
-        assert_eq!(h.to_string(), "cbf29ce484222325");
+        let mut s = BlobStore::new();
+        assert_eq!(
+            s.put(b"abc").to_string(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            BlobHash::EMPTY.to_string(),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        );
     }
 }

@@ -64,17 +64,6 @@ impl SimTrace {
         out
     }
 
-    /// FNV-1a digest of the rendered log — a cheap fingerprint for
-    /// comparing replays without holding both logs.
-    pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in self.render().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01B3);
-        }
-        hash
-    }
-
     /// Number of recorded lines.
     pub fn len(&self) -> usize {
         match &self.inner {
@@ -107,12 +96,6 @@ mod tests {
         t.record("a");
         t.record("b");
         assert_eq!(t.render(), "a\nb\n");
-        let u = SimTrace::enabled();
-        u.record("a");
-        u.record("b");
-        assert_eq!(t.digest(), u.digest());
-        u.record("c");
-        assert_ne!(t.digest(), u.digest());
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! Environment hygiene guard: production code in `crates/exec`,
-//! `crates/core`, `crates/analyze`, and `crates/flow` must reach time
-//! and the filesystem only through the `hercules-sim` capability
-//! handles (`Clock`, `Fs`) or injected closures, never through the
-//! ambient `std` APIs — otherwise the deterministic simulator has a
-//! blind spot, a seed no longer fixes the run, and analysis timings
-//! stop being reproducible.
+//! Environment hygiene guards.
+//!
+//! Production code in `crates/exec`, `crates/core`, `crates/analyze`,
+//! and `crates/flow` must reach time and the filesystem only through
+//! the `hercules-sim` capability handles (`Clock`, `Fs`) or injected
+//! closures, never through the ambient `std` APIs — otherwise the
+//! deterministic simulator has a blind spot, a seed no longer fixes the
+//! run, and analysis timings stop being reproducible.
 //!
 //! The real-environment adapter lives in `crates/sim/src/fs.rs` and
 //! `crates/sim/src/clock.rs`; binaries and `#[cfg(test)]` code are
 //! exempt (tests run only in the real environment).
+//!
+//! `unsafe` code lives in one crate, `hercules-digest`, which has no
+//! dependencies: every other crate, tests and binaries included, is
+//! safe Rust.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -44,18 +49,14 @@ fn strip_test_modules(source: &str) -> String {
     }
 }
 
+/// Every `.rs` file under `dir`.
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(_) => return,
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
     };
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
-            // Binaries drive the real environment by definition.
-            if path.file_name().and_then(|n| n.to_str()) == Some("bin") {
-                continue;
-            }
             rust_sources(&path, out);
         } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
             out.push(path);
@@ -74,6 +75,8 @@ fn simulated_crates_use_no_ambient_time_or_fs() {
         assert!(src.is_dir(), "missing source tree: {}", src.display());
         let mut files = Vec::new();
         rust_sources(&src, &mut files);
+        // Binaries drive the real environment by definition.
+        files.retain(|file| !file.components().any(|c| c.as_os_str() == "bin"));
         assert!(!files.is_empty(), "no sources under {}", src.display());
 
         for file in files {
@@ -110,4 +113,100 @@ fn simulated_crates_use_no_ambient_time_or_fs() {
         "ambient time/fs usage in simulated crates:\n{}",
         violations.join("\n")
     );
+}
+
+/// `source` without its comments: `//` to the end of the line, and
+/// `/* … */` blocks (nested ones included).
+fn strip_comments(source: &str) -> String {
+    let mut out = String::with_capacity(source.len());
+    let mut chars = source.chars().peekable();
+    let mut depth = 0usize;
+    while let Some(c) = chars.next() {
+        match (c, chars.peek()) {
+            ('/', Some('*')) => {
+                chars.next();
+                depth += 1;
+            }
+            ('*', Some('/')) if depth > 0 => {
+                chars.next();
+                depth -= 1;
+            }
+            ('/', Some('/')) if depth == 0 => {
+                for c in chars.by_ref() {
+                    if c == '\n' {
+                        out.push('\n');
+                        break;
+                    }
+                }
+            }
+            _ if depth == 0 => out.push(c),
+            ('\n', _) => out.push('\n'),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Line numbers of the `unsafe` blocks, fns, impls, traits and extern
+/// blocks in `source`. Words only match whole, so `unsafe_code` in a
+/// `forbid` or `deny` attribute is not one.
+fn unsafe_items(source: &str) -> Vec<usize> {
+    let code = strip_comments(source);
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices("unsafe")
+        .filter(|&(at, keyword)| {
+            let after = &code[at + keyword.len()..];
+            let next = after.trim_start();
+            let next_word: String = next.chars().take_while(|&c| word(c)).collect();
+            !code[..at].ends_with(word)
+                && !after.starts_with(word)
+                && (next.starts_with('{')
+                    || ["fn", "impl", "trait", "extern"].contains(&next_word.as_str()))
+        })
+        .map(|(at, _)| code[..at].matches('\n').count() + 1)
+        .collect()
+}
+
+#[test]
+fn unsafe_code_lives_only_in_the_digest_crate() {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates_dir = manifest.parent().expect("crates dir");
+    let mut files = Vec::new();
+    rust_sources(crates_dir, &mut files);
+    files.retain(|file| !file.starts_with(crates_dir.join("digest")));
+    assert!(files.len() > 50, "only {} sources found", files.len());
+
+    let mut violations = Vec::new();
+    for file in files {
+        let source = fs::read_to_string(&file).expect("readable source");
+        for line in unsafe_items(&source) {
+            violations.push(format!("{}:{line}", file.display()));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "`unsafe` outside crates/digest:\n{}",
+        violations.join("\n")
+    );
+
+    let cache_root = fs::read_to_string(crates_dir.join("cache/src/lib.rs")).expect("cache root");
+    assert!(
+        cache_root.contains("#![forbid(unsafe_code)]"),
+        "hercules-cache must forbid unsafe_code"
+    );
+}
+
+#[test]
+fn the_unsafe_scan_sees_items_but_not_comments_or_lint_attributes() {
+    let source = "#![forbid(unsafe_code)]\n\
+                  // unsafe { in a comment }\n\
+                  /* unsafe fn f() {} /* nested */ unsafe { */\n\
+                  fn a() { unsafe { b() } }\n\
+                  unsafe fn c() {}\n\
+                  unsafe impl Send for D {}\n\
+                  pub unsafe trait E {}\n\
+                  unsafe extern \"C\" {}\n\
+                  unsafe\n{}\n\
+                  let not_unsafe = 1; unsafely();\n";
+    assert_eq!(unsafe_items(source), vec![4, 5, 6, 7, 8, 9]);
 }
