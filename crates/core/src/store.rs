@@ -773,6 +773,15 @@ fn has_resync_frame(buf: &[u8]) -> bool {
     count_resync_frames(buf) > 0
 }
 
+/// Replays frames that already replayed once onto the same state, when
+/// recovery rebuilds a session after a later frame failed.
+fn replay_again(session: &mut Session, payloads: &[Vec<u8>]) -> Result<(), StoreError> {
+    for payload in payloads {
+        serde_json::from_slice::<JournalOp>(payload)?.replay(session)?;
+    }
+    Ok(())
+}
+
 /// A durable workspace directory: the current journal handle plus the
 /// generation bookkeeping. Create one with [`Workspace::create`], or
 /// recover one (plus its session) with [`Workspace::open_session`].
@@ -1028,20 +1037,30 @@ impl Workspace {
                 }
             };
             let scan = scan_frames(&buf);
-            let mut keep = scan.valid_len;
             let mut replayed_here = 0usize;
-            for (j, payload) in scan.payloads.iter().enumerate() {
-                let parsed: Result<JournalOp, _> = serde_json::from_slice(payload);
-                let ok = match parsed {
-                    Ok(op) => op.replay(&mut session).is_ok(),
-                    Err(_) => false,
+            for payload in &scan.payloads {
+                let Ok(op) = serde_json::from_slice::<JournalOp>(payload) else {
+                    break;
                 };
-                if !ok {
-                    keep = if j == 0 { 0 } else { scan.offsets[j - 1] };
+                if op.replay(&mut session).is_err() {
+                    // The frame may have applied part of itself first
+                    // (an `Exec` frame records its instances one by
+                    // one), yet it must leave no trace: rebuild the
+                    // session from the checkpoint and the frames that
+                    // did replay.
+                    let registry = session.executor_mut().registry().clone();
+                    session = spec.restore(registry)?;
+                    for (k, earlier) in seg_reports.iter().enumerate() {
+                        let buf = env.fs.read(&root.join(&segments[k]))?;
+                        let frames = scan_frames(&buf).payloads;
+                        replay_again(&mut session, &frames[..earlier.frames_replayed])?;
+                    }
+                    replay_again(&mut session, &scan.payloads[..replayed_here])?;
                     break;
                 }
                 replayed_here += 1;
             }
+            let keep = replayed_here.checked_sub(1).map_or(0, |j| scan.offsets[j]);
             ops_replayed += replayed_here;
             let trailing = buf.len() - keep;
             seg_reports.push(SegmentRecovery {
@@ -1666,6 +1685,7 @@ impl Drop for Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hercules_history::Payload;
     use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1817,6 +1837,79 @@ mod tests {
         assert!(report.truncated);
         assert!(restored.flow().is_ok());
         fs::remove_dir_all(&root).ok();
+    }
+
+    /// A primary `Netlist` record holding `data`.
+    fn netlist_record(data: Payload) -> InstanceSpec {
+        InstanceSpec {
+            entity: "Netlist".into(),
+            user: "jbb".into(),
+            created: hercules_history::Timestamp(0),
+            name: String::new(),
+            comment: String::new(),
+            keywords: Vec::new(),
+            data: Some(data),
+            tool: None,
+            inputs: None,
+        }
+    }
+
+    fn exec_op(instances: Vec<InstanceSpec>) -> JournalOp {
+        JournalOp::Exec(ExecSpec {
+            instances,
+            report: None,
+            event: None,
+        })
+    }
+
+    /// Journals a good `Exec` frame, rolls the segment, then journals
+    /// a frame of a valid record followed by `bad`. Recovery keeps the
+    /// first frame and no part of the second, on this open and the
+    /// next.
+    fn assert_failed_frame_leaves_no_trace(tag: &str, bad: InstanceSpec) {
+        let root = temp_root(tag);
+        let session = Session::odyssey("jbb");
+        let checkpoint_len = session.db().len();
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        ws.set_segment_max_bytes(1); // the failed frame lands in a later segment
+        let kept = netlist_record(Payload::Inline(b"kept".to_vec()));
+        ws.append(&exec_op(vec![kept])).expect("appends");
+        let valid = netlist_record(Payload::Inline(b"dropped".to_vec()));
+        ws.append(&exec_op(vec![valid, bad])).expect("appends");
+        drop(ws);
+
+        for open in ["first", "second"] {
+            let (_ws, restored, report) =
+                Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                    .expect("recovers");
+            assert_eq!(report.ops_replayed, 1, "{open} open");
+            assert_eq!(report.truncated, open == "first");
+            assert_eq!(restored.db().len(), checkpoint_len + 1, "{open} open");
+            let last = InstanceId::from_raw(checkpoint_len as u64);
+            assert_eq!(
+                restored.db().data_of(last).expect("recorded"),
+                Some(&b"kept"[..])
+            );
+        }
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_frame_with_an_unreplayable_second_record_leaves_no_trace() {
+        let ghost = InstanceSpec {
+            entity: "Ghost".into(),
+            ..netlist_record(Payload::Inline(b"ghost".to_vec()))
+        };
+        assert_failed_frame_leaves_no_trace("unreplayable-record", ghost);
+    }
+
+    #[test]
+    fn a_frame_whose_second_record_references_forward_leaves_no_trace() {
+        // The frame's records are ids n+1 and n+2 after the checkpoint's
+        // n records and the kept frame's one: n+3 is not recorded yet.
+        let n = Session::odyssey("jbb").db().len() as u64;
+        let forward = netlist_record(Payload::Shared(n + 3));
+        assert_failed_frame_leaves_no_trace("forward-reference", forward);
     }
 
     #[test]

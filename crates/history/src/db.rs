@@ -15,7 +15,17 @@ use crate::clock::{LogicalClock, Timestamp};
 use crate::derivation::Derivation;
 use crate::error::HistoryError;
 use crate::instance::{EntityInstance, InstanceId, Metadata};
-use crate::store::BlobStore;
+use crate::store::{BlobHash, BlobStore};
+
+/// The physical data of a record being appended.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Data<'a> {
+    /// These bytes, shared with any identical blob already stored.
+    Bytes(&'a [u8]),
+    /// One more reference to a blob already in the store (a persisted
+    /// record that names the instance holding its bytes).
+    Blob(BlobHash),
+}
 
 /// The design-history database: instances, meta-data, derivations, and
 /// the shared physical store.
@@ -59,6 +69,9 @@ pub struct HistoryDb {
     /// Newest member of each instance's version subtree (see
     /// [`HistoryDb::newest_version_of`]).
     newest: Vec<InstanceId>,
+    /// The first instance recorded with each blob (see
+    /// [`HistoryDb::shares_data_with`]).
+    first_holder: HashMap<BlobHash, InstanceId>,
     store: BlobStore,
     clock: LogicalClock,
 }
@@ -73,6 +86,7 @@ impl HistoryDb {
             dependents: Vec::new(),
             version_parent: Vec::new(),
             newest: Vec::new(),
+            first_holder: HashMap::new(),
             store: BlobStore::new(),
             clock: LogicalClock::new(),
         }
@@ -116,7 +130,7 @@ impl HistoryDb {
         meta: Metadata,
         data: &[u8],
     ) -> Result<InstanceId, HistoryError> {
-        self.record(entity, meta, Some(data), None)
+        self.record(entity, meta, Data::Bytes(data), None)
     }
 
     /// Records a *derived* instance with its immediate derivation.
@@ -138,14 +152,18 @@ impl HistoryDb {
         data: &[u8],
         derivation: Derivation,
     ) -> Result<InstanceId, HistoryError> {
-        self.record(entity, meta, Some(data), Some(derivation))
+        self.record(entity, meta, Data::Bytes(data), Some(derivation))
     }
 
-    fn record(
+    /// Appends one record after the checks of
+    /// [`HistoryDb::record_derived`]; a [`Data::Blob`] must name a blob
+    /// the store holds ([`HistoryError::UnknownBlob`] otherwise). A
+    /// failed record changes nothing.
+    pub(crate) fn record(
         &mut self,
         entity: EntityTypeId,
         mut meta: Metadata,
-        data: Option<&[u8]>,
+        data: Data<'_>,
         derivation: Option<Derivation>,
     ) -> Result<InstanceId, HistoryError> {
         if self.schema.get(entity).is_none() {
@@ -174,9 +192,18 @@ impl HistoryDb {
                 }
             }
         }
+        let blob = match data {
+            Data::Bytes(bytes) => self.store.put(bytes),
+            Data::Blob(blob) => {
+                if !self.store.share(blob) {
+                    return Err(HistoryError::UnknownBlob);
+                }
+                blob
+            }
+        };
         let id = InstanceId(self.instances.len() as u64);
+        self.first_holder.entry(blob).or_insert(id);
         meta.created = self.clock.now();
-        let blob = data.map(|bytes| self.store.put(bytes));
         let mut version_parent = None;
         if let Some(d) = &derivation {
             for referenced in d.referenced() {
@@ -195,7 +222,7 @@ impl HistoryDb {
             id,
             entity,
             meta,
-            data: blob,
+            data: Some(blob),
             derivation,
         });
         self.dependents.push(Vec::new());
@@ -232,6 +259,22 @@ impl HistoryDb {
     pub fn data_of(&self, id: InstanceId) -> Result<Option<&[u8]>, HistoryError> {
         let inst = self.instance(id)?;
         Ok(inst.data().and_then(|h| self.store.get(h)))
+    }
+
+    /// Returns the earliest instance recorded before `id` with the same
+    /// physical data (footnote 5's sharing), or `None` when `id` is the
+    /// first holder of its data. Persisted documents name this instance
+    /// instead of writing the bytes again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HistoryError::UnknownInstance`] for out-of-range ids.
+    pub fn shares_data_with(&self, id: InstanceId) -> Result<Option<InstanceId>, HistoryError> {
+        let first = self
+            .instance(id)?
+            .data()
+            .and_then(|blob| self.first_holder.get(&blob).copied());
+        Ok(first.filter(|&first| first != id))
     }
 
     /// Iterates over all instances in creation order.
@@ -606,6 +649,38 @@ mod tests {
         assert_eq!(db.store().blob_count(), 1, "footnote 5 sharing");
         assert_eq!(db.store().logical_bytes(), 20);
         assert_eq!(db.store().stored_bytes(), 10);
+    }
+
+    #[test]
+    fn a_shared_blob_record_adds_a_reference_and_a_bad_one_changes_nothing() {
+        let (schema, mut db) = db();
+        let stim_ty = schema.require("Stimuli").expect("known");
+        let first = db
+            .record_primary(stim_ty, Metadata::by("u"), b"same bytes")
+            .expect("ok");
+        let blob = db.instance(first).expect("present").data().expect("data");
+        let copy = db
+            .record(stim_ty, Metadata::by("u"), Data::Blob(blob), None)
+            .expect("ok");
+        assert_eq!(db.data_of(copy).expect("ok"), Some(&b"same bytes"[..]));
+        assert_eq!(db.shares_data_with(copy).expect("ok"), Some(first));
+        assert_eq!(db.store().refcount(blob), 2);
+        assert_eq!(db.store().logical_bytes(), 20);
+
+        let before = (db.len(), db.store().clone(), db.clock_mut().peek());
+        assert_eq!(
+            db.record(
+                stim_ty,
+                Metadata::by("u"),
+                Data::Blob(BlobHash::EMPTY),
+                None
+            ),
+            Err(HistoryError::UnknownBlob)
+        );
+        assert_eq!(
+            (db.len(), db.store().clone(), db.clock_mut().peek()),
+            before
+        );
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use db::HistoryDb;
 pub use derivation::Derivation;
 pub use error::HistoryError;
 pub use instance::{EntityInstance, InstanceId, Metadata};
-pub use persist::{HexBytes, HistorySpec, InstanceSpec};
+pub use persist::{HistorySpec, InstanceSpec, Payload};
 pub use query::BrowserQuery;
 pub use revdep::{DirtyCone, RetraceCone, VersionCut};
 pub use store::{BlobHash, BlobStore};

@@ -5,6 +5,11 @@
 //! instead of schema-relative ids) so a database survives schema
 //! reloads. Loading replays the records through the normal checked
 //! entry points, so a loaded database is always consistent.
+//!
+//! Footnote 5's sharing holds on disk too: a record whose physical data
+//! an earlier instance already holds names that instance
+//! ([`Payload::Shared`]) instead of carrying the bytes again, so a
+//! document holds each distinct payload once.
 
 use std::sync::Arc;
 
@@ -13,7 +18,7 @@ use hercules_schema::TaskSchema;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::clock::Timestamp;
-use crate::db::HistoryDb;
+use crate::db::{Data, HistoryDb};
 use crate::derivation::Derivation;
 use crate::error::HistoryError;
 use crate::instance::{InstanceId, Metadata};
@@ -38,7 +43,7 @@ pub struct InstanceSpec {
     pub keywords: Vec<String>,
     /// Physical data (omitted for data-less instances).
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub data: Option<HexBytes>,
+    pub data: Option<Payload>,
     /// Tool instance index of the derivation, if derived by a tool.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub tool: Option<u64>,
@@ -48,27 +53,43 @@ pub struct InstanceSpec {
     pub inputs: Option<Vec<u64>>,
 }
 
-/// Instance payload bytes in a document: one lowercase-hex JSON string,
-/// two characters per byte. Reading also accepts the legacy form, an
-/// array of byte values, so workspaces written before the hex form
-/// still open.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HexBytes(pub Vec<u8>);
+/// Instance physical data in a document: the bytes themselves, or the
+/// id of an earlier instance holding the same bytes.
+///
+/// Inline bytes are one lowercase-hex JSON string, two characters per
+/// byte; a shared payload is the holder's raw id as a JSON number
+/// (`"data": 17` means "the bytes of instance 17"). Reading also
+/// accepts the legacy inline form, an array of byte values, so
+/// workspaces written before the hex form still open. A reader that
+/// predates shared payloads rejects the number instead of loading
+/// wrong bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Payload {
+    /// The bytes, written in full.
+    Inline(Vec<u8>),
+    /// The raw id of the earliest instance holding the same bytes
+    /// ([`HistoryDb::shares_data_with`]).
+    Shared(u64),
+}
 
-impl Serialize for HexBytes {
+impl Serialize for Payload {
     fn serialize_value(&self) -> Value {
-        Value::Str(hex::encode(&self.0))
+        match self {
+            Payload::Inline(bytes) => Value::Str(hex::encode(bytes)),
+            Payload::Shared(holder) => holder.serialize_value(),
+        }
     }
 }
 
-impl Deserialize for HexBytes {
+impl Deserialize for Payload {
     fn deserialize_value(value: &Value) -> Result<Self, DeError> {
-        let Value::Str(text) = value else {
-            return Vec::<u8>::deserialize_value(value).map(HexBytes);
-        };
-        hex::decode(text)
-            .map(HexBytes)
-            .ok_or_else(|| DeError::custom("payload is not an even number of lowercase hex digits"))
+        match value {
+            Value::Str(text) => hex::decode(text).map(Payload::Inline).ok_or_else(|| {
+                DeError::custom("payload is not an even number of lowercase hex digits")
+            }),
+            Value::Int(_) | Value::UInt(_) => u64::deserialize_value(value).map(Payload::Shared),
+            _ => Vec::<u8>::deserialize_value(value).map(Payload::Inline),
+        }
     }
 }
 
@@ -89,6 +110,13 @@ impl InstanceSpec {
     pub fn capture(db: &HistoryDb, index: usize) -> InstanceSpec {
         let i = db.instances().nth(index).expect("index in range");
         let m = i.meta();
+        let data = match db.shares_data_with(i.id()).expect("index in range") {
+            Some(holder) => Some(Payload::Shared(holder.raw())),
+            None => i
+                .data()
+                .and_then(|blob| db.store().get(blob))
+                .map(|bytes| Payload::Inline(bytes.to_vec())),
+        };
         InstanceSpec {
             entity: db.schema().entity(i.entity()).name().to_owned(),
             user: m.user.clone(),
@@ -96,10 +124,7 @@ impl InstanceSpec {
             name: m.name.clone(),
             comment: m.comment.clone(),
             keywords: m.keywords.clone(),
-            data: i
-                .data()
-                .and_then(|h| db.store().get(h))
-                .map(|d| HexBytes(d.to_vec())),
+            data,
             tool: i.derivation().and_then(|d| d.tool).map(InstanceId::raw),
             inputs: i
                 .derivation()
@@ -108,14 +133,27 @@ impl InstanceSpec {
     }
 
     /// Replays this record into `db` through the normal checked entry
-    /// points, restoring its timestamp; returns the new instance id.
+    /// points, restoring its timestamp; returns the new instance id. A
+    /// shared payload adds a reference to the blob its holder keeps,
+    /// without copying or hashing the bytes.
     ///
     /// # Errors
     ///
-    /// Returns schema errors for unknown entity names and the usual
-    /// derivation checks for corrupt records.
+    /// Returns schema errors for unknown entity names, the usual
+    /// derivation checks for corrupt records, and
+    /// [`HistoryError::UnknownInstance`] or [`HistoryError::UnknownBlob`]
+    /// for a shared payload whose holder is not an instance below
+    /// `db.len()` that holds data.
     pub fn replay(&self, db: &mut HistoryDb) -> Result<InstanceId, HistoryError> {
         let entity = db.schema().require(&self.entity)?;
+        let data = match &self.data {
+            None => Data::Bytes(&[]),
+            Some(Payload::Inline(bytes)) => Data::Bytes(bytes),
+            Some(Payload::Shared(holder)) => {
+                let holder = db.instance(InstanceId::from_raw(*holder))?;
+                Data::Blob(holder.data().ok_or(HistoryError::UnknownBlob)?)
+            }
+        };
         let meta = Metadata {
             user: self.user.clone(),
             created: Timestamp(0), // overwritten below via clock
@@ -123,18 +161,12 @@ impl InstanceSpec {
             comment: self.comment.clone(),
             keywords: self.keywords.clone(),
         };
+        let derivation = self.inputs.as_ref().map(|inputs| Derivation {
+            tool: self.tool.map(InstanceId::from_raw),
+            inputs: inputs.iter().copied().map(InstanceId::from_raw).collect(),
+        });
         db.clock_mut().advance_to(self.created);
-        let data = self.data.as_ref().map_or(&[][..], |d| &d.0[..]);
-        match &self.inputs {
-            None => db.record_primary(entity, meta, data),
-            Some(inputs) => {
-                let derivation = Derivation {
-                    tool: self.tool.map(InstanceId::from_raw),
-                    inputs: inputs.iter().copied().map(InstanceId::from_raw).collect(),
-                };
-                db.record_derived(entity, meta, data, derivation)
-            }
-        }
+        db.record(entity, meta, data, derivation)
     }
 }
 
@@ -236,17 +268,59 @@ mod tests {
         let legacy: InstanceSpec =
             serde_json::from_str(&record("[104,105]")).expect("legacy array form");
         assert_eq!(hex, legacy);
-        assert_eq!(hex.data, Some(HexBytes(b"hi".to_vec())));
+        assert_eq!(hex.data, Some(Payload::Inline(b"hi".to_vec())));
         assert_eq!(
             serde_json::to_string(&legacy).expect("serialize"),
             record(r#""6869""#)
         );
-        for bad in [r#""686""#, r#""zz""#, r#""6G""#, r#""6869 ""#] {
+        let shared: InstanceSpec = serde_json::from_str(&record("17")).expect("shared form");
+        assert_eq!(shared.data, Some(Payload::Shared(17)));
+        assert_eq!(
+            serde_json::to_string(&shared).expect("serialize"),
+            record("17")
+        );
+        // A reader that predates shared payloads decodes `data` as the
+        // byte array: it rejects the number instead of loading wrong
+        // bytes.
+        assert!(serde_json::from_str::<Vec<u8>>("17").is_err());
+        for bad in [
+            r#""686""#,
+            r#""zz""#,
+            r#""6G""#,
+            r#""6869 ""#,
+            "-1",
+            "1.5",
+            "true",
+            "{}",
+        ] {
             assert!(
                 serde_json::from_str::<InstanceSpec>(&record(bad)).is_err(),
                 "{bad} decoded"
             );
         }
+    }
+
+    /// A shared payload must name an earlier instance: a reference to
+    /// the record itself, a later one or a missing one is rejected.
+    #[test]
+    fn shared_payloads_must_name_an_earlier_instance() {
+        let (schema, db) = sample();
+        for holder in [1, 2, 99] {
+            let mut spec = HistorySpec::from_db(&db);
+            spec.instances[1].data = Some(Payload::Shared(holder));
+            assert_eq!(
+                spec.load(schema.clone()).map(|db| db.len()),
+                Err(HistoryError::UnknownInstance(InstanceId::from_raw(holder))),
+                "holder {holder}"
+            );
+        }
+        let mut spec = HistorySpec::from_db(&db);
+        spec.instances[1].data = Some(Payload::Shared(0));
+        let loaded = spec.load(schema).expect("an earlier holder replays");
+        assert_eq!(
+            loaded.data_of(InstanceId::from_raw(1)).expect("ok"),
+            Some(&b"ed"[..])
+        );
     }
 
     #[test]

@@ -99,6 +99,18 @@ impl BlobStore {
         }
     }
 
+    /// Adds one reference to the blob stored under `hash`, as
+    /// [`BlobStore::put`] of its bytes would, without copying or hashing
+    /// them. Returns `false`, changing nothing, if the hash is unknown.
+    pub fn share(&mut self, hash: BlobHash) -> bool {
+        let Some((stored, refs)) = self.blobs.get_mut(&hash) else {
+            return false;
+        };
+        *refs += 1;
+        self.logical_bytes += stored.len() as u64;
+        true
+    }
+
     /// Returns the bytes stored under `hash`, if present.
     pub fn get(&self, hash: BlobHash) -> Option<&[u8]> {
         self.blobs.get(&hash).map(|(b, _)| b.as_slice())
@@ -163,6 +175,20 @@ mod tests {
         assert_eq!(s.refcount(a), 2);
         assert_eq!(s.stored_bytes(), 10);
         assert_eq!(s.logical_bytes(), 15);
+    }
+
+    #[test]
+    fn share_counts_like_a_put_of_the_same_bytes() {
+        let mut shared = BlobStore::new();
+        let h = shared.put(b"netlist v1");
+        assert!(shared.share(h));
+        let mut put = BlobStore::new();
+        put.put(b"netlist v1");
+        put.put(b"netlist v1");
+        assert_eq!(shared, put);
+        assert_eq!(shared.refcount(h), 2);
+        assert!(!shared.share(BlobHash::EMPTY), "unknown hash");
+        assert_eq!(shared, put, "a failed share changes nothing");
     }
 
     #[test]

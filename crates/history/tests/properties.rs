@@ -2,13 +2,21 @@
 
 use std::sync::Arc;
 
-use hercules_history::{Derivation, HistoryDb, HistorySpec, InstanceId, Metadata, Staleness};
+use hercules_history::{
+    Derivation, HistoryDb, HistorySpec, InstanceId, Metadata, Payload, Staleness,
+};
 use hercules_schema::fixtures;
 use proptest::prelude::*;
 
+/// The payloads generated netlists draw from: a pool this small makes
+/// most histories share physical data between instances (footnote 5),
+/// including with the editor and through the empty payload.
+const PAYLOADS: [&[u8]; 4] = [b"v0", b"v1", b"ed", b""];
+
 /// Builds a random but well-formed history: an editor plus `n` edited
-/// netlists, each deriving from a random earlier version (or none).
-fn random_history(parents: &[Option<usize>]) -> (HistoryDb, Vec<InstanceId>) {
+/// netlists, each deriving from a random earlier version (or none) and
+/// holding a payload drawn from [`PAYLOADS`].
+fn random_history(parents: &[(Option<usize>, usize)]) -> (HistoryDb, Vec<InstanceId>) {
     let schema = Arc::new(fixtures::fig1());
     let mut db = HistoryDb::new(schema.clone());
     let editor = db
@@ -20,7 +28,7 @@ fn random_history(parents: &[Option<usize>]) -> (HistoryDb, Vec<InstanceId>) {
         .expect("records");
     let edited = schema.require("EditedNetlist").expect("known");
     let mut ids = vec![editor];
-    for (i, parent) in parents.iter().enumerate() {
+    for (i, &(parent, payload)) in parents.iter().enumerate() {
         let from = if i == 0 {
             None
         } else {
@@ -30,7 +38,7 @@ fn random_history(parents: &[Option<usize>]) -> (HistoryDb, Vec<InstanceId>) {
             .record_derived(
                 edited,
                 Metadata::by("prop").named(&format!("v{i}")),
-                format!("v{i}").as_bytes(),
+                PAYLOADS[payload % PAYLOADS.len()],
                 Derivation::by_tool(editor, from),
             )
             .expect("records");
@@ -39,8 +47,9 @@ fn random_history(parents: &[Option<usize>]) -> (HistoryDb, Vec<InstanceId>) {
     (db, ids)
 }
 
-fn parent_vec() -> impl Strategy<Value = Vec<Option<usize>>> {
-    prop::collection::vec(prop::option::of(0usize..16), 1..16)
+/// Per generated version: a parent seed (or none) and a payload seed.
+fn parent_vec() -> impl Strategy<Value = Vec<(Option<usize>, usize)>> {
+    prop::collection::vec((prop::option::of(0usize..16), 0usize..16), 1..16)
 }
 
 /// Reference version parent: scans the derivation's inputs for the
@@ -81,6 +90,16 @@ fn scan_dependents(db: &HistoryDb, id: InstanceId) -> Vec<InstanceId> {
         })
         .map(|i| i.id())
         .collect()
+}
+
+/// Reference sharing: the first instance before `id` whose physical
+/// data equals `id`'s, by comparing bytes.
+fn scan_shares_data_with(db: &HistoryDb, id: InstanceId) -> Option<InstanceId> {
+    let data = db.data_of(id).expect("present")?;
+    db.instances()
+        .map(|i| i.id())
+        .take_while(|&i| i != id)
+        .find(|&i| db.data_of(i).expect("present") == Some(data))
 }
 
 /// Reference staleness: the first input, other than the version
@@ -152,6 +171,10 @@ fn check_against_scans(db: &HistoryDb) -> Result<(), TestCaseError> {
             prop_assert_eq!(
                 copy.staleness_of(id).expect("present"),
                 scan_staleness(db, id)
+            );
+            prop_assert_eq!(
+                copy.shares_data_with(id).expect("present"),
+                scan_shares_data_with(db, id)
             );
         }
     }
@@ -239,7 +262,7 @@ proptest! {
         let extractor = record("Extractor", None)?;
         let rules = record("PlacementRules", None)?;
         let mut netlists: Vec<InstanceId> = Vec::new();
-        for (i, parent) in parents.iter().enumerate() {
+        for (i, (parent, _)) in parents.iter().enumerate() {
             let from = if i == 0 { None } else { parent.map(|p| netlists[p % i]) };
             netlists.push(record("EditedNetlist", Some(Derivation::by_tool(editor, from)))?);
         }
@@ -289,7 +312,10 @@ proptest! {
         }
     }
 
-    /// Persistence round trips preserve every record.
+    /// Persistence round trips preserve every record, its bytes and
+    /// the store's sharing. The document writes each distinct payload
+    /// once, and every other record names an earlier holder of the
+    /// same bytes.
     #[test]
     fn persistence_round_trip(parents in parent_vec()) {
         let (db, _) = random_history(&parents);
@@ -302,7 +328,36 @@ proptest! {
             prop_assert_eq!(a.meta(), b.meta());
             prop_assert_eq!(a.entity(), b.entity());
             prop_assert_eq!(a.derivation(), b.derivation());
+            prop_assert_eq!(
+                db.data_of(a.id()).expect("present"),
+                reloaded.data_of(b.id()).expect("present")
+            );
         }
+        let (store, restored) = (db.store(), reloaded.store());
+        prop_assert_eq!(restored.blob_count(), store.blob_count());
+        prop_assert_eq!(restored.stored_bytes(), store.stored_bytes());
+        prop_assert_eq!(restored.logical_bytes(), store.logical_bytes());
+
+        let mut inline = 0;
+        for (index, record) in back.instances.iter().enumerate() {
+            let id = InstanceId::from_raw(index as u64);
+            match &record.data {
+                Some(Payload::Inline(bytes)) => {
+                    inline += 1;
+                    prop_assert_eq!(db.data_of(id).expect("present"), Some(&bytes[..]));
+                }
+                Some(Payload::Shared(holder)) => {
+                    let holder = *holder;
+                    prop_assert!(holder < index as u64, "{} names a later holder", id);
+                    prop_assert_eq!(
+                        db.data_of(InstanceId::from_raw(holder)).expect("present"),
+                        db.data_of(id).expect("present")
+                    );
+                }
+                None => prop_assert!(false, "{} has no payload", id),
+            }
+        }
+        prop_assert_eq!(inline, store.blob_count());
     }
 
     /// The blob store shares identical payloads: stored bytes never

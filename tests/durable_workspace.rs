@@ -15,8 +15,8 @@ use std::sync::Arc;
 use hercules::encaps::odyssey_registry;
 use hercules::exec::{ExecError, FailurePolicy, FaultPlan, FaultyEncapsulation, TaskAction};
 use hercules::flow::NodeId;
-use hercules::history::{Derivation, HexBytes, InstanceId, Metadata};
-use hercules::store::{encode_frame, scan_frames, Workspace};
+use hercules::history::{Derivation, InstanceId, Metadata, Payload};
+use hercules::store::{encode_frame, scan_frames, JournalOp, Workspace};
 use hercules::ui::{Command, Ui};
 use hercules::{eda, Session, SessionSpec};
 use serde::{Deserialize, Serialize, Value};
@@ -102,8 +102,10 @@ fn crash_at_every_journal_byte_offset_recovers_a_committed_prefix() {
     ui.execute(&format!("save {}", root.display()))
         .expect("saves");
 
-    // Seven mutating commands — each acknowledged, hence each one a
-    // fsynced journal frame. Reference snapshots after each.
+    // Eight mutating commands — each acknowledged, hence each one a
+    // fsynced journal frame. Reference snapshots after each. The second
+    // run reproduces the first run's bytes, so its frame names earlier
+    // instances instead of carrying payloads.
     let mut refs = vec![SessionSpec::from_session(ui.session())];
     for cmd in [
         "goal Layout",
@@ -111,6 +113,7 @@ fn crash_at_every_journal_byte_offset_recovers_a_committed_prefix() {
         "specialize n2 EditedNetlist",
         "expand n2",
         "bind-latest",
+        "run",
         "run",
         "store place-flow",
     ] {
@@ -121,8 +124,20 @@ fn crash_at_every_journal_byte_offset_recovers_a_committed_prefix() {
 
     let journal = fs::read(root.join("journal-0.log")).expect("journal exists");
     let scan = scan_frames(&journal);
-    assert_eq!(scan.payloads.len(), 7, "one frame per mutating command");
+    assert_eq!(scan.payloads.len(), 8, "one frame per mutating command");
     assert_eq!(scan.trailing, 0);
+    let JournalOp::Exec(second_run) = serde_json::from_slice(&scan.payloads[6]).expect("parses")
+    else {
+        panic!("the second run journals an execution");
+    };
+    assert!(
+        second_run
+            .instances
+            .iter()
+            .all(|i| matches!(i.data, Some(Payload::Shared(_)))),
+        "the second run's frame names earlier instances: {:?}",
+        second_run.instances
+    );
 
     for cut in 0..=journal.len() {
         // Simulate a crash that tore the journal at byte `cut`.
@@ -308,28 +323,51 @@ fn field<'a>(value: &'a mut Value, key: &str) -> Option<&'a mut Value> {
     }
 }
 
+/// The payload form `legacy_copy` rewrites a workspace into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Legacy {
+    /// Every payload as the array of byte values written before the
+    /// hex form (no shared payloads either).
+    Arrays,
+    /// Every shared payload as the hex string of the named instance's
+    /// bytes: the form written before shared payloads.
+    InlineHex,
+}
+
 /// Rewrites the payload of every record in `instances` (a JSON array
-/// of `InstanceSpec`s) from the hex string into the legacy array of
-/// byte values; returns how many payloads it rewrote.
-fn legacy_payloads(instances: &mut Value) -> usize {
+/// of `InstanceSpec`s) into `form`, resolving shared payloads through
+/// `held`, the bytes of every earlier instance by id, and appending
+/// each record's bytes to it. Returns how many payloads it rewrote.
+fn legacy_payloads(instances: &mut Value, held: &mut Vec<Vec<u8>>, form: Legacy) -> usize {
     let Value::Seq(records) = instances else {
         panic!("instances is an array");
     };
     let mut rewritten = 0;
     for record in records {
-        if let Some(data) = field(record, "data") {
-            let HexBytes(bytes) = HexBytes::deserialize_value(data).expect("hex payload");
-            *data = bytes.serialize_value();
+        let Some(data) = field(record, "data") else {
+            held.push(Vec::new());
+            continue;
+        };
+        let (bytes, shared) = match Payload::deserialize_value(data).expect("payload") {
+            Payload::Inline(bytes) => (bytes, false),
+            Payload::Shared(holder) => (held[holder as usize].clone(), true),
+        };
+        if form == Legacy::Arrays || shared {
+            *data = match form {
+                Legacy::Arrays => bytes.serialize_value(),
+                Legacy::InlineHex => Payload::Inline(bytes.clone()).serialize_value(),
+            };
             rewritten += 1;
         }
+        held.push(bytes);
     }
     rewritten
 }
 
 /// Copies the workspace at `from` into a fresh directory, rewriting
 /// the checkpoint's payloads — and, with `journal`, every journaled
-/// execution's payloads, re-framed — into the legacy array form.
-fn legacy_copy(from: &Path, journal: bool) -> PathBuf {
+/// execution's payloads, re-framed — into `form`.
+fn legacy_copy(from: &Path, form: Legacy, journal: bool) -> PathBuf {
     let dir = temp_root("legacy");
     fs::create_dir_all(&dir).expect("mkdir");
     fs::copy(from.join("MANIFEST"), dir.join("MANIFEST")).expect("manifest");
@@ -339,9 +377,14 @@ fn legacy_copy(from: &Path, journal: bool) -> PathBuf {
             .expect("checkpoint parses");
     let history = field(&mut checkpoint, "history").expect("history");
     let instances = field(history, "instances").expect("instances");
-    assert!(legacy_payloads(instances) > 0, "checkpoint holds payloads");
+    let mut held = Vec::new();
+    let rewritten = legacy_payloads(instances, &mut held, form);
+    assert!(
+        form == Legacy::InlineHex || rewritten > 0,
+        "checkpoint holds payloads"
+    );
     let text = serde_json::to_string(&checkpoint).expect("serializes");
-    assert!(text.contains(r#""data":["#), "checkpoint rewritten");
+    assert_eq!(text.contains(r#""data":["#), form == Legacy::Arrays);
     fs::write(dir.join("checkpoint-0.json"), text).expect("write checkpoint");
 
     let frames = fs::read(from.join("journal-0.log")).expect("journal");
@@ -351,13 +394,13 @@ fn legacy_copy(from: &Path, journal: bool) -> PathBuf {
         for payload in scan_frames(&frames).payloads {
             let mut op: Value = serde_json::from_slice(&payload).expect("frame parses");
             if let Some(instances) = field(&mut op, "Exec").and_then(|e| field(e, "instances")) {
-                rewritten += legacy_payloads(instances);
+                rewritten += legacy_payloads(instances, &mut held, form);
             }
             out.extend(
                 encode_frame(&serde_json::to_vec(&op).expect("serializes")).expect("frames"),
             );
         }
-        assert!(rewritten > 0, "journaled executions hold payloads");
+        assert!(rewritten > 0, "journaled executions hold {form:?} rewrites");
         out
     } else {
         frames
@@ -366,9 +409,11 @@ fn legacy_copy(from: &Path, journal: bool) -> PathBuf {
     dir
 }
 
-/// Workspaces whose payloads are legacy integer arrays — in both the
-/// checkpoint and the journal, or in the checkpoint followed by
-/// hex-payload frames — open with the same history.
+/// Workspaces in older payload forms open with the same history and
+/// the same blob count: legacy integer arrays in both the checkpoint
+/// and the journal, a legacy checkpoint followed by frames with shared
+/// payloads, and hex payloads with every shared payload written out in
+/// full (the form written before shared payloads).
 #[test]
 fn legacy_array_payloads_open_with_the_same_history() {
     let root = temp_root("legacy-src");
@@ -395,21 +440,24 @@ fn legacy_array_payloads_open_with_the_same_history() {
             .collect()
     };
     let expected_payloads = payloads(ui.session());
+    let expected_blobs = ui.session().db().store().blob_count();
     drop(ui);
 
-    for journal in [true, false] {
-        let dir = legacy_copy(&root, journal);
+    for (form, journal) in [
+        (Legacy::Arrays, true),
+        (Legacy::Arrays, false),
+        (Legacy::InlineHex, true),
+    ] {
+        let dir = legacy_copy(&root, form, journal);
+        let case = format!("{form:?}, journal: {journal}");
         let (_ws, session, report) = Workspace::open_session(&dir, |s| odyssey_registry(s))
-            .unwrap_or_else(|e| panic!("legacy workspace (journal: {journal}) opens: {e}"));
-        assert_eq!(report.ops_replayed, 6, "journal: {journal}");
-        assert_eq!(report.bytes_discarded, 0, "journal: {journal}");
-        assert_eq!(
-            session.db().len(),
-            expected_payloads.len(),
-            "journal: {journal}"
-        );
-        assert_eq!(payloads(&session), expected_payloads, "journal: {journal}");
-        assert_eq!(SessionSpec::from_session(&session), expected);
+            .unwrap_or_else(|e| panic!("legacy workspace ({case}) opens: {e}"));
+        assert_eq!(report.ops_replayed, 6, "{case}");
+        assert_eq!(report.bytes_discarded, 0, "{case}");
+        assert_eq!(session.db().len(), expected_payloads.len(), "{case}");
+        assert_eq!(payloads(&session), expected_payloads, "{case}");
+        assert_eq!(session.db().store().blob_count(), expected_blobs, "{case}");
+        assert_eq!(SessionSpec::from_session(&session), expected, "{case}");
         fs::remove_dir_all(&dir).ok();
     }
     fs::remove_dir_all(&root).ok();

@@ -9,8 +9,12 @@
 //! version tree".
 
 use hercules::baseline::VersionTreeStore;
-use hercules::history::{Derivation, FlowTrace, HistoryDb, InstanceId, Metadata};
+use hercules::exec::EncapsulationRegistry;
+use hercules::history::{Derivation, FlowTrace, HistoryDb, InstanceId, Metadata, Payload};
 use hercules::schema::fixtures;
+use hercules::store::Workspace;
+use hercules::{Session, SessionSpec};
+use std::fs;
 use std::sync::Arc;
 
 /// Records the Fig. 11 scenario: c1 → c2 → {c3, c4 → c5} edited with a
@@ -110,12 +114,47 @@ fn shared_physical_data_across_versions() {
     let editor = ids[0];
     let blobs_before = db.store().blob_count();
     // A "new version" whose bytes are identical to c5's.
-    db.record_derived(
-        edited,
-        Metadata::by("jbb").named("c5-copy"),
-        b"c5",
-        Derivation::by_tool(editor, [ids[5]]),
-    )
-    .expect("records");
+    let copy = db
+        .record_derived(
+            edited,
+            Metadata::by("jbb").named("c5-copy"),
+            b"c5",
+            Derivation::by_tool(editor, [ids[5]]),
+        )
+        .expect("records");
     assert_eq!(db.store().blob_count(), blobs_before, "blob shared");
+    assert_eq!(db.shares_data_with(copy).expect("recorded"), Some(ids[5]));
+
+    // The sharing survives save → checkpoint → open: the checkpoint
+    // holds c5's bytes once and names c5 for the copy.
+    let root = std::env::temp_dir().join(format!("hercules-fig11-{}", std::process::id()));
+    let mut session = Session::new(schema, EncapsulationRegistry::default(), "jbb");
+    *session.db_mut() = db;
+    let mut ws = Workspace::create(&root, &session).expect("saves");
+    ws.checkpoint(&session).expect("checkpoints");
+    drop(ws);
+    let checkpoint = fs::read(root.join("checkpoint-1.json")).expect("checkpoint written");
+    let spec =
+        SessionSpec::from_json(std::str::from_utf8(&checkpoint).expect("UTF-8")).expect("parses");
+    let c5_bytes = Some(Payload::Inline(b"c5".to_vec()));
+    let records = &spec.history.instances;
+    assert_eq!(records.iter().filter(|i| i.data == c5_bytes).count(), 1);
+    assert_eq!(records[ids[5].raw() as usize].data, c5_bytes);
+    assert_eq!(
+        records[copy.raw() as usize].data,
+        Some(Payload::Shared(ids[5].raw()))
+    );
+
+    let (_ws, reopened, _) =
+        Workspace::open_session(&root, |_| EncapsulationRegistry::default()).expect("opens");
+    assert_eq!(reopened.db().store().blob_count(), blobs_before);
+    assert_eq!(
+        reopened.db().data_of(copy).expect("recorded"),
+        Some(&b"c5"[..])
+    );
+    assert_eq!(
+        reopened.db().shares_data_with(copy).expect("recorded"),
+        Some(ids[5])
+    );
+    fs::remove_dir_all(&root).ok();
 }

@@ -6,8 +6,8 @@
 use std::time::{Duration, Instant};
 
 use hercules::encaps::odyssey_registry;
-use hercules::history::{Derivation, Metadata};
-use hercules::store::{encode_frame, scan_frames, JournalOp};
+use hercules::history::{Derivation, InstanceSpec, Metadata, Payload, Timestamp};
+use hercules::store::{encode_frame, scan_frames, ExecSpec, JournalOp};
 use hercules::{FlowOp, Session, SessionSpec};
 use proptest::prelude::*;
 use serde::Value;
@@ -100,14 +100,13 @@ proptest! {
     }
 
     /// Serialize → parse → restore → re-capture is the identity on
-    /// session documents, over generated histories (arbitrary recorded
-    /// data, optional flow construction, optional unexpand tombstones).
+    /// session documents, over generated histories (recorded data drawn
+    /// from a small pool of arbitrary payloads, so cells share data;
+    /// optional flow construction; optional unexpand tombstones).
     #[test]
     fn session_documents_round_trip_over_generated_histories(
-        cells in prop::collection::vec(
-            (prop::collection::vec(0u8..=255, 0..32), 0u32..1000),
-            0..4,
-        ),
+        pool in prop::collection::vec(prop::collection::vec(0u8..=255, 0..32), 1..3),
+        cells in prop::collection::vec((0usize..4, 0u32..1000), 0..6),
         build_flow in prop::bool::ANY,
         unexpand in prop::bool::ANY,
     ) {
@@ -116,13 +115,13 @@ proptest! {
         let editor = schema.require("CircuitEditor").expect("known");
         let edited = schema.require("EditedNetlist").expect("known");
         let tool = session.db().instances_of(editor)[0];
-        for (data, tag) in &cells {
+        for (pick, tag) in &cells {
             session
                 .db_mut()
                 .record_derived(
                     edited,
                     Metadata::by("prop").named(&format!("cell-{tag}")),
-                    data,
+                    &pool[pick % pool.len()],
                     Derivation::by_tool(tool, []),
                 )
                 .expect("records");
@@ -150,13 +149,27 @@ proptest! {
             .restore(odyssey_registry(session.schema()))
             .expect("restores");
         prop_assert_eq!(SessionSpec::from_session(&restored), spec);
+        prop_assert_eq!(restored.db().store(), session.db().store());
     }
 
-    /// Journal operations survive serialize → frame → scan → parse.
+    /// Journal operations survive serialize → frame → scan → parse,
+    /// including executions whose records name earlier instances for
+    /// their payloads.
     #[test]
     fn journal_ops_round_trip_through_frames(
-        seeds in prop::collection::vec((0usize..6, 0u64..50, 0usize..10), 1..12),
+        seeds in prop::collection::vec((0usize..7, 0u64..50, 0usize..10), 1..12),
     ) {
+        let record = |data: Payload| InstanceSpec {
+            entity: "EditedNetlist".into(),
+            user: "prop".into(),
+            created: Timestamp(0),
+            name: String::new(),
+            comment: String::new(),
+            keywords: Vec::new(),
+            data: Some(data),
+            tool: Some(0),
+            inputs: Some(Vec::new()),
+        };
         let ops: Vec<JournalOp> = seeds
             .iter()
             .map(|&(kind, a, b)| match kind {
@@ -175,6 +188,15 @@ proptest! {
                     instances: vec![a, a + 1],
                 },
                 4 => JournalOp::BindLatest,
+                5 => JournalOp::Exec(ExecSpec {
+                    instances: vec![
+                        record(Payload::Inline(vec![b as u8; b])),
+                        record(Payload::Shared(a)),
+                        record(Payload::Shared(a + b as u64)),
+                    ],
+                    report: None,
+                    event: None,
+                }),
                 _ => JournalOp::StoreFlow {
                     name: format!("flow-{a}"),
                     description: format!("description {b}"),
