@@ -342,8 +342,10 @@ fn restore_checkpoint(
 /// HL0405–HL0408: every segment of the journal chain must exist; a
 /// tail may be torn (warn — recovery truncates or quarantines it);
 /// every checksummed frame must parse as a [`JournalOp`]; every parsed
-/// op must replay against the checkpoint. Returns the fully replayed
-/// session when everything is clean enough to keep linting.
+/// op must replay against the checkpoint, exactly as recovery replays
+/// it — a checkpoint's [`JournalOp::Snapshot`] frame replaces the
+/// session, and later frames replay against that. Returns the fully
+/// replayed session when everything is clean enough to keep linting.
 fn check_journal(
     root: &Path,
     env: &Env,

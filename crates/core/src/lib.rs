@@ -79,8 +79,8 @@ pub use error::HerculesError;
 pub use persist::{ExecReportSpec, FlowOp, SessionSpec, TaskActionSpec, TaskRecordSpec};
 pub use session::{Approach, ExecEvent, Session};
 pub use store::{
-    DegradedReason, JournalOp, RecoveryReport, ScrubReport, SegmentRecovery, SegmentScrub,
-    StoreError, Workspace, WriteState,
+    CheckpointKind, DegradedReason, JournalOp, RecoveryReport, ScrubReport, SegmentRecovery,
+    SegmentScrub, StoreError, Workspace, WriteState,
 };
 pub use telemetry::{
     read_postmortem, store_health, PostmortemRecord, PostmortemReport, SessionStamp,

@@ -10,12 +10,21 @@
 //!   and its checkpoint/journal files. Swapped atomically (temp file +
 //!   fsync + rename + directory fsync), so it always points at a valid
 //!   pair.
-//! - `checkpoint-N.json` — a full [`SessionSpec`] snapshot, written
-//!   atomically the same way. Never modified after the rename.
+//! - `checkpoint-N.json` — generation `N`'s base: a full
+//!   [`SessionSpec`] snapshot, written atomically the same way. Never
+//!   modified after the rename.
 //! - `journal-N.log` — an append-only sequence of frames, one per
 //!   mutating UI command since checkpoint `N`. Each append is followed
 //!   by `fsync` before the command's result is reported, so an
 //!   acknowledged command survives power loss.
+//!
+//! [`Workspace::checkpoint`] appends the session snapshot to the
+//! journal as one [`JournalOp::Snapshot`] frame — one `write` and one
+//! `fsync`. A new generation (checkpoint file, head segment, MANIFEST
+//! swap, old generation retired) starts only when the snapshot would
+//! leave the generation's files larger than [`ROTATE_FACTOR`] times
+//! itself, so `open` never reads more than that multiple of the
+//! session.
 //!
 //! # Frame format
 //!
@@ -54,13 +63,15 @@
 //!   never re-runs tools and cannot diverge on nondeterministic ones.
 //! - Only mutations made through [`Ui`](crate::ui::Ui) commands are
 //!   journaled. Direct [`Session::db_mut`] edits bypass the journal;
-//!   take a [`Workspace::checkpoint`] after making any.
+//!   take a [`Workspace::checkpoint`] after making any (its snapshot
+//!   captures the whole session).
 //!
 //! After reopening, [`Session::resume`] re-runs only the failed and
 //! skipped subtasks of an interrupted partial execution, serving the
 //! already committed ones from the design history as cache hits.
 
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -125,8 +136,21 @@ pub struct FrameScan {
 /// torn (length past end-of-buffer) or corrupt (checksum mismatch)
 /// frame. Never panics: any byte sequence yields a valid prefix.
 pub fn scan_frames(buf: &[u8]) -> FrameScan {
-    let mut payloads = Vec::new();
-    let mut offsets = Vec::new();
+    let frames = frame_payloads(buf);
+    let valid_len = frames.last().map_or(0, |payload| payload.end);
+    FrameScan {
+        payloads: frames.iter().map(|p| buf[p.clone()].to_vec()).collect(),
+        offsets: frames.iter().map(|p| p.end).collect(),
+        valid_len,
+        trailing: buf.len() - valid_len,
+    }
+}
+
+/// [`scan_frames`] without the copies: the byte range of each valid
+/// frame's payload within `buf`, in order. A frame ends where its
+/// payload does.
+fn frame_payloads(buf: &[u8]) -> Vec<Range<usize>> {
+    let mut frames = Vec::new();
     let mut pos = 0usize;
     while buf.len() - pos >= 8 {
         let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]) as usize;
@@ -134,20 +158,14 @@ pub fn scan_frames(buf: &[u8]) -> FrameScan {
         if len > buf.len() - pos - 8 {
             break; // torn: the frame was not fully written
         }
-        let payload = &buf[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
+        let payload = pos + 8..pos + 8 + len;
+        if crc32(&buf[payload.clone()]) != crc {
             break; // corrupt: bit rot or a torn overwrite
         }
-        payloads.push(payload.to_vec());
-        pos += 8 + len;
-        offsets.push(pos);
+        pos = payload.end;
+        frames.push(payload);
     }
-    FrameScan {
-        payloads,
-        offsets,
-        valid_len: pos,
-        trailing: buf.len() - pos,
-    }
+    frames
 }
 
 // ---------------------------------------------------------------------
@@ -317,6 +335,11 @@ pub enum JournalOp {
     Clear,
     /// An execution's committed effects (extensional).
     Exec(ExecSpec),
+    /// A whole-session snapshot appended by [`Workspace::checkpoint`]:
+    /// the same document as `checkpoint-N.json`, so its shared payloads
+    /// name earlier records of this snapshot. The state after it equals
+    /// the state before it.
+    Snapshot(Box<SessionSpec>),
 }
 
 impl JournalOp {
@@ -358,8 +381,72 @@ impl JournalOp {
                     session.push_event(event.clone());
                 }
             }
+            JournalOp::Snapshot(spec) => {
+                let registry = session.executor_mut().registry().clone();
+                *session = spec.restore(registry)?;
+            }
         }
         Ok(())
+    }
+}
+
+/// How many times the newest snapshot a generation's files may hold
+/// before a checkpoint rotates instead of appending. An appended
+/// snapshot supersedes everything before it, yet the next `open` still
+/// reads and replays the whole generation, so the factor trades
+/// open-time work and disk space for checkpoint-time syncs: at 4, about
+/// three appended snapshots of one sync each share a rotation's five
+/// syncs, while `open` reads, and the directory keeps, at most four
+/// snapshots' worth. A constant, not a setting.
+const ROTATE_FACTOR: u64 = 4;
+
+/// The frame payload of a [`JournalOp::Snapshot`] wraps the checkpoint
+/// document in this prefix and a closing brace: the variant's JSON.
+const SNAPSHOT_PREFIX: &str = "{\"Snapshot\":";
+
+/// A session snapshot encoded once, as the journal frame a checkpoint
+/// appends. The checkpoint document sits inside the frame, so a
+/// rotation writes the same bytes to `checkpoint-N.json` without
+/// encoding or copying them again.
+struct SnapshotFrame {
+    /// Frame header, then the payload.
+    bytes: Vec<u8>,
+    /// `false` when the payload exceeds the frame limit: the header is
+    /// left blank and only a rotation can make the snapshot durable.
+    framed: bool,
+}
+
+impl SnapshotFrame {
+    fn encode(session: &Session) -> Result<SnapshotFrame, StoreError> {
+        let spec = SessionSpec::from_session(session);
+        // Eight placeholder bytes for the frame header, filled in below
+        // once the payload's length is known.
+        let mut text = String::from("\0\0\0\0\0\0\0\0");
+        text.push_str(SNAPSHOT_PREFIX);
+        serde_json::to_string_into(&mut text, &spec)?;
+        drop(spec);
+        text.push('}');
+        let mut bytes = text.into_bytes();
+        let len = frame_len(bytes.len() - 8);
+        if let Ok(len) = len {
+            let crc = crc32(&bytes[8..]);
+            bytes[..4].copy_from_slice(&len.to_le_bytes());
+            bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+        }
+        Ok(SnapshotFrame {
+            bytes,
+            framed: len.is_ok(),
+        })
+    }
+
+    /// The whole frame, or `None` when it exceeds the frame limit.
+    fn frame(&self) -> Option<&[u8]> {
+        self.framed.then_some(&self.bytes[..])
+    }
+
+    /// The checkpoint document: the [`SessionSpec`] JSON.
+    fn document(&self) -> &[u8] {
+        &self.bytes[8 + SNAPSHOT_PREFIX.len()..self.bytes.len() - 1]
     }
 }
 
@@ -498,6 +585,17 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
+/// How [`Workspace::checkpoint`] made its snapshot durable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckpointKind {
+    /// Appended to the current generation's journal as a
+    /// [`JournalOp::Snapshot`] frame.
+    Appended,
+    /// Written as the base checkpoint of a new generation, retiring
+    /// the old one.
+    Rotated,
+}
+
 /// Per-segment result of a [`Workspace::scrub`] pass.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SegmentScrub {
@@ -579,11 +677,11 @@ impl fmt::Display for ScrubReport {
 // The workspace.
 // ---------------------------------------------------------------------
 
-/// Writes `name` under `dir` atomically: temp file, fsync, rename,
-/// directory fsync. Readers see either the old file or the new one,
-/// never a torn mixture. All I/O goes through `fs`, so under
-/// simulation a crash can land between any two of these steps.
-fn write_atomic(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+/// Writes `bytes` to `name.tmp` under `dir`, fsyncs it, and renames it
+/// over `name`. The rename is durable only after a later directory
+/// fsync; [`write_atomic`] issues it at once, [`start_generation`]
+/// shares it with the new head segment.
+fn replace_file(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
     let tmp = dir.join(format!("{name}.tmp"));
     {
         let mut f = fs.create_truncate(&tmp)?;
@@ -591,8 +689,27 @@ fn write_atomic(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<(), Sto
         f.sync_all()?;
     }
     fs.rename(&tmp, &dir.join(name))?;
+    Ok(())
+}
+
+/// Writes `name` under `dir` atomically: temp file, fsync, rename,
+/// directory fsync. Readers see either the old file or the new one,
+/// never a torn mixture. All I/O goes through `fs`, so under
+/// simulation a crash can land between any two of these steps.
+fn write_atomic(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+    replace_file(fs, dir, name, bytes)?;
     fs.sync_dir(dir)?;
     Ok(())
+}
+
+/// Creates the empty journal segment `name` under `dir` and makes its
+/// contents durable, returning its write handle. Its directory entry
+/// is durable only after a later directory fsync (see
+/// [`create_segment`]).
+fn create_empty_segment(fs: &Fs, dir: &Path, name: &str) -> Result<Box<dyn FsFile>, StoreError> {
+    let mut file = fs.create_truncate(&dir.join(name))?;
+    file.sync_all()?;
+    Ok(file)
 }
 
 /// Creates the empty journal segment `name` under `dir` and makes it
@@ -601,10 +718,42 @@ fn write_atomic(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<(), Sto
 /// crash can keep the manifest swap but lose the segment, leaving a
 /// manifest that points at nothing.
 fn create_segment(fs: &Fs, dir: &Path, name: &str) -> Result<Box<dyn FsFile>, StoreError> {
-    let mut file = fs.create_truncate(&dir.join(name))?;
-    file.sync_all()?;
+    let file = create_empty_segment(fs, dir, name)?;
     fs.sync_dir(dir)?;
     Ok(file)
+}
+
+/// Starts generation `generation` under `dir`: writes its base
+/// `checkpoint-N.json` holding `document` and its empty head segment
+/// `journal-N.log`, makes both directory entries durable with one
+/// directory fsync, then swaps in the MANIFEST naming them under
+/// `fencing_token`. Returns the head segment's write handle. A crash
+/// anywhere before the MANIFEST rename leaves the previous MANIFEST,
+/// and every file it names, untouched.
+fn start_generation(
+    fs: &Fs,
+    dir: &Path,
+    generation: u64,
+    document: &[u8],
+    fencing_token: u64,
+) -> Result<Box<dyn FsFile>, StoreError> {
+    let checkpoint = checkpoint_name(generation);
+    replace_file(fs, dir, &checkpoint, document)?;
+    let head = journal_name(generation);
+    let journal = create_empty_segment(fs, dir, &head)?;
+    fs.sync_dir(dir)?;
+    publish_manifest(fs, dir, generation, &checkpoint, &[head], fencing_token)?;
+    Ok(journal)
+}
+
+/// Deletes the files of a generation a MANIFEST swap just retired: its
+/// checkpoint and every journal segment, but never quarantine files.
+/// Best-effort — a crash or error here leaves harmless orphans.
+fn retire_generation(fs: &Fs, dir: &Path, generation: u64, segments: &[String]) {
+    let _ = fs.remove_file(&dir.join(checkpoint_name(generation)));
+    for segment in segments {
+        let _ = fs.remove_file(&dir.join(segment));
+    }
 }
 
 /// Atomically swaps in the MANIFEST naming `checkpoint` and the
@@ -753,12 +902,13 @@ fn count_resync_frames(buf: &[u8]) -> usize {
     let mut count = 0;
     let mut pos = 0;
     while pos + 8 <= buf.len() {
-        let scan = scan_frames(&buf[pos..]);
-        if scan.payloads.is_empty() {
-            pos += 1;
-        } else {
-            count += scan.payloads.len();
-            pos += scan.valid_len.max(1);
+        let frames = frame_payloads(&buf[pos..]);
+        match frames.last() {
+            None => pos += 1,
+            Some(last) => {
+                count += frames.len();
+                pos += last.end.max(1);
+            }
         }
     }
     count
@@ -774,10 +924,15 @@ fn has_resync_frame(buf: &[u8]) -> bool {
 }
 
 /// Replays frames that already replayed once onto the same state, when
-/// recovery rebuilds a session after a later frame failed.
-fn replay_again(session: &mut Session, payloads: &[Vec<u8>]) -> Result<(), StoreError> {
+/// recovery rebuilds a session after a later frame failed: the
+/// `payloads` ranges of `buf`.
+fn replay_again(
+    session: &mut Session,
+    buf: &[u8],
+    payloads: &[Range<usize>],
+) -> Result<(), StoreError> {
     for payload in payloads {
-        serde_json::from_slice::<JournalOp>(payload)?.replay(session)?;
+        serde_json::from_slice::<JournalOp>(&buf[payload.clone()])?.replay(session)?;
     }
     Ok(())
 }
@@ -800,6 +955,11 @@ pub struct Workspace {
     /// Bytes appended to the active segment so far, pending ones
     /// included.
     active_len: u64,
+    /// Bytes of the current generation's files — its checkpoint plus
+    /// every segment, pending frames included. A checkpoint rotates
+    /// once keeping its snapshot would take this past
+    /// [`ROTATE_FACTOR`] times the snapshot.
+    generation_bytes: u64,
     /// Roll the active segment once it reaches this size.
     segment_max_bytes: u64,
     metrics: Metrics,
@@ -836,9 +996,12 @@ impl fmt::Debug for Workspace {
 }
 
 impl Workspace {
-    /// Creates a fresh workspace at `root` (the directory is created if
-    /// missing) holding a generation-0 checkpoint of `session` and an
-    /// empty journal, in the real environment.
+    /// Creates a workspace at `root` (the directory is created if
+    /// missing) holding a checkpoint of `session` and an empty journal,
+    /// in the real environment. A fresh directory starts at generation
+    /// 0; over an existing workspace the new session becomes the
+    /// generation after the current one, which is then retired, so a
+    /// crash mid-create recovers one session or the other, never a mix.
     ///
     /// # Errors
     ///
@@ -869,27 +1032,36 @@ impl Workspace {
                 }));
             }
         }
-        let prior_token = read_manifest(&env.fs, root)
-            .map(|m| m.fencing_token)
-            .unwrap_or(0)
-            .max(prior_lease.map(|l| l.token).unwrap_or(0));
+        // Never write a file the current MANIFEST names: a crash
+        // mid-create would otherwise pair this session's checkpoint
+        // with the old journal. Start the generation after it instead,
+        // and retire the old one once the MANIFEST swap is durable.
+        let prior = read_manifest(&env.fs, root);
+        let prior_token = prior
+            .as_ref()
+            .map_or(0, |m| m.fencing_token)
+            .max(prior_lease.map_or(0, |l| l.token));
         let token = prior_token + 1;
-        let spec = SessionSpec::from_session(session);
-        let json = spec.to_json().map_err(StoreError::from)?;
-        write_atomic(&env.fs, root, &checkpoint_name(0), json.as_bytes())?;
-        let segments = vec![journal_name(0)];
-        let journal = create_segment(&env.fs, root, &segments[0])?;
-        publish_manifest(&env.fs, root, 0, &checkpoint_name(0), &segments, token)?;
+        let generation = prior.as_ref().map_or(0, |m| m.generation + 1);
+        let json = SessionSpec::from_session(session)
+            .to_json()
+            .map_err(StoreError::from)?;
+        let journal = start_generation(&env.fs, root, generation, json.as_bytes(), token)?;
+        if let Some(old) = &prior {
+            retire_generation(&env.fs, root, old.generation, &old.effective_segments());
+        }
         let expires = now_ms + DEFAULT_LEASE_MS;
         write_lease(&env.fs, root, DEFAULT_OWNER, expires, token)?;
+        let segments = vec![journal_name(generation)];
         Ok(Workspace {
             root: root.to_owned(),
-            generation: 0,
+            generation,
             journal: Some(journal),
             journal_path: root.join(&segments[0]),
             segments,
             pending: Vec::new(),
             active_len: 0,
+            generation_bytes: json.len() as u64,
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
             metrics: Metrics::disabled(),
             env,
@@ -991,11 +1163,13 @@ impl Workspace {
         let writable = degraded_reason.is_none();
 
         let checkpoint_bytes = env.fs.read(&root.join(&manifest.checkpoint))?;
+        let checkpoint_len = checkpoint_bytes.len() as u64;
         let spec = serde_json::from_slice::<SessionSpec>(&checkpoint_bytes).map_err(|e| {
             StoreError::Corrupt {
                 detail: format!("{}: {e}", manifest.checkpoint),
             }
         })?;
+        drop(checkpoint_bytes);
         let mut session = spec.restore_with(registry_for)?;
 
         // Scan and replay the segment chain in order; the first frame
@@ -1036,10 +1210,10 @@ impl Workspace {
                     break;
                 }
             };
-            let scan = scan_frames(&buf);
+            let frames = frame_payloads(&buf);
             let mut replayed_here = 0usize;
-            for payload in &scan.payloads {
-                let Ok(op) = serde_json::from_slice::<JournalOp>(payload) else {
+            for payload in &frames {
+                let Ok(op) = serde_json::from_slice::<JournalOp>(&buf[payload.clone()]) else {
                     break;
                 };
                 if op.replay(&mut session).is_err() {
@@ -1052,15 +1226,15 @@ impl Workspace {
                     session = spec.restore(registry)?;
                     for (k, earlier) in seg_reports.iter().enumerate() {
                         let buf = env.fs.read(&root.join(&segments[k]))?;
-                        let frames = scan_frames(&buf).payloads;
-                        replay_again(&mut session, &frames[..earlier.frames_replayed])?;
+                        let frames = frame_payloads(&buf);
+                        replay_again(&mut session, &buf, &frames[..earlier.frames_replayed])?;
                     }
-                    replay_again(&mut session, &scan.payloads[..replayed_here])?;
+                    replay_again(&mut session, &buf, &frames[..replayed_here])?;
                     break;
                 }
                 replayed_here += 1;
             }
-            let keep = replayed_here.checked_sub(1).map_or(0, |j| scan.offsets[j]);
+            let keep = replayed_here.checked_sub(1).map_or(0, |j| frames[j].end);
             ops_replayed += replayed_here;
             let trailing = buf.len() - keep;
             seg_reports.push(SegmentRecovery {
@@ -1149,6 +1323,16 @@ impl Workspace {
             }
         }
 
+        // The generation's files as they now stand: the checkpoint plus
+        // every kept segment's valid prefix (a repaired chain's damage
+        // was truncated or moved aside above).
+        let generation_bytes = checkpoint_len
+            + seg_reports
+                .iter()
+                .filter(|s| kept_segments.contains(&s.name))
+                .map(|s| s.bytes_kept)
+                .sum::<u64>();
+
         let mut token = manifest.fencing_token;
         if writable {
             // Acquire the lease: bump the fencing token past everything
@@ -1206,6 +1390,7 @@ impl Workspace {
             segments: kept_segments,
             pending: Vec::new(),
             active_len,
+            generation_bytes,
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
             metrics: Metrics::disabled(),
             env,
@@ -1287,8 +1472,9 @@ impl Workspace {
     /// Installs a metrics registry; subsequent [`append`] and
     /// [`checkpoint`] calls record durability metrics into it
     /// (`store.append_bytes`, `store.fsync_ns`, `store.checkpoint_bytes`,
-    /// `store.checkpoints`). Pass [`Session::metrics`]'s handle to share
-    /// one registry across execution and storage.
+    /// `store.checkpoints`, `store.rotations`). Pass
+    /// [`Session::metrics`]'s handle to share one registry across
+    /// execution and storage.
     ///
     /// [`append`]: Workspace::append
     /// [`checkpoint`]: Workspace::checkpoint
@@ -1331,14 +1517,20 @@ impl Workspace {
         let frame = encode_frame(&serde_json::to_vec(op)?)?;
         self.metrics
             .observe("store.append_bytes", frame.len() as u64);
+        self.defer_frame(frame);
+        Ok(())
+    }
+
+    /// Queues an encoded frame for the next flush.
+    fn defer_frame(&mut self, frame: Vec<u8>) {
         self.active_len += frame.len() as u64;
+        self.generation_bytes += frame.len() as u64;
         if self.pending.is_empty() {
             // One frame per sync is the common case: no copy.
             self.pending = frame;
         } else {
             self.pending.extend_from_slice(&frame);
         }
-        Ok(())
     }
 
     /// Makes every pending frame durable with one `write` and one
@@ -1508,67 +1700,88 @@ impl Workspace {
         }
     }
 
-    /// Takes a new checkpoint of `session` and rotates the journal:
-    /// writes `checkpoint-(N+1)` atomically, starts an empty
-    /// `journal-(N+1)`, swaps the manifest, then deletes the old
-    /// generation's files (best-effort — a crash between the manifest
-    /// swap and the deletes leaves harmless orphans).
+    /// Takes a checkpoint of `session`: encodes its snapshot once and
+    /// makes it durable by the cheaper of two routes.
+    ///
+    /// - **Append** (the common case): the snapshot becomes one
+    ///   [`JournalOp::Snapshot`] frame of the active segment, written
+    ///   and fsynced through the journal's one write path together with
+    ///   any deferred frames — one `write`, one `fdatasync`.
+    /// - **Rotate**, when keeping the snapshot would leave the
+    ///   generation's files larger than [`ROTATE_FACTOR`] times it (or
+    ///   the snapshot exceeds the frame limit), or when the handle is
+    ///   poisoned: writes `checkpoint-(N+1)` and starts an empty
+    ///   `journal-(N+1)` under one directory fsync, swaps the manifest,
+    ///   then deletes the old generation's files (best-effort — a crash
+    ///   between the manifest swap and the deletes leaves harmless
+    ///   orphans).
+    ///
+    /// Either way, after a checkpoint the generation's files hold at
+    /// most [`ROTATE_FACTOR`] times the newest snapshot, plus the frames
+    /// appended since.
     ///
     /// # Errors
     ///
-    /// I/O and serialization errors; on error the old generation is
-    /// still intact and current.
-    pub fn checkpoint(&mut self, session: &Session) -> Result<(), StoreError> {
+    /// I/O and serialization errors, or a lost lease
+    /// ([`StoreError::Degraded`]). An append that fails poisons the
+    /// handle like any failed journal write; a rotation that fails
+    /// leaves the old generation intact and current.
+    pub fn checkpoint(&mut self, session: &Session) -> Result<CheckpointKind, StoreError> {
         self.check_writable()?;
+        let snapshot = SnapshotFrame::encode(session)?;
+        let appends = self.poisoned.is_none()
+            && snapshot.frame().is_some_and(|frame| {
+                let len = frame.len() as u64;
+                self.generation_bytes + len <= ROTATE_FACTOR * len
+            });
+        if !appends {
+            self.rotate(&snapshot)?;
+            return Ok(CheckpointKind::Rotated);
+        }
+        let document = snapshot.document().len() as u64;
+        self.defer_frame(snapshot.bytes);
+        self.sync()?;
+        self.record_checkpoint(document);
+        Ok(CheckpointKind::Appended)
+    }
+
+    /// Makes `snapshot` the base of a new generation: flushes the
+    /// pending frames into the old one, starts the next generation
+    /// from the snapshot's checkpoint document, and retires the old
+    /// generation once the MANIFEST swap is durable.
+    fn rotate(&mut self, snapshot: &SnapshotFrame) -> Result<(), StoreError> {
         // Pending frames belong to the old generation, which stays
-        // current until the manifest swap below.
+        // current until the manifest swap.
         self.flush()?;
         let next = self.generation + 1;
-        let spec = SessionSpec::from_session(session);
-        let json = spec.to_json().map_err(StoreError::from)?;
-        write_atomic(
-            &self.env.fs,
-            &self.root,
-            &checkpoint_name(next),
-            json.as_bytes(),
-        )?;
-        let segments = vec![journal_name(next)];
-        let next_journal = create_segment(&self.env.fs, &self.root, &segments[0])?;
-        publish_manifest(
-            &self.env.fs,
-            &self.root,
-            next,
-            &checkpoint_name(next),
-            &segments,
-            self.token,
-        )?;
-        // The swap is durable; retire the previous generation — every
-        // segment of it, but never quarantine files.
-        let _ = self
-            .env
-            .fs
-            .remove_file(&self.root.join(checkpoint_name(self.generation)));
-        for segment in &self.segments {
-            let _ = self.env.fs.remove_file(&self.root.join(segment));
-        }
+        let document = snapshot.document();
+        let journal = start_generation(&self.env.fs, &self.root, next, document, self.token)?;
+        retire_generation(&self.env.fs, &self.root, self.generation, &self.segments);
         self.generation = next;
-        self.journal = Some(next_journal);
-        self.journal_path = self.root.join(&segments[0]);
-        self.segments = segments;
+        self.journal = Some(journal);
+        self.segments = vec![journal_name(next)];
+        self.journal_path = self.root.join(&self.segments[0]);
         self.active_len = 0;
-        self.metrics.incr("store.checkpoints", 1);
-        self.metrics
-            .observe("store.checkpoint_bytes", json.len() as u64);
+        self.generation_bytes = document.len() as u64;
+        self.metrics.incr(names::STORE_ROTATIONS, 1);
+        self.record_checkpoint(document.len() as u64);
         Ok(())
+    }
+
+    /// Counts one completed checkpoint of a `document`-byte snapshot.
+    fn record_checkpoint(&self, document: u64) {
+        self.metrics.incr(names::STORE_CHECKPOINTS, 1);
+        self.metrics.observe("store.checkpoint_bytes", document);
     }
 
     /// Verifies every byte of the store — the checkpoint snapshot and
     /// every frame of every journal segment — and, when writable,
     /// repairs any damage found: damaged regions and unreadable
     /// segments are quarantined aside (never silently dropped), then
-    /// the live `session` is checkpointed so the store re-baselines
-    /// onto known-good files. In degraded mode the scan still runs but
-    /// nothing is mutated (`repaired` stays `false`).
+    /// the store rotates to a new generation checkpointed from the live
+    /// `session`, re-baselining onto known-good files. In degraded mode
+    /// the scan still runs but nothing is mutated (`repaired` stays
+    /// `false`).
     ///
     /// The live session supersedes everything journaled — every
     /// acknowledged operation is already applied to it — so the
@@ -1605,13 +1818,14 @@ impl Workspace {
                 Ok(buf) => {
                     self.metrics
                         .incr(names::STORE_SCRUB_BYTES, buf.len() as u64);
-                    let scan = scan_frames(&buf);
-                    let trailing = (buf.len() - scan.valid_len) as u64;
+                    let frames = frame_payloads(&buf);
+                    let valid_len = frames.last().map_or(0, |payload| payload.end);
+                    let trailing = (buf.len() - valid_len) as u64;
                     damaged |= trailing > 0;
                     segments.push(SegmentScrub {
                         name,
-                        frames_ok: scan.payloads.len(),
-                        bytes_ok: scan.valid_len as u64,
+                        frames_ok: frames.len(),
+                        bytes_ok: valid_len as u64,
                         damaged_bytes: trailing,
                         readable: true,
                         quarantined_as: Vec::new(),
@@ -1655,8 +1869,10 @@ impl Workspace {
                 }
             }
             // The live session holds every acknowledged operation, so a
-            // fresh checkpoint re-baselines without loss.
-            self.checkpoint(session)?;
+            // fresh generation re-baselines without loss — and retires
+            // the damaged files, which an appended snapshot would not.
+            self.check_writable()?;
+            self.rotate(&SnapshotFrame::encode(session)?)?;
             repaired = true;
         }
         if damaged {
@@ -1912,6 +2128,17 @@ mod tests {
         assert_failed_frame_leaves_no_trace("forward-reference", forward);
     }
 
+    /// Checkpoints `session` until one rotates; returns how many
+    /// appended a snapshot first.
+    fn checkpoint_until_rotation(ws: &mut Workspace, session: &Session) -> usize {
+        let mut appended = 0;
+        while ws.checkpoint(session).expect("checkpoints") == CheckpointKind::Appended {
+            appended += 1;
+            assert!(appended < 8, "a rotation is due within a few snapshots");
+        }
+        appended
+    }
+
     #[test]
     fn checkpoint_rotates_generations() {
         let root = temp_root("rotate");
@@ -1922,7 +2149,8 @@ mod tests {
             entity: "Layout".into(),
         }))
         .expect("appends");
-        ws.checkpoint(&session).expect("rotates");
+        let appended = checkpoint_until_rotation(&mut ws, &session);
+        assert!(appended > 0, "the first checkpoints append snapshots");
         assert_eq!(ws.generation(), 1);
         assert!(!root.join(checkpoint_name(0)).exists());
         assert!(!root.join(journal_name(0)).exists());
@@ -1938,6 +2166,116 @@ mod tests {
     }
 
     #[test]
+    fn appended_snapshots_reopen_to_the_checkpointed_session() {
+        let root = temp_root("snapshot");
+        let mut session = Session::odyssey("jbb");
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        // A direct edit bypasses the journal; the snapshot captures it.
+        netlist_record(Payload::Inline(b"direct".to_vec()))
+            .replay(session.db_mut())
+            .expect("records");
+        session.start_from_goal("Layout").expect("starts");
+        assert_eq!(
+            ws.checkpoint(&session).expect("checkpoints"),
+            CheckpointKind::Appended
+        );
+        assert_eq!(
+            ws.generation(),
+            0,
+            "an appended snapshot keeps the generation"
+        );
+        ws.append(&seed_op(1)).expect("appends after the snapshot");
+        seed_op(1).replay(&mut session).expect("replays");
+        drop(ws);
+
+        let (_ws, restored, report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("reopens");
+        assert_eq!(report.ops_replayed, 2, "the snapshot is one operation");
+        assert_eq!(
+            SessionSpec::from_session(&restored),
+            SessionSpec::from_session(&session)
+        );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn the_snapshot_frame_is_the_encoded_operation_around_the_checkpoint_document() {
+        let mut session = Session::odyssey("jbb");
+        session.start_from_goal("Layout").expect("starts");
+        let spec = SessionSpec::from_session(&session);
+        let snapshot = SnapshotFrame::encode(&session).expect("encodes");
+        let op = JournalOp::Snapshot(Box::new(spec.clone()));
+        let payload = serde_json::to_vec(&op).expect("serializes");
+        assert_eq!(
+            snapshot.frame().expect("fits a frame"),
+            encode_frame(&payload).expect("frames")
+        );
+        assert_eq!(
+            snapshot.document(),
+            spec.to_json().expect("serializes").as_bytes()
+        );
+        let scan = scan_frames(snapshot.frame().expect("fits a frame"));
+        let parsed: JournalOp = serde_json::from_slice(&scan.payloads[0]).expect("parses");
+        assert_eq!(parsed, op);
+    }
+
+    /// The generation's files on disk: its checkpoint plus every
+    /// segment.
+    fn generation_disk_bytes(ws: &Workspace) -> u64 {
+        let checkpoint = fs::metadata(ws.root.join(checkpoint_name(ws.generation)))
+            .expect("checkpoint exists")
+            .len();
+        let segments: u64 = ws
+            .segments
+            .iter()
+            .map(|name| fs::metadata(ws.root.join(name)).expect("segment").len())
+            .sum();
+        checkpoint + segments
+    }
+
+    #[test]
+    fn generation_files_stay_within_the_rotate_factor_of_the_newest_snapshot() {
+        let root = temp_root("bound");
+        let mut session = Session::odyssey("jbb");
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        let mut kinds = Vec::new();
+        for k in 0..12u8 {
+            // The history grows by one payload per checkpoint, and a
+            // journaled frame lands between checkpoints.
+            let record = netlist_record(Payload::Inline(vec![k; 64 * (usize::from(k) + 1)]));
+            let op = exec_op(vec![record]);
+            op.replay(&mut session).expect("replays");
+            ws.append(&op).expect("appends");
+            kinds.push(ws.checkpoint(&session).expect("checkpoints"));
+            let newest = SnapshotFrame::encode(&session).expect("encodes");
+            let frame = newest.frame().expect("fits a frame").len() as u64;
+            let on_disk = generation_disk_bytes(&ws);
+            assert_eq!(on_disk, ws.generation_bytes, "checkpoint {k}: bookkeeping");
+            assert!(
+                on_disk <= ROTATE_FACTOR * frame,
+                "checkpoint {k}: {on_disk} bytes over {ROTATE_FACTOR}x the {frame}-byte snapshot"
+            );
+        }
+        assert!(kinds.contains(&CheckpointKind::Appended));
+        assert!(kinds.contains(&CheckpointKind::Rotated));
+        drop(ws);
+        let (ws, restored, _report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("reopens");
+        assert_eq!(
+            SessionSpec::from_session(&restored),
+            SessionSpec::from_session(&session)
+        );
+        assert_eq!(
+            generation_disk_bytes(&ws),
+            ws.generation_bytes,
+            "open counts it too"
+        );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn workspace_records_durability_metrics() {
         let root = temp_root("metrics");
         let session = Session::odyssey("jbb");
@@ -1948,14 +2286,16 @@ mod tests {
             entity: "Layout".into(),
         }))
         .expect("appends");
-        ws.checkpoint(&session).expect("rotates");
+        ws.checkpoint(&session).expect("appends a snapshot");
 
         let snap = metrics.snapshot();
         let fsync = snap.histograms.get("store.fsync_ns").expect("fsync");
-        assert_eq!(fsync.count, 1);
+        assert_eq!(fsync.count, 2, "the append's fsync and the snapshot's");
         let bytes = snap.histograms.get("store.append_bytes").expect("bytes");
         assert!(bytes.sum > 8, "a frame is header + payload");
-        assert_eq!(snap.counters.get("store.checkpoints"), Some(&1));
+        assert_eq!(bytes.count, 1, "a snapshot is not an operation append");
+        assert_eq!(snap.counters.get(names::STORE_CHECKPOINTS), Some(&1));
+        assert_eq!(snap.counters.get(names::STORE_ROTATIONS), None);
         assert!(
             snap.histograms
                 .get("store.checkpoint_bytes")
@@ -1963,6 +2303,19 @@ mod tests {
                 .sum
                 > 0
         );
+
+        let appended = checkpoint_until_rotation(&mut ws, &session);
+        let snap = metrics.snapshot();
+        assert_eq!(
+            snap.histograms["store.fsync_ns"].count,
+            2 + appended as u64,
+            "a rotation issues no journal fsync"
+        );
+        assert_eq!(
+            snap.counters.get(names::STORE_CHECKPOINTS),
+            Some(&(2 + appended as u64))
+        );
+        assert_eq!(snap.counters.get(names::STORE_ROTATIONS), Some(&1));
         fs::remove_dir_all(&root).ok();
     }
 
@@ -2025,7 +2378,7 @@ mod tests {
         ws.append(&seed_op(5)).expect("appends");
         // Later frames land in the rotated journal.
         session.start_from_goal("Layout").expect("starts");
-        ws.checkpoint(&session).expect("rotates");
+        checkpoint_until_rotation(&mut ws, &session);
         ws.append(&seed_op(6)).expect("appends post-rotation");
         drop(ws);
 
@@ -2140,9 +2493,13 @@ mod tests {
         for n in 0..3 {
             ws.append(&seed_op(n)).expect("appends");
         }
-        let old: Vec<String> = ws.segments().to_vec();
+        let mut old: Vec<String> = ws.segments().to_vec();
         assert!(old.len() > 1);
-        ws.checkpoint(&session).expect("rotates");
+        while ws.checkpoint(&session).expect("checkpoints") == CheckpointKind::Appended {
+            // Each appended snapshot rolls another segment.
+            assert!(ws.segments().len() > old.len());
+            old = ws.segments().to_vec();
+        }
         for name in &old {
             assert!(!root.join(name).exists(), "{name} was retired");
         }
@@ -2387,6 +2744,32 @@ mod tests {
         assert!(err.to_string().contains("injected fsync failure"));
         let err = ws.close().expect_err("close surfaces the poison");
         assert!(err.to_string().contains("injected fsync failure"));
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_poisoned_handle_checkpoints_by_rotating() {
+        let root = temp_root("poisoned-checkpoint");
+        let mut session = Session::odyssey("jbb");
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        ws.set_journal_for_tests(Box::new(FailingFile));
+        ws.append(&seed_op(0)).expect_err("the fsync fails");
+        // The torn tail may hide anything appended behind it, so the
+        // snapshot goes to a fresh generation instead.
+        session.start_from_goal("Layout").expect("starts");
+        assert_eq!(
+            ws.checkpoint(&session).expect("rotates"),
+            CheckpointKind::Rotated
+        );
+        drop(ws);
+        let (_ws, restored, report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("reopens");
+        assert_eq!(report.generation, 1);
+        assert_eq!(
+            SessionSpec::from_session(&restored),
+            SessionSpec::from_session(&session)
+        );
         fs::remove_dir_all(&root).ok();
     }
 

@@ -26,7 +26,9 @@ use crate::catalog;
 use crate::error::HerculesError;
 use crate::persist::ExecReportSpec;
 use crate::session::{Approach, Session};
-use crate::store::{ExecSpec, JournalOp, RecoveryReport, StoreError, Workspace, WriteState};
+use crate::store::{
+    CheckpointKind, ExecSpec, JournalOp, RecoveryReport, StoreError, Workspace, WriteState,
+};
 use crate::telemetry::{self, SessionStamp, TelemetryWriter};
 
 /// One parsed UI command.
@@ -92,7 +94,8 @@ pub enum Command {
     /// `open <dir>` — recover the session from a durable workspace
     /// (replaying its journal, truncating any torn tail).
     Open(String),
-    /// `checkpoint` — snapshot the session and rotate the journal.
+    /// `checkpoint` — snapshot the session: append it to the journal,
+    /// or rotate to a new generation once the old one has grown large.
     Checkpoint,
     /// `scrub` — CRC-verify every journal segment and the checkpoint,
     /// quarantining and repairing damage when the workspace is
@@ -894,9 +897,16 @@ impl Ui {
                     message: "no workspace attached; `save <path>` first".into(),
                 }),
                 Some(ws) => {
-                    ws.checkpoint(&self.session).map_err(HerculesError::from)?;
+                    let kind = ws.checkpoint(&self.session).map_err(HerculesError::from)?;
                     let generation = ws.generation();
-                    Ok(format!("checkpointed; now at generation {generation}\n"))
+                    Ok(match kind {
+                        CheckpointKind::Appended => format!(
+                            "checkpointed; snapshot appended to generation {generation}'s journal\n"
+                        ),
+                        CheckpointKind::Rotated => {
+                            format!("checkpointed; rotated to generation {generation}\n")
+                        }
+                    })
                 }
             },
             Command::Scrub => match self.workspace.as_mut() {

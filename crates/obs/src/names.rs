@@ -13,6 +13,15 @@
 //! lint/index layer — see each constant for the semantics and the
 //! instrument kind (counter vs gauge vs histogram).
 
+/// Counter: completed checkpoints, scrub re-baselines included —
+/// snapshots appended to the journal and rotations alike.
+pub const STORE_CHECKPOINTS: &str = "store.checkpoints";
+
+/// Counter: generation rotations — checkpoints that started a new
+/// generation instead of appending their snapshot to the journal.
+/// `store.checkpoints - store.rotations` counts appended snapshots.
+pub const STORE_ROTATIONS: &str = "store.rotations";
+
 /// Counter: completed [`scrub`](https://en.wikipedia.org/wiki/Data_scrubbing)
 /// passes — every-byte CRC verification of the checkpoint and every
 /// journal segment. Incremented once per scan, damaged or not.
@@ -197,6 +206,8 @@ mod tests {
     /// New constants must be added here; the drift test below keeps
     /// the list honest.
     const ALL: &[(&str, &str)] = &[
+        (super::STORE_CHECKPOINTS, "store."),
+        (super::STORE_ROTATIONS, "store."),
         (super::STORE_SCRUBS, "store."),
         (super::STORE_SCRUB_DAMAGE, "store."),
         (super::STORE_SEGMENT_ROLLS, "store."),

@@ -139,6 +139,24 @@ fn crash_at_every_journal_byte_offset_recovers_a_committed_prefix() {
         second_run.instances
     );
 
+    assert_every_tear_recovers_a_prefix(&root, &refs);
+    fs::remove_dir_all(&root).ok();
+}
+
+/// Tears the generation-0 journal of the workspace at `root` at every
+/// byte offset, each in a fresh copy, and asserts that recovery (a)
+/// never fails or panics, (b) restores exactly `refs[k]`, the state
+/// after the `k` frames wholly before the cut, and (c) truncates the
+/// torn remainder away.
+fn assert_every_tear_recovers_a_prefix(root: &Path, refs: &[SessionSpec]) {
+    let journal = fs::read(root.join("journal-0.log")).expect("journal exists");
+    let scan = scan_frames(&journal);
+    assert_eq!(scan.trailing, 0);
+    assert_eq!(
+        scan.payloads.len() + 1,
+        refs.len(),
+        "one reference per frame"
+    );
     for cut in 0..=journal.len() {
         // Simulate a crash that tore the journal at byte `cut`.
         let dir = temp_root("cut");
@@ -183,6 +201,40 @@ fn crash_at_every_journal_byte_offset_recovers_a_committed_prefix() {
         );
         fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The every-byte tear over a journal whose checkpoint appended a
+/// snapshot frame between ordinary frames: a tear anywhere in the
+/// snapshot recovers the frames before it, and one past it recovers
+/// the snapshot's state — including a direct database edit that only
+/// the snapshot carries.
+#[test]
+fn crash_at_every_byte_around_a_snapshot_frame_recovers_a_committed_prefix() {
+    let root = temp_root("crash-snapshot");
+    let mut ui = Ui::new(Session::odyssey("jbb"));
+    ui.execute(&format!("save {}", root.display()))
+        .expect("saves");
+    let mut refs = vec![SessionSpec::from_session(ui.session())];
+    for cmd in ["goal Layout", "expand n0", "specialize n2 EditedNetlist"] {
+        ui.execute(cmd).expect(cmd);
+        refs.push(SessionSpec::from_session(ui.session()));
+    }
+    // Bypasses the journal: only the snapshot below makes it durable.
+    seed_netlist(ui.session_mut());
+    let out = ui.execute("checkpoint").expect("checkpoints");
+    assert!(out.contains("snapshot appended"), "{out}");
+    refs.push(SessionSpec::from_session(ui.session()));
+    for cmd in ["expand n2", "bind-latest"] {
+        ui.execute(cmd).expect(cmd);
+        refs.push(SessionSpec::from_session(ui.session()));
+    }
+    drop(ui);
+
+    let journal = fs::read(root.join("journal-0.log")).expect("journal exists");
+    let scan = scan_frames(&journal);
+    let snapshot: JournalOp = serde_json::from_slice(&scan.payloads[3]).expect("parses");
+    assert_eq!(snapshot, JournalOp::Snapshot(Box::new(refs[4].clone())));
+    assert_every_tear_recovers_a_prefix(&root, &refs);
     fs::remove_dir_all(&root).ok();
 }
 
@@ -304,8 +356,18 @@ fn interrupted_run_resumes_after_reopen_from_disk() {
         .expect("reopens");
     assert!(ui.session().last_report().expect("present").is_complete());
 
-    // Checkpoint rotates the generation; reopening lands on it.
-    ui.execute("checkpoint").expect("rotates");
+    // Checkpoints append snapshots until one rotates the generation;
+    // reopening lands on it.
+    let mut appended = 0;
+    while !ui
+        .execute("checkpoint")
+        .expect("checkpoints")
+        .contains("rotated")
+    {
+        appended += 1;
+        assert!(appended < 8, "a rotation is due within a few snapshots");
+    }
+    assert!(appended > 0, "the first checkpoint appends a snapshot");
     drop(ui);
     let (ws, session, recovery) =
         Workspace::open_session(&root, |s| odyssey_registry(s)).expect("opens gen 1");

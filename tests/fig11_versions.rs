@@ -12,8 +12,8 @@ use hercules::baseline::VersionTreeStore;
 use hercules::exec::EncapsulationRegistry;
 use hercules::history::{Derivation, FlowTrace, HistoryDb, InstanceId, Metadata, Payload};
 use hercules::schema::fixtures;
-use hercules::store::Workspace;
-use hercules::{Session, SessionSpec};
+use hercules::store::{scan_frames, CheckpointKind, JournalOp, Workspace};
+use hercules::Session;
 use std::fs;
 use std::sync::Arc;
 
@@ -125,17 +125,21 @@ fn shared_physical_data_across_versions() {
     assert_eq!(db.store().blob_count(), blobs_before, "blob shared");
     assert_eq!(db.shares_data_with(copy).expect("recorded"), Some(ids[5]));
 
-    // The sharing survives save → checkpoint → open: the checkpoint
-    // holds c5's bytes once and names c5 for the copy.
+    // The sharing survives save → checkpoint → open: the checkpoint's
+    // snapshot frame holds c5's bytes once and names c5 for the copy.
     let root = std::env::temp_dir().join(format!("hercules-fig11-{}", std::process::id()));
     let mut session = Session::new(schema, EncapsulationRegistry::default(), "jbb");
     *session.db_mut() = db;
     let mut ws = Workspace::create(&root, &session).expect("saves");
-    ws.checkpoint(&session).expect("checkpoints");
+    let kind = ws.checkpoint(&session).expect("checkpoints");
+    assert_eq!(kind, CheckpointKind::Appended);
     drop(ws);
-    let checkpoint = fs::read(root.join("checkpoint-1.json")).expect("checkpoint written");
-    let spec =
-        SessionSpec::from_json(std::str::from_utf8(&checkpoint).expect("UTF-8")).expect("parses");
+    let journal = fs::read(root.join("journal-0.log")).expect("journal written");
+    let frames = scan_frames(&journal).payloads;
+    let last = frames.last().expect("the snapshot frame");
+    let Ok(JournalOp::Snapshot(spec)) = serde_json::from_slice(last) else {
+        panic!("the checkpoint appended a snapshot frame");
+    };
     let c5_bytes = Some(Payload::Inline(b"c5".to_vec()));
     let records = &spec.history.instances;
     assert_eq!(records.iter().filter(|i| i.data == c5_bytes).count(), 1);

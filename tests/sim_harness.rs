@@ -78,24 +78,46 @@ const WS_ROOT: &str = "/ws/alpha";
 /// Reference snapshots of the multi-session workload, grouped by
 /// checkpoint generation: `refs[g][k]` is the session state after the
 /// `k`-th acknowledged journal frame of generation `g` (`refs[g][0]`
-/// is the state captured by generation `g`'s checkpoint itself).
+/// is the state captured by generation `g`'s checkpoint itself). A
+/// checkpoint that appends its snapshot adds one frame, whose state
+/// equals the one before it; a checkpoint that rotates opens the next
+/// generation.
 struct Reference {
     by_gen: Vec<Vec<SessionSpec>>,
+    /// Whether each completed checkpoint rotated, in workload order.
+    rotated: Vec<bool>,
 }
 
 /// Drives the multi-session workload: save, build + run the
-/// verification flow, checkpoint, then build + run the layout flow and
-/// checkpoint again. Stops at the first error (a fired crash point),
-/// returning the snapshots of everything acknowledged up to then.
+/// verification flow, checkpoint, build + run the layout flow,
+/// checkpoint, run it again, checkpoint, rebuild and rerun it,
+/// checkpoint, then start one more flow and checkpoint. The checkpoints
+/// append snapshots until the generation's files outgrow the rotation
+/// bound, so the workload crosses both kinds and journals into the
+/// rotated generation too. Stops at the first error (a fired crash
+/// point), returning the snapshots of everything acknowledged up to
+/// then.
+///
+/// `plan` is a clean run's [`Reference::rotated`]: a crash run reads
+/// from it whether the checkpoint it crashed in was rotating. The
+/// clean run itself passes `None`.
 ///
 /// With `verify_frames` (clean reference run only), cross-checks that
 /// each generation's journal holds exactly one frame per acknowledged
-/// command, so the snapshot indices line up with `ops_replayed`.
-fn drive_workload(sim: &SimEnv, verify_frames: bool) -> (Reference, Result<(), HerculesError>) {
+/// command or appended snapshot, so the snapshot indices line up with
+/// `ops_replayed`.
+fn drive_workload(
+    sim: &SimEnv,
+    plan: Option<&[bool]>,
+    verify_frames: bool,
+) -> (Reference, Result<(), HerculesError>) {
     let mut session = sim_session(sim, "sim");
     let seeded = seed_netlist(&mut session);
     let mut ui = Ui::new_in(session, sim.env());
-    let mut refs = Reference { by_gen: Vec::new() };
+    let mut refs = Reference {
+        by_gen: Vec::new(),
+        rotated: Vec::new(),
+    };
 
     if let Err(e) = ui.execute(&format!("save {WS_ROOT}")) {
         return (refs, Err(e));
@@ -124,8 +146,20 @@ fn drive_workload(sim: &SimEnv, verify_frames: bool) -> (Reference, Result<(), H
         "bind-latest".to_owned(),
         "run".to_owned(),
     ];
+    let rerun = ["run".to_owned(), "store layout-flow".to_owned()];
+    let restart = [
+        "clear".to_owned(),
+        "goal Layout".to_owned(),
+        "expand n0".to_owned(),
+    ];
 
-    for segment in [&verification[..], &layout[..]] {
+    for segment in [
+        &verification[..],
+        &layout[..],
+        &rerun[..],
+        &layout[..],
+        &restart[..],
+    ] {
         for cmd in segment {
             if let Err(e) = ui.execute(cmd) {
                 // The crashed command was dispatched before its journal
@@ -149,20 +183,30 @@ fn drive_workload(sim: &SimEnv, verify_frames: bool) -> (Reference, Result<(), H
             assert_eq!(
                 scan_frames(&journal).payloads.len(),
                 refs.by_gen[gen].len() - 1,
-                "one journal frame per acknowledged command in generation {gen}"
+                "one journal frame per acknowledged command or snapshot in generation {gen}"
             );
         }
-        if let Err(e) = ui.execute("checkpoint") {
-            // A checkpoint that crashed after its MANIFEST rename
-            // became durable (the rename dirop survived the dice)
-            // recovers as the next generation with zero replays; its
-            // base state is the session state at checkpoint time.
-            refs.by_gen
-                .push(vec![SessionSpec::from_session(ui.session())]);
+        let outcome = ui.execute("checkpoint");
+        let rotated = match &outcome {
+            Ok(out) => out.contains("rotated"),
+            Err(_) => plan.expect("a crash run follows a clean run's plan")[refs.rotated.len()],
+        };
+        // The checkpoint's state: after a rotation, the next
+        // generation's base (a crashed rotation whose MANIFEST rename
+        // survived the dice recovers as it, with zero replays); after
+        // an append, one more frame of the current generation (a
+        // crashed append's frame may survive whole in the crash image).
+        let state = SessionSpec::from_session(ui.session());
+        if rotated {
+            refs.by_gen.push(vec![state]);
+        } else {
+            let gen = refs.by_gen.len() - 1;
+            refs.by_gen[gen].push(state);
+        }
+        if let Err(e) = outcome {
             return (refs, Err(e));
         }
-        refs.by_gen
-            .push(vec![SessionSpec::from_session(ui.session())]);
+        refs.rotated.push(rotated);
     }
     (refs, Ok(()))
 }
@@ -298,8 +342,17 @@ fn sim_multi_session_interleavings_and_crash_points() {
     // --- Phase 2: crash sweep over the multi-session workload. ---
     let workload_seed = rng.next_u64();
     let clean = SimEnv::new(workload_seed);
-    let (refs, outcome) = drive_workload(&clean, true);
+    let (refs, outcome) = drive_workload(&clean, None, true);
     outcome.expect("clean run completes");
+    sim_assert(
+        refs.rotated.contains(&false) && refs.rotated.contains(&true),
+        workload_seed,
+        TEST,
+        &format!(
+            "the workload must append a snapshot and rotate, got rotations {:?}",
+            refs.rotated
+        ),
+    );
     let total_ops = clean.fs_state().op_count();
     // Only sweep ops after workspace creation: before the manifest is
     // durable there is nothing to recover.
@@ -320,7 +373,7 @@ fn sim_multi_session_interleavings_and_crash_points() {
     for k in (save_ops + 1)..=total_ops {
         let sim = SimEnv::new(workload_seed);
         sim.fs_state().set_crash_at(Some(k));
-        let (crash_refs, outcome) = drive_workload(&sim, false);
+        let (crash_refs, outcome) = drive_workload(&sim, Some(&refs.rotated), false);
         // A crash landing on the final best-effort cleanup (the
         // superseded journal's removal) is swallowed by design; the
         // workload completes and recovery must still see a consistent
@@ -349,7 +402,7 @@ fn sim_multi_session_interleavings_and_crash_points() {
             let render_once = || {
                 let sim = SimEnv::new(workload_seed);
                 sim.fs_state().set_crash_at(Some(k));
-                let (crash_refs, _) = drive_workload(&sim, false);
+                let (crash_refs, _) = drive_workload(&sim, Some(&refs.rotated), false);
                 assert_recovers_a_prefix(
                     &sim,
                     &crash_refs,
@@ -371,19 +424,27 @@ fn sim_multi_session_interleavings_and_crash_points() {
 }
 
 /// Satellite: a crash exactly between the manifest temp-file fsync and
-/// the `MANIFEST` rename during a checkpoint must leave the *previous*
-/// generation fully intact — the half-finished checkpoint is invisible.
+/// the `MANIFEST` rename during a rotating checkpoint must leave the
+/// *previous* generation fully intact — the half-finished checkpoint is
+/// invisible.
 #[test]
 fn sim_checkpoint_crash_between_tmp_fsync_and_manifest_rename() {
     const TEST: &str = "sim_checkpoint_crash_between_tmp_fsync_and_manifest_rename";
     let seed = master_seed();
 
-    // Locate the first checkpoint's MANIFEST rename in a clean run:
+    // Locate the first rotation's MANIFEST rename in a clean run:
     // rename #0 of MANIFEST.tmp belongs to `save`, rename #1 to the
-    // first `checkpoint` command.
+    // first `checkpoint` that rotates (appended snapshots rename
+    // nothing).
     let clean = SimEnv::new(seed);
-    let (refs, outcome) = drive_workload(&clean, false);
+    let (refs, outcome) = drive_workload(&clean, None, false);
     outcome.expect("clean run completes");
+    sim_assert(
+        refs.rotated.first() == Some(&false) && refs.rotated.contains(&true),
+        seed,
+        TEST,
+        "the first checkpoint appends and a later one rotates",
+    );
     let rename_op: u64 = clean
         .trace()
         .lines()
@@ -398,7 +459,7 @@ fn sim_checkpoint_crash_between_tmp_fsync_and_manifest_rename() {
     // the swap never happens.
     let sim = SimEnv::new(seed);
     sim.fs_state().set_crash_at(Some(rename_op));
-    let (_, outcome) = drive_workload(&sim, false);
+    let (_, outcome) = drive_workload(&sim, Some(&refs.rotated), false);
     outcome.expect_err("the armed crash point aborts the checkpoint");
 
     let rebooted = sim.crash_and_reboot();
@@ -436,6 +497,195 @@ fn sim_checkpoint_crash_between_tmp_fsync_and_manifest_rename() {
         TEST,
         "recovered state must equal the full pre-checkpoint state",
     );
+}
+
+/// The mutating disk operations a closure issued, as their trace lines
+/// without the `fs.` prefix and ` op=N` suffix (reads excluded).
+fn fs_ops_of<T>(sim: &SimEnv, f: impl FnOnce() -> T) -> (T, Vec<String>) {
+    let before = sim.trace().lines().len();
+    let out = f();
+    let ops = sim.trace().lines()[before..]
+        .iter()
+        .filter_map(|l| l.strip_prefix("fs."))
+        .filter(|l| !l.starts_with("read") && !l.starts_with("open"))
+        .map(|l| l.rsplit_once(" op=").map_or(l, |(op, _)| op).to_owned())
+        .collect();
+    (out, ops)
+}
+
+/// File and directory fsyncs among `ops`.
+fn syncs(ops: &[String]) -> usize {
+    ops.iter()
+        .filter(|op| op.starts_with("fsync ") || op.starts_with("syncdir "))
+        .count()
+}
+
+/// Exact sync counts: a REPL `save` costs at most 9 syncs (the
+/// workspace's 7 plus the telemetry sidecar's 2), and a checkpoint that
+/// appends its snapshot costs one write and one fsync — no directory
+/// fsync, no rename. A rotation costs 5 syncs, one directory fsync
+/// covering both the new checkpoint and the new head segment before the
+/// MANIFEST names them: rename + create, `sync_dir`, MANIFEST rename,
+/// `sync_dir`.
+#[test]
+fn sim_checkpoint_sync_counts() {
+    const TEST: &str = "sim_checkpoint_sync_counts";
+    let seed = master_seed().wrapping_add(13);
+    let sim = SimEnv::new(seed);
+    let mut ui = Ui::new_in(sim_session(&sim, "sim"), sim.env());
+    let (saved, ops) = fs_ops_of(&sim, || ui.execute(&format!("save {WS_ROOT}")));
+    saved.expect("saves");
+    sim_assert(
+        syncs(&ops) <= 9,
+        seed,
+        TEST,
+        &format!("a REPL save costs at most 9 syncs: {ops:#?}"),
+    );
+    ui.execute("goal Layout").expect("journals");
+
+    let mut kinds = Vec::new();
+    for _ in 0..8 {
+        let (out, ops) = fs_ops_of(&sim, || ui.execute("checkpoint"));
+        let rotated = out.expect("checkpoints").contains("rotated");
+        kinds.push(rotated);
+        if !rotated {
+            let count = |kind: &str| ops.iter().filter(|op| op.starts_with(kind)).count();
+            sim_assert(
+                (
+                    count("write "),
+                    count("fsync "),
+                    count("syncdir "),
+                    count("rename "),
+                ) == (1, 1, 0, 0),
+                seed,
+                TEST,
+                &format!("an appended snapshot is one write and one fsync: {ops:#?}"),
+            );
+            continue;
+        }
+        let gen = ui.workspace().expect("attached").generation();
+        let order: Vec<&str> = ops
+            .iter()
+            .filter(|op| {
+                op.starts_with("rename ")
+                    || op.starts_with("syncdir ")
+                    || op.starts_with(&format!("create path={WS_ROOT}/journal-"))
+            })
+            .map(String::as_str)
+            .collect();
+        let expected = [
+            format!(
+                "rename from={WS_ROOT}/checkpoint-{gen}.json.tmp to={WS_ROOT}/checkpoint-{gen}.json"
+            ),
+            format!("create path={WS_ROOT}/journal-{gen}.log"),
+            format!("syncdir path={WS_ROOT}"),
+            format!("rename from={WS_ROOT}/MANIFEST.tmp to={WS_ROOT}/MANIFEST"),
+            format!("syncdir path={WS_ROOT}"),
+        ];
+        sim_assert(
+            order == expected && syncs(&ops) == 5,
+            seed,
+            TEST,
+            &format!("a rotation is 5 syncs in the order {expected:#?}, got {ops:#?}"),
+        );
+    }
+    sim_assert(
+        kinds.contains(&true) && kinds.contains(&false),
+        seed,
+        TEST,
+        &format!("checkpoints both append and rotate: {kinds:?}"),
+    );
+}
+
+/// Workspace A journals four flow commands; then session B, a
+/// different user's fresh session, `save`s into the same directory.
+/// Returns A's last acknowledged state and B's saved state, and B's
+/// outcome.
+fn drive_resave(sim: &SimEnv) -> (SessionSpec, SessionSpec, Result<String, HerculesError>) {
+    let mut a = Ui::new_in(sim_session(sim, "sim"), sim.env());
+    a.execute(&format!("save {WS_ROOT}")).expect("A saves");
+    for cmd in [
+        "goal Layout",
+        "expand n0",
+        "specialize n2 EditedNetlist",
+        "expand n2",
+    ] {
+        a.execute(cmd).expect(cmd);
+    }
+    let a_state = SessionSpec::from_session(a.session());
+    drop(a);
+    let mut b = Ui::new_in(sim_session(sim, "bob"), sim.env());
+    let b_state = SessionSpec::from_session(b.session());
+    let outcome = b.execute(&format!("save {WS_ROOT}"));
+    (a_state, b_state, outcome)
+}
+
+/// A `save` over an existing workspace never writes a file the current
+/// MANIFEST names: with a crash at every mutating op of the re-`save`,
+/// recovery lands on A's last acknowledged state or on B's saved one —
+/// never B's checkpoint with A's journal replayed on top.
+#[test]
+fn sim_resave_crash_sweep() {
+    const TEST: &str = "sim_resave_crash_sweep";
+    let seed = master_seed().wrapping_add(15);
+    let clean = SimEnv::new(seed);
+    let (a_state, b_state, outcome) = drive_resave(&clean);
+    outcome.expect("the clean re-save completes");
+    let total_ops = clean.fs_state().op_count();
+    let a_ops = {
+        let probe = SimEnv::new(seed);
+        let mut a = Ui::new_in(sim_session(&probe, "sim"), probe.env());
+        a.execute(&format!("save {WS_ROOT}")).expect("A saves");
+        for cmd in [
+            "goal Layout",
+            "expand n0",
+            "specialize n2 EditedNetlist",
+            "expand n2",
+        ] {
+            a.execute(cmd).expect(cmd);
+        }
+        drop(a);
+        probe.fs_state().op_count()
+    };
+    assert!(
+        total_ops - a_ops >= 10,
+        "the re-save must expose >=10 crash points, got {}",
+        total_ops - a_ops
+    );
+    for k in (a_ops + 1)..=total_ops {
+        let sim = SimEnv::new(seed);
+        sim.fs_state().set_crash_at(Some(k));
+        let (_, _, outcome) = drive_resave(&sim);
+        if let Err(err) = outcome {
+            sim_assert(
+                err.to_string().contains(SIM_CRASH_MARKER),
+                seed,
+                TEST,
+                &format!("crash at op {k}: expected the simulated crash, got: {err}"),
+            );
+        }
+        let rebooted = sim.crash_and_reboot();
+        let (_ws, recovered, report) =
+            Workspace::open_session_in(Path::new(WS_ROOT), |s| odyssey_registry(s), rebooted.env())
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "crash at op {k}: recovery failed: {e}\n  failing seed: {seed}\n  \
+                         reproduce: {}",
+                        repro_command(seed, TEST)
+                    )
+                });
+        let recovered = SessionSpec::from_session(&recovered);
+        sim_assert(
+            recovered == a_state || recovered == b_state,
+            seed,
+            TEST,
+            &format!(
+                "crash at op {k}: recovered `{}` after {report} equals neither A's last \
+                 acknowledged state nor B's saved one",
+                recovered.user
+            ),
+        );
+    }
 }
 
 /// Satellite: after a simulated crash mid-workload, reopening and
@@ -1335,7 +1585,7 @@ fn sim_lying_disk_dropped_fsyncs_still_recover_a_prefix() {
         let seed = rng.next_u64();
         let sim = SimEnv::new(seed);
         sim.fs_state().set_drop_fsync_every(Some(3));
-        let (refs, outcome) = drive_workload(&sim, false);
+        let (refs, outcome) = drive_workload(&sim, None, false);
         outcome.expect("a lying disk reports success, so the workload completes");
         sim_assert(
             sim.fs_state().dropped_fsyncs() > 0,
@@ -1392,7 +1642,7 @@ fn sim_telemetry_postmortem_crash_sweep() {
     // Clean reference run: the recorder must have written an undamaged
     // multi-record stream alongside the journal.
     let clean = SimEnv::new(workload_seed);
-    let (_refs, outcome) = drive_workload(&clean, false);
+    let (refs, outcome) = drive_workload(&clean, None, false);
     outcome.expect("clean run completes");
     let total_ops = clean.fs_state().op_count();
     let clean_report = read_postmortem(&clean.fs(), Path::new(WS_ROOT)).expect("sidecar reads");
@@ -1429,7 +1679,7 @@ fn sim_telemetry_postmortem_crash_sweep() {
     for k in (save_ops + 1)..=total_ops {
         let sim = SimEnv::new(workload_seed);
         sim.fs_state().set_crash_at(Some(k));
-        let (_refs, _outcome) = drive_workload(&sim, false);
+        let (_refs, _outcome) = drive_workload(&sim, Some(&refs.rotated), false);
         let rebooted = sim.crash_and_reboot();
         let report = read_postmortem(&rebooted.fs(), Path::new(WS_ROOT)).unwrap_or_else(|e| {
             panic!(

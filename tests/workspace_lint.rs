@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hercules::audit::lint_workspace;
-use hercules::store::{encode_frame, Workspace};
+use hercules::store::{encode_frame, CheckpointKind, Workspace};
 use hercules::{JournalOp, Session};
 use hercules_analyze::{lint_flow, lint_schema_spec, Diagnostics, Layer, Severity};
 use hercules_flow::TaskGraph;
@@ -117,6 +117,61 @@ fn unreplayable_operation_is_an_error() {
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0408").expect("HL0408");
     assert_eq!(d.severity, Severity::Error);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A saved session whose journal holds a frame, then a checkpoint's
+/// snapshot frame, then one more frame.
+fn snapshot_workspace(tag: &str) -> PathBuf {
+    let root = temp_root(tag);
+    let mut session = Session::odyssey("auditor");
+    let mut ws = Workspace::create(&root, &session).expect("creates");
+    let seed = |entity: &str| {
+        JournalOp::Flow(hercules::FlowOp::Seed {
+            entity: entity.to_owned(),
+        })
+    };
+    for (k, entity) in ["Performance", "Layout"].into_iter().enumerate() {
+        let op = seed(entity);
+        op.replay(&mut session).expect("replays");
+        ws.append(&op).expect("appends");
+        if k == 0 {
+            let kind = ws.checkpoint(&session).expect("checkpoints");
+            assert_eq!(kind, CheckpointKind::Appended);
+        }
+    }
+    root
+}
+
+#[test]
+fn workspace_with_a_snapshot_frame_has_no_workspace_findings() {
+    let root = snapshot_workspace("snapshot");
+    let out = lint(&root);
+    assert!(
+        !out.iter().any(|d| d.code.starts_with("HL04")),
+        "got:\n{}",
+        out.render_text()
+    );
+    assert_eq!(out.count(Severity::Error), 0);
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn unreplayable_operation_after_a_snapshot_is_an_error_at_its_frame() {
+    let root = snapshot_workspace("snapshot-badreplay");
+    let journal = root.join("journal-0.log");
+    let op = JournalOp::Flow(hercules::FlowOp::Seed {
+        entity: "NoSuchEntity".to_owned(),
+    });
+    let payload = serde_json::to_vec(&op).expect("serializes");
+    let mut buf = fs::read(&journal).expect("reads");
+    buf.extend_from_slice(&encode_frame(&payload).expect("frames"));
+    fs::write(&journal, &buf).expect("writes");
+    let out = lint(&root);
+    let d = out.iter().find(|d| d.code == "HL0408").expect("HL0408");
+    assert_eq!(d.severity, Severity::Error);
+    // Frames 0–2 are the seed, the snapshot and the second seed.
+    assert_eq!(d.span.name, "frame 3", "span: {}", d.span);
     let _ = fs::remove_dir_all(&root);
 }
 
