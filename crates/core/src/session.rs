@@ -177,6 +177,11 @@ pub struct Session {
     /// retry backoff sleeps; [`Clock::real`] unless
     /// [`Session::set_sim`] installed a simulated one.
     clock: Clock,
+    /// `true` once state a checkpoint snapshot captures — the history,
+    /// catalog, flow tape, binding, events or last report — changed
+    /// since the session last matched its workspace's journal (see
+    /// [`Session::has_unjournaled_changes`]).
+    unjournaled: bool,
 }
 
 /// Events the session's trace ring retains — enough for several full
@@ -215,6 +220,7 @@ impl Session {
             tracer,
             metrics,
             clock: Clock::real(),
+            unjournaled: false,
         }
     }
 
@@ -284,8 +290,11 @@ impl Session {
     }
 
     /// Returns mutable access to the history database (for seeding and
-    /// annotation).
+    /// annotation). Edits made this way are not journaled: the session
+    /// counts as holding unjournaled changes until a checkpoint
+    /// snapshots it.
     pub fn db_mut(&mut self) -> &mut HistoryDb {
+        self.unjournaled = true;
         &mut self.db
     }
 
@@ -301,6 +310,7 @@ impl Session {
 
     /// Returns mutable access to the flow catalog.
     pub fn catalog_mut(&mut self) -> &mut FlowCatalog {
+        self.unjournaled = true;
         &mut self.catalog
     }
 
@@ -374,6 +384,7 @@ impl Session {
     /// session renumbers any dead node slots the installed flow carried.
     /// Flows built through the session's own methods are unaffected.
     pub fn install_flow(&mut self, flow: TaskGraph) {
+        self.unjournaled = true;
         self.tape = vec![FlowOp::Install {
             spec: FlowSpec::from_task_graph(&flow),
         }];
@@ -402,15 +413,41 @@ impl Session {
     /// Abandons the flow under construction (the `Clear` button of
     /// Fig. 9).
     pub fn clear_flow(&mut self) {
+        self.unjournaled = true;
         self.flow = None;
         self.tape.clear();
         self.binding = Binding::new();
         self.last_report = None;
     }
 
+    /// `true` when the session holds state that its workspace's journal
+    /// lacks: a change to anything a checkpoint snapshot captures (the
+    /// history, catalog, flow tape, binding, events or last report)
+    /// since the session last matched the journal. A new session starts
+    /// clear, and so does one [`Workspace::open_session`] recovers;
+    /// `Ui` clears it after `save`, a checkpoint or a repairing
+    /// `scrub`, and after journaling a command made while it was clear.
+    /// Changes to the tool registry, tracer, executor options or cache
+    /// never set it: no snapshot captures them.
+    ///
+    /// [`Workspace::checkpoint`] writes a snapshot whenever this is
+    /// `true`.
+    ///
+    /// [`Workspace::open_session`]: crate::store::Workspace::open_session
+    /// [`Workspace::checkpoint`]: crate::store::Workspace::checkpoint
+    pub fn has_unjournaled_changes(&self) -> bool {
+        self.unjournaled
+    }
+
     // ------------------------------------------------------------------
     // Persistence hooks (crate-internal; see `persist` and `store`).
     // ------------------------------------------------------------------
+
+    /// Records that the workspace's journal (with its snapshots) now
+    /// holds every change of this session.
+    pub(crate) fn mark_journaled(&mut self) {
+        self.unjournaled = false;
+    }
 
     /// The flow-construction tape since the last clear/install.
     pub(crate) fn flow_ops(&self) -> &[FlowOp] {
@@ -419,21 +456,25 @@ impl Session {
 
     /// Replaces the binding wholesale (extensional restore).
     pub(crate) fn set_binding(&mut self, binding: Binding) {
+        self.unjournaled = true;
         self.binding = binding;
     }
 
     /// Replaces the event log wholesale.
     pub(crate) fn set_events(&mut self, events: Vec<ExecEvent>) {
+        self.unjournaled = true;
         self.events = events;
     }
 
     /// Appends one replayed event.
     pub(crate) fn push_event(&mut self, event: ExecEvent) {
+        self.unjournaled = true;
         self.events.push(event);
     }
 
     /// Replaces the last execution report (restored extensionally).
     pub(crate) fn set_last_report(&mut self, report: Option<ExecReport>) {
+        self.unjournaled = true;
         self.last_report = report;
     }
 
@@ -510,10 +551,16 @@ impl Session {
             self.flow = Some(TaskGraph::new(self.schema.clone()));
         }
         let node = self.flow_mut()?.seed(entity)?;
-        self.tape.push(FlowOp::Seed {
+        self.record_flow_op(FlowOp::Seed {
             entity: self.schema.entity(entity).name().to_owned(),
         });
         Ok(node)
+    }
+
+    /// Appends a completed construction step to the tape.
+    fn record_flow_op(&mut self, op: FlowOp) {
+        self.unjournaled = true;
+        self.tape.push(op);
     }
 
     // ------------------------------------------------------------------
@@ -541,7 +588,7 @@ impl Session {
     ) -> Result<Vec<NodeId>, HerculesError> {
         let created = self.flow_mut()?.expand_with(node, options)?;
         let name = |e: EntityTypeId| self.schema.entity(e).name().to_owned();
-        self.tape.push(FlowOp::Expand {
+        let op = FlowOp::Expand {
             node: node.index(),
             optional: options.include_optional.iter().map(|&e| name(e)).collect(),
             reuse: options
@@ -550,7 +597,8 @@ impl Session {
                 .map(|&(e, n)| (name(e), n.index()))
                 .collect(),
             reuse_existing: options.reuse_existing,
-        });
+        };
+        self.record_flow_op(op);
         Ok(created)
     }
 
@@ -568,7 +616,7 @@ impl Session {
         let created = self
             .flow_mut()?
             .expand_down(node, entity, &Expansion::new())?;
-        self.tape.push(FlowOp::ExpandDown {
+        self.record_flow_op(FlowOp::ExpandDown {
             node: node.index(),
             consumer: consumer.to_owned(),
         });
@@ -583,7 +631,7 @@ impl Session {
     pub fn specialize(&mut self, node: NodeId, subtype: &str) -> Result<(), HerculesError> {
         let entity = self.schema.require(subtype)?;
         self.flow_mut()?.specialize(node, entity)?;
-        self.tape.push(FlowOp::Specialize {
+        self.record_flow_op(FlowOp::Specialize {
             node: node.index(),
             subtype: subtype.to_owned(),
         });
@@ -597,7 +645,7 @@ impl Session {
     /// See [`TaskGraph::unexpand`].
     pub fn unexpand(&mut self, node: NodeId) -> Result<Vec<NodeId>, HerculesError> {
         let removed = self.flow_mut()?.unexpand(node)?;
-        self.tape.push(FlowOp::Unexpand { node: node.index() });
+        self.record_flow_op(FlowOp::Unexpand { node: node.index() });
         Ok(removed)
     }
 
@@ -609,7 +657,7 @@ impl Session {
     /// See [`TaskGraph::expand_all`].
     pub fn expand_all(&mut self, node: NodeId) -> Result<Vec<NodeId>, HerculesError> {
         let created = self.flow_mut()?.expand_all(node)?;
-        self.tape.push(FlowOp::ExpandAll { node: node.index() });
+        self.record_flow_op(FlowOp::ExpandAll { node: node.index() });
         Ok(created)
     }
 
@@ -634,12 +682,14 @@ impl Session {
 
     /// Selects an instance for a leaf node.
     pub fn select(&mut self, node: NodeId, instance: InstanceId) {
+        self.unjournaled = true;
         self.binding.bind(node, instance);
     }
 
     /// Selects several instances for a leaf node (multi-select
     /// fan-out, §4.1).
     pub fn select_many(&mut self, node: NodeId, instances: &[InstanceId]) {
+        self.unjournaled = true;
         self.binding.bind_many(node, instances);
     }
 
@@ -651,6 +701,7 @@ impl Session {
     /// Returns [`HerculesError::NoActiveFlow`] with no flow.
     pub fn bind_latest(&mut self) -> Result<Vec<NodeId>, HerculesError> {
         let flow = self.flow.as_ref().ok_or(HerculesError::NoActiveFlow)?;
+        self.unjournaled = true;
         Ok(self.binding.bind_latest(flow, &self.db))
     }
 
@@ -661,6 +712,7 @@ impl Session {
     /// See [`Executor::execute`].
     pub fn run(&mut self) -> Result<&ExecReport, HerculesError> {
         let flow = self.flow.as_ref().ok_or(HerculesError::NoActiveFlow)?;
+        self.unjournaled = true;
         match self.executor.execute(flow, &self.binding, &mut self.db) {
             Ok(report) => {
                 self.events.push(ExecEvent::from_report(
@@ -709,6 +761,7 @@ impl Session {
             Some(_) => {}
         }
         let flow = self.flow.as_ref().ok_or(HerculesError::NoActiveFlow)?;
+        self.unjournaled = true;
         // Committed subtasks must come back as cache hits, whatever the
         // executor's normal caching preference is.
         let prev = self.executor.options().reuse_cached;
@@ -752,6 +805,7 @@ impl Session {
                 sub_binding.bind_many(new, bound);
             }
         }
+        self.unjournaled = true;
         match self.executor.execute(&sub, &sub_binding, &mut self.db) {
             Ok(report) => {
                 self.events.push(ExecEvent::from_report(
@@ -784,6 +838,7 @@ impl Session {
     pub fn store_flow(&mut self, name: &str, description: &str) -> Result<(), HerculesError> {
         let flow = self.flow.as_ref().ok_or(HerculesError::NoActiveFlow)?;
         let user = self.user.clone();
+        self.unjournaled = true;
         self.catalog.store(name, flow, description, &user);
         Ok(())
     }
@@ -816,6 +871,7 @@ impl Session {
         &mut self,
         instance: InstanceId,
     ) -> Result<hercules_exec::RetraceReport, HerculesError> {
+        self.unjournaled = true;
         match hercules_exec::retrace(&self.executor, &mut self.db, instance) {
             Ok(report) => {
                 self.events.push(ExecEvent::from_report(

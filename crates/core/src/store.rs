@@ -18,13 +18,22 @@
 //!   by `fsync` before the command's result is reported, so an
 //!   acknowledged command survives power loss.
 //!
-//! [`Workspace::checkpoint`] appends the session snapshot to the
-//! journal as one [`JournalOp::Snapshot`] frame — one `write` and one
-//! `fsync`. A new generation (checkpoint file, head segment, MANIFEST
-//! swap, old generation retired) starts only when the snapshot would
-//! leave the generation's files larger than [`ROTATE_FACTOR`] times
-//! itself, so `open` never reads more than that multiple of the
-//! session.
+//! [`Workspace::checkpoint`] writes a snapshot only when the journal
+//! cannot stand in for one. Every [`Ui`](crate::ui::Ui) command is
+//! journaled before it is acknowledged, so a snapshot adds durability
+//! only for state the journal lacks
+//! ([`Session::has_unjournaled_changes`]); otherwise it only bounds
+//! replay. A checkpoint appends the session snapshot to the journal as
+//! one [`JournalOp::Snapshot`] frame — one `write` and one `fsync` —
+//! when the session holds unjournaled state, when the generation holds
+//! no CRC-framed snapshot yet (its base `checkpoint-N.json` carries no
+//! checksum), or when the frames since the newest snapshot hold at
+//! least as many bytes as it. Otherwise it only syncs the pending
+//! frames, if any. So after any checkpoint, `open` replays at most one
+//! snapshot's worth of frames after the newest snapshot. A new
+//! generation (checkpoint file, head segment, MANIFEST swap, old
+//! generation retired) starts only when a snapshot would leave the
+//! generation's files larger than [`ROTATE_FACTOR`] times itself.
 //!
 //! # Frame format
 //!
@@ -63,8 +72,9 @@
 //!   never re-runs tools and cannot diverge on nondeterministic ones.
 //! - Only mutations made through [`Ui`](crate::ui::Ui) commands are
 //!   journaled. Direct [`Session::db_mut`] edits bypass the journal;
-//!   take a [`Workspace::checkpoint`] after making any (its snapshot
-//!   captures the whole session).
+//!   take a [`Workspace::checkpoint`] after making any. The edit marks
+//!   the session as holding unjournaled state, so that checkpoint
+//!   writes a snapshot, which captures the whole session.
 //!
 //! After reopening, [`Session::resume`] re-runs only the failed and
 //! skipped subtasks of an interrupted partial execution, serving the
@@ -585,15 +595,55 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-/// How [`Workspace::checkpoint`] made its snapshot durable.
+/// How [`Workspace::checkpoint`] made the session durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
-    /// Appended to the current generation's journal as a
-    /// [`JournalOp::Snapshot`] frame.
+    /// The snapshot was appended to the current generation's journal as
+    /// a [`JournalOp::Snapshot`] frame.
     Appended,
-    /// Written as the base checkpoint of a new generation, retiring
-    /// the old one.
+    /// The snapshot was written as the base checkpoint of a new
+    /// generation, retiring the old one.
     Rotated,
+    /// No snapshot was written: the generation's journal already held
+    /// every change of the session, after a snapshot frame and with
+    /// less than that snapshot's bytes of frames since. Only pending
+    /// frames were synced.
+    Synced,
+}
+
+/// The newest snapshot frame of a generation's journal and the frame
+/// bytes after it: what tells a checkpoint whether replaying the
+/// journal still beats writing a new snapshot.
+#[derive(Debug, Clone, Copy, Default)]
+struct SnapshotTail {
+    /// Bytes of the newest snapshot frame, header included; `None`
+    /// while the generation's journal holds none.
+    snapshot: Option<u64>,
+    /// Bytes of the frames after it (after the base checkpoint, when
+    /// there is none), pending ones included.
+    since: u64,
+}
+
+impl SnapshotTail {
+    /// Accounts for one more `frame`-byte frame at the journal's end.
+    fn push(&mut self, frame: u64, is_snapshot: bool) {
+        if is_snapshot {
+            *self = SnapshotTail {
+                snapshot: Some(frame),
+                since: 0,
+            };
+        } else {
+            self.since += frame;
+        }
+    }
+
+    /// Whether a checkpoint must write a snapshot even for a fully
+    /// journaled session: the generation has no CRC-framed snapshot to
+    /// recover from, or replaying the frames since it would read at
+    /// least as many bytes as a new one.
+    fn needs_snapshot(&self) -> bool {
+        self.snapshot.is_none_or(|snapshot| self.since >= snapshot)
+    }
 }
 
 /// Per-segment result of a [`Workspace::scrub`] pass.
@@ -960,6 +1010,10 @@ pub struct Workspace {
     /// once keeping its snapshot would take this past
     /// [`ROTATE_FACTOR`] times the snapshot.
     generation_bytes: u64,
+    /// The current generation's newest snapshot frame and the frames
+    /// since: whether a checkpoint of a fully journaled session must
+    /// still write a snapshot.
+    tail: SnapshotTail,
     /// Roll the active segment once it reaches this size.
     segment_max_bytes: u64,
     metrics: Metrics,
@@ -1062,6 +1116,7 @@ impl Workspace {
             pending: Vec::new(),
             active_len: 0,
             generation_bytes: json.len() as u64,
+            tail: SnapshotTail::default(),
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
             metrics: Metrics::disabled(),
             env,
@@ -1185,6 +1240,7 @@ impl Workspace {
         }
         let mut seg_reports: Vec<SegmentRecovery> = Vec::new();
         let mut ops_replayed = 0usize;
+        let mut tail = SnapshotTail::default();
         let mut damage: Option<Damage> = None;
         for (i, name) in segments.iter().enumerate() {
             let path = root.join(name);
@@ -1232,6 +1288,8 @@ impl Workspace {
                     replay_again(&mut session, &buf, &frames[..replayed_here])?;
                     break;
                 }
+                let frame = payload.len() as u64 + 8;
+                tail.push(frame, matches!(op, JournalOp::Snapshot(_)));
                 replayed_here += 1;
             }
             let keep = replayed_here.checked_sub(1).map_or(0, |j| frames[j].end);
@@ -1391,6 +1449,7 @@ impl Workspace {
             pending: Vec::new(),
             active_len,
             generation_bytes,
+            tail,
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
             metrics: Metrics::disabled(),
             env,
@@ -1404,6 +1463,9 @@ impl Workspace {
             token,
             lease_expires_ms: if writable { now_ms + lease_ms } else { 0 },
         };
+        // Replay went through the session's marking methods, yet the
+        // recovered session is exactly what the generation holds.
+        session.mark_journaled();
         Ok((workspace, session, report))
     }
 
@@ -1525,6 +1587,7 @@ impl Workspace {
     fn defer_frame(&mut self, frame: Vec<u8>) {
         self.active_len += frame.len() as u64;
         self.generation_bytes += frame.len() as u64;
+        self.tail.push(frame.len() as u64, false);
         if self.pending.is_empty() {
             // One frame per sync is the common case: no copy.
             self.pending = frame;
@@ -1700,13 +1763,19 @@ impl Workspace {
         }
     }
 
-    /// Takes a checkpoint of `session`: encodes its snapshot once and
-    /// makes it durable by the cheaper of two routes.
+    /// Takes a checkpoint of `session` by the cheapest of three routes.
     ///
-    /// - **Append** (the common case): the snapshot becomes one
-    ///   [`JournalOp::Snapshot`] frame of the active segment, written
-    ///   and fsynced through the journal's one write path together with
-    ///   any deferred frames — one `write`, one `fdatasync`.
+    /// - **Sync** (the common case): when the session holds no
+    ///   unjournaled state ([`Session::has_unjournaled_changes`]), the
+    ///   generation's journal already holds a snapshot frame, and the
+    ///   frames since that snapshot are smaller than it, the journal
+    ///   stands in for a snapshot. Only the pending frames are synced —
+    ///   nothing at all when none is pending.
+    /// - **Append**: otherwise the session is encoded once, and the
+    ///   snapshot becomes one [`JournalOp::Snapshot`] frame of the
+    ///   active segment, written and fsynced through the journal's one
+    ///   write path together with any deferred frames — one `write`,
+    ///   one `fdatasync`.
     /// - **Rotate**, when keeping the snapshot would leave the
     ///   generation's files larger than [`ROTATE_FACTOR`] times it (or
     ///   the snapshot exceeds the frame limit), or when the handle is
@@ -1714,11 +1783,12 @@ impl Workspace {
     ///   `journal-(N+1)` under one directory fsync, swaps the manifest,
     ///   then deletes the old generation's files (best-effort — a crash
     ///   between the manifest swap and the deletes leaves harmless
-    ///   orphans).
+    ///   orphans). The fresh generation clears the poison.
     ///
-    /// Either way, after a checkpoint the generation's files hold at
-    /// most [`ROTATE_FACTOR`] times the newest snapshot, plus the frames
-    /// appended since.
+    /// After any checkpoint the frames after the newest snapshot hold
+    /// fewer bytes than it, so `open` replays at most that much on top
+    /// of it; a generation's files exceed [`ROTATE_FACTOR`] times its
+    /// newest snapshot only by those frames.
     ///
     /// # Errors
     ///
@@ -1728,6 +1798,13 @@ impl Workspace {
     /// leaves the old generation intact and current.
     pub fn checkpoint(&mut self, session: &Session) -> Result<CheckpointKind, StoreError> {
         self.check_writable()?;
+        if self.poisoned.is_none()
+            && !session.has_unjournaled_changes()
+            && !self.tail.needs_snapshot()
+        {
+            self.sync()?;
+            return Ok(CheckpointKind::Synced);
+        }
         let snapshot = SnapshotFrame::encode(session)?;
         let appends = self.poisoned.is_none()
             && snapshot.frame().is_some_and(|frame| {
@@ -1739,8 +1816,10 @@ impl Workspace {
             return Ok(CheckpointKind::Rotated);
         }
         let document = snapshot.document().len() as u64;
+        let frame = snapshot.bytes.len() as u64;
         self.defer_frame(snapshot.bytes);
         self.sync()?;
+        self.tail.push(frame, true);
         self.record_checkpoint(document);
         Ok(CheckpointKind::Appended)
     }
@@ -1748,7 +1827,9 @@ impl Workspace {
     /// Makes `snapshot` the base of a new generation: flushes the
     /// pending frames into the old one, starts the next generation
     /// from the snapshot's checkpoint document, and retires the old
-    /// generation once the MANIFEST swap is durable.
+    /// generation once the MANIFEST swap is durable. A poisoned handle
+    /// is healed: the torn tail behind the poison lies in the retired
+    /// generation, and the new head segment is clean.
     fn rotate(&mut self, snapshot: &SnapshotFrame) -> Result<(), StoreError> {
         // Pending frames belong to the old generation, which stays
         // current until the manifest swap.
@@ -1756,6 +1837,7 @@ impl Workspace {
         let next = self.generation + 1;
         let document = snapshot.document();
         let journal = start_generation(&self.env.fs, &self.root, next, document, self.token)?;
+        self.poisoned = None;
         retire_generation(&self.env.fs, &self.root, self.generation, &self.segments);
         self.generation = next;
         self.journal = Some(journal);
@@ -1763,6 +1845,7 @@ impl Workspace {
         self.journal_path = self.root.join(&self.segments[0]);
         self.active_len = 0;
         self.generation_bytes = document.len() as u64;
+        self.tail = SnapshotTail::default();
         self.metrics.incr(names::STORE_ROTATIONS, 1);
         self.record_checkpoint(document.len() as u64);
         Ok(())
@@ -2192,6 +2275,72 @@ mod tests {
             Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
                 .expect("reopens");
         assert_eq!(report.ops_replayed, 2, "the snapshot is one operation");
+        assert_eq!(
+            SessionSpec::from_session(&restored),
+            SessionSpec::from_session(&session)
+        );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_journaled_session_checkpoints_by_syncing_until_its_frames_outweigh_the_snapshot() {
+        let root = temp_root("journaled");
+        let mut session = Session::odyssey("jbb");
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        let metrics = Metrics::new();
+        ws.set_metrics(metrics.clone());
+        session.mark_journaled();
+        // The base checkpoint carries no checksum, so even a journaled
+        // session's first checkpoint writes a framed snapshot.
+        assert_eq!(
+            ws.checkpoint(&session).expect("checkpoints"),
+            CheckpointKind::Appended
+        );
+        let snapshot = ws.tail.snapshot.expect("a snapshot frame");
+        // A journaled frame, deferred: the next checkpoint only syncs it.
+        let op = seed_op(0);
+        op.replay(&mut session).expect("replays");
+        ws.append_deferred(&op).expect("defers");
+        session.mark_journaled();
+        assert_eq!(
+            ws.checkpoint(&session).expect("checkpoints"),
+            CheckpointKind::Synced
+        );
+        let snap = metrics.snapshot();
+        assert_eq!(snap.histograms["store.fsync_ns"].count, 2);
+        assert_eq!(snap.counters.get(names::STORE_CHECKPOINTS), Some(&1));
+        drop(ws);
+
+        // `open` finds the snapshot frame and the frame after it.
+        let (mut ws, mut session, report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("reopens");
+        assert_eq!(report.ops_replayed, 2);
+        assert!(!session.has_unjournaled_changes());
+        assert_eq!(ws.tail.snapshot, Some(snapshot));
+        assert_eq!(
+            ws.checkpoint(&session).expect("checkpoints"),
+            CheckpointKind::Synced
+        );
+        // Frames as large as the snapshot: replaying them would read
+        // as much as a new snapshot, so the checkpoint writes one.
+        let big = exec_op(vec![netlist_record(Payload::Inline(vec![
+            7;
+            snapshot as usize
+        ]))]);
+        big.replay(&mut session).expect("replays");
+        ws.append(&big).expect("appends");
+        session.mark_journaled();
+        assert!(ws.tail.since >= snapshot);
+        assert_eq!(
+            ws.checkpoint(&session).expect("checkpoints"),
+            CheckpointKind::Appended
+        );
+        assert_eq!(ws.tail.since, 0);
+        drop(ws);
+        let (_ws, restored, _report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("reopens");
         assert_eq!(
             SessionSpec::from_session(&restored),
             SessionSpec::from_session(&session)
@@ -2761,11 +2910,16 @@ mod tests {
             ws.checkpoint(&session).expect("rotates"),
             CheckpointKind::Rotated
         );
+        // The fresh generation is clean: appends work again.
+        ws.append(&seed_op(1))
+            .expect("the rotation cleared the poison");
+        seed_op(1).replay(&mut session).expect("replays");
         drop(ws);
         let (_ws, restored, report) =
             Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
                 .expect("reopens");
         assert_eq!(report.generation, 1);
+        assert_eq!(report.ops_replayed, 1);
         assert_eq!(
             SessionSpec::from_session(&restored),
             SessionSpec::from_session(&session)

@@ -94,8 +94,10 @@ pub enum Command {
     /// `open <dir>` — recover the session from a durable workspace
     /// (replaying its journal, truncating any torn tail).
     Open(String),
-    /// `checkpoint` — snapshot the session: append it to the journal,
-    /// or rotate to a new generation once the old one has grown large.
+    /// `checkpoint` — make the session durable as a snapshot: append
+    /// it to the journal, or rotate to a new generation once the old
+    /// one has grown large. When the journal already holds every change
+    /// since a recent snapshot, only sync it.
     Checkpoint,
     /// `scrub` — CRC-verify every journal segment and the checkpoint,
     /// quarantining and repairing damage when the workspace is
@@ -438,6 +440,9 @@ impl Ui {
         }
         let db_before = self.session.db().len();
         let events_before = self.session.events().len();
+        // A frame holds only its own command's effect: it brings the
+        // journal level with the session only if the two matched before.
+        let matched_journal = !self.session.has_unjournaled_changes();
         let journaled = command.clone();
         let result = self.dispatch(command);
         let op = self
@@ -446,7 +451,13 @@ impl Ui {
             .then(|| self.journal_op(&journaled, db_before, events_before, result.is_ok()))
             .flatten();
         let appended = match (op, self.workspace.as_mut()) {
-            (Some(op), Some(ws)) => ws.append(&op).map_err(HerculesError::from),
+            (Some(op), Some(ws)) => {
+                let appended = ws.append(&op).map_err(HerculesError::from);
+                if appended.is_ok() && matched_journal {
+                    self.session.mark_journaled();
+                }
+                appended
+            }
             _ => Ok(()),
         };
         // Telemetry rides behind the journal: the command's spans land
@@ -859,6 +870,7 @@ impl Ui {
                     Workspace::create_in(Path::new(&path), &self.session, self.env.clone())
                         .map_err(HerculesError::from)?;
                 ws.set_metrics(self.session.metrics().clone());
+                self.session.mark_journaled();
                 self.workspace = Some(ws);
                 self.attach_telemetry();
                 Ok(format!(
@@ -898,6 +910,7 @@ impl Ui {
                 }),
                 Some(ws) => {
                     let kind = ws.checkpoint(&self.session).map_err(HerculesError::from)?;
+                    self.session.mark_journaled();
                     let generation = ws.generation();
                     Ok(match kind {
                         CheckpointKind::Appended => format!(
@@ -906,6 +919,9 @@ impl Ui {
                         CheckpointKind::Rotated => {
                             format!("checkpointed; rotated to generation {generation}\n")
                         }
+                        CheckpointKind::Synced => format!(
+                            "checkpointed; generation {generation}'s journal already holds every change\n"
+                        ),
                     })
                 }
             },
@@ -915,6 +931,9 @@ impl Ui {
                 }),
                 Some(ws) => {
                     let report = ws.scrub(&self.session).map_err(HerculesError::from)?;
+                    if report.repaired {
+                        self.session.mark_journaled();
+                    }
                     let mut out = format!("{report}\n");
                     let _ = writeln!(out, "scrub: {}", report.to_json());
                     Ok(out)

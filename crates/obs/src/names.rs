@@ -13,8 +13,10 @@
 //! lint/index layer — see each constant for the semantics and the
 //! instrument kind (counter vs gauge vs histogram).
 
-/// Counter: completed checkpoints, scrub re-baselines included —
-/// snapshots appended to the journal and rotations alike.
+/// Counter: checkpoints that wrote a snapshot, scrub re-baselines
+/// included — snapshots appended to the journal and rotations alike. A
+/// checkpoint that finds every change already journaled only syncs and
+/// is not counted.
 pub const STORE_CHECKPOINTS: &str = "store.checkpoints";
 
 /// Counter: generation rotations — checkpoints that started a new

@@ -8,6 +8,8 @@
 //! reopens the workspace, recovers everything acknowledged before the
 //! crash, and `resume` finishes the flow re-running only the failed
 //! subtasks, with the committed branch served from the design history.
+//! A last checkpoint finds every change already journaled and writes
+//! nothing, and a third process reopens the same task window.
 //!
 //! ```sh
 //! cargo run --release --example durable_session
@@ -89,7 +91,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", ui.execute("log")?);
     println!("{}", ui.execute("resume")?);
     println!("{}", ui.execute("checkpoint")?);
-    println!("{}", ui.execute("show")?);
+    let shown = ui.execute("show")?;
+    println!("{shown}");
+
+    // ------------------------------------------------------------------
+    // Act 3: the journal stands in for a snapshot.
+    // ------------------------------------------------------------------
+    // Nothing changed since the snapshot, so this checkpoint writes
+    // nothing, and reopening recovers the same session all the same.
+    let out = ui.execute("checkpoint")?;
+    println!("{out}");
+    if !out.contains("already holds every change") {
+        return Err(format!("a checkpoint of a journaled session wrote a snapshot: {out}").into());
+    }
+    drop(ui);
+    let mut ui = Ui::new(Session::odyssey("jbb"));
+    println!("{}", ui.execute(&format!("open {}", root.display()))?);
+    let reopened = ui.execute("show")?;
+    println!("{reopened}");
+    if reopened != shown {
+        return Err("the reopened task window differs from the one before the checkpoint".into());
+    }
 
     std::fs::remove_dir_all(&root).ok();
     Ok(())

@@ -207,7 +207,8 @@ fn assert_every_tear_recovers_a_prefix(root: &Path, refs: &[SessionSpec]) {
 /// snapshot frame between ordinary frames: a tear anywhere in the
 /// snapshot recovers the frames before it, and one past it recovers
 /// the snapshot's state — including a direct database edit that only
-/// the snapshot carries.
+/// the snapshot carries. A second checkpoint, after journaled commands
+/// only, writes no frame at all, and the sweep passes over its place.
 #[test]
 fn crash_at_every_byte_around_a_snapshot_frame_recovers_a_committed_prefix() {
     let root = temp_root("crash-snapshot");
@@ -228,6 +229,20 @@ fn crash_at_every_byte_around_a_snapshot_frame_recovers_a_committed_prefix() {
         ui.execute(cmd).expect(cmd);
         refs.push(SessionSpec::from_session(ui.session()));
     }
+    // The journal holds every change since the snapshot: this
+    // checkpoint adds no frame, and so no reference state.
+    let journal_len = fs::metadata(root.join("journal-0.log"))
+        .expect("meta")
+        .len();
+    let out = ui.execute("checkpoint").expect("checkpoints");
+    assert!(out.contains("already holds every change"), "{out}");
+    assert_eq!(
+        fs::metadata(root.join("journal-0.log"))
+            .expect("meta")
+            .len(),
+        journal_len,
+        "a skipped checkpoint adds no frame"
+    );
     drop(ui);
 
     let journal = fs::read(root.join("journal-0.log")).expect("journal exists");
@@ -356,25 +371,142 @@ fn interrupted_run_resumes_after_reopen_from_disk() {
         .expect("reopens");
     assert!(ui.session().last_report().expect("present").is_complete());
 
-    // Checkpoints append snapshots until one rotates the generation;
-    // reopening lands on it.
+    // A direct edit before each checkpoint leaves the session holding
+    // state the journal lacks, so each checkpoint writes a snapshot:
+    // appended ones until one rotates the generation. Reopening lands
+    // on it, edits included.
     let mut appended = 0;
-    while !ui
-        .execute("checkpoint")
-        .expect("checkpoints")
-        .contains("rotated")
-    {
+    loop {
+        seed_netlist(ui.session_mut());
+        if ui
+            .execute("checkpoint")
+            .expect("checkpoints")
+            .contains("rotated")
+        {
+            break;
+        }
         appended += 1;
         assert!(appended < 8, "a rotation is due within a few snapshots");
     }
     assert!(appended > 0, "the first checkpoint appends a snapshot");
+    let expected = SessionSpec::from_session(ui.session());
     drop(ui);
     let (ws, session, recovery) =
         Workspace::open_session(&root, |s| odyssey_registry(s)).expect("opens gen 1");
     assert_eq!(ws.generation(), 1);
     assert_eq!(recovery.ops_replayed, 0, "rotated journal is empty");
     assert!(session.last_report().expect("present").is_complete());
+    assert_eq!(SessionSpec::from_session(&session), expected);
     fs::remove_dir_all(&root).ok();
+}
+
+/// A saved workspace whose journal holds a snapshot frame after a few
+/// journaled commands, so that a later checkpoint of a fully
+/// journaled session writes nothing.
+fn checkpointed_workspace(tag: &str) -> (PathBuf, Ui) {
+    let root = temp_root(tag);
+    let mut ui = Ui::new(Session::odyssey("jbb"));
+    ui.execute(&format!("save {}", root.display()))
+        .expect("saves");
+    for cmd in ["goal Layout", "expand n0", "specialize n2 EditedNetlist"] {
+        ui.execute(cmd).expect(cmd);
+    }
+    let out = ui.execute("checkpoint").expect("checkpoints");
+    assert!(out.contains("snapshot appended"), "{out}");
+    assert!(!ui.session().has_unjournaled_changes());
+    (root, ui)
+}
+
+/// Every file a checkpoint could write: the MANIFEST, checkpoints and
+/// journal segments (not the lease or the telemetry sidecar), by name.
+fn store_files(root: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(root)
+        .expect("lists")
+        .map(|e| e.expect("entry").path())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_string_lossy().into_owned();
+            let store_file = name == "MANIFEST"
+                || name.starts_with("checkpoint-")
+                || name.starts_with("journal-");
+            store_file.then(|| (name, fs::read(&path).expect("reads")))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_direct_edit_before_a_journaled_verb_survives_checkpoint_and_reopen() {
+    let (root, mut ui) = checkpointed_workspace("edit-then-verb");
+    // The edit bypasses the journal; the verb after it is journaled,
+    // but its frame does not carry the edit.
+    let edit = seed_netlist(ui.session_mut());
+    assert!(ui.session().has_unjournaled_changes());
+    ui.execute("expand n2").expect("journals");
+    assert!(
+        ui.session().has_unjournaled_changes(),
+        "journaling a verb does not journal an earlier direct edit"
+    );
+    let out = ui.execute("checkpoint").expect("checkpoints");
+    assert!(out.contains("snapshot appended"), "{out}");
+    assert!(!ui.session().has_unjournaled_changes());
+    let expected = SessionSpec::from_session(ui.session());
+    drop(ui);
+
+    let (_ws, session, _report) =
+        Workspace::open_session(&root, |s| odyssey_registry(s)).expect("reopens");
+    assert!(
+        session.db().instance(edit).is_ok(),
+        "the direct edit survives"
+    );
+    assert_eq!(SessionSpec::from_session(&session), expected);
+    assert!(
+        !session.has_unjournaled_changes(),
+        "a recovered session is clear"
+    );
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_fully_journaled_checkpoint_leaves_the_store_byte_identical() {
+    let (root, mut ui) = checkpointed_workspace("journaled");
+    for cmd in ["expand n2", "bind-latest", "run"] {
+        ui.execute(cmd).expect(cmd);
+    }
+    let before = store_files(&root);
+    let out = ui.execute("checkpoint").expect("checkpoints");
+    assert!(
+        out.contains("generation 0's journal already holds every change"),
+        "{out}"
+    );
+    assert_eq!(store_files(&root), before, "the checkpoint wrote nothing");
+    let expected = SessionSpec::from_session(ui.session());
+    drop(ui);
+
+    let (_ws, session, report) =
+        Workspace::open_session(&root, |s| odyssey_registry(s)).expect("reopens");
+    assert_eq!(report.ops_replayed, 7, "3 verbs, the snapshot, 3 verbs");
+    assert_eq!(SessionSpec::from_session(&session), expected);
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn registry_tracer_options_and_cache_changes_leave_the_session_journaled() {
+    let (root, mut ui) = checkpointed_workspace("decorated");
+    let cache = temp_root("decorated-cache");
+    inject(ui.session_mut(), "Placer", FaultPlan::AlwaysPanic);
+    ui.session_mut().executor_mut().options_mut().failure = FailurePolicy::ContinueDisjoint;
+    ui.session_mut().disable_observability();
+    ui.execute(&format!("cache open {}", cache.display()))
+        .expect("opens the cache");
+    assert!(!ui.session().has_unjournaled_changes());
+    let before = store_files(&root);
+    let out = ui.execute("checkpoint").expect("checkpoints");
+    assert!(out.contains("already holds every change"), "{out}");
+    assert_eq!(store_files(&root), before);
+    drop(ui);
+    fs::remove_dir_all(&root).ok();
+    fs::remove_dir_all(&cache).ok();
 }
 
 /// The value under `key` in a JSON object.

@@ -22,7 +22,9 @@ use hercules::history::{Derivation, HistoryDb, InstanceId, Metadata};
 use hercules::obs::{names, HealthStatus, Metrics};
 use hercules::schema::synth::SynthConfig;
 use hercules::sim::{repro_command, SimEnv, SimRng, SIM_CRASH_MARKER};
-use hercules::store::{scan_frames, DegradedReason, ExecSpec, JournalOp, StoreError, Workspace};
+use hercules::store::{
+    scan_frames, CheckpointKind, DegradedReason, ExecSpec, JournalOp, StoreError, Workspace,
+};
 use hercules::ui::Ui;
 use hercules::{eda, read_postmortem, ExecEvent, HerculesError, Session, SessionSpec};
 
@@ -80,27 +82,49 @@ const WS_ROOT: &str = "/ws/alpha";
 /// `k`-th acknowledged journal frame of generation `g` (`refs[g][0]`
 /// is the state captured by generation `g`'s checkpoint itself). A
 /// checkpoint that appends its snapshot adds one frame, whose state
-/// equals the one before it; a checkpoint that rotates opens the next
-/// generation.
+/// includes any direct edit made before it; a checkpoint that rotates
+/// opens the next generation; one that only syncs adds nothing.
 struct Reference {
     by_gen: Vec<Vec<SessionSpec>>,
-    /// Whether each completed checkpoint rotated, in workload order.
-    rotated: Vec<bool>,
+    /// What each completed checkpoint did, in workload order.
+    kinds: Vec<CheckpointKind>,
+}
+
+/// What a REPL `checkpoint` did, read from its transcript.
+fn checkpoint_kind(transcript: &str) -> CheckpointKind {
+    if transcript.contains("rotated") {
+        CheckpointKind::Rotated
+    } else if transcript.contains("snapshot appended") {
+        CheckpointKind::Appended
+    } else {
+        assert!(
+            transcript.contains("already holds every change"),
+            "unexpected checkpoint transcript: {transcript}"
+        );
+        CheckpointKind::Synced
+    }
 }
 
 /// Drives the multi-session workload: save, build + run the
 /// verification flow, checkpoint, build + run the layout flow,
 /// checkpoint, run it again, checkpoint, rebuild and rerun it,
-/// checkpoint, then start one more flow and checkpoint. The checkpoints
-/// append snapshots until the generation's files outgrow the rotation
-/// bound, so the workload crosses both kinds and journals into the
-/// rotated generation too. Stops at the first error (a fired crash
-/// point), returning the snapshots of everything acknowledged up to
-/// then.
+/// checkpoint, start one more flow and checkpoint, refine it and
+/// checkpoint, then expand it and checkpoint. The first checkpoint
+/// appends a snapshot (the generation holds none yet); the next three
+/// each follow a direct database edit that bypasses the journal, so
+/// they write snapshots too, appended until the generation's files
+/// outgrow the rotation bound at the fourth; the fifth appends the
+/// rotated generation's first snapshot frame. Up to there the disk
+/// sees the same operations as when every checkpoint wrote a snapshot.
+/// The last two follow journaled commands only and skip, the first of
+/// them between frames. The workload thus crosses all three kinds and
+/// journals into the rotated generation too. Stops at the first error
+/// (a fired crash point), returning the snapshots of everything
+/// acknowledged up to then.
 ///
-/// `plan` is a clean run's [`Reference::rotated`]: a crash run reads
-/// from it whether the checkpoint it crashed in was rotating. The
-/// clean run itself passes `None`.
+/// `plan` is a clean run's [`Reference::kinds`]: a crash run reads
+/// from it what the checkpoint it crashed in was doing. The clean run
+/// itself passes `None`.
 ///
 /// With `verify_frames` (clean reference run only), cross-checks that
 /// each generation's journal holds exactly one frame per acknowledged
@@ -108,7 +132,7 @@ struct Reference {
 /// `ops_replayed`.
 fn drive_workload(
     sim: &SimEnv,
-    plan: Option<&[bool]>,
+    plan: Option<&[CheckpointKind]>,
     verify_frames: bool,
 ) -> (Reference, Result<(), HerculesError>) {
     let mut session = sim_session(sim, "sim");
@@ -116,7 +140,7 @@ fn drive_workload(
     let mut ui = Ui::new_in(session, sim.env());
     let mut refs = Reference {
         by_gen: Vec::new(),
-        rotated: Vec::new(),
+        kinds: Vec::new(),
     };
 
     if let Err(e) = ui.execute(&format!("save {WS_ROOT}")) {
@@ -152,13 +176,17 @@ fn drive_workload(
         "goal Layout".to_owned(),
         "expand n0".to_owned(),
     ];
+    let refine = ["specialize n2 EditedNetlist".to_owned()];
+    let extend = ["expand n2".to_owned()];
 
-    for segment in [
-        &verification[..],
-        &layout[..],
-        &rerun[..],
-        &layout[..],
-        &restart[..],
+    for (segment, direct_edit) in [
+        (&verification[..], false),
+        (&layout[..], true),
+        (&rerun[..], true),
+        (&layout[..], true),
+        (&restart[..], false),
+        (&refine[..], false),
+        (&extend[..], false),
     ] {
         for cmd in segment {
             if let Err(e) = ui.execute(cmd) {
@@ -186,27 +214,35 @@ fn drive_workload(
                 "one journal frame per acknowledged command or snapshot in generation {gen}"
             );
         }
+        if direct_edit {
+            // Not a frame: until a snapshot lands, recovery restores
+            // the state before it.
+            seed_netlist(ui.session_mut());
+        }
         let outcome = ui.execute("checkpoint");
-        let rotated = match &outcome {
-            Ok(out) => out.contains("rotated"),
-            Err(_) => plan.expect("a crash run follows a clean run's plan")[refs.rotated.len()],
+        let kind = match &outcome {
+            Ok(out) => checkpoint_kind(out),
+            Err(_) => plan.expect("a crash run follows a clean run's plan")[refs.kinds.len()],
         };
         // The checkpoint's state: after a rotation, the next
         // generation's base (a crashed rotation whose MANIFEST rename
         // survived the dice recovers as it, with zero replays); after
         // an append, one more frame of the current generation (a
-        // crashed append's frame may survive whole in the crash image).
+        // crashed append's frame may survive whole in the crash image);
+        // after a sync, nothing new.
         let state = SessionSpec::from_session(ui.session());
-        if rotated {
-            refs.by_gen.push(vec![state]);
-        } else {
-            let gen = refs.by_gen.len() - 1;
-            refs.by_gen[gen].push(state);
+        match kind {
+            CheckpointKind::Rotated => refs.by_gen.push(vec![state]),
+            CheckpointKind::Appended => {
+                let gen = refs.by_gen.len() - 1;
+                refs.by_gen[gen].push(state);
+            }
+            CheckpointKind::Synced => {}
         }
         if let Err(e) = outcome {
             return (refs, Err(e));
         }
-        refs.rotated.push(rotated);
+        refs.kinds.push(kind);
     }
     (refs, Ok(()))
 }
@@ -345,12 +381,18 @@ fn sim_multi_session_interleavings_and_crash_points() {
     let (refs, outcome) = drive_workload(&clean, None, true);
     outcome.expect("clean run completes");
     sim_assert(
-        refs.rotated.contains(&false) && refs.rotated.contains(&true),
+        [
+            CheckpointKind::Appended,
+            CheckpointKind::Rotated,
+            CheckpointKind::Synced,
+        ]
+        .iter()
+        .all(|kind| refs.kinds.contains(kind)),
         workload_seed,
         TEST,
         &format!(
-            "the workload must append a snapshot and rotate, got rotations {:?}",
-            refs.rotated
+            "the workload must append a snapshot, rotate and skip one, got {:?}",
+            refs.kinds
         ),
     );
     let total_ops = clean.fs_state().op_count();
@@ -373,7 +415,7 @@ fn sim_multi_session_interleavings_and_crash_points() {
     for k in (save_ops + 1)..=total_ops {
         let sim = SimEnv::new(workload_seed);
         sim.fs_state().set_crash_at(Some(k));
-        let (crash_refs, outcome) = drive_workload(&sim, Some(&refs.rotated), false);
+        let (crash_refs, outcome) = drive_workload(&sim, Some(&refs.kinds), false);
         // A crash landing on the final best-effort cleanup (the
         // superseded journal's removal) is swallowed by design; the
         // workload completes and recovery must still see a consistent
@@ -402,7 +444,7 @@ fn sim_multi_session_interleavings_and_crash_points() {
             let render_once = || {
                 let sim = SimEnv::new(workload_seed);
                 sim.fs_state().set_crash_at(Some(k));
-                let (crash_refs, _) = drive_workload(&sim, Some(&refs.rotated), false);
+                let (crash_refs, _) = drive_workload(&sim, Some(&refs.kinds), false);
                 assert_recovers_a_prefix(
                     &sim,
                     &crash_refs,
@@ -434,13 +476,14 @@ fn sim_checkpoint_crash_between_tmp_fsync_and_manifest_rename() {
 
     // Locate the first rotation's MANIFEST rename in a clean run:
     // rename #0 of MANIFEST.tmp belongs to `save`, rename #1 to the
-    // first `checkpoint` that rotates (appended snapshots rename
-    // nothing).
+    // first `checkpoint` that rotates (appended snapshots and syncs
+    // rename nothing).
     let clean = SimEnv::new(seed);
     let (refs, outcome) = drive_workload(&clean, None, false);
     outcome.expect("clean run completes");
     sim_assert(
-        refs.rotated.first() == Some(&false) && refs.rotated.contains(&true),
+        refs.kinds.first() == Some(&CheckpointKind::Appended)
+            && refs.kinds.contains(&CheckpointKind::Rotated),
         seed,
         TEST,
         "the first checkpoint appends and a later one rotates",
@@ -459,7 +502,7 @@ fn sim_checkpoint_crash_between_tmp_fsync_and_manifest_rename() {
     // the swap never happens.
     let sim = SimEnv::new(seed);
     sim.fs_state().set_crash_at(Some(rename_op));
-    let (_, outcome) = drive_workload(&sim, Some(&refs.rotated), false);
+    let (_, outcome) = drive_workload(&sim, Some(&refs.kinds), false);
     outcome.expect_err("the armed crash point aborts the checkpoint");
 
     let rebooted = sim.crash_and_reboot();
@@ -521,12 +564,13 @@ fn syncs(ops: &[String]) -> usize {
 }
 
 /// Exact sync counts: a REPL `save` costs at most 9 syncs (the
-/// workspace's 7 plus the telemetry sidecar's 2), and a checkpoint that
-/// appends its snapshot costs one write and one fsync — no directory
-/// fsync, no rename. A rotation costs 5 syncs, one directory fsync
-/// covering both the new checkpoint and the new head segment before the
-/// MANIFEST names them: rename + create, `sync_dir`, MANIFEST rename,
-/// `sync_dir`.
+/// workspace's 7 plus the telemetry sidecar's 2); a checkpoint of a
+/// fully journaled session with nothing pending touches no file at
+/// all; and a checkpoint that appends its snapshot costs one write and
+/// one fsync — no directory fsync, no rename. A rotation costs 5
+/// syncs, one directory fsync covering both the new checkpoint and the
+/// new head segment before the MANIFEST names them: rename + create,
+/// `sync_dir`, MANIFEST rename, `sync_dir`.
 #[test]
 fn sim_checkpoint_sync_counts() {
     const TEST: &str = "sim_checkpoint_sync_counts";
@@ -544,11 +588,26 @@ fn sim_checkpoint_sync_counts() {
     ui.execute("goal Layout").expect("journals");
 
     let mut kinds = Vec::new();
-    for _ in 0..8 {
+    for round in 0..8 {
+        // Every other checkpoint follows a direct edit the journal
+        // lacks, so it must write a snapshot; the others follow only
+        // journaled commands.
+        if round % 2 == 1 {
+            seed_netlist(ui.session_mut());
+        }
         let (out, ops) = fs_ops_of(&sim, || ui.execute("checkpoint"));
-        let rotated = out.expect("checkpoints").contains("rotated");
-        kinds.push(rotated);
-        if !rotated {
+        let kind = checkpoint_kind(&out.expect("checkpoints"));
+        kinds.push(kind);
+        if kind == CheckpointKind::Synced {
+            sim_assert(
+                ops.is_empty(),
+                seed,
+                TEST,
+                &format!("a checkpoint with nothing to write touches no file: {ops:#?}"),
+            );
+            continue;
+        }
+        if kind == CheckpointKind::Appended {
             let count = |kind: &str| ops.iter().filter(|op| op.starts_with(kind)).count();
             sim_assert(
                 (
@@ -590,10 +649,16 @@ fn sim_checkpoint_sync_counts() {
         );
     }
     sim_assert(
-        kinds.contains(&true) && kinds.contains(&false),
+        [
+            CheckpointKind::Appended,
+            CheckpointKind::Rotated,
+            CheckpointKind::Synced,
+        ]
+        .iter()
+        .all(|kind| kinds.contains(kind)),
         seed,
         TEST,
-        &format!("checkpoints both append and rotate: {kinds:?}"),
+        &format!("checkpoints append, rotate and skip: {kinds:?}"),
     );
 }
 
@@ -1679,7 +1744,7 @@ fn sim_telemetry_postmortem_crash_sweep() {
     for k in (save_ops + 1)..=total_ops {
         let sim = SimEnv::new(workload_seed);
         sim.fs_state().set_crash_at(Some(k));
-        let (_refs, _outcome) = drive_workload(&sim, Some(&refs.rotated), false);
+        let (_refs, _outcome) = drive_workload(&sim, Some(&refs.kinds), false);
         let rebooted = sim.crash_and_reboot();
         let report = read_postmortem(&rebooted.fs(), Path::new(WS_ROOT)).unwrap_or_else(|e| {
             panic!(
