@@ -182,21 +182,21 @@ pub const PASSES: &[PassInfo] = &[
         code: "HL0402",
         layer: Layer::Workspace,
         name: "manifest-corrupt",
-        summary: "MANIFEST is not a valid manifest document",
+        summary: "MANIFEST is neither one valid CRC frame nor a legacy manifest document",
         severity: Severity::Error,
     },
     PassInfo {
         code: "HL0403",
         layer: Layer::Workspace,
         name: "checkpoint-missing",
-        summary: "the checkpoint named by MANIFEST does not exist",
+        summary: "the generation's base, frame 0 of its first segment, is missing, torn, or fails its CRC",
         severity: Severity::Error,
     },
     PassInfo {
         code: "HL0404",
         layer: Layer::Workspace,
         name: "checkpoint-corrupt",
-        summary: "checkpoint does not restore to a session",
+        summary: "the generation's base is not a snapshot or does not restore to a session",
         severity: Severity::Error,
     },
     PassInfo {
@@ -224,7 +224,7 @@ pub const PASSES: &[PassInfo] = &[
         code: "HL0408",
         layer: Layer::Workspace,
         name: "journal-replay-failure",
-        summary: "a journaled operation does not replay against the checkpoint",
+        summary: "a journaled operation does not replay against the base",
         severity: Severity::Error,
     },
     PassInfo {

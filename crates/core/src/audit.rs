@@ -6,13 +6,14 @@
 //! the passes that must see `hercules` itself:
 //!
 //! * **workspace lint** (`HL04xx`, [`lint_workspace_in`]) — journal/
-//!   manifest invariant checks over a saved durable workspace
-//!   (`crates/core/src/store.rs` layout), ending in a full session lint
-//!   of the recovered state;
+//!   manifest invariant checks over a saved durable workspace, read
+//!   through the store's own MANIFEST and generation-base readers,
+//!   ending in a full session lint of the recovered state;
 //! * **session lint** ([`lint_session`]) — schema, flow, hazard, and
 //!   the `HL05xx` consistency passes over a live [`Session`];
 //! * **conflict prediction** (`HL0505`, [`predict_conflicts`]) — given
-//!   two saved [`SessionSpec`]s, report the entity families both
+//!   two sessions, each recovered read-only from a saved workspace by
+//!   [`recover_workspace_in`], report the entity families both
 //!   sessions' flows touch with at least one writer: the files their
 //!   owners will fight over if both sessions run.
 //!
@@ -31,10 +32,12 @@ use hercules_exec::EncapsulationRegistry;
 use hercules_flow::FlowEffects;
 use hercules_schema::EntityTypeId;
 use hercules_sim::Env;
-use serde::Deserialize;
 
-use crate::store::scan_frames;
-use crate::{JournalOp, Session, SessionSpec};
+use crate::store::{
+    is_generation_file, parse_segment_name, read_lease, read_manifest, scan_frames, Base, Manifest,
+    StoreError, LEASE_FILE,
+};
+use crate::{JournalOp, Session};
 
 /// Lints a live session: its schema, its active flow (if any), and the
 /// design history's `HL05xx` consistency findings (staleness, retrace
@@ -66,7 +69,7 @@ pub fn lint_session_timed(
 // HL0505: cross-session conflict prediction.
 // ---------------------------------------------------------------------
 
-/// Predicts write conflicts between two saved sessions (`HL0505`).
+/// Predicts write conflicts between two sessions (`HL0505`).
 ///
 /// Each session's active flow is summarized by [`FlowEffects`] —
 /// which entity families it will produce and which it reads — and the
@@ -75,11 +78,8 @@ pub fn lint_session_timed(
 /// whose is "latest") and write/read (the reader binds a version the
 /// writer is about to supersede). Sessions without an active flow
 /// contribute nothing.
-pub fn predict_conflicts(a: &SessionSpec, b: &SessionSpec, out: &mut Diagnostics) {
-    let Some(ea) = session_effects(a, out) else {
-        return;
-    };
-    let Some(eb) = session_effects(b, out) else {
+pub fn predict_conflicts(a: &Session, b: &Session, out: &mut Diagnostics) {
+    let (Some(ea), Some(eb)) = (session_effects(a), session_effects(b)) else {
         return;
     };
     // Write/write: both flows produce in the family.
@@ -142,22 +142,7 @@ struct SessionEffects {
     names: std::collections::BTreeMap<EntityTypeId, String>,
 }
 
-fn session_effects(spec: &SessionSpec, out: &mut Diagnostics) -> Option<SessionEffects> {
-    let session = match spec.restore_with(|_| EncapsulationRegistry::new()) {
-        Ok(session) => session,
-        Err(e) => {
-            out.push(Diagnostic::new(
-                "HL0404",
-                Severity::Error,
-                Span::target(),
-                format!(
-                    "session of `{}` does not restore from its spec: {e}",
-                    spec.user
-                ),
-            ));
-            return None;
-        }
-    };
+fn session_effects(session: &Session) -> Option<SessionEffects> {
     let flow = session.flow().ok()?;
     let schema = session.schema();
     let effects = FlowEffects::of(flow);
@@ -175,7 +160,7 @@ fn session_effects(spec: &SessionSpec, out: &mut Diagnostics) -> Option<SessionE
         .map(|&f| (f, schema.entity(f).name().to_owned()))
         .collect();
     Some(SessionEffects {
-        user: spec.user.clone(),
+        user: session.user().to_owned(),
         writes,
         must_read,
         may_read,
@@ -187,40 +172,6 @@ fn session_effects(spec: &SessionSpec, out: &mut Diagnostics) -> Option<SessionE
 // HL04xx: durable-workspace invariants.
 // ---------------------------------------------------------------------
 
-/// Mirror of the store's private manifest document. The store owns the
-/// write path; the linter only needs the read shape, so it keeps its
-/// own deserializer rather than widening the store's API.
-#[derive(Debug, Deserialize)]
-struct ManifestDoc {
-    generation: u64,
-    checkpoint: String,
-    journal: String,
-    #[serde(default)]
-    segments: Vec<String>,
-    #[serde(default)]
-    fencing_token: u64,
-}
-
-impl ManifestDoc {
-    /// The segment chain, oldest first. Pre-segment manifests name
-    /// only `journal`; treat that as a one-segment chain.
-    fn effective_segments(&self) -> Vec<String> {
-        if self.segments.is_empty() {
-            vec![self.journal.clone()]
-        } else {
-            self.segments.clone()
-        }
-    }
-}
-
-/// Mirror of the store's lease lock file.
-#[derive(Debug, Deserialize)]
-struct LeaseDoc {
-    owner: String,
-    expires_unix_ms: u64,
-    token: u64,
-}
-
 /// Lints a durable workspace directory in the real environment.
 pub fn lint_workspace(root: &Path, out: &mut Diagnostics) {
     lint_workspace_in(root, &Env::real(), out);
@@ -228,53 +179,59 @@ pub fn lint_workspace(root: &Path, out: &mut Diagnostics) {
 
 /// Lints a durable workspace directory through the injected
 /// environment. Each invariant violation is one diagnostic; once the
-/// checkpoint restores and the journal replays cleanly, the recovered
-/// session is linted like a live one (schema, flow, hazard, and
-/// consistency passes). The linter never mutates the workspace:
-/// recovery *truncates* a torn journal tail and *quarantines* damaged
-/// segments, the linter merely reports them.
+/// base restores and the journal replays cleanly, the recovered session
+/// is linted like a live one (schema, flow, hazard, and consistency
+/// passes). The linter never mutates the workspace: recovery
+/// *truncates* a torn journal tail and *quarantines* damaged segments,
+/// the linter merely reports them.
 pub fn lint_workspace_in(root: &Path, env: &Env, out: &mut Diagnostics) {
-    let text = match read_utf8(env, &root.join("MANIFEST")) {
-        Ok(text) => text,
-        Err(e) => {
+    let Some(manifest) = manifest(root, env, out) else {
+        return;
+    };
+    orphan_generations(root, env, &manifest, out);
+    segment_chain(&manifest, out);
+    quarantine_files(root, env, out);
+    lease_state(root, env, &manifest, out);
+    if let Some(session) = replay(root, env, &manifest, out) {
+        lint_session(&session, out);
+    }
+}
+
+/// Recovers the session a saved workspace holds, read-only: no lease is
+/// taken and nothing is repaired. The base restores with an empty tool
+/// registry, since replay is extensional. Reports what stops recovery
+/// (`HL0401`–`HL0408`, as [`lint_workspace_in`] does) and returns the
+/// session replayed so far, or `None` when no base restores or a frame
+/// fails.
+pub fn recover_workspace_in(root: &Path, env: &Env, out: &mut Diagnostics) -> Option<Session> {
+    let manifest = manifest(root, env, out)?;
+    replay(root, env, &manifest, out)
+}
+
+/// HL0401/HL0402: MANIFEST must be readable and be a manifest, as the
+/// store reads it.
+fn manifest(root: &Path, env: &Env, out: &mut Diagnostics) -> Option<Manifest> {
+    match read_manifest(&env.fs, root) {
+        Ok(manifest) => Some(manifest),
+        Err(StoreError::Io(e)) => {
             out.push(Diagnostic::new(
                 "HL0401",
                 Severity::Error,
                 Span::file("MANIFEST"),
                 format!("workspace has no readable MANIFEST: {e}"),
             ));
-            return;
+            None
         }
-    };
-    let manifest: ManifestDoc = match serde_json::from_str(&text) {
-        Ok(m) => m,
         Err(e) => {
             out.push(Diagnostic::new(
                 "HL0402",
                 Severity::Error,
                 Span::file("MANIFEST"),
-                format!("MANIFEST is not a valid manifest document: {e}"),
+                format!("MANIFEST is not a valid manifest: {e}"),
             ));
-            return;
+            None
         }
-    };
-
-    orphan_generations(root, env, &manifest, out);
-    segment_chain(&manifest, out);
-    quarantine_files(root, env, out);
-    lease_state(root, env, &manifest, out);
-
-    let session = restore_checkpoint(root, env, &manifest, out);
-    let replayed = check_journal(root, env, &manifest, session, out);
-    if let Some(session) = replayed {
-        lint_session(&session, out);
     }
-}
-
-fn read_utf8(env: &Env, path: &Path) -> std::io::Result<String> {
-    let bytes = env.fs.read(path)?;
-    String::from_utf8(bytes)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// File names directly under `root`, sorted.
@@ -288,91 +245,89 @@ fn dir_names(root: &Path, env: &Env) -> Vec<String> {
         .collect()
 }
 
-/// HL0403/HL0404: the checkpoint named by MANIFEST must exist, parse,
-/// and restore. Restoration uses an empty encapsulation registry —
-/// journal replay is extensional (recorded instances and reports, no
-/// tool execution), so no real tool bindings are needed.
-fn restore_checkpoint(
-    root: &Path,
-    env: &Env,
-    manifest: &ManifestDoc,
-    out: &mut Diagnostics,
-) -> Option<Session> {
-    let text = match read_utf8(env, &root.join(&manifest.checkpoint)) {
-        Ok(text) => text,
+/// HL0403–HL0408, read as recovery reads the generation: its base
+/// (frame 0 of the first segment) must exist (HL0403) and restore
+/// (HL0404), with an empty encapsulation registry since replay is
+/// extensional; every segment of the chain must exist (HL0405); a tail
+/// may be torn (warn — recovery truncates or quarantines it, HL0406);
+/// every checksummed frame after the base must parse as a [`JournalOp`]
+/// (HL0407) and replay, exactly as recovery replays it (HL0408) — a
+/// checkpoint's [`JournalOp::Snapshot`] frame replaces the session, and
+/// later frames replay against that. Frames are numbered along the
+/// chain, the base being frame 0. Returns the replayed session when
+/// everything is clean enough to keep linting.
+fn replay(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostics) -> Option<Session> {
+    let segments = &manifest.segments;
+    let unreadable = |segment: &str, e: std::io::Error| {
+        Diagnostic::new(
+            "HL0405",
+            Severity::Error,
+            Span::file(segment),
+            format!(
+                "journal segment `{segment}` named by MANIFEST (generation {}) is unreadable: {e}",
+                manifest.generation
+            ),
+        )
+    };
+    let first = match env.fs.read(&root.join(&segments[0])) {
+        Ok(buf) => buf,
         Err(e) => {
+            out.push(unreadable(&segments[0], e));
             out.push(Diagnostic::new(
                 "HL0403",
                 Severity::Error,
-                Span::file(&manifest.checkpoint),
+                Span::file(&segments[0]),
                 format!(
-                    "checkpoint `{}` named by MANIFEST (generation {}) is unreadable: {e}",
-                    manifest.checkpoint, manifest.generation
+                    "generation {}'s base is missing with its first segment",
+                    manifest.generation
                 ),
             ));
             return None;
         }
     };
-    let spec = match SessionSpec::from_json(&text) {
-        Ok(spec) => spec,
-        Err(e) => {
-            out.push(Diagnostic::new(
-                "HL0404",
-                Severity::Error,
-                Span::file(&manifest.checkpoint),
-                format!("checkpoint does not parse as a session: {e}"),
-            ));
-            return None;
+    let (mut session, skip) = {
+        let base = match Base::find(&env.fs, root, manifest, &first) {
+            Ok(base) => base,
+            Err(e) => {
+                out.push(Diagnostic::new(
+                    "HL0403",
+                    Severity::Error,
+                    Span::file(&segments[0]),
+                    format!("{e}"),
+                ));
+                return None;
+            }
+        };
+        let restored = base.decode().and_then(|spec| {
+            spec.restore_with(|_| EncapsulationRegistry::new())
+                .map_err(StoreError::from)
+        });
+        match restored {
+            Ok(session) => (session, base.frames()),
+            Err(e) => {
+                out.push(Diagnostic::new(
+                    "HL0404",
+                    Severity::Error,
+                    Span::frame(0),
+                    format!("the generation base does not restore to a session: {e}"),
+                ));
+                return None;
+            }
         }
     };
-    match spec.restore_with(|_| EncapsulationRegistry::new()) {
-        Ok(session) => Some(session),
-        Err(e) => {
-            out.push(Diagnostic::new(
-                "HL0404",
-                Severity::Error,
-                Span::file(&manifest.checkpoint),
-                format!("checkpoint does not restore to a session: {e}"),
-            ));
-            None
-        }
-    }
-}
-
-/// HL0405–HL0408: every segment of the journal chain must exist; a
-/// tail may be torn (warn — recovery truncates or quarantines it);
-/// every checksummed frame must parse as a [`JournalOp`]; every parsed
-/// op must replay against the checkpoint, exactly as recovery replays
-/// it — a checkpoint's [`JournalOp::Snapshot`] frame replaces the
-/// session, and later frames replay against that. Returns the fully
-/// replayed session when everything is clean enough to keep linting.
-fn check_journal(
-    root: &Path,
-    env: &Env,
-    manifest: &ManifestDoc,
-    session: Option<Session>,
-    out: &mut Diagnostics,
-) -> Option<Session> {
-    let segments = manifest.effective_segments();
-    let mut session = session;
-    let mut replay_ok = session.is_some();
+    let mut first = Some(first);
+    let mut replay_ok = true;
     let mut frame_base = 0usize;
     for (si, segment) in segments.iter().enumerate() {
         let last = si + 1 == segments.len();
-        let buf = match env.fs.read(&root.join(segment)) {
+        let buf = match first
+            .take()
+            .map_or_else(|| env.fs.read(&root.join(segment)), Ok)
+        {
             Ok(buf) => buf,
             Err(e) => {
-                out.push(Diagnostic::new(
-                    "HL0405",
-                    Severity::Error,
-                    Span::file(segment),
-                    format!(
-                        "journal segment `{segment}` named by MANIFEST (generation {}) \
-                         is unreadable: {e}",
-                        manifest.generation
-                    ),
-                ));
-                return session;
+                out.push(unreadable(segment, e));
+                return replay_ok.then_some(session);
             }
         };
         let scan = scan_frames(&buf);
@@ -394,7 +349,8 @@ fn check_journal(
                 ),
             ));
         }
-        for (i, payload) in scan.payloads.iter().enumerate() {
+        let from = if si == 0 { skip } else { 0 };
+        for (i, payload) in scan.payloads.iter().enumerate().skip(from) {
             let frame = frame_base + i;
             let op: JournalOp = match serde_json::from_slice(payload) {
                 Ok(op) => op,
@@ -412,45 +368,27 @@ fn check_journal(
             if !replay_ok {
                 continue; // one failure poisons everything downstream
             }
-            if let Some(s) = session.as_mut() {
-                if let Err(e) = op.replay(s) {
-                    out.push(Diagnostic::new(
-                        "HL0408",
-                        Severity::Error,
-                        Span::frame(frame),
-                        format!("journaled operation does not replay against the checkpoint: {e}"),
-                    ));
-                    replay_ok = false;
-                }
+            if let Err(e) = op.replay(&mut session) {
+                out.push(Diagnostic::new(
+                    "HL0408",
+                    Severity::Error,
+                    Span::frame(frame),
+                    format!("journaled operation does not replay against the base: {e}"),
+                ));
+                replay_ok = false;
             }
         }
         frame_base += scan.payloads.len();
     }
-    if replay_ok {
-        session
-    } else {
-        None
-    }
-}
-
-/// Parses `journal-<gen>.log` / `journal-<gen>.<seq>.log` into
-/// `(generation, sequence)`.
-fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
-    let rest = name.strip_prefix("journal-")?.strip_suffix(".log")?;
-    match rest.split_once('.') {
-        None => rest.parse().ok().map(|generation| (generation, 0)),
-        Some((generation, seq)) => Some((generation.parse().ok()?, seq.parse().ok()?)),
-    }
+    replay_ok.then_some(session)
 }
 
 /// HL0410: the MANIFEST segment chain must be well-formed — every name
-/// parseable, every segment in the manifest's generation, sequence
-/// numbers exactly 0..n in order, and the `journal` field naming the
-/// last (active) segment. A gap or disorder means recovery would
-/// replay operations out of order or skip committed work.
-fn segment_chain(manifest: &ManifestDoc, out: &mut Diagnostics) {
-    let segments = manifest.effective_segments();
-    for (i, name) in segments.iter().enumerate() {
+/// parseable, every segment in the manifest's generation, and sequence
+/// numbers exactly 0..n in order. A gap or disorder means recovery
+/// would replay operations out of order or skip committed work.
+fn segment_chain(manifest: &Manifest, out: &mut Diagnostics) {
+    for (i, name) in manifest.segments.iter().enumerate() {
         let Some((generation, seq)) = parse_segment_name(name) else {
             out.push(Diagnostic::new(
                 "HL0410",
@@ -487,20 +425,6 @@ fn segment_chain(manifest: &ManifestDoc, out: &mut Diagnostics) {
             ));
         }
     }
-    if let Some(active) = segments.last() {
-        if *active != manifest.journal {
-            out.push(Diagnostic::new(
-                "HL0410",
-                Severity::Error,
-                Span::file("MANIFEST"),
-                format!(
-                    "MANIFEST names `{}` as the active journal but the segment chain \
-                     ends at `{active}`",
-                    manifest.journal
-                ),
-            ));
-        }
-    }
 }
 
 /// HL0411: quarantine files (`*.quarantined-<k>`) left behind by scrub
@@ -527,29 +451,25 @@ fn quarantine_files(root: &Path, env: &Env, out: &mut Diagnostics) {
 /// should match the fencing token MANIFEST records. An expired lease
 /// means the writer died (or forgot to close); a token behind the
 /// manifest's means the lease was superseded by a takeover.
-fn lease_state(root: &Path, env: &Env, manifest: &ManifestDoc, out: &mut Diagnostics) {
-    let text = match read_utf8(env, &root.join("LEASE")) {
-        Ok(text) => text,
-        Err(_) => return, // no lease: the workspace is simply closed
-    };
-    let lease: LeaseDoc = match serde_json::from_str(&text) {
-        Ok(lease) => lease,
-        Err(e) => {
-            out.push(Diagnostic::new(
-                "HL0412",
-                Severity::Warn,
-                Span::file("LEASE"),
-                format!("LEASE does not parse as a lease document: {e}"),
-            ));
-            return;
-        }
+fn lease_state(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostics) {
+    if !env.fs.exists(&root.join(LEASE_FILE)) {
+        return; // no lease: the workspace is simply closed
+    }
+    let Some(lease) = read_lease(&env.fs, root) else {
+        out.push(Diagnostic::new(
+            "HL0412",
+            Severity::Warn,
+            Span::file(LEASE_FILE),
+            "LEASE does not parse as a lease document".to_owned(),
+        ));
+        return;
     };
     let now_ms = env.clock.wall_unix_ms();
     if lease.token < manifest.fencing_token {
         out.push(Diagnostic::new(
             "HL0412",
             Severity::Warn,
-            Span::file("LEASE"),
+            Span::file(LEASE_FILE),
             format!(
                 "lease held by `{}` carries fencing token {} but MANIFEST is at {}: \
                  the writer was deposed by a takeover",
@@ -560,7 +480,7 @@ fn lease_state(root: &Path, env: &Env, manifest: &ManifestDoc, out: &mut Diagnos
         out.push(Diagnostic::new(
             "HL0412",
             Severity::Warn,
-            Span::file("LEASE"),
+            Span::file(LEASE_FILE),
             format!(
                 "lease held by `{}` expired at unix-ms {} (now {now_ms}): the writer \
                  died or forgot to close; the next open will take over",
@@ -571,18 +491,14 @@ fn lease_state(root: &Path, env: &Env, manifest: &ManifestDoc, out: &mut Diagnos
 }
 
 /// HL0409: generation files present on disk but not named by MANIFEST.
-/// Harmless (checkpointing leaves the previous generation behind until
-/// the next rotation) but worth knowing about when auditing disk use.
-fn orphan_generations(root: &Path, env: &Env, manifest: &ManifestDoc, out: &mut Diagnostics) {
-    let segments = manifest.effective_segments();
-    for name in dir_names(root, env).into_iter().filter(|name| {
-        let generation_file = (name.starts_with("checkpoint-") && name.ends_with(".json"))
-            || (name.starts_with("journal-") && name.ends_with(".log"));
-        generation_file
-            && *name != manifest.checkpoint
-            && *name != manifest.journal
-            && !segments.contains(name)
-    }) {
+/// Harmless (a crash between a rotation's MANIFEST swap and its deletes
+/// leaves the previous generation behind) but worth knowing about when
+/// auditing disk use.
+fn orphan_generations(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostics) {
+    for name in dir_names(root, env)
+        .into_iter()
+        .filter(|name| is_generation_file(name) && !manifest.names(name))
+    {
         out.push(Diagnostic::new(
             "HL0409",
             Severity::Info,
@@ -599,32 +515,31 @@ fn orphan_generations(root: &Path, env: &Env, manifest: &ManifestDoc, out: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Session;
 
-    /// Builds a saved session whose flow produces a Performance (and
+    /// Builds a session whose flow produces a Performance (and
     /// everything under it) — a heavy writer.
-    fn writer_spec(user: &str) -> SessionSpec {
+    fn writer(user: &str) -> Session {
         let mut session = Session::odyssey(user);
         let perf = session.start_from_goal("Performance").expect("seed");
         session.expand(perf).expect("expand");
-        SessionSpec::from_session(&session)
+        session
     }
 
-    /// Builds a saved session that only reads: a flow seeded at a leaf
-    /// with no expansion.
-    fn reader_spec(user: &str) -> SessionSpec {
+    /// Builds a session that only reads: a flow seeded at a leaf with no
+    /// expansion.
+    fn reader(user: &str) -> Session {
         let mut session = Session::odyssey(user);
         let perf = session.start_from_goal("Performance").expect("seed");
         let created = session.expand(perf).expect("expand");
         // Expand the circuit too so Netlist becomes a consumed leaf.
         let _ = session.expand(created[1]);
-        SessionSpec::from_session(&session)
+        session
     }
 
     #[test]
     fn two_writers_conflict() {
-        let a = writer_spec("alice");
-        let b = writer_spec("bob");
+        let a = writer("alice");
+        let b = writer("bob");
         let mut out = Diagnostics::new();
         predict_conflicts(&a, &b, &mut out);
         assert!(
@@ -641,9 +556,9 @@ mod tests {
 
     #[test]
     fn disjoint_sessions_are_clean() {
-        let a = writer_spec("alice");
+        let a = writer("alice");
         // A session with no flow at all cannot conflict.
-        let empty = SessionSpec::from_session(&Session::odyssey("carol"));
+        let empty = Session::odyssey("carol");
         let mut out = Diagnostics::new();
         predict_conflicts(&a, &empty, &mut out);
         assert!(out.is_empty(), "got:\n{}", out.render_text());
@@ -651,8 +566,8 @@ mod tests {
 
     #[test]
     fn writer_vs_reader_names_both_users() {
-        let a = writer_spec("alice");
-        let b = reader_spec("bob");
+        let a = writer("alice");
+        let b = reader("bob");
         let mut out = Diagnostics::new();
         predict_conflicts(&a, &b, &mut out);
         let hit = out

@@ -4,7 +4,7 @@
 //! ```text
 //! herclint --schema schema.json [--flow flow.json]   lint a schema (and a flow against it)
 //! herclint --workspace DIR                           lint a saved durable workspace
-//! herclint --conflicts A.json B.json                 predict conflicts between two sessions
+//! herclint --conflicts DIR DIR                       predict conflicts between two saved workspaces
 //! herclint --fixtures                                lint every built-in fixture
 //! herclint --list-passes                             print the pass registry
 //!
@@ -15,6 +15,10 @@
 //!                          (default error)
 //! ```
 //!
+//! `--conflicts` recovers each workspace's session read-only, through
+//! the same reader as `--workspace`: it takes no lease and repairs
+//! nothing.
+//!
 //! Exit codes: 0 clean (below the `--fail-on` threshold), 1 findings at
 //! or above the threshold, 2 usage or I/O error.
 
@@ -23,8 +27,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use hercules::audit::{lint_workspace, predict_conflicts};
-use hercules::SessionSpec;
+use hercules::audit::{lint_workspace, predict_conflicts, recover_workspace_in};
+use hercules::sim::Env;
 use hercules_analyze::{
     lint_flow_timed, lint_schema_spec, lint_schema_timed, render_passes, Diagnostics,
     JsonPassTiming, JsonReport, LintConfig, PassTiming, Severity,
@@ -119,7 +123,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 const USAGE: &str = "usage: herclint [--schema FILE [--flow FILE]] [--workspace DIR]
-                [--conflicts FILE FILE] [--fixtures] [--list-passes]
+                [--conflicts DIR DIR] [--fixtures] [--list-passes]
                 [--format text|json] [--suppress CODES]
                 [--fail-on error|warn|info|never]";
 
@@ -132,13 +136,6 @@ type Target = (String, Diagnostics, Vec<PassTiming>);
 fn wall_clock() -> impl FnMut() -> u64 {
     let start = Instant::now();
     move || start.elapsed().as_nanos() as u64
-}
-
-fn read_session_spec(path: &std::path::Path) -> Result<SessionSpec, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    SessionSpec::from_json(&text)
-        .map_err(|e| format!("{} is not a session spec: {e}", path.display()))
 }
 
 fn lint_file_targets(args: &Args, targets: &mut Vec<Target>) -> Result<(), String> {
@@ -176,10 +173,13 @@ fn lint_file_targets(args: &Args, targets: &mut Vec<Target>) -> Result<(), Strin
         targets.push((dir.display().to_string(), out, Vec::new()));
     }
     if let Some((a_path, b_path)) = &args.conflicts {
-        let a = read_session_spec(a_path)?;
-        let b = read_session_spec(b_path)?;
         let mut out = Diagnostics::with_config(args.config.clone());
-        predict_conflicts(&a, &b, &mut out);
+        let env = Env::real();
+        let a = recover_workspace_in(a_path, &env, &mut out);
+        let b = recover_workspace_in(b_path, &env, &mut out);
+        if let (Some(a), Some(b)) = (a, b) {
+            predict_conflicts(&a, &b, &mut out);
+        }
         let name = format!("conflicts:{}+{}", a_path.display(), b_path.display());
         targets.push((name, out, Vec::new()));
     }

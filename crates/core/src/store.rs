@@ -1,22 +1,33 @@
 //! Crash-safe durable workspace: an append-only, checksummed journal of
-//! session mutations plus atomic checkpoint snapshots, with torn-write
-//! recovery and resumable execution.
+//! session mutations whose every generation starts from a snapshot
+//! frame, with torn-write recovery and resumable execution.
 //!
 //! # On-disk layout
 //!
-//! A workspace is a directory holding three kinds of files:
+//! A workspace is a directory holding:
 //!
-//! - `MANIFEST` — a tiny JSON document naming the current generation
-//!   and its checkpoint/journal files. Swapped atomically (temp file +
-//!   fsync + rename + directory fsync), so it always points at a valid
-//!   pair.
-//! - `checkpoint-N.json` — generation `N`'s base: a full
-//!   [`SessionSpec`] snapshot, written atomically the same way. Never
-//!   modified after the rename.
-//! - `journal-N.log` — an append-only sequence of frames, one per
-//!   mutating UI command since checkpoint `N`. Each append is followed
-//!   by `fsync` before the command's result is reported, so an
+//! - `MANIFEST` — one CRC frame (format below) whose JSON payload names
+//!   the current generation, its journal segments, oldest first, and
+//!   the highest fencing token ever granted. Swapped atomically (temp
+//!   file + fsync + rename + directory fsync), so it always names a
+//!   complete generation.
+//! - `journal-N.log`, `journal-N.1.log`, … — generation `N`'s segments:
+//!   append-only sequences of frames. Frame 0 of the first segment is
+//!   the generation's base, a [`JournalOp::Snapshot`] of the whole
+//!   session, synced before any MANIFEST names the generation. Every
+//!   later frame is one mutating UI command (or an appended snapshot),
+//!   fsynced before the command's result is reported, so an
 //!   acknowledged command survives power loss.
+//! - `LEASE` — the writer lease (owner, expiry, fencing token). It holds
+//!   no session state, so it stays plain JSON: a damaged lease can only
+//!   delay or force a takeover, which the MANIFEST's fencing token
+//!   arbitrates.
+//!
+//! Every byte of session state on disk is thus inside a CRC frame. A
+//! workspace written before frames has a plain-JSON MANIFEST naming a
+//! `checkpoint-N.json` base; the MANIFEST reader and the base reader
+//! here are the only code that reads that layout, and a writable open
+//! re-bases it at once onto a frames-only generation.
 //!
 //! [`Workspace::checkpoint`] writes a snapshot only when the journal
 //! cannot stand in for one. Every [`Ui`](crate::ui::Ui) command is
@@ -25,20 +36,19 @@
 //! ([`Session::has_unjournaled_changes`]); otherwise it only bounds
 //! replay. A checkpoint appends the session snapshot to the journal as
 //! one [`JournalOp::Snapshot`] frame — one `write` and one `fsync` —
-//! when the session holds unjournaled state, when the generation holds
-//! no CRC-framed snapshot yet (its base `checkpoint-N.json` carries no
-//! checksum), or when the frames since the newest snapshot hold at
-//! least as many bytes as it. Otherwise it only syncs the pending
-//! frames, if any. So after any checkpoint, `open` replays at most one
-//! snapshot's worth of frames after the newest snapshot. A new
-//! generation (checkpoint file, head segment, MANIFEST swap, old
-//! generation retired) starts only when a snapshot would leave the
-//! generation's files larger than [`ROTATE_FACTOR`] times itself.
+//! when the session holds unjournaled state, or when the frames since
+//! the newest snapshot (the base, at first) hold at least as many bytes
+//! as it. Otherwise it only syncs the pending frames, if any. So after
+//! any checkpoint, `open` replays at most one snapshot's worth of frames
+//! after the newest snapshot. A new generation (head segment holding
+//! the snapshot, MANIFEST swap, old generation retired) starts only
+//! when a snapshot would leave the generation's files larger than
+//! [`ROTATE_FACTOR`] times itself.
 //!
 //! # Frame format
 //!
 //! ```text
-//! [payload length: u32 LE][CRC32(payload): u32 LE][payload: JSON JournalOp]
+//! [payload length: u32 LE][CRC32(payload): u32 LE][payload: JSON]
 //! ```
 //!
 //! The CRC is IEEE 802.3 (the zlib/PNG polynomial), computed by
@@ -47,7 +57,9 @@
 //! checksum does not match — ends the journal: recovery truncates the
 //! file back to the last valid frame, reports how many bytes were
 //! discarded, and never panics or fails on any prefix of a well-formed
-//! journal.
+//! journal. A damaged base is never a torn tail, since it was synced
+//! before the generation existed: `open` fails with
+//! [`StoreError::Corrupt`] and changes nothing on disk.
 //!
 //! # Write path
 //!
@@ -80,6 +92,7 @@
 //! skipped subtasks of an interrupted partial execution, serving the
 //! already committed ones from the design history as cache hits.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -345,10 +358,11 @@ pub enum JournalOp {
     Clear,
     /// An execution's committed effects (extensional).
     Exec(ExecSpec),
-    /// A whole-session snapshot appended by [`Workspace::checkpoint`]:
-    /// the same document as `checkpoint-N.json`, so its shared payloads
-    /// name earlier records of this snapshot. The state after it equals
-    /// the state before it.
+    /// A whole-session snapshot: frame 0 of every generation, its base,
+    /// and the frame [`Workspace::checkpoint`] appends. Its shared
+    /// payloads name earlier records of this snapshot. Replaying it
+    /// replaces the session; after an appended one the state equals the
+    /// state before it.
     Snapshot(Box<SessionSpec>),
 }
 
@@ -405,107 +419,194 @@ impl JournalOp {
 /// snapshot supersedes everything before it, yet the next `open` still
 /// reads and replays the whole generation, so the factor trades
 /// open-time work and disk space for checkpoint-time syncs: at 4, about
-/// three appended snapshots of one sync each share a rotation's five
+/// three appended snapshots of one sync each share a rotation's four
 /// syncs, while `open` reads, and the directory keeps, at most four
 /// snapshots' worth. A constant, not a setting.
 const ROTATE_FACTOR: u64 = 4;
 
-/// The frame payload of a [`JournalOp::Snapshot`] wraps the checkpoint
-/// document in this prefix and a closing brace: the variant's JSON.
-const SNAPSHOT_PREFIX: &str = "{\"Snapshot\":";
-
-/// A session snapshot encoded once, as the journal frame a checkpoint
-/// appends. The checkpoint document sits inside the frame, so a
-/// rotation writes the same bytes to `checkpoint-N.json` without
-/// encoding or copying them again.
-struct SnapshotFrame {
-    /// Frame header, then the payload.
-    bytes: Vec<u8>,
-    /// `false` when the payload exceeds the frame limit: the header is
-    /// left blank and only a rotation can make the snapshot durable.
-    framed: bool,
-}
-
-impl SnapshotFrame {
-    fn encode(session: &Session) -> Result<SnapshotFrame, StoreError> {
-        let spec = SessionSpec::from_session(session);
-        // Eight placeholder bytes for the frame header, filled in below
-        // once the payload's length is known.
-        let mut text = String::from("\0\0\0\0\0\0\0\0");
-        text.push_str(SNAPSHOT_PREFIX);
-        serde_json::to_string_into(&mut text, &spec)?;
-        drop(spec);
-        text.push('}');
-        let mut bytes = text.into_bytes();
-        let len = frame_len(bytes.len() - 8);
-        if let Ok(len) = len {
-            let crc = crc32(&bytes[8..]);
-            bytes[..4].copy_from_slice(&len.to_le_bytes());
-            bytes[4..8].copy_from_slice(&crc.to_le_bytes());
-        }
-        Ok(SnapshotFrame {
-            bytes,
-            framed: len.is_ok(),
-        })
-    }
-
-    /// The whole frame, or `None` when it exceeds the frame limit.
-    fn frame(&self) -> Option<&[u8]> {
-        self.framed.then_some(&self.bytes[..])
-    }
-
-    /// The checkpoint document: the [`SessionSpec`] JSON.
-    fn document(&self) -> &[u8] {
-        &self.bytes[8 + SNAPSHOT_PREFIX.len()..self.bytes.len() - 1]
-    }
+/// Encodes `session` once, as the [`JournalOp::Snapshot`] frame that a
+/// checkpoint appends or a new generation starts with.
+///
+/// # Errors
+///
+/// [`StoreError::Format`] when the snapshot exceeds the 4 GiB frame
+/// limit.
+fn snapshot_frame(session: &Session) -> Result<Vec<u8>, StoreError> {
+    let spec = SessionSpec::from_session(session);
+    // Eight placeholder bytes for the frame header, filled in below
+    // once the payload's length is known; the payload is the variant's
+    // JSON around the session document.
+    let mut text = String::from("\0\0\0\0\0\0\0\0{\"Snapshot\":");
+    serde_json::to_string_into(&mut text, &spec)?;
+    drop(spec);
+    text.push('}');
+    let mut bytes = text.into_bytes();
+    let len = frame_len(bytes.len() - 8)?;
+    let crc = crc32(&bytes[8..]);
+    bytes[..4].copy_from_slice(&len.to_le_bytes());
+    bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+    Ok(bytes)
 }
 
 // ---------------------------------------------------------------------
-// Manifest and recovery report.
+// Manifest, generation base and recovery report.
 // ---------------------------------------------------------------------
+
+/// The MANIFEST file name.
+const MANIFEST_FILE: &str = "MANIFEST";
 
 /// The workspace manifest: which generation is current, its segment
 /// chain, and the highest fencing token ever granted. Swapped
-/// atomically so it always names a complete checkpoint.
+/// atomically so it always names a complete generation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct Manifest {
-    generation: u64,
-    checkpoint: String,
-    /// The active (last) journal segment — kept for compatibility with
-    /// pre-segment manifests, which name exactly one journal file.
-    journal: String,
-    /// Every journal segment of this generation, oldest first. Empty in
-    /// pre-segment manifests; [`Manifest::effective_segments`] falls
-    /// back to `journal` there.
+pub(crate) struct Manifest {
+    pub(crate) generation: u64,
+    /// Every journal segment of this generation, oldest first; the last
+    /// is the active one. Never empty.
     #[serde(default)]
-    segments: Vec<String>,
+    pub(crate) segments: Vec<String>,
     /// Monotonic fencing token: bumped every time a writer acquires the
     /// lease. A deposed writer's token is smaller, so its writes are
     /// rejected after takeover.
     #[serde(default)]
-    fencing_token: u64,
+    pub(crate) fencing_token: u64,
+    /// A legacy manifest's base: the checkpoint file the whole chain
+    /// replays on top of. Never written; `None` when the base is frame 0
+    /// of the first segment.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    checkpoint: Option<String>,
+    /// A legacy pre-segment manifest's one journal file. Never written.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    journal: Option<String>,
 }
 
 impl Manifest {
-    /// The segment chain, oldest first — always at least one entry.
-    fn effective_segments(&self) -> Vec<String> {
-        if self.segments.is_empty() {
-            vec![self.journal.clone()]
+    /// Whether `name` is one of the generation's files.
+    pub(crate) fn names(&self, name: &str) -> bool {
+        self.segments.iter().any(|s| s == name) || self.checkpoint.as_deref() == Some(name)
+    }
+}
+
+/// Reads MANIFEST: one valid CRC frame spanning the whole file, or else
+/// the plain-JSON manifest of a workspace written before frames, which
+/// must name its checkpoint. A damaged framed MANIFEST never parses as
+/// JSON: its frame header holds NUL bytes.
+///
+/// # Errors
+///
+/// [`StoreError::Io`] when MANIFEST cannot be read, and
+/// [`StoreError::Corrupt`] when it is neither form.
+pub(crate) fn read_manifest(fs: &Fs, dir: &Path) -> Result<Manifest, StoreError> {
+    let bytes = fs.read(&dir.join(MANIFEST_FILE))?;
+    let frames = frame_payloads(&bytes);
+    let framed = matches!(&frames[..], [payload] if payload.end == bytes.len());
+    let doc = if framed { &bytes[8..] } else { &bytes[..] };
+    let corrupt = |detail: String| StoreError::Corrupt {
+        detail: format!("{MANIFEST_FILE}: {detail}"),
+    };
+    let mut manifest: Manifest = serde_json::from_slice(doc).map_err(|e| corrupt(e.to_string()))?;
+    if !framed && manifest.checkpoint.is_none() {
+        return Err(corrupt(
+            "neither one CRC frame nor a legacy manifest".into(),
+        ));
+    }
+    if manifest.segments.is_empty() {
+        manifest.segments.extend(manifest.journal.take());
+    }
+    if manifest.segments.is_empty() {
+        return Err(corrupt("names no journal segment".into()));
+    }
+    Ok(manifest)
+}
+
+/// A generation's base snapshot, found but not yet decoded: frame 0 of
+/// its first segment or, in a legacy generation, its checkpoint file.
+pub(crate) struct Base<'a> {
+    /// Frame 0's payload, or the checkpoint file.
+    bytes: Cow<'a, [u8]>,
+    /// `true` for frame 0.
+    framed: bool,
+}
+
+impl<'a> Base<'a> {
+    /// Finds the base of the generation `manifest` names, `first` being
+    /// the bytes of its first segment.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when the base is missing: `first` does
+    /// not start with a CRC-valid frame, or a legacy checkpoint file
+    /// cannot be read.
+    pub(crate) fn find(
+        fs: &Fs,
+        dir: &Path,
+        manifest: &Manifest,
+        first: &'a [u8],
+    ) -> Result<Base<'a>, StoreError> {
+        let (bytes, framed) = match &manifest.checkpoint {
+            Some(checkpoint) => match fs.read(&dir.join(checkpoint)) {
+                Ok(bytes) => (Cow::Owned(bytes), false),
+                Err(e) => return Err(corrupt_base(format!("{checkpoint}: {e}"))),
+            },
+            None => match frame_payloads(first).into_iter().next() {
+                Some(frame) => (Cow::Borrowed(&first[frame]), true),
+                None => {
+                    let first = &manifest.segments[0];
+                    return Err(corrupt_base(format!("{first} holds no valid frame 0")));
+                }
+            },
+        };
+        Ok(Base { bytes, framed })
+    }
+
+    /// Bytes the base takes on disk.
+    pub(crate) fn len(&self) -> u64 {
+        self.bytes.len() as u64 + if self.framed { 8 } else { 0 }
+    }
+
+    /// How many frames of the first segment the base takes: the
+    /// journaled operations start after them.
+    pub(crate) fn frames(&self) -> usize {
+        usize::from(self.framed)
+    }
+
+    /// Decodes the snapshot.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when frame 0 is not a
+    /// [`JournalOp::Snapshot`], or a legacy checkpoint is not a session
+    /// document.
+    pub(crate) fn decode(&self) -> Result<SessionSpec, StoreError> {
+        let spec = if self.framed {
+            match serde_json::from_slice::<JournalOp>(&self.bytes) {
+                Ok(JournalOp::Snapshot(spec)) => Ok(*spec),
+                Ok(_) => Err("frame 0 is not a snapshot".to_owned()),
+                Err(e) => Err(e.to_string()),
+            }
         } else {
-            self.segments.clone()
-        }
+            serde_json::from_slice(&self.bytes).map_err(|e| e.to_string())
+        };
+        spec.map_err(corrupt_base)
+    }
+}
+
+/// The error for a missing or undecodable generation base.
+fn corrupt_base(detail: String) -> StoreError {
+    StoreError::Corrupt {
+        detail: format!("generation base: {detail}"),
     }
 }
 
 /// The writer-lease file: who may mutate the workspace, until when.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct LeaseDoc {
+pub(crate) struct LeaseDoc {
     /// Owner id (process, server, or user-chosen tag).
-    owner: String,
+    pub(crate) owner: String,
     /// Unix-millisecond expiry; a lease past this is up for takeover.
-    expires_unix_ms: u64,
+    pub(crate) expires_unix_ms: u64,
     /// The fencing token granted with this lease.
-    token: u64,
+    pub(crate) token: u64,
 }
 
 /// Per-segment recovery detail: what survived, what was quarantined.
@@ -530,9 +631,10 @@ pub struct SegmentRecovery {
 /// What [`Workspace::open_session`] found and did.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RecoveryReport {
-    /// Generation of the checkpoint that was restored.
+    /// Generation whose base was restored.
     pub generation: u64,
-    /// Journaled operations replayed on top of the checkpoint.
+    /// Journaled operations replayed on top of the base (frame 0 itself
+    /// not counted).
     pub ops_replayed: usize,
     /// Bytes of torn, corrupt, or unreplayable journal tail discarded
     /// (the journal file was truncated back to the valid prefix).
@@ -601,7 +703,7 @@ pub enum CheckpointKind {
     /// The snapshot was appended to the current generation's journal as
     /// a [`JournalOp::Snapshot`] frame.
     Appended,
-    /// The snapshot was written as the base checkpoint of a new
+    /// The snapshot was written as frame 0, the base, of a new
     /// generation, retiring the old one.
     Rotated,
     /// No snapshot was written: the generation's journal already held
@@ -614,35 +716,35 @@ pub enum CheckpointKind {
 /// The newest snapshot frame of a generation's journal and the frame
 /// bytes after it: what tells a checkpoint whether replaying the
 /// journal still beats writing a new snapshot.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct SnapshotTail {
-    /// Bytes of the newest snapshot frame, header included; `None`
-    /// while the generation's journal holds none.
-    snapshot: Option<u64>,
-    /// Bytes of the frames after it (after the base checkpoint, when
-    /// there is none), pending ones included.
+    /// Bytes of the newest snapshot frame, header included: the base,
+    /// until a checkpoint appends one.
+    snapshot: u64,
+    /// Bytes of the frames after it, pending ones included.
     since: u64,
 }
 
 impl SnapshotTail {
+    /// The tail of a generation whose newest snapshot is the last frame.
+    fn new(snapshot: u64) -> SnapshotTail {
+        SnapshotTail { snapshot, since: 0 }
+    }
+
     /// Accounts for one more `frame`-byte frame at the journal's end.
     fn push(&mut self, frame: u64, is_snapshot: bool) {
         if is_snapshot {
-            *self = SnapshotTail {
-                snapshot: Some(frame),
-                since: 0,
-            };
+            *self = SnapshotTail::new(frame);
         } else {
             self.since += frame;
         }
     }
 
     /// Whether a checkpoint must write a snapshot even for a fully
-    /// journaled session: the generation has no CRC-framed snapshot to
-    /// recover from, or replaying the frames since it would read at
-    /// least as many bytes as a new one.
+    /// journaled session: replaying the frames since the newest one
+    /// would read at least as many bytes as a new one.
     fn needs_snapshot(&self) -> bool {
-        self.snapshot.is_none_or(|snapshot| self.since >= snapshot)
+        self.since >= self.snapshot
     }
 }
 
@@ -668,14 +770,12 @@ pub struct SegmentScrub {
 pub struct ScrubReport {
     /// Generation that was scrubbed.
     pub generation: u64,
-    /// Whether the checkpoint snapshot parsed cleanly.
-    pub checkpoint_ok: bool,
     /// Per-segment verification results, chain order.
     pub segments: Vec<SegmentScrub>,
     /// `true` when any damage was found.
     pub damaged: bool,
     /// `true` when damage was quarantined and the store re-baselined
-    /// onto a fresh checkpoint generation.
+    /// onto a fresh generation.
     pub repaired: bool,
     /// The fencing token the scrub ran under.
     pub fencing_token: u64,
@@ -698,9 +798,6 @@ impl fmt::Display for ScrubReport {
             self.segments.len(),
             frames
         )?;
-        if !self.checkpoint_ok {
-            write!(f, "; checkpoint damaged")?;
-        }
         for seg in &self.segments {
             if !seg.readable {
                 write!(f, "; segment {} unreadable", seg.name)?;
@@ -727,11 +824,11 @@ impl fmt::Display for ScrubReport {
 // The workspace.
 // ---------------------------------------------------------------------
 
-/// Writes `bytes` to `name.tmp` under `dir`, fsyncs it, and renames it
-/// over `name`. The rename is durable only after a later directory
-/// fsync; [`write_atomic`] issues it at once, [`start_generation`]
-/// shares it with the new head segment.
-fn replace_file(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+/// Writes `name` under `dir` atomically: temp file, fsync, rename,
+/// directory fsync. Readers see either the old file or the new one,
+/// never a torn mixture. All I/O goes through `fs`, so under
+/// simulation a crash can land between any two of these steps.
+fn write_atomic(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
     let tmp = dir.join(format!("{name}.tmp"));
     {
         let mut f = fs.create_truncate(&tmp)?;
@@ -739,44 +836,31 @@ fn replace_file(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<(), Sto
         f.sync_all()?;
     }
     fs.rename(&tmp, &dir.join(name))?;
-    Ok(())
-}
-
-/// Writes `name` under `dir` atomically: temp file, fsync, rename,
-/// directory fsync. Readers see either the old file or the new one,
-/// never a torn mixture. All I/O goes through `fs`, so under
-/// simulation a crash can land between any two of these steps.
-fn write_atomic(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-    replace_file(fs, dir, name, bytes)?;
     fs.sync_dir(dir)?;
     Ok(())
 }
 
-/// Creates the empty journal segment `name` under `dir` and makes its
-/// contents durable, returning its write handle. Its directory entry
-/// is durable only after a later directory fsync (see
-/// [`create_segment`]).
-fn create_empty_segment(fs: &Fs, dir: &Path, name: &str) -> Result<Box<dyn FsFile>, StoreError> {
+/// Creates journal segment `name` under `dir` holding `frames`, and
+/// makes its contents and its directory entry durable, returning its
+/// write handle. A MANIFEST may name a segment only after this
+/// returns: otherwise a crash can keep the manifest swap but lose the
+/// segment, leaving a manifest that points at nothing.
+fn create_segment(
+    fs: &Fs,
+    dir: &Path,
+    name: &str,
+    frames: &[u8],
+) -> Result<Box<dyn FsFile>, StoreError> {
     let mut file = fs.create_truncate(&dir.join(name))?;
+    file.write_all(frames)?;
     file.sync_all()?;
-    Ok(file)
-}
-
-/// Creates the empty journal segment `name` under `dir` and makes it
-/// and its directory entry durable, returning its write handle. A
-/// MANIFEST may name a segment only after this returns: otherwise a
-/// crash can keep the manifest swap but lose the segment, leaving a
-/// manifest that points at nothing.
-fn create_segment(fs: &Fs, dir: &Path, name: &str) -> Result<Box<dyn FsFile>, StoreError> {
-    let file = create_empty_segment(fs, dir, name)?;
     fs.sync_dir(dir)?;
     Ok(file)
 }
 
-/// Starts generation `generation` under `dir`: writes its base
-/// `checkpoint-N.json` holding `document` and its empty head segment
-/// `journal-N.log`, makes both directory entries durable with one
-/// directory fsync, then swaps in the MANIFEST naming them under
+/// Starts generation `generation` under `dir`: creates its head
+/// segment `journal-N.log` holding `base`, the session's snapshot frame,
+/// makes it durable, then swaps in the MANIFEST naming it under
 /// `fencing_token`. Returns the head segment's write handle. A crash
 /// anywhere before the MANIFEST rename leaves the previous MANIFEST,
 /// and every file it names, untouched.
@@ -784,79 +868,75 @@ fn start_generation(
     fs: &Fs,
     dir: &Path,
     generation: u64,
-    document: &[u8],
+    base: &[u8],
     fencing_token: u64,
 ) -> Result<Box<dyn FsFile>, StoreError> {
-    let checkpoint = checkpoint_name(generation);
-    replace_file(fs, dir, &checkpoint, document)?;
-    let head = journal_name(generation);
-    let journal = create_empty_segment(fs, dir, &head)?;
-    fs.sync_dir(dir)?;
-    publish_manifest(fs, dir, generation, &checkpoint, &[head], fencing_token)?;
+    let head = segment_name(generation, 0);
+    let journal = create_segment(fs, dir, &head, base)?;
+    publish_manifest(fs, dir, generation, &[head], fencing_token)?;
     Ok(journal)
 }
 
-/// Deletes the files of a generation a MANIFEST swap just retired: its
-/// checkpoint and every journal segment, but never quarantine files.
-/// Best-effort — a crash or error here leaves harmless orphans.
-fn retire_generation(fs: &Fs, dir: &Path, generation: u64, segments: &[String]) {
-    let _ = fs.remove_file(&dir.join(checkpoint_name(generation)));
-    for segment in segments {
-        let _ = fs.remove_file(&dir.join(segment));
+/// Deletes the `files` of a generation a MANIFEST swap just retired,
+/// never quarantine files. Best-effort — a crash or error here leaves
+/// harmless orphans.
+fn retire<'a>(fs: &Fs, dir: &Path, files: impl IntoIterator<Item = &'a String>) {
+    for file in files {
+        let _ = fs.remove_file(&dir.join(file));
     }
 }
 
-/// Atomically swaps in the MANIFEST naming `checkpoint` and the
-/// segment chain `segments` (oldest first; the last is the active
-/// journal) of `generation`, under `fencing_token`. Every file it
-/// names must already be durable (see [`create_segment`]).
+/// Atomically swaps in the MANIFEST naming the segment chain `segments`
+/// (oldest first; the last is the active journal) of `generation`,
+/// under `fencing_token`, as one CRC frame. Every file it names must
+/// already be durable (see [`create_segment`]).
 fn publish_manifest(
     fs: &Fs,
     dir: &Path,
     generation: u64,
-    checkpoint: &str,
     segments: &[String],
     fencing_token: u64,
 ) -> Result<(), StoreError> {
     let manifest = Manifest {
         generation,
-        checkpoint: checkpoint.to_owned(),
-        journal: segments
-            .last()
-            .expect("a segment chain is never empty")
-            .clone(),
         segments: segments.to_vec(),
         fencing_token,
+        checkpoint: None,
+        journal: None,
     };
-    write_atomic(
-        fs,
-        dir,
-        "MANIFEST",
-        serde_json::to_string(&manifest)?.as_bytes(),
-    )
+    let frame = encode_frame(serde_json::to_string(&manifest)?.as_bytes())?;
+    write_atomic(fs, dir, MANIFEST_FILE, &frame)
 }
 
-fn checkpoint_name(generation: u64) -> String {
-    format!("checkpoint-{generation}.json")
-}
-
-fn journal_name(generation: u64) -> String {
-    format!("journal-{generation}.log")
-}
-
-/// Name of journal segment `seq` of `generation`. Sequence 0 keeps the
-/// historical single-file name so pre-segment workspaces open
-/// unchanged.
+/// Name of journal segment `seq` of `generation`: `journal-N.log` for
+/// the head, `journal-N.K.log` after it. The head keeps the single-file
+/// name of pre-segment workspaces, so they open unchanged.
 fn segment_name(generation: u64, seq: u64) -> String {
     if seq == 0 {
-        journal_name(generation)
+        format!("journal-{generation}.log")
     } else {
         format!("journal-{generation}.{seq}.log")
     }
 }
 
+/// Parses a [`segment_name`] back into `(generation, sequence)`.
+pub(crate) fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
+    let rest = name.strip_prefix("journal-")?.strip_suffix(".log")?;
+    match rest.split_once('.') {
+        None => rest.parse().ok().map(|generation| (generation, 0)),
+        Some((generation, seq)) => Some((generation.parse().ok()?, seq.parse().ok()?)),
+    }
+}
+
+/// Whether `name` looks like a generation's file: a journal segment
+/// or a legacy checkpoint.
+pub(crate) fn is_generation_file(name: &str) -> bool {
+    (name.starts_with("journal-") && name.ends_with(".log"))
+        || (name.starts_with("checkpoint-") && name.ends_with(".json"))
+}
+
 /// The writer-lease file name.
-const LEASE_FILE: &str = "LEASE";
+pub(crate) const LEASE_FILE: &str = "LEASE";
 
 /// Default segment-roll threshold. Large enough that rotation never
 /// triggers unless a caller opts in via
@@ -907,16 +987,10 @@ fn quarantine_rename(fs: &Fs, dir: &Path, name: &str) -> Result<Option<String>, 
     Ok(Some(target))
 }
 
-/// Reads and parses the manifest, if present and well-formed.
-fn read_manifest(fs: &Fs, dir: &Path) -> Option<Manifest> {
-    let bytes = fs.read(&dir.join("MANIFEST")).ok()?;
-    serde_json::from_slice(&bytes).ok()
-}
-
 /// Reads and parses the lease file. A missing or unparsable lease is
 /// treated as absent — the manifest's fencing token is the durable
 /// record takeover arbitration falls back to.
-fn read_lease(fs: &Fs, dir: &Path) -> Option<LeaseDoc> {
+pub(crate) fn read_lease(fs: &Fs, dir: &Path) -> Option<LeaseDoc> {
     let bytes = fs.read(&dir.join(LEASE_FILE)).ok()?;
     serde_json::from_slice(&bytes).ok()
 }
@@ -973,15 +1047,16 @@ fn has_resync_frame(buf: &[u8]) -> bool {
     count_resync_frames(buf) > 0
 }
 
-/// Replays frames that already replayed once onto the same state, when
-/// recovery rebuilds a session after a later frame failed: the
-/// `payloads` ranges of `buf`.
+/// Replays again, when recovery rebuilds a session after a later frame
+/// failed, the `count` frames of `buf` after its first `from`: frames
+/// that already replayed once onto the same state.
 fn replay_again(
     session: &mut Session,
     buf: &[u8],
-    payloads: &[Range<usize>],
+    from: usize,
+    count: usize,
 ) -> Result<(), StoreError> {
-    for payload in payloads {
+    for payload in &frame_payloads(buf)[from..from + count] {
         serde_json::from_slice::<JournalOp>(&buf[payload.clone()])?.replay(session)?;
     }
     Ok(())
@@ -1005,8 +1080,8 @@ pub struct Workspace {
     /// Bytes appended to the active segment so far, pending ones
     /// included.
     active_len: u64,
-    /// Bytes of the current generation's files — its checkpoint plus
-    /// every segment, pending frames included. A checkpoint rotates
+    /// Bytes of the current generation's files — every segment, the
+    /// base included, pending frames too. A checkpoint rotates
     /// once keeping its snapshot would take this past
     /// [`ROTATE_FACTOR`] times the snapshot.
     generation_bytes: u64,
@@ -1051,8 +1126,8 @@ impl fmt::Debug for Workspace {
 
 impl Workspace {
     /// Creates a workspace at `root` (the directory is created if
-    /// missing) holding a checkpoint of `session` and an empty journal,
-    /// in the real environment. A fresh directory starts at generation
+    /// missing) whose journal holds only `session`'s snapshot, as frame
+    /// 0, in the real environment. A fresh directory starts at generation
     /// 0; over an existing workspace the new session becomes the
     /// generation after the current one, which is then retired, so a
     /// crash mid-create recovers one session or the other, never a mix.
@@ -1087,26 +1162,25 @@ impl Workspace {
             }
         }
         // Never write a file the current MANIFEST names: a crash
-        // mid-create would otherwise pair this session's checkpoint
-        // with the old journal. Start the generation after it instead,
-        // and retire the old one once the MANIFEST swap is durable.
-        let prior = read_manifest(&env.fs, root);
+        // mid-create would otherwise pair this session's base with the
+        // old journal. Start the generation after it instead, and
+        // retire the old one once the MANIFEST swap is durable.
+        let prior = read_manifest(&env.fs, root).ok();
         let prior_token = prior
             .as_ref()
             .map_or(0, |m| m.fencing_token)
             .max(prior_lease.map_or(0, |l| l.token));
         let token = prior_token + 1;
         let generation = prior.as_ref().map_or(0, |m| m.generation + 1);
-        let json = SessionSpec::from_session(session)
-            .to_json()
-            .map_err(StoreError::from)?;
-        let journal = start_generation(&env.fs, root, generation, json.as_bytes(), token)?;
+        let base = snapshot_frame(session)?;
+        let journal = start_generation(&env.fs, root, generation, &base, token)?;
         if let Some(old) = &prior {
-            retire_generation(&env.fs, root, old.generation, &old.effective_segments());
+            retire(&env.fs, root, old.segments.iter().chain(&old.checkpoint));
         }
         let expires = now_ms + DEFAULT_LEASE_MS;
         write_lease(&env.fs, root, DEFAULT_OWNER, expires, token)?;
-        let segments = vec![journal_name(generation)];
+        let segments = vec![segment_name(generation, 0)];
+        let len = base.len() as u64;
         Ok(Workspace {
             root: root.to_owned(),
             generation,
@@ -1114,9 +1188,9 @@ impl Workspace {
             journal_path: root.join(&segments[0]),
             segments,
             pending: Vec::new(),
-            active_len: 0,
-            generation_bytes: json.len() as u64,
-            tail: SnapshotTail::default(),
+            active_len: len,
+            generation_bytes: len,
+            tail: SnapshotTail::new(len),
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
             metrics: Metrics::disabled(),
             env,
@@ -1130,12 +1204,15 @@ impl Workspace {
     }
 
     /// Opens the workspace at `root` and recovers its session:
-    /// restores the manifest's checkpoint, replays the journal, and
-    /// truncates any torn, corrupt, or unreplayable tail back to the
-    /// last valid operation. Recovery never panics and never fails on
-    /// a torn journal — only on I/O errors or a damaged
-    /// manifest/checkpoint (which are written atomically and therefore
-    /// only damaged by media corruption).
+    /// restores the generation's base (frame 0 of its first segment),
+    /// replays the journal frames after it, and truncates any torn,
+    /// corrupt, or unreplayable tail back to the last valid operation.
+    /// Recovery never panics and never fails on a torn journal — only
+    /// on I/O errors or a damaged MANIFEST or base, which were durable
+    /// before anything named them and so are only damaged by media
+    /// corruption; such an open changes nothing on disk. A writable
+    /// open of a workspace written before frames re-bases it at once
+    /// onto a new generation.
     ///
     /// `registry_for` builds the tool registry for the restored schema
     /// (code cannot be persisted); pass
@@ -1144,8 +1221,9 @@ impl Workspace {
     ///
     /// # Errors
     ///
-    /// I/O errors, damaged manifest/checkpoint, or a checkpoint whose
-    /// own restore fails.
+    /// I/O errors; [`StoreError::Corrupt`] for a damaged MANIFEST or a
+    /// missing, torn or undecodable base; or a base whose own restore
+    /// fails.
     pub fn open_session<F>(
         root: &Path,
         registry_for: F,
@@ -1194,11 +1272,7 @@ impl Workspace {
     where
         F: FnOnce(&Arc<TaskSchema>) -> EncapsulationRegistry,
     {
-        let manifest_bytes = env.fs.read(&root.join("MANIFEST"))?;
-        let manifest: Manifest =
-            serde_json::from_slice(&manifest_bytes).map_err(|e| StoreError::Corrupt {
-                detail: format!("manifest: {e}"),
-            })?;
+        let manifest = read_manifest(&env.fs, root)?;
 
         // Lease arbitration — pure reads, so a degraded open touches
         // nothing on disk. A lease held by the same owner is always
@@ -1217,21 +1291,25 @@ impl Workspace {
         };
         let writable = degraded_reason.is_none();
 
-        let checkpoint_bytes = env.fs.read(&root.join(&manifest.checkpoint))?;
-        let checkpoint_len = checkpoint_bytes.len() as u64;
-        let spec = serde_json::from_slice::<SessionSpec>(&checkpoint_bytes).map_err(|e| {
-            StoreError::Corrupt {
-                detail: format!("{}: {e}", manifest.checkpoint),
-            }
-        })?;
-        drop(checkpoint_bytes);
-        let mut session = spec.restore_with(registry_for)?;
+        // The generation's base was durable before any MANIFEST named
+        // the generation, so damage there is never a torn tail: fail
+        // before touching anything.
+        let segments = &manifest.segments;
+        let first = env
+            .fs
+            .read(&root.join(&segments[0]))
+            .map_err(|e| corrupt_base(format!("{}: {e}", segments[0])))?;
+        let (mut session, base_frames, mut tail) = {
+            let base = Base::find(&env.fs, root, &manifest, &first)?;
+            let session = base.decode()?.restore_with(registry_for)?;
+            (session, base.frames(), SnapshotTail::new(base.len()))
+        };
+        let mut first = Some(first);
 
-        // Scan and replay the segment chain in order; the first frame
-        // that fails CRC, parse, or replay ends the recovered prefix.
-        // The session state is then exactly checkpoint + that prefix —
-        // a prefix of the acknowledged history.
-        let segments = manifest.effective_segments();
+        // Scan and replay the segment chain in order, after the base;
+        // the first frame that fails CRC, parse, or replay ends the
+        // recovered prefix. The session state is then exactly the base
+        // plus that prefix — a prefix of the acknowledged history.
         struct Damage {
             index: usize,
             keep: usize,
@@ -1240,11 +1318,12 @@ impl Workspace {
         }
         let mut seg_reports: Vec<SegmentRecovery> = Vec::new();
         let mut ops_replayed = 0usize;
-        let mut tail = SnapshotTail::default();
         let mut damage: Option<Damage> = None;
         for (i, name) in segments.iter().enumerate() {
-            let path = root.join(name);
-            let buf = match env.fs.read(&path) {
+            let buf = match first
+                .take()
+                .map_or_else(|| env.fs.read(&root.join(name)), Ok)
+            {
                 Ok(buf) => buf,
                 Err(_) => {
                     // Missing, or a latent read error: the whole
@@ -1267,8 +1346,9 @@ impl Workspace {
                 }
             };
             let frames = frame_payloads(&buf);
+            let skip = if i == 0 { base_frames } else { 0 };
             let mut replayed_here = 0usize;
-            for payload in &frames {
+            for payload in &frames[skip..] {
                 let Ok(op) = serde_json::from_slice::<JournalOp>(&buf[payload.clone()]) else {
                     break;
                 };
@@ -1276,23 +1356,27 @@ impl Workspace {
                     // The frame may have applied part of itself first
                     // (an `Exec` frame records its instances one by
                     // one), yet it must leave no trace: rebuild the
-                    // session from the checkpoint and the frames that
-                    // did replay.
+                    // session from the base and the frames that did
+                    // replay.
                     let registry = session.executor_mut().registry().clone();
-                    session = spec.restore(registry)?;
+                    let head = env.fs.read(&root.join(&segments[0]))?;
+                    let base = Base::find(&env.fs, root, &manifest, &head)?;
+                    session = base.decode()?.restore(registry)?;
                     for (k, earlier) in seg_reports.iter().enumerate() {
                         let buf = env.fs.read(&root.join(&segments[k]))?;
-                        let frames = frame_payloads(&buf);
-                        replay_again(&mut session, &buf, &frames[..earlier.frames_replayed])?;
+                        let from = if k == 0 { base_frames } else { 0 };
+                        replay_again(&mut session, &buf, from, earlier.frames_replayed)?;
                     }
-                    replay_again(&mut session, &buf, &frames[..replayed_here])?;
+                    replay_again(&mut session, &buf, skip, replayed_here)?;
                     break;
                 }
                 let frame = payload.len() as u64 + 8;
                 tail.push(frame, matches!(op, JournalOp::Snapshot(_)));
                 replayed_here += 1;
             }
-            let keep = replayed_here.checked_sub(1).map_or(0, |j| frames[j].end);
+            let keep = (skip + replayed_here)
+                .checked_sub(1)
+                .map_or(0, |j| frames[j].end);
             ops_replayed += replayed_here;
             let trailing = buf.len() - keep;
             seg_reports.push(SegmentRecovery {
@@ -1320,7 +1404,7 @@ impl Workspace {
         // else — damage mid-chain, a hole with valid frames after it,
         // or an unreadable file — quarantines: the damaged bytes and
         // every later segment are preserved aside, never silently
-        // dropped.
+        // dropped. The first segment is always kept: it holds the base.
         let mut kept_segments = segments.clone();
         let mut bytes_discarded: u64 = 0;
         if let Some(dmg) = &damage {
@@ -1364,13 +1448,6 @@ impl Workspace {
                             rep.quarantined_as.push(q);
                         }
                         kept_segments.truncate(dmg.index);
-                        if kept_segments.is_empty() {
-                            // The whole chain is gone; restart it with
-                            // a fresh empty head segment.
-                            let head = segment_name(manifest.generation, 0);
-                            create_segment(&env.fs, root, &head)?;
-                            kept_segments.push(head);
-                        }
                     }
                 } else {
                     // Lossless torn-tail truncation.
@@ -1381,35 +1458,31 @@ impl Workspace {
             }
         }
 
-        // The generation's files as they now stand: the checkpoint plus
-        // every kept segment's valid prefix (a repaired chain's damage
-        // was truncated or moved aside above).
-        let generation_bytes = checkpoint_len
-            + seg_reports
-                .iter()
-                .filter(|s| kept_segments.contains(&s.name))
-                .map(|s| s.bytes_kept)
-                .sum::<u64>();
+        // The generation's files as they now stand: every kept
+        // segment's valid prefix, the base included (a repaired chain's
+        // damage was truncated or moved aside above).
+        let generation_bytes = seg_reports
+            .iter()
+            .filter(|s| kept_segments.contains(&s.name))
+            .map(|s| s.bytes_kept)
+            .sum::<u64>();
 
+        let legacy = manifest.checkpoint.is_some();
         let mut token = manifest.fencing_token;
         if writable {
             // Acquire the lease: bump the fencing token past everything
             // ever granted, persist it in the manifest (along with any
             // repairs), then publish the lease. A deposed writer
             // re-reading the lease sees a larger token and fences
-            // itself.
+            // itself. A legacy MANIFEST is only ever replaced by the
+            // re-basing rotation below.
             token = manifest
                 .fencing_token
                 .max(lease.as_ref().map(|l| l.token).unwrap_or(0))
                 + 1;
-            publish_manifest(
-                &env.fs,
-                root,
-                manifest.generation,
-                &manifest.checkpoint,
-                &kept_segments,
-                token,
-            )?;
+            if !legacy {
+                publish_manifest(&env.fs, root, manifest.generation, &kept_segments, token)?;
+            }
             write_lease(&env.fs, root, owner, now_ms + lease_ms, token)?;
         }
 
@@ -1440,7 +1513,7 @@ impl Workspace {
             took_over,
             degraded: degraded_reason.as_ref().map(|r| r.to_string()),
         };
-        let workspace = Workspace {
+        let mut workspace = Workspace {
             root: root.to_owned(),
             generation: manifest.generation,
             journal,
@@ -1463,6 +1536,13 @@ impl Workspace {
             token,
             lease_expires_ms: if writable { now_ms + lease_ms } else { 0 },
         };
+        if writable && legacy {
+            // Re-base a legacy generation at once, so no writable
+            // handle ever sees a checkpoint file: the rotation retires
+            // the old segments, and the checkpoint goes with them.
+            workspace.rotate(snapshot_frame(&session)?)?;
+            retire(&workspace.env.fs, root, &manifest.checkpoint);
+        }
         // Replay went through the session's marking methods, yet the
         // recovered session is exactly what the generation holds.
         session.mark_journaled();
@@ -1685,7 +1765,7 @@ impl Workspace {
             _ => {
                 // No lease (or an older one): the manifest's token is
                 // the durable arbitration record.
-                if let Some(manifest) = read_manifest(&self.env.fs, &self.root) {
+                if let Ok(manifest) = read_manifest(&self.env.fs, &self.root) {
                     if manifest.fencing_token > self.token {
                         let reason = fence(manifest.fencing_token);
                         self.write_state = WriteState::Degraded(reason.clone());
@@ -1712,7 +1792,7 @@ impl Workspace {
         }
         self.check_writable()?;
         let name = segment_name(self.generation, self.segments.len() as u64);
-        let file = create_segment(&self.env.fs, &self.root, &name)?;
+        let file = create_segment(&self.env.fs, &self.root, &name, &[])?;
         let path = self.root.join(&name);
         let mut segments = self.segments.clone();
         segments.push(name);
@@ -1720,7 +1800,6 @@ impl Workspace {
             &self.env.fs,
             &self.root,
             self.generation,
-            &checkpoint_name(self.generation),
             &segments,
             self.token,
         )?;
@@ -1766,24 +1845,23 @@ impl Workspace {
     /// Takes a checkpoint of `session` by the cheapest of three routes.
     ///
     /// - **Sync** (the common case): when the session holds no
-    ///   unjournaled state ([`Session::has_unjournaled_changes`]), the
-    ///   generation's journal already holds a snapshot frame, and the
-    ///   frames since that snapshot are smaller than it, the journal
-    ///   stands in for a snapshot. Only the pending frames are synced —
-    ///   nothing at all when none is pending.
+    ///   unjournaled state ([`Session::has_unjournaled_changes`]) and
+    ///   the frames since the generation's newest snapshot frame (its
+    ///   base, at first) are smaller than it, the journal stands in for
+    ///   a snapshot. Only the pending frames are synced — nothing at
+    ///   all when none is pending.
     /// - **Append**: otherwise the session is encoded once, and the
     ///   snapshot becomes one [`JournalOp::Snapshot`] frame of the
     ///   active segment, written and fsynced through the journal's one
     ///   write path together with any deferred frames — one `write`,
     ///   one `fdatasync`.
     /// - **Rotate**, when keeping the snapshot would leave the
-    ///   generation's files larger than [`ROTATE_FACTOR`] times it (or
-    ///   the snapshot exceeds the frame limit), or when the handle is
-    ///   poisoned: writes `checkpoint-(N+1)` and starts an empty
-    ///   `journal-(N+1)` under one directory fsync, swaps the manifest,
-    ///   then deletes the old generation's files (best-effort — a crash
-    ///   between the manifest swap and the deletes leaves harmless
-    ///   orphans). The fresh generation clears the poison.
+    ///   generation's files larger than [`ROTATE_FACTOR`] times it, or
+    ///   when the handle is poisoned: starts `journal-(N+1)` holding the
+    ///   snapshot as its frame 0, swaps the manifest, then deletes the
+    ///   old generation's files (best-effort — a crash between the
+    ///   manifest swap and the deletes leaves harmless orphans). The
+    ///   fresh generation clears the poison.
     ///
     /// After any checkpoint the frames after the newest snapshot hold
     /// fewer bytes than it, so `open` replays at most that much on top
@@ -1792,7 +1870,8 @@ impl Workspace {
     ///
     /// # Errors
     ///
-    /// I/O and serialization errors, or a lost lease
+    /// I/O and serialization errors, a snapshot over the 4 GiB frame
+    /// limit ([`StoreError::Format`]), or a lost lease
     /// ([`StoreError::Degraded`]). An append that fails poisons the
     /// handle like any failed journal write; a rotation that fails
     /// leaves the old generation intact and current.
@@ -1805,63 +1884,57 @@ impl Workspace {
             self.sync()?;
             return Ok(CheckpointKind::Synced);
         }
-        let snapshot = SnapshotFrame::encode(session)?;
-        let appends = self.poisoned.is_none()
-            && snapshot.frame().is_some_and(|frame| {
-                let len = frame.len() as u64;
-                self.generation_bytes + len <= ROTATE_FACTOR * len
-            });
-        if !appends {
-            self.rotate(&snapshot)?;
+        let frame = snapshot_frame(session)?;
+        let len = frame.len() as u64;
+        if self.poisoned.is_some() || self.generation_bytes + len > ROTATE_FACTOR * len {
+            self.rotate(frame)?;
             return Ok(CheckpointKind::Rotated);
         }
-        let document = snapshot.document().len() as u64;
-        let frame = snapshot.bytes.len() as u64;
-        self.defer_frame(snapshot.bytes);
+        self.defer_frame(frame);
         self.sync()?;
-        self.tail.push(frame, true);
-        self.record_checkpoint(document);
+        self.tail = SnapshotTail::new(len);
+        self.record_checkpoint(len);
         Ok(CheckpointKind::Appended)
     }
 
-    /// Makes `snapshot` the base of a new generation: flushes the
-    /// pending frames into the old one, starts the next generation
-    /// from the snapshot's checkpoint document, and retires the old
-    /// generation once the MANIFEST swap is durable. A poisoned handle
-    /// is healed: the torn tail behind the poison lies in the retired
-    /// generation, and the new head segment is clean.
-    fn rotate(&mut self, snapshot: &SnapshotFrame) -> Result<(), StoreError> {
+    /// Makes the snapshot `frame` the base of a new generation: flushes
+    /// the pending frames into the old one, starts the next generation
+    /// with the snapshot as its frame 0, and retires the old generation
+    /// once the MANIFEST swap is durable. A poisoned handle is healed:
+    /// the torn tail behind the poison lies in the retired generation,
+    /// and the new head segment is clean.
+    fn rotate(&mut self, frame: Vec<u8>) -> Result<(), StoreError> {
         // Pending frames belong to the old generation, which stays
         // current until the manifest swap.
         self.flush()?;
         let next = self.generation + 1;
-        let document = snapshot.document();
-        let journal = start_generation(&self.env.fs, &self.root, next, document, self.token)?;
+        let journal = start_generation(&self.env.fs, &self.root, next, &frame, self.token)?;
         self.poisoned = None;
-        retire_generation(&self.env.fs, &self.root, self.generation, &self.segments);
+        retire(&self.env.fs, &self.root, &self.segments);
+        let len = frame.len() as u64;
         self.generation = next;
         self.journal = Some(journal);
-        self.segments = vec![journal_name(next)];
+        self.segments = vec![segment_name(next, 0)];
         self.journal_path = self.root.join(&self.segments[0]);
-        self.active_len = 0;
-        self.generation_bytes = document.len() as u64;
-        self.tail = SnapshotTail::default();
+        self.active_len = len;
+        self.generation_bytes = len;
+        self.tail = SnapshotTail::new(len);
         self.metrics.incr(names::STORE_ROTATIONS, 1);
-        self.record_checkpoint(document.len() as u64);
+        self.record_checkpoint(len);
         Ok(())
     }
 
-    /// Counts one completed checkpoint of a `document`-byte snapshot.
-    fn record_checkpoint(&self, document: u64) {
+    /// Counts one completed checkpoint of a `frame`-byte snapshot.
+    fn record_checkpoint(&self, frame: u64) {
         self.metrics.incr(names::STORE_CHECKPOINTS, 1);
-        self.metrics.observe("store.checkpoint_bytes", document);
+        self.metrics.observe("store.checkpoint_bytes", frame);
     }
 
-    /// Verifies every byte of the store — the checkpoint snapshot and
-    /// every frame of every journal segment — and, when writable,
+    /// Verifies every byte of the store — every frame of every journal
+    /// segment, the base in frame 0 included — and, when writable,
     /// repairs any damage found: damaged regions and unreadable
     /// segments are quarantined aside (never silently dropped), then
-    /// the store rotates to a new generation checkpointed from the live
+    /// the store rotates to a new generation based on the live
     /// `session`, re-baselining onto known-good files. In degraded mode
     /// the scan still runs but nothing is mutated (`repaired` stays
     /// `false`).
@@ -1882,20 +1955,8 @@ impl Workspace {
             self.sync()?;
         }
         self.metrics.incr(names::STORE_SCRUBS, 1);
-        let checkpoint_ok = match self
-            .env
-            .fs
-            .read(&self.root.join(checkpoint_name(generation)))
-        {
-            Ok(bytes) => {
-                self.metrics
-                    .incr(names::STORE_SCRUB_BYTES, bytes.len() as u64);
-                serde_json::from_slice::<SessionSpec>(&bytes).is_ok()
-            }
-            Err(_) => false,
-        };
         let mut segments = Vec::new();
-        let mut damaged = !checkpoint_ok;
+        let mut damaged = false;
         for name in self.segments.clone() {
             match self.env.fs.read(&self.root.join(&name)) {
                 Ok(buf) => {
@@ -1955,7 +2016,7 @@ impl Workspace {
             // fresh generation re-baselines without loss — and retires
             // the damaged files, which an appended snapshot would not.
             self.check_writable()?;
-            self.rotate(&SnapshotFrame::encode(session)?)?;
+            self.rotate(snapshot_frame(session)?)?;
             repaired = true;
         }
         if damaged {
@@ -1963,7 +2024,6 @@ impl Workspace {
         }
         Ok(ScrubReport {
             generation,
-            checkpoint_ok,
             segments,
             damaged,
             repaired,
@@ -2235,8 +2295,7 @@ mod tests {
         let appended = checkpoint_until_rotation(&mut ws, &session);
         assert!(appended > 0, "the first checkpoints append snapshots");
         assert_eq!(ws.generation(), 1);
-        assert!(!root.join(checkpoint_name(0)).exists());
-        assert!(!root.join(journal_name(0)).exists());
+        assert!(!root.join(segment_name(0, 0)).exists());
         drop(ws);
 
         let (ws, restored, report) =
@@ -2244,7 +2303,7 @@ mod tests {
                 .expect("reopens");
         assert_eq!(ws.generation(), 1);
         assert_eq!(report.ops_replayed, 0, "the journal was rotated empty");
-        assert!(restored.flow().is_ok(), "the flow came from the checkpoint");
+        assert!(restored.flow().is_ok(), "the flow came from the base");
         fs::remove_dir_all(&root).ok();
     }
 
@@ -2290,13 +2349,17 @@ mod tests {
         let metrics = Metrics::new();
         ws.set_metrics(metrics.clone());
         session.mark_journaled();
-        // The base checkpoint carries no checksum, so even a journaled
-        // session's first checkpoint writes a framed snapshot.
+        // The base is a CRC-framed snapshot, so even the generation's
+        // first checkpoint of a journaled session writes nothing.
         assert_eq!(
             ws.checkpoint(&session).expect("checkpoints"),
-            CheckpointKind::Appended
+            CheckpointKind::Synced
         );
-        let snapshot = ws.tail.snapshot.expect("a snapshot frame");
+        let snapshot = ws.tail.snapshot;
+        assert_eq!(
+            snapshot, ws.generation_bytes,
+            "the base is the newest snapshot"
+        );
         // A journaled frame, deferred: the next checkpoint only syncs it.
         let op = seed_op(0);
         op.replay(&mut session).expect("replays");
@@ -2307,17 +2370,17 @@ mod tests {
             CheckpointKind::Synced
         );
         let snap = metrics.snapshot();
-        assert_eq!(snap.histograms["store.fsync_ns"].count, 2);
-        assert_eq!(snap.counters.get(names::STORE_CHECKPOINTS), Some(&1));
+        assert_eq!(snap.histograms["store.fsync_ns"].count, 1);
+        assert_eq!(snap.counters.get(names::STORE_CHECKPOINTS), None);
         drop(ws);
 
-        // `open` finds the snapshot frame and the frame after it.
+        // `open` finds the base and the frame after it.
         let (mut ws, mut session, report) =
             Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
                 .expect("reopens");
-        assert_eq!(report.ops_replayed, 2);
+        assert_eq!(report.ops_replayed, 1);
         assert!(!session.has_unjournaled_changes());
-        assert_eq!(ws.tail.snapshot, Some(snapshot));
+        assert_eq!(ws.tail.snapshot, snapshot);
         assert_eq!(
             ws.checkpoint(&session).expect("checkpoints"),
             CheckpointKind::Synced
@@ -2353,34 +2416,24 @@ mod tests {
         let mut session = Session::odyssey("jbb");
         session.start_from_goal("Layout").expect("starts");
         let spec = SessionSpec::from_session(&session);
-        let snapshot = SnapshotFrame::encode(&session).expect("encodes");
+        let snapshot = snapshot_frame(&session).expect("encodes");
         let op = JournalOp::Snapshot(Box::new(spec.clone()));
         let payload = serde_json::to_vec(&op).expect("serializes");
-        assert_eq!(
-            snapshot.frame().expect("fits a frame"),
-            encode_frame(&payload).expect("frames")
-        );
-        assert_eq!(
-            snapshot.document(),
-            spec.to_json().expect("serializes").as_bytes()
-        );
-        let scan = scan_frames(snapshot.frame().expect("fits a frame"));
+        assert_eq!(snapshot, encode_frame(&payload).expect("frames"));
+        let document = spec.to_json().expect("serializes");
+        assert_eq!(payload, format!("{{\"Snapshot\":{document}}}").into_bytes());
+        let scan = scan_frames(&snapshot);
         let parsed: JournalOp = serde_json::from_slice(&scan.payloads[0]).expect("parses");
         assert_eq!(parsed, op);
     }
 
-    /// The generation's files on disk: its checkpoint plus every
-    /// segment.
+    /// The generation's files on disk: every segment, the base
+    /// included.
     fn generation_disk_bytes(ws: &Workspace) -> u64 {
-        let checkpoint = fs::metadata(ws.root.join(checkpoint_name(ws.generation)))
-            .expect("checkpoint exists")
-            .len();
-        let segments: u64 = ws
-            .segments
+        ws.segments
             .iter()
             .map(|name| fs::metadata(ws.root.join(name)).expect("segment").len())
-            .sum();
-        checkpoint + segments
+            .sum()
     }
 
     #[test]
@@ -2397,8 +2450,7 @@ mod tests {
             op.replay(&mut session).expect("replays");
             ws.append(&op).expect("appends");
             kinds.push(ws.checkpoint(&session).expect("checkpoints"));
-            let newest = SnapshotFrame::encode(&session).expect("encodes");
-            let frame = newest.frame().expect("fits a frame").len() as u64;
+            let frame = snapshot_frame(&session).expect("encodes").len() as u64;
             let on_disk = generation_disk_bytes(&ws);
             assert_eq!(on_disk, ws.generation_bytes, "checkpoint {k}: bookkeeping");
             assert!(
@@ -2427,7 +2479,7 @@ mod tests {
     #[test]
     fn workspace_records_durability_metrics() {
         let root = temp_root("metrics");
-        let session = Session::odyssey("jbb");
+        let mut session = Session::odyssey("jbb");
         let mut ws = Workspace::create(&root, &session).expect("creates");
         let metrics = Metrics::new();
         ws.set_metrics(metrics.clone());
@@ -2435,6 +2487,8 @@ mod tests {
             entity: "Layout".into(),
         }))
         .expect("appends");
+        // A direct edit the journal lacks: checkpoints write snapshots.
+        session.start_from_goal("Layout").expect("starts");
         ws.checkpoint(&session).expect("appends a snapshot");
 
         let snap = metrics.snapshot();
@@ -2569,7 +2623,10 @@ mod tests {
         // The group-commit guarantee: a crash mid-batch loses at most
         // the unacknowledged tail, and recovery always lands on a clean
         // frame boundary. Simulate by truncating the journal at every
-        // byte offset and reopening a copy of the workspace.
+        // byte offset and reopening a copy of the workspace. A cut
+        // inside frame 0, the base, is not a crash the store can
+        // produce — the base is synced before the MANIFEST names it —
+        // so it must fail to open rather than recover an empty session.
         let root = temp_root("group-crash");
         let session = Session::odyssey("jbb");
         let mut ws = Workspace::create(&root, &session).expect("creates");
@@ -2580,19 +2637,26 @@ mod tests {
         let journal_path = ws.journal_path.clone();
         drop(ws);
         let bytes = fs::read(&journal_path).expect("reads journal");
-        let checkpoint = fs::read(root.join(checkpoint_name(0))).expect("reads checkpoint");
-        let manifest = fs::read(root.join("MANIFEST")).expect("reads manifest");
+        let base_end = scan_frames(&bytes).offsets[0];
+        let manifest = fs::read(root.join(MANIFEST_FILE)).expect("reads manifest");
 
         for cut in 0..=bytes.len() {
             let crashed = temp_root("group-crash-cut");
             fs::create_dir_all(&crashed).expect("mkdir");
-            fs::write(crashed.join(checkpoint_name(0)), &checkpoint).expect("copies");
-            fs::write(crashed.join("MANIFEST"), &manifest).expect("copies");
-            fs::write(crashed.join(journal_name(0)), &bytes[..cut]).expect("truncates");
-            let survivors = scan_frames(&bytes[..cut]).payloads.len();
+            fs::write(crashed.join(MANIFEST_FILE), &manifest).expect("copies");
+            fs::write(crashed.join(segment_name(0, 0)), &bytes[..cut]).expect("truncates");
+            let opened = Workspace::open_session(&crashed, |s| crate::encaps::odyssey_registry(s));
+            if cut < base_end {
+                assert!(
+                    matches!(opened, Err(StoreError::Corrupt { .. })),
+                    "cut at byte {cut}, inside frame 0, must fail to open"
+                );
+                fs::remove_dir_all(&crashed).ok();
+                continue;
+            }
+            let survivors = scan_frames(&bytes[..cut]).payloads.len() - 1;
             let (_ws, restored, report) =
-                Workspace::open_session(&crashed, |s| crate::encaps::odyssey_registry(s))
-                    .unwrap_or_else(|e| panic!("cut at byte {cut} fails recovery: {e}"));
+                opened.unwrap_or_else(|e| panic!("cut at byte {cut} fails recovery: {e}"));
             assert_eq!(
                 report.ops_replayed, survivors,
                 "cut at byte {cut}: whole frames before the cut replay"
@@ -2636,8 +2700,10 @@ mod tests {
     #[test]
     fn checkpoint_retires_every_segment_of_the_old_generation() {
         let root = temp_root("segments-rotate");
-        let session = Session::odyssey("jbb");
+        let mut session = Session::odyssey("jbb");
         let mut ws = Workspace::create(&root, &session).expect("creates");
+        // A direct edit the journal lacks: checkpoints write snapshots.
+        session.start_from_goal("Layout").expect("starts");
         ws.set_segment_max_bytes(1);
         for n in 0..3 {
             ws.append(&seed_op(n)).expect("appends");
@@ -2652,7 +2718,7 @@ mod tests {
         for name in &old {
             assert!(!root.join(name).exists(), "{name} was retired");
         }
-        assert_eq!(ws.segments(), [journal_name(1)]);
+        assert_eq!(ws.segments(), [segment_name(1, 0)]);
         fs::remove_dir_all(&root).ok();
     }
 
@@ -2733,9 +2799,8 @@ mod tests {
         let report = ws.scrub(&session).expect("scrubs");
         assert!(!report.damaged);
         assert!(!report.repaired);
-        assert!(report.checkpoint_ok);
         assert_eq!(report.segments.len(), 1);
-        assert_eq!(report.segments[0].frames_ok, 1);
+        assert_eq!(report.segments[0].frames_ok, 2, "the base and the append");
         assert_eq!(ws.generation(), 0, "clean scrub does not re-baseline");
         fs::remove_dir_all(&root).ok();
     }
@@ -2754,8 +2819,8 @@ mod tests {
             entity: "Netlist".into(),
         }))
         .expect("appends");
-        // Bit-rot the first frame on disk, under the live handle.
-        let path = root.join(journal_name(0));
+        // Bit-rot frame 0, the base, on disk, under the live handle.
+        let path = root.join(segment_name(0, 0));
         let mut bytes = fs::read(&path).expect("reads");
         bytes[10] ^= 0x40;
         fs::write(&path, &bytes).expect("rots");
@@ -2763,11 +2828,10 @@ mod tests {
         let report = ws.scrub(&session).expect("scrubs");
         assert!(report.damaged);
         assert!(report.repaired);
-        assert!(report.checkpoint_ok);
         assert_eq!(report.segments[0].frames_ok, 0, "rot starts at frame 0");
         assert_eq!(
             report.segments[0].quarantined_as,
-            vec![format!("{}.quarantined-0", journal_name(0))]
+            vec![format!("{}.quarantined-0", segment_name(0, 0))]
         );
         let quarantined = fs::read(root.join(&report.segments[0].quarantined_as[0]))
             .expect("quarantine file exists");
@@ -2781,7 +2845,7 @@ mod tests {
                 .expect("reopens");
         assert_eq!(report.ops_replayed, 0);
         assert!(!report.truncated);
-        assert!(restored.flow().is_ok(), "state came from the checkpoint");
+        assert!(restored.flow().is_ok(), "state came from the new base");
         fs::remove_dir_all(&root).ok();
     }
 
@@ -2848,7 +2912,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"ops_replayed\":1"), "json: {json}");
         assert!(
-            json.contains(&format!("\"name\":\"{}\"", journal_name(0))),
+            json.contains(&format!("\"name\":\"{}\"", segment_name(0, 0))),
             "json: {json}"
         );
         assert!(json.contains("\"fencing_token\":"), "json: {json}");
@@ -3001,11 +3065,11 @@ mod tests {
         }
         ws.sync().expect("flushes");
         assert_eq!(ws.segments().len(), 2, "the synced batch rolled once");
-        let head = fs::read(root.join(journal_name(0))).expect("reads");
+        let head = fs::read(root.join(segment_name(0, 0))).expect("reads");
         assert_eq!(
             scan_frames(&head).payloads.len(),
-            3,
-            "the batch never straddles a roll"
+            4,
+            "the base, then the batch: it never straddles a roll"
         );
         ws.append(&seed_op(3)).expect("appends");
         assert_eq!(ws.segments().len(), 3);

@@ -99,9 +99,9 @@ pub enum Command {
     /// one has grown large. When the journal already holds every change
     /// since a recent snapshot, only sync it.
     Checkpoint,
-    /// `scrub` — CRC-verify every journal segment and the checkpoint,
-    /// quarantining and repairing damage when the workspace is
-    /// writable.
+    /// `scrub` — CRC-verify every journal segment, the generation's
+    /// base in frame 0 included, quarantining and repairing damage when
+    /// the workspace is writable.
     Scrub,
     /// `lint [--incremental]` — run the static analyzer over the
     /// session. With `--incremental` the history passes re-analyze only

@@ -25,8 +25,9 @@ pub const STORE_CHECKPOINTS: &str = "store.checkpoints";
 pub const STORE_ROTATIONS: &str = "store.rotations";
 
 /// Counter: completed [`scrub`](https://en.wikipedia.org/wiki/Data_scrubbing)
-/// passes — every-byte CRC verification of the checkpoint and every
-/// journal segment. Incremented once per scan, damaged or not.
+/// passes — every-byte CRC verification of every journal segment, the
+/// generation's base in frame 0 included. Incremented once per scan,
+/// damaged or not.
 pub const STORE_SCRUBS: &str = "store.scrubs";
 
 /// Counter: scrub passes that found damage (rot, torn frames, or an
@@ -67,8 +68,8 @@ pub const STORE_GROUP_DISCARDED_BATCHES: &str = "store.group_discarded_batches";
 /// fencing token past it.
 pub const STORE_LEASE_TAKEOVERS: &str = "store.lease_takeovers";
 
-/// Counter: bytes CRC-verified by scrub passes across checkpoint and
-/// journal segments (damaged or not).
+/// Counter: bytes CRC-verified by scrub passes across the journal
+/// segments, frame 0 included (damaged or not).
 pub const STORE_SCRUB_BYTES: &str = "store.scrub_bytes";
 
 /// Counter: records accepted by the flight-recorder ring (spans,

@@ -97,8 +97,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // Act 3: the journal stands in for a snapshot.
     // ------------------------------------------------------------------
-    // Nothing changed since the snapshot, so this checkpoint writes
-    // nothing, and reopening recovers the same session all the same.
+    // The journal holds every change since the generation's base, so
+    // this checkpoint writes nothing, and reopening recovers the same
+    // session all the same.
     let out = ui.execute("checkpoint")?;
     println!("{out}");
     if !out.contains("already holds every change") {

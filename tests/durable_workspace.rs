@@ -5,7 +5,9 @@
 //! asserts that recovery (a) never fails or panics, (b) restores
 //! exactly the state after the last fully journaled command — a prefix
 //! of the acknowledged history — and (c) never resurrects state from
-//! the torn tail.
+//! the torn tail. Frame 0, the generation's base, is no torn tail: the
+//! store syncs it before any MANIFEST names it, so a tear or a flipped
+//! bit there fails the open and changes nothing.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -16,7 +18,7 @@ use hercules::encaps::odyssey_registry;
 use hercules::exec::{ExecError, FailurePolicy, FaultPlan, FaultyEncapsulation, TaskAction};
 use hercules::flow::NodeId;
 use hercules::history::{Derivation, InstanceId, Metadata, Payload};
-use hercules::store::{encode_frame, scan_frames, JournalOp, Workspace};
+use hercules::store::{encode_frame, scan_frames, JournalOp, StoreError, Workspace};
 use hercules::ui::{Command, Ui};
 use hercules::{eda, Session, SessionSpec};
 use serde::{Deserialize, Serialize, Value};
@@ -124,9 +126,13 @@ fn crash_at_every_journal_byte_offset_recovers_a_committed_prefix() {
 
     let journal = fs::read(root.join("journal-0.log")).expect("journal exists");
     let scan = scan_frames(&journal);
-    assert_eq!(scan.payloads.len(), 8, "one frame per mutating command");
+    assert_eq!(
+        scan.payloads.len(),
+        9,
+        "the base, then one frame per mutating command"
+    );
     assert_eq!(scan.trailing, 0);
-    let JournalOp::Exec(second_run) = serde_json::from_slice(&scan.payloads[6]).expect("parses")
+    let JournalOp::Exec(second_run) = serde_json::from_slice(&scan.payloads[7]).expect("parses")
     else {
         panic!("the second run journals an execution");
     };
@@ -144,29 +150,48 @@ fn crash_at_every_journal_byte_offset_recovers_a_committed_prefix() {
 }
 
 /// Tears the generation-0 journal of the workspace at `root` at every
-/// byte offset, each in a fresh copy, and asserts that recovery (a)
-/// never fails or panics, (b) restores exactly `refs[k]`, the state
-/// after the `k` frames wholly before the cut, and (c) truncates the
-/// torn remainder away.
+/// byte offset, each in a fresh copy. A tear after frame 0, the base,
+/// must (a) recover without failing or panicking, (b) restore exactly
+/// `refs[k]`, the state after the `k` frames wholly between the base
+/// and the cut, and (c) truncate the torn remainder away. A tear inside
+/// the base must fail the open and change no file.
 fn assert_every_tear_recovers_a_prefix(root: &Path, refs: &[SessionSpec]) {
     let journal = fs::read(root.join("journal-0.log")).expect("journal exists");
     let scan = scan_frames(&journal);
     assert_eq!(scan.trailing, 0);
     assert_eq!(
-        scan.payloads.len() + 1,
+        scan.payloads.len(),
         refs.len(),
-        "one reference per frame"
+        "the base, then one frame per later reference"
     );
-    for cut in 0..=journal.len() {
+    // A failed open changes nothing, so the tears inside the base can
+    // share one copy of the workspace.
+    let dir = temp_root("cut-base");
+    fs::create_dir_all(&dir).expect("mkdir");
+    fs::copy(root.join("MANIFEST"), dir.join("MANIFEST")).expect("manifest");
+    for cut in 0..scan.offsets[0] {
+        fs::write(dir.join("journal-0.log"), &journal[..cut]).expect("prefix");
+        let err = Workspace::open_session(&dir, |s| odyssey_registry(s))
+            .map(|_| ())
+            .expect_err("a torn base fails the open");
+        assert!(
+            matches!(err, StoreError::Corrupt { .. }),
+            "at byte {cut}: {err}"
+        );
+        assert_eq!(
+            fs::read(dir.join("journal-0.log")).expect("journal"),
+            &journal[..cut],
+            "a failed open leaves the journal as it was at byte {cut}"
+        );
+        assert!(!dir.join("LEASE").exists(), "no lease taken at byte {cut}");
+    }
+    fs::remove_dir_all(&dir).ok();
+
+    for cut in scan.offsets[0]..=journal.len() {
         // Simulate a crash that tore the journal at byte `cut`.
         let dir = temp_root("cut");
         fs::create_dir_all(&dir).expect("mkdir");
         fs::copy(root.join("MANIFEST"), dir.join("MANIFEST")).expect("manifest");
-        fs::copy(
-            root.join("checkpoint-0.json"),
-            dir.join("checkpoint-0.json"),
-        )
-        .expect("checkpoint");
         fs::write(dir.join("journal-0.log"), &journal[..cut]).expect("prefix");
 
         // Recovery must never fail and never panic.
@@ -174,7 +199,7 @@ fn assert_every_tear_recovers_a_prefix(root: &Path, refs: &[SessionSpec]) {
             .unwrap_or_else(|e| panic!("recovery failed at byte {cut}: {e}"));
 
         // It restores exactly the last fully journaled command...
-        let frames = scan.offsets.iter().filter(|&&end| end <= cut).count();
+        let frames = scan.offsets.iter().filter(|&&end| end <= cut).count() - 1;
         assert_eq!(report.ops_replayed, frames, "at byte {cut}");
         assert_eq!(
             SessionSpec::from_session(&session),
@@ -184,11 +209,7 @@ fn assert_every_tear_recovers_a_prefix(root: &Path, refs: &[SessionSpec]) {
         );
 
         // ...and truncates the torn remainder away.
-        let valid = scan
-            .offsets
-            .get(frames.wrapping_sub(1))
-            .copied()
-            .unwrap_or(0);
+        let valid = scan.offsets[frames];
         assert_eq!(
             report.bytes_discarded,
             (cut - valid) as u64,
@@ -247,9 +268,135 @@ fn crash_at_every_byte_around_a_snapshot_frame_recovers_a_committed_prefix() {
 
     let journal = fs::read(root.join("journal-0.log")).expect("journal exists");
     let scan = scan_frames(&journal);
-    let snapshot: JournalOp = serde_json::from_slice(&scan.payloads[3]).expect("parses");
+    let snapshot: JournalOp = serde_json::from_slice(&scan.payloads[4]).expect("parses");
     assert_eq!(snapshot, JournalOp::Snapshot(Box::new(refs[4].clone())));
     assert_every_tear_recovers_a_prefix(&root, &refs);
+    fs::remove_dir_all(&root).ok();
+}
+
+/// Every file under `root`, by name, with its bytes.
+fn dir_files(root: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(root)
+        .expect("lists")
+        .map(|e| e.expect("entry").path())
+        .map(|path| {
+            let name = path.file_name().expect("named").to_string_lossy();
+            (name.into_owned(), fs::read(&path).expect("reads"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Bit rot in the base is never restored: flipping one hex digit
+/// (`e` → `a`, xor 0x04) of the recorded full-adder payload in the
+/// saved base fails the open, which changes no file.
+#[test]
+fn a_flipped_bit_in_the_base_fails_the_open() {
+    let root = temp_root("base-flip");
+    let mut session = Session::odyssey("jbb");
+    seed_netlist(&mut session);
+    drop(Workspace::create(&root, &session).expect("creates"));
+    let hex: String = eda::cells::full_adder()
+        .to_bytes()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    let (name, mut bytes, at) = dir_files(&root)
+        .into_iter()
+        .find_map(|(name, bytes)| {
+            let at = bytes.windows(hex.len()).position(|w| w == hex.as_bytes())?;
+            Some((name, bytes, at))
+        })
+        .expect("a file holds the base's full-adder payload");
+    bytes[at + hex.find('e').expect("the payload's hex has an `e`")] ^= 0x04;
+    fs::write(root.join(&name), &bytes).expect("rots");
+    let before = dir_files(&root);
+
+    match Workspace::open_session(&root, |s| odyssey_registry(s)) {
+        Err(StoreError::Corrupt { .. }) => {}
+        Err(e) => panic!("the flip in {name} must read as corruption, got: {e}"),
+        Ok((_ws, restored, report)) => panic!(
+            "the flip in {name} was restored silently ({report}): {} instance(s)",
+            restored.db().len()
+        ),
+    }
+    assert_eq!(dir_files(&root), before, "a failed open changes no file");
+    fs::remove_dir_all(&root).ok();
+}
+
+/// A workspace whose first segment, and with it the base, is gone
+/// fails to open rather than recover an empty session, and the open
+/// re-creates nothing.
+#[test]
+fn a_missing_first_segment_fails_the_open() {
+    let root = temp_root("no-head");
+    let mut ui = Ui::new(Session::odyssey("jbb"));
+    ui.execute(&format!("save {}", root.display()))
+        .expect("saves");
+    for cmd in ["goal Layout", "expand n0"] {
+        ui.execute(cmd).expect(cmd);
+    }
+    drop(ui);
+    fs::remove_file(root.join("journal-0.log")).expect("removes");
+    let before = dir_files(&root);
+    let err = Workspace::open_session(&root, |s| odyssey_registry(s))
+        .map(|_| ())
+        .expect_err("a missing base fails the open");
+    assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+    assert_eq!(dir_files(&root), before, "a failed open changes no file");
+    fs::remove_dir_all(&root).ok();
+}
+
+/// Only frames hold session state: after `save`, an appended, a synced
+/// and a rotating checkpoint, and a repairing `scrub`, the workspace
+/// holds only MANIFEST, LEASE, journal segments and telemetry sidecars.
+#[test]
+fn no_checkpoint_file_is_ever_written() {
+    let root = temp_root("frames-only");
+    let assert_frames_only = |step: &str| {
+        for (name, _) in dir_files(&root) {
+            assert!(
+                name == "MANIFEST"
+                    || name == "LEASE"
+                    || name.starts_with("journal-")
+                    || (name.starts_with("telemetry-") && name.ends_with(".jsonl")),
+                "after {step}: unexpected file `{name}`"
+            );
+        }
+    };
+    let mut ui = Ui::new(Session::odyssey("jbb"));
+    ui.execute(&format!("save {}", root.display()))
+        .expect("saves");
+    assert_frames_only("save");
+    ui.execute("goal Layout").expect("journals");
+    seed_netlist(ui.session_mut());
+    let out = ui.execute("checkpoint").expect("checkpoints");
+    assert!(out.contains("snapshot appended"), "{out}");
+    assert_frames_only("an appended checkpoint");
+    let out = ui.execute("checkpoint").expect("checkpoints");
+    assert!(out.contains("already holds every change"), "{out}");
+    assert_frames_only("a synced checkpoint");
+    loop {
+        seed_netlist(ui.session_mut());
+        if ui
+            .execute("checkpoint")
+            .expect("checkpoints")
+            .contains("rotated")
+        {
+            break;
+        }
+    }
+    assert_frames_only("a rotating checkpoint");
+    let generation = ui.workspace().expect("attached").generation();
+    let head = root.join(format!("journal-{generation}.log"));
+    let mut bytes = fs::read(&head).expect("reads");
+    *bytes.last_mut().expect("the head holds the base") ^= 0x01;
+    fs::write(&head, &bytes).expect("rots");
+    let out = ui.execute("scrub").expect("scrubs");
+    assert!(out.contains("re-baselined"), "{out}");
+    assert_frames_only("a repairing scrub");
+    drop(ui);
     fs::remove_dir_all(&root).ok();
 }
 
@@ -400,9 +547,9 @@ fn interrupted_run_resumes_after_reopen_from_disk() {
     fs::remove_dir_all(&root).ok();
 }
 
-/// A saved workspace whose journal holds a snapshot frame after a few
-/// journaled commands, so that a later checkpoint of a fully
-/// journaled session writes nothing.
+/// A saved workspace whose journal holds a few journaled commands
+/// after its base, the snapshot in frame 0, so that a checkpoint of the
+/// fully journaled session writes nothing.
 fn checkpointed_workspace(tag: &str) -> (PathBuf, Ui) {
     let root = temp_root(tag);
     let mut ui = Ui::new(Session::odyssey("jbb"));
@@ -412,27 +559,18 @@ fn checkpointed_workspace(tag: &str) -> (PathBuf, Ui) {
         ui.execute(cmd).expect(cmd);
     }
     let out = ui.execute("checkpoint").expect("checkpoints");
-    assert!(out.contains("snapshot appended"), "{out}");
+    assert!(out.contains("already holds every change"), "{out}");
     assert!(!ui.session().has_unjournaled_changes());
     (root, ui)
 }
 
-/// Every file a checkpoint could write: the MANIFEST, checkpoints and
-/// journal segments (not the lease or the telemetry sidecar), by name.
+/// Every file a checkpoint could write: the MANIFEST and the journal
+/// segments (not the lease or the telemetry sidecar), by name.
 fn store_files(root: &Path) -> Vec<(String, Vec<u8>)> {
-    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(root)
-        .expect("lists")
-        .map(|e| e.expect("entry").path())
-        .filter_map(|path| {
-            let name = path.file_name()?.to_string_lossy().into_owned();
-            let store_file = name == "MANIFEST"
-                || name.starts_with("checkpoint-")
-                || name.starts_with("journal-");
-            store_file.then(|| (name, fs::read(&path).expect("reads")))
-        })
-        .collect();
-    files.sort();
-    files
+    dir_files(root)
+        .into_iter()
+        .filter(|(name, _)| name == "MANIFEST" || name.starts_with("journal-"))
+        .collect()
 }
 
 #[test]
@@ -485,7 +623,10 @@ fn a_fully_journaled_checkpoint_leaves_the_store_byte_identical() {
 
     let (_ws, session, report) =
         Workspace::open_session(&root, |s| odyssey_registry(s)).expect("reopens");
-    assert_eq!(report.ops_replayed, 7, "3 verbs, the snapshot, 3 verbs");
+    assert_eq!(
+        report.ops_replayed, 6,
+        "3 verbs, then 3 more, after the base"
+    );
     assert_eq!(SessionSpec::from_session(&session), expected);
     fs::remove_dir_all(&root).ok();
 }
@@ -558,18 +699,25 @@ fn legacy_payloads(instances: &mut Value, held: &mut Vec<Vec<u8>>, form: Legacy)
     rewritten
 }
 
-/// Copies the workspace at `from` into a fresh directory, rewriting
-/// the checkpoint's payloads — and, with `journal`, every journaled
-/// execution's payloads, re-framed — into `form`.
+/// Copies the workspace at `from` into a fresh directory in the layout
+/// written before frames — a plain-JSON MANIFEST naming
+/// `checkpoint-0.json`, which holds the base frame's document — and
+/// rewrites the checkpoint's payloads and, with `journal`, every
+/// journaled execution's payloads, re-framed, into `form`.
 fn legacy_copy(from: &Path, form: Legacy, journal: bool) -> PathBuf {
     let dir = temp_root("legacy");
     fs::create_dir_all(&dir).expect("mkdir");
-    fs::copy(from.join("MANIFEST"), dir.join("MANIFEST")).expect("manifest");
+    fs::write(
+        dir.join("MANIFEST"),
+        r#"{"generation":0,"checkpoint":"checkpoint-0.json","journal":"journal-0.log","segments":["journal-0.log"],"fencing_token":1}"#,
+    )
+    .expect("write manifest");
 
-    let mut checkpoint: Value =
-        serde_json::from_slice(&fs::read(from.join("checkpoint-0.json")).expect("checkpoint"))
-            .expect("checkpoint parses");
-    let history = field(&mut checkpoint, "history").expect("history");
+    let frames = fs::read(from.join("journal-0.log")).expect("journal");
+    let scan = scan_frames(&frames);
+    let mut base: Value = serde_json::from_slice(&scan.payloads[0]).expect("base parses");
+    let checkpoint = field(&mut base, "Snapshot").expect("frame 0 is a snapshot");
+    let history = field(checkpoint, "history").expect("history");
     let instances = field(history, "instances").expect("instances");
     let mut held = Vec::new();
     let rewritten = legacy_payloads(instances, &mut held, form);
@@ -577,16 +725,15 @@ fn legacy_copy(from: &Path, form: Legacy, journal: bool) -> PathBuf {
         form == Legacy::InlineHex || rewritten > 0,
         "checkpoint holds payloads"
     );
-    let text = serde_json::to_string(&checkpoint).expect("serializes");
+    let text = serde_json::to_string(&*checkpoint).expect("serializes");
     assert_eq!(text.contains(r#""data":["#), form == Legacy::Arrays);
     fs::write(dir.join("checkpoint-0.json"), text).expect("write checkpoint");
 
-    let frames = fs::read(from.join("journal-0.log")).expect("journal");
     let frames = if journal {
         let mut rewritten = 0;
         let mut out = Vec::new();
-        for payload in scan_frames(&frames).payloads {
-            let mut op: Value = serde_json::from_slice(&payload).expect("frame parses");
+        for payload in &scan.payloads[1..] {
+            let mut op: Value = serde_json::from_slice(payload).expect("frame parses");
             if let Some(instances) = field(&mut op, "Exec").and_then(|e| field(e, "instances")) {
                 rewritten += legacy_payloads(instances, &mut held, form);
             }
@@ -597,17 +744,19 @@ fn legacy_copy(from: &Path, form: Legacy, journal: bool) -> PathBuf {
         assert!(rewritten > 0, "journaled executions hold {form:?} rewrites");
         out
     } else {
-        frames
+        frames[scan.offsets[0]..].to_vec()
     };
     fs::write(dir.join("journal-0.log"), frames).expect("write journal");
     dir
 }
 
-/// Workspaces in older payload forms open with the same history and
-/// the same blob count: legacy integer arrays in both the checkpoint
-/// and the journal, a legacy checkpoint followed by frames with shared
-/// payloads, and hex payloads with every shared payload written out in
-/// full (the form written before shared payloads).
+/// Workspaces in older layouts and payload forms open with the same
+/// history and the same blob count: legacy integer arrays in both the
+/// checkpoint and the journal, a legacy checkpoint followed by frames
+/// with shared payloads, and hex payloads with every shared payload
+/// written out in full (the form written before shared payloads). Each
+/// is in the layout written before frames, and the writable open
+/// re-bases it at once onto a frames-only generation.
 #[test]
 fn legacy_array_payloads_open_with_the_same_history() {
     let root = temp_root("legacy-src");
@@ -644,13 +793,35 @@ fn legacy_array_payloads_open_with_the_same_history() {
     ] {
         let dir = legacy_copy(&root, form, journal);
         let case = format!("{form:?}, journal: {journal}");
-        let (_ws, session, report) = Workspace::open_session(&dir, |s| odyssey_registry(s))
+        let (ws, session, report) = Workspace::open_session(&dir, |s| odyssey_registry(s))
             .unwrap_or_else(|e| panic!("legacy workspace ({case}) opens: {e}"));
         assert_eq!(report.ops_replayed, 6, "{case}");
         assert_eq!(report.bytes_discarded, 0, "{case}");
         assert_eq!(session.db().len(), expected_payloads.len(), "{case}");
         assert_eq!(payloads(&session), expected_payloads, "{case}");
         assert_eq!(session.db().store().blob_count(), expected_blobs, "{case}");
+        assert_eq!(SessionSpec::from_session(&session), expected, "{case}");
+
+        // Re-based: generation 1's frame 0 holds the session, and the
+        // legacy files are gone.
+        assert_eq!(ws.generation(), 1, "{case}");
+        drop(ws);
+        let names: Vec<String> = fs::read_dir(&dir)
+            .expect("lists")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|name| name != "LEASE")
+            .collect();
+        assert_eq!(names.len(), 2, "{case}: {names:?}");
+        assert!(
+            names.contains(&"journal-1.log".to_owned()),
+            "{case}: {names:?}"
+        );
+        let manifest = fs::read(dir.join("MANIFEST")).expect("manifest");
+        let framed = scan_frames(&manifest);
+        assert_eq!((framed.payloads.len(), framed.trailing), (1, 0), "{case}");
+        let (_ws, session, report) =
+            Workspace::open_session(&dir, |s| odyssey_registry(s)).expect("reopens");
+        assert_eq!((report.generation, report.ops_replayed), (1, 0), "{case}");
         assert_eq!(SessionSpec::from_session(&session), expected, "{case}");
         fs::remove_dir_all(&dir).ok();
     }

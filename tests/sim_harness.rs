@@ -78,9 +78,9 @@ fn seed_netlist(session: &mut Session) -> InstanceId {
 const WS_ROOT: &str = "/ws/alpha";
 
 /// Reference snapshots of the multi-session workload, grouped by
-/// checkpoint generation: `refs[g][k]` is the session state after the
-/// `k`-th acknowledged journal frame of generation `g` (`refs[g][0]`
-/// is the state captured by generation `g`'s checkpoint itself). A
+/// generation: `refs[g][k]` is the session state after the `k`-th
+/// acknowledged journal frame after generation `g`'s base (`refs[g][0]`
+/// is the state its base, frame 0, captures). A
 /// checkpoint that appends its snapshot adds one frame, whose state
 /// includes any direct edit made before it; a checkpoint that rotates
 /// opens the next generation; one that only syncs adds nothing.
@@ -109,27 +109,24 @@ fn checkpoint_kind(transcript: &str) -> CheckpointKind {
 /// verification flow, checkpoint, build + run the layout flow,
 /// checkpoint, run it again, checkpoint, rebuild and rerun it,
 /// checkpoint, start one more flow and checkpoint, refine it and
-/// checkpoint, then expand it and checkpoint. The first checkpoint
-/// appends a snapshot (the generation holds none yet); the next three
-/// each follow a direct database edit that bypasses the journal, so
-/// they write snapshots too, appended until the generation's files
-/// outgrow the rotation bound at the fourth; the fifth appends the
-/// rotated generation's first snapshot frame. Up to there the disk
-/// sees the same operations as when every checkpoint wrote a snapshot.
-/// The last two follow journaled commands only and skip, the first of
-/// them between frames. The workload thus crosses all three kinds and
-/// journals into the rotated generation too. Stops at the first error
-/// (a fired crash point), returning the snapshots of everything
-/// acknowledged up to then.
+/// checkpoint, then expand it and checkpoint. The first four
+/// checkpoints each follow a direct database edit that bypasses the
+/// journal, so they write snapshots, appended until the generation's
+/// files outgrow the rotation bound at the fourth. The last three
+/// follow journaled commands only, fewer bytes of frames than the
+/// rotated generation's base, and skip. The workload thus crosses all
+/// three kinds and journals into the rotated generation too. Stops at
+/// the first error (a fired crash point), returning the snapshots of
+/// everything acknowledged up to then.
 ///
 /// `plan` is a clean run's [`Reference::kinds`]: a crash run reads
 /// from it what the checkpoint it crashed in was doing. The clean run
 /// itself passes `None`.
 ///
 /// With `verify_frames` (clean reference run only), cross-checks that
-/// each generation's journal holds exactly one frame per acknowledged
-/// command or appended snapshot, so the snapshot indices line up with
-/// `ops_replayed`.
+/// each generation's journal holds its base and then exactly one frame
+/// per acknowledged command or appended snapshot, so the snapshot
+/// indices line up with `ops_replayed`.
 fn drive_workload(
     sim: &SimEnv,
     plan: Option<&[CheckpointKind]>,
@@ -180,7 +177,7 @@ fn drive_workload(
     let extend = ["expand n2".to_owned()];
 
     for (segment, direct_edit) in [
-        (&verification[..], false),
+        (&verification[..], true),
         (&layout[..], true),
         (&rerun[..], true),
         (&layout[..], true),
@@ -210,8 +207,9 @@ fn drive_workload(
                 .expect("journal readable in the clean run");
             assert_eq!(
                 scan_frames(&journal).payloads.len(),
-                refs.by_gen[gen].len() - 1,
-                "one journal frame per acknowledged command or snapshot in generation {gen}"
+                refs.by_gen[gen].len(),
+                "the base, then one journal frame per acknowledged command or snapshot \
+                 in generation {gen}"
             );
         }
         if direct_edit {
@@ -226,7 +224,7 @@ fn drive_workload(
         };
         // The checkpoint's state: after a rotation, the next
         // generation's base (a crashed rotation whose MANIFEST rename
-        // survived the dice recovers as it, with zero replays); after
+        // survived the dice recovers frame 0, with zero replays); after
         // an append, one more frame of the current generation (a
         // crashed append's frame may survive whole in the crash image);
         // after a sync, nothing new.
@@ -486,7 +484,10 @@ fn sim_checkpoint_crash_between_tmp_fsync_and_manifest_rename() {
             && refs.kinds.contains(&CheckpointKind::Rotated),
         seed,
         TEST,
-        "the first checkpoint appends and a later one rotates",
+        &format!(
+            "the first checkpoint appends and a later one rotates: {:?}",
+            refs.kinds
+        ),
     );
     let rename_op: u64 = clean
         .trace()
@@ -563,14 +564,15 @@ fn syncs(ops: &[String]) -> usize {
         .count()
 }
 
-/// Exact sync counts: a REPL `save` costs at most 9 syncs (the
-/// workspace's 7 plus the telemetry sidecar's 2); a checkpoint of a
+/// Exact sync counts: a REPL `save` costs at most 8 syncs (the
+/// workspace's 6 plus the telemetry sidecar's 2); a checkpoint of a
 /// fully journaled session with nothing pending touches no file at
 /// all; and a checkpoint that appends its snapshot costs one write and
-/// one fsync — no directory fsync, no rename. A rotation costs 5
-/// syncs, one directory fsync covering both the new checkpoint and the
-/// new head segment before the MANIFEST names them: rename + create,
-/// `sync_dir`, MANIFEST rename, `sync_dir`.
+/// one fsync — no directory fsync, no rename. A rotation costs 4
+/// syncs: the new head segment, created with the snapshot as its frame
+/// 0, then its fsync and a directory fsync before the MANIFEST names
+/// it, then the MANIFEST temp file's fsync, rename and directory
+/// fsync. No checkpoint file is ever written.
 #[test]
 fn sim_checkpoint_sync_counts() {
     const TEST: &str = "sim_checkpoint_sync_counts";
@@ -580,10 +582,10 @@ fn sim_checkpoint_sync_counts() {
     let (saved, ops) = fs_ops_of(&sim, || ui.execute(&format!("save {WS_ROOT}")));
     saved.expect("saves");
     sim_assert(
-        syncs(&ops) <= 9,
+        syncs(&ops) <= 8,
         seed,
         TEST,
-        &format!("a REPL save costs at most 9 syncs: {ops:#?}"),
+        &format!("a REPL save costs at most 8 syncs: {ops:#?}"),
     );
     ui.execute("goal Layout").expect("journals");
 
@@ -628,24 +630,32 @@ fn sim_checkpoint_sync_counts() {
             .filter(|op| {
                 op.starts_with("rename ")
                     || op.starts_with("syncdir ")
+                    || op.starts_with("fsync ")
                     || op.starts_with(&format!("create path={WS_ROOT}/journal-"))
             })
-            .map(String::as_str)
+            .map(|op| {
+                if op.starts_with("fsync ") {
+                    "fsync"
+                } else {
+                    op.as_str()
+                }
+            })
             .collect();
         let expected = [
-            format!(
-                "rename from={WS_ROOT}/checkpoint-{gen}.json.tmp to={WS_ROOT}/checkpoint-{gen}.json"
-            ),
             format!("create path={WS_ROOT}/journal-{gen}.log"),
+            "fsync".to_owned(),
             format!("syncdir path={WS_ROOT}"),
+            "fsync".to_owned(),
             format!("rename from={WS_ROOT}/MANIFEST.tmp to={WS_ROOT}/MANIFEST"),
             format!("syncdir path={WS_ROOT}"),
         ];
         sim_assert(
-            order == expected && syncs(&ops) == 5,
+            order == expected
+                && syncs(&ops) == 4
+                && !ops.iter().any(|op| op.contains("checkpoint-")),
             seed,
             TEST,
-            &format!("a rotation is 5 syncs in the order {expected:#?}, got {ops:#?}"),
+            &format!("a rotation is 4 syncs in the order {expected:#?}, got {ops:#?}"),
         );
     }
     sim_assert(
@@ -1158,11 +1168,56 @@ fn build_segmented_store(sim: &SimEnv, appends: usize) {
     ws.close().expect("closes");
 }
 
+/// Every file on the simulated disk, by path, with its bytes.
+fn disk_image(sim: &SimEnv) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    sim.fs_state()
+        .current_paths()
+        .into_iter()
+        .filter_map(|path| {
+            let bytes = sim.fs().read(&path).ok()?;
+            Some((path, bytes))
+        })
+        .collect()
+}
+
+/// Flips the bits `xor` of byte `off` of `path`, asserts that `open`
+/// then fails with [`StoreError::Corrupt`] and changes no file, and
+/// undoes the flip.
+fn assert_open_refuses_rot(sim: &SimEnv, path: &Path, off: usize, xor: u8, seed: u64, test: &str) {
+    let label = format!("flip {xor:#04x} at {}:{off}", path.display());
+    sim_assert(
+        sim.fs_state().corrupt_file(path, off, xor),
+        seed,
+        test,
+        &format!("{label}: the byte must exist"),
+    );
+    let before = disk_image(sim);
+    match Workspace::open_session_in(Path::new(WS_ROOT), |s| odyssey_registry(s), sim.env()) {
+        Err(StoreError::Corrupt { .. }) => {}
+        Err(e) => sim_assert(false, seed, test, &format!("{label}: not corruption: {e}")),
+        Ok((_ws, _session, report)) => sim_assert(
+            false,
+            seed,
+            test,
+            &format!("{label}: recovered silently: {report}"),
+        ),
+    }
+    sim_assert(
+        disk_image(sim) == before,
+        seed,
+        test,
+        &format!("{label}: a failed open must change no file"),
+    );
+    sim.fs_state().corrupt_file(path, off, xor);
+}
+
 /// Tentpole acceptance: flip *every byte* of *every segment* of a
 /// multi-segment journal, one world per flip. Recovery must never
 /// panic and never silently lose data: every frame is either replayed
 /// or counted quarantined, and every quarantine path the report names
-/// exists on disk. A second open of the repaired store is clean.
+/// exists on disk. A second open of the repaired store is clean. A flip
+/// inside frame 0, the base, instead fails the open and changes no
+/// file, so those flips share one world.
 #[test]
 fn sim_bitrot_sweep_multi_segment() {
     const TEST: &str = "sim_bitrot_sweep_multi_segment";
@@ -1191,9 +1246,15 @@ fn sim_bitrot_sweep_multi_segment() {
         "rotation must produce multiple segments, got {}",
         segments.len()
     );
+    let head = Path::new(WS_ROOT).join("journal-0.log");
+    let base_end = scan_frames(&probe.fs().read(&head).expect("head segment")).offsets[0];
+    for off in 0..base_end {
+        assert_open_refuses_rot(&probe, &head, off, 0x5A, seed, TEST);
+    }
 
     for (path, len) in &segments {
-        for off in 0..*len {
+        let from = if *path == head { base_end } else { 0 };
+        for off in from..*len {
             let sim = SimEnv::new(seed);
             build_segmented_store(&sim, APPENDS);
             sim_assert(
@@ -1253,6 +1314,97 @@ fn sim_bitrot_sweep_multi_segment() {
             );
         }
     }
+}
+
+/// Every bit of MANIFEST is checked: over a one-segment workspace with
+/// five appended operations and a six-segment one, each single-bit
+/// flip fails `open` with an error and changes no file, so a flipped
+/// segment name can neither drop acknowledged frames nor truncate a
+/// journal.
+#[test]
+fn sim_manifest_bit_flip_sweep() {
+    const TEST: &str = "sim_manifest_bit_flip_sweep";
+    let seed = master_seed().wrapping_add(16);
+    let manifest = Path::new(WS_ROOT).join("MANIFEST");
+    for (segment_max, chain) in [(None, 1), (Some(1), 6)] {
+        let sim = SimEnv::new(seed);
+        let session = sim_session(&sim, "flip");
+        let mut ws =
+            Workspace::create_in(Path::new(WS_ROOT), &session, sim.env()).expect("creates");
+        if let Some(max) = segment_max {
+            ws.set_segment_max_bytes(max);
+        }
+        for _ in 0..5 {
+            ws.append(&JournalOp::Clear).expect("appends");
+        }
+        sim_assert(
+            ws.segments().len() == chain,
+            seed,
+            TEST,
+            &format!("expected a {chain}-segment chain, got {:?}", ws.segments()),
+        );
+        ws.close().expect("closes");
+        let len = sim.fs_state().file_len(&manifest).expect("MANIFEST exists");
+        for off in 0..len {
+            for bit in 0..8 {
+                assert_open_refuses_rot(&sim, &manifest, off, 1 << bit, seed, TEST);
+            }
+        }
+        let (_ws, _session, report) =
+            Workspace::open_session_in(Path::new(WS_ROOT), |s| odyssey_registry(s), sim.env())
+                .expect("the unflipped workspace opens");
+        sim_assert(
+            report.ops_replayed == 5 && !report.truncated,
+            seed,
+            TEST,
+            &format!("every acknowledged frame survives the sweep: {report}"),
+        );
+    }
+}
+
+/// Every bit of frame 0, the base, is checked: each single-bit flip
+/// fails `open` with [`StoreError::Corrupt`] and changes no file, and
+/// `scrub` on a live read-only handle reports it as damage. CRC32
+/// catches every single-bit error, so no flip is restored silently.
+#[test]
+fn sim_base_frame_bit_flip_sweep() {
+    const TEST: &str = "sim_base_frame_bit_flip_sweep";
+    let seed = master_seed().wrapping_add(17);
+    let sim = SimEnv::new(seed);
+    let mut writer =
+        Workspace::create_in(Path::new(WS_ROOT), &sim_session(&sim, "flip"), sim.env())
+            .expect("creates");
+    writer.append(&JournalOp::Clear).expect("appends");
+    // While `writer` holds the lease, another owner's handle is
+    // read-only: its scrub reports damage without repairing it.
+    let (mut reader, session, _) = Workspace::open_session_as(
+        Path::new(WS_ROOT),
+        |s| odyssey_registry(s),
+        sim.env(),
+        "reader",
+        30_000,
+    )
+    .expect("opens read-only");
+    sim_assert(!reader.is_writable(), seed, TEST, "the reader is degraded");
+    let head = Path::new(WS_ROOT).join("journal-0.log");
+    let base_end = scan_frames(&sim.fs().read(&head).expect("head segment")).offsets[0];
+    for off in 0..base_end {
+        for bit in 0..8 {
+            let xor = 1 << bit;
+            assert_open_refuses_rot(&sim, &head, off, xor, seed, TEST);
+            sim.fs_state().corrupt_file(&head, off, xor);
+            let report = reader.scrub(&session).expect("scrubs");
+            sim_assert(
+                report.damaged && !report.repaired && report.segments[0].frames_ok == 0,
+                seed,
+                TEST,
+                &format!("flip {xor:#04x} at byte {off} of the base: scrub reported {report}"),
+            );
+            sim.fs_state().corrupt_file(&head, off, xor);
+        }
+    }
+    drop(reader);
+    drop(writer);
 }
 
 /// Satellite: a crash point at every mutating disk op inside
@@ -1528,18 +1680,19 @@ fn sim_split_brain_fencing() {
     );
 
     // Zero post-fencing frames from "a": the journal holds exactly
-    // a's 3 pre-takeover frames plus b's 2.
+    // the base, a's 3 pre-takeover frames and b's 2.
     let journal = sim
         .fs()
         .read(&Path::new(WS_ROOT).join("journal-0.log"))
         .expect("journal readable");
     let scan = scan_frames(&journal);
     sim_assert(
-        scan.payloads.len() == 5 && scan.trailing == 0,
+        scan.payloads.len() == 6 && scan.trailing == 0,
         seed,
         TEST,
         &format!(
-            "expected exactly 5 frames (3 from a, 2 from b) and no tail, got {} + {} byte(s)",
+            "expected exactly 6 frames (the base, 3 from a, 2 from b) and no tail, \
+             got {} + {} byte(s)",
             scan.payloads.len(),
             scan.trailing
         ),
@@ -1629,27 +1782,29 @@ fn sim_fenced_sync_discards_pending_frames() {
         .read(&Path::new(WS_ROOT).join("journal-0.log"))
         .expect("journal readable");
     sim_assert(
-        scan_frames(&journal).payloads.len() == 1,
+        scan_frames(&journal).payloads.len() == 2,
         master,
         TEST,
-        "only a's acknowledged frame may reach the journal",
+        "only the base and a's acknowledged frame may reach the journal",
     );
 }
 
-/// Fsync reordering: a lying disk that silently drops every third
+/// Fsync reordering: a lying disk that silently drops every `n`th
 /// fsync voids the durability contract, but recovery must still land
 /// on *some* acknowledged prefix — or fail with an explicit error —
-/// never panic, never produce a non-prefix state.
+/// never panic, never produce a non-prefix state. Each world drops at
+/// its own period, 2 to 9, so whether some world recovers does not hang
+/// on where one period lands among the workload's fsyncs.
 #[test]
 fn sim_lying_disk_dropped_fsyncs_still_recover_a_prefix() {
     const TEST: &str = "sim_lying_disk_dropped_fsyncs_still_recover_a_prefix";
     let mut rng = SimRng::new(master_seed().wrapping_add(4));
 
     let mut recovered_ok = 0usize;
-    for _ in 0..8 {
+    for every in 2..10 {
         let seed = rng.next_u64();
         let sim = SimEnv::new(seed);
-        sim.fs_state().set_drop_fsync_every(Some(3));
+        sim.fs_state().set_drop_fsync_every(Some(every));
         let (refs, outcome) = drive_workload(&sim, None, false);
         outcome.expect("a lying disk reports success, so the workload completes");
         sim_assert(

@@ -1,14 +1,18 @@
 //! Workspace lint (`HL04xx`) tests: a clean workspace, a torn journal
-//! tail, a corrupt frame, a missing manifest, an orphan generation, a
-//! replay failure — plus the whole-analyzer breadth check.
+//! tail, a corrupt frame, a missing manifest, a missing or foreign
+//! base, an orphan generation, a replay failure — plus conflict
+//! prediction between two saved workspaces and the whole-analyzer
+//! breadth check.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hercules::audit::lint_workspace;
 use hercules::store::{encode_frame, CheckpointKind, Workspace};
+use hercules::ui::Ui;
 use hercules::{JournalOp, Session};
 use hercules_analyze::{lint_flow, lint_schema_spec, Diagnostics, Layer, Severity};
 use hercules_flow::TaskGraph;
@@ -99,7 +103,8 @@ fn checksummed_garbage_frame_is_an_error() {
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0407").expect("HL0407");
     assert_eq!(d.severity, Severity::Error);
-    assert!(d.span.name.contains("frame 1"), "span: {}", d.span);
+    // Frames 0 and 1 are the base and the seed.
+    assert!(d.span.name.contains("frame 2"), "span: {}", d.span);
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -170,15 +175,17 @@ fn unreplayable_operation_after_a_snapshot_is_an_error_at_its_frame() {
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0408").expect("HL0408");
     assert_eq!(d.severity, Severity::Error);
-    // Frames 0–2 are the seed, the snapshot and the second seed.
-    assert_eq!(d.span.name, "frame 3", "span: {}", d.span);
+    // Frames 0–3 are the base, the seed, the snapshot and the second
+    // seed.
+    assert_eq!(d.span.name, "frame 4", "span: {}", d.span);
     let _ = fs::remove_dir_all(&root);
 }
 
+/// The first segment holds the base as its frame 0: without it both
+/// the base (HL0403) and the journal (HL0405) are missing.
 #[test]
 fn missing_checkpoint_and_journal_are_errors() {
     let root = seeded_workspace("missingfiles");
-    fs::remove_file(root.join("checkpoint-0.json")).expect("removes");
     fs::remove_file(root.join("journal-0.log")).expect("removes");
     let out = lint(&root);
     assert!(out.iter().any(|d| d.code == "HL0403"));
@@ -186,20 +193,47 @@ fn missing_checkpoint_and_journal_are_errors() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// Rewrites the MANIFEST with an explicit segment chain (and fencing
-/// token), leaving checkpoint/journal/generation untouched.
-fn rewrite_manifest(root: &std::path::Path, segments: &[&str], journal: &str, token: u64) {
+#[test]
+fn a_torn_base_is_missing() {
+    let root = seeded_workspace("tornbase");
+    let journal = root.join("journal-0.log");
+    let buf = fs::read(&journal).expect("reads");
+    fs::write(&journal, &buf[..100]).expect("tears frame 0");
+    let out = lint(&root);
+    let d = out.iter().find(|d| d.code == "HL0403").expect("HL0403");
+    assert_eq!(d.severity, Severity::Error);
+    assert!(!out.iter().any(|d| d.code == "HL0404"));
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_base_that_is_not_a_snapshot_does_not_restore() {
+    let root = seeded_workspace("foreignbase");
+    let op = JournalOp::Flow(hercules::FlowOp::Seed {
+        entity: "Layout".to_owned(),
+    });
+    let frame = encode_frame(&serde_json::to_vec(&op).expect("serializes")).expect("frames");
+    fs::write(root.join("journal-0.log"), frame).expect("writes");
+    let out = lint(&root);
+    let d = out.iter().find(|d| d.code == "HL0404").expect("HL0404");
+    assert_eq!(d.severity, Severity::Error);
+    assert!(!out.iter().any(|d| d.code == "HL0403"));
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Rewrites the MANIFEST, as the one CRC frame the store writes, with
+/// an explicit segment chain and fencing token, leaving the generation
+/// and its files untouched.
+fn rewrite_manifest(root: &Path, segments: &[&str], token: u64) {
     let segs = segments
         .iter()
         .map(|s| format!("\"{s}\""))
         .collect::<Vec<_>>()
         .join(",");
+    let doc = format!("{{\"generation\":0,\"segments\":[{segs}],\"fencing_token\":{token}}}");
     fs::write(
         root.join("MANIFEST"),
-        format!(
-            "{{\"generation\":0,\"checkpoint\":\"checkpoint-0.json\",\
-             \"journal\":\"{journal}\",\"segments\":[{segs}],\"fencing_token\":{token}}}"
-        ),
+        encode_frame(doc.as_bytes()).expect("frames"),
     )
     .expect("writes manifest");
 }
@@ -209,12 +243,7 @@ fn segment_chain_gap_and_misorder_are_errors() {
     let root = seeded_workspace("seggap");
     // A gap: sequence 2 sits where 1 should be.
     fs::write(root.join("journal-0.2.log"), b"").expect("writes");
-    rewrite_manifest(
-        &root,
-        &["journal-0.log", "journal-0.2.log"],
-        "journal-0.2.log",
-        1,
-    );
+    rewrite_manifest(&root, &["journal-0.log", "journal-0.2.log"], 1);
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0410").expect("HL0410");
     assert_eq!(d.severity, Severity::Error);
@@ -227,39 +256,13 @@ fn segment_chain_gap_and_misorder_are_errors() {
 }
 
 #[test]
-fn segment_chain_not_ending_at_active_journal_is_an_error() {
-    let root = seeded_workspace("segactive");
-    fs::write(root.join("journal-0.1.log"), b"").expect("writes");
-    // `journal` names the first segment, not the chain's last.
-    rewrite_manifest(
-        &root,
-        &["journal-0.log", "journal-0.1.log"],
-        "journal-0.log",
-        1,
-    );
-    let out = lint(&root);
-    assert!(
-        out.iter()
-            .any(|d| d.code == "HL0410" && d.message.contains("ends at")),
-        "got:\n{}",
-        out.render_text()
-    );
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
 fn well_formed_segment_chain_is_clean() {
     let root = seeded_workspace("segclean");
     let head = fs::read(root.join("journal-0.log")).expect("reads");
     // Split the real journal: frames stay in seq 0, seq 1 starts empty.
     fs::write(root.join("journal-0.1.log"), b"").expect("writes");
     fs::write(root.join("journal-0.log"), &head).expect("writes");
-    rewrite_manifest(
-        &root,
-        &["journal-0.log", "journal-0.1.log"],
-        "journal-0.1.log",
-        1,
-    );
+    rewrite_manifest(&root, &["journal-0.log", "journal-0.1.log"], 1);
     let out = lint(&root);
     assert!(
         !out.iter().any(|d| d.code.starts_with("HL04")),
@@ -297,7 +300,7 @@ fn expired_and_superseded_leases_are_warnings() {
     assert!(d.message.contains("expired"), "{}", d.message);
 
     // Superseded: token behind the manifest's fencing token.
-    rewrite_manifest(&root, &["journal-0.log"], "journal-0.log", 7);
+    rewrite_manifest(&root, &["journal-0.log"], 7);
     let far = u64::MAX / 2;
     fs::write(
         root.join("LEASE"),
@@ -333,6 +336,54 @@ fn stray_generation_files_are_reported() {
     assert_eq!(orphans.len(), 2, "got:\n{}", out.render_text());
     assert!(orphans.iter().all(|d| d.severity == Severity::Info));
     let _ = fs::remove_dir_all(&root);
+}
+
+/// Every file under `root`, by name, with its bytes.
+fn dir_files(root: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(root)
+        .expect("lists")
+        .map(|e| e.expect("entry").path())
+        .map(|path| {
+            let name = path.file_name().expect("named").to_string_lossy();
+            (name.into_owned(), fs::read(&path).expect("reads"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// `herclint --conflicts` takes two saved workspaces, recovers each
+/// session read-only, and reports that both flows produce
+/// `Performance` (HL0505 write/write). Neither workspace changes.
+#[test]
+fn conflicts_between_two_saved_workspaces() {
+    let roots = ["alice", "bob"].map(|user| {
+        let root = temp_root(user);
+        let mut ui = Ui::new(Session::odyssey(user));
+        ui.execute(&format!("save {}", root.display()))
+            .expect("saves");
+        for cmd in ["goal Performance", "expand n0"] {
+            ui.execute(cmd).expect(cmd);
+        }
+        root
+    });
+    let before = roots.each_ref().map(|root| dir_files(root));
+    let out = Command::new(env!("CARGO_BIN_EXE_herclint"))
+        .arg("--conflicts")
+        .args(&roots)
+        .output()
+        .expect("herclint runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(
+        stdout.lines().any(|l| l.contains("HL0505")
+            && l.contains("`alice` and `bob` both plan to produce `Performance`")),
+        "{stdout}"
+    );
+    assert_eq!(roots.each_ref().map(|root| dir_files(root)), before);
+    for root in &roots {
+        let _ = fs::remove_dir_all(root);
+    }
 }
 
 /// The acceptance breadth check: across schema, flow, hazard, and
