@@ -34,10 +34,10 @@ use hercules_schema::EntityTypeId;
 use hercules_sim::Env;
 
 use crate::store::{
-    is_generation_file, parse_segment_name, read_lease, read_manifest, scan_frames, Base, Manifest,
-    StoreError, LEASE_FILE,
+    decode_op, is_generation_file, parse_segment_name, read_lease, read_manifest, scan_frames,
+    Base, Manifest, StoreError, LEASE_FILE,
 };
-use crate::{JournalOp, Session};
+use crate::Session;
 
 /// Lints a live session: its schema, its active flow (if any), and the
 /// design history's `HL05xx` consistency findings (staleness, retrace
@@ -250,12 +250,13 @@ fn dir_names(root: &Path, env: &Env) -> Vec<String> {
 /// (HL0404), with an empty encapsulation registry since replay is
 /// extensional; every segment of the chain must exist (HL0405); a tail
 /// may be torn (warn — recovery truncates or quarantines it, HL0406);
-/// every checksummed frame after the base must parse as a [`JournalOp`]
+/// every checksummed frame after the base must decode as a
+/// [`JournalOp`](crate::JournalOp) through the store's one decoder
 /// (HL0407) and replay, exactly as recovery replays it (HL0408) — a
-/// checkpoint's [`JournalOp::Snapshot`] frame replaces the session, and
-/// later frames replay against that. Frames are numbered along the
-/// chain, the base being frame 0. Returns the replayed session when
-/// everything is clean enough to keep linting.
+/// checkpoint's snapshot frame replaces the session, and later frames
+/// replay against that. Frames are numbered along the chain, the base
+/// being frame 0. Returns the replayed session when everything is clean
+/// enough to keep linting.
 fn replay(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostics) -> Option<Session> {
     let segments = &manifest.segments;
     let unreadable = |segment: &str, e: std::io::Error| {
@@ -352,7 +353,7 @@ fn replay(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostics) ->
         let from = if si == 0 { skip } else { 0 };
         for (i, payload) in scan.payloads.iter().enumerate().skip(from) {
             let frame = frame_base + i;
-            let op: JournalOp = match serde_json::from_slice(payload) {
+            let op = match decode_op(payload) {
                 Ok(op) => op,
                 Err(e) => {
                     out.push(Diagnostic::new(

@@ -48,22 +48,46 @@
 //! # Frame format
 //!
 //! ```text
-//! [payload length: u32 LE][CRC32(payload): u32 LE][payload: JSON]
+//! [body length: u32 LE][CRC32(body): u32 LE][body]
 //! ```
 //!
+//! A journal frame's body is one [`JournalOp`], in the layout only
+//! [`encode_op`] writes and only [`decode_op`] reads:
+//!
+//! ```text
+//! [0xFF][JSON length: u32 LE][JSON]
+//! [payload count: u32 LE][payload length: u32 LE]…[payload bytes]…
+//! ```
+//!
+//! The JSON is the operation's, with every inline payload left as an
+//! empty placeholder; the payloads follow raw, in document order (an
+//! execution's records, or a snapshot's history records), so the design
+//! data stays opaque bytes while its meta-data stays readable JSON.
+//! Shared payloads ([`Payload::Shared`]) stay in the JSON. The marker
+//! byte starts no JSON text: a body written before raw payloads is the
+//! operation's JSON with hex payloads, and the decoder still reads it.
+//! A body must account for every byte of every section; one that does
+//! not is unparsable, like any other. MANIFEST is one frame whose body
+//! is its JSON document.
+//!
 //! The CRC is IEEE 802.3 (the zlib/PNG polynomial), computed by
-//! [`hercules_digest::crc32`], which also frames cache entries. A torn
-//! tail — a frame whose length field runs past end-of-file, or whose
-//! checksum does not match — ends the journal: recovery truncates the
-//! file back to the last valid frame, reports how many bytes were
-//! discarded, and never panics or fails on any prefix of a well-formed
-//! journal. A damaged base is never a torn tail, since it was synced
-//! before the generation existed: `open` fails with
-//! [`StoreError::Corrupt`] and changes nothing on disk.
+//! [`hercules_digest::crc32`], which also frames cache entries; it
+//! covers every payload byte. A torn tail — a frame whose length field
+//! runs past end-of-file, or whose checksum does not match — ends the
+//! journal: recovery truncates the file back to the last valid frame,
+//! reports how many bytes were discarded, and never panics or fails on
+//! any prefix of a well-formed journal. A damaged base is never a torn
+//! tail, since it was synced before the generation existed: `open`
+//! fails with [`StoreError::Corrupt`] and changes nothing on disk.
 //!
 //! # Write path
 //!
-//! The journal has one write path. [`Workspace::append_deferred`]
+//! Every frame of session state goes through [`encode_op`]: each
+//! command's, and each snapshot's (`save`, appended and rotating
+//! checkpoints, and the re-base of `scrub` and of a legacy `open`). It
+//! serializes the operation's JSON without its payloads, copies each
+//! inline payload once, into the frame, and fills the 8-byte header in
+//! place. The journal has one write path. [`Workspace::append_deferred`]
 //! encodes a frame into the handle's pending buffer; [`Workspace::sync`]
 //! writes every pending frame with one `write` and makes them durable
 //! with one `fsync`, then rolls the segment once it reaches its size
@@ -87,6 +111,10 @@
 //!   take a [`Workspace::checkpoint`] after making any. The edit marks
 //!   the session as holding unjournaled state, so that checkpoint
 //!   writes a snapshot, which captures the whole session.
+//! - Not forward compatible: a binary that predates raw frame bodies
+//!   fails `open` on a base written in them with
+//!   [`StoreError::Corrupt`], changing nothing, and quarantines such
+//!   frames when they follow a base it can read.
 //!
 //! After reopening, [`Session::resume`] re-runs only the failed and
 //! skipped subtasks of an interrupted partial execution, serving the
@@ -101,7 +129,7 @@ use std::sync::Arc;
 use hercules_digest::crc32;
 use hercules_exec::EncapsulationRegistry;
 use hercules_flow::NodeId;
-use hercules_history::{InstanceId, InstanceSpec};
+use hercules_history::{HistorySpec, InstanceId, InstanceSpec, Payload};
 use hercules_obs::{names, Metrics};
 use hercules_schema::TaskSchema;
 use hercules_sim::{Env, Fs, FsFile};
@@ -432,20 +460,186 @@ const ROTATE_FACTOR: u64 = 4;
 /// [`StoreError::Format`] when the snapshot exceeds the 4 GiB frame
 /// limit.
 fn snapshot_frame(session: &Session) -> Result<Vec<u8>, StoreError> {
-    let spec = SessionSpec::from_session(session);
-    // Eight placeholder bytes for the frame header, filled in below
-    // once the payload's length is known; the payload is the variant's
-    // JSON around the session document.
-    let mut text = String::from("\0\0\0\0\0\0\0\0{\"Snapshot\":");
-    serde_json::to_string_into(&mut text, &spec)?;
-    drop(spec);
-    text.push('}');
-    let mut bytes = text.into_bytes();
-    let len = frame_len(bytes.len() - 8)?;
-    let crc = crc32(&bytes[8..]);
-    bytes[..4].copy_from_slice(&len.to_le_bytes());
-    bytes[4..8].copy_from_slice(&crc.to_le_bytes());
-    Ok(bytes)
+    encode_op(&JournalOp::Snapshot(Box::new(SessionSpec::from_session(
+        session,
+    ))))
+}
+
+// ---------------------------------------------------------------------
+// Frame bodies.
+// ---------------------------------------------------------------------
+
+/// The first byte of every frame body [`encode_op`] writes. No JSON
+/// text starts with it (it is not even UTF-8), so it tells the body
+/// apart from one written before raw payloads, which is the operation's
+/// JSON and starts with `{` or `"`.
+const RAW_BODY: u8 = 0xFF;
+
+/// Encodes `op` as one journal frame, header included, its body in the
+/// layout the module docs give under *Frame format*: the JSON with each
+/// inline payload an empty placeholder (`""`), then the payloads raw.
+/// Each payload is copied once, into the frame; none is hex-encoded.
+///
+/// # Errors
+///
+/// [`StoreError::Format`] when the body is 4 GiB or more, too long for
+/// the frame's length field.
+pub fn encode_op(op: &JournalOp) -> Result<Vec<u8>, StoreError> {
+    let mut payloads = Vec::new();
+    let json = serde_json::to_vec(&*skeleton(op, &mut payloads))?;
+    let raw: usize = payloads.iter().map(|payload| payload.len()).sum();
+    let body = 1 + 4 + json.len() + 4 + 4 * payloads.len() + raw;
+    // Every length below is at most `body`, so each fits its u32 field.
+    let len = frame_len(body)?;
+    let put_len =
+        |frame: &mut Vec<u8>, n: usize| frame.extend_from_slice(&(n as u32).to_le_bytes());
+    let mut frame = Vec::with_capacity(8 + body);
+    frame.extend_from_slice(&[0; 8]); // the header, filled in below
+    frame.push(RAW_BODY);
+    put_len(&mut frame, json.len());
+    frame.extend_from_slice(&json);
+    put_len(&mut frame, payloads.len());
+    for payload in &payloads {
+        put_len(&mut frame, payload.len());
+    }
+    for payload in &payloads {
+        frame.extend_from_slice(payload);
+    }
+    let crc = crc32(&frame[8..]);
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    Ok(frame)
+}
+
+/// `op` with every inline payload an empty placeholder, pushing the
+/// payloads to `payloads` in document order; `op` itself when it holds
+/// none. Only the records' metadata is copied.
+fn skeleton<'a>(op: &'a JournalOp, payloads: &mut Vec<&'a [u8]>) -> Cow<'a, JournalOp> {
+    let inline = |records: &[InstanceSpec]| {
+        records
+            .iter()
+            .any(|record| matches!(record.data, Some(Payload::Inline(_))))
+    };
+    let mut strip = |records: &'a [InstanceSpec]| -> Vec<InstanceSpec> {
+        records
+            .iter()
+            .map(|record| InstanceSpec {
+                entity: record.entity.clone(),
+                user: record.user.clone(),
+                created: record.created,
+                name: record.name.clone(),
+                comment: record.comment.clone(),
+                keywords: record.keywords.clone(),
+                data: match &record.data {
+                    Some(Payload::Inline(bytes)) => {
+                        payloads.push(bytes);
+                        Some(Payload::Inline(Vec::new()))
+                    }
+                    data => data.clone(),
+                },
+                tool: record.tool,
+                inputs: record.inputs.clone(),
+            })
+            .collect()
+    };
+    match op {
+        JournalOp::Exec(spec) if inline(&spec.instances) => Cow::Owned(JournalOp::Exec(ExecSpec {
+            instances: strip(&spec.instances),
+            report: spec.report.clone(),
+            event: spec.event.clone(),
+        })),
+        JournalOp::Snapshot(spec) if inline(&spec.history.instances) => {
+            Cow::Owned(JournalOp::Snapshot(Box::new(SessionSpec {
+                schema: spec.schema.clone(),
+                history: HistorySpec {
+                    instances: strip(&spec.history.instances),
+                },
+                catalog: spec.catalog.clone(),
+                user: spec.user.clone(),
+                flow_ops: spec.flow_ops.clone(),
+                binding: spec.binding.clone(),
+                events: spec.events.clone(),
+                last_exec: spec.last_exec.clone(),
+            })))
+        }
+        _ => Cow::Borrowed(op),
+    }
+}
+
+/// Decodes one frame body, as [`scan_frames`] yields it: the layout
+/// [`encode_op`] writes, or a body written before it, which is the
+/// operation's JSON with hex (or byte-array) payloads. The body must
+/// account for every byte of every section.
+///
+/// # Errors
+///
+/// [`StoreError::Format`] when the JSON does not parse as an operation,
+/// a length runs past the body, bytes are left after the last payload,
+/// the payload count differs from the placeholders, or a placeholder
+/// holds bytes.
+pub fn decode_op(body: &[u8]) -> Result<JournalOp, StoreError> {
+    let Some((&RAW_BODY, mut rest)) = body.split_first() else {
+        return Ok(serde_json::from_slice(body)?);
+    };
+    let json_len = take_len(&mut rest)?;
+    let mut op: JournalOp = serde_json::from_slice(take(&mut rest, json_len)?)?;
+    let count = take_len(&mut rest)?;
+    let mut lengths = take(&mut rest, count.saturating_mul(4))?;
+    let slots: Vec<&mut Vec<u8>> = match &mut op {
+        JournalOp::Exec(spec) => &mut spec.instances[..],
+        JournalOp::Snapshot(spec) => &mut spec.history.instances[..],
+        _ => &mut [],
+    }
+    .iter_mut()
+    .filter_map(|record| match &mut record.data {
+        Some(Payload::Inline(bytes)) => Some(bytes),
+        _ => None,
+    })
+    .collect();
+    if slots.len() != count {
+        return Err(body_error(format!(
+            "{count} payload(s) for {} placeholder(s)",
+            slots.len()
+        )));
+    }
+    for slot in slots {
+        if !slot.is_empty() {
+            return Err(body_error("a payload placeholder holds bytes".into()));
+        }
+        let len = take_len(&mut lengths)?;
+        *slot = take(&mut rest, len)?.to_vec();
+    }
+    if !rest.is_empty() {
+        return Err(body_error(format!(
+            "{} byte(s) after the last payload",
+            rest.len()
+        )));
+    }
+    Ok(op)
+}
+
+/// Splits the next `n` bytes off the front of `rest`.
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], StoreError> {
+    if n > rest.len() {
+        return Err(body_error(format!(
+            "a {n}-byte section overruns the {} byte(s) left",
+            rest.len()
+        )));
+    }
+    let (section, after) = rest.split_at(n);
+    *rest = after;
+    Ok(section)
+}
+
+/// Splits a `u32 LE` length off the front of `rest`.
+fn take_len(rest: &mut &[u8]) -> Result<usize, StoreError> {
+    let bytes = take(rest, 4)?.try_into().expect("four bytes");
+    Ok(usize::try_from(u32::from_le_bytes(bytes)).unwrap_or(usize::MAX))
+}
+
+/// The error for a frame body that does not decode.
+fn body_error(detail: String) -> StoreError {
+    StoreError::Format(format!("frame body: {detail}"))
 }
 
 // ---------------------------------------------------------------------
@@ -579,7 +773,7 @@ impl<'a> Base<'a> {
     /// document.
     pub(crate) fn decode(&self) -> Result<SessionSpec, StoreError> {
         let spec = if self.framed {
-            match serde_json::from_slice::<JournalOp>(&self.bytes) {
+            match decode_op(&self.bytes) {
                 Ok(JournalOp::Snapshot(spec)) => Ok(*spec),
                 Ok(_) => Err("frame 0 is not a snapshot".to_owned()),
                 Err(e) => Err(e.to_string()),
@@ -1057,7 +1251,7 @@ fn replay_again(
     count: usize,
 ) -> Result<(), StoreError> {
     for payload in &frame_payloads(buf)[from..from + count] {
-        serde_json::from_slice::<JournalOp>(&buf[payload.clone()])?.replay(session)?;
+        decode_op(&buf[payload.clone()])?.replay(session)?;
     }
     Ok(())
 }
@@ -1349,7 +1543,7 @@ impl Workspace {
             let skip = if i == 0 { base_frames } else { 0 };
             let mut replayed_here = 0usize;
             for payload in &frames[skip..] {
-                let Ok(op) = serde_json::from_slice::<JournalOp>(&buf[payload.clone()]) else {
+                let Ok(op) = decode_op(&buf[payload.clone()]) else {
                     break;
                 };
                 if op.replay(&mut session).is_err() {
@@ -1656,7 +1850,7 @@ impl Workspace {
     pub fn append_deferred(&mut self, op: &JournalOp) -> Result<(), StoreError> {
         self.check_poisoned()?;
         self.check_writable()?;
-        let frame = encode_frame(&serde_json::to_vec(op)?)?;
+        let frame = encode_op(op)?;
         self.metrics
             .observe("store.append_bytes", frame.len() as u64);
         self.defer_frame(frame);
@@ -2044,7 +2238,6 @@ impl Drop for Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hercules_history::Payload;
     use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -2418,13 +2611,39 @@ mod tests {
         let spec = SessionSpec::from_session(&session);
         let snapshot = snapshot_frame(&session).expect("encodes");
         let op = JournalOp::Snapshot(Box::new(spec.clone()));
-        let payload = serde_json::to_vec(&op).expect("serializes");
-        assert_eq!(snapshot, encode_frame(&payload).expect("frames"));
-        let document = spec.to_json().expect("serializes");
-        assert_eq!(payload, format!("{{\"Snapshot\":{document}}}").into_bytes());
+        assert_eq!(snapshot, encode_op(&op).expect("encodes"));
+        // The body: the marker, the document with every inline payload
+        // an empty placeholder, the payload lengths, then the payloads
+        // raw in record order.
+        let mut document = spec;
+        let payloads: Vec<Vec<u8>> = document
+            .history
+            .instances
+            .iter_mut()
+            .filter_map(|record| match &mut record.data {
+                Some(Payload::Inline(bytes)) => Some(std::mem::take(bytes)),
+                _ => None,
+            })
+            .collect();
+        assert!(payloads.len() > 1, "the odyssey history holds payloads");
+        let json = format!(
+            "{{\"Snapshot\":{}}}",
+            document.to_json().expect("serializes")
+        );
+        let le = |n: usize| u32::try_from(n).expect("small").to_le_bytes();
+        let mut body = vec![0xFF];
+        body.extend(le(json.len()));
+        body.extend(json.as_bytes());
+        body.extend(le(payloads.len()));
+        for payload in &payloads {
+            body.extend(le(payload.len()));
+        }
+        for payload in &payloads {
+            body.extend(payload);
+        }
+        assert_eq!(snapshot, encode_frame(&body).expect("frames"));
         let scan = scan_frames(&snapshot);
-        let parsed: JournalOp = serde_json::from_slice(&scan.payloads[0]).expect("parses");
-        assert_eq!(parsed, op);
+        assert_eq!(decode_op(&scan.payloads[0]).expect("decodes"), op);
     }
 
     /// The generation's files on disk: every segment, the base

@@ -56,13 +56,16 @@ pub struct InstanceSpec {
 /// Instance physical data in a document: the bytes themselves, or the
 /// id of an earlier instance holding the same bytes.
 ///
-/// Inline bytes are one lowercase-hex JSON string, two characters per
-/// byte; a shared payload is the holder's raw id as a JSON number
-/// (`"data": 17` means "the bytes of instance 17"). Reading also
-/// accepts the legacy inline form, an array of byte values, so
-/// workspaces written before the hex form still open. A reader that
-/// predates shared payloads rejects the number instead of loading
-/// wrong bytes.
+/// In JSON, inline bytes are one lowercase-hex string, two characters
+/// per byte; a shared payload is the holder's raw id as a JSON number
+/// (`"data": 17` means "the bytes of instance 17"). The hex form is
+/// what JSON documents (`HistorySpec`, a session document) and journal
+/// frames written before raw payloads hold; a journal frame the store
+/// writes now carries inline bytes raw, beside its JSON, and leaves an
+/// empty string in their place. Reading also accepts the legacy inline
+/// form, an array of byte values, so workspaces written before the hex
+/// form still open. A reader that predates shared payloads rejects the
+/// number instead of loading wrong bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// The bytes, written in full.

@@ -18,7 +18,7 @@ use hercules::encaps::odyssey_registry;
 use hercules::exec::{ExecError, FailurePolicy, FaultPlan, FaultyEncapsulation, TaskAction};
 use hercules::flow::NodeId;
 use hercules::history::{Derivation, InstanceId, Metadata, Payload};
-use hercules::store::{encode_frame, scan_frames, JournalOp, StoreError, Workspace};
+use hercules::store::{decode_op, encode_frame, scan_frames, JournalOp, StoreError, Workspace};
 use hercules::ui::{Command, Ui};
 use hercules::{eda, Session, SessionSpec};
 use serde::{Deserialize, Serialize, Value};
@@ -132,8 +132,7 @@ fn crash_at_every_journal_byte_offset_recovers_a_committed_prefix() {
         "the base, then one frame per mutating command"
     );
     assert_eq!(scan.trailing, 0);
-    let JournalOp::Exec(second_run) = serde_json::from_slice(&scan.payloads[7]).expect("parses")
-    else {
+    let JournalOp::Exec(second_run) = decode_op(&scan.payloads[7]).expect("decodes") else {
         panic!("the second run journals an execution");
     };
     assert!(
@@ -268,7 +267,7 @@ fn crash_at_every_byte_around_a_snapshot_frame_recovers_a_committed_prefix() {
 
     let journal = fs::read(root.join("journal-0.log")).expect("journal exists");
     let scan = scan_frames(&journal);
-    let snapshot: JournalOp = serde_json::from_slice(&scan.payloads[4]).expect("parses");
+    let snapshot = decode_op(&scan.payloads[4]).expect("decodes");
     assert_eq!(snapshot, JournalOp::Snapshot(Box::new(refs[4].clone())));
     assert_every_tear_recovers_a_prefix(&root, &refs);
     fs::remove_dir_all(&root).ok();
@@ -288,28 +287,24 @@ fn dir_files(root: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// Bit rot in the base is never restored: flipping one hex digit
-/// (`e` → `a`, xor 0x04) of the recorded full-adder payload in the
-/// saved base fails the open, which changes no file.
+/// Bit rot in the base is never restored: flipping one bit (xor 0x04)
+/// in the middle of the recorded full-adder payload, which the saved
+/// base holds raw, fails the open, which changes no file.
 #[test]
 fn a_flipped_bit_in_the_base_fails_the_open() {
     let root = temp_root("base-flip");
     let mut session = Session::odyssey("jbb");
     seed_netlist(&mut session);
     drop(Workspace::create(&root, &session).expect("creates"));
-    let hex: String = eda::cells::full_adder()
-        .to_bytes()
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
+    let payload = eda::cells::full_adder().to_bytes();
     let (name, mut bytes, at) = dir_files(&root)
         .into_iter()
         .find_map(|(name, bytes)| {
-            let at = bytes.windows(hex.len()).position(|w| w == hex.as_bytes())?;
+            let at = bytes.windows(payload.len()).position(|w| w == payload)?;
             Some((name, bytes, at))
         })
         .expect("a file holds the base's full-adder payload");
-    bytes[at + hex.find('e').expect("the payload's hex has an `e`")] ^= 0x04;
+    bytes[at + payload.len() / 2] ^= 0x04;
     fs::write(root.join(&name), &bytes).expect("rots");
     let before = dir_files(&root);
 
@@ -715,7 +710,9 @@ fn legacy_copy(from: &Path, form: Legacy, journal: bool) -> PathBuf {
 
     let frames = fs::read(from.join("journal-0.log")).expect("journal");
     let scan = scan_frames(&frames);
-    let mut base: Value = serde_json::from_slice(&scan.payloads[0]).expect("base parses");
+    let mut base = decode_op(&scan.payloads[0])
+        .expect("base decodes")
+        .serialize_value();
     let checkpoint = field(&mut base, "Snapshot").expect("frame 0 is a snapshot");
     let history = field(checkpoint, "history").expect("history");
     let instances = field(history, "instances").expect("instances");
@@ -733,7 +730,7 @@ fn legacy_copy(from: &Path, form: Legacy, journal: bool) -> PathBuf {
         let mut rewritten = 0;
         let mut out = Vec::new();
         for payload in &scan.payloads[1..] {
-            let mut op: Value = serde_json::from_slice(payload).expect("frame parses");
+            let mut op = decode_op(payload).expect("frame decodes").serialize_value();
             if let Some(instances) = field(&mut op, "Exec").and_then(|e| field(e, "instances")) {
                 rewritten += legacy_payloads(instances, &mut held, form);
             }
@@ -750,13 +747,44 @@ fn legacy_copy(from: &Path, form: Legacy, journal: bool) -> PathBuf {
     dir
 }
 
+/// Copies the workspace at `from` into a fresh directory, re-framing
+/// its base, and with `every_frame` every later frame too, as the JSON
+/// body with hex payloads that frames held before raw payloads. With
+/// `every_frame` the copy is in the layout that writer left; without,
+/// its JSON base is followed by the raw-payload frames this writer
+/// appended.
+fn json_body_copy(from: &Path, every_frame: bool) -> PathBuf {
+    let dir = temp_root("json-bodies");
+    fs::create_dir_all(&dir).expect("mkdir");
+    fs::copy(from.join("MANIFEST"), dir.join("MANIFEST")).expect("manifest");
+    let frames = fs::read(from.join("journal-0.log")).expect("journal");
+    let mut out = Vec::new();
+    for (k, body) in scan_frames(&frames).payloads.iter().enumerate() {
+        if k > 0 && !every_frame {
+            out.extend(encode_frame(body).expect("frames"));
+            continue;
+        }
+        let op = decode_op(body).expect("frame decodes");
+        let json = serde_json::to_vec(&op).expect("serializes");
+        if k == 0 {
+            let hex = String::from_utf8_lossy(&json).contains(r#""data":""#);
+            assert!(hex, "the JSON base holds hex payloads");
+        }
+        out.extend(encode_frame(&json).expect("frames"));
+    }
+    fs::write(dir.join("journal-0.log"), out).expect("write journal");
+    dir
+}
+
 /// Workspaces in older layouts and payload forms open with the same
-/// history and the same blob count: legacy integer arrays in both the
-/// checkpoint and the journal, a legacy checkpoint followed by frames
-/// with shared payloads, and hex payloads with every shared payload
-/// written out in full (the form written before shared payloads). Each
-/// is in the layout written before frames, and the writable open
-/// re-bases it at once onto a frames-only generation.
+/// history and the same blob count. In the layout written before
+/// frames: legacy integer arrays in both the checkpoint and the
+/// journal, a legacy checkpoint followed by raw-payload frames, and hex
+/// payloads with every shared payload written out in full (the form
+/// written before shared payloads); the writable open re-bases each at
+/// once onto a frames-only generation. In frames: every frame a JSON
+/// body with hex payloads, as written before raw payloads, and a JSON
+/// base followed by raw-payload frames; both open without a re-base.
 #[test]
 fn legacy_array_payloads_open_with_the_same_history() {
     let root = temp_root("legacy-src");
@@ -786,13 +814,20 @@ fn legacy_array_payloads_open_with_the_same_history() {
     let expected_blobs = ui.session().db().store().blob_count();
     drop(ui);
 
+    let mut copies = Vec::new();
     for (form, journal) in [
         (Legacy::Arrays, true),
         (Legacy::Arrays, false),
         (Legacy::InlineHex, true),
     ] {
-        let dir = legacy_copy(&root, form, journal);
         let case = format!("{form:?}, journal: {journal}");
+        copies.push((case, legacy_copy(&root, form, journal), true));
+    }
+    for every_frame in [true, false] {
+        let case = format!("JSON bodies, every frame: {every_frame}");
+        copies.push((case, json_body_copy(&root, every_frame), false));
+    }
+    for (case, dir, rebased) in copies {
         let (ws, session, report) = Workspace::open_session(&dir, |s| odyssey_registry(s))
             .unwrap_or_else(|e| panic!("legacy workspace ({case}) opens: {e}"));
         assert_eq!(report.ops_replayed, 6, "{case}");
@@ -801,6 +836,12 @@ fn legacy_array_payloads_open_with_the_same_history() {
         assert_eq!(payloads(&session), expected_payloads, "{case}");
         assert_eq!(session.db().store().blob_count(), expected_blobs, "{case}");
         assert_eq!(SessionSpec::from_session(&session), expected, "{case}");
+        if !rebased {
+            assert_eq!(ws.generation(), 0, "{case}: frames need no re-base");
+            drop(ws);
+            fs::remove_dir_all(&dir).ok();
+            continue;
+        }
 
         // Re-based: generation 1's frame 0 holds the session, and the
         // legacy files are gone.

@@ -12,7 +12,7 @@ use hercules::baseline::VersionTreeStore;
 use hercules::exec::EncapsulationRegistry;
 use hercules::history::{Derivation, FlowTrace, HistoryDb, InstanceId, Metadata, Payload};
 use hercules::schema::fixtures;
-use hercules::store::{scan_frames, CheckpointKind, JournalOp, Workspace};
+use hercules::store::{decode_op, scan_frames, CheckpointKind, JournalOp, Workspace};
 use hercules::Session;
 use std::fs;
 use std::sync::Arc;
@@ -137,7 +137,7 @@ fn shared_physical_data_across_versions() {
     let journal = fs::read(root.join("journal-0.log")).expect("journal written");
     let frames = scan_frames(&journal).payloads;
     let last = frames.last().expect("the snapshot frame");
-    let Ok(JournalOp::Snapshot(spec)) = serde_json::from_slice(last) else {
+    let Ok(JournalOp::Snapshot(spec)) = decode_op(last) else {
         panic!("the checkpoint appended a snapshot frame");
     };
     let c5_bytes = Some(Payload::Inline(b"c5".to_vec()));

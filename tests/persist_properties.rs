@@ -1,14 +1,19 @@
 //! Property tests for the durable store: journal-frame corruption
 //! detection, whole-session document round-trips over generated
-//! histories, and the JSON codec every document goes through (string
-//! escapes, pinned printer output, linear-time parsing, nesting limit).
+//! histories, the frame-body codec (raw payloads, bodies written
+//! before them, and bodies that must not decode), and the JSON codec
+//! every document goes through (string escapes, pinned printer output,
+//! linear-time parsing, nesting limit).
 
+use std::fs;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use hercules::encaps::odyssey_registry;
+use hercules::flow::FlowSpec;
 use hercules::history::{Derivation, InstanceSpec, Metadata, Payload, Timestamp};
-use hercules::store::{encode_frame, scan_frames, ExecSpec, JournalOp};
-use hercules::{FlowOp, Session, SessionSpec};
+use hercules::store::{decode_op, encode_frame, encode_op, scan_frames, ExecSpec, JournalOp};
+use hercules::{ExecEvent, ExecReportSpec, FlowOp, Session, SessionSpec, Workspace};
 use proptest::prelude::*;
 use serde::Value;
 
@@ -47,6 +52,134 @@ fn reference_json_string(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// A session whose history records cells drawn from `pool` (so cells
+/// share data), with an optional flow under construction, optionally
+/// left with unexpand tombstones.
+fn generated_session(
+    pool: &[Vec<u8>],
+    cells: &[(usize, u32)],
+    build_flow: bool,
+    unexpand: bool,
+) -> Session {
+    let mut session = Session::odyssey("prop");
+    let schema = session.schema().clone();
+    let editor = schema.require("CircuitEditor").expect("known");
+    let edited = schema.require("EditedNetlist").expect("known");
+    let tool = session.db().instances_of(editor)[0];
+    for (pick, tag) in cells {
+        session
+            .db_mut()
+            .record_derived(
+                edited,
+                Metadata::by("prop").named(&format!("cell-{tag}")),
+                &pool[pick % pool.len()],
+                Derivation::by_tool(tool, []),
+            )
+            .expect("records");
+    }
+    if build_flow {
+        let layout = session.start_from_goal("Layout").expect("starts");
+        let created = session.expand(layout).expect("expands");
+        session
+            .specialize(created[1], "EditedNetlist")
+            .expect("specializes");
+        session.expand(created[1]).expect("expands");
+        if unexpand {
+            session.unexpand(created[1]).expect("unexpands");
+        } else {
+            session.bind_latest().expect("binds");
+        }
+    }
+    session
+}
+
+/// A generated inline payload: the concatenation of pieces that JSON
+/// or the hex form treat specially — `"`, `\`, `{`, NUL — hex-looking
+/// text, and arbitrary bytes. No pieces make an empty payload.
+fn payload_bytes(pieces: &[(u8, u32)]) -> Vec<u8> {
+    pieces
+        .iter()
+        .flat_map(|&(kind, n)| -> Vec<u8> {
+            match kind % 6 {
+                0 => b"\"".to_vec(),
+                1 => b"\\".to_vec(),
+                2 => b"{".to_vec(),
+                3 => vec![0],
+                4 => b"00ff6869deadbeef"
+                    .iter()
+                    .copied()
+                    .cycle()
+                    .take(n as usize % 40)
+                    .collect(),
+                _ => (0..n % 48)
+                    .map(|i| (i.wrapping_mul(131) ^ n) as u8)
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
+/// An `EditedNetlist` record derived by instance 0 from nothing.
+fn record(data: Option<Payload>) -> InstanceSpec {
+    InstanceSpec {
+        entity: "EditedNetlist".into(),
+        user: "prop".into(),
+        created: Timestamp(0),
+        name: String::new(),
+        comment: String::new(),
+        keywords: Vec::new(),
+        data,
+        tool: Some(0),
+        inputs: Some(Vec::new()),
+    }
+}
+
+/// Every byte count to cut `len` bytes at below `len`: all of them for
+/// a short buffer, an even spread plus both ends for a long one.
+fn cuts(len: usize) -> Vec<usize> {
+    let step = (len / 192).max(1);
+    let mut cuts: Vec<usize> = (0..len).step_by(step).collect();
+    cuts.extend(len.saturating_sub(16)..len);
+    cuts
+}
+
+/// The frame-body codec's contract for one operation: the encoded body
+/// decodes to it, so does the JSON body written before raw payloads,
+/// no strict prefix of the body decodes, and no truncation or
+/// single-byte flip of the frame decodes to a different operation.
+fn check_frame_codec(op: &JournalOp) -> Result<(), TestCaseError> {
+    let frame = encode_op(op).expect("encodes");
+    let scan = scan_frames(&frame);
+    prop_assert_eq!((scan.payloads.len(), scan.trailing), (1, 0));
+    let body = &scan.payloads[0];
+    prop_assert_eq!(&decode_op(body).expect("decodes"), op);
+    let json = serde_json::to_vec(op).expect("serializes");
+    prop_assert_eq!(&decode_op(&json).expect("the JSON body decodes"), op);
+    for cut in cuts(body.len()) {
+        prop_assert!(
+            decode_op(&body[..cut]).is_err(),
+            "the body's first {cut} bytes decode"
+        );
+    }
+    let decodes_to_op = |buf: &[u8]| {
+        scan_frames(buf)
+            .payloads
+            .iter()
+            .all(|body| decode_op(body).map_or(true, |back| back == *op))
+    };
+    for cut in cuts(frame.len()) {
+        prop_assert!(decodes_to_op(&frame[..cut]), "cut at byte {cut}");
+    }
+    for pos in cuts(frame.len()) {
+        for mask in [0x01, 0x80, 0xFF] {
+            let mut dirty = frame.clone();
+            dirty[pos] ^= mask;
+            prop_assert!(decodes_to_op(&dirty), "byte {pos} flipped by {mask:#x}");
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -110,36 +243,7 @@ proptest! {
         build_flow in prop::bool::ANY,
         unexpand in prop::bool::ANY,
     ) {
-        let mut session = Session::odyssey("prop");
-        let schema = session.schema().clone();
-        let editor = schema.require("CircuitEditor").expect("known");
-        let edited = schema.require("EditedNetlist").expect("known");
-        let tool = session.db().instances_of(editor)[0];
-        for (pick, tag) in &cells {
-            session
-                .db_mut()
-                .record_derived(
-                    edited,
-                    Metadata::by("prop").named(&format!("cell-{tag}")),
-                    &pool[pick % pool.len()],
-                    Derivation::by_tool(tool, []),
-                )
-                .expect("records");
-        }
-        if build_flow {
-            let layout = session.start_from_goal("Layout").expect("starts");
-            let created = session.expand(layout).expect("expands");
-            session
-                .specialize(created[1], "EditedNetlist")
-                .expect("specializes");
-            session.expand(created[1]).expect("expands");
-            if unexpand {
-                session.unexpand(created[1]).expect("unexpands");
-            } else {
-                session.bind_latest().expect("binds");
-            }
-        }
-
+        let session = generated_session(&pool, &cells, build_flow, unexpand);
         let spec = SessionSpec::from_session(&session);
         let json = spec.to_json().expect("serializes");
         let parsed = SessionSpec::from_json(&json).expect("parses");
@@ -152,24 +256,13 @@ proptest! {
         prop_assert_eq!(restored.db().store(), session.db().store());
     }
 
-    /// Journal operations survive serialize → frame → scan → parse,
+    /// Journal operations survive encode → frame → scan → decode,
     /// including executions whose records name earlier instances for
     /// their payloads.
     #[test]
     fn journal_ops_round_trip_through_frames(
         seeds in prop::collection::vec((0usize..7, 0u64..50, 0usize..10), 1..12),
     ) {
-        let record = |data: Payload| InstanceSpec {
-            entity: "EditedNetlist".into(),
-            user: "prop".into(),
-            created: Timestamp(0),
-            name: String::new(),
-            comment: String::new(),
-            keywords: Vec::new(),
-            data: Some(data),
-            tool: Some(0),
-            inputs: Some(Vec::new()),
-        };
         let ops: Vec<JournalOp> = seeds
             .iter()
             .map(|&(kind, a, b)| match kind {
@@ -190,9 +283,9 @@ proptest! {
                 4 => JournalOp::BindLatest,
                 5 => JournalOp::Exec(ExecSpec {
                     instances: vec![
-                        record(Payload::Inline(vec![b as u8; b])),
-                        record(Payload::Shared(a)),
-                        record(Payload::Shared(a + b as u64)),
+                        record(Some(Payload::Inline(vec![b as u8; b]))),
+                        record(Some(Payload::Shared(a))),
+                        record(Some(Payload::Shared(a + b as u64))),
                     ],
                     report: None,
                     event: None,
@@ -206,8 +299,7 @@ proptest! {
 
         let mut buf = Vec::new();
         for op in &ops {
-            let payload = serde_json::to_vec(op).expect("encodes");
-            buf.extend_from_slice(&encode_frame(&payload).expect("frames"));
+            buf.extend_from_slice(&encode_op(op).expect("frames"));
         }
         let scan = scan_frames(&buf);
         prop_assert_eq!(scan.trailing, 0);
@@ -215,9 +307,90 @@ proptest! {
         let back: Vec<JournalOp> = scan
             .payloads
             .iter()
-            .map(|p| serde_json::from_slice(p).expect("parses"))
+            .map(|p| decode_op(p).expect("decodes"))
             .collect();
         prop_assert_eq!(back, ops);
+    }
+
+    /// Every kind of journal operation satisfies the frame-body codec's
+    /// contract ([`check_frame_codec`]); executions carry inline
+    /// payloads that are empty or hold bytes JSON and hex treat
+    /// specially, shared payloads, data-less records, a report and an
+    /// event.
+    #[test]
+    fn every_journal_op_kind_survives_the_frame_codec(
+        kind in 0usize..12,
+        a in 0u64..50,
+        b in 0usize..10,
+        payloads in prop::collection::vec(
+            prop::collection::vec((0u8..6, 0u32..200), 0..5),
+            0..4,
+        ),
+    ) {
+        let text = format!("\"quoted\" \\ {{braces}} \0 6869 #{a}");
+        let op = match kind {
+            0 => JournalOp::Flow(FlowOp::Seed { entity: text }),
+            1 => JournalOp::Flow(FlowOp::Install {
+                spec: layout_flow_spec(),
+            }),
+            2 => JournalOp::Flow(FlowOp::Expand {
+                node: b,
+                optional: vec![text.clone()],
+                reuse: vec![(text, b)],
+                reuse_existing: a % 2 == 0,
+            }),
+            3 => JournalOp::Flow(FlowOp::ExpandDown {
+                node: b,
+                consumer: text,
+            }),
+            4 => JournalOp::Flow(FlowOp::ExpandAll { node: b }),
+            5 => JournalOp::Flow(FlowOp::Specialize {
+                node: b,
+                subtype: text,
+            }),
+            6 => JournalOp::Flow(FlowOp::Unexpand { node: b }),
+            7 => JournalOp::DataStart { instance: a },
+            8 => JournalOp::Select {
+                node: b,
+                instances: vec![a, a + 1],
+            },
+            9 => JournalOp::BindLatest,
+            10 => JournalOp::StoreFlow {
+                name: text.clone(),
+                description: text,
+            },
+            _ if a % 7 == 0 => JournalOp::Clear,
+            _ => {
+                let mut instances: Vec<InstanceSpec> = payloads
+                    .iter()
+                    .map(|pieces| record(Some(Payload::Inline(payload_bytes(pieces)))))
+                    .collect();
+                instances.push(record(Some(Payload::Shared(a))));
+                instances.push(record(None));
+                let turn = b % instances.len();
+                instances.rotate_left(turn);
+                JournalOp::Exec(ExecSpec {
+                    instances,
+                    report: (a % 2 == 0).then(|| ExecReportSpec {
+                        produced: vec![(b, vec![a, a + 1])],
+                        tasks: Vec::new(),
+                    }),
+                    event: (a % 3 == 0).then(|| ExecEvent {
+                        operation: "run".into(),
+                        tasks: b,
+                        runs: b,
+                        cache_hits: 0,
+                        failed: 0,
+                        skipped: 0,
+                        failures: vec![text],
+                        error: None,
+                        wall_unix_ms: a,
+                        mono_ns: a,
+                    }),
+                })
+            }
+        };
+        check_frame_codec(&op)?;
     }
 
     /// Generated strings print exactly as the one-character-at-a-time
@@ -231,6 +404,157 @@ proptest! {
         prop_assert_eq!(&text, &reference_json_string(&s));
         let back: String = serde_json::from_str(&text).expect("parses");
         prop_assert_eq!(back, s);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Snapshots of generated sessions satisfy the frame-body codec's
+    /// contract: histories whose cells share data drawn from a pool of
+    /// payloads that are empty or hold bytes JSON and hex treat
+    /// specially, with or without a flow under construction.
+    #[test]
+    fn snapshots_of_generated_sessions_survive_the_frame_codec(
+        pool in prop::collection::vec(
+            prop::collection::vec((0u8..6, 0u32..200), 0..4),
+            1..4,
+        ),
+        cells in prop::collection::vec((0usize..4, 0u32..1000), 0..6),
+        build_flow in prop::bool::ANY,
+        unexpand in prop::bool::ANY,
+    ) {
+        let pool: Vec<Vec<u8>> = pool.iter().map(|pieces| payload_bytes(pieces)).collect();
+        let session = generated_session(&pool, &cells, build_flow, unexpand);
+        let op = JournalOp::Snapshot(Box::new(SessionSpec::from_session(&session)));
+        check_frame_codec(&op)?;
+    }
+}
+
+/// The structure of a built Layout flow, for `FlowOp::Install`.
+fn layout_flow_spec() -> FlowSpec {
+    let mut session = Session::odyssey("prop");
+    let layout = session.start_from_goal("Layout").expect("starts");
+    session.expand(layout).expect("expands");
+    FlowSpec::from_task_graph(session.flow().expect("flow"))
+}
+
+/// A frame body in the raw-payload layout, written out by hand:
+/// `0xFF`, the JSON's length and bytes, the payload count, each payload
+/// length, then `payloads`, whatever the lengths say.
+fn handmade_body(json: &[u8], lengths: &[u32], payloads: &[u8]) -> Vec<u8> {
+    let len = |n: usize| u32::try_from(n).expect("small").to_le_bytes();
+    let mut body = vec![0xFF];
+    body.extend(len(json.len()));
+    body.extend(json);
+    body.extend(len(lengths.len()));
+    for n in lengths {
+        body.extend(n.to_le_bytes());
+    }
+    body.extend(payloads);
+    body
+}
+
+/// A primary `Netlist` record holding `data`, replayable into an
+/// odyssey session.
+fn netlist_exec(data: Payload) -> JournalOp {
+    JournalOp::Exec(ExecSpec {
+        instances: vec![InstanceSpec {
+            entity: "Netlist".into(),
+            user: "prop".into(),
+            created: Timestamp(0),
+            name: String::new(),
+            comment: String::new(),
+            keywords: Vec::new(),
+            data: Some(data),
+            tool: None,
+            inputs: None,
+        }],
+        report: None,
+        event: None,
+    })
+}
+
+fn temp_root(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("hercules-codec-{tag}-{}", std::process::id()))
+}
+
+/// Handmade bodies that misstate a section fail to decode — a length
+/// running past the body, bytes left after the last payload, a payload
+/// count that differs from the placeholders, a placeholder holding
+/// bytes — and `open` quarantines each such frame as it does any
+/// CRC-valid frame that does not parse, keeping the frames before it.
+#[test]
+fn bodies_that_misstate_a_section_fail_to_decode_and_are_quarantined() {
+    let placeholder = serde_json::to_vec(&netlist_exec(Payload::Inline(Vec::new()))).expect("json");
+    let filled = serde_json::to_vec(&netlist_exec(Payload::Inline(b"hi".to_vec()))).expect("json");
+    let good = handmade_body(&placeholder, &[3], b"abc");
+    assert_eq!(
+        decode_op(&good).expect("a well-formed body decodes"),
+        netlist_exec(Payload::Inline(b"abc".to_vec()))
+    );
+    let mut long_json = good.clone();
+    long_json[1] += 1;
+    let bad = [
+        (
+            "a payload length overruns",
+            handmade_body(&placeholder, &[4], b"abc"),
+        ),
+        ("the JSON length overruns", long_json),
+        (
+            "a byte is left over",
+            handmade_body(&placeholder, &[3], b"abcd"),
+        ),
+        (
+            "two payloads for one placeholder",
+            handmade_body(&placeholder, &[1, 2], b"abc"),
+        ),
+        (
+            "no payload for the placeholder",
+            handmade_body(&placeholder, &[], b""),
+        ),
+        (
+            "the placeholder holds bytes",
+            handmade_body(&filled, &[2], b"hi"),
+        ),
+        (
+            "the body ends inside the lengths",
+            good[..good.len() - 5].to_vec(),
+        ),
+    ];
+    for (case, body) in bad {
+        assert!(decode_op(&body).is_err(), "{case}: decodes");
+
+        let root = temp_root("misstated");
+        let _ = fs::remove_dir_all(&root);
+        let mut session = Session::odyssey("prop");
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        let kept = netlist_exec(Payload::Inline(b"kept".to_vec()));
+        ws.append(&kept).expect("appends");
+        kept.replay(&mut session).expect("replays");
+        drop(ws);
+        let journal = root.join("journal-0.log");
+        let mut bytes = fs::read(&journal).expect("journal");
+        let frame = encode_frame(&body).expect("frames");
+        bytes.extend(&frame);
+        fs::write(&journal, &bytes).expect("appends the frame");
+
+        let (ws, restored, report) =
+            Workspace::open_session(&root, |s| odyssey_registry(s)).expect("recovers");
+        assert_eq!(report.ops_replayed, 1, "{case}");
+        assert_eq!(report.bytes_discarded, frame.len() as u64, "{case}");
+        assert!(report.quarantined(), "{case}: {report}");
+        let segment = &report.segments[0];
+        assert_eq!(segment.frames_quarantined, 1, "{case}");
+        let quarantined = fs::read(root.join(&segment.quarantined_as[0])).expect("quarantine");
+        assert_eq!(quarantined, frame, "{case}: the frame is preserved");
+        assert_eq!(
+            SessionSpec::from_session(&restored),
+            SessionSpec::from_session(&session),
+            "{case}"
+        );
+        drop(ws);
+        fs::remove_dir_all(&root).ok();
     }
 }
 

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hercules::audit::lint_workspace;
-use hercules::store::{encode_frame, CheckpointKind, Workspace};
+use hercules::store::{encode_frame, encode_op, CheckpointKind, Workspace};
 use hercules::ui::Ui;
 use hercules::{JournalOp, Session};
 use hercules_analyze::{lint_flow, lint_schema_spec, Diagnostics, Layer, Severity};
@@ -115,9 +115,8 @@ fn unreplayable_operation_is_an_error() {
     let op = JournalOp::Flow(hercules::FlowOp::Seed {
         entity: "NoSuchEntity".to_owned(),
     });
-    let payload = serde_json::to_vec(&op).expect("serializes");
     let mut buf = fs::read(&journal).expect("reads");
-    buf.extend_from_slice(&encode_frame(&payload).expect("frames"));
+    buf.extend_from_slice(&encode_op(&op).expect("frames"));
     fs::write(&journal, &buf).expect("writes");
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0408").expect("HL0408");
@@ -168,9 +167,8 @@ fn unreplayable_operation_after_a_snapshot_is_an_error_at_its_frame() {
     let op = JournalOp::Flow(hercules::FlowOp::Seed {
         entity: "NoSuchEntity".to_owned(),
     });
-    let payload = serde_json::to_vec(&op).expect("serializes");
     let mut buf = fs::read(&journal).expect("reads");
-    buf.extend_from_slice(&encode_frame(&payload).expect("frames"));
+    buf.extend_from_slice(&encode_op(&op).expect("frames"));
     fs::write(&journal, &buf).expect("writes");
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0408").expect("HL0408");
@@ -212,7 +210,7 @@ fn a_base_that_is_not_a_snapshot_does_not_restore() {
     let op = JournalOp::Flow(hercules::FlowOp::Seed {
         entity: "Layout".to_owned(),
     });
-    let frame = encode_frame(&serde_json::to_vec(&op).expect("serializes")).expect("frames");
+    let frame = encode_op(&op).expect("frames");
     fs::write(root.join("journal-0.log"), frame).expect("writes");
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0404").expect("HL0404");
