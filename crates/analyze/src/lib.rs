@@ -61,9 +61,7 @@ pub use diag::{
 };
 pub use history_passes::{lint_history, HistoryLinter, LintStats};
 pub use registry::{pass, render_markdown_table, render_passes, Layer, PassInfo, PASSES};
-pub use runner::{
-    lint_flow_timed, lint_history_timed, lint_schema_timed, JsonPassTiming, PassTiming,
-};
+pub use runner::{lint_flow_timed, lint_schema_timed, JsonPassTiming, PassTiming};
 
 use hercules_flow::TaskGraph;
 use hercules_schema::{SchemaSpec, TaskSchema};

@@ -9,19 +9,17 @@
 //! analyses stay deterministic under the simulation harness.
 
 use hercules_flow::TaskGraph;
-use hercules_history::HistoryDb;
 use hercules_schema::TaskSchema;
 use serde::{Deserialize, Serialize};
 
 use crate::diag::{diagnose_flow_error, Diagnostics};
-use crate::history_passes::lint_history;
 use crate::{flow_passes, hazard, schema_passes};
 
 /// One pass's measured run: its code, wall time, and finding count
 /// (after suppression).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassTiming {
-    /// The pass's stable code (a fused family like `HL0501-HL0504`
+    /// The pass's stable code (a fused family like `HL0020-HL0039`
     /// when several codes share one analysis).
     pub code: &'static str,
     /// Wall time in nanoseconds, as measured by the injected clock.
@@ -101,20 +99,6 @@ pub fn lint_flow_timed(
             .map(|(code, pass)| timed(code, out, clock, |out| pass(flow, out))),
     );
     timings
-}
-
-/// Runs the `HL05xx` consistency family, timed as one unit — the
-/// history passes share a single fixpoint solve (HL0506 aggregates
-/// HL0504's verdicts), so splitting their wall time would be fiction.
-/// The session-layer HL0505 runs elsewhere.
-pub fn lint_history_timed(
-    db: &HistoryDb,
-    out: &mut Diagnostics,
-    clock: Clock<'_>,
-) -> Vec<PassTiming> {
-    vec![timed("HL0501-HL0506", out, clock, |out| {
-        let _ = lint_history(db, out);
-    })]
 }
 
 /// A pass timing on the JSON wire (`herclint --format json`).

@@ -1,6 +1,6 @@
 //! `bench_exec` — the executor perf harness behind `BENCH_exec.json`.
 //!
-//! Measures three executor axes and writes them to one JSON file so
+//! Measures four executor axes and writes them to one JSON file so
 //! successive PRs accumulate a perf trajectory:
 //!
 //! * the Fig. 6 disjoint-branch workload three ways — serial untraced,
@@ -14,12 +14,12 @@
 //! * journal-append throughput, one fsync per frame vs one per
 //!   batch of deferred frames (group commit);
 //! * the content-addressed tool-execution cache — cold (all-miss)
-//!   vs warm (populated) vs a degraded remote tier with injected
-//!   round-trip latency, on the repeated-subflow fixture.
+//!   vs warm (populated), on the repeated-subflow fixture.
 //!
 //! With `--check`, exits nonzero when any gate fails: tracing overhead
 //! over budget (default 5% of the untraced median), a straggler
-//! makespan over 1.5× its critical path, group commit under 2×
+//! makespan over 1.5× its critical path, the flight recorder costing
+//! over 2% on the traced straggler run, group commit under 2×
 //! per-frame-fsync throughput, or a warm cache run under 3× the cold
 //! run.
 //!
@@ -32,7 +32,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use hercules::cache::{CacheConfig, ContentCache, LocalDirRemote, RemoteCache};
+use hercules::cache::{CacheConfig, ContentCache};
 use hercules::exec::{toy, Binding, Executor, MultiInstanceMode};
 use hercules::flow::TaskGraph;
 use hercules::history::HistoryDb;
@@ -56,8 +56,6 @@ const RECORDER_GATE_PERCENT: f64 = 2.0;
 /// `--check` gate: a warm content-cache run of the repeated-subflow
 /// fixture must beat the cold (all-miss) run by this factor.
 const CACHE_GATE: f64 = 3.0;
-/// Injected round-trip latency for the degraded-remote measurement.
-const REMOTE_LATENCY_US: u64 = 500;
 
 const USAGE: &str = "\
 bench_exec — executor perf harness; writes BENCH_exec.json
@@ -77,8 +75,9 @@ USAGE:
     --budget-percent P     tracing overhead budget for --check [default: 5]
     --check                fail (exit 1) when any gate fails: overhead
                            over budget, straggler makespan > 1.5x its
-                           critical path, group commit < 2x per-frame
-                           fsync, warm cache < 3x cold
+                           critical path, flight recorder > 2% over
+                           ring-only tracing, group commit < 2x
+                           per-frame fsync, warm cache < 3x cold
 ";
 
 struct Options {
@@ -411,23 +410,15 @@ impl JournalBench {
 
 /// Content-cache warm-vs-cold over the disjoint-branch fixture: the
 /// same subflow executed repeatedly, first with an empty cache (all
-/// misses plus write-back), then against the populated cache, then
-/// against a cold workspace whose only source is a high-latency
-/// remote tier.
+/// misses plus write-back), then against the populated cache.
 struct CacheBench {
     cold_ns: u64,
     warm_ns: u64,
-    degraded_warm_ns: u64,
-    remote_latency_us: u64,
 }
 
 impl CacheBench {
     fn warm_speedup(&self) -> f64 {
         self.cold_ns as f64 / self.warm_ns.max(1) as f64
-    }
-
-    fn degraded_speedup(&self) -> f64 {
-        self.cold_ns as f64 / self.degraded_warm_ns.max(1) as f64
     }
 }
 
@@ -436,11 +427,10 @@ fn bench_cache(w: &Workload<'_>, opts: &Options) -> Result<CacheBench, String> {
     let _ = std::fs::remove_dir_all(&root);
     let fs = Fs::real();
     let clock = Clock::real();
-    let open = |dir: std::path::PathBuf, remote: Option<Arc<dyn RemoteCache>>| {
+    let open = |dir: std::path::PathBuf| {
         ContentCache::open(
             &fs,
             dir,
-            remote,
             CacheConfig::default(),
             clock.clone(),
             Metrics::disabled(),
@@ -461,7 +451,7 @@ fn bench_cache(w: &Workload<'_>, opts: &Options) -> Result<CacheBench, String> {
     // lookup misses and every result is written back.
     let mut cold_runs = Vec::with_capacity(opts.iters);
     for i in 0..=opts.iters {
-        let executor = executor_with(open(root.join(format!("cold-{i}")), None)?);
+        let executor = executor_with(open(root.join(format!("cold-{i}")))?);
         let ns = time_once(&executor, w);
         if i > 0 {
             cold_runs.push(ns);
@@ -470,7 +460,7 @@ fn bench_cache(w: &Workload<'_>, opts: &Options) -> Result<CacheBench, String> {
 
     // Warm: one cache populated by the first (discarded) iteration
     // serves all measured iterations.
-    let executor = executor_with(open(root.join("warm"), None)?);
+    let executor = executor_with(open(root.join("warm"))?);
     let mut warm_runs = Vec::with_capacity(opts.iters);
     for i in 0..=opts.iters {
         let ns = time_once(&executor, w);
@@ -479,41 +469,10 @@ fn bench_cache(w: &Workload<'_>, opts: &Options) -> Result<CacheBench, String> {
         }
     }
 
-    // Degraded remote: populate a shared remote endpoint with injected
-    // round-trip latency, then measure workspaces that start empty
-    // (fresh memory and disk tiers) and can only hit through it.
-    let remote: Arc<dyn RemoteCache> = Arc::new(
-        LocalDirRemote::open(fs.clone(), root.join("remote"), clock.clone())
-            .map_err(|e| e.to_string())?
-            .with_latency(Duration::from_micros(REMOTE_LATENCY_US)),
-    );
-    {
-        let cache = open(root.join("remote-seed"), Some(remote.clone()))?;
-        let executor = executor_with(cache.clone());
-        let mut db = w.db.clone();
-        executor
-            .execute(w.flow, w.binding, &mut db)
-            .map_err(|e| e.to_string())?;
-        cache.flush();
-    }
-    let mut degraded_runs = Vec::with_capacity(opts.iters);
-    for i in 0..=opts.iters {
-        let executor = executor_with(open(
-            root.join(format!("degraded-{i}")),
-            Some(remote.clone()),
-        )?);
-        let ns = time_once(&executor, w);
-        if i > 0 {
-            degraded_runs.push(ns);
-        }
-    }
-
     let _ = std::fs::remove_dir_all(&root);
     Ok(CacheBench {
         cold_ns: median(cold_runs),
         warm_ns: median(warm_runs),
-        degraded_warm_ns: median(degraded_runs),
-        remote_latency_us: REMOTE_LATENCY_US,
     })
 }
 
@@ -665,15 +624,10 @@ fn render_json(
     let _ = writeln!(
         out,
         "  \"content_cache\": {{\"cold_ns\": {}, \"warm_ns\": {}, \
-         \"warm_speedup\": {:.3}, \"gate\": {CACHE_GATE:.1}, \
-         \"remote_latency_us\": {}, \"degraded_warm_ns\": {}, \
-         \"degraded_speedup\": {:.3}}},",
+         \"warm_speedup\": {:.3}, \"gate\": {CACHE_GATE:.1}}},",
         cache.cold_ns,
         cache.warm_ns,
-        cache.warm_speedup(),
-        cache.remote_latency_us,
-        cache.degraded_warm_ns,
-        cache.degraded_speedup()
+        cache.warm_speedup()
     );
     out.push_str("  \"configs\": [\n");
     render_configs(&mut out, samples);
@@ -824,11 +778,8 @@ fn run() -> Result<ExitCode, String> {
         journal.rotating_ops_per_sec()
     );
     println!(
-        "content cache: warm {:.2}x over cold (gate {CACHE_GATE:.1}x); \
-         degraded remote at {}us round-trip still {:.2}x",
-        cache.warm_speedup(),
-        cache.remote_latency_us,
-        cache.degraded_speedup()
+        "content cache: warm {:.2}x over cold (gate {CACHE_GATE:.1}x)",
+        cache.warm_speedup()
     );
     let mut failed = false;
     if opts.check && overhead_percent > opts.budget_percent {

@@ -1,4 +1,4 @@
-//! The tier interface: one trait all three tiers implement.
+//! The tier interface: one trait both tiers implement.
 
 use std::fmt;
 use std::io;
@@ -24,7 +24,7 @@ pub struct TierUsage {
 /// data. The tiered front end ([`crate::ContentCache`]) turns errors
 /// into metrics and keeps serving from the remaining tiers.
 pub trait CacheBackend: Send + Sync + fmt::Debug {
-    /// Short stable tier name (`"mem"`, `"disk"`, `"remote"`) used in
+    /// Short stable tier name (`"mem"`, `"disk"`) used in
     /// metric names and `cache stats` rendering.
     fn tier(&self) -> &'static str;
 

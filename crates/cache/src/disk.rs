@@ -55,7 +55,7 @@ pub struct DiskTier {
     /// Byte budget enforced by [`DiskTier::gc`] (writes may overshoot
     /// between passes; lookups are unaffected).
     budget_bytes: u64,
-    /// Damaged entries deleted on the lookup path since creation.
+    /// Damaged entries deleted by lookups and GC since creation.
     dropped: AtomicU64,
 }
 
@@ -82,8 +82,8 @@ impl DiskTier {
         self.budget_bytes
     }
 
-    /// Damaged entries deleted on the lookup path since this handle
-    /// was opened (monotonic).
+    /// Damaged entries deleted since this handle was opened, by
+    /// lookups and by GC passes alike (monotonic).
     pub fn dropped_entries(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -106,10 +106,11 @@ impl DiskTier {
         }
     }
 
-    /// Scans every committed entry: `(path, blob)` pairs, sorted by
-    /// path for determinism. Missing shard directories read as empty.
-    fn scan(&self) -> io::Result<Vec<(PathBuf, Vec<u8>)>> {
-        let mut out = Vec::new();
+    /// Visits every committed entry as a `(path, blob)` pair, in path
+    /// order for determinism, reading one blob at a time so a scan
+    /// never holds the whole tier. Missing shard directories read as
+    /// empty.
+    fn scan(&self, mut visit: impl FnMut(PathBuf, Vec<u8>)) -> io::Result<()> {
         for shard in 0..=u8::MAX {
             let dir = self.root.join(hex::encode(&[shard]));
             let Ok(paths) = self.fs.list_dir(&dir) else {
@@ -118,11 +119,11 @@ impl DiskTier {
             for path in paths {
                 if path.to_string_lossy().ends_with(ENTRY_SUFFIX) {
                     let blob = self.fs.read(&path)?;
-                    out.push((path, blob));
+                    visit(path, blob);
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Reaps `.tmp` leftovers from interrupted write-backs.
@@ -152,9 +153,9 @@ impl DiskTier {
             reaped_tmp: self.reap_tmp()?,
             ..GcReport::default()
         };
-        // (created_ms, hex-path, path, blob_len) per valid entry.
+        // (created_ms, path, blob_len) per valid entry.
         let mut entries: Vec<(u64, PathBuf, u64)> = Vec::new();
-        for (path, blob) in self.scan()? {
+        self.scan(|path, blob| {
             report.scanned += 1;
             let expected = path
                 .file_name()
@@ -172,7 +173,7 @@ impl DiskTier {
                     report.dropped += 1;
                 }
             }
-        }
+        })?;
         report.bytes_after = report.bytes_before;
         entries.sort();
         let mut victims = entries.iter();
@@ -233,10 +234,10 @@ impl CacheBackend for DiskTier {
 
     fn usage(&self) -> io::Result<TierUsage> {
         let mut usage = TierUsage::default();
-        for (_, blob) in self.scan()? {
+        self.scan(|_, blob| {
             usage.entries += 1;
             usage.bytes += blob.len() as u64;
-        }
+        })?;
         Ok(usage)
     }
 }

@@ -36,7 +36,7 @@ struct MemState {
 /// The first tier: entries live decoded in memory, a `get` is a hash
 /// probe, and a budget caps residency — least-recently-used entries
 /// leave first. Eviction here loses nothing durable; the same key can
-/// be re-faulted from the disk or remote tiers.
+/// be re-faulted from the disk tier.
 #[derive(Debug)]
 pub struct MemoryTier {
     budget: MemoryBudget,

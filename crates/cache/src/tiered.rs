@@ -1,12 +1,11 @@
-//! The tiered front end: memory → disk → remote behind one handle.
+//! The tiered front end: memory → disk behind one handle.
 //!
-//! Lookups read through the tiers in cost order and populate the
-//! cheaper tiers on the way back (a remote hit lands in memory and on
-//! disk, a disk hit in memory). Inserts land in memory immediately;
-//! the persistent tiers are written back *asynchronously* on a
-//! dedicated writer thread, so the executor's hot path never blocks
-//! on cache I/O. Under simulation write-back is synchronous instead,
-//! which makes crash-point sweeps over the disk tier deterministic.
+//! Lookups read through the tiers in cost order, and a disk hit lands
+//! in memory on the way back. Inserts land in memory immediately; the
+//! disk tier is written back *asynchronously* on a dedicated writer
+//! thread, so the executor's hot path never blocks on cache I/O. Under
+//! simulation write-back is synchronous instead, which makes
+//! crash-point sweeps over the disk tier deterministic.
 //!
 //! Every tier is best-effort: an I/O error degrades the cache (and
 //! shows up in `cache.*` metrics and the health report), it never
@@ -21,12 +20,11 @@ use std::thread::JoinHandle;
 use hercules_obs::{names, Metrics};
 use hercules_sim::{Clock, Fs};
 
-use crate::backend::{CacheBackend, TierUsage};
+use crate::backend::CacheBackend;
 use crate::disk::{DiskTier, GcReport};
 use crate::entry::CacheEntry;
 use crate::key::CacheKey;
 use crate::memory::{MemoryBudget, MemoryTier};
-use crate::remote::{RemoteCache, RemoteTier};
 
 /// Construction-time options for [`ContentCache::open`].
 #[derive(Debug, Clone)]
@@ -68,7 +66,7 @@ impl TierCounters {
 /// Point-in-time stats of one tier, for `cache stats`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TierStats {
-    /// Tier name (`mem`, `disk`, `remote`).
+    /// Tier name (`mem`, `disk`).
     pub tier: String,
     /// Lookups served by this tier.
     pub hits: u64,
@@ -76,11 +74,11 @@ pub struct TierStats {
     pub misses: u64,
     /// Degraded operations (I/O errors, injected faults).
     pub errors: u64,
-    /// Occupancy (zero for remotes, which do not expose it).
+    /// Occupancy.
     pub entries: u64,
     /// Stored bytes (encoded for disk, payload for memory).
     pub bytes: u64,
-    /// Extra detail: disk root, remote label.
+    /// Extra detail: the disk root.
     pub detail: String,
 }
 
@@ -136,13 +134,11 @@ struct CacheInner {
     sync_writes: bool,
 }
 
-/// The persistent tiers plus everything the writer thread needs.
+/// The disk tier plus everything the writer thread needs.
 #[derive(Debug)]
 struct PersistentTiers {
     disk: Option<DiskTier>,
-    remote: Option<RemoteTier>,
     disk_counters: TierCounters,
-    remote_counters: TierCounters,
     inserts: AtomicU64,
     metrics: Metrics,
     clock: Clock,
@@ -155,20 +151,16 @@ struct Writer {
 }
 
 enum WriteJob {
-    /// Write `entry` back to disk (and the remote, when `to_remote`).
-    Put {
-        key: CacheKey,
-        entry: CacheEntry,
-        to_remote: bool,
-    },
+    /// Write `entry` back to disk.
+    Put { key: CacheKey, entry: CacheEntry },
     /// Barrier: ack once every job queued before it has drained.
     Flush(mpsc::Sender<()>),
 }
 
 impl PersistentTiers {
-    /// Writes one entry to disk (and optionally the remote), folding
-    /// failures into counters — write-back is always best-effort.
-    fn write_back(&self, key: &CacheKey, entry: &CacheEntry, to_remote: bool) {
+    /// Writes one entry to disk, folding failures into counters —
+    /// write-back is always best-effort.
+    fn write_back(&self, key: &CacheKey, entry: &CacheEntry) {
         let t0 = self.clock.now();
         if let Some(disk) = &self.disk {
             match disk.put(key, entry) {
@@ -177,14 +169,6 @@ impl PersistentTiers {
                     self.disk_counters.errors.fetch_add(1, Ordering::Relaxed);
                     self.metrics.incr(names::CACHE_DISK_IO_ERRORS, 1);
                     self.metrics.gauge_set(names::CACHE_DISK_HEALTHY, 0);
-                }
-            }
-        }
-        if to_remote {
-            if let Some(remote) = &self.remote {
-                if remote.put(key, entry).is_err() {
-                    self.remote_counters.errors.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.incr(names::CACHE_REMOTE_ERRORS, 1);
                 }
             }
         }
@@ -201,21 +185,19 @@ pub struct ContentCache {
 }
 
 impl ContentCache {
-    /// A memory-only cache (no persistent tiers) — useful in tests and
+    /// A memory-only cache (no disk tier) — useful in tests and
     /// for single-process dedup.
     pub fn in_memory(memory: MemoryBudget, clock: Clock, metrics: Metrics) -> ContentCache {
-        ContentCache::build(MemoryTier::new(memory), None, None, true, clock, metrics)
+        ContentCache::build(MemoryTier::new(memory), None, true, clock, metrics)
     }
 
     /// Opens a cache with a disk tier rooted at `root` (shared across
-    /// sessions and workspaces that open the same root) and an
-    /// optional remote tier behind it. Write-back runs on the calling
-    /// thread under a simulated filesystem and on a background writer
-    /// thread on a real one.
+    /// sessions and workspaces that open the same root). Write-back
+    /// runs on the calling thread under a simulated filesystem and on
+    /// a background writer thread on a real one.
     pub fn open(
         fs: &Fs,
         root: impl Into<PathBuf>,
-        remote: Option<Arc<dyn RemoteCache>>,
         config: CacheConfig,
         clock: Clock,
         metrics: Metrics,
@@ -224,7 +206,6 @@ impl ContentCache {
         Ok(ContentCache::build(
             MemoryTier::new(config.memory),
             Some(disk),
-            remote.map(RemoteTier::new),
             fs.is_sim(),
             clock,
             metrics,
@@ -234,16 +215,13 @@ impl ContentCache {
     fn build(
         mem: MemoryTier,
         disk: Option<DiskTier>,
-        remote: Option<RemoteTier>,
         sync_writes: bool,
         clock: Clock,
         metrics: Metrics,
     ) -> ContentCache {
         let tiers = Arc::new(PersistentTiers {
             disk,
-            remote,
             disk_counters: TierCounters::default(),
-            remote_counters: TierCounters::default(),
             inserts: AtomicU64::new(0),
             metrics,
             clock,
@@ -256,11 +234,7 @@ impl ContentCache {
             let thread = std::thread::spawn(move || {
                 while let Ok(job) = jobs.recv() {
                     match job {
-                        WriteJob::Put {
-                            key,
-                            entry,
-                            to_remote,
-                        } => worker.write_back(&key, &entry, to_remote),
+                        WriteJob::Put { key, entry } => worker.write_back(&key, &entry),
                         WriteJob::Flush(ack) => drop(ack.send(())),
                     }
                 }
@@ -283,15 +257,6 @@ impl ContentCache {
         self.inner.sync_writes
     }
 
-    /// The disk tier's root, when one is attached.
-    pub fn disk_root(&self) -> Option<PathBuf> {
-        self.inner
-            .tiers
-            .disk
-            .as_ref()
-            .map(|d| d.root().to_path_buf())
-    }
-
     fn metrics(&self) -> &Metrics {
         &self.inner.tiers.metrics
     }
@@ -300,8 +265,8 @@ impl ContentCache {
         &self.inner.tiers.clock
     }
 
-    /// Looks a key up through the tiers, populating cheaper tiers on a
-    /// deeper hit. Errors degrade to misses.
+    /// Looks a key up through the tiers, populating memory on a disk
+    /// hit. Errors degrade to misses.
     pub fn lookup(&self, key: &CacheKey) -> Option<CacheEntry> {
         let inner = &*self.inner;
         let tiers = &*inner.tiers;
@@ -345,37 +310,12 @@ impl ContentCache {
                 }
             }
         }
-
-        if let Some(remote) = &tiers.remote {
-            let t0 = self.clock().now();
-            let looked = remote.get(key);
-            metrics.observe_duration(names::CACHE_REMOTE_LOOKUP_NS, self.clock().since(t0));
-            match looked {
-                Ok(Some(entry)) => {
-                    tiers.remote_counters.hits.fetch_add(1, Ordering::Relaxed);
-                    metrics.incr(names::CACHE_REMOTE_HITS, 1);
-                    let _ = inner.mem.put(key, &entry);
-                    // Populate the local disk so the next session does
-                    // not pay the remote round trip again.
-                    self.enqueue(key, &entry, false);
-                    return Some(entry);
-                }
-                Ok(None) => {
-                    tiers.remote_counters.misses.fetch_add(1, Ordering::Relaxed);
-                    metrics.incr(names::CACHE_REMOTE_MISSES, 1);
-                }
-                Err(_) => {
-                    tiers.remote_counters.errors.fetch_add(1, Ordering::Relaxed);
-                    metrics.incr(names::CACHE_REMOTE_ERRORS, 1);
-                }
-            }
-        }
         None
     }
 
-    /// Inserts a freshly produced result: memory immediately, the
-    /// persistent tiers via write-back. An entry too large to encode
-    /// (4 GiB or more) is not cached anywhere, only counted.
+    /// Inserts a freshly produced result: memory immediately, the disk
+    /// tier via write-back. An entry too large to encode (4 GiB or
+    /// more) is not cached anywhere, only counted.
     pub fn insert(&self, key: &CacheKey, entry: &CacheEntry) {
         if !entry.encodable() {
             self.metrics().incr(names::CACHE_OVERSIZE, 1);
@@ -384,12 +324,8 @@ impl ContentCache {
         self.inner.tiers.inserts.fetch_add(1, Ordering::Relaxed);
         self.metrics().incr(names::CACHE_INSERTS, 1);
         let _ = self.inner.mem.put(key, entry);
-        self.enqueue(key, entry, true);
-    }
-
-    fn enqueue(&self, key: &CacheKey, entry: &CacheEntry, to_remote: bool) {
         if self.inner.sync_writes {
-            self.inner.tiers.write_back(key, entry, to_remote);
+            self.inner.tiers.write_back(key, entry);
             return;
         }
         let writer = self.inner.writer.lock().unwrap_or_else(|e| e.into_inner());
@@ -397,7 +333,6 @@ impl ContentCache {
             let _ = w.queue.send(WriteJob::Put {
                 key: *key,
                 entry: entry.clone(),
-                to_remote,
             });
         }
     }
@@ -474,19 +409,6 @@ impl ContentCache {
                 detail: disk.root().display().to_string(),
             });
         }
-        if let Some(remote) = &tiers.remote {
-            let (hits, misses, errors) = tiers.remote_counters.snapshot();
-            let usage = remote.usage().unwrap_or_default();
-            out.push(TierStats {
-                tier: "remote".into(),
-                hits,
-                misses,
-                errors,
-                entries: usage.entries,
-                bytes: usage.bytes,
-                detail: remote.label(),
-            });
-        }
         CacheStats {
             tiers: out,
             inserts: tiers.inserts.load(Ordering::Relaxed),
@@ -506,23 +428,11 @@ impl Drop for CacheInner {
     }
 }
 
-impl TierUsage {
-    /// Sum of two usages (stats aggregation).
-    pub fn plus(self, other: TierUsage) -> TierUsage {
-        TierUsage {
-            entries: self.entries + other.entries,
-            bytes: self.bytes + other.bytes,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::entry::CachedOutput;
-    use crate::remote::LocalDirRemote;
     use hercules_digest::sha256;
-    use std::time::Duration;
 
     fn entry(tag: u8) -> (CacheKey, CacheEntry) {
         let key = CacheKey::from_bytes(sha256(&[tag]));
@@ -561,7 +471,6 @@ mod tests {
         let a = ContentCache::open(
             &sim.fs(),
             "/shared-cache",
-            None,
             CacheConfig::default(),
             sim.clock(),
             metrics.clone(),
@@ -575,7 +484,6 @@ mod tests {
         let b = ContentCache::open(
             &sim.fs(),
             "/shared-cache",
-            None,
             CacheConfig::default(),
             sim.clock(),
             metrics.clone(),
@@ -595,7 +503,6 @@ mod tests {
         let cache = ContentCache::open(
             &fs,
             &dir,
-            None,
             CacheConfig::default(),
             Clock::real(),
             Metrics::disabled(),
@@ -609,7 +516,6 @@ mod tests {
         let reopened = ContentCache::open(
             &fs,
             &dir,
-            None,
             CacheConfig::default(),
             Clock::real(),
             Metrics::disabled(),
@@ -621,70 +527,12 @@ mod tests {
     }
 
     #[test]
-    fn remote_hit_populates_memory_and_disk() {
-        let sim = hercules_sim::SimEnv::new(13);
-        let remote = Arc::new(
-            LocalDirRemote::open(sim.fs(), "/remote", sim.clock())
-                .expect("remote")
-                .with_latency(Duration::from_micros(500)),
-        );
-        // Seed the remote through a first cache.
-        let seeder = ContentCache::open(
-            &sim.fs(),
-            "/cache-a",
-            Some(remote.clone()),
-            CacheConfig::default(),
-            sim.clock(),
-            Metrics::disabled(),
-        )
-        .expect("seeder");
-        let (key, e) = entry(4);
-        seeder.insert(&key, &e);
-        drop(seeder);
-
-        let metrics = Metrics::new();
-        let cache = ContentCache::open(
-            &sim.fs(),
-            "/cache-b",
-            Some(remote),
-            CacheConfig::default(),
-            sim.clock(),
-            metrics.clone(),
-        )
-        .expect("open");
-        assert_eq!(cache.lookup(&key), Some(e.clone()), "remote hit");
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counters[hercules_obs::names::CACHE_REMOTE_HITS], 1);
-        assert!(
-            snap.histograms[hercules_obs::names::CACHE_REMOTE_LOOKUP_NS].min
-                >= Duration::from_micros(500).as_nanos() as u64,
-            "injected latency visible in the remote histogram"
-        );
-        // Second lookup is served locally: no new remote traffic.
-        assert_eq!(cache.lookup(&key), Some(e));
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counters[hercules_obs::names::CACHE_REMOTE_HITS], 1);
-        // And the local disk now holds the entry for future sessions.
-        let local_only = ContentCache::open(
-            &sim.fs(),
-            "/cache-b",
-            None,
-            CacheConfig::default(),
-            sim.clock(),
-            Metrics::disabled(),
-        )
-        .expect("open");
-        assert!(local_only.lookup(&key).is_some());
-    }
-
-    #[test]
     fn gc_reports_and_updates_gauges() {
         let sim = hercules_sim::SimEnv::new(17);
         let metrics = Metrics::new();
         let cache = ContentCache::open(
             &sim.fs(),
             "/gc-cache",
-            None,
             CacheConfig {
                 disk_budget_bytes: 0,
                 ..CacheConfig::default()

@@ -24,9 +24,8 @@
 
 use std::path::Path;
 
-use hercules_analyze::runner::{lint_flow_timed, lint_history_timed, lint_schema_timed, Clock};
 use hercules_analyze::{
-    lint_flow, lint_history, lint_schema, Diagnostic, Diagnostics, PassTiming, Severity, Span,
+    lint_flow, lint_history, lint_schema, Diagnostic, Diagnostics, Severity, Span,
 };
 use hercules_exec::EncapsulationRegistry;
 use hercules_flow::FlowEffects;
@@ -48,21 +47,6 @@ pub fn lint_session(session: &Session, out: &mut Diagnostics) {
         lint_flow(flow, out);
     }
     let _ = lint_history(session.db(), out);
-}
-
-/// [`lint_session`] with per-pass wall times, measured by the injected
-/// `clock` (a monotonic nanosecond source).
-pub fn lint_session_timed(
-    session: &Session,
-    out: &mut Diagnostics,
-    clock: Clock<'_>,
-) -> Vec<PassTiming> {
-    let mut timings = lint_schema_timed(session.schema(), out, clock);
-    if let Ok(flow) = session.flow() {
-        timings.extend(lint_flow_timed(flow, out, clock));
-    }
-    timings.extend(lint_history_timed(session.db(), out, clock));
-    timings
 }
 
 // ---------------------------------------------------------------------

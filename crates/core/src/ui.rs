@@ -12,7 +12,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use hercules_analyze::{Diagnostics, HistoryLinter};
-use hercules_exec::report_to_trace;
+use hercules_exec::{report_to_trace, Binding};
 use hercules_flow::{render, NodeId};
 use hercules_history::{InstanceId, InstanceSpec, RetraceCone};
 use hercules_obs::{
@@ -333,16 +333,15 @@ pub struct Ui {
     workspace: Option<Workspace>,
     last_recovery: Option<RecoveryReport>,
     env: Env,
-    /// Persistent analysis state: the reverse-dependency index and
-    /// cached verdicts behind `lint --incremental` and `stale`.
+    /// Persistent analysis state: the fixpoint states and cached
+    /// verdicts behind `lint --incremental` (the reverse-dependency
+    /// index it walks belongs to the history database).
     linter: HistoryLinter,
     /// The always-on flight recorder, attached while a writable
     /// workspace is: the session tracer tees span events into the
     /// ring, and every command pumps the ring into the workspace's
     /// `telemetry-N.jsonl` sidecar.
     telemetry: Option<Telemetry>,
-    /// Thresholds the `health` command maps raw signals through.
-    health_thresholds: HealthThresholds,
 }
 
 /// The attached flight-recorder state (see [`crate::telemetry`]).
@@ -381,13 +380,7 @@ impl Ui {
             env,
             linter: HistoryLinter::new(),
             telemetry: None,
-            health_thresholds: HealthThresholds::default(),
         }
-    }
-
-    /// Replaces the thresholds the `health` command uses.
-    pub fn set_health_thresholds(&mut self, thresholds: HealthThresholds) {
-        self.health_thresholds = thresholds;
     }
 
     /// Returns the wrapped session.
@@ -636,6 +629,12 @@ impl Ui {
                 Ok(out)
             }
             Command::Select(node, instances) => {
+                Binding::check_selection(
+                    self.session.flow()?,
+                    self.session.db(),
+                    node,
+                    &instances,
+                )?;
                 self.session.select_many(node, &instances);
                 Ok(format!(
                     "selected {} instance(s) for {node}\n",
@@ -1029,7 +1028,6 @@ impl Ui {
                 let cache = hercules_cache::ContentCache::open(
                     &self.env.fs,
                     &dir,
-                    None,
                     hercules_cache::CacheConfig::default(),
                     self.env.clock.clone(),
                     self.session.metrics().clone(),
@@ -1083,7 +1081,7 @@ impl Ui {
             store.as_ref(),
             Some(&analysis),
             &snapshot,
-            &self.health_thresholds,
+            &HealthThresholds::default(),
         );
         let metrics = self.session.metrics();
         metrics.incr(names::HEALTH_CHECKS, 1);

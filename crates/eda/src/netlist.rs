@@ -127,17 +127,6 @@ pub enum Device {
     },
 }
 
-impl Device {
-    /// Returns the net driven by this device (gate output or MOS drain).
-    pub fn driven_net(&self) -> usize {
-        match self {
-            Device::Gate { output, .. } => *output,
-            Device::Dff { q, .. } => *q,
-            Device::Mos { drain, .. } => *drain,
-        }
-    }
-}
-
 /// A netlist: named nets, port lists, and devices.
 ///
 /// # Examples

@@ -58,17 +58,13 @@ impl Binding {
         keys.into_iter().map(move |k| (k, self.get(k)))
     }
 
-    /// Validates the binding against a flow and database:
-    ///
-    /// * every leaf of the flow must be bound to at least one instance;
-    /// * every bound node must be a leaf;
-    /// * every instance's entity must belong to the node's entity
-    ///   family.
+    /// Validates the binding against a flow and database: every leaf
+    /// of the flow must be bound to at least one instance, and every
+    /// bound selection must pass [`Binding::check_selection`].
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::UnboundLeaf`],
-    /// [`ExecError::BoundInteriorNode`] or a history type error.
+    /// Returns [`ExecError::UnboundLeaf`] or the first selection error.
     pub fn validate(&self, flow: &TaskGraph, db: &HistoryDb) -> Result<(), ExecError> {
         for leaf in flow.leaves() {
             if self.get(leaf).is_empty() {
@@ -80,13 +76,32 @@ impl Binding {
             }
         }
         for (&node, instances) in &self.map {
-            if flow.is_expanded(node) {
-                return Err(ExecError::BoundInteriorNode(node));
-            }
-            let entity = flow.entity_of(node)?;
-            for &inst in instances {
-                db.check_type(inst, entity)?;
-            }
+            Binding::check_selection(flow, db, node, instances)?;
+        }
+        Ok(())
+    }
+
+    /// Checks one selection before it is bound: `node` must be a live
+    /// leaf of `flow`, and every instance must exist in `db` and belong
+    /// to the node's entity family.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::BoundInteriorNode`], a flow error for a
+    /// dead node, or a history error for a missing or mistyped
+    /// instance.
+    pub fn check_selection(
+        flow: &TaskGraph,
+        db: &HistoryDb,
+        node: NodeId,
+        instances: &[InstanceId],
+    ) -> Result<(), ExecError> {
+        if flow.is_expanded(node) {
+            return Err(ExecError::BoundInteriorNode(node));
+        }
+        let entity = flow.entity_of(node)?;
+        for &inst in instances {
+            db.check_type(inst, entity)?;
         }
         Ok(())
     }

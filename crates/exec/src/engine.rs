@@ -290,11 +290,6 @@ impl Executor {
         }
     }
 
-    /// Creates an executor with explicit options.
-    pub fn with_options(registry: EncapsulationRegistry, options: ExecOptions) -> Executor {
-        Executor { registry, options }
-    }
-
     /// Returns the options.
     pub fn options(&self) -> &ExecOptions {
         &self.options

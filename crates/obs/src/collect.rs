@@ -1,6 +1,5 @@
 //! Collectors: pluggable sinks for trace events.
 
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use crate::span::TraceEvent;
@@ -11,18 +10,6 @@ use crate::span::TraceEvent;
 pub trait Collector: Send + Sync {
     /// Records one event.
     fn record(&self, event: &TraceEvent);
-}
-
-/// Discards everything (useful as an explicit "measure the overhead of
-/// the hooks themselves" baseline; prefer [`Tracer::disabled`]
-/// otherwise).
-///
-/// [`Tracer::disabled`]: crate::Tracer::disabled
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullCollector;
-
-impl Collector for NullCollector {
-    fn record(&self, _event: &TraceEvent) {}
 }
 
 /// A bounded in-memory buffer keeping the most recent events. The
@@ -84,40 +71,8 @@ impl Collector for RingBuffer {
     }
 }
 
-/// Streams events as JSON Lines to any writer (a file, a pipe, a
-/// `Vec<u8>` in tests). Each event is one line; a torn final line — the
-/// process died mid-write — is detectable by the missing newline.
-pub struct JsonlSink<W: Write + Send> {
-    writer: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> JsonlSink<W> {
-        JsonlSink {
-            writer: Mutex::new(writer),
-        }
-    }
-
-    /// Flushes and returns the writer.
-    pub fn into_inner(self) -> W {
-        let mut w = self.writer.into_inner().unwrap_or_else(|e| e.into_inner());
-        let _ = w.flush();
-        w
-    }
-}
-
-impl<W: Write + Send> Collector for JsonlSink<W> {
-    fn record(&self, event: &TraceEvent) {
-        let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        // A full disk must not take the execution down with it; the
-        // trace just ends early.
-        let _ = writeln!(w, "{}", event.to_json());
-    }
-}
-
-/// Fans every event out to several collectors (e.g. ring buffer for the
-/// REPL plus a JSONL file for later analysis).
+/// Fans every event out to several collectors (e.g. the session's ring
+/// buffer plus the flight recorder).
 #[derive(Clone)]
 pub struct MultiCollector {
     sinks: Vec<Arc<dyn Collector>>,
@@ -171,17 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_writes_one_line_per_event() {
-        let sink = JsonlSink::new(Vec::new());
-        sink.record(&ev(1));
-        sink.record(&ev(2));
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).expect("utf8");
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-    }
-
-    #[test]
     fn multi_fans_out() {
         let a = Arc::new(RingBuffer::new(16));
         let b = Arc::new(RingBuffer::new(16));
@@ -189,6 +133,5 @@ mod tests {
         multi.record(&ev(7));
         assert_eq!(a.snapshot().len(), 1);
         assert_eq!(b.snapshot().len(), 1);
-        NullCollector.record(&ev(8));
     }
 }

@@ -373,11 +373,6 @@ impl HealthReport {
         let content_tiers = [
             ("cache.content.mem", "cache.mem.hits", "cache.mem.misses"),
             ("cache.content.disk", "cache.disk.hits", "cache.disk.misses"),
-            (
-                "cache.content.remote",
-                "cache.remote.hits",
-                "cache.remote.misses",
-            ),
         ];
         let mut content_traffic = false;
         for (check, hits_name, misses_name) in content_tiers {
@@ -667,10 +662,6 @@ mod tests {
         let by_name = |n: &str| report.checks.iter().find(|c| c.name == n).unwrap();
         assert_eq!(by_name("cache.content.mem").value, "75.0%");
         assert_eq!(by_name("cache.content.disk").value, "50.0%");
-        assert!(!report
-            .checks
-            .iter()
-            .any(|c| c.name == "cache.content.remote"));
         assert_eq!(by_name("cache.content.store").status, HealthStatus::Ok);
 
         // Dropped entries warn; a failing disk tier is critical.

@@ -13,9 +13,9 @@
 //!   instructions per call site, so instrumentation can stay threaded
 //!   through release builds;
 //! * [`Collector`] — the pluggable sink trait, with a bounded
-//!   [`RingBuffer`], a [`JsonlSink`] for streaming to disk, a
-//!   [`MultiCollector`] fan-out, and [`chrome::to_chrome_trace`] for
-//!   `about://tracing` / Perfetto-loadable `trace_event` JSON;
+//!   [`RingBuffer`], a [`MultiCollector`] fan-out, and
+//!   [`chrome::to_chrome_trace`] for `about://tracing` /
+//!   Perfetto-loadable `trace_event` JSON;
 //! * [`Metrics`] — a registry of counters, gauges, and histograms with
 //!   fixed log₂ bucket boundaries (reproducible across runs, mergeable
 //!   across processes);
@@ -25,15 +25,14 @@
 //! * [`HealthReport`] — typed ok/warn/critical aggregation of store,
 //!   scheduler, cache, and design-history staleness signals under
 //!   configurable [`HealthThresholds`];
-//! * [`render_prometheus`] — one-shot Prometheus text exposition of a
-//!   metrics snapshot;
 //! * [`profile`] — reconstructs the span tree, derives the task DAG
 //!   from span attributes, and reports the critical path, achieved
 //!   parallelism, and per-task self/total time.
 //!
 //! The crate has **zero dependencies** by design: every other Hercules
 //! crate can link it without cycles, and its hand-rolled JSON encoder
-//! keeps the JSONL and Chrome sinks available even in minimal builds.
+//! keeps the flight recorder's JSONL lines and the Chrome export
+//! available even in minimal builds.
 //!
 //! # Examples
 //!
@@ -59,7 +58,6 @@
 
 pub mod chrome;
 mod collect;
-mod export;
 mod health;
 mod metrics;
 pub mod names;
@@ -68,8 +66,7 @@ mod recorder;
 mod span;
 mod tracer;
 
-pub use collect::{Collector, JsonlSink, MultiCollector, NullCollector, RingBuffer};
-pub use export::render_prometheus;
+pub use collect::{Collector, MultiCollector, RingBuffer};
 pub use health::{
     AnalysisHealth, HealthCheck, HealthReport, HealthStatus, HealthThresholds, StoreHealth,
 };

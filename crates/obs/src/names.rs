@@ -170,20 +170,6 @@ pub const CACHE_DISK_BYTES: &str = "cache.disk.bytes";
 /// succeed, 0 after any I/O error until a later operation succeeds.
 pub const CACHE_DISK_HEALTHY: &str = "cache.disk.healthy";
 
-/// Counter: content-cache lookups answered by the remote tier.
-pub const CACHE_REMOTE_HITS: &str = "cache.remote.hits";
-
-/// Counter: remote tier probes that found no (valid) entry.
-pub const CACHE_REMOTE_MISSES: &str = "cache.remote.misses";
-
-/// Counter: remote tier fetch/store failures (timeouts, injected
-/// faults, unreachable backends). Best-effort, like the disk tier.
-pub const CACHE_REMOTE_ERRORS: &str = "cache.remote.errors";
-
-/// Histogram: wall nanoseconds per remote tier probe — under an
-/// injected-latency test remote this is where the degradation shows.
-pub const CACHE_REMOTE_LOOKUP_NS: &str = "cache.remote.lookup_ns";
-
 /// Counter: entries inserted into the cache (one per produced tool
 /// run that was written back, whatever tiers it reached).
 pub const CACHE_INSERTS: &str = "cache.inserts";
@@ -192,7 +178,7 @@ pub const CACHE_INSERTS: &str = "cache.inserts";
 /// 4 GiB or more, past the entry format's `u32` length fields.
 pub const CACHE_OVERSIZE: &str = "cache.oversize";
 
-/// Histogram: wall nanoseconds per write-back (disk + remote store).
+/// Histogram: wall nanoseconds per write-back to the disk tier.
 /// In the real environment write-backs run on a background thread, so
 /// this measures cache work, not executor hot-path stalls.
 pub const CACHE_WRITEBACK_NS: &str = "cache.writeback_ns";
@@ -246,10 +232,6 @@ mod tests {
         (super::CACHE_DISK_ENTRIES, "cache."),
         (super::CACHE_DISK_BYTES, "cache."),
         (super::CACHE_DISK_HEALTHY, "cache."),
-        (super::CACHE_REMOTE_HITS, "cache."),
-        (super::CACHE_REMOTE_MISSES, "cache."),
-        (super::CACHE_REMOTE_ERRORS, "cache."),
-        (super::CACHE_REMOTE_LOOKUP_NS, "cache."),
         (super::CACHE_INSERTS, "cache."),
         (super::CACHE_OVERSIZE, "cache."),
         (super::CACHE_WRITEBACK_NS, "cache."),

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::dependency::{DepKind, Dependency};
+use crate::dependency::Dependency;
 use crate::entity::{EntityKind, EntityType, EntityTypeId};
 use crate::error::SchemaError;
 use crate::spec::SchemaSpec;
@@ -292,19 +292,6 @@ impl TaskSchema {
     /// Converts this schema into its declarative, serializable form.
     pub fn to_spec(&self) -> SchemaSpec {
         SchemaSpec::from(self.clone())
-    }
-
-    /// Looks up the dependency arc from `source` to `target` of the given
-    /// kind, if declared.
-    pub fn find_dep(
-        &self,
-        target: EntityTypeId,
-        source: EntityTypeId,
-        kind: DepKind,
-    ) -> Option<&Dependency> {
-        self.deps_of(target)
-            .into_iter()
-            .find(|d| d.source() == source && d.kind() == kind)
     }
 }
 

@@ -82,11 +82,6 @@ impl Fs {
         self.sim.is_some()
     }
 
-    /// The simulated disk behind this handle, when there is one.
-    pub fn sim_state(&self) -> Option<&Arc<SimFsState>> {
-        self.sim.as_ref()
-    }
-
     /// Creates `dir` and any missing ancestors.
     pub fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         match &self.sim {

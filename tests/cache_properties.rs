@@ -186,7 +186,6 @@ fn workspace_b_hits_on_workspace_a_results_via_shared_disk_tier() {
     let cache_a = ContentCache::open(
         &sim.fs(),
         "/shared-cache",
-        None,
         CacheConfig::default(),
         sim.clock(),
         Metrics::disabled(),
@@ -198,7 +197,6 @@ fn workspace_b_hits_on_workspace_a_results_via_shared_disk_tier() {
     let cache_b = ContentCache::open(
         &sim.fs(),
         "/shared-cache",
-        None,
         CacheConfig::default(),
         sim.clock(),
         Metrics::disabled(),

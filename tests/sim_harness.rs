@@ -2137,7 +2137,6 @@ fn sim_cache_writeback_crash_sweep() {
     let cache = ContentCache::open(
         &probe.fs(),
         "/cache",
-        None,
         CacheConfig::default(),
         probe.clock(),
         Metrics::disabled(),
@@ -2163,7 +2162,6 @@ fn sim_cache_writeback_crash_sweep() {
         let cache = ContentCache::open(
             &sim.fs(),
             "/cache",
-            None,
             CacheConfig::default(),
             sim.clock(),
             Metrics::disabled(),
@@ -2190,7 +2188,6 @@ fn sim_cache_writeback_crash_sweep() {
         let fresh = ContentCache::open(
             &rebooted.fs(),
             "/cache",
-            None,
             CacheConfig::default(),
             rebooted.clock(),
             Metrics::disabled(),

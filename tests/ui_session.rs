@@ -2,8 +2,24 @@
 //! every approach, with browser, selection, execution and history
 //! browsing driven through the text UI.
 
+use std::path::PathBuf;
+
+use hercules::flow::NodeId;
 use hercules::ui::{render_task_window, Ui};
 use hercules::Session;
+
+fn temp_root(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("hercules-ui-{tag}-{}", std::process::id()))
+}
+
+/// Bytes in the attached workspace's journal segments.
+fn journal_bytes(ui: &Ui) -> u64 {
+    let ws = ui.workspace().expect("workspace attached");
+    ws.segments()
+        .iter()
+        .map(|s| std::fs::metadata(ws.root().join(s)).expect("segment").len())
+        .sum()
+}
 
 #[test]
 fn full_scripted_session() {
@@ -94,4 +110,93 @@ fn errors_are_reported_not_panicked() {
     assert!(ui.execute("wibble").is_err());
     ui.execute("goal Performance").expect("starts");
     assert!(ui.execute("specialize n0 Layout").is_err(), "not a subtype");
+
+    // A selection is checked before it is acknowledged: a failed one
+    // leaves the binding as it was and journals nothing.
+    let root = temp_root("bad-select");
+    std::fs::remove_dir_all(&root).ok();
+    let mut ui = Ui::new(Session::odyssey("jbb"));
+    ui.execute(&format!("save {}", root.display()))
+        .expect("saves");
+    let rejects = |ui: &mut Ui, line: &str, why: &str| {
+        let binding = ui.session().binding().clone();
+        let journal = journal_bytes(ui);
+        assert!(ui.execute(line).is_err(), "`{line}` must fail: {why}");
+        assert_eq!(
+            ui.session().binding(),
+            &binding,
+            "`{line}` changed the binding"
+        );
+        assert_eq!(journal_bytes(ui), journal, "`{line}` appended a frame");
+    };
+    rejects(&mut ui, "select n7 i999", "no flow yet");
+    ui.execute("goal Layout").expect("starts");
+    ui.execute("expand n0").expect("expands");
+    // i3 is the `rowplace` Placer script.
+    ui.execute("select n1 i3")
+        .expect("a Placer instance for the Placer leaf");
+    rejects(&mut ui, "select n2 i999", "no such instance");
+    rejects(&mut ui, "select n2 i3", "a Placer is not a Netlist");
+    rejects(&mut ui, "select n0 i3", "n0 is computed by the flow");
+    rejects(&mut ui, "select n9 i3", "no node n9");
+    let window = render_task_window(ui.session());
+    assert!(window.contains("n2 Netlist ⇐ (unbound)"), "{window}");
+    drop(ui);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn run_subflow_records_one_subtask_and_survives_reopen() {
+    let root = temp_root("subflow");
+    std::fs::remove_dir_all(&root).ok();
+    let mut ui = Ui::new(Session::odyssey("jbb"));
+    ui.run_script(&format!(
+        "save {}\n\
+         goal Layout\n\
+         expand n0\n\
+         specialize n2 EditedNetlist\n\
+         expand n2\n\
+         bind-latest\n",
+        root.display()
+    ))
+    .expect("script runs");
+    let records = ui.session().db().len();
+    let layout = ui.session().schema().require("Layout").expect("known");
+    let layouts = ui.session().db().instances_of_family(layout).len();
+
+    // §4.1: the netlist-editing subflow runs on its own; the placement
+    // above it does not.
+    let report = ui
+        .session_mut()
+        .run_subflow(NodeId::from_index(2))
+        .expect("subflow runs");
+    assert_eq!(report.tasks.len(), 1, "{report:?}");
+    assert_eq!(report.runs(), 1, "{report:?}");
+    let session = ui.session();
+    assert_eq!(session.db().len(), records + 1, "one new history record");
+    assert_eq!(
+        session.db().instances_of_family(layout).len(),
+        layouts,
+        "no Layout was produced"
+    );
+    let event = session.events().last().expect("event logged").clone();
+    assert_eq!(event.operation, "run-subflow");
+    assert!(
+        session.has_unjournaled_changes(),
+        "a direct session call bypasses the journal"
+    );
+
+    let out = ui.execute("checkpoint").expect("checkpoints");
+    assert!(out.contains("snapshot appended"), "{out}");
+    drop(ui);
+
+    let mut reopened = Ui::new(Session::odyssey("jbb"));
+    reopened
+        .execute(&format!("open {}", root.display()))
+        .expect("reopens");
+    let session = reopened.session();
+    assert_eq!(session.db().len(), records + 1);
+    assert_eq!(session.events().last(), Some(&event));
+    drop(reopened);
+    std::fs::remove_dir_all(&root).ok();
 }
