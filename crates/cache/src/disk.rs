@@ -77,11 +77,6 @@ impl DiskTier {
         &self.root
     }
 
-    /// The byte budget GC enforces.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
-    }
-
     /// Damaged entries deleted since this handle was opened, by
     /// lookups and by GC passes alike (monotonic).
     pub fn dropped_entries(&self) -> u64 {

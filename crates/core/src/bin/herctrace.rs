@@ -225,14 +225,11 @@ fn postmortem(dir: &str) -> Result<(), String> {
 /// Opens the workspace through the REPL machinery and renders its
 /// health report, exactly as the REPL `health` command would.
 fn health(dir: &str, json: bool) -> Result<String, String> {
-    use hercules::ui::{Command, Ui};
-    let mut ui = Ui::new(hercules::Session::odyssey("herctrace"));
-    let open = Command::parse(&format!("open {dir}")).map_err(|e| e.to_string())?;
-    ui.apply(open)
+    let mut ui = hercules::ui::Ui::new(hercules::Session::odyssey("herctrace"));
+    ui.execute(&format!("open {dir}"))
         .map_err(|e| format!("workspace `{dir}`: {e}"))?;
-    let cmd =
-        Command::parse(if json { "health --json" } else { "health" }).map_err(|e| e.to_string())?;
-    ui.apply(cmd).map_err(|e| format!("health: {e}"))
+    ui.execute(if json { "health --json" } else { "health" })
+        .map_err(|e| format!("health: {e}"))
 }
 
 fn run() -> Result<(), String> {

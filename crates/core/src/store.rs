@@ -1938,8 +1938,15 @@ impl Workspace {
     /// stands the lease is renewed; if a larger token appears (lease or
     /// manifest), another writer took over and this handle fences
     /// itself permanently — its queued work is discarded, never
-    /// written.
-    fn check_writable(&mut self) -> Result<(), StoreError> {
+    /// written. A caller that is about to change state it will journal
+    /// checks this first, so a refused change never happens.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Degraded`] when the handle opened read-only or a
+    /// newer writer fenced it out; an I/O error when renewing the lease
+    /// fails.
+    pub fn check_writable(&mut self) -> Result<(), StoreError> {
         if let WriteState::Degraded(reason) = &self.write_state {
             return Err(StoreError::Degraded(reason.clone()));
         }

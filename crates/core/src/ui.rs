@@ -3,16 +3,18 @@
 //! "A visualization of a task graph forms the basis of the Hercules
 //! user interface" — and crucially "Hercules uses the *same* user
 //! interface for each approach". [`render_task_window`] draws the task
-//! window; [`Command`] and [`Ui::execute`] provide the scriptable
-//! command loop the examples and tests drive (menu entries: Expand,
-//! Unexpand, Browse, History, Select, Run…).
+//! window; [`Ui::execute`] runs one command line through `VERBS`, the
+//! table that gives every verb the examples and tests drive (menu
+//! entries: Expand, Unexpand, Browse, History, Select, Run…) its
+//! journal class and its handler.
 
 use std::fmt::Write as _;
 use std::path::Path;
+use std::str::SplitWhitespace;
 use std::sync::Arc;
 
 use hercules_analyze::{Diagnostics, HistoryLinter};
-use hercules_exec::{report_to_trace, Binding};
+use hercules_exec::{report_to_trace, Binding, ExecReport};
 use hercules_flow::{render, NodeId};
 use hercules_history::{InstanceId, InstanceSpec, RetraceCone};
 use hercules_obs::{
@@ -25,227 +27,137 @@ use hercules_sim::Env;
 use crate::catalog;
 use crate::error::HerculesError;
 use crate::persist::ExecReportSpec;
-use crate::session::{Approach, Session};
-use crate::store::{
-    CheckpointKind, ExecSpec, JournalOp, RecoveryReport, StoreError, Workspace, WriteState,
-};
+use crate::session::Session;
+use crate::store::{CheckpointKind, ExecSpec, JournalOp, RecoveryReport, Workspace};
 use crate::telemetry::{self, SessionStamp, TelemetryWriter};
 
-/// One parsed UI command.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[allow(missing_docs)] // variants mirror the menu entries of Fig. 9
-pub enum Command {
-    /// `goal <Entity>` — goal-based start.
-    Goal(String),
-    /// `tool <Entity>` — tool-based start.
-    Tool(String),
-    /// `data <iN>` — data-based start.
-    Data(InstanceId),
-    /// `plan <name>` — plan-based start from the flow catalog.
-    Plan(String),
-    /// `expand <nN>`.
-    Expand(NodeId),
-    /// `unexpand <nN>`.
-    Unexpand(NodeId),
-    /// `specialize <nN> <Subtype>`.
-    Specialize(NodeId, String),
-    /// `browse <nN>`.
-    Browse(NodeId),
-    /// `select <nN> <iN> [iN…]`.
-    Select(NodeId, Vec<InstanceId>),
-    /// `bind-latest`.
-    BindLatest,
-    /// `run`.
-    Run,
-    /// `resume` — re-run only the failed/skipped subtasks of the last
-    /// partial execution, serving committed work from the history.
-    Resume,
-    /// `history <iN>`.
-    History(InstanceId),
-    /// `uses <iN>` — forward-chain: everything derived from the
-    /// instance (the "Use Dependencies" browser option).
-    Uses(InstanceId),
-    /// `retrace <iN>` — consistency maintenance: re-run the flow behind
-    /// the instance against the newest input versions.
-    Retrace(InstanceId),
-    /// `menu <nN>` — show the Fig. 9 pop-up menu for a node.
-    Menu(NodeId),
-    /// `store <name>` — store the flow in the catalog.
-    Store(String),
-    /// `log` — list the session's execution events, including failures.
-    Log,
-    /// `trace` — render the span tree of the traced executions.
-    Trace,
-    /// `stats` — render the session's metrics registry.
-    Stats,
-    /// `profile` — critical-path analysis and Gantt chart of the last
-    /// execution (live trace when present, else synthesized from the
-    /// last report — e.g. after reopening a workspace).
-    Profile,
-    /// `show` — render the task window.
-    Show,
-    /// `clear` — abandon the flow.
-    Clear,
-    /// `catalogs` — list entity/tool/flow catalogs.
-    Catalogs,
-    /// `save <dir>` — create a durable workspace at the directory and
-    /// journal every later mutating command into it.
-    Save(String),
-    /// `open <dir>` — recover the session from a durable workspace
-    /// (replaying its journal, truncating any torn tail).
-    Open(String),
-    /// `checkpoint` — make the session durable as a snapshot: append
-    /// it to the journal, or rotate to a new generation once the old
-    /// one has grown large. When the journal already holds every change
-    /// since a recent snapshot, only sync it.
-    Checkpoint,
-    /// `scrub` — CRC-verify every journal segment, the generation's
-    /// base in frame 0 included, quarantining and repairing damage when
-    /// the workspace is writable.
-    Scrub,
-    /// `lint [--incremental]` — run the static analyzer over the
-    /// session. With `--incremental` the history passes re-analyze only
-    /// the cone of instances affected since the last lint.
-    Lint {
-        /// Reuse the persistent analysis state instead of starting
-        /// from scratch.
-        incremental: bool,
+/// How a verb reaches the journal, and so whether a workspace that
+/// cannot write refuses it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Journal {
+    /// Read-only and workspace verbs: never journaled, and allowed on a
+    /// degraded workspace.
+    None,
+    /// Session mutations: refused on a degraded workspace; on success
+    /// the op the handler returns is journaled.
+    Op,
+    /// Executions: refused on a degraded workspace. The instances they
+    /// committed and the event they logged are journaled even when they
+    /// fail, because an aborted run may still have committed disjoint
+    /// branches.
+    Exec {
+        /// Whether a successful execution's report is journaled too.
+        report: bool,
     },
-    /// `stale` — report every out-of-date derived instance with its
-    /// predicted retrace cone (§3.3's "whether such retracing need
-    /// occur", answered without running anything).
-    Stale,
-    /// `health [--json]` — the aggregated workspace health report:
-    /// store mode/lease/quarantine, scheduler rates, cache hit rate,
-    /// and stale instances, each mapped to ok/warn/critical.
-    Health {
-        /// Render as a JSON object instead of text.
-        json: bool,
-    },
-    /// `cache open <dir>` — attach a content-addressed result cache
-    /// rooted at the directory; later executions consult it ahead of
-    /// tool dispatch and write produced results back. Sessions (and
-    /// workspaces) that open the same root share results.
-    CacheOpen(String),
-    /// `cache stats` — per-tier hit/miss/error counts and occupancy of
-    /// the attached content cache.
-    CacheStats,
-    /// `cache gc` — reclaim the content cache's disk tier down to its
-    /// byte budget (oldest entries first), dropping damaged entries.
-    CacheGc,
 }
 
-impl Command {
-    /// Parses one command line.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HerculesError::BadCommand`] with a reason.
-    pub fn parse(input: &str) -> Result<Command, HerculesError> {
-        let bad = |reason: &str| HerculesError::BadCommand {
-            input: input.to_owned(),
+/// A verb's handler: parses the words after the verb, then performs it.
+type Handler = fn(&mut Ui, Args<'_>) -> Result<Reply, HerculesError>;
+
+/// Every verb, with its journal class and its handler.
+const VERBS: &[(&str, Journal, Handler)] = &[
+    ("goal", Journal::Op, Ui::goal),
+    ("tool", Journal::Op, Ui::tool),
+    ("data", Journal::Op, Ui::data),
+    ("plan", Journal::Op, Ui::plan),
+    ("expand", Journal::Op, Ui::expand),
+    ("unexpand", Journal::Op, Ui::unexpand),
+    ("specialize", Journal::Op, Ui::specialize),
+    ("browse", Journal::None, Ui::browse),
+    ("select", Journal::Op, Ui::select),
+    ("bind-latest", Journal::Op, Ui::bind_latest),
+    ("run", Journal::Exec { report: true }, Ui::run),
+    ("resume", Journal::Exec { report: true }, Ui::resume),
+    ("history", Journal::None, Ui::history),
+    ("uses", Journal::None, Ui::uses),
+    ("retrace", Journal::Exec { report: false }, Ui::retrace),
+    ("menu", Journal::None, Ui::menu),
+    ("store", Journal::Op, Ui::store),
+    ("log", Journal::None, Ui::log),
+    ("trace", Journal::None, Ui::trace),
+    ("stats", Journal::None, Ui::stats),
+    ("profile", Journal::None, Ui::profile),
+    ("show", Journal::None, Ui::show),
+    ("clear", Journal::Op, Ui::clear),
+    ("catalogs", Journal::None, Ui::catalogs),
+    ("save", Journal::None, Ui::save),
+    ("open", Journal::None, Ui::open),
+    ("checkpoint", Journal::Op, Ui::checkpoint),
+    ("scrub", Journal::None, Ui::scrub),
+    ("lint", Journal::None, Ui::lint),
+    ("stale", Journal::None, Ui::stale),
+    ("health", Journal::None, Ui::health),
+    ("cache", Journal::None, Ui::cache),
+];
+
+/// What a handler returns: the transcript text and, from a
+/// [`Journal::Op`] verb, the operation that journals its effect.
+struct Reply {
+    text: String,
+    op: Option<JournalOp>,
+}
+
+impl From<String> for Reply {
+    fn from(text: String) -> Reply {
+        Reply { text, op: None }
+    }
+}
+
+/// The words of a command line after its verb. Every parse error is a
+/// [`HerculesError::BadCommand`] that quotes the whole line.
+struct Args<'a> {
+    line: &'a str,
+    words: SplitWhitespace<'a>,
+}
+
+impl<'a> Args<'a> {
+    fn bad(&self, reason: &str) -> HerculesError {
+        HerculesError::BadCommand {
+            input: self.line.to_owned(),
             reason: reason.to_owned(),
-        };
-        let mut parts = input.split_whitespace();
-        let verb = parts.next().ok_or_else(|| bad("empty command"))?;
-        let parse_node = |tok: Option<&str>| -> Result<NodeId, HerculesError> {
-            let tok = tok.ok_or_else(|| bad("missing node (nN)"))?;
-            let idx: usize = tok
-                .strip_prefix('n')
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad("node must look like n3"))?;
-            Ok(NodeId::from_index(idx))
-        };
-        let parse_instance = |tok: &str| -> Result<InstanceId, HerculesError> {
-            tok.strip_prefix('i')
-                .and_then(|s| s.parse().ok())
-                .map(InstanceId::from_raw)
-                .ok_or_else(|| bad("instance must look like i7"))
-        };
-        match verb {
-            "goal" => Ok(Command::Goal(
-                parts.next().ok_or_else(|| bad("missing entity"))?.into(),
-            )),
-            "tool" => Ok(Command::Tool(
-                parts.next().ok_or_else(|| bad("missing tool"))?.into(),
-            )),
-            "data" => Ok(Command::Data(parse_instance(
-                parts.next().ok_or_else(|| bad("missing instance"))?,
-            )?)),
-            "plan" => Ok(Command::Plan(
-                parts.next().ok_or_else(|| bad("missing flow name"))?.into(),
-            )),
-            "expand" => Ok(Command::Expand(parse_node(parts.next())?)),
-            "unexpand" => Ok(Command::Unexpand(parse_node(parts.next())?)),
-            "specialize" => Ok(Command::Specialize(
-                parse_node(parts.next())?,
-                parts.next().ok_or_else(|| bad("missing subtype"))?.into(),
-            )),
-            "browse" => Ok(Command::Browse(parse_node(parts.next())?)),
-            "select" => {
-                let node = parse_node(parts.next())?;
-                let instances: Result<Vec<InstanceId>, HerculesError> =
-                    parts.map(parse_instance).collect();
-                let instances = instances?;
-                if instances.is_empty() {
-                    return Err(bad("select needs at least one instance"));
-                }
-                Ok(Command::Select(node, instances))
-            }
-            "bind-latest" => Ok(Command::BindLatest),
-            "run" => Ok(Command::Run),
-            "resume" => Ok(Command::Resume),
-            "history" => Ok(Command::History(parse_instance(
-                parts.next().ok_or_else(|| bad("missing instance"))?,
-            )?)),
-            "uses" => Ok(Command::Uses(parse_instance(
-                parts.next().ok_or_else(|| bad("missing instance"))?,
-            )?)),
-            "retrace" => Ok(Command::Retrace(parse_instance(
-                parts.next().ok_or_else(|| bad("missing instance"))?,
-            )?)),
-            "menu" => Ok(Command::Menu(parse_node(parts.next())?)),
-            "store" => Ok(Command::Store(
-                parts.next().ok_or_else(|| bad("missing name"))?.into(),
-            )),
-            "log" => Ok(Command::Log),
-            "trace" => Ok(Command::Trace),
-            "stats" => Ok(Command::Stats),
-            "profile" => Ok(Command::Profile),
-            "show" => Ok(Command::Show),
-            "clear" => Ok(Command::Clear),
-            "catalogs" => Ok(Command::Catalogs),
-            "save" => Ok(Command::Save(
-                parts.next().ok_or_else(|| bad("missing directory"))?.into(),
-            )),
-            "open" => Ok(Command::Open(
-                parts.next().ok_or_else(|| bad("missing directory"))?.into(),
-            )),
-            "checkpoint" => Ok(Command::Checkpoint),
-            "scrub" => Ok(Command::Scrub),
-            "lint" => match parts.next() {
-                None => Ok(Command::Lint { incremental: false }),
-                Some("--incremental") => Ok(Command::Lint { incremental: true }),
-                Some(other) => Err(bad(&format!("unknown lint option `{other}`"))),
-            },
-            "stale" => Ok(Command::Stale),
-            "health" => match parts.next() {
-                None => Ok(Command::Health { json: false }),
-                Some("--json") => Ok(Command::Health { json: true }),
-                Some(other) => Err(bad(&format!("unknown health option `{other}`"))),
-            },
-            "cache" => match parts.next() {
-                Some("open") => Ok(Command::CacheOpen(
-                    parts
-                        .next()
-                        .ok_or_else(|| bad("cache open needs a directory"))?
-                        .to_owned(),
-                )),
-                Some("stats") => Ok(Command::CacheStats),
-                Some("gc") => Ok(Command::CacheGc),
-                _ => Err(bad("cache subcommands: open <dir>, stats, gc")),
-            },
-            other => Err(bad(&format!("unknown verb `{other}`"))),
+        }
+    }
+
+    /// The next word; `missing` is the reason when there is none.
+    fn word(&mut self, missing: &str) -> Result<&'a str, HerculesError> {
+        self.words.next().ok_or_else(|| self.bad(missing))
+    }
+
+    /// The next word as a node (`n3`).
+    fn node(&mut self) -> Result<NodeId, HerculesError> {
+        let word = self.word("missing node (nN)")?;
+        word.strip_prefix('n')
+            .and_then(|s| s.parse().ok())
+            .map(NodeId::from_index)
+            .ok_or_else(|| self.bad("node must look like n3"))
+    }
+
+    /// The next word as an instance (`i7`).
+    fn instance(&mut self) -> Result<InstanceId, HerculesError> {
+        let word = self.word("missing instance")?;
+        self.instance_in(word)
+    }
+
+    /// Every remaining word as an instance.
+    fn instances(&mut self) -> Result<Vec<InstanceId>, HerculesError> {
+        let words: Vec<&str> = self.words.by_ref().collect();
+        words.into_iter().map(|w| self.instance_in(w)).collect()
+    }
+
+    fn instance_in(&self, word: &str) -> Result<InstanceId, HerculesError> {
+        word.strip_prefix('i')
+            .and_then(|s| s.parse().ok())
+            .map(InstanceId::from_raw)
+            .ok_or_else(|| self.bad("instance must look like i7"))
+    }
+
+    /// Whether the next word is `flag`; no word means `false`, and any
+    /// other word is an unknown option of `verb`.
+    fn flag(&mut self, verb: &str, flag: &str) -> Result<bool, HerculesError> {
+        match self.words.next() {
+            None => Ok(false),
+            Some(word) if word == flag => Ok(true),
+            Some(other) => Err(self.bad(&format!("unknown {verb} option `{other}`"))),
         }
     }
 }
@@ -321,6 +233,30 @@ fn instance_label(session: &Session, id: InstanceId) -> String {
             }
         })
         .unwrap_or_else(|_| id.to_string())
+}
+
+/// The transcript of a `run` or `resume`; `done` is the verb's past
+/// tense.
+fn render_exec(done: &str, report: &ExecReport) -> String {
+    let mut out = format!(
+        "{done} {} subtask(s): {} invocation(s), {} cache hit(s)",
+        report.tasks.len(),
+        report.runs(),
+        report.cache_hits()
+    );
+    if !report.is_complete() {
+        let _ = write!(
+            out,
+            ", {} failed, {} skipped",
+            report.failed(),
+            report.skipped()
+        );
+    }
+    out.push('\n');
+    if let Some(error) = report.first_error() {
+        let _ = writeln!(out, "  first failure: {error}");
+    }
+    out
 }
 
 /// A scriptable UI shell over a session, optionally backed by a
@@ -401,34 +337,33 @@ impl Ui {
         self.workspace.as_ref()
     }
 
-    /// Executes one command line, returning the transcript text the
-    /// user would see.
+    /// Executes one command line, journaling its effect when a
+    /// workspace is attached, and returns the transcript text the user
+    /// would see.
     ///
     /// # Errors
     ///
-    /// Parse and execution errors, verbatim.
+    /// Parse and execution errors, verbatim; a refusal when the
+    /// command would change the session but the workspace can no
+    /// longer write; journaling errors (an acknowledged command must be
+    /// durable, so a failed fsync is reported even though the in-memory
+    /// command succeeded).
     pub fn execute(&mut self, line: &str) -> Result<String, HerculesError> {
-        let command = Command::parse(line)?;
-        self.apply(command)
-    }
-
-    /// Executes a parsed command, journaling its effect when a
-    /// workspace is attached.
-    ///
-    /// # Errors
-    ///
-    /// Execution errors from the session; journaling errors (an
-    /// acknowledged command must be durable, so a failed fsync is
-    /// reported even though the in-memory command succeeded).
-    pub fn apply(&mut self, command: Command) -> Result<String, HerculesError> {
-        // A degraded workspace must reject mutations *before* they land
-        // in the in-memory session: otherwise the session and the
-        // journal silently diverge.
-        if let Some(ws) = &self.workspace {
-            if let WriteState::Degraded(reason) = ws.write_state() {
-                if Ui::mutates_session(&command) {
-                    return Err(HerculesError::from(StoreError::Degraded(reason.clone())));
-                }
+        let mut args = Args {
+            line,
+            words: line.split_whitespace(),
+        };
+        let verb = args.word("empty command")?;
+        let Some(&(_, journal, handler)) = VERBS.iter().find(|(name, ..)| *name == verb) else {
+            return Err(args.bad(&format!("unknown verb `{verb}`")));
+        };
+        // A mutation is refused before it lands in the session when its
+        // frame could not be journaled — the workspace opened degraded,
+        // or a newer writer fenced it out while it sat idle — so that
+        // the session and the journal never diverge.
+        if journal != Journal::None {
+            if let Some(ws) = self.workspace.as_mut() {
+                ws.check_writable()?;
             }
         }
         let db_before = self.session.db().len();
@@ -436,13 +371,17 @@ impl Ui {
         // A frame holds only its own command's effect: it brings the
         // journal level with the session only if the two matched before.
         let matched_journal = !self.session.has_unjournaled_changes();
-        let journaled = command.clone();
-        let result = self.dispatch(command);
-        let op = self
-            .workspace
-            .is_some()
-            .then(|| self.journal_op(&journaled, db_before, events_before, result.is_ok()))
-            .flatten();
+        let (result, op) = match handler(self, args) {
+            Ok(reply) => (Ok(reply.text), reply.op),
+            Err(e) => (Err(e), None),
+        };
+        let op = match journal {
+            _ if self.workspace.is_none() => None,
+            Journal::Exec { report } => {
+                self.exec_op(db_before, events_before, report && result.is_ok())
+            }
+            _ => op,
+        };
         let appended = match (op, self.workspace.as_mut()) {
             (Some(op), Some(ws)) => {
                 let appended = ws.append(&op).map_err(HerculesError::from);
@@ -459,98 +398,6 @@ impl Ui {
         self.pump_telemetry();
         appended?;
         result
-    }
-
-    /// Whether a command mutates the session (and so must be refused
-    /// up front while the attached workspace is degraded read-only).
-    fn mutates_session(command: &Command) -> bool {
-        matches!(
-            command,
-            Command::Goal(_)
-                | Command::Tool(_)
-                | Command::Data(_)
-                | Command::Plan(_)
-                | Command::Expand(_)
-                | Command::Unexpand(_)
-                | Command::Specialize(_, _)
-                | Command::Select(_, _)
-                | Command::BindLatest
-                | Command::Run
-                | Command::Resume
-                | Command::Retrace(_)
-                | Command::Store(_)
-                | Command::Clear
-                | Command::Checkpoint
-        )
-    }
-
-    /// Maps an executed command to the journal operation recording its
-    /// effect, or `None` for read-only commands (and failed ones that
-    /// changed nothing).
-    fn journal_op(
-        &self,
-        command: &Command,
-        db_before: usize,
-        events_before: usize,
-        ok: bool,
-    ) -> Option<JournalOp> {
-        match command {
-            // Flow mutations: on success the session's construction
-            // tape ends with exactly the op just performed (a plan
-            // start resets the tape to its single Install op).
-            Command::Goal(_)
-            | Command::Tool(_)
-            | Command::Plan(_)
-            | Command::Expand(_)
-            | Command::Unexpand(_)
-            | Command::Specialize(_, _) => {
-                if !ok {
-                    return None;
-                }
-                self.session.flow_ops().last().cloned().map(JournalOp::Flow)
-            }
-            Command::Data(instance) => ok.then(|| JournalOp::DataStart {
-                instance: instance.raw(),
-            }),
-            Command::Select(node, instances) => ok.then(|| JournalOp::Select {
-                node: node.index(),
-                instances: instances.iter().map(|i| i.raw()).collect(),
-            }),
-            Command::BindLatest => ok.then_some(JournalOp::BindLatest),
-            Command::Store(name) => ok.then(|| JournalOp::StoreFlow {
-                name: name.clone(),
-                description: "stored from the UI".to_owned(),
-            }),
-            Command::Clear => ok.then_some(JournalOp::Clear),
-            // Executions are journaled extensionally — committed
-            // instances, the report, the logged event — even when they
-            // returned an error, because an aborted run may still have
-            // committed disjoint branches.
-            Command::Run | Command::Resume => self.exec_op(db_before, events_before, ok),
-            Command::Retrace(_) => self.exec_op(db_before, events_before, false),
-            // Read-only commands, and the workspace commands
-            // themselves, are not journaled.
-            Command::Browse(_)
-            | Command::History(_)
-            | Command::Uses(_)
-            | Command::Menu(_)
-            | Command::Log
-            | Command::Trace
-            | Command::Stats
-            | Command::Profile
-            | Command::Show
-            | Command::Catalogs
-            | Command::Save(_)
-            | Command::Open(_)
-            | Command::Checkpoint
-            | Command::Scrub
-            | Command::Lint { .. }
-            | Command::Stale
-            | Command::Health { .. }
-            | Command::CacheOpen(_)
-            | Command::CacheStats
-            | Command::CacheGc => None,
-        }
     }
 
     /// Captures the extensional effect of an execution command: the
@@ -581,480 +428,6 @@ impl Ui {
             report,
             event,
         }))
-    }
-
-    fn dispatch(&mut self, command: Command) -> Result<String, HerculesError> {
-        match command {
-            Command::Goal(name) => {
-                let node = self.session.start_from_goal(&name)?;
-                Ok(format!("started from goal {name}: {node}\n"))
-            }
-            Command::Tool(name) => {
-                let node = self.session.start_from_tool(&name)?;
-                Ok(format!("started from tool {name}: {node}\n"))
-            }
-            Command::Data(instance) => {
-                let node = self.session.start_from_data(instance)?;
-                Ok(format!("started from data {instance}: {node}\n"))
-            }
-            Command::Plan(name) => {
-                let node = self.session.start_from_plan(&name)?;
-                Ok(format!("instantiated flow `{name}`; output {node}\n"))
-            }
-            Command::Expand(node) => {
-                let created = self.session.expand(node)?;
-                Ok(format!(
-                    "expanded {node}: +{}\n",
-                    created
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(" +")
-                ))
-            }
-            Command::Unexpand(node) => {
-                let removed = self.session.unexpand(node)?;
-                Ok(format!("unexpanded {node}: removed {}\n", removed.len()))
-            }
-            Command::Specialize(node, subtype) => {
-                self.session.specialize(node, &subtype)?;
-                Ok(format!("specialized {node} to {subtype}\n"))
-            }
-            Command::Browse(node) => {
-                let instances = self.session.browse(node)?;
-                let mut out = format!("browser for {node}:\n");
-                for i in instances {
-                    let _ = writeln!(out, "  {}", instance_label(&self.session, i));
-                }
-                Ok(out)
-            }
-            Command::Select(node, instances) => {
-                Binding::check_selection(
-                    self.session.flow()?,
-                    self.session.db(),
-                    node,
-                    &instances,
-                )?;
-                self.session.select_many(node, &instances);
-                Ok(format!(
-                    "selected {} instance(s) for {node}\n",
-                    instances.len()
-                ))
-            }
-            Command::BindLatest => {
-                let unbound = self.session.bind_latest()?;
-                Ok(format!(
-                    "auto-bound; {} leaf(s) still unbound\n",
-                    unbound.len()
-                ))
-            }
-            Command::Run => {
-                let report = self.session.run()?;
-                let mut out = format!(
-                    "ran {} subtask(s): {} invocation(s), {} cache hit(s)",
-                    report.tasks.len(),
-                    report.runs(),
-                    report.cache_hits()
-                );
-                if !report.is_complete() {
-                    let _ = write!(
-                        out,
-                        ", {} failed, {} skipped",
-                        report.failed(),
-                        report.skipped()
-                    );
-                }
-                out.push('\n');
-                if let Some(error) = report.first_error() {
-                    let _ = writeln!(out, "  first failure: {error}");
-                }
-                Ok(out)
-            }
-            Command::Resume => {
-                let report = self.session.resume()?;
-                let mut out = format!(
-                    "resumed {} subtask(s): {} invocation(s), {} cache hit(s)",
-                    report.tasks.len(),
-                    report.runs(),
-                    report.cache_hits()
-                );
-                if !report.is_complete() {
-                    let _ = write!(
-                        out,
-                        ", {} failed, {} skipped",
-                        report.failed(),
-                        report.skipped()
-                    );
-                }
-                out.push('\n');
-                if let Some(error) = report.first_error() {
-                    let _ = writeln!(out, "  first failure: {error}");
-                }
-                Ok(out)
-            }
-            Command::History(instance) => {
-                let tree = self.session.history_of(instance, Some(1))?;
-                let mut out = format!("history of {}:\n", instance_label(&self.session, instance));
-                if let Some(tool) = tree.tool {
-                    let _ = writeln!(out, "  f← {}", instance_label(&self.session, tool));
-                }
-                for input in &tree.inputs {
-                    let _ = writeln!(
-                        out,
-                        "  d← {}",
-                        instance_label(&self.session, input.instance)
-                    );
-                }
-                if tree.tool.is_none() && tree.inputs.is_empty() {
-                    out.push_str("  (primary instance)\n");
-                }
-                Ok(out)
-            }
-            Command::Uses(instance) => {
-                let downstream = self.session.db().forward_chain(instance)?;
-                let mut out = format!(
-                    "derived from {}:\n",
-                    instance_label(&self.session, instance)
-                );
-                if downstream.is_empty() {
-                    out.push_str("  (nothing yet)\n");
-                }
-                for d in downstream {
-                    let _ = writeln!(out, "  {}", instance_label(&self.session, d));
-                }
-                Ok(out)
-            }
-            Command::Retrace(instance) => {
-                let report = self.session.retrace(instance)?;
-                Ok(if report.already_current {
-                    format!("{instance} is already current; nothing re-ran\n")
-                } else {
-                    format!(
-                        "retraced {instance}: {} invocation(s), {} cache hit(s); \
-                         current result(s): {}\n",
-                        report.report.runs(),
-                        report.report.cache_hits(),
-                        report
-                            .goal_instances
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                })
-            }
-            Command::Menu(node) => {
-                let flow = self.session.flow()?;
-                let menu = flow.menu_for(node)?;
-                let schema = self.session.schema().clone();
-                let names = |ids: &[hercules_schema::EntityTypeId]| {
-                    ids.iter()
-                        .map(|&e| schema.entity(e).name())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                };
-                let mut out = format!("menu for {node}:\n");
-                if menu.can_expand {
-                    out.push_str("  Expand\n");
-                    if !menu.optional_inputs.is_empty() {
-                        let _ = writeln!(
-                            out,
-                            "  Expand with optional: {}",
-                            names(&menu.optional_inputs)
-                        );
-                    }
-                }
-                if !menu.specializations.is_empty() {
-                    let _ = writeln!(out, "  Specialize: {}", names(&menu.specializations));
-                }
-                if menu.can_unexpand {
-                    out.push_str("  Unexpand\n");
-                }
-                if menu.needs_instance {
-                    out.push_str("  Browse / Select\n");
-                }
-                if !menu.consumers.is_empty() {
-                    let _ = writeln!(out, "  Make from this: {}", names(&menu.consumers));
-                }
-                Ok(out)
-            }
-            Command::Store(name) => {
-                self.session.store_flow(&name, "stored from the UI")?;
-                Ok(format!("stored flow `{name}`\n"))
-            }
-            Command::Log => {
-                let events = self.session.events();
-                if events.is_empty() {
-                    let mut out = String::from("event log: (empty)\n");
-                    if let Some(recovery) = &self.last_recovery {
-                        let _ = writeln!(out, "last recovery: {}", recovery.to_json());
-                    }
-                    return Ok(out);
-                }
-                let mut out = String::from("event log:\n");
-                for (n, event) in events.iter().enumerate() {
-                    let _ = write!(out, "  #{n}");
-                    // Events from journals written before timestamps
-                    // existed deserialize with wall_unix_ms == 0; skip
-                    // the stamp rather than print the epoch.
-                    if event.wall_unix_ms > 0 {
-                        let _ = write!(out, " [{}]", format_utc_ms(event.wall_unix_ms));
-                    }
-                    let _ = write!(
-                        out,
-                        " {}: {} task(s), {} run(s), {} cache hit(s)",
-                        event.operation, event.tasks, event.runs, event.cache_hits
-                    );
-                    if event.failed > 0 || event.skipped > 0 {
-                        let _ = write!(out, ", {} failed, {} skipped", event.failed, event.skipped);
-                    }
-                    out.push('\n');
-                    for failure in &event.failures {
-                        let _ = writeln!(out, "      ✗ {failure}");
-                    }
-                    if let Some(error) = &event.error {
-                        let _ = writeln!(out, "      aborted: {error}");
-                    }
-                }
-                if let Some(recovery) = &self.last_recovery {
-                    let _ = writeln!(out, "last recovery: {}", recovery.to_json());
-                }
-                Ok(out)
-            }
-            Command::Trace => {
-                let events = self.session.trace_events();
-                if events.is_empty() {
-                    return Ok("trace: (no spans recorded — run something first)\n".to_owned());
-                }
-                let spans = profile::build_spans(&events);
-                Ok(format!(
-                    "trace ({} spans):\n{}",
-                    spans.len(),
-                    profile::render_tree(&spans)
-                ))
-            }
-            Command::Stats => Ok(self.session.metrics().snapshot().render_text()),
-            Command::Profile => {
-                let live = self.session.trace_events();
-                let events = if live.iter().any(|e| e.name == "task") {
-                    live
-                } else {
-                    // No live trace (fresh process, reopened workspace):
-                    // synthesize one from the persisted report's start
-                    // offsets and durations.
-                    let Some(report) = self.session.last_report() else {
-                        return Ok("profile: (no execution to profile)\n".to_owned());
-                    };
-                    report_to_trace(report, self.session.flow().ok())
-                };
-                let prof = profile::profile(&events);
-                Ok(format!("{}\n{}", prof.render_text(), prof.render_gantt(60)))
-            }
-            Command::Show => Ok(render_task_window(&self.session)),
-            Command::Clear => {
-                self.session.clear_flow();
-                Ok("cleared\n".to_owned())
-            }
-            Command::Catalogs => {
-                let mut out = String::from("entity catalog:\n");
-                for e in catalog::entity_catalog(self.session.schema()) {
-                    let mark = if e.is_tool { "T" } else { "D" };
-                    let _ = writeln!(out, "  [{mark}] {}", e.name);
-                }
-                let _ = writeln!(out, "flow catalog: {:?}", self.session.catalog().names());
-                Ok(out)
-            }
-            Command::Save(path) => {
-                let mut ws =
-                    Workspace::create_in(Path::new(&path), &self.session, self.env.clone())
-                        .map_err(HerculesError::from)?;
-                ws.set_metrics(self.session.metrics().clone());
-                self.session.mark_journaled();
-                self.workspace = Some(ws);
-                self.attach_telemetry();
-                Ok(format!(
-                    "workspace saved to `{path}`; mutating commands are now journaled\n"
-                ))
-            }
-            Command::Open(path) => {
-                let (mut ws, session, recovery) = Workspace::open_session_in(
-                    Path::new(&path),
-                    |s| crate::encaps::odyssey_registry(s),
-                    self.env.clone(),
-                )
-                .map_err(HerculesError::from)?;
-                self.session = session;
-                ws.set_metrics(self.session.metrics().clone());
-                if recovery.degraded.is_some() {
-                    self.session
-                        .metrics()
-                        .incr(hercules_obs::names::STORE_DEGRADED_OPENS, 1);
-                }
-                if recovery.took_over {
-                    self.session.metrics().incr(names::STORE_LEASE_TAKEOVERS, 1);
-                }
-                self.workspace = Some(ws);
-                self.attach_telemetry();
-                // The old analysis state described a different history;
-                // the next lint is a full one.
-                self.linter = HistoryLinter::new();
-                let mut out = format!("opened workspace `{path}`: {recovery}\n");
-                let _ = writeln!(out, "recovery: {}", recovery.to_json());
-                self.last_recovery = Some(recovery);
-                Ok(out)
-            }
-            Command::Checkpoint => match self.workspace.as_mut() {
-                None => Err(HerculesError::Store {
-                    message: "no workspace attached; `save <path>` first".into(),
-                }),
-                Some(ws) => {
-                    let kind = ws.checkpoint(&self.session).map_err(HerculesError::from)?;
-                    self.session.mark_journaled();
-                    let generation = ws.generation();
-                    Ok(match kind {
-                        CheckpointKind::Appended => format!(
-                            "checkpointed; snapshot appended to generation {generation}'s journal\n"
-                        ),
-                        CheckpointKind::Rotated => {
-                            format!("checkpointed; rotated to generation {generation}\n")
-                        }
-                        CheckpointKind::Synced => format!(
-                            "checkpointed; generation {generation}'s journal already holds every change\n"
-                        ),
-                    })
-                }
-            },
-            Command::Scrub => match self.workspace.as_mut() {
-                None => Err(HerculesError::Store {
-                    message: "no workspace attached; `save <path>` or `open <path>` first".into(),
-                }),
-                Some(ws) => {
-                    let report = ws.scrub(&self.session).map_err(HerculesError::from)?;
-                    if report.repaired {
-                        self.session.mark_journaled();
-                    }
-                    let mut out = format!("{report}\n");
-                    let _ = writeln!(out, "scrub: {}", report.to_json());
-                    Ok(out)
-                }
-            },
-            Command::Lint { incremental } => {
-                let started = self.env.clock.now();
-                let mut out = Diagnostics::new();
-                let mut timings = Vec::new();
-                {
-                    let clock = self.env.clock.clone();
-                    let mut tick = move || clock.now().as_ns();
-                    timings.extend(hercules_analyze::lint_schema_timed(
-                        self.session.schema(),
-                        &mut out,
-                        &mut tick,
-                    ));
-                    if let Ok(flow) = self.session.flow() {
-                        timings
-                            .extend(hercules_analyze::lint_flow_timed(flow, &mut out, &mut tick));
-                    }
-                }
-                let result = if incremental {
-                    self.linter.lint_incremental(self.session.db(), &mut out)
-                } else {
-                    self.linter.lint_full(self.session.db(), &mut out)
-                };
-                result.map_err(|e| HerculesError::Store {
-                    message: format!("history analysis failed: {e}"),
-                })?;
-                let stats = self.linter.stats();
-                let metrics = self.session.metrics();
-                metrics.observe_duration(names::ANALYZE_LINT_NS, self.env.clock.since(started));
-                for t in &timings {
-                    let name =
-                        format!("{}.{}", names::ANALYZE_PASS_NS, t.code.to_ascii_lowercase());
-                    metrics.observe(&name, t.nanos);
-                }
-                metrics.observe(
-                    names::ANALYZE_CONE_INSTANCES,
-                    stats.instances_analyzed as u64,
-                );
-                let mut text = if out.is_empty() {
-                    String::from("lint: clean\n")
-                } else {
-                    out.render_text()
-                };
-                let _ = writeln!(
-                    text,
-                    "analyzed {}/{} instance(s), {} solver visit(s) ({})",
-                    stats.instances_analyzed,
-                    stats.instances_total,
-                    stats.solver_visits,
-                    if stats.incremental {
-                        "incremental"
-                    } else {
-                        "full"
-                    }
-                );
-                Ok(text)
-            }
-            Command::Stale => {
-                let stale = self.session.db().stale_instances()?;
-                if stale.is_empty() {
-                    return Ok("stale: everything is current\n".to_owned());
-                }
-                let mut out = format!("{} stale instance(s):\n", stale.len());
-                for s in &stale {
-                    let cone = RetraceCone::compute(self.session.db(), s.instance)?;
-                    self.session
-                        .metrics()
-                        .observe(names::ANALYZE_RETRACE_RERUN, cone.rerun.len() as u64);
-                    let _ = writeln!(
-                        out,
-                        "  {} ({} superseded by {}): retrace would be {}",
-                        instance_label(&self.session, s.instance),
-                        s.outdated_input,
-                        s.newer_version,
-                        cone.summary()
-                    );
-                }
-                Ok(out)
-            }
-            Command::Health { json } => {
-                let report = self.health_report();
-                if json {
-                    Ok(format!("{}\n", report.to_json()))
-                } else {
-                    Ok(report.render_text())
-                }
-            }
-            Command::CacheOpen(dir) => {
-                let cache = hercules_cache::ContentCache::open(
-                    &self.env.fs,
-                    &dir,
-                    hercules_cache::CacheConfig::default(),
-                    self.env.clock.clone(),
-                    self.session.metrics().clone(),
-                )
-                .map_err(|e| HerculesError::Store {
-                    message: format!("cache open failed: {e}"),
-                })?;
-                self.session.attach_content_cache(cache);
-                Ok(format!("content cache attached at {dir}\n"))
-            }
-            Command::CacheStats => match self.session.content_cache() {
-                Some(cache) => Ok(cache.stats().render_text()),
-                None => Ok("content cache: not attached (`cache open <dir>`)\n".to_owned()),
-            },
-            Command::CacheGc => match self.session.content_cache() {
-                Some(cache) => {
-                    let r = cache.gc().map_err(|e| HerculesError::Store {
-                        message: format!("cache gc failed: {e}"),
-                    })?;
-                    Ok(format!(
-                        "cache gc: scanned {} entries, evicted {}, dropped {} damaged, reaped {} tmp, {} -> {} bytes\n",
-                        r.scanned, r.evicted, r.dropped, r.reaped_tmp, r.bytes_before, r.bytes_after
-                    ))
-                }
-                None => Ok("content cache: not attached (`cache open <dir>`)\n".to_owned()),
-            },
-        }
     }
 
     /// Computes the aggregated health report for the current session
@@ -1190,44 +563,566 @@ impl Ui {
     }
 }
 
-/// Convenience constructor mirroring [`Session::start`].
-impl From<Approach> for Command {
-    fn from(a: Approach) -> Command {
-        match a {
-            Approach::Goal(g) => Command::Goal(g),
-            Approach::Tool(t) => Command::Tool(t),
-            Approach::Data(d) => Command::Data(d),
-            Approach::Plan(p) => Command::Plan(p),
+/// The handlers `VERBS` names, in its order. Each parses the rest of
+/// its line before it touches the session.
+impl Ui {
+    fn goal(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let name = args.word("missing entity")?;
+        let node = self.session.start_from_goal(name)?;
+        Ok(self.flow_reply(format!("started from goal {name}: {node}\n")))
+    }
+
+    fn tool(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let name = args.word("missing tool")?;
+        let node = self.session.start_from_tool(name)?;
+        Ok(self.flow_reply(format!("started from tool {name}: {node}\n")))
+    }
+
+    fn data(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let instance = args.instance()?;
+        let node = self.session.start_from_data(instance)?;
+        Ok(Reply {
+            text: format!("started from data {instance}: {node}\n"),
+            op: Some(JournalOp::DataStart {
+                instance: instance.raw(),
+            }),
+        })
+    }
+
+    fn plan(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let name = args.word("missing flow name")?;
+        let node = self.session.start_from_plan(name)?;
+        Ok(self.flow_reply(format!("instantiated flow `{name}`; output {node}\n")))
+    }
+
+    fn expand(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let node = args.node()?;
+        let created = self.session.expand(node)?;
+        Ok(self.flow_reply(format!(
+            "expanded {node}: +{}\n",
+            created
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(" +")
+        )))
+    }
+
+    fn unexpand(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let node = args.node()?;
+        let removed = self.session.unexpand(node)?;
+        Ok(self.flow_reply(format!("unexpanded {node}: removed {}\n", removed.len())))
+    }
+
+    fn specialize(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let node = args.node()?;
+        let subtype = args.word("missing subtype")?;
+        self.session.specialize(node, subtype)?;
+        Ok(self.flow_reply(format!("specialized {node} to {subtype}\n")))
+    }
+
+    /// A flow verb's reply: on success the session's construction tape
+    /// ends with exactly the op just performed (a plan start resets the
+    /// tape to its single Install op).
+    fn flow_reply(&self, text: String) -> Reply {
+        let op = self.session.flow_ops().last().cloned().map(JournalOp::Flow);
+        Reply { text, op }
+    }
+
+    fn browse(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let node = args.node()?;
+        let instances = self.session.browse(node)?;
+        let mut out = format!("browser for {node}:\n");
+        for i in instances {
+            let _ = writeln!(out, "  {}", instance_label(&self.session, i));
         }
+        Ok(out.into())
+    }
+
+    fn select(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let node = args.node()?;
+        let instances = args.instances()?;
+        if instances.is_empty() {
+            return Err(args.bad("select needs at least one instance"));
+        }
+        Binding::check_selection(self.session.flow()?, self.session.db(), node, &instances)?;
+        self.session.select_many(node, &instances);
+        Ok(Reply {
+            text: format!("selected {} instance(s) for {node}\n", instances.len()),
+            op: Some(JournalOp::Select {
+                node: node.index(),
+                instances: instances.iter().map(|i| i.raw()).collect(),
+            }),
+        })
+    }
+
+    fn bind_latest(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        let unbound = self.session.bind_latest()?;
+        Ok(Reply {
+            text: format!("auto-bound; {} leaf(s) still unbound\n", unbound.len()),
+            op: Some(JournalOp::BindLatest),
+        })
+    }
+
+    fn run(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        let report = self.session.run()?;
+        Ok(render_exec("ran", report).into())
+    }
+
+    /// Re-runs only the failed/skipped subtasks of the last partial
+    /// execution, serving committed work from the history.
+    fn resume(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        let report = self.session.resume()?;
+        Ok(render_exec("resumed", report).into())
+    }
+
+    fn history(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let instance = args.instance()?;
+        let tree = self.session.history_of(instance, Some(1))?;
+        let mut out = format!("history of {}:\n", instance_label(&self.session, instance));
+        if let Some(tool) = tree.tool {
+            let _ = writeln!(out, "  f← {}", instance_label(&self.session, tool));
+        }
+        for input in &tree.inputs {
+            let _ = writeln!(
+                out,
+                "  d← {}",
+                instance_label(&self.session, input.instance)
+            );
+        }
+        if tree.tool.is_none() && tree.inputs.is_empty() {
+            out.push_str("  (primary instance)\n");
+        }
+        Ok(out.into())
+    }
+
+    /// Forward-chains: everything derived from the instance (the "Use
+    /// Dependencies" browser option).
+    fn uses(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let instance = args.instance()?;
+        let downstream = self.session.db().forward_chain(instance)?;
+        let mut out = format!(
+            "derived from {}:\n",
+            instance_label(&self.session, instance)
+        );
+        if downstream.is_empty() {
+            out.push_str("  (nothing yet)\n");
+        }
+        for d in downstream {
+            let _ = writeln!(out, "  {}", instance_label(&self.session, d));
+        }
+        Ok(out.into())
+    }
+
+    /// Consistency maintenance: re-runs the flow behind the instance
+    /// against the newest input versions.
+    fn retrace(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let instance = args.instance()?;
+        let report = self.session.retrace(instance)?;
+        if report.already_current {
+            return Ok(format!("{instance} is already current; nothing re-ran\n").into());
+        }
+        Ok(format!(
+            "retraced {instance}: {} invocation(s), {} cache hit(s); \
+             current result(s): {}\n",
+            report.report.runs(),
+            report.report.cache_hits(),
+            report
+                .goal_instances
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(", ")
+        )
+        .into())
+    }
+
+    /// Shows the Fig. 9 pop-up menu for a node.
+    fn menu(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let node = args.node()?;
+        let flow = self.session.flow()?;
+        let menu = flow.menu_for(node)?;
+        let schema = self.session.schema().clone();
+        let names = |ids: &[hercules_schema::EntityTypeId]| {
+            ids.iter()
+                .map(|&e| schema.entity(e).name())
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let mut out = format!("menu for {node}:\n");
+        if menu.can_expand {
+            out.push_str("  Expand\n");
+            if !menu.optional_inputs.is_empty() {
+                let _ = writeln!(
+                    out,
+                    "  Expand with optional: {}",
+                    names(&menu.optional_inputs)
+                );
+            }
+        }
+        if !menu.specializations.is_empty() {
+            let _ = writeln!(out, "  Specialize: {}", names(&menu.specializations));
+        }
+        if menu.can_unexpand {
+            out.push_str("  Unexpand\n");
+        }
+        if menu.needs_instance {
+            out.push_str("  Browse / Select\n");
+        }
+        if !menu.consumers.is_empty() {
+            let _ = writeln!(out, "  Make from this: {}", names(&menu.consumers));
+        }
+        Ok(out.into())
+    }
+
+    /// Stores the flow in the catalog.
+    fn store(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let name = args.word("missing name")?;
+        let description = "stored from the UI";
+        self.session.store_flow(name, description)?;
+        Ok(Reply {
+            text: format!("stored flow `{name}`\n"),
+            op: Some(JournalOp::StoreFlow {
+                name: name.to_owned(),
+                description: description.to_owned(),
+            }),
+        })
+    }
+
+    /// Lists the session's execution events, failures included.
+    fn log(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        let events = self.session.events();
+        let mut out = String::from(if events.is_empty() {
+            "event log: (empty)\n"
+        } else {
+            "event log:\n"
+        });
+        for (n, event) in events.iter().enumerate() {
+            let _ = write!(out, "  #{n}");
+            // Events from journals written before timestamps existed
+            // deserialize with wall_unix_ms == 0; skip the stamp rather
+            // than print the epoch.
+            if event.wall_unix_ms > 0 {
+                let _ = write!(out, " [{}]", format_utc_ms(event.wall_unix_ms));
+            }
+            let _ = write!(
+                out,
+                " {}: {} task(s), {} run(s), {} cache hit(s)",
+                event.operation, event.tasks, event.runs, event.cache_hits
+            );
+            if event.failed > 0 || event.skipped > 0 {
+                let _ = write!(out, ", {} failed, {} skipped", event.failed, event.skipped);
+            }
+            out.push('\n');
+            for failure in &event.failures {
+                let _ = writeln!(out, "      ✗ {failure}");
+            }
+            if let Some(error) = &event.error {
+                let _ = writeln!(out, "      aborted: {error}");
+            }
+        }
+        if let Some(recovery) = &self.last_recovery {
+            let _ = writeln!(out, "last recovery: {}", recovery.to_json());
+        }
+        Ok(out.into())
+    }
+
+    /// Renders the span tree of the traced executions.
+    fn trace(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        let events = self.session.trace_events();
+        if events.is_empty() {
+            return Ok(String::from("trace: (no spans recorded — run something first)\n").into());
+        }
+        let spans = profile::build_spans(&events);
+        Ok(format!(
+            "trace ({} spans):\n{}",
+            spans.len(),
+            profile::render_tree(&spans)
+        )
+        .into())
+    }
+
+    /// Renders the session's metrics registry.
+    fn stats(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        Ok(self.session.metrics().snapshot().render_text().into())
+    }
+
+    /// Critical-path analysis and Gantt chart of the last execution:
+    /// from the live trace when there is one, else synthesized from the
+    /// last report (e.g. after reopening a workspace).
+    fn profile(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        let live = self.session.trace_events();
+        let events = if live.iter().any(|e| e.name == "task") {
+            live
+        } else {
+            // No live trace (fresh process, reopened workspace):
+            // synthesize one from the persisted report's start offsets
+            // and durations.
+            let Some(report) = self.session.last_report() else {
+                return Ok(String::from("profile: (no execution to profile)\n").into());
+            };
+            report_to_trace(report, self.session.flow().ok())
+        };
+        let prof = profile::profile(&events);
+        Ok(format!("{}\n{}", prof.render_text(), prof.render_gantt(60)).into())
+    }
+
+    fn show(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        Ok(render_task_window(&self.session).into())
+    }
+
+    /// Abandons the flow.
+    fn clear(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        self.session.clear_flow();
+        Ok(Reply {
+            text: "cleared\n".to_owned(),
+            op: Some(JournalOp::Clear),
+        })
+    }
+
+    fn catalogs(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        let mut out = String::from("entity catalog:\n");
+        for e in catalog::entity_catalog(self.session.schema()) {
+            let mark = if e.is_tool { "T" } else { "D" };
+            let _ = writeln!(out, "  [{mark}] {}", e.name);
+        }
+        let _ = writeln!(out, "flow catalog: {:?}", self.session.catalog().names());
+        Ok(out.into())
+    }
+
+    /// Creates a durable workspace at the directory; every later
+    /// mutating command is journaled into it.
+    fn save(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let path = args.word("missing directory")?;
+        let mut ws = Workspace::create_in(Path::new(path), &self.session, self.env.clone())?;
+        ws.set_metrics(self.session.metrics().clone());
+        self.session.mark_journaled();
+        self.workspace = Some(ws);
+        self.attach_telemetry();
+        Ok(format!("workspace saved to `{path}`; mutating commands are now journaled\n").into())
+    }
+
+    /// Recovers the session from a durable workspace, replaying its
+    /// journal and truncating any torn tail.
+    fn open(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let path = args.word("missing directory")?;
+        let (mut ws, session, recovery) = Workspace::open_session_in(
+            Path::new(path),
+            |s| crate::encaps::odyssey_registry(s),
+            self.env.clone(),
+        )?;
+        self.session = session;
+        ws.set_metrics(self.session.metrics().clone());
+        if recovery.degraded.is_some() {
+            self.session.metrics().incr(names::STORE_DEGRADED_OPENS, 1);
+        }
+        if recovery.took_over {
+            self.session.metrics().incr(names::STORE_LEASE_TAKEOVERS, 1);
+        }
+        self.workspace = Some(ws);
+        self.attach_telemetry();
+        // The old analysis state described a different history; the
+        // next lint is a full one.
+        self.linter = HistoryLinter::new();
+        let mut out = format!("opened workspace `{path}`: {recovery}\n");
+        let _ = writeln!(out, "recovery: {}", recovery.to_json());
+        self.last_recovery = Some(recovery);
+        Ok(out.into())
+    }
+
+    /// Makes the session durable as a snapshot: appends it to the
+    /// journal, or rotates to a new generation once the old one has
+    /// grown large. When the journal already holds every change since
+    /// a recent snapshot, only syncs it.
+    fn checkpoint(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        let Some(ws) = self.workspace.as_mut() else {
+            return Err(HerculesError::Store {
+                message: "no workspace attached; `save <path>` first".into(),
+            });
+        };
+        let kind = ws.checkpoint(&self.session)?;
+        self.session.mark_journaled();
+        let generation = ws.generation();
+        let text = match kind {
+            CheckpointKind::Appended => {
+                format!("checkpointed; snapshot appended to generation {generation}'s journal\n")
+            }
+            CheckpointKind::Rotated => {
+                format!("checkpointed; rotated to generation {generation}\n")
+            }
+            CheckpointKind::Synced => format!(
+                "checkpointed; generation {generation}'s journal already holds every change\n"
+            ),
+        };
+        Ok(text.into())
+    }
+
+    /// CRC-verifies every journal segment, the generation's base in
+    /// frame 0 included, quarantining and repairing damage when the
+    /// workspace is writable.
+    fn scrub(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        let Some(ws) = self.workspace.as_mut() else {
+            return Err(HerculesError::Store {
+                message: "no workspace attached; `save <path>` or `open <path>` first".into(),
+            });
+        };
+        let report = ws.scrub(&self.session)?;
+        if report.repaired {
+            self.session.mark_journaled();
+        }
+        let mut out = format!("{report}\n");
+        let _ = writeln!(out, "scrub: {}", report.to_json());
+        Ok(out.into())
+    }
+
+    /// Runs the static analyzer over the session; with `--incremental`
+    /// the history passes re-analyze only the cone of instances
+    /// affected since the last lint.
+    fn lint(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let incremental = args.flag("lint", "--incremental")?;
+        let started = self.env.clock.now();
+        let mut out = Diagnostics::new();
+        let mut timings = Vec::new();
+        {
+            let clock = self.env.clock.clone();
+            let mut tick = move || clock.now().as_ns();
+            timings.extend(hercules_analyze::lint_schema_timed(
+                self.session.schema(),
+                &mut out,
+                &mut tick,
+            ));
+            if let Ok(flow) = self.session.flow() {
+                timings.extend(hercules_analyze::lint_flow_timed(flow, &mut out, &mut tick));
+            }
+        }
+        let result = if incremental {
+            self.linter.lint_incremental(self.session.db(), &mut out)
+        } else {
+            self.linter.lint_full(self.session.db(), &mut out)
+        };
+        result.map_err(|e| HerculesError::Store {
+            message: format!("history analysis failed: {e}"),
+        })?;
+        let stats = self.linter.stats();
+        let metrics = self.session.metrics();
+        metrics.observe_duration(names::ANALYZE_LINT_NS, self.env.clock.since(started));
+        for t in &timings {
+            let name = format!("{}.{}", names::ANALYZE_PASS_NS, t.code.to_ascii_lowercase());
+            metrics.observe(&name, t.nanos);
+        }
+        metrics.observe(
+            names::ANALYZE_CONE_INSTANCES,
+            stats.instances_analyzed as u64,
+        );
+        let mut text = if out.is_empty() {
+            String::from("lint: clean\n")
+        } else {
+            out.render_text()
+        };
+        let _ = writeln!(
+            text,
+            "analyzed {}/{} instance(s), {} solver visit(s) ({})",
+            stats.instances_analyzed,
+            stats.instances_total,
+            stats.solver_visits,
+            if stats.incremental {
+                "incremental"
+            } else {
+                "full"
+            }
+        );
+        Ok(text.into())
+    }
+
+    /// Reports every out-of-date derived instance with its predicted
+    /// retrace cone (§3.3's "whether such retracing need occur",
+    /// answered without running anything).
+    fn stale(&mut self, _: Args) -> Result<Reply, HerculesError> {
+        let stale = self.session.db().stale_instances()?;
+        if stale.is_empty() {
+            return Ok(String::from("stale: everything is current\n").into());
+        }
+        let mut out = format!("{} stale instance(s):\n", stale.len());
+        for s in &stale {
+            let cone = RetraceCone::compute(self.session.db(), s.instance)?;
+            self.session
+                .metrics()
+                .observe(names::ANALYZE_RETRACE_RERUN, cone.rerun.len() as u64);
+            let _ = writeln!(
+                out,
+                "  {} ({} superseded by {}): retrace would be {}",
+                instance_label(&self.session, s.instance),
+                s.outdated_input,
+                s.newer_version,
+                cone.summary()
+            );
+        }
+        Ok(out.into())
+    }
+
+    /// The aggregated workspace health report (`--json` for a JSON
+    /// object): store mode/lease/quarantine, scheduler rates, cache hit
+    /// rate, and stale instances, each mapped to ok/warn/critical.
+    fn health(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let json = args.flag("health", "--json")?;
+        let report = self.health_report();
+        let text = if json {
+            format!("{}\n", report.to_json())
+        } else {
+            report.render_text()
+        };
+        Ok(text.into())
+    }
+
+    /// `cache open <dir>` attaches a content-addressed result cache
+    /// that later executions consult ahead of tool dispatch (sessions
+    /// that open the same root share results); `cache stats` reports
+    /// its per-tier traffic and occupancy; `cache gc` reclaims its disk
+    /// tier down to its byte budget, dropping damaged entries.
+    fn cache(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
+        let detached = || String::from("content cache: not attached (`cache open <dir>`)\n");
+        let out = match args.words.next() {
+            Some("open") => {
+                let dir = args.word("cache open needs a directory")?;
+                let cache = hercules_cache::ContentCache::open(
+                    &self.env.fs,
+                    dir,
+                    hercules_cache::CacheConfig::default(),
+                    self.env.clock.clone(),
+                    self.session.metrics().clone(),
+                )
+                .map_err(|e| HerculesError::Store {
+                    message: format!("cache open failed: {e}"),
+                })?;
+                self.session.attach_content_cache(cache);
+                format!("content cache attached at {dir}\n")
+            }
+            Some("stats") => match self.session.content_cache() {
+                Some(cache) => cache.stats().render_text(),
+                None => detached(),
+            },
+            Some("gc") => match self.session.content_cache() {
+                Some(cache) => {
+                    let r = cache.gc().map_err(|e| HerculesError::Store {
+                        message: format!("cache gc failed: {e}"),
+                    })?;
+                    format!(
+                        "cache gc: scanned {} entries, evicted {}, dropped {} damaged, reaped {} tmp, {} -> {} bytes\n",
+                        r.scanned, r.evicted, r.dropped, r.reaped_tmp, r.bytes_before, r.bytes_after
+                    )
+                }
+                None => detached(),
+            },
+            _ => return Err(args.bad("cache subcommands: open <dir>, stats, gc")),
+        };
+        Ok(out.into())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_commands() {
-        assert_eq!(
-            Command::parse("goal Performance").expect("ok"),
-            Command::Goal("Performance".into())
-        );
-        assert_eq!(
-            Command::parse("expand n3").expect("ok"),
-            Command::Expand(NodeId::from_index(3))
-        );
-        assert_eq!(
-            Command::parse("select n2 i7 i9").expect("ok"),
-            Command::Select(
-                NodeId::from_index(2),
-                vec![InstanceId::from_raw(7), InstanceId::from_raw(9)]
-            )
-        );
-        assert!(Command::parse("").is_err());
-        assert!(Command::parse("frobnicate").is_err());
-        assert!(Command::parse("expand x3").is_err());
-        assert!(Command::parse("select n2").is_err());
-    }
+    use crate::store::{DegradedReason, StoreError};
 
     #[test]
     fn task_window_renders_without_flow() {
@@ -1389,32 +1284,6 @@ mod tests {
     }
 
     #[test]
-    fn approach_converts_to_command() {
-        let c: Command = Approach::Goal("Layout".into()).into();
-        assert_eq!(c, Command::Goal("Layout".into()));
-    }
-
-    #[test]
-    fn parse_workspace_commands() {
-        assert_eq!(
-            Command::parse("save /tmp/ws").expect("ok"),
-            Command::Save("/tmp/ws".into())
-        );
-        assert_eq!(
-            Command::parse("open /tmp/ws").expect("ok"),
-            Command::Open("/tmp/ws".into())
-        );
-        assert_eq!(
-            Command::parse("checkpoint").expect("ok"),
-            Command::Checkpoint
-        );
-        assert_eq!(Command::parse("scrub").expect("ok"), Command::Scrub);
-        assert_eq!(Command::parse("resume").expect("ok"), Command::Resume);
-        assert!(Command::parse("save").is_err());
-        assert!(Command::parse("open").is_err());
-    }
-
-    #[test]
     fn scrub_without_workspace_is_an_error() {
         let mut ui = Ui::new(Session::odyssey("jbb"));
         let err = ui.execute("scrub").expect_err("no workspace");
@@ -1512,6 +1381,180 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// Bytes in the `journal-*` segments under `root`.
+    fn journal_bytes(root: &Path) -> u64 {
+        std::fs::read_dir(root)
+            .expect("lists")
+            .map(|e| e.expect("entry"))
+            .filter(|e| e.file_name().to_string_lossy().starts_with("journal-"))
+            .map(|e| e.metadata().expect("stat").len())
+            .sum()
+    }
+
+    /// Every verb in `VERBS`, listed once and with one sample line, on
+    /// a workspace that can write and on one that cannot: a verb the
+    /// session's journal needs is refused on the degraded one before
+    /// the session changes, and a `Journal::None` verb is never refused
+    /// and never journaled.
+    #[test]
+    fn each_verb_follows_its_journal_class() {
+        let base = std::env::temp_dir().join(format!("hercules-ui-verbs-{}", std::process::id()));
+        let (root, elsewhere) = (base.join("ws"), base.join("elsewhere"));
+        std::fs::remove_dir_all(&base).ok();
+        // `open` and `save` attach another workspace handle, so they
+        // come last.
+        let samples = [
+            "goal Layout",
+            "tool Placer",
+            "data i3",
+            "plan place-flow",
+            "expand n0",
+            "unexpand n0",
+            "specialize n2 EditedNetlist",
+            "select n1 i3",
+            "bind-latest",
+            "run",
+            "resume",
+            "retrace i3",
+            "store place-flow",
+            "clear",
+            "checkpoint",
+            "browse n1",
+            "history i3",
+            "uses i3",
+            "menu n0",
+            "log",
+            "trace",
+            "stats",
+            "profile",
+            "show",
+            "catalogs",
+            "scrub",
+            "lint",
+            "stale",
+            "health",
+            "cache stats",
+            &format!("open {}", root.display()),
+            &format!("save {}", elsewhere.display()),
+        ];
+        let class = |line: &str| {
+            let verb = line.split_whitespace().next();
+            let entry = VERBS.iter().find(|(name, ..)| Some(*name) == verb);
+            entry.expect("a known verb").1
+        };
+        let mut names: Vec<&str> = VERBS.iter().map(|(name, ..)| *name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), VERBS.len(), "a verb is listed twice");
+        for (name, ..) in VERBS {
+            assert!(
+                samples
+                    .iter()
+                    .any(|s| s.split_whitespace().next() == Some(*name)),
+                "`{name}` has no sample line"
+            );
+        }
+
+        let mut ui = Ui::new(Session::odyssey("jbb"));
+        ui.run_script(&format!(
+            "save {}\n\
+             goal Layout\n\
+             expand n0\n",
+            root.display()
+        ))
+        .expect("script runs");
+        for line in samples.iter().filter(|l| class(l) == Journal::None) {
+            let before = journal_bytes(&root);
+            ui.execute(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+            assert_eq!(journal_bytes(&root), before, "`{line}` was journaled");
+        }
+        drop(ui);
+
+        let far_future = u64::MAX / 2;
+        std::fs::write(
+            root.join("LEASE"),
+            format!("{{\"owner\":\"rival\",\"expires_unix_ms\":{far_future},\"token\":99}}"),
+        )
+        .expect("forge lease");
+        let refusal = HerculesError::from(StoreError::Degraded(DegradedReason::LeaseHeld {
+            owner: "rival".into(),
+            expires_unix_ms: far_future,
+        }));
+        let mut ui = Ui::new(Session::odyssey("jbb"));
+        ui.execute(&format!("open {}", root.display()))
+            .expect("opens read-only");
+        let state = |ui: &Ui| {
+            let session = ui.session();
+            let catalog = format!("{:?}", session.catalog().names());
+            let counts = (session.db().len(), session.events().len());
+            (render_task_window(session), counts, catalog)
+        };
+        for line in samples.iter().filter(|l| class(l) != Journal::None) {
+            let before = state(&ui);
+            assert_eq!(ui.execute(line), Err(refusal.clone()), "`{line}`");
+            assert!(state(&ui) == before, "`{line}` changed the session");
+        }
+        for line in samples.iter().filter(|l| class(l) == Journal::None) {
+            ui.execute(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+        }
+        drop(ui);
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    /// Executes each malformed line and checks it fails as `BadCommand`
+    /// with the given reason, leaving the session without a flow.
+    fn assert_bad_commands(lines: &[(&str, &str)]) {
+        let mut ui = Ui::new(Session::odyssey("jbb"));
+        for &(line, reason) in lines {
+            let bad = HerculesError::BadCommand {
+                input: line.to_owned(),
+                reason: reason.to_owned(),
+            };
+            assert_eq!(ui.execute(line), Err(bad), "`{line}`");
+        }
+        assert!(
+            ui.session().flow().is_err(),
+            "no malformed line started a flow"
+        );
+    }
+
+    #[test]
+    fn parse_commands() {
+        assert_bad_commands(&[
+            ("", "empty command"),
+            ("frobnicate", "unknown verb `frobnicate`"),
+            ("goal", "missing entity"),
+            ("tool", "missing tool"),
+            ("data", "missing instance"),
+            ("history 7", "instance must look like i7"),
+            ("plan", "missing flow name"),
+            ("expand", "missing node (nN)"),
+            ("expand x3", "node must look like n3"),
+            ("specialize n2", "missing subtype"),
+            ("select n2", "select needs at least one instance"),
+            ("select n2 i7 x9", "instance must look like i7"),
+            ("store", "missing name"),
+        ]);
+    }
+
+    #[test]
+    fn parse_workspace_commands() {
+        assert_bad_commands(&[
+            ("save", "missing directory"),
+            ("open", "missing directory"),
+            ("cache open", "cache open needs a directory"),
+            ("cache", "cache subcommands: open <dir>, stats, gc"),
+        ]);
+    }
+
+    #[test]
+    fn parse_lint_and_stale_commands() {
+        assert_bad_commands(&[
+            ("lint --frobnicate", "unknown lint option `--frobnicate`"),
+            ("health --yaml", "unknown health option `--yaml`"),
+        ]);
+    }
+
     #[test]
     fn checkpoint_without_workspace_is_an_error() {
         let mut ui = Ui::new(Session::odyssey("jbb"));
@@ -1606,20 +1649,6 @@ mod tests {
         let out = ui.execute("health").expect("reports");
         assert!(out.contains("cache.content.disk"), "{out}");
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn parse_lint_and_stale_commands() {
-        assert_eq!(
-            Command::parse("lint").expect("ok"),
-            Command::Lint { incremental: false }
-        );
-        assert_eq!(
-            Command::parse("lint --incremental").expect("ok"),
-            Command::Lint { incremental: true }
-        );
-        assert_eq!(Command::parse("stale").expect("ok"), Command::Stale);
-        assert!(Command::parse("lint --frobnicate").is_err());
     }
 
     /// Records a superseding edit of the netlist `v1`, making every

@@ -78,12 +78,6 @@ impl AttrList {
         self
     }
 
-    /// Adds a float attribute.
-    pub fn float(&mut self, key: &str, value: f64) -> &mut AttrList {
-        self.pairs.push((key.into(), AttrValue::Float(value)));
-        self
-    }
-
     /// Adds a boolean attribute.
     pub fn bool(&mut self, key: &str, value: bool) -> &mut AttrList {
         self.pairs.push((key.into(), AttrValue::Bool(value)));

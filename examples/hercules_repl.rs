@@ -1,11 +1,10 @@
 //! An interactive Hercules shell.
 //!
-//! Reads Fig. 9 commands from stdin (`goal`, `expand`, `specialize`,
-//! `browse`, `select`, `bind-latest`, `run`, `history`, `uses`,
-//! `store`, `plan`, `show`, `catalogs`, `clear`, plus the durable
-//! workspace commands `save <dir>`, `open <dir>`, `checkpoint`, and
-//! `resume`, and the static analyzer as `lint`); when stdin is closed
-//! or empty a short demo script runs instead.
+//! With `-i`, reads one command per line from stdin and runs it through
+//! `hercules::ui::Ui::execute`, which takes every verb of the Fig. 9
+//! task window; each line prints its transcript or an `error:` line.
+//! Without `-i` a short demo script runs. Either way the exit status is
+//! 1 if any command failed, so a piped script doubles as a check.
 //!
 //! ```sh
 //! cargo run --example hercules_repl            # demo script
@@ -13,6 +12,7 @@
 //! ```
 
 use std::io::BufRead as _;
+use std::process::ExitCode;
 
 use hercules::ui::Ui;
 use hercules::Session;
@@ -34,7 +34,7 @@ run
 lint
 ";
 
-fn main() {
+fn main() -> ExitCode {
     let interactive = std::env::args().any(|a| a == "-i" || a == "--interactive");
     let mut ui = Ui::new(Session::odyssey("designer"));
 
@@ -46,14 +46,15 @@ fn main() {
                 Ok(out) => print!("{out}"),
                 Err(e) => {
                     eprintln!("demo failed: {e}");
-                    return;
+                    return ExitCode::FAILURE;
                 }
             }
         }
-        return;
+        return ExitCode::SUCCESS;
     }
 
     println!("Hercules task manager — type commands, ctrl-d to exit.");
+    let mut failed = false;
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let Ok(line) = line else { break };
@@ -66,7 +67,15 @@ fn main() {
         }
         match ui.execute(line) {
             Ok(out) => print!("{out}"),
-            Err(e) => println!("error: {e}"),
+            Err(e) => {
+                println!("error: {e}");
+                failed = true;
+            }
         }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }

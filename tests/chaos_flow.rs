@@ -10,7 +10,7 @@ use hercules::exec::{
 };
 use hercules::flow::NodeId;
 use hercules::history::{Derivation, InstanceId, Metadata};
-use hercules::ui::{Command, Ui};
+use hercules::ui::Ui;
 use hercules::{eda, HerculesError, Session};
 
 /// Wraps the registered encapsulation of `tool` in a fault injector and
@@ -296,7 +296,7 @@ fn ui_surfaces_partial_failures_and_the_event_log() {
     fig6_flow(&mut session, false);
 
     let mut ui = Ui::new(session);
-    let out = ui.apply(Command::Run).expect("continues");
+    let out = ui.execute("run").expect("continues");
     assert!(out.contains("1 failed, 2 skipped"), "{out}");
     assert!(out.contains("first failure:"), "{out}");
     let log = ui.execute("log").expect("lists");

@@ -19,7 +19,7 @@ use hercules::exec::{ExecError, FailurePolicy, FaultPlan, FaultyEncapsulation, T
 use hercules::flow::NodeId;
 use hercules::history::{Derivation, InstanceId, Metadata, Payload};
 use hercules::store::{decode_op, encode_frame, scan_frames, JournalOp, StoreError, Workspace};
-use hercules::ui::{Command, Ui};
+use hercules::ui::Ui;
 use hercules::{eda, Session, SessionSpec};
 use serde::{Deserialize, Serialize, Value};
 
@@ -477,7 +477,7 @@ fn interrupted_run_resumes_after_reopen_from_disk() {
     ] {
         ui.execute(&cmd).expect(&cmd);
     }
-    let out = ui.apply(Command::Run).expect("continues past the failure");
+    let out = ui.execute("run").expect("continues past the failure");
     assert!(out.contains("1 failed, 2 skipped"), "{out}");
     drop(ui); // crash
 

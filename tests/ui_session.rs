@@ -2,11 +2,14 @@
 //! every approach, with browser, selection, execution and history
 //! browsing driven through the text UI.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
+use hercules::encaps::odyssey_registry;
 use hercules::flow::NodeId;
+use hercules::sim::SimEnv;
 use hercules::ui::{render_task_window, Ui};
-use hercules::Session;
+use hercules::{DegradedReason, HerculesError, JournalOp, Session, StoreError, Workspace};
 
 fn temp_root(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hercules-ui-{tag}-{}", std::process::id()))
@@ -199,4 +202,50 @@ fn run_subflow_records_one_subtask_and_survives_reopen() {
     assert_eq!(session.events().last(), Some(&event));
     drop(reopened);
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// A writer whose lease ran out while it sat idle, and whose store a
+/// newer writer then took over, refuses its next mutation before the
+/// session changes: the task window still shows what the journal
+/// holds, and the deposed writer adds no frame.
+#[test]
+fn deposed_writer_is_refused_before_the_session_changes() {
+    let sim = SimEnv::new(1);
+    let root = Path::new("/ws");
+    let mut a = Ui::new_in(Session::odyssey("a"), sim.env());
+    a.execute(&format!("save {}", root.display()))
+        .expect("A saves");
+    a.execute("goal Layout").expect("A starts");
+
+    sim.clock().advance(Duration::from_secs(31));
+    let (mut b, _, recovery) =
+        Workspace::open_session_as(root, |s| odyssey_registry(s), sim.env(), "b", 30_000)
+            .expect("B opens");
+    assert!(recovery.took_over, "B takes over A's expired lease");
+    b.append(&JournalOp::Clear).expect("B appends");
+
+    // Every journal segment under the root, with its bytes.
+    let journal = || -> Vec<(PathBuf, Vec<u8>)> {
+        let fs = sim.fs();
+        let paths = fs.list_dir(root).expect("lists");
+        paths
+            .into_iter()
+            .filter(|p| p.to_string_lossy().contains("journal-"))
+            .map(|p| {
+                let bytes = fs.read(&p).expect("reads");
+                (p, bytes)
+            })
+            .collect()
+    };
+    let window = render_task_window(a.session());
+    let frames = journal();
+    let err = a.execute("expand n0").expect_err("A is fenced out");
+    assert_eq!(
+        err,
+        HerculesError::from(StoreError::Degraded(DegradedReason::Fenced {
+            token: b.fencing_token()
+        }))
+    );
+    assert_eq!(render_task_window(a.session()), window, "A's flow changed");
+    assert_eq!(journal(), frames, "A added a frame");
 }
