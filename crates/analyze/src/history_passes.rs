@@ -33,6 +33,8 @@
 //!   on the declared inputs would reuse an entry while one of the
 //!   undeclared inputs changed.
 
+use std::collections::BTreeMap;
+
 use hercules_flow::declared_reads;
 use hercules_history::{HistoryDb, HistoryError, InstanceId, RetraceCone};
 use hercules_schema::EntityTypeId;
@@ -151,12 +153,17 @@ struct Verdicts {
 /// `lint_full` rebuilds everything from scratch; `lint_incremental`
 /// folds in only what changed since the previous call on the same
 /// linter. Both emit identical diagnostics for identical databases.
-/// The verdict cache covers a prefix of the append-only history, so
-/// its length is how far the linter has analyzed.
+/// The verdict cache holds only the instances that have a verdict, so
+/// its size and the cost of cloning or walking it follow the
+/// diagnostics, not the history.
 #[derive(Debug, Clone, Default)]
 pub struct HistoryLinter {
     states: Vec<StaleState>,
-    verdicts: Vec<Verdicts>,
+    /// Each instance with at least one verdict, by raw id.
+    verdicts: BTreeMap<u64, Verdicts>,
+    /// How far the linter has analyzed: the length of the append-only
+    /// history it last saw.
+    analyzed: usize,
     last_stats: LintStats,
 }
 
@@ -205,12 +212,12 @@ impl HistoryLinter {
         out: &mut Diagnostics,
         incremental: bool,
     ) -> Result<(), HistoryError> {
-        if db.len() < self.verdicts.len() {
+        if db.len() < self.analyzed {
             // Not the history this state describes: the fixpoint only
             // joins, so stale reach bits would survive.
             *self = HistoryLinter::new();
         }
-        let fresh: Vec<InstanceId> = (self.verdicts.len()..db.len())
+        let fresh: Vec<InstanceId> = (self.analyzed..db.len())
             .map(|raw| InstanceId::from_raw(raw as u64))
             .collect();
         let cone = db.dirty_cone(&fresh)?;
@@ -218,17 +225,22 @@ impl HistoryLinter {
         let problem = StaleReach::new(db);
         let result = solve_seeded(&problem, &seeds, std::mem::take(&mut self.states));
         self.states = result.states;
-        self.verdicts.resize_with(db.len(), Verdicts::default);
         for &id in &cone.members {
-            self.verdicts[id.raw() as usize] = self.verdicts_of(db, id)?;
+            let verdicts = self.verdicts_of(db, id)?;
+            if verdicts == Verdicts::default() {
+                self.verdicts.remove(&id.raw());
+            } else {
+                self.verdicts.insert(id.raw(), verdicts);
+            }
         }
+        self.analyzed = db.len();
         self.last_stats = LintStats {
             instances_total: db.len(),
             instances_analyzed: cone.members.len(),
             solver_visits: result.total_visits,
             incremental,
         };
-        for v in &self.verdicts {
+        for v in self.verdicts.values() {
             for d in [&v.stale, &v.transitive, &v.cone, &v.keys]
                 .into_iter()
                 .flatten()
@@ -243,13 +255,12 @@ impl HistoryLinter {
         // on declared inputs would reuse its entries while one of the
         // undeclared inputs changed. Recomputed from the verdict cache,
         // so full and incremental runs agree by construction.
-        let mut ineligible: std::collections::BTreeMap<String, usize> =
-            std::collections::BTreeMap::new();
-        for (raw, v) in self.verdicts.iter().enumerate() {
+        let mut ineligible: BTreeMap<String, usize> = BTreeMap::new();
+        for (&raw, v) in &self.verdicts {
             if v.keys.is_none() {
                 continue;
             }
-            let inst = db.instance(InstanceId::from_raw(raw as u64))?;
+            let inst = db.instance(InstanceId::from_raw(raw))?;
             // Tool-less (composite) derivations have no tool to flag.
             let Some(tool) = inst.derivation().and_then(|d| d.tool) else {
                 continue;

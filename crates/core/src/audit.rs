@@ -33,7 +33,7 @@ use hercules_schema::EntityTypeId;
 use hercules_sim::Env;
 
 use crate::store::{
-    decode_op, is_generation_file, parse_segment_name, read_lease, read_manifest, scan_frames,
+    decode_op, is_generation_file, parse_segment_name, read_lease, read_manifest, scan_segment,
     Base, Manifest, StoreError, LEASE_FILE,
 };
 use crate::Session;
@@ -233,7 +233,9 @@ fn dir_names(root: &Path, env: &Env) -> Vec<String> {
 /// (frame 0 of the first segment) must exist (HL0403) and restore
 /// (HL0404), with an empty encapsulation registry since replay is
 /// extensional; every segment of the chain must exist (HL0405); a tail
-/// may be torn (warn — recovery truncates or quarantines it, HL0406);
+/// may be torn (warn — recovery truncates or quarantines it, HL0406),
+/// while zeros that end the last segment are its free space, classified
+/// by the rule recovery and `scrub` share;
 /// every checksummed frame after the base must decode as a
 /// [`JournalOp`](crate::JournalOp) through the store's one decoder
 /// (HL0407) and replay, exactly as recovery replays it (HL0408) — a
@@ -315,7 +317,7 @@ fn replay(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostics) ->
                 return replay_ok.then_some(session);
             }
         };
-        let scan = scan_frames(&buf);
+        let scan = scan_segment(&buf, last);
         if scan.trailing > 0 {
             let consequence = if last {
                 "recovery will truncate it"

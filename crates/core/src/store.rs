@@ -12,11 +12,12 @@
 //!   file + fsync + rename + directory fsync), so it always names a
 //!   complete generation.
 //! - `journal-N.log`, `journal-N.1.log`, … — generation `N`'s segments:
-//!   append-only sequences of frames. Frame 0 of the first segment is
-//!   the generation's base, a [`JournalOp::Snapshot`] of the whole
-//!   session, synced before any MANIFEST names the generation. Every
-//!   later frame is one mutating UI command (or an appended snapshot),
-//!   fsynced before the command's result is reported, so an
+//!   sequences of frames, written in order; the last one, the active
+//!   segment, may end in free space (below). Frame 0 of the first
+//!   segment is the generation's base, a [`JournalOp::Snapshot`] of the
+//!   whole session, synced before any MANIFEST names the generation.
+//!   Every later frame is one mutating UI command (or an appended
+//!   snapshot), fsynced before the command's result is reported, so an
 //!   acknowledged command survives power loss.
 //! - `LEASE` — the writer lease (owner, expiry, fencing token). It holds
 //!   no session state, so it stays plain JSON: a damaged lease can only
@@ -42,8 +43,8 @@
 //! any checkpoint, `open` replays at most one snapshot's worth of frames
 //! after the newest snapshot. A new generation (head segment holding
 //! the snapshot, MANIFEST swap, old generation retired) starts only
-//! when a snapshot would leave the generation's files larger than
-//! [`ROTATE_FACTOR`] times itself.
+//! when a snapshot would leave the generation's frames larger than
+//! four times itself (`ROTATE_FACTOR`).
 //!
 //! # Frame format
 //!
@@ -51,8 +52,10 @@
 //! [body length: u32 LE][CRC32(body): u32 LE][body]
 //! ```
 //!
-//! A journal frame's body is one [`JournalOp`], in the layout only
-//! [`encode_op`] writes and only [`decode_op`] reads:
+//! A body is never empty: a zero-length frame is invalid, since the
+//! CRC32 of no bytes is 0 and zeros would otherwise scan as endless
+//! empty frames. A journal frame's body is one [`JournalOp`], in the
+//! layout only [`encode_op`] writes and only [`decode_op`] reads:
 //!
 //! ```text
 //! [0xFF][JSON length: u32 LE][JSON]
@@ -72,13 +75,20 @@
 //!
 //! The CRC is IEEE 802.3 (the zlib/PNG polynomial), computed by
 //! [`hercules_digest::crc32`], which also frames cache entries; it
-//! covers every payload byte. A torn tail — a frame whose length field
-//! runs past end-of-file, or whose checksum does not match — ends the
-//! journal: recovery truncates the file back to the last valid frame,
+//! covers every payload byte. A frame whose length field is zero or runs
+//! past end-of-file, or whose checksum does not match, ends the valid
+//! prefix. The zeros that run from there to the end of the last segment
+//! are its free space: recovery keeps them and the reopened handle
+//! writes into them. Any other bytes there — one non-zero byte among
+//! the zeros, or zeros at the end of any other segment — are a torn
+//! tail: recovery truncates the file back to the last valid frame,
 //! reports how many bytes were discarded, and never panics or fails on
-//! any prefix of a well-formed journal. A damaged base is never a torn
-//! tail, since it was synced before the generation existed: `open`
-//! fails with [`StoreError::Corrupt`] and changes nothing on disk.
+//! any prefix of a well-formed journal. Recovery, [`Workspace::scrub`]
+//! and herclint's HL0406 classify these bytes by one rule, which
+//! [`scan_frames`] applies to a journal's last segment. A damaged base
+//! is never a torn tail, since it was synced before the generation
+//! existed: `open` fails with [`StoreError::Corrupt`] and changes
+//! nothing on disk.
 //!
 //! # Write path
 //!
@@ -89,11 +99,18 @@
 //! inline payload once, into the frame, and fills the 8-byte header in
 //! place. The journal has one write path. [`Workspace::append_deferred`]
 //! encodes a frame into the handle's pending buffer; [`Workspace::sync`]
-//! writes every pending frame with one `write` and makes them durable
-//! with one `fsync`, then rolls the segment once it reaches its size
-//! bound. [`Workspace::append`] is the two in sequence, so one command
-//! costs one `write` + one `fsync`, and a caller that acknowledges
-//! several operations at once pays one `fsync` for all of them. A
+//! writes every pending frame with one `write` at the active segment's
+//! write position and makes them durable with one `fsync`, then rolls
+//! the segment once it reaches its size bound. [`Workspace::append`] is
+//! the two in sequence, so one command costs one `write` + one `fsync`,
+//! and a caller that acknowledges several operations at once pays one
+//! `fsync` for all of them. A batch under 64 KiB that would grow the
+//! file carries zeros after it in the same `write`, up to 64 KiB past
+//! its end but not past the segment's size bound, so the commands after
+//! it overwrite allocated bytes, whose `fsync` commits no new file
+//! size. Larger batches and the snapshot frame a new segment starts
+//! with are written unpadded, and the generation's byte counts
+//! (rotation, segment rolls) count frames, not free space. A
 //! failed write or `fsync` poisons the handle: the tail may end in a
 //! torn frame, so every later append fails instead of landing behind
 //! it, where recovery could not reach it.
@@ -114,7 +131,9 @@
 //! - Not forward compatible: a binary that predates raw frame bodies
 //!   fails `open` on a base written in them with
 //!   [`StoreError::Corrupt`], changing nothing, and quarantines such
-//!   frames when they follow a base it can read.
+//!   frames when they follow a base it can read. A binary that
+//!   predates free space reads it as empty frames and quarantines it,
+//!   though it replays every frame before it.
 //!
 //! After reopening, [`Session::resume`] re-runs only the failed and
 //! skipped subtasks of an interrupted partial execution, serving the
@@ -147,9 +166,15 @@ use crate::session::{ExecEvent, Session};
 ///
 /// # Errors
 ///
-/// [`StoreError::Format`] when the payload is 4 GiB or more, too long
-/// for the length field.
+/// [`StoreError::Format`] when the payload is empty — a zero-length
+/// frame is invalid, since zeroed free space would read as a run of
+/// them — or 4 GiB or more, too long for the length field.
 pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, StoreError> {
+    if payload.is_empty() {
+        return Err(StoreError::Format(
+            "a journal frame payload may not be empty".into(),
+        ));
+    }
     let len = frame_len(payload.len())?;
     let mut out = Vec::with_capacity(8 + payload.len());
     out.extend_from_slice(&len.to_le_bytes());
@@ -169,7 +194,7 @@ fn frame_len(len: usize) -> Result<u32, StoreError> {
     })
 }
 
-/// The result of scanning a journal buffer for valid frames.
+/// The result of scanning a journal segment for valid frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameScan {
     /// Payloads of the valid frames, in order.
@@ -179,21 +204,52 @@ pub struct FrameScan {
     pub offsets: Vec<usize>,
     /// Length of the valid prefix; equals the last offset (or 0).
     pub valid_len: usize,
-    /// Bytes after the valid prefix — a torn or corrupt tail.
+    /// Free space after the valid prefix: the zeros that run from it to
+    /// the end of the buffer, which only the last segment of a chain can
+    /// hold.
+    pub free: usize,
+    /// Damaged bytes after the valid prefix — a torn or corrupt tail.
     pub trailing: usize,
 }
 
-/// Scans `buf` for consecutive valid frames, stopping at the first
-/// torn (length past end-of-buffer) or corrupt (checksum mismatch)
-/// frame. Never panics: any byte sequence yields a valid prefix.
+/// Scans `buf`, the active (last) segment of a journal, for
+/// consecutive valid frames, stopping at the first torn (length past
+/// end-of-buffer), empty, or corrupt (checksum mismatch) frame, and
+/// classifies the bytes after them. Never panics: any byte sequence
+/// yields a valid prefix.
 pub fn scan_frames(buf: &[u8]) -> FrameScan {
+    scan_segment(buf, true)
+}
+
+/// [`scan_frames`] for any segment of a chain. Only the `last` one can
+/// hold free space, and only as zeros that run from its valid prefix
+/// to its end; any other bytes there are damage.
+pub(crate) fn scan_segment(buf: &[u8], last: bool) -> FrameScan {
     let frames = frame_payloads(buf);
     let valid_len = frames.last().map_or(0, |payload| payload.end);
+    let free = free_tail(&buf[valid_len..], last);
     FrameScan {
         payloads: frames.iter().map(|p| buf[p.clone()].to_vec()).collect(),
         offsets: frames.iter().map(|p| p.end).collect(),
         valid_len,
-        trailing: buf.len() - valid_len,
+        free,
+        trailing: buf.len() - valid_len - free,
+    }
+}
+
+/// How many bytes of `tail`, the bytes after a segment's valid prefix,
+/// are free space rather than damage: all of them when `tail` is zeros
+/// in the `last` segment, else none. The writer keeps zeroed space
+/// ahead of the active segment's write position and never lets a
+/// segment it seals end in zeros, so one non-zero byte, or zeros in
+/// any other segment, make the whole tail damage. Recovery,
+/// [`Workspace::scrub`] and herclint's HL0406 all classify by this
+/// rule, so they agree.
+pub(crate) fn free_tail(tail: &[u8], last: bool) -> usize {
+    if last && tail.iter().all(|&byte| byte == 0) {
+        tail.len()
+    } else {
+        0
     }
 }
 
@@ -206,6 +262,9 @@ fn frame_payloads(buf: &[u8]) -> Vec<Range<usize>> {
     while buf.len() - pos >= 8 {
         let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]) as usize;
         let crc = u32::from_le_bytes([buf[pos + 4], buf[pos + 5], buf[pos + 6], buf[pos + 7]]);
+        if len == 0 {
+            break; // free space: zeros would read as empty frames
+        }
         if len > buf.len() - pos - 8 {
             break; // torn: the frame was not fully written
         }
@@ -1137,6 +1196,16 @@ pub(crate) const LEASE_FILE: &str = "LEASE";
 /// [`Workspace::set_segment_max_bytes`].
 const DEFAULT_SEGMENT_MAX_BYTES: u64 = 64 * 1024 * 1024;
 
+/// How much zeroed space a journal write that would grow the active
+/// segment allocates past its frames, in the same `write` and under the
+/// same `fdatasync`. The commands after it overwrite bytes that are
+/// already allocated and synced, so their `fdatasync` commits no new
+/// file size, which costs less. At 64 KiB one extension holds a typical
+/// editing session's commands; at 4 KiB the extensions came often
+/// enough to cost half the gain. A batch this large or larger is
+/// written as it is. A constant, not a setting.
+const PREALLOC_CHUNK: u64 = 64 * 1024;
+
 /// Default writer-lease duration.
 const DEFAULT_LEASE_MS: u64 = 30_000;
 
@@ -1272,8 +1341,12 @@ pub struct Workspace {
     /// Encoded frames appended since the last flush, not yet written.
     pending: Vec<u8>,
     /// Bytes appended to the active segment so far, pending ones
-    /// included.
+    /// included. The next flush writes its frames so that they end
+    /// here.
     active_len: u64,
+    /// Bytes of the active segment's file: its written frames, then any
+    /// free space, the zeros a flush padded its write with.
+    allocated: u64,
     /// Bytes of the current generation's files — every segment, the
     /// base included, pending frames too. A checkpoint rotates
     /// once keeping its snapshot would take this past
@@ -1383,6 +1456,7 @@ impl Workspace {
             segments,
             pending: Vec::new(),
             active_len: len,
+            allocated: len,
             generation_bytes: len,
             tail: SnapshotTail::new(len),
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
@@ -1513,6 +1587,9 @@ impl Workspace {
         let mut seg_reports: Vec<SegmentRecovery> = Vec::new();
         let mut ops_replayed = 0usize;
         let mut damage: Option<Damage> = None;
+        // Free space at the end of the last segment: kept, and written
+        // into by the reopened handle.
+        let mut free = 0usize;
         for (i, name) in segments.iter().enumerate() {
             let buf = match first
                 .take()
@@ -1572,7 +1649,8 @@ impl Workspace {
                 .checked_sub(1)
                 .map_or(0, |j| frames[j].end);
             ops_replayed += replayed_here;
-            let trailing = buf.len() - keep;
+            free = free_tail(&buf[keep..], i + 1 == segments.len());
+            let trailing = buf.len() - keep - free;
             seg_reports.push(SegmentRecovery {
                 name: name.clone(),
                 frames_replayed: replayed_here,
@@ -1683,7 +1761,7 @@ impl Workspace {
         let active_name = kept_segments.last().expect("chain is never empty").clone();
         let journal_path = root.join(&active_name);
         let (journal, active_len) = if writable {
-            let handle = env.fs.open_append(&journal_path)?;
+            let handle = env.fs.open_write(&journal_path)?;
             let len = seg_reports
                 .iter()
                 .find(|s| s.name == active_name)
@@ -1693,6 +1771,9 @@ impl Workspace {
         } else {
             (None, 0)
         };
+        // Only an undamaged chain ends in free space, so the active
+        // segment is then the last one, and its file ends there.
+        let allocated = active_len + free as u64;
 
         // A writable open over a foreign lease means that lease had
         // expired — this open fenced the previous writer out.
@@ -1715,6 +1796,7 @@ impl Workspace {
             segments: kept_segments,
             pending: Vec::new(),
             active_len,
+            allocated,
             generation_bytes,
             tail,
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
@@ -1889,10 +1971,15 @@ impl Workspace {
         self.maybe_roll()
     }
 
-    /// The journal's one write path: writes every pending frame with
-    /// one `write_all` and makes them durable with one `sync_data`. A
-    /// fenced handle discards them instead, since another writer owns
-    /// the journal now; a write or fsync error poisons the handle.
+    /// The journal's one write path: writes every pending frame at the
+    /// active segment's write position with one `write_all_at` and
+    /// makes them durable with one `sync_data`. A batch smaller than
+    /// [`PREALLOC_CHUNK`] that would grow the file carries zeros after
+    /// it, up to one chunk past its end but not past the segment bound,
+    /// so the next batches overwrite allocated bytes; the cap keeps a
+    /// segment that rolls from ending in zeros. A fenced handle
+    /// discards the frames instead, since another writer owns the
+    /// journal now; a write or fsync error poisons the handle.
     fn flush(&mut self) -> Result<(), StoreError> {
         if self.pending.is_empty() {
             return Ok(());
@@ -1907,8 +1994,14 @@ impl Workspace {
         let journal = self.journal.as_mut().ok_or_else(journal_missing)?;
         // Taken, not cleared, so a large batch's buffer is freed once
         // written instead of staying allocated for the session.
-        let batch = std::mem::take(&mut self.pending);
-        let mut result = journal.write_all(&batch);
+        let mut batch = std::mem::take(&mut self.pending);
+        let end = self.active_len;
+        let at = end - batch.len() as u64;
+        if end > self.allocated && (batch.len() as u64) < PREALLOC_CHUNK {
+            let padded = (end + PREALLOC_CHUNK).min(end.max(self.segment_max_bytes));
+            batch.resize((padded - at) as usize, 0);
+        }
+        let mut result = journal.write_all_at(&batch, at);
         if result.is_ok() {
             let fsync_started = self.env.clock.now();
             result = journal.sync_data();
@@ -1919,6 +2012,7 @@ impl Workspace {
             self.poisoned = Some(e.to_string());
             return Err(StoreError::Io(e));
         }
+        self.allocated = self.allocated.max(at + batch.len() as u64);
         Ok(())
     }
 
@@ -1986,12 +2080,20 @@ impl Workspace {
     /// Rolls the active segment once it has reached the size bound:
     /// starts `journal-G.K.log` and publishes the grown chain in the
     /// MANIFEST. Runs only after a flush, so a batch never straddles
-    /// two segments.
+    /// two segments. A segment it seals never ends in free space, which
+    /// recovery would read as damage: the flush's padding stops at the
+    /// bound, and free space left by a bound lowered after the padding
+    /// is cut off first.
     fn maybe_roll(&mut self) -> Result<(), StoreError> {
         if self.active_len < self.segment_max_bytes {
             return Ok(());
         }
         self.check_writable()?;
+        if self.allocated > self.active_len {
+            let journal = self.journal.as_mut().ok_or_else(journal_missing)?;
+            journal.set_len(self.active_len)?;
+            journal.sync_all()?;
+        }
         let name = segment_name(self.generation, self.segments.len() as u64);
         let file = create_segment(&self.env.fs, &self.root, &name, &[])?;
         let path = self.root.join(&name);
@@ -2008,6 +2110,7 @@ impl Workspace {
         self.journal = Some(file);
         self.journal_path = path;
         self.active_len = 0;
+        self.allocated = 0;
         self.metrics.incr(names::STORE_SEGMENT_ROLLS, 1);
         Ok(())
     }
@@ -2057,7 +2160,7 @@ impl Workspace {
     ///   write path together with any deferred frames — one `write`,
     ///   one `fdatasync`.
     /// - **Rotate**, when keeping the snapshot would leave the
-    ///   generation's files larger than [`ROTATE_FACTOR`] times it, or
+    ///   generation's frames larger than four times it, or
     ///   when the handle is poisoned: starts `journal-(N+1)` holding the
     ///   snapshot as its frame 0, swaps the manifest, then deletes the
     ///   old generation's files (best-effort — a crash between the
@@ -2066,8 +2169,9 @@ impl Workspace {
     ///
     /// After any checkpoint the frames after the newest snapshot hold
     /// fewer bytes than it, so `open` replays at most that much on top
-    /// of it; a generation's files exceed [`ROTATE_FACTOR`] times its
-    /// newest snapshot only by those frames.
+    /// of it; a generation's frames exceed four times its newest
+    /// snapshot only by those frames, and its files exceed its frames
+    /// by at most one chunk of free space (64 KiB).
     ///
     /// # Errors
     ///
@@ -2118,6 +2222,7 @@ impl Workspace {
         self.segments = vec![segment_name(next, 0)];
         self.journal_path = self.root.join(&self.segments[0]);
         self.active_len = len;
+        self.allocated = len;
         self.generation_bytes = len;
         self.tail = SnapshotTail::new(len);
         self.metrics.incr(names::STORE_ROTATIONS, 1);
@@ -2158,14 +2263,16 @@ impl Workspace {
         self.metrics.incr(names::STORE_SCRUBS, 1);
         let mut segments = Vec::new();
         let mut damaged = false;
-        for name in self.segments.clone() {
+        let chain = self.segments.len();
+        for (i, name) in self.segments.clone().into_iter().enumerate() {
             match self.env.fs.read(&self.root.join(&name)) {
                 Ok(buf) => {
                     self.metrics
                         .incr(names::STORE_SCRUB_BYTES, buf.len() as u64);
                     let frames = frame_payloads(&buf);
                     let valid_len = frames.last().map_or(0, |payload| payload.end);
-                    let trailing = (buf.len() - valid_len) as u64;
+                    let free = free_tail(&buf[valid_len..], i + 1 == chain);
+                    let trailing = (buf.len() - valid_len - free) as u64;
                     damaged |= trailing > 0;
                     segments.push(SegmentScrub {
                         name,
@@ -2257,17 +2364,34 @@ mod tests {
     #[test]
     fn frames_round_trip_and_scan() {
         let mut buf = Vec::new();
-        for payload in [b"alpha".as_slice(), b"".as_slice(), b"gamma!".as_slice()] {
+        for payload in [b"alpha".as_slice(), b"b".as_slice(), b"gamma!".as_slice()] {
             buf.extend_from_slice(&encode_frame(payload).expect("frames"));
         }
         let scan = scan_frames(&buf);
         assert_eq!(
             scan.payloads,
-            vec![b"alpha".to_vec(), Vec::new(), b"gamma!".to_vec()]
+            vec![b"alpha".to_vec(), b"b".to_vec(), b"gamma!".to_vec()]
         );
         assert_eq!(scan.valid_len, buf.len());
-        assert_eq!(scan.trailing, 0);
+        assert_eq!((scan.free, scan.trailing), (0, 0));
         assert_eq!(scan.offsets.last(), Some(&buf.len()));
+
+        // An empty frame would be eight zero bytes, which is what free
+        // space reads as: it is never written, and never scanned as a
+        // frame.
+        assert!(matches!(encode_frame(b""), Err(StoreError::Format(_))));
+        let frames = buf.len();
+        buf.extend_from_slice(&[0; 64]);
+        let scan = scan_frames(&buf);
+        assert_eq!(scan.payloads.len(), 3);
+        assert_eq!((scan.valid_len, scan.free, scan.trailing), (frames, 64, 0));
+        // Zeros end only the last segment; in a sealed one they are
+        // damage, and so is every zero after a non-zero byte.
+        let sealed = scan_segment(&buf, false);
+        assert_eq!((sealed.free, sealed.trailing), (0, 64));
+        buf[frames + 40] = 1;
+        let scan = scan_frames(&buf);
+        assert_eq!((scan.valid_len, scan.free, scan.trailing), (frames, 0, 64));
     }
 
     #[test]
@@ -2352,9 +2476,11 @@ mod tests {
         .expect("appends");
         let journal_path = ws.journal_path.clone();
         drop(ws);
-        // Simulate a crash mid-append: garbage half-frame at the tail.
+        // Simulate a crash mid-append: garbage half-frame at the tail,
+        // which is where the frames end.
         let mut bytes = fs::read(&journal_path).expect("reads");
-        let valid = bytes.len();
+        let valid = scan_frames(&bytes).valid_len;
+        bytes.truncate(valid);
         bytes.extend_from_slice(&[0x12, 0x34, 0x56]);
         fs::write(&journal_path, &bytes).expect("writes");
 
@@ -2653,13 +2779,15 @@ mod tests {
         assert_eq!(decode_op(&scan.payloads[0]).expect("decodes"), op);
     }
 
-    /// The generation's files on disk: every segment, the base
-    /// included.
-    fn generation_disk_bytes(ws: &Workspace) -> u64 {
+    /// The generation's files on disk, every segment and the base
+    /// included: the bytes of their frames, and of the files, whose
+    /// free space the frame bytes leave out.
+    fn generation_disk_bytes(ws: &Workspace) -> (u64, u64) {
         ws.segments
             .iter()
-            .map(|name| fs::metadata(ws.root.join(name)).expect("segment").len())
-            .sum()
+            .map(|name| fs::read(ws.root.join(name)).expect("segment"))
+            .map(|bytes| (scan_frames(&bytes).valid_len as u64, bytes.len() as u64))
+            .fold((0, 0), |(frames, files), (f, b)| (frames + f, files + b))
     }
 
     #[test]
@@ -2677,11 +2805,15 @@ mod tests {
             ws.append(&op).expect("appends");
             kinds.push(ws.checkpoint(&session).expect("checkpoints"));
             let frame = snapshot_frame(&session).expect("encodes").len() as u64;
-            let on_disk = generation_disk_bytes(&ws);
+            let (on_disk, files) = generation_disk_bytes(&ws);
             assert_eq!(on_disk, ws.generation_bytes, "checkpoint {k}: bookkeeping");
             assert!(
                 on_disk <= ROTATE_FACTOR * frame,
                 "checkpoint {k}: {on_disk} bytes over {ROTATE_FACTOR}x the {frame}-byte snapshot"
+            );
+            assert!(
+                files <= on_disk + PREALLOC_CHUNK,
+                "checkpoint {k}: {files} file bytes hold more than one chunk of free space"
             );
         }
         assert!(kinds.contains(&CheckpointKind::Appended));
@@ -2695,7 +2827,7 @@ mod tests {
             SessionSpec::from_session(&session)
         );
         assert_eq!(
-            generation_disk_bytes(&ws),
+            generation_disk_bytes(&ws).0,
             ws.generation_bytes,
             "open counts it too"
         );
@@ -2863,10 +2995,14 @@ mod tests {
         let journal_path = ws.journal_path.clone();
         drop(ws);
         let bytes = fs::read(&journal_path).expect("reads journal");
-        let base_end = scan_frames(&bytes).offsets[0];
+        let scan = scan_frames(&bytes);
+        let base_end = scan.offsets[0];
+        assert!(scan.free > 0, "the batch was padded");
         let manifest = fs::read(root.join(MANIFEST_FILE)).expect("reads manifest");
 
-        for cut in 0..=bytes.len() {
+        // Every byte of every frame; the free space after them at its
+        // boundaries and at a stride.
+        for cut in (0..=scan.valid_len).chain(free_space_cuts(scan.valid_len, bytes.len())) {
             let crashed = temp_root("group-crash-cut");
             fs::create_dir_all(&crashed).expect("mkdir");
             fs::write(crashed.join(MANIFEST_FILE), &manifest).expect("copies");
@@ -2888,8 +3024,98 @@ mod tests {
                 "cut at byte {cut}: whole frames before the cut replay"
             );
             assert!(restored.flow().is_ok() || survivors == 0);
+            if cut > scan.valid_len {
+                // A cut in the free space keeps it: nothing discarded,
+                // the file as it was.
+                assert_eq!(report.bytes_discarded, 0, "cut at byte {cut}");
+                let kept = fs::read(crashed.join(segment_name(0, 0))).expect("reads");
+                assert_eq!(kept, &bytes[..cut], "cut at byte {cut}");
+            }
             fs::remove_dir_all(&crashed).ok();
         }
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// Cut points inside the free space `valid..len` of a journal: both
+    /// of its ends and the few bytes next to them, where a header
+    /// would start, and every 4093rd byte between.
+    fn free_space_cuts(valid: usize, len: usize) -> Vec<usize> {
+        let mut cuts: Vec<usize> = (valid + 1..valid + 10)
+            .chain((valid..len).step_by(4093))
+            .chain(len.saturating_sub(9)..=len)
+            .filter(|&cut| cut > valid && cut <= len)
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        cuts
+    }
+
+    #[test]
+    fn an_append_writes_into_free_space_and_open_keeps_it() {
+        let root = temp_root("free-space");
+        let session = Session::odyssey("jbb");
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        let path = ws.journal_path.clone();
+        let base = fs::metadata(&path).expect("meta").len();
+        assert_eq!(base, ws.active_len, "save writes the base unpadded");
+        ws.append(&seed_op(0)).expect("appends");
+        let padded = fs::metadata(&path).expect("meta").len();
+        assert_eq!(
+            padded,
+            ws.active_len + PREALLOC_CHUNK,
+            "one chunk of free space"
+        );
+        ws.append(&seed_op(1)).expect("appends");
+        assert_eq!(
+            fs::metadata(&path).expect("meta").len(),
+            padded,
+            "the next frame overwrites free space"
+        );
+        drop(ws);
+
+        let before = fs::read(&path).expect("reads");
+        let (mut ws, _restored, report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("reopens");
+        assert_eq!(report.ops_replayed, 2);
+        assert_eq!((report.bytes_discarded, report.truncated), (0, false));
+        assert!(!report.quarantined());
+        assert_eq!(
+            fs::read(&path).expect("reads"),
+            before,
+            "open changed nothing"
+        );
+        ws.append(&seed_op(2)).expect("appends");
+        let after = fs::read(&path).expect("reads");
+        assert_eq!(
+            after.len(),
+            before.len(),
+            "the reopened handle writes into it"
+        );
+        assert_eq!(scan_frames(&after).payloads.len(), 4);
+        let report = ws.scrub(&Session::odyssey("jbb")).expect("scrubs");
+        assert!(!report.damaged, "{report}");
+        assert_eq!(report.segments[0].damaged_bytes, 0);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_bound_lowered_after_padding_seals_the_segment_without_free_space() {
+        let root = temp_root("lowered-bound");
+        let session = Session::odyssey("jbb");
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        ws.append(&seed_op(0)).expect("appends");
+        ws.set_segment_max_bytes(1);
+        ws.append(&seed_op(1)).expect("appends and rolls");
+        assert_eq!(ws.segments().len(), 2);
+        let sealed = fs::read(root.join(segment_name(0, 0))).expect("reads");
+        assert_eq!(scan_segment(&sealed, false).trailing, 0, "no zeros sealed");
+        drop(ws);
+        let (_ws, _restored, report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("reopens");
+        assert_eq!(report.ops_replayed, 2);
+        assert!(!report.truncated && !report.quarantined(), "{report}");
         fs::remove_dir_all(&root).ok();
     }
 
@@ -3154,6 +3380,9 @@ mod tests {
         fn write_all(&mut self, _buf: &[u8]) -> std::io::Result<()> {
             Ok(())
         }
+        fn write_all_at(&mut self, _buf: &[u8], _offset: u64) -> std::io::Result<()> {
+            Ok(())
+        }
         fn sync_data(&mut self) -> std::io::Result<()> {
             Err(std::io::Error::other("injected fsync failure"))
         }
@@ -3226,11 +3455,14 @@ mod tests {
 
     impl FsFile for TearOnce {
         fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            self.inner.write_all(buf)
+        }
+        fn write_all_at(&mut self, buf: &[u8], offset: u64) -> std::io::Result<()> {
             if self.torn {
-                return self.inner.write_all(buf);
+                return self.inner.write_all_at(buf, offset);
             }
             self.torn = true;
-            self.inner.write_all(&buf[..buf.len() / 2])?;
+            self.inner.write_all_at(&buf[..buf.len() / 2], offset)?;
             Err(std::io::Error::other("injected torn write"))
         }
         fn sync_data(&mut self) -> std::io::Result<()> {
@@ -3253,7 +3485,7 @@ mod tests {
         let inner = ws
             .env
             .fs
-            .open_append(&ws.journal_path)
+            .open_write(&ws.journal_path)
             .expect("opens the journal");
         ws.set_journal_for_tests(Box::new(TearOnce { inner, torn: false }));
         let mut acknowledged = 1;

@@ -104,7 +104,9 @@ impl From<String> for Reply {
 }
 
 /// The words of a command line after its verb. Every parse error is a
-/// [`HerculesError::BadCommand`] that quotes the whole line.
+/// [`HerculesError::BadCommand`] that quotes the whole line. A handler
+/// parses its words, then calls [`Args::end`] before it acts, so a word
+/// it did not parse refuses the line instead of being ignored.
 struct Args<'a> {
     line: &'a str,
     words: SplitWhitespace<'a>,
@@ -158,6 +160,14 @@ impl<'a> Args<'a> {
             None => Ok(false),
             Some(word) if word == flag => Ok(true),
             Some(other) => Err(self.bad(&format!("unknown {verb} option `{other}`"))),
+        }
+    }
+
+    /// Ends the parse: fails on a word no parser consumed.
+    fn end(mut self) -> Result<(), HerculesError> {
+        match self.words.next() {
+            None => Ok(()),
+            Some(word) => Err(self.bad(&format!("unexpected word `{word}`"))),
         }
     }
 }
@@ -564,22 +574,26 @@ impl Ui {
 }
 
 /// The handlers `VERBS` names, in its order. Each parses the rest of
-/// its line before it touches the session.
+/// its line, and ends the parse with [`Args::end`], before it touches
+/// the session.
 impl Ui {
     fn goal(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let name = args.word("missing entity")?;
+        args.end()?;
         let node = self.session.start_from_goal(name)?;
         Ok(self.flow_reply(format!("started from goal {name}: {node}\n")))
     }
 
     fn tool(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let name = args.word("missing tool")?;
+        args.end()?;
         let node = self.session.start_from_tool(name)?;
         Ok(self.flow_reply(format!("started from tool {name}: {node}\n")))
     }
 
     fn data(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let instance = args.instance()?;
+        args.end()?;
         let node = self.session.start_from_data(instance)?;
         Ok(Reply {
             text: format!("started from data {instance}: {node}\n"),
@@ -591,12 +605,14 @@ impl Ui {
 
     fn plan(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let name = args.word("missing flow name")?;
+        args.end()?;
         let node = self.session.start_from_plan(name)?;
         Ok(self.flow_reply(format!("instantiated flow `{name}`; output {node}\n")))
     }
 
     fn expand(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let node = args.node()?;
+        args.end()?;
         let created = self.session.expand(node)?;
         Ok(self.flow_reply(format!(
             "expanded {node}: +{}\n",
@@ -610,6 +626,7 @@ impl Ui {
 
     fn unexpand(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let node = args.node()?;
+        args.end()?;
         let removed = self.session.unexpand(node)?;
         Ok(self.flow_reply(format!("unexpanded {node}: removed {}\n", removed.len())))
     }
@@ -617,6 +634,7 @@ impl Ui {
     fn specialize(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let node = args.node()?;
         let subtype = args.word("missing subtype")?;
+        args.end()?;
         self.session.specialize(node, subtype)?;
         Ok(self.flow_reply(format!("specialized {node} to {subtype}\n")))
     }
@@ -631,6 +649,7 @@ impl Ui {
 
     fn browse(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let node = args.node()?;
+        args.end()?;
         let instances = self.session.browse(node)?;
         let mut out = format!("browser for {node}:\n");
         for i in instances {
@@ -656,7 +675,8 @@ impl Ui {
         })
     }
 
-    fn bind_latest(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn bind_latest(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         let unbound = self.session.bind_latest()?;
         Ok(Reply {
             text: format!("auto-bound; {} leaf(s) still unbound\n", unbound.len()),
@@ -664,20 +684,23 @@ impl Ui {
         })
     }
 
-    fn run(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn run(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         let report = self.session.run()?;
         Ok(render_exec("ran", report).into())
     }
 
     /// Re-runs only the failed/skipped subtasks of the last partial
     /// execution, serving committed work from the history.
-    fn resume(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn resume(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         let report = self.session.resume()?;
         Ok(render_exec("resumed", report).into())
     }
 
     fn history(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let instance = args.instance()?;
+        args.end()?;
         let tree = self.session.history_of(instance, Some(1))?;
         let mut out = format!("history of {}:\n", instance_label(&self.session, instance));
         if let Some(tool) = tree.tool {
@@ -700,6 +723,7 @@ impl Ui {
     /// Dependencies" browser option).
     fn uses(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let instance = args.instance()?;
+        args.end()?;
         let downstream = self.session.db().forward_chain(instance)?;
         let mut out = format!(
             "derived from {}:\n",
@@ -718,6 +742,7 @@ impl Ui {
     /// against the newest input versions.
     fn retrace(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let instance = args.instance()?;
+        args.end()?;
         let report = self.session.retrace(instance)?;
         if report.already_current {
             return Ok(format!("{instance} is already current; nothing re-ran\n").into());
@@ -740,6 +765,7 @@ impl Ui {
     /// Shows the Fig. 9 pop-up menu for a node.
     fn menu(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let node = args.node()?;
+        args.end()?;
         let flow = self.session.flow()?;
         let menu = flow.menu_for(node)?;
         let schema = self.session.schema().clone();
@@ -778,6 +804,7 @@ impl Ui {
     /// Stores the flow in the catalog.
     fn store(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let name = args.word("missing name")?;
+        args.end()?;
         let description = "stored from the UI";
         self.session.store_flow(name, description)?;
         Ok(Reply {
@@ -790,7 +817,8 @@ impl Ui {
     }
 
     /// Lists the session's execution events, failures included.
-    fn log(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn log(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         let events = self.session.events();
         let mut out = String::from(if events.is_empty() {
             "event log: (empty)\n"
@@ -828,7 +856,8 @@ impl Ui {
     }
 
     /// Renders the span tree of the traced executions.
-    fn trace(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn trace(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         let events = self.session.trace_events();
         if events.is_empty() {
             return Ok(String::from("trace: (no spans recorded — run something first)\n").into());
@@ -843,14 +872,16 @@ impl Ui {
     }
 
     /// Renders the session's metrics registry.
-    fn stats(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn stats(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         Ok(self.session.metrics().snapshot().render_text().into())
     }
 
     /// Critical-path analysis and Gantt chart of the last execution:
     /// from the live trace when there is one, else synthesized from the
     /// last report (e.g. after reopening a workspace).
-    fn profile(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn profile(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         let live = self.session.trace_events();
         let events = if live.iter().any(|e| e.name == "task") {
             live
@@ -867,12 +898,14 @@ impl Ui {
         Ok(format!("{}\n{}", prof.render_text(), prof.render_gantt(60)).into())
     }
 
-    fn show(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn show(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         Ok(render_task_window(&self.session).into())
     }
 
     /// Abandons the flow.
-    fn clear(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn clear(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         self.session.clear_flow();
         Ok(Reply {
             text: "cleared\n".to_owned(),
@@ -880,7 +913,8 @@ impl Ui {
         })
     }
 
-    fn catalogs(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn catalogs(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         let mut out = String::from("entity catalog:\n");
         for e in catalog::entity_catalog(self.session.schema()) {
             let mark = if e.is_tool { "T" } else { "D" };
@@ -894,6 +928,7 @@ impl Ui {
     /// mutating command is journaled into it.
     fn save(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let path = args.word("missing directory")?;
+        args.end()?;
         let mut ws = Workspace::create_in(Path::new(path), &self.session, self.env.clone())?;
         ws.set_metrics(self.session.metrics().clone());
         self.session.mark_journaled();
@@ -906,6 +941,7 @@ impl Ui {
     /// journal and truncating any torn tail.
     fn open(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let path = args.word("missing directory")?;
+        args.end()?;
         let (mut ws, session, recovery) = Workspace::open_session_in(
             Path::new(path),
             |s| crate::encaps::odyssey_registry(s),
@@ -934,7 +970,8 @@ impl Ui {
     /// journal, or rotates to a new generation once the old one has
     /// grown large. When the journal already holds every change since
     /// a recent snapshot, only syncs it.
-    fn checkpoint(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn checkpoint(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         let Some(ws) = self.workspace.as_mut() else {
             return Err(HerculesError::Store {
                 message: "no workspace attached; `save <path>` first".into(),
@@ -960,7 +997,8 @@ impl Ui {
     /// CRC-verifies every journal segment, the generation's base in
     /// frame 0 included, quarantining and repairing damage when the
     /// workspace is writable.
-    fn scrub(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn scrub(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         let Some(ws) = self.workspace.as_mut() else {
             return Err(HerculesError::Store {
                 message: "no workspace attached; `save <path>` or `open <path>` first".into(),
@@ -980,6 +1018,7 @@ impl Ui {
     /// affected since the last lint.
     fn lint(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let incremental = args.flag("lint", "--incremental")?;
+        args.end()?;
         let started = self.env.clock.now();
         let mut out = Diagnostics::new();
         let mut timings = Vec::new();
@@ -1037,7 +1076,8 @@ impl Ui {
     /// Reports every out-of-date derived instance with its predicted
     /// retrace cone (§3.3's "whether such retracing need occur",
     /// answered without running anything).
-    fn stale(&mut self, _: Args) -> Result<Reply, HerculesError> {
+    fn stale(&mut self, args: Args) -> Result<Reply, HerculesError> {
+        args.end()?;
         let stale = self.session.db().stale_instances()?;
         if stale.is_empty() {
             return Ok(String::from("stale: everything is current\n").into());
@@ -1065,6 +1105,7 @@ impl Ui {
     /// rate, and stale instances, each mapped to ok/warn/critical.
     fn health(&mut self, mut args: Args) -> Result<Reply, HerculesError> {
         let json = args.flag("health", "--json")?;
+        args.end()?;
         let report = self.health_report();
         let text = if json {
             format!("{}\n", report.to_json())
@@ -1084,6 +1125,7 @@ impl Ui {
         let out = match args.words.next() {
             Some("open") => {
                 let dir = args.word("cache open needs a directory")?;
+                args.end()?;
                 let cache = hercules_cache::ContentCache::open(
                     &self.env.fs,
                     dir,
@@ -1097,22 +1139,28 @@ impl Ui {
                 self.session.attach_content_cache(cache);
                 format!("content cache attached at {dir}\n")
             }
-            Some("stats") => match self.session.content_cache() {
-                Some(cache) => cache.stats().render_text(),
-                None => detached(),
-            },
-            Some("gc") => match self.session.content_cache() {
-                Some(cache) => {
-                    let r = cache.gc().map_err(|e| HerculesError::Store {
-                        message: format!("cache gc failed: {e}"),
-                    })?;
-                    format!(
-                        "cache gc: scanned {} entries, evicted {}, dropped {} damaged, reaped {} tmp, {} -> {} bytes\n",
-                        r.scanned, r.evicted, r.dropped, r.reaped_tmp, r.bytes_before, r.bytes_after
-                    )
+            Some("stats") => {
+                args.end()?;
+                match self.session.content_cache() {
+                    Some(cache) => cache.stats().render_text(),
+                    None => detached(),
                 }
-                None => detached(),
-            },
+            }
+            Some("gc") => {
+                args.end()?;
+                match self.session.content_cache() {
+                    Some(cache) => {
+                        let r = cache.gc().map_err(|e| HerculesError::Store {
+                            message: format!("cache gc failed: {e}"),
+                        })?;
+                        format!(
+                            "cache gc: scanned {} entries, evicted {}, dropped {} damaged, reaped {} tmp, {} -> {} bytes\n",
+                            r.scanned, r.evicted, r.dropped, r.reaped_tmp, r.bytes_before, r.bytes_after
+                        )
+                    }
+                    None => detached(),
+                }
+            }
             _ => return Err(args.bad("cache subcommands: open <dir>, stats, gc")),
         };
         Ok(out.into())
@@ -1381,13 +1429,16 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// Bytes in the `journal-*` segments under `root`.
-    fn journal_bytes(root: &Path) -> u64 {
+    /// Bytes of the frames in the `journal-*` segments under `root`
+    /// (their free space left out: a frame written into it leaves a
+    /// segment's length as it was).
+    fn journal_bytes(root: &Path) -> usize {
         std::fs::read_dir(root)
             .expect("lists")
             .map(|e| e.expect("entry"))
             .filter(|e| e.file_name().to_string_lossy().starts_with("journal-"))
-            .map(|e| e.metadata().expect("stat").len())
+            .map(|e| std::fs::read(e.path()).expect("reads"))
+            .map(|bytes| crate::store::scan_frames(&bytes).valid_len)
             .sum()
     }
 
@@ -1553,6 +1604,35 @@ mod tests {
             ("lint --frobnicate", "unknown lint option `--frobnicate`"),
             ("health --yaml", "unknown health option `--yaml`"),
         ]);
+    }
+
+    /// A word that no parser consumed refuses the line before its verb
+    /// acts: `expand n0 n2` neither expands n0 nor journals a frame.
+    #[test]
+    fn leftover_words_are_refused_before_the_verb_acts() {
+        assert_bad_commands(&[
+            ("goal Layout now", "unexpected word `now`"),
+            ("run now please", "unexpected word `now`"),
+            ("lint --incremental all", "unexpected word `all`"),
+            ("cache stats all", "unexpected word `all`"),
+        ]);
+        let root = std::env::temp_dir().join(format!("hercules-ui-left-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let mut ui = Ui::new(Session::odyssey("jbb"));
+        ui.execute(&format!("save {}", root.display()))
+            .expect("saves");
+        ui.execute("goal Layout").expect("starts");
+        let window = render_task_window(ui.session());
+        let journal = journal_bytes(&root);
+        let bad = HerculesError::BadCommand {
+            input: "expand n0 n2".into(),
+            reason: "unexpected word `n2`".into(),
+        };
+        assert_eq!(ui.execute("expand n0 n2"), Err(bad));
+        assert_eq!(render_task_window(ui.session()), window, "n0 was expanded");
+        assert_eq!(journal_bytes(&root), journal, "a frame was journaled");
+        drop(ui);
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -176,8 +176,9 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest observed value (0 if empty).
     pub max: u64,
-    /// Per-bucket counts (see [`bucket_index`]); empty if no
-    /// observations.
+    /// Per-bucket counts: bucket `i` counts the values whose
+    /// `floor(log2(v))` is `i - 1`, bucket 0 the zeros, and the last
+    /// bucket everything from 2^62 up. Empty if no observations.
     pub buckets: Vec<u64>,
 }
 

@@ -2,7 +2,8 @@
 //! by `std::fs` or by the in-memory simulated disk in [`crate::simfs`].
 //!
 //! The surface is deliberately the minimal set the durable store needs
-//! — create/append/write handles, atomic rename, directory fsync —
+//! — create/write handles with positioned writes, atomic rename,
+//! directory fsync —
 //! so every durability-relevant syscall goes through one choke point
 //! the simulator can intercept. The real adapter here is the **only**
 //! place in the workspace that `crates/core` is allowed to reach
@@ -27,9 +28,11 @@ pub fn is_sim_crash(err: &io::Error) -> bool {
 
 /// An open file handle: the subset of `std::fs::File` the store uses.
 pub trait FsFile: Send {
-    /// Appends or overwrites at the handle's position (append handles
-    /// always write at end-of-file).
+    /// Writes at the handle's position and advances it.
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
+    /// Writes at byte `offset`, leaving the handle's position alone;
+    /// a write past end-of-file extends it, with zeros in any gap.
+    fn write_all_at(&mut self, buf: &[u8], offset: u64) -> io::Result<()>;
     /// Flushes file *data* to durable storage.
     fn sync_data(&mut self) -> io::Result<()>;
     /// Flushes data and metadata to durable storage.
@@ -40,6 +43,17 @@ pub trait FsFile: Send {
 
 impl FsFile for std::fs::File {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        io::Write::write_all(self, buf)
+    }
+
+    #[cfg(unix)]
+    fn write_all_at(&mut self, buf: &[u8], offset: u64) -> io::Result<()> {
+        std::os::unix::fs::FileExt::write_all_at(self, buf, offset)
+    }
+
+    #[cfg(not(unix))]
+    fn write_all_at(&mut self, buf: &[u8], offset: u64) -> io::Result<()> {
+        io::Seek::seek(self, io::SeekFrom::Start(offset))?;
         io::Write::write_all(self, buf)
     }
 
@@ -111,22 +125,12 @@ impl Fs {
         }
     }
 
-    /// Opens an existing file for appending.
-    pub fn open_append(&self, path: &Path) -> io::Result<Box<dyn FsFile>> {
-        match &self.sim {
-            Some(state) => state.open(path, true),
-            None => std::fs::OpenOptions::new()
-                .append(true)
-                .open(path)
-                .map(|f| Box::new(f) as Box<dyn FsFile>),
-        }
-    }
-
-    /// Opens an existing file for writing from the start (used for
-    /// in-place truncation during recovery).
+    /// Opens an existing file for writing from the start, without
+    /// truncating it: the journal's positioned writes and recovery's
+    /// in-place truncation go through it.
     pub fn open_write(&self, path: &Path) -> io::Result<Box<dyn FsFile>> {
         match &self.sim {
-            Some(state) => state.open(path, false),
+            Some(state) => state.open(path),
             None => std::fs::OpenOptions::new()
                 .write(true)
                 .open(path)
@@ -219,11 +223,11 @@ mod tests {
         assert!(!fs.exists(&a));
         assert!(fs.list_dir(&dir).expect("list").contains(&b));
         assert_eq!(fs.read(&b).expect("read"), b"hello");
-        let mut app = fs.open_append(&b).expect("append");
-        app.write_all(b" world").expect("write");
-        app.sync_data().expect("fsync");
-        assert_eq!(fs.read(&b).expect("read"), b"hello world");
         let mut w = fs.open_write(&b).expect("write-open");
+        w.write_all_at(b" world", 5).expect("write");
+        w.write_all_at(b"!", 13).expect("write past the end");
+        w.sync_data().expect("fsync");
+        assert_eq!(fs.read(&b).expect("read"), b"hello world\0\0!");
         w.set_len(5).expect("truncate");
         w.sync_all().expect("fsync");
         assert_eq!(fs.read(&b).expect("read"), b"hello");

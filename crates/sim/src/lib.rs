@@ -12,11 +12,11 @@
 //!   adapter wraps `std::time`, the virtual one advances only when
 //!   slept on, so backoff schedules become logged events;
 //! * [`Fs`] / [`FsFile`] — the minimal file surface the durable store
-//!   uses (create/append/write, fsync, atomic rename, directory
-//!   fsync); the simulated disk ([`SimFsState`]) models unsynced
-//!   extents, pending directory operations, torn writes, dropped
-//!   fsyncs, and op-indexed crash points, and can mint a dice-rolled
-//!   post-crash [`SimFsState::crash_image`];
+//!   uses (create/write with positioned writes, fsync, atomic
+//!   rename, directory fsync); the simulated disk ([`SimFsState`])
+//!   models unsynced extents, pending directory operations, torn
+//!   writes, dropped fsyncs, and op-indexed crash points, and can
+//!   mint a dice-rolled post-crash [`SimFsState::crash_image`];
 //! * [`Interleaver`] — consulted by the dataflow engine whenever
 //!   several subtasks are ready; real = engine priority order, sim =
 //!   seeded uniform pick, logged;

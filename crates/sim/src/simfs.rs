@@ -327,12 +327,11 @@ impl SimFsState {
         Ok(Box::new(SimFileHandle {
             state: Arc::clone(self),
             id,
-            append: false,
             pos: 0,
         }))
     }
 
-    pub(crate) fn open(self: &Arc<Self>, path: &Path, append: bool) -> io::Result<Box<dyn FsFile>> {
+    pub(crate) fn open(self: &Arc<Self>, path: &Path) -> io::Result<Box<dyn FsFile>> {
         let inner = self.lock();
         if inner.crashed {
             return Err(crash_err("disk is dead"));
@@ -342,12 +341,11 @@ impl SimFsState {
             .get(path)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, path.display().to_string()))?;
         self.trace
-            .record(format!("fs.open path={} append={}", path.display(), append));
+            .record(format!("fs.open path={}", path.display()));
         drop(inner);
         Ok(Box::new(SimFileHandle {
             state: Arc::clone(self),
             id,
-            append,
             pos: 0,
         }))
     }
@@ -510,60 +508,53 @@ impl SimFsState {
 struct SimFileHandle {
     state: Arc<SimFsState>,
     id: u64,
-    append: bool,
     pos: usize,
 }
 
-impl FsFile for SimFileHandle {
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+impl SimFileHandle {
+    /// Writes `buf` at `offset` as one mutating operation. A write that
+    /// hits the crash point may itself tear: a random prefix lands as
+    /// an unsynced extent before the failure.
+    fn write_at(&self, buf: &[u8], offset: usize) -> io::Result<()> {
         let mut inner = self.state.lock();
-        // A write that hits the crash point may itself tear: a random
-        // prefix lands as an unsynced extent before the failure.
         let id = self.id;
-        let append = self.append;
-        let pos = self.pos;
-        let offset = if append {
-            inner.files.get(&id).map_or(0, |f| f.current.len())
-        } else {
-            pos
-        };
         let step = SimFsState::step(
             &mut inner,
             &self.state.trace,
             &format!("write file={id} off={offset} len={}", buf.len()),
         );
-        match step {
-            Ok(_) => {
-                let file = inner.files.get_mut(&id).expect("file for open handle");
-                if file.current.len() < offset + buf.len() {
-                    file.current.resize(offset + buf.len(), 0);
-                }
-                file.current[offset..offset + buf.len()].copy_from_slice(buf);
-                file.unsynced.push((offset, buf.len()));
-                if !self.append {
-                    self.pos = offset + buf.len();
-                }
-                Ok(())
-            }
-            Err(e) => {
-                if !inner.crashed {
-                    return Err(e);
-                }
+        let keep = match &step {
+            Ok(_) => buf.len(),
+            Err(_) if inner.crashed => {
                 let torn = inner.rng.below(buf.len() as u64 + 1) as usize;
                 self.state.trace.record(format!(
                     "crash.torn_write file={id} off={offset} keep={torn}"
                 ));
-                if torn > 0 {
-                    let file = inner.files.get_mut(&id).expect("file for open handle");
-                    if file.current.len() < offset + torn {
-                        file.current.resize(offset + torn, 0);
-                    }
-                    file.current[offset..offset + torn].copy_from_slice(&buf[..torn]);
-                    file.unsynced.push((offset, torn));
-                }
-                Err(e)
+                torn
             }
+            Err(_) => 0,
+        };
+        if keep > 0 {
+            let file = inner.files.get_mut(&id).expect("file for open handle");
+            if file.current.len() < offset + keep {
+                file.current.resize(offset + keep, 0);
+            }
+            file.current[offset..offset + keep].copy_from_slice(&buf[..keep]);
+            file.unsynced.push((offset, keep));
         }
+        step.map(|_| ())
+    }
+}
+
+impl FsFile for SimFileHandle {
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        self.write_at(buf, self.pos)?;
+        self.pos += buf.len();
+        Ok(())
+    }
+
+    fn write_all_at(&mut self, buf: &[u8], offset: u64) -> io::Result<()> {
+        self.write_at(buf, offset as usize)
     }
 
     fn sync_data(&mut self) -> io::Result<()> {
@@ -643,9 +634,11 @@ mod tests {
         fs.sync_dir(dir).expect("dirsync");
         assert_eq!(fs.read(&dir.join("a")).expect("read"), b"abc");
         assert!(!fs.exists(&dir.join("a.tmp")));
-        let mut g = fs.open_append(&dir.join("a")).expect("open");
-        g.write_all(b"def").expect("write");
+        let mut g = fs.open_write(&dir.join("a")).expect("open");
+        g.write_all_at(b"def", 3).expect("write");
         assert_eq!(fs.read(&dir.join("a")).expect("read"), b"abcdef");
+        g.write_all_at(b"g", 8).expect("write past the end");
+        assert_eq!(fs.read(&dir.join("a")).expect("read"), b"abcdef\0\0g");
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! ```
 
 use std::fs::OpenOptions;
-use std::io::Write as _;
+use std::io::{Seek as _, SeekFrom, Write as _};
 
 use hercules::exec::{FailurePolicy, FaultPlan, FaultyEncapsulation};
 use hercules::history::{Derivation, Metadata};
+use hercules::store::scan_frames;
 use hercules::ui::Ui;
 use hercules::{eda, Session};
 
@@ -76,9 +77,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     drop(ui); // the process dies here
 
     // A torn write: the crash happened mid-append, leaving half a
-    // frame at the journal's tail.
+    // frame where the next frame goes — right after the last one, over
+    // the journal's zeroed free space.
     let journal = root.join("journal-0.log");
-    let mut f = OpenOptions::new().append(true).open(&journal)?;
+    let frames_end = scan_frames(&std::fs::read(&journal)?).valid_len;
+    let mut f = OpenOptions::new().write(true).open(&journal)?;
+    f.seek(SeekFrom::Start(frames_end as u64))?;
     f.write_all(&[0x2a, 0x00, 0x00, 0x00, 0xde, 0xad])?;
     drop(f);
     println!("-- crash: journal torn mid-frame --\n");

@@ -7,7 +7,9 @@
 //! of the acknowledged history — and (c) never resurrects state from
 //! the torn tail. Frame 0, the generation's base, is no torn tail: the
 //! store syncs it before any MANIFEST names it, so a tear or a flipped
-//! bit there fails the open and changes nothing.
+//! bit there fails the open and changes nothing. Zeros after the last
+//! frame are the journal's free space, not a torn tail: a cut there
+//! keeps every frame and discards nothing.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -148,16 +150,36 @@ fn crash_at_every_journal_byte_offset_recovers_a_committed_prefix() {
     fs::remove_dir_all(&root).ok();
 }
 
+/// Cut points inside the free space `valid..len` of a journal: both of
+/// its ends and the few bytes next to them, where a header would start,
+/// and every 4093rd byte between — not every byte, which would reopen a
+/// workspace some 64 Ki times.
+fn free_space_cuts(valid: usize, len: usize) -> Vec<usize> {
+    let mut cuts: Vec<usize> = (valid + 1..valid + 10)
+        .chain((valid..len).step_by(4093))
+        .chain(len.saturating_sub(9)..=len)
+        .filter(|&cut| cut > valid && cut <= len)
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    cuts
+}
+
 /// Tears the generation-0 journal of the workspace at `root` at every
-/// byte offset, each in a fresh copy. A tear after frame 0, the base,
-/// must (a) recover without failing or panicking, (b) restore exactly
-/// `refs[k]`, the state after the `k` frames wholly between the base
-/// and the cut, and (c) truncate the torn remainder away. A tear inside
-/// the base must fail the open and change no file.
+/// byte offset of its frames, each in a fresh copy, and inside its free
+/// space at the points [`free_space_cuts`] picks. A tear after frame 0,
+/// the base, must (a) recover without failing or panicking, (b) restore
+/// exactly `refs[k]`, the state after the `k` frames wholly between the
+/// base and the cut, and (c) truncate the torn remainder away — unless
+/// that remainder is all zeros, which is free space: a cut in the free
+/// space, or one that leaves only the zero low bytes of a header's
+/// length, discards nothing and leaves the file as it was. A tear
+/// inside the base must fail the open and change no file.
 fn assert_every_tear_recovers_a_prefix(root: &Path, refs: &[SessionSpec]) {
     let journal = fs::read(root.join("journal-0.log")).expect("journal exists");
     let scan = scan_frames(&journal);
     assert_eq!(scan.trailing, 0);
+    assert!(scan.free > 0, "the journal holds free space");
     assert_eq!(
         scan.payloads.len(),
         refs.len(),
@@ -186,7 +208,9 @@ fn assert_every_tear_recovers_a_prefix(root: &Path, refs: &[SessionSpec]) {
     }
     fs::remove_dir_all(&dir).ok();
 
-    for cut in scan.offsets[0]..=journal.len() {
+    let cuts =
+        (scan.offsets[0]..=scan.valid_len).chain(free_space_cuts(scan.valid_len, journal.len()));
+    for cut in cuts {
         // Simulate a crash that tore the journal at byte `cut`.
         let dir = temp_root("cut");
         fs::create_dir_all(&dir).expect("mkdir");
@@ -207,17 +231,15 @@ fn assert_every_tear_recovers_a_prefix(root: &Path, refs: &[SessionSpec]) {
              after the {frames} committed command(s) — no more, no less"
         );
 
-        // ...and truncates the torn remainder away.
+        // ...and truncates the torn remainder away, but keeps zeros.
         let valid = scan.offsets[frames];
+        let free = journal[valid..cut].iter().all(|&byte| byte == 0);
+        let (discarded, kept) = if free { (0, cut) } else { (cut - valid, valid) };
+        assert_eq!(report.bytes_discarded, discarded as u64, "at byte {cut}");
         assert_eq!(
-            report.bytes_discarded,
-            (cut - valid) as u64,
-            "at byte {cut}"
-        );
-        assert_eq!(
-            fs::metadata(dir.join("journal-0.log")).expect("meta").len(),
-            valid as u64,
-            "journal truncated to the valid prefix at byte {cut}"
+            fs::read(dir.join("journal-0.log")).expect("journal"),
+            &journal[..kept],
+            "journal truncated to the valid prefix, or kept with its free space, at byte {cut}"
         );
         fs::remove_dir_all(&dir).ok();
     }
@@ -251,16 +273,13 @@ fn crash_at_every_byte_around_a_snapshot_frame_recovers_a_committed_prefix() {
     }
     // The journal holds every change since the snapshot: this
     // checkpoint adds no frame, and so no reference state.
-    let journal_len = fs::metadata(root.join("journal-0.log"))
-        .expect("meta")
-        .len();
+    // The bytes, not the length: a frame would land in free space.
+    let before = fs::read(root.join("journal-0.log")).expect("journal");
     let out = ui.execute("checkpoint").expect("checkpoints");
     assert!(out.contains("already holds every change"), "{out}");
     assert_eq!(
-        fs::metadata(root.join("journal-0.log"))
-            .expect("meta")
-            .len(),
-        journal_len,
+        fs::read(root.join("journal-0.log")).expect("journal"),
+        before,
         "a skipped checkpoint adds no frame"
     );
     drop(ui);
@@ -270,6 +289,66 @@ fn crash_at_every_byte_around_a_snapshot_frame_recovers_a_committed_prefix() {
     let snapshot = decode_op(&scan.payloads[4]).expect("decodes");
     assert_eq!(snapshot, JournalOp::Snapshot(Box::new(refs[4].clone())));
     assert_every_tear_recovers_a_prefix(&root, &refs);
+    fs::remove_dir_all(&root).ok();
+}
+
+/// Zeros after the last frame are free space, however they got there:
+/// a journal whose frames are followed by 4,096 zero bytes reopens with
+/// every frame, discards nothing, quarantines nothing and leaves the
+/// journal as it was. One non-zero byte among them makes them a torn
+/// tail, which is truncated without loss.
+#[test]
+fn zeros_after_the_last_frame_are_free_space_not_a_torn_tail() {
+    let root = temp_root("zero-tail");
+    let mut ui = Ui::new(Session::odyssey("jbb"));
+    ui.execute(&format!("save {}", root.display()))
+        .expect("saves");
+    for cmd in ["goal Layout", "expand n0"] {
+        ui.execute(cmd).expect(cmd);
+    }
+    let expected = SessionSpec::from_session(ui.session());
+    drop(ui);
+    let path = root.join("journal-0.log");
+    let mut journal = fs::read(&path).expect("journal exists");
+    let valid = scan_frames(&journal).valid_len;
+    journal.truncate(valid);
+    journal.extend_from_slice(&[0; 4096]);
+    fs::write(&path, &journal).expect("writes");
+    let quarantined = |root: &Path| {
+        dir_files(root)
+            .into_iter()
+            .filter(|(name, _)| name.contains(".quarantined-"))
+            .count()
+    };
+
+    let (_ws, session, report) =
+        Workspace::open_session(&root, |s| odyssey_registry(s)).expect("reopens");
+    assert_eq!(report.ops_replayed, 2);
+    assert!(
+        report.to_json().contains("\"bytes_discarded\":0"),
+        "{report}"
+    );
+    assert!(!report.truncated && !report.quarantined(), "{report}");
+    assert_eq!(quarantined(&root), 0);
+    assert_eq!(
+        fs::read(&path).expect("journal"),
+        journal,
+        "no byte changed"
+    );
+    assert_eq!(SessionSpec::from_session(&session), expected);
+    drop(_ws);
+
+    journal[valid + 2048] = 0x01;
+    fs::write(&path, &journal).expect("writes");
+    let (_ws, session, report) =
+        Workspace::open_session(&root, |s| odyssey_registry(s)).expect("recovers");
+    assert_eq!(report.ops_replayed, 2, "no frame is lost");
+    assert_eq!(report.bytes_discarded, 4096);
+    assert!(report.truncated && !report.quarantined(), "{report}");
+    assert_eq!(quarantined(&root), 0);
+    assert_eq!(fs::read(&path).expect("journal"), &journal[..valid]);
+    assert_eq!(SessionSpec::from_session(&session), expected);
+    drop(_ws);
     fs::remove_dir_all(&root).ok();
 }
 

@@ -188,12 +188,13 @@ proptest! {
     /// Flipping any single byte anywhere in a framed journal is
     /// detected: the scan never returns the original payload sequence.
     /// (CRC32 detects every burst of up to 32 bits, which covers a
-    /// one-byte flip; a flip in a length field makes the frame torn or
-    /// fail its checksum.)
+    /// one-byte flip; a flip in a length field makes the frame torn,
+    /// empty, or fail its checksum.) Payloads are never empty: a
+    /// zero-length frame is invalid.
     #[test]
     fn corrupting_any_single_byte_of_a_frame_is_detected(
-        payload in prop::collection::vec(0u8..=255, 0..48),
-        extra in prop::collection::vec(0u8..=255, 0..16),
+        payload in prop::collection::vec(0u8..=255, 1..48),
+        extra in prop::collection::vec(0u8..=255, 1..16),
         pos_seed in 0usize..100_000,
         mask in 1u8..=255,
     ) {
@@ -536,6 +537,9 @@ fn bodies_that_misstate_a_section_fail_to_decode_and_are_quarantined() {
         let journal = root.join("journal-0.log");
         let mut bytes = fs::read(&journal).expect("journal");
         let frame = encode_frame(&body).expect("frames");
+        // Where the next frame lands: after the frames, over the free
+        // space, which the file here ends without.
+        bytes.truncate(scan_frames(&bytes).valid_len);
         bytes.extend(&frame);
         fs::write(&journal, &bytes).expect("appends the frame");
 

@@ -1153,6 +1153,223 @@ fn sim_deferred_batch_crash_sweep() {
     }
 }
 
+/// Frames of the extension sweep's workload.
+const EXTENSION_FRAMES: usize = 24;
+
+/// How far past its base the extension sweep's segment bound sits: more
+/// than one chunk of free space, so the second extension is capped at
+/// the bound, yet few enough frames that the segment rolls.
+const EXTENSION_BOUND: u64 = 100 * 1024;
+
+/// A frame of about 6 KiB, labelled `x{i}`: a dozen fill a chunk of
+/// free space.
+fn bulky_event(i: usize) -> (String, JournalOp) {
+    let label = format!("x{i:02} {}", "z".repeat(6 * 1024));
+    let op = event_op(&label);
+    (label, op)
+}
+
+/// Drives the extension workload: a fresh workspace whose segment
+/// bound sits [`EXTENSION_BOUND`] past its base, then
+/// [`EXTENSION_FRAMES`] bulky frames, each appended and acknowledged on
+/// its own. The first append pads the head segment with a chunk of free
+/// space and the next ones overwrite it; a later one pads only up to the
+/// bound; the segment rolls there, and the next segment is padded
+/// again. Stops at the first error.
+fn drive_extensions(sim: &SimEnv, progress: &mut BatchProgress) -> Result<(), StoreError> {
+    let session = sim_session(sim, "extend");
+    let mut ws = Workspace::create_in(Path::new(WS_ROOT), &session, sim.env())?;
+    let head = Path::new(WS_ROOT).join("journal-0.log");
+    let base = sim.fs_state().file_len(&head).expect("the head exists") as u64;
+    ws.set_segment_max_bytes(base + EXTENSION_BOUND);
+    for i in 0..EXTENSION_FRAMES {
+        let (label, op) = bulky_event(i);
+        progress.submitted.push(label);
+        ws.append(&op)?;
+        progress.acknowledged = progress.submitted.len();
+    }
+    ws.close()
+}
+
+/// Every `journal-*` segment on the simulated disk, by path, with its
+/// bytes.
+fn journal_files(sim: &SimEnv) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    disk_image(sim)
+        .into_iter()
+        .filter(|(path, _)| path.to_string_lossy().contains("/journal-"))
+        .collect()
+}
+
+/// Free space costs no disk operation and survives every crash: a crash
+/// point at every mutating op of a workload whose acknowledged appends
+/// pad the active segment with zeros and then overwrite them — torn
+/// padded writes included — recovers every acknowledged frame and at
+/// most a prefix of the in-flight one. Zeros after the last frame are
+/// never discarded or quarantined, and the reopened handle writes its
+/// next frame where the frames end, into the free space.
+#[test]
+fn sim_journal_extension_crash_sweep() {
+    const TEST: &str = "sim_journal_extension_crash_sweep";
+    let master = master_seed();
+    let seed = master.wrapping_add(18);
+
+    // The clean run pads, overwrites, caps at the bound and rolls, and
+    // each acknowledged append is one write and one fsync.
+    let clean = SimEnv::new(seed);
+    let mut progress = BatchProgress::default();
+    let (done, ops) = fs_ops_of(&clean, || drive_extensions(&clean, &mut progress));
+    done.expect("clean run completes");
+    let count = |kind: &str| ops.iter().filter(|op| op.starts_with(kind)).count();
+    let segments = journal_files(&clean);
+    let rolls = segments.len() - 1;
+    sim_assert(
+        rolls == 1 && count("write file=") >= EXTENSION_FRAMES,
+        master,
+        TEST,
+        &format!("the workload must roll once: {segments:?}"),
+    );
+    // By path, `journal-0.1.log` sorts before the head `journal-0.log`.
+    let (active, sealed) = (&segments[0].1, &segments[1].1);
+    let (sealed_scan, active_scan) = (scan_frames(sealed), scan_frames(active));
+    sim_assert(
+        sealed_scan.free == 0 && sealed_scan.trailing == 0 && active_scan.free > 0,
+        master,
+        TEST,
+        "the sealed segment ends at its last frame; the active one in free space",
+    );
+    let total_ops = clean.fs_state().op_count();
+    let create_ops = {
+        let probe = SimEnv::new(seed);
+        let session = sim_session(&probe, "extend");
+        let mut ws =
+            Workspace::create_in(Path::new(WS_ROOT), &session, probe.env()).expect("creates");
+        let create_ops = probe.fs_state().op_count();
+        for i in 0..2 {
+            let (_, op) = bulky_event(i);
+            let head = Path::new(WS_ROOT).join("journal-0.log");
+            let before = probe.fs_state().file_len(&head).expect("head");
+            let (appended, ops) = fs_ops_of(&probe, || ws.append(&op));
+            appended.expect("appends");
+            let count = |kind: &str| ops.iter().filter(|op| op.starts_with(kind)).count();
+            let after = probe.fs_state().file_len(&head).expect("head");
+            sim_assert(
+                (count("write "), count("fsync "), ops.len()) == (1, 1, 2)
+                    && (after > before) == (i == 0),
+                master,
+                TEST,
+                &format!(
+                    "append {i} is one write and one fsync, and only the first grows \
+                     the file ({before} -> {after} bytes): {ops:#?}"
+                ),
+            );
+        }
+        create_ops
+    };
+
+    for k in (create_ops + 1)..=total_ops {
+        let sim = SimEnv::new(seed);
+        sim.fs_state().set_crash_at(Some(k));
+        let mut progress = BatchProgress::default();
+        if let Err(err) = drive_extensions(&sim, &mut progress) {
+            sim_assert(
+                err.to_string().contains(SIM_CRASH_MARKER),
+                master,
+                TEST,
+                &format!("crash at op {k}: expected the simulated crash, got: {err}"),
+            );
+        }
+        let rebooted = sim.crash_and_reboot();
+        let crashed = journal_files(&rebooted);
+        let (mut ws, recovered, report) =
+            Workspace::open_session_in(Path::new(WS_ROOT), |s| odyssey_registry(s), rebooted.env())
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "crash at op {k}: recovery failed: {e}\n  failing seed: {master}\n  \
+                         reproduce: {}",
+                        repro_command(master, TEST)
+                    )
+                });
+        let replayed: Vec<&str> = recovered
+            .events()
+            .iter()
+            .map(|e| e.operation.as_str())
+            .collect();
+        sim_assert(
+            (progress.acknowledged..=progress.submitted.len()).contains(&replayed.len())
+                && replayed == progress.submitted[..replayed.len()],
+            master,
+            TEST,
+            &format!(
+                "crash at op {k}: recovered {} frames, not a prefix of the {} submitted \
+                 holding the {} acknowledged",
+                replayed.len(),
+                progress.submitted.len(),
+                progress.acknowledged
+            ),
+        );
+
+        // Only the in-flight frame can be torn, and nothing follows it:
+        // damage is truncated, never quarantined, and zeros are kept.
+        let active = Path::new(WS_ROOT).join(ws.segments().last().expect("a segment"));
+        let before = &crashed
+            .iter()
+            .find(|(path, _)| *path == active)
+            .expect("the active segment existed")
+            .1;
+        let scan = scan_frames(before);
+        let after = rebooted.fs().read(&active).expect("reads");
+        let tail = &before[scan.valid_len..];
+        let (discarded, kept) = if tail.iter().all(|&byte| byte == 0) {
+            (0, &before[..])
+        } else {
+            (tail.len(), &before[..scan.valid_len])
+        };
+        sim_assert(
+            !report.quarantined() && report.bytes_discarded == discarded as u64 && after == kept,
+            master,
+            TEST,
+            &format!(
+                "crash at op {k}: {} frame byte(s) and a {}-byte tail, {discarded} of it \
+                 damage; recovery discarded {} and left {} byte(s): {report}",
+                scan.valid_len,
+                tail.len(),
+                report.bytes_discarded,
+                after.len()
+            ),
+        );
+
+        // The reopened handle writes where the frames end.
+        let probe = event_op("reopened");
+        ws.append(&probe).expect("the reopened handle appends");
+        let written = rebooted.fs().read(&active).expect("reads");
+        let rescan = scan_frames(&written);
+        let frame = rescan.valid_len - scan.valid_len;
+        sim_assert(
+            rescan.payloads.len() == scan.payloads.len() + 1
+                && (after.len() - scan.valid_len < frame || written.len() == after.len()),
+            master,
+            TEST,
+            &format!(
+                "crash at op {k}: the {frame}-byte frame after reopening must land at byte \
+                 {} and inside the {} byte(s) of free space when it fits",
+                scan.valid_len,
+                after.len() - scan.valid_len
+            ),
+        );
+        drop(ws);
+        let (_ws, recovered, report) =
+            Workspace::open_session_in(Path::new(WS_ROOT), |s| odyssey_registry(s), rebooted.env())
+                .expect("reopens");
+        sim_assert(
+            report.bytes_discarded == 0
+                && recovered.events().last().map(|e| e.operation.as_str()) == Some("reopened"),
+            master,
+            TEST,
+            &format!("crash at op {k}: the frame written after reopening replays: {report}"),
+        );
+    }
+}
+
 /// Builds a tiny multi-segment store: segment size 1 forces a roll
 /// after every append, so `appends` frames land in `appends + 1`
 /// numbered segments (the last one empty). The handle is closed, so

@@ -8,6 +8,7 @@ use std::time::Duration;
 use hercules::encaps::odyssey_registry;
 use hercules::flow::NodeId;
 use hercules::sim::SimEnv;
+use hercules::store::scan_frames;
 use hercules::ui::{render_task_window, Ui};
 use hercules::{DegradedReason, HerculesError, JournalOp, Session, StoreError, Workspace};
 
@@ -15,12 +16,15 @@ fn temp_root(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hercules-ui-{tag}-{}", std::process::id()))
 }
 
-/// Bytes in the attached workspace's journal segments.
-fn journal_bytes(ui: &Ui) -> u64 {
+/// Bytes of the frames in the attached workspace's journal segments
+/// (their free space left out: a frame written into it leaves a
+/// segment's length as it was).
+fn journal_bytes(ui: &Ui) -> usize {
     let ws = ui.workspace().expect("workspace attached");
     ws.segments()
         .iter()
-        .map(|s| std::fs::metadata(ws.root().join(s)).expect("segment").len())
+        .map(|s| std::fs::read(ws.root().join(s)).expect("segment"))
+        .map(|bytes| scan_frames(&bytes).valid_len)
         .sum()
 }
 

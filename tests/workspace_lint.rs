@@ -1,8 +1,8 @@
-//! Workspace lint (`HL04xx`) tests: a clean workspace, a torn journal
-//! tail, a corrupt frame, a missing manifest, a missing or foreign
-//! base, an orphan generation, a replay failure — plus conflict
-//! prediction between two saved workspaces and the whole-analyzer
-//! breadth check.
+//! Workspace lint (`HL04xx`) tests: a clean workspace, one whose
+//! journal ends in free space, a torn journal tail, a corrupt frame, a
+//! missing manifest, a missing or foreign base, an orphan generation, a
+//! replay failure — plus conflict prediction between two saved
+//! workspaces and the whole-analyzer breadth check.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hercules::audit::lint_workspace;
-use hercules::store::{encode_frame, encode_op, CheckpointKind, Workspace};
+use hercules::store::{encode_frame, encode_op, scan_frames, CheckpointKind, Workspace};
 use hercules::ui::Ui;
 use hercules::{JournalOp, Session};
 use hercules_analyze::{lint_flow, lint_schema_spec, Diagnostics, Layer, Severity};
@@ -44,9 +44,46 @@ fn lint(root: &std::path::Path) -> Diagnostics {
     out
 }
 
+/// Writes `bytes` into `journal` right after its last frame, where the
+/// next write would land, and ends the file there, dropping its free
+/// space.
+fn write_after_frames(journal: &Path, bytes: &[u8]) {
+    let mut buf = fs::read(journal).expect("reads");
+    buf.truncate(scan_frames(&buf).valid_len);
+    buf.extend_from_slice(bytes);
+    fs::write(journal, &buf).expect("writes");
+}
+
+#[test]
+fn a_non_zero_byte_in_free_space_is_a_torn_tail() {
+    let root = seeded_workspace("dirty-free-space");
+    let journal = root.join("journal-0.log");
+    let mut buf = fs::read(&journal).expect("reads");
+    let scan = scan_frames(&buf);
+    buf[scan.valid_len + scan.free / 2] = 0x01;
+    fs::write(&journal, &buf).expect("writes");
+    let out = lint(&root);
+    let d = out.iter().find(|d| d.code == "HL0406").expect("HL0406");
+    assert_eq!(d.severity, Severity::Warn);
+    assert!(
+        d.message
+            .contains(&format!("tail of {} byte(s)", scan.free)),
+        "{}",
+        d.message
+    );
+    assert!(
+        d.message.contains("recovery will truncate it"),
+        "{}",
+        d.message
+    );
+    let _ = fs::remove_dir_all(&root);
+}
+
 #[test]
 fn clean_workspace_has_no_workspace_findings() {
     let root = seeded_workspace("clean");
+    let journal = fs::read(root.join("journal-0.log")).expect("reads");
+    assert!(scan_frames(&journal).free > 0, "the append left free space");
     let out = lint(&root);
     assert!(
         !out.iter().any(|d| d.code.starts_with("HL04")),
@@ -80,10 +117,7 @@ fn corrupt_manifest_is_an_error() {
 #[test]
 fn torn_journal_tail_is_a_warning_not_an_error() {
     let root = seeded_workspace("torn");
-    let journal = root.join("journal-0.log");
-    let mut buf = fs::read(&journal).expect("reads");
-    buf.extend_from_slice(&[0xde, 0xad, 0xbe]); // 3 torn bytes
-    fs::write(&journal, &buf).expect("writes");
+    write_after_frames(&root.join("journal-0.log"), &[0xde, 0xad, 0xbe]); // 3 torn bytes
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0406").expect("HL0406");
     assert_eq!(d.severity, Severity::Warn);
@@ -96,10 +130,8 @@ fn torn_journal_tail_is_a_warning_not_an_error() {
 #[test]
 fn checksummed_garbage_frame_is_an_error() {
     let root = seeded_workspace("badframe");
-    let journal = root.join("journal-0.log");
-    let mut buf = fs::read(&journal).expect("reads");
-    buf.extend_from_slice(&encode_frame(b"not an operation").expect("frames"));
-    fs::write(&journal, &buf).expect("writes");
+    let frame = encode_frame(b"not an operation").expect("frames");
+    write_after_frames(&root.join("journal-0.log"), &frame);
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0407").expect("HL0407");
     assert_eq!(d.severity, Severity::Error);
@@ -111,13 +143,13 @@ fn checksummed_garbage_frame_is_an_error() {
 #[test]
 fn unreplayable_operation_is_an_error() {
     let root = seeded_workspace("badreplay");
-    let journal = root.join("journal-0.log");
     let op = JournalOp::Flow(hercules::FlowOp::Seed {
         entity: "NoSuchEntity".to_owned(),
     });
-    let mut buf = fs::read(&journal).expect("reads");
-    buf.extend_from_slice(&encode_op(&op).expect("frames"));
-    fs::write(&journal, &buf).expect("writes");
+    write_after_frames(
+        &root.join("journal-0.log"),
+        &encode_op(&op).expect("frames"),
+    );
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0408").expect("HL0408");
     assert_eq!(d.severity, Severity::Error);
@@ -163,13 +195,13 @@ fn workspace_with_a_snapshot_frame_has_no_workspace_findings() {
 #[test]
 fn unreplayable_operation_after_a_snapshot_is_an_error_at_its_frame() {
     let root = snapshot_workspace("snapshot-badreplay");
-    let journal = root.join("journal-0.log");
     let op = JournalOp::Flow(hercules::FlowOp::Seed {
         entity: "NoSuchEntity".to_owned(),
     });
-    let mut buf = fs::read(&journal).expect("reads");
-    buf.extend_from_slice(&encode_op(&op).expect("frames"));
-    fs::write(&journal, &buf).expect("writes");
+    write_after_frames(
+        &root.join("journal-0.log"),
+        &encode_op(&op).expect("frames"),
+    );
     let out = lint(&root);
     let d = out.iter().find(|d| d.code == "HL0408").expect("HL0408");
     assert_eq!(d.severity, Severity::Error);
@@ -258,8 +290,11 @@ fn well_formed_segment_chain_is_clean() {
     let root = seeded_workspace("segclean");
     let head = fs::read(root.join("journal-0.log")).expect("reads");
     // Split the real journal: frames stay in seq 0, seq 1 starts empty.
+    // A sealed segment ends at its last frame; only the last one may
+    // hold free space.
+    let frames = &head[..scan_frames(&head).valid_len];
     fs::write(root.join("journal-0.1.log"), b"").expect("writes");
-    fs::write(root.join("journal-0.log"), &head).expect("writes");
+    fs::write(root.join("journal-0.log"), frames).expect("writes");
     rewrite_manifest(&root, &["journal-0.log", "journal-0.1.log"], 1);
     let out = lint(&root);
     assert!(
@@ -461,10 +496,7 @@ fn at_least_ten_distinct_codes_across_layers() {
 
     // Workspace layer: a torn tail and an orphan generation.
     let root = seeded_workspace("breadth");
-    let journal = root.join("journal-0.log");
-    let mut buf = fs::read(&journal).expect("reads");
-    buf.extend_from_slice(&[0xff; 5]);
-    fs::write(&journal, &buf).expect("writes");
+    write_after_frames(&root.join("journal-0.log"), &[0xff; 5]);
     fs::write(root.join("checkpoint-7.json"), b"{}").expect("writes");
     lint_workspace(&root, &mut all);
     let _ = fs::remove_dir_all(&root);
