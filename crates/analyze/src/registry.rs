@@ -182,7 +182,7 @@ pub const PASSES: &[PassInfo] = &[
         code: "HL0402",
         layer: Layer::Workspace,
         name: "manifest-corrupt",
-        summary: "MANIFEST is neither one valid CRC frame nor a legacy manifest document",
+        summary: "MANIFEST is not one valid CRC frame holding a manifest",
         severity: Severity::Error,
     },
     PassInfo {

@@ -33,8 +33,8 @@ use hercules_schema::EntityTypeId;
 use hercules_sim::Env;
 
 use crate::store::{
-    decode_op, is_generation_file, parse_segment_name, read_lease, read_manifest, scan_segment,
-    Base, Manifest, StoreError, LEASE_FILE,
+    base_body, decode_base, decode_op, is_generation_file, parse_segment_name, read_lease,
+    read_manifest, scan_segment, Manifest, StoreError, LEASE_FILE,
 };
 use crate::Session;
 
@@ -272,34 +272,32 @@ fn replay(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostics) ->
             return None;
         }
     };
-    let (mut session, skip) = {
-        let base = match Base::find(&env.fs, root, manifest, &first) {
-            Ok(base) => base,
-            Err(e) => {
-                out.push(Diagnostic::new(
-                    "HL0403",
-                    Severity::Error,
-                    Span::file(&segments[0]),
-                    format!("{e}"),
-                ));
-                return None;
-            }
-        };
-        let restored = base.decode().and_then(|spec| {
-            spec.restore_with(|_| EncapsulationRegistry::new())
-                .map_err(StoreError::from)
-        });
-        match restored {
-            Ok(session) => (session, base.frames()),
-            Err(e) => {
-                out.push(Diagnostic::new(
-                    "HL0404",
-                    Severity::Error,
-                    Span::frame(0),
-                    format!("the generation base does not restore to a session: {e}"),
-                ));
-                return None;
-            }
+    let base = match base_body(&segments[0], &first) {
+        Ok(base) => base,
+        Err(e) => {
+            out.push(Diagnostic::new(
+                "HL0403",
+                Severity::Error,
+                Span::file(&segments[0]),
+                format!("{e}"),
+            ));
+            return None;
+        }
+    };
+    let restored = decode_base(base).and_then(|spec| {
+        spec.restore_with(|_| EncapsulationRegistry::new())
+            .map_err(StoreError::from)
+    });
+    let mut session = match restored {
+        Ok(session) => session,
+        Err(e) => {
+            out.push(Diagnostic::new(
+                "HL0404",
+                Severity::Error,
+                Span::frame(0),
+                format!("the generation base does not restore to a session: {e}"),
+            ));
+            return None;
         }
     };
     let mut first = Some(first);
@@ -336,7 +334,7 @@ fn replay(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostics) ->
                 ),
             ));
         }
-        let from = if si == 0 { skip } else { 0 };
+        let from = usize::from(si == 0);
         for (i, payload) in scan.payloads.iter().enumerate().skip(from) {
             let frame = frame_base + i;
             let op = match decode_op(payload) {
@@ -484,7 +482,7 @@ fn lease_state(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostic
 fn orphan_generations(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostics) {
     for name in dir_names(root, env)
         .into_iter()
-        .filter(|name| is_generation_file(name) && !manifest.names(name))
+        .filter(|name| is_generation_file(name) && !manifest.segments.contains(name))
     {
         out.push(Diagnostic::new(
             "HL0409",

@@ -24,11 +24,11 @@
 //!   delay or force a takeover, which the MANIFEST's fencing token
 //!   arbitrates.
 //!
-//! Every byte of session state on disk is thus inside a CRC frame. A
-//! workspace written before frames has a plain-JSON MANIFEST naming a
-//! `checkpoint-N.json` base; the MANIFEST reader and the base reader
-//! here are the only code that reads that layout, and a writable open
-//! re-bases it at once onto a frames-only generation.
+//! Every byte of session state on disk is thus inside a CRC frame, and
+//! this is the only layout `open` reads. A workspace in an older layout
+//! — a plain-JSON MANIFEST, or a frame 0 whose body is JSON — fails
+//! `open` with [`StoreError::Corrupt`], and the failing open writes
+//! nothing.
 //!
 //! [`Workspace::checkpoint`] writes a snapshot only when the journal
 //! cannot stand in for one. Every [`Ui`](crate::ui::Ui) command is
@@ -66,12 +66,10 @@
 //! empty placeholder; the payloads follow raw, in document order (an
 //! execution's records, or a snapshot's history records), so the design
 //! data stays opaque bytes while its meta-data stays readable JSON.
-//! Shared payloads ([`Payload::Shared`]) stay in the JSON. The marker
-//! byte starts no JSON text: a body written before raw payloads is the
-//! operation's JSON with hex payloads, and the decoder still reads it.
-//! A body must account for every byte of every section; one that does
-//! not is unparsable, like any other. MANIFEST is one frame whose body
-//! is its JSON document.
+//! Shared payloads ([`Payload::Shared`](hercules_history::Payload::Shared))
+//! stay in the JSON. A body that does not start with the marker byte is
+//! unparsable, and so is one that does not account for every byte of
+//! every section. MANIFEST is one frame whose body is its JSON document.
 //!
 //! The CRC is IEEE 802.3 (the zlib/PNG polynomial), computed by
 //! [`hercules_digest::crc32`], which also frames cache entries; it
@@ -94,7 +92,7 @@
 //!
 //! Every frame of session state goes through [`encode_op`]: each
 //! command's, and each snapshot's (`save`, appended and rotating
-//! checkpoints, and the re-base of `scrub` and of a legacy `open`). It
+//! checkpoints, and the re-base of `scrub`). It
 //! serializes the operation's JSON without its payloads, copies each
 //! inline payload once, into the frame, and fills the 8-byte header in
 //! place. The journal has one write path. [`Workspace::append_deferred`]
@@ -139,191 +137,43 @@
 //! skipped subtasks of an interrupted partial execution, serving the
 //! already committed ones from the design history as cache hits.
 
-use std::borrow::Cow;
-use std::fmt;
-use std::ops::Range;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+mod frame;
+mod generation;
+mod lease;
+mod recovery;
+mod scrub;
 
-use hercules_digest::crc32;
-use hercules_exec::EncapsulationRegistry;
+use std::fmt;
+use std::path::{Path, PathBuf};
+
 use hercules_flow::NodeId;
-use hercules_history::{HistorySpec, InstanceId, InstanceSpec, Payload};
+use hercules_history::{InstanceId, InstanceSpec};
 use hercules_obs::{names, Metrics};
-use hercules_schema::TaskSchema;
-use hercules_sim::{Env, Fs, FsFile};
+use hercules_sim::{Env, FsFile};
 use serde::{Deserialize, Serialize};
 
 use crate::error::HerculesError;
 use crate::persist::{ExecReportSpec, FlowOp, SessionSpec};
 use crate::session::{ExecEvent, Session};
 
-// ---------------------------------------------------------------------
-// Checksummed frames.
-// ---------------------------------------------------------------------
+pub use frame::{decode_op, encode_frame, encode_op, scan_frames, FrameScan};
+pub use generation::CheckpointKind;
+pub use lease::{DegradedReason, WriteState};
+pub use recovery::{RecoveryReport, SegmentRecovery};
+pub use scrub::{ScrubReport, SegmentScrub};
 
-/// Encodes one journal frame: `[len u32 LE][crc32 u32 LE][payload]`.
-///
-/// # Errors
-///
-/// [`StoreError::Format`] when the payload is empty — a zero-length
-/// frame is invalid, since zeroed free space would read as a run of
-/// them — or 4 GiB or more, too long for the length field.
-pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, StoreError> {
-    if payload.is_empty() {
-        return Err(StoreError::Format(
-            "a journal frame payload may not be empty".into(),
-        ));
-    }
-    let len = frame_len(payload.len())?;
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
-}
+pub(crate) use frame::scan_segment;
+pub(crate) use generation::{
+    base_body, decode_base, is_generation_file, parse_segment_name, read_manifest, Manifest,
+};
+pub(crate) use lease::{read_lease, LEASE_FILE};
 
-/// A payload length as the frame's `u32` length field. A cast would
-/// wrap a longer one: the frame would be acknowledged, then dropped by
-/// recovery as a torn tail together with every later frame.
-fn frame_len(len: usize) -> Result<u32, StoreError> {
-    u32::try_from(len).map_err(|_| {
-        StoreError::Format(format!(
-            "journal frame payload of {len} bytes exceeds the 4 GiB frame limit"
-        ))
-    })
-}
-
-/// The result of scanning a journal segment for valid frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameScan {
-    /// Payloads of the valid frames, in order.
-    pub payloads: Vec<Vec<u8>>,
-    /// End offset of each valid frame (`offsets[i]` is the byte length
-    /// of the journal prefix containing frames `0..=i`).
-    pub offsets: Vec<usize>,
-    /// Length of the valid prefix; equals the last offset (or 0).
-    pub valid_len: usize,
-    /// Free space after the valid prefix: the zeros that run from it to
-    /// the end of the buffer, which only the last segment of a chain can
-    /// hold.
-    pub free: usize,
-    /// Damaged bytes after the valid prefix — a torn or corrupt tail.
-    pub trailing: usize,
-}
-
-/// Scans `buf`, the active (last) segment of a journal, for
-/// consecutive valid frames, stopping at the first torn (length past
-/// end-of-buffer), empty, or corrupt (checksum mismatch) frame, and
-/// classifies the bytes after them. Never panics: any byte sequence
-/// yields a valid prefix.
-pub fn scan_frames(buf: &[u8]) -> FrameScan {
-    scan_segment(buf, true)
-}
-
-/// [`scan_frames`] for any segment of a chain. Only the `last` one can
-/// hold free space, and only as zeros that run from its valid prefix
-/// to its end; any other bytes there are damage.
-pub(crate) fn scan_segment(buf: &[u8], last: bool) -> FrameScan {
-    let frames = frame_payloads(buf);
-    let valid_len = frames.last().map_or(0, |payload| payload.end);
-    let free = free_tail(&buf[valid_len..], last);
-    FrameScan {
-        payloads: frames.iter().map(|p| buf[p.clone()].to_vec()).collect(),
-        offsets: frames.iter().map(|p| p.end).collect(),
-        valid_len,
-        free,
-        trailing: buf.len() - valid_len - free,
-    }
-}
-
-/// How many bytes of `tail`, the bytes after a segment's valid prefix,
-/// are free space rather than damage: all of them when `tail` is zeros
-/// in the `last` segment, else none. The writer keeps zeroed space
-/// ahead of the active segment's write position and never lets a
-/// segment it seals end in zeros, so one non-zero byte, or zeros in
-/// any other segment, make the whole tail damage. Recovery,
-/// [`Workspace::scrub`] and herclint's HL0406 all classify by this
-/// rule, so they agree.
-pub(crate) fn free_tail(tail: &[u8], last: bool) -> usize {
-    if last && tail.iter().all(|&byte| byte == 0) {
-        tail.len()
-    } else {
-        0
-    }
-}
-
-/// [`scan_frames`] without the copies: the byte range of each valid
-/// frame's payload within `buf`, in order. A frame ends where its
-/// payload does.
-fn frame_payloads(buf: &[u8]) -> Vec<Range<usize>> {
-    let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while buf.len() - pos >= 8 {
-        let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]) as usize;
-        let crc = u32::from_le_bytes([buf[pos + 4], buf[pos + 5], buf[pos + 6], buf[pos + 7]]);
-        if len == 0 {
-            break; // free space: zeros would read as empty frames
-        }
-        if len > buf.len() - pos - 8 {
-            break; // torn: the frame was not fully written
-        }
-        let payload = pos + 8..pos + 8 + len;
-        if crc32(&buf[payload.clone()]) != crc {
-            break; // corrupt: bit rot or a torn overwrite
-        }
-        pos = payload.end;
-        frames.push(payload);
-    }
-    frames
-}
+use generation::{retire, segment_name, snapshot_frame, start_generation, SnapshotTail};
+use lease::{write_lease, DEFAULT_LEASE_MS, DEFAULT_OWNER};
 
 // ---------------------------------------------------------------------
 // Errors.
 // ---------------------------------------------------------------------
-
-/// Why a workspace refuses mutations while still serving reads.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub enum DegradedReason {
-    /// Another writer holds an unexpired lease on the workspace.
-    LeaseHeld {
-        /// Owner id recorded in the lease file.
-        owner: String,
-        /// Unix-millisecond expiry of the foreign lease.
-        expires_unix_ms: u64,
-    },
-    /// This handle's fencing token was superseded — a newer writer took
-    /// over the lease, and every later write here must be rejected to
-    /// keep the journal single-writer.
-    Fenced {
-        /// The newer writer's fencing token.
-        token: u64,
-    },
-}
-
-impl fmt::Display for DegradedReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DegradedReason::LeaseHeld {
-                owner,
-                expires_unix_ms,
-            } => write!(f, "lease held by `{owner}` until unix-ms {expires_unix_ms}"),
-            DegradedReason::Fenced { token } => {
-                write!(f, "fenced out by a newer writer (token {token})")
-            }
-        }
-    }
-}
-
-/// Whether a workspace handle may mutate the store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteState {
-    /// This handle holds the lease; mutations are accepted.
-    Writable,
-    /// Read-only: browsing, queries, and trace replay work, but every
-    /// mutation fails with [`StoreError::Degraded`].
-    Degraded(DegradedReason),
-}
 
 /// Errors from the durable store.
 #[derive(Debug)]
@@ -331,8 +181,9 @@ pub enum WriteState {
 pub enum StoreError {
     /// An underlying filesystem operation failed.
     Io(std::io::Error),
-    /// A file is damaged beyond recovery (manifest or checkpoint — the
-    /// journal is always recoverable by truncation).
+    /// A file is damaged beyond recovery, or in a layout the store no
+    /// longer reads (the MANIFEST or a generation's base — the journal
+    /// after the base is always recoverable by truncation).
     Corrupt { detail: String },
     /// A document failed to serialize or deserialize.
     Format(String),
@@ -501,695 +352,9 @@ impl JournalOp {
     }
 }
 
-/// How many times the newest snapshot a generation's files may hold
-/// before a checkpoint rotates instead of appending. An appended
-/// snapshot supersedes everything before it, yet the next `open` still
-/// reads and replays the whole generation, so the factor trades
-/// open-time work and disk space for checkpoint-time syncs: at 4, about
-/// three appended snapshots of one sync each share a rotation's four
-/// syncs, while `open` reads, and the directory keeps, at most four
-/// snapshots' worth. A constant, not a setting.
-const ROTATE_FACTOR: u64 = 4;
-
-/// Encodes `session` once, as the [`JournalOp::Snapshot`] frame that a
-/// checkpoint appends or a new generation starts with.
-///
-/// # Errors
-///
-/// [`StoreError::Format`] when the snapshot exceeds the 4 GiB frame
-/// limit.
-fn snapshot_frame(session: &Session) -> Result<Vec<u8>, StoreError> {
-    encode_op(&JournalOp::Snapshot(Box::new(SessionSpec::from_session(
-        session,
-    ))))
-}
-
-// ---------------------------------------------------------------------
-// Frame bodies.
-// ---------------------------------------------------------------------
-
-/// The first byte of every frame body [`encode_op`] writes. No JSON
-/// text starts with it (it is not even UTF-8), so it tells the body
-/// apart from one written before raw payloads, which is the operation's
-/// JSON and starts with `{` or `"`.
-const RAW_BODY: u8 = 0xFF;
-
-/// Encodes `op` as one journal frame, header included, its body in the
-/// layout the module docs give under *Frame format*: the JSON with each
-/// inline payload an empty placeholder (`""`), then the payloads raw.
-/// Each payload is copied once, into the frame; none is hex-encoded.
-///
-/// # Errors
-///
-/// [`StoreError::Format`] when the body is 4 GiB or more, too long for
-/// the frame's length field.
-pub fn encode_op(op: &JournalOp) -> Result<Vec<u8>, StoreError> {
-    let mut payloads = Vec::new();
-    let json = serde_json::to_vec(&*skeleton(op, &mut payloads))?;
-    let raw: usize = payloads.iter().map(|payload| payload.len()).sum();
-    let body = 1 + 4 + json.len() + 4 + 4 * payloads.len() + raw;
-    // Every length below is at most `body`, so each fits its u32 field.
-    let len = frame_len(body)?;
-    let put_len =
-        |frame: &mut Vec<u8>, n: usize| frame.extend_from_slice(&(n as u32).to_le_bytes());
-    let mut frame = Vec::with_capacity(8 + body);
-    frame.extend_from_slice(&[0; 8]); // the header, filled in below
-    frame.push(RAW_BODY);
-    put_len(&mut frame, json.len());
-    frame.extend_from_slice(&json);
-    put_len(&mut frame, payloads.len());
-    for payload in &payloads {
-        put_len(&mut frame, payload.len());
-    }
-    for payload in &payloads {
-        frame.extend_from_slice(payload);
-    }
-    let crc = crc32(&frame[8..]);
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame[4..8].copy_from_slice(&crc.to_le_bytes());
-    Ok(frame)
-}
-
-/// `op` with every inline payload an empty placeholder, pushing the
-/// payloads to `payloads` in document order; `op` itself when it holds
-/// none. Only the records' metadata is copied.
-fn skeleton<'a>(op: &'a JournalOp, payloads: &mut Vec<&'a [u8]>) -> Cow<'a, JournalOp> {
-    let inline = |records: &[InstanceSpec]| {
-        records
-            .iter()
-            .any(|record| matches!(record.data, Some(Payload::Inline(_))))
-    };
-    let mut strip = |records: &'a [InstanceSpec]| -> Vec<InstanceSpec> {
-        records
-            .iter()
-            .map(|record| InstanceSpec {
-                entity: record.entity.clone(),
-                user: record.user.clone(),
-                created: record.created,
-                name: record.name.clone(),
-                comment: record.comment.clone(),
-                keywords: record.keywords.clone(),
-                data: match &record.data {
-                    Some(Payload::Inline(bytes)) => {
-                        payloads.push(bytes);
-                        Some(Payload::Inline(Vec::new()))
-                    }
-                    data => data.clone(),
-                },
-                tool: record.tool,
-                inputs: record.inputs.clone(),
-            })
-            .collect()
-    };
-    match op {
-        JournalOp::Exec(spec) if inline(&spec.instances) => Cow::Owned(JournalOp::Exec(ExecSpec {
-            instances: strip(&spec.instances),
-            report: spec.report.clone(),
-            event: spec.event.clone(),
-        })),
-        JournalOp::Snapshot(spec) if inline(&spec.history.instances) => {
-            Cow::Owned(JournalOp::Snapshot(Box::new(SessionSpec {
-                schema: spec.schema.clone(),
-                history: HistorySpec {
-                    instances: strip(&spec.history.instances),
-                },
-                catalog: spec.catalog.clone(),
-                user: spec.user.clone(),
-                flow_ops: spec.flow_ops.clone(),
-                binding: spec.binding.clone(),
-                events: spec.events.clone(),
-                last_exec: spec.last_exec.clone(),
-            })))
-        }
-        _ => Cow::Borrowed(op),
-    }
-}
-
-/// Decodes one frame body, as [`scan_frames`] yields it: the layout
-/// [`encode_op`] writes, or a body written before it, which is the
-/// operation's JSON with hex (or byte-array) payloads. The body must
-/// account for every byte of every section.
-///
-/// # Errors
-///
-/// [`StoreError::Format`] when the JSON does not parse as an operation,
-/// a length runs past the body, bytes are left after the last payload,
-/// the payload count differs from the placeholders, or a placeholder
-/// holds bytes.
-pub fn decode_op(body: &[u8]) -> Result<JournalOp, StoreError> {
-    let Some((&RAW_BODY, mut rest)) = body.split_first() else {
-        return Ok(serde_json::from_slice(body)?);
-    };
-    let json_len = take_len(&mut rest)?;
-    let mut op: JournalOp = serde_json::from_slice(take(&mut rest, json_len)?)?;
-    let count = take_len(&mut rest)?;
-    let mut lengths = take(&mut rest, count.saturating_mul(4))?;
-    let slots: Vec<&mut Vec<u8>> = match &mut op {
-        JournalOp::Exec(spec) => &mut spec.instances[..],
-        JournalOp::Snapshot(spec) => &mut spec.history.instances[..],
-        _ => &mut [],
-    }
-    .iter_mut()
-    .filter_map(|record| match &mut record.data {
-        Some(Payload::Inline(bytes)) => Some(bytes),
-        _ => None,
-    })
-    .collect();
-    if slots.len() != count {
-        return Err(body_error(format!(
-            "{count} payload(s) for {} placeholder(s)",
-            slots.len()
-        )));
-    }
-    for slot in slots {
-        if !slot.is_empty() {
-            return Err(body_error("a payload placeholder holds bytes".into()));
-        }
-        let len = take_len(&mut lengths)?;
-        *slot = take(&mut rest, len)?.to_vec();
-    }
-    if !rest.is_empty() {
-        return Err(body_error(format!(
-            "{} byte(s) after the last payload",
-            rest.len()
-        )));
-    }
-    Ok(op)
-}
-
-/// Splits the next `n` bytes off the front of `rest`.
-fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], StoreError> {
-    if n > rest.len() {
-        return Err(body_error(format!(
-            "a {n}-byte section overruns the {} byte(s) left",
-            rest.len()
-        )));
-    }
-    let (section, after) = rest.split_at(n);
-    *rest = after;
-    Ok(section)
-}
-
-/// Splits a `u32 LE` length off the front of `rest`.
-fn take_len(rest: &mut &[u8]) -> Result<usize, StoreError> {
-    let bytes = take(rest, 4)?.try_into().expect("four bytes");
-    Ok(usize::try_from(u32::from_le_bytes(bytes)).unwrap_or(usize::MAX))
-}
-
-/// The error for a frame body that does not decode.
-fn body_error(detail: String) -> StoreError {
-    StoreError::Format(format!("frame body: {detail}"))
-}
-
-// ---------------------------------------------------------------------
-// Manifest, generation base and recovery report.
-// ---------------------------------------------------------------------
-
-/// The MANIFEST file name.
-const MANIFEST_FILE: &str = "MANIFEST";
-
-/// The workspace manifest: which generation is current, its segment
-/// chain, and the highest fencing token ever granted. Swapped
-/// atomically so it always names a complete generation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct Manifest {
-    pub(crate) generation: u64,
-    /// Every journal segment of this generation, oldest first; the last
-    /// is the active one. Never empty.
-    #[serde(default)]
-    pub(crate) segments: Vec<String>,
-    /// Monotonic fencing token: bumped every time a writer acquires the
-    /// lease. A deposed writer's token is smaller, so its writes are
-    /// rejected after takeover.
-    #[serde(default)]
-    pub(crate) fencing_token: u64,
-    /// A legacy manifest's base: the checkpoint file the whole chain
-    /// replays on top of. Never written; `None` when the base is frame 0
-    /// of the first segment.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    checkpoint: Option<String>,
-    /// A legacy pre-segment manifest's one journal file. Never written.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    journal: Option<String>,
-}
-
-impl Manifest {
-    /// Whether `name` is one of the generation's files.
-    pub(crate) fn names(&self, name: &str) -> bool {
-        self.segments.iter().any(|s| s == name) || self.checkpoint.as_deref() == Some(name)
-    }
-}
-
-/// Reads MANIFEST: one valid CRC frame spanning the whole file, or else
-/// the plain-JSON manifest of a workspace written before frames, which
-/// must name its checkpoint. A damaged framed MANIFEST never parses as
-/// JSON: its frame header holds NUL bytes.
-///
-/// # Errors
-///
-/// [`StoreError::Io`] when MANIFEST cannot be read, and
-/// [`StoreError::Corrupt`] when it is neither form.
-pub(crate) fn read_manifest(fs: &Fs, dir: &Path) -> Result<Manifest, StoreError> {
-    let bytes = fs.read(&dir.join(MANIFEST_FILE))?;
-    let frames = frame_payloads(&bytes);
-    let framed = matches!(&frames[..], [payload] if payload.end == bytes.len());
-    let doc = if framed { &bytes[8..] } else { &bytes[..] };
-    let corrupt = |detail: String| StoreError::Corrupt {
-        detail: format!("{MANIFEST_FILE}: {detail}"),
-    };
-    let mut manifest: Manifest = serde_json::from_slice(doc).map_err(|e| corrupt(e.to_string()))?;
-    if !framed && manifest.checkpoint.is_none() {
-        return Err(corrupt(
-            "neither one CRC frame nor a legacy manifest".into(),
-        ));
-    }
-    if manifest.segments.is_empty() {
-        manifest.segments.extend(manifest.journal.take());
-    }
-    if manifest.segments.is_empty() {
-        return Err(corrupt("names no journal segment".into()));
-    }
-    Ok(manifest)
-}
-
-/// A generation's base snapshot, found but not yet decoded: frame 0 of
-/// its first segment or, in a legacy generation, its checkpoint file.
-pub(crate) struct Base<'a> {
-    /// Frame 0's payload, or the checkpoint file.
-    bytes: Cow<'a, [u8]>,
-    /// `true` for frame 0.
-    framed: bool,
-}
-
-impl<'a> Base<'a> {
-    /// Finds the base of the generation `manifest` names, `first` being
-    /// the bytes of its first segment.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when the base is missing: `first` does
-    /// not start with a CRC-valid frame, or a legacy checkpoint file
-    /// cannot be read.
-    pub(crate) fn find(
-        fs: &Fs,
-        dir: &Path,
-        manifest: &Manifest,
-        first: &'a [u8],
-    ) -> Result<Base<'a>, StoreError> {
-        let (bytes, framed) = match &manifest.checkpoint {
-            Some(checkpoint) => match fs.read(&dir.join(checkpoint)) {
-                Ok(bytes) => (Cow::Owned(bytes), false),
-                Err(e) => return Err(corrupt_base(format!("{checkpoint}: {e}"))),
-            },
-            None => match frame_payloads(first).into_iter().next() {
-                Some(frame) => (Cow::Borrowed(&first[frame]), true),
-                None => {
-                    let first = &manifest.segments[0];
-                    return Err(corrupt_base(format!("{first} holds no valid frame 0")));
-                }
-            },
-        };
-        Ok(Base { bytes, framed })
-    }
-
-    /// Bytes the base takes on disk.
-    pub(crate) fn len(&self) -> u64 {
-        self.bytes.len() as u64 + if self.framed { 8 } else { 0 }
-    }
-
-    /// How many frames of the first segment the base takes: the
-    /// journaled operations start after them.
-    pub(crate) fn frames(&self) -> usize {
-        usize::from(self.framed)
-    }
-
-    /// Decodes the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when frame 0 is not a
-    /// [`JournalOp::Snapshot`], or a legacy checkpoint is not a session
-    /// document.
-    pub(crate) fn decode(&self) -> Result<SessionSpec, StoreError> {
-        let spec = if self.framed {
-            match decode_op(&self.bytes) {
-                Ok(JournalOp::Snapshot(spec)) => Ok(*spec),
-                Ok(_) => Err("frame 0 is not a snapshot".to_owned()),
-                Err(e) => Err(e.to_string()),
-            }
-        } else {
-            serde_json::from_slice(&self.bytes).map_err(|e| e.to_string())
-        };
-        spec.map_err(corrupt_base)
-    }
-}
-
-/// The error for a missing or undecodable generation base.
-fn corrupt_base(detail: String) -> StoreError {
-    StoreError::Corrupt {
-        detail: format!("generation base: {detail}"),
-    }
-}
-
-/// The writer-lease file: who may mutate the workspace, until when.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct LeaseDoc {
-    /// Owner id (process, server, or user-chosen tag).
-    pub(crate) owner: String,
-    /// Unix-millisecond expiry; a lease past this is up for takeover.
-    pub(crate) expires_unix_ms: u64,
-    /// The fencing token granted with this lease.
-    pub(crate) token: u64,
-}
-
-/// Per-segment recovery detail: what survived, what was quarantined.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct SegmentRecovery {
-    /// Segment file name.
-    pub name: String,
-    /// Frames replayed from this segment.
-    pub frames_replayed: usize,
-    /// Complete frames found in the damaged region (quarantined, not
-    /// replayed — they sit beyond a hole or a failed frame).
-    pub frames_quarantined: usize,
-    /// Bytes of the valid, replayed prefix.
-    pub bytes_kept: u64,
-    /// Bytes discarded from this segment (truncated tail or the whole
-    /// file when unreadable).
-    pub bytes_discarded: u64,
-    /// Files the damaged data was preserved under, if any.
-    pub quarantined_as: Vec<String>,
-}
-
-/// What [`Workspace::open_session`] found and did.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct RecoveryReport {
-    /// Generation whose base was restored.
-    pub generation: u64,
-    /// Journaled operations replayed on top of the base (frame 0 itself
-    /// not counted).
-    pub ops_replayed: usize,
-    /// Bytes of torn, corrupt, or unreplayable journal tail discarded
-    /// (the journal file was truncated back to the valid prefix).
-    pub bytes_discarded: u64,
-    /// `true` when a tail was discarded.
-    pub truncated: bool,
-    /// Per-segment detail, in chain order.
-    pub segments: Vec<SegmentRecovery>,
-    /// The fencing token this open acquired (or found, when degraded).
-    pub fencing_token: u64,
-    /// `true` when this open took the lease over from a different
-    /// (expired) owner, fencing that writer out.
-    pub took_over: bool,
-    /// Why the workspace opened read-only, when it did.
-    pub degraded: Option<String>,
-}
-
-impl RecoveryReport {
-    /// The report as a JSON object (for logs and tooling).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
-    }
-
-    /// `true` when any segment lost data to quarantine (as opposed to a
-    /// plain torn-tail truncation).
-    pub fn quarantined(&self) -> bool {
-        self.segments.iter().any(|s| !s.quarantined_as.is_empty())
-    }
-}
-
-impl fmt::Display for RecoveryReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "generation {}, {} journaled operation(s) replayed",
-            self.generation, self.ops_replayed
-        )?;
-        if self.truncated {
-            write!(
-                f,
-                "; {} byte(s) of torn tail discarded",
-                self.bytes_discarded
-            )?;
-        }
-        for seg in &self.segments {
-            if !seg.quarantined_as.is_empty() {
-                write!(
-                    f,
-                    "; segment {}: {} frame(s) quarantined as {}",
-                    seg.name,
-                    seg.frames_quarantined,
-                    seg.quarantined_as.join(", ")
-                )?;
-            }
-        }
-        if let Some(reason) = &self.degraded {
-            write!(f, "; opened read-only ({reason})")?;
-        }
-        Ok(())
-    }
-}
-
-/// How [`Workspace::checkpoint`] made the session durable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointKind {
-    /// The snapshot was appended to the current generation's journal as
-    /// a [`JournalOp::Snapshot`] frame.
-    Appended,
-    /// The snapshot was written as frame 0, the base, of a new
-    /// generation, retiring the old one.
-    Rotated,
-    /// No snapshot was written: the generation's journal already held
-    /// every change of the session, after a snapshot frame and with
-    /// less than that snapshot's bytes of frames since. Only pending
-    /// frames were synced.
-    Synced,
-}
-
-/// The newest snapshot frame of a generation's journal and the frame
-/// bytes after it: what tells a checkpoint whether replaying the
-/// journal still beats writing a new snapshot.
-#[derive(Debug, Clone, Copy)]
-struct SnapshotTail {
-    /// Bytes of the newest snapshot frame, header included: the base,
-    /// until a checkpoint appends one.
-    snapshot: u64,
-    /// Bytes of the frames after it, pending ones included.
-    since: u64,
-}
-
-impl SnapshotTail {
-    /// The tail of a generation whose newest snapshot is the last frame.
-    fn new(snapshot: u64) -> SnapshotTail {
-        SnapshotTail { snapshot, since: 0 }
-    }
-
-    /// Accounts for one more `frame`-byte frame at the journal's end.
-    fn push(&mut self, frame: u64, is_snapshot: bool) {
-        if is_snapshot {
-            *self = SnapshotTail::new(frame);
-        } else {
-            self.since += frame;
-        }
-    }
-
-    /// Whether a checkpoint must write a snapshot even for a fully
-    /// journaled session: replaying the frames since the newest one
-    /// would read at least as many bytes as a new one.
-    fn needs_snapshot(&self) -> bool {
-        self.since >= self.snapshot
-    }
-}
-
-/// Per-segment result of a [`Workspace::scrub`] pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct SegmentScrub {
-    /// Segment file name.
-    pub name: String,
-    /// CRC-valid frames found.
-    pub frames_ok: usize,
-    /// Bytes of the CRC-valid prefix.
-    pub bytes_ok: u64,
-    /// Damaged bytes past the valid prefix (0 when clean).
-    pub damaged_bytes: u64,
-    /// `false` when the segment could not be read at all.
-    pub readable: bool,
-    /// Quarantine files the damage was preserved under, if repaired.
-    pub quarantined_as: Vec<String>,
-}
-
-/// What a [`Workspace::scrub`] pass verified, found, and repaired.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct ScrubReport {
-    /// Generation that was scrubbed.
-    pub generation: u64,
-    /// Per-segment verification results, chain order.
-    pub segments: Vec<SegmentScrub>,
-    /// `true` when any damage was found.
-    pub damaged: bool,
-    /// `true` when damage was quarantined and the store re-baselined
-    /// onto a fresh generation.
-    pub repaired: bool,
-    /// The fencing token the scrub ran under.
-    pub fencing_token: u64,
-}
-
-impl ScrubReport {
-    /// The report as a JSON object (for logs and tooling).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
-    }
-}
-
-impl fmt::Display for ScrubReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let frames: usize = self.segments.iter().map(|s| s.frames_ok).sum();
-        write!(
-            f,
-            "generation {}: {} segment(s), {} frame(s) verified",
-            self.generation,
-            self.segments.len(),
-            frames
-        )?;
-        for seg in &self.segments {
-            if !seg.readable {
-                write!(f, "; segment {} unreadable", seg.name)?;
-            } else if seg.damaged_bytes > 0 {
-                write!(
-                    f,
-                    "; segment {}: {} damaged byte(s)",
-                    seg.name, seg.damaged_bytes
-                )?;
-            }
-        }
-        if self.repaired {
-            write!(f, "; damage quarantined, store re-baselined")?;
-        } else if self.damaged {
-            write!(f, "; damage found, not repaired (read-only)")?;
-        } else {
-            write!(f, "; clean")?;
-        }
-        Ok(())
-    }
-}
-
 // ---------------------------------------------------------------------
 // The workspace.
 // ---------------------------------------------------------------------
-
-/// Writes `name` under `dir` atomically: temp file, fsync, rename,
-/// directory fsync. Readers see either the old file or the new one,
-/// never a torn mixture. All I/O goes through `fs`, so under
-/// simulation a crash can land between any two of these steps.
-fn write_atomic(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    {
-        let mut f = fs.create_truncate(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs.rename(&tmp, &dir.join(name))?;
-    fs.sync_dir(dir)?;
-    Ok(())
-}
-
-/// Creates journal segment `name` under `dir` holding `frames`, and
-/// makes its contents and its directory entry durable, returning its
-/// write handle. A MANIFEST may name a segment only after this
-/// returns: otherwise a crash can keep the manifest swap but lose the
-/// segment, leaving a manifest that points at nothing.
-fn create_segment(
-    fs: &Fs,
-    dir: &Path,
-    name: &str,
-    frames: &[u8],
-) -> Result<Box<dyn FsFile>, StoreError> {
-    let mut file = fs.create_truncate(&dir.join(name))?;
-    file.write_all(frames)?;
-    file.sync_all()?;
-    fs.sync_dir(dir)?;
-    Ok(file)
-}
-
-/// Starts generation `generation` under `dir`: creates its head
-/// segment `journal-N.log` holding `base`, the session's snapshot frame,
-/// makes it durable, then swaps in the MANIFEST naming it under
-/// `fencing_token`. Returns the head segment's write handle. A crash
-/// anywhere before the MANIFEST rename leaves the previous MANIFEST,
-/// and every file it names, untouched.
-fn start_generation(
-    fs: &Fs,
-    dir: &Path,
-    generation: u64,
-    base: &[u8],
-    fencing_token: u64,
-) -> Result<Box<dyn FsFile>, StoreError> {
-    let head = segment_name(generation, 0);
-    let journal = create_segment(fs, dir, &head, base)?;
-    publish_manifest(fs, dir, generation, &[head], fencing_token)?;
-    Ok(journal)
-}
-
-/// Deletes the `files` of a generation a MANIFEST swap just retired,
-/// never quarantine files. Best-effort — a crash or error here leaves
-/// harmless orphans.
-fn retire<'a>(fs: &Fs, dir: &Path, files: impl IntoIterator<Item = &'a String>) {
-    for file in files {
-        let _ = fs.remove_file(&dir.join(file));
-    }
-}
-
-/// Atomically swaps in the MANIFEST naming the segment chain `segments`
-/// (oldest first; the last is the active journal) of `generation`,
-/// under `fencing_token`, as one CRC frame. Every file it names must
-/// already be durable (see [`create_segment`]).
-fn publish_manifest(
-    fs: &Fs,
-    dir: &Path,
-    generation: u64,
-    segments: &[String],
-    fencing_token: u64,
-) -> Result<(), StoreError> {
-    let manifest = Manifest {
-        generation,
-        segments: segments.to_vec(),
-        fencing_token,
-        checkpoint: None,
-        journal: None,
-    };
-    let frame = encode_frame(serde_json::to_string(&manifest)?.as_bytes())?;
-    write_atomic(fs, dir, MANIFEST_FILE, &frame)
-}
-
-/// Name of journal segment `seq` of `generation`: `journal-N.log` for
-/// the head, `journal-N.K.log` after it. The head keeps the single-file
-/// name of pre-segment workspaces, so they open unchanged.
-fn segment_name(generation: u64, seq: u64) -> String {
-    if seq == 0 {
-        format!("journal-{generation}.log")
-    } else {
-        format!("journal-{generation}.{seq}.log")
-    }
-}
-
-/// Parses a [`segment_name`] back into `(generation, sequence)`.
-pub(crate) fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
-    let rest = name.strip_prefix("journal-")?.strip_suffix(".log")?;
-    match rest.split_once('.') {
-        None => rest.parse().ok().map(|generation| (generation, 0)),
-        Some((generation, seq)) => Some((generation.parse().ok()?, seq.parse().ok()?)),
-    }
-}
-
-/// Whether `name` looks like a generation's file: a journal segment
-/// or a legacy checkpoint.
-pub(crate) fn is_generation_file(name: &str) -> bool {
-    (name.starts_with("journal-") && name.ends_with(".log"))
-        || (name.starts_with("checkpoint-") && name.ends_with(".json"))
-}
-
-/// The writer-lease file name.
-pub(crate) const LEASE_FILE: &str = "LEASE";
 
 /// Default segment-roll threshold. Large enough that rotation never
 /// triggers unless a caller opts in via
@@ -1206,123 +371,12 @@ const DEFAULT_SEGMENT_MAX_BYTES: u64 = 64 * 1024 * 1024;
 /// written as it is. A constant, not a setting.
 const PREALLOC_CHUNK: u64 = 64 * 1024;
 
-/// Default writer-lease duration.
-const DEFAULT_LEASE_MS: u64 = 30_000;
-
-/// Default owner id for leases taken by direct (non-server) opens.
-const DEFAULT_OWNER: &str = "local";
-
-/// Picks an unused quarantine name for `name` under `dir`:
-/// `name.quarantined-K` for the smallest free `K`. The suffix keeps the
-/// file out of every manifest/journal naming scheme, so nothing ever
-/// opens it as live data.
-fn quarantine_target(fs: &Fs, dir: &Path, name: &str) -> String {
-    for k in 0.. {
-        let candidate = format!("{name}.quarantined-{k}");
-        if !fs.exists(&dir.join(&candidate)) {
-            return candidate;
-        }
-    }
-    unreachable!("some quarantine index is free")
-}
-
-/// Preserves `bytes` (a damaged region of `name`) under a fresh
-/// quarantine file, durably. Returns the quarantine file name.
-fn quarantine_bytes(fs: &Fs, dir: &Path, name: &str, bytes: &[u8]) -> Result<String, StoreError> {
-    let target = quarantine_target(fs, dir, name);
-    let mut f = fs.create_truncate(&dir.join(&target))?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    fs.sync_dir(dir)?;
-    Ok(target)
-}
-
-/// Renames a whole damaged file aside into quarantine, durably.
-/// Returns the quarantine file name, or `None` when the file no longer
-/// exists (a crashed earlier repair already moved it).
-fn quarantine_rename(fs: &Fs, dir: &Path, name: &str) -> Result<Option<String>, StoreError> {
-    if !fs.exists(&dir.join(name)) {
-        return Ok(None);
-    }
-    let target = quarantine_target(fs, dir, name);
-    fs.rename(&dir.join(name), &dir.join(&target))?;
-    fs.sync_dir(dir)?;
-    Ok(Some(target))
-}
-
-/// Reads and parses the lease file. A missing or unparsable lease is
-/// treated as absent — the manifest's fencing token is the durable
-/// record takeover arbitration falls back to.
-pub(crate) fn read_lease(fs: &Fs, dir: &Path) -> Option<LeaseDoc> {
-    let bytes = fs.read(&dir.join(LEASE_FILE)).ok()?;
-    serde_json::from_slice(&bytes).ok()
-}
-
 /// The error for write paths reached without a journal handle (only
 /// possible in degraded mode, which rejects them earlier).
 fn journal_missing() -> StoreError {
     StoreError::Io(std::io::Error::other(
         "no journal handle (workspace is read-only)",
     ))
-}
-
-/// Writes the lease file atomically.
-fn write_lease(
-    fs: &Fs,
-    dir: &Path,
-    owner: &str,
-    expires_unix_ms: u64,
-    token: u64,
-) -> Result<(), StoreError> {
-    let doc = LeaseDoc {
-        owner: owner.to_owned(),
-        expires_unix_ms,
-        token,
-    };
-    write_atomic(fs, dir, LEASE_FILE, serde_json::to_string(&doc)?.as_bytes())
-}
-
-/// Counts complete, CRC-valid frames anywhere inside `buf` (a damaged
-/// region): used to report how many acknowledged-looking operations a
-/// quarantine preserved beyond the recovered prefix.
-fn count_resync_frames(buf: &[u8]) -> usize {
-    let mut count = 0;
-    let mut pos = 0;
-    while pos + 8 <= buf.len() {
-        let frames = frame_payloads(&buf[pos..]);
-        match frames.last() {
-            None => pos += 1,
-            Some(last) => {
-                count += frames.len();
-                pos += last.end.max(1);
-            }
-        }
-    }
-    count
-}
-
-/// Looks for a complete, CRC-valid frame starting anywhere inside
-/// `buf`. Distinguishes a pure torn tail (no frame can follow a tear —
-/// truncation is lossless) from mid-journal rot or a write hole, where
-/// valid frames sit beyond the damage and must be quarantined rather
-/// than silently truncated away.
-fn has_resync_frame(buf: &[u8]) -> bool {
-    count_resync_frames(buf) > 0
-}
-
-/// Replays again, when recovery rebuilds a session after a later frame
-/// failed, the `count` frames of `buf` after its first `from`: frames
-/// that already replayed once onto the same state.
-fn replay_again(
-    session: &mut Session,
-    buf: &[u8],
-    from: usize,
-    count: usize,
-) -> Result<(), StoreError> {
-    for payload in &frame_payloads(buf)[from..from + count] {
-        decode_op(&buf[payload.clone()])?.replay(session)?;
-    }
-    Ok(())
 }
 
 /// A durable workspace directory: the current journal handle plus the
@@ -1442,7 +496,7 @@ impl Workspace {
         let base = snapshot_frame(session)?;
         let journal = start_generation(&env.fs, root, generation, &base, token)?;
         if let Some(old) = &prior {
-            retire(&env.fs, root, old.segments.iter().chain(&old.checkpoint));
+            retire(&env.fs, root, &old.segments);
         }
         let expires = now_ms + DEFAULT_LEASE_MS;
         write_lease(&env.fs, root, DEFAULT_OWNER, expires, token)?;
@@ -1471,360 +525,6 @@ impl Workspace {
         })
     }
 
-    /// Opens the workspace at `root` and recovers its session:
-    /// restores the generation's base (frame 0 of its first segment),
-    /// replays the journal frames after it, and truncates any torn,
-    /// corrupt, or unreplayable tail back to the last valid operation.
-    /// Recovery never panics and never fails on a torn journal — only
-    /// on I/O errors or a damaged MANIFEST or base, which were durable
-    /// before anything named them and so are only damaged by media
-    /// corruption; such an open changes nothing on disk. A writable
-    /// open of a workspace written before frames re-bases it at once
-    /// onto a new generation.
-    ///
-    /// `registry_for` builds the tool registry for the restored schema
-    /// (code cannot be persisted); pass
-    /// `|s| hercules::encaps::odyssey_registry(s)` for the standard
-    /// tool set.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors; [`StoreError::Corrupt`] for a damaged MANIFEST or a
-    /// missing, torn or undecodable base; or a base whose own restore
-    /// fails.
-    pub fn open_session<F>(
-        root: &Path,
-        registry_for: F,
-    ) -> Result<(Workspace, Session, RecoveryReport), StoreError>
-    where
-        F: FnOnce(&Arc<TaskSchema>) -> EncapsulationRegistry,
-    {
-        Workspace::open_session_in(root, registry_for, Env::real())
-    }
-
-    /// [`Workspace::open_session`] against an explicit environment —
-    /// recovery over a simulated crash image runs through exactly this
-    /// code path.
-    ///
-    /// # Errors
-    ///
-    /// As [`Workspace::open_session`].
-    pub fn open_session_in<F>(
-        root: &Path,
-        registry_for: F,
-        env: Env,
-    ) -> Result<(Workspace, Session, RecoveryReport), StoreError>
-    where
-        F: FnOnce(&Arc<TaskSchema>) -> EncapsulationRegistry,
-    {
-        Workspace::open_session_as(root, registry_for, env, DEFAULT_OWNER, DEFAULT_LEASE_MS)
-    }
-
-    /// [`Workspace::open_session_in`] under an explicit lease identity:
-    /// `owner` names this writer in the lease file and `lease_ms` sets
-    /// the lease duration. When another owner holds an unexpired lease
-    /// the workspace opens **degraded** (read-only) instead of failing;
-    /// an expired foreign lease is taken over with a bumped fencing
-    /// token, permanently fencing out the previous writer.
-    ///
-    /// # Errors
-    ///
-    /// As [`Workspace::open_session`].
-    pub fn open_session_as<F>(
-        root: &Path,
-        registry_for: F,
-        env: Env,
-        owner: &str,
-        lease_ms: u64,
-    ) -> Result<(Workspace, Session, RecoveryReport), StoreError>
-    where
-        F: FnOnce(&Arc<TaskSchema>) -> EncapsulationRegistry,
-    {
-        let manifest = read_manifest(&env.fs, root)?;
-
-        // Lease arbitration — pure reads, so a degraded open touches
-        // nothing on disk. A lease held by the same owner is always
-        // retaken (a crashed process must be able to reopen its own
-        // store before the lease runs out).
-        let now_ms = env.clock.wall_unix_ms();
-        let lease = read_lease(&env.fs, root);
-        let degraded_reason = match &lease {
-            Some(l) if l.owner != owner && l.expires_unix_ms > now_ms => {
-                Some(DegradedReason::LeaseHeld {
-                    owner: l.owner.clone(),
-                    expires_unix_ms: l.expires_unix_ms,
-                })
-            }
-            _ => None,
-        };
-        let writable = degraded_reason.is_none();
-
-        // The generation's base was durable before any MANIFEST named
-        // the generation, so damage there is never a torn tail: fail
-        // before touching anything.
-        let segments = &manifest.segments;
-        let first = env
-            .fs
-            .read(&root.join(&segments[0]))
-            .map_err(|e| corrupt_base(format!("{}: {e}", segments[0])))?;
-        let (mut session, base_frames, mut tail) = {
-            let base = Base::find(&env.fs, root, &manifest, &first)?;
-            let session = base.decode()?.restore_with(registry_for)?;
-            (session, base.frames(), SnapshotTail::new(base.len()))
-        };
-        let mut first = Some(first);
-
-        // Scan and replay the segment chain in order, after the base;
-        // the first frame that fails CRC, parse, or replay ends the
-        // recovered prefix. The session state is then exactly the base
-        // plus that prefix — a prefix of the acknowledged history.
-        struct Damage {
-            index: usize,
-            keep: usize,
-            readable: bool,
-            buf: Vec<u8>,
-        }
-        let mut seg_reports: Vec<SegmentRecovery> = Vec::new();
-        let mut ops_replayed = 0usize;
-        let mut damage: Option<Damage> = None;
-        // Free space at the end of the last segment: kept, and written
-        // into by the reopened handle.
-        let mut free = 0usize;
-        for (i, name) in segments.iter().enumerate() {
-            let buf = match first
-                .take()
-                .map_or_else(|| env.fs.read(&root.join(name)), Ok)
-            {
-                Ok(buf) => buf,
-                Err(_) => {
-                    // Missing, or a latent read error: the whole
-                    // segment (and everything after it) is damage.
-                    seg_reports.push(SegmentRecovery {
-                        name: name.clone(),
-                        frames_replayed: 0,
-                        frames_quarantined: 0,
-                        bytes_kept: 0,
-                        bytes_discarded: 0,
-                        quarantined_as: Vec::new(),
-                    });
-                    damage = Some(Damage {
-                        index: i,
-                        keep: 0,
-                        readable: false,
-                        buf: Vec::new(),
-                    });
-                    break;
-                }
-            };
-            let frames = frame_payloads(&buf);
-            let skip = if i == 0 { base_frames } else { 0 };
-            let mut replayed_here = 0usize;
-            for payload in &frames[skip..] {
-                let Ok(op) = decode_op(&buf[payload.clone()]) else {
-                    break;
-                };
-                if op.replay(&mut session).is_err() {
-                    // The frame may have applied part of itself first
-                    // (an `Exec` frame records its instances one by
-                    // one), yet it must leave no trace: rebuild the
-                    // session from the base and the frames that did
-                    // replay.
-                    let registry = session.executor_mut().registry().clone();
-                    let head = env.fs.read(&root.join(&segments[0]))?;
-                    let base = Base::find(&env.fs, root, &manifest, &head)?;
-                    session = base.decode()?.restore(registry)?;
-                    for (k, earlier) in seg_reports.iter().enumerate() {
-                        let buf = env.fs.read(&root.join(&segments[k]))?;
-                        let from = if k == 0 { base_frames } else { 0 };
-                        replay_again(&mut session, &buf, from, earlier.frames_replayed)?;
-                    }
-                    replay_again(&mut session, &buf, skip, replayed_here)?;
-                    break;
-                }
-                let frame = payload.len() as u64 + 8;
-                tail.push(frame, matches!(op, JournalOp::Snapshot(_)));
-                replayed_here += 1;
-            }
-            let keep = (skip + replayed_here)
-                .checked_sub(1)
-                .map_or(0, |j| frames[j].end);
-            ops_replayed += replayed_here;
-            free = free_tail(&buf[keep..], i + 1 == segments.len());
-            let trailing = buf.len() - keep - free;
-            seg_reports.push(SegmentRecovery {
-                name: name.clone(),
-                frames_replayed: replayed_here,
-                frames_quarantined: 0,
-                bytes_kept: keep as u64,
-                bytes_discarded: trailing as u64,
-                quarantined_as: Vec::new(),
-            });
-            if trailing > 0 {
-                damage = Some(Damage {
-                    index: i,
-                    keep,
-                    readable: true,
-                    buf,
-                });
-                break;
-            }
-        }
-
-        // Decide repair strategy. A pure torn tail at the end of the
-        // *last* segment (no complete frame beyond the tear) truncates
-        // losslessly, exactly as before segments existed. Anything
-        // else — damage mid-chain, a hole with valid frames after it,
-        // or an unreadable file — quarantines: the damaged bytes and
-        // every later segment are preserved aside, never silently
-        // dropped. The first segment is always kept: it holds the base.
-        let mut kept_segments = segments.clone();
-        let mut bytes_discarded: u64 = 0;
-        if let Some(dmg) = &damage {
-            let is_last = dmg.index + 1 == segments.len();
-            let trailing = &dmg.buf[dmg.keep..];
-            let needs_quarantine = !dmg.readable || !is_last || has_resync_frame(trailing);
-            bytes_discarded += trailing.len() as u64;
-            if writable {
-                if needs_quarantine {
-                    // Later segments first (reverse order), so a crash
-                    // mid-repair always leaves a chain whose re-scan
-                    // converges on the same prefix.
-                    for j in (dmg.index + 1..segments.len()).rev() {
-                        let name = &segments[j];
-                        let (frames, len) = match env.fs.read(&root.join(name)) {
-                            Ok(buf) => (count_resync_frames(&buf), buf.len() as u64),
-                            Err(_) => (0, 0),
-                        };
-                        let quarantined_as = quarantine_rename(&env.fs, root, name)?;
-                        bytes_discarded += len;
-                        seg_reports.push(SegmentRecovery {
-                            name: name.clone(),
-                            frames_replayed: 0,
-                            frames_quarantined: frames,
-                            bytes_kept: 0,
-                            bytes_discarded: len,
-                            quarantined_as: quarantined_as.into_iter().collect(),
-                        });
-                    }
-                    let rep = &mut seg_reports[dmg.index];
-                    if dmg.readable {
-                        rep.frames_quarantined = count_resync_frames(trailing);
-                        let q = quarantine_bytes(&env.fs, root, &segments[dmg.index], trailing)?;
-                        rep.quarantined_as.push(q);
-                        let mut f = env.fs.open_write(&root.join(&segments[dmg.index]))?;
-                        f.set_len(dmg.keep as u64)?;
-                        f.sync_all()?;
-                        kept_segments.truncate(dmg.index + 1);
-                    } else {
-                        if let Some(q) = quarantine_rename(&env.fs, root, &segments[dmg.index])? {
-                            rep.quarantined_as.push(q);
-                        }
-                        kept_segments.truncate(dmg.index);
-                    }
-                } else {
-                    // Lossless torn-tail truncation.
-                    let mut f = env.fs.open_write(&root.join(&segments[dmg.index]))?;
-                    f.set_len(dmg.keep as u64)?;
-                    f.sync_all()?;
-                }
-            }
-        }
-
-        // The generation's files as they now stand: every kept
-        // segment's valid prefix, the base included (a repaired chain's
-        // damage was truncated or moved aside above).
-        let generation_bytes = seg_reports
-            .iter()
-            .filter(|s| kept_segments.contains(&s.name))
-            .map(|s| s.bytes_kept)
-            .sum::<u64>();
-
-        let legacy = manifest.checkpoint.is_some();
-        let mut token = manifest.fencing_token;
-        if writable {
-            // Acquire the lease: bump the fencing token past everything
-            // ever granted, persist it in the manifest (along with any
-            // repairs), then publish the lease. A deposed writer
-            // re-reading the lease sees a larger token and fences
-            // itself. A legacy MANIFEST is only ever replaced by the
-            // re-basing rotation below.
-            token = manifest
-                .fencing_token
-                .max(lease.as_ref().map(|l| l.token).unwrap_or(0))
-                + 1;
-            if !legacy {
-                publish_manifest(&env.fs, root, manifest.generation, &kept_segments, token)?;
-            }
-            write_lease(&env.fs, root, owner, now_ms + lease_ms, token)?;
-        }
-
-        let active_name = kept_segments.last().expect("chain is never empty").clone();
-        let journal_path = root.join(&active_name);
-        let (journal, active_len) = if writable {
-            let handle = env.fs.open_write(&journal_path)?;
-            let len = seg_reports
-                .iter()
-                .find(|s| s.name == active_name)
-                .map(|s| s.bytes_kept)
-                .unwrap_or(0);
-            (Some(handle), len)
-        } else {
-            (None, 0)
-        };
-        // Only an undamaged chain ends in free space, so the active
-        // segment is then the last one, and its file ends there.
-        let allocated = active_len + free as u64;
-
-        // A writable open over a foreign lease means that lease had
-        // expired — this open fenced the previous writer out.
-        let took_over = writable && lease.as_ref().map(|l| l.owner != owner).unwrap_or(false);
-        let report = RecoveryReport {
-            generation: manifest.generation,
-            ops_replayed,
-            bytes_discarded,
-            truncated: bytes_discarded > 0,
-            segments: seg_reports,
-            fencing_token: token,
-            took_over,
-            degraded: degraded_reason.as_ref().map(|r| r.to_string()),
-        };
-        let mut workspace = Workspace {
-            root: root.to_owned(),
-            generation: manifest.generation,
-            journal,
-            journal_path,
-            segments: kept_segments,
-            pending: Vec::new(),
-            active_len,
-            allocated,
-            generation_bytes,
-            tail,
-            segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
-            metrics: Metrics::disabled(),
-            env,
-            poisoned: None,
-            write_state: match degraded_reason {
-                None => WriteState::Writable,
-                Some(reason) => WriteState::Degraded(reason),
-            },
-            owner: owner.to_owned(),
-            lease_ms,
-            token,
-            lease_expires_ms: if writable { now_ms + lease_ms } else { 0 },
-        };
-        if writable && legacy {
-            // Re-base a legacy generation at once, so no writable
-            // handle ever sees a checkpoint file: the rotation retires
-            // the old segments, and the checkpoint goes with them.
-            workspace.rotate(snapshot_frame(&session)?)?;
-            retire(&workspace.env.fs, root, &manifest.checkpoint);
-        }
-        // Replay went through the session's marking methods, yet the
-        // recovered session is exactly what the generation holds.
-        session.mark_journaled();
-        Ok((workspace, session, report))
-    }
-
     /// Returns the workspace directory.
     pub fn root(&self) -> &Path {
         &self.root
@@ -1833,37 +533,6 @@ impl Workspace {
     /// Returns the current checkpoint generation.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Whether this handle may mutate the store, and if not, why.
-    pub fn write_state(&self) -> &WriteState {
-        &self.write_state
-    }
-
-    /// `true` when mutations are accepted (the handle holds the lease).
-    pub fn is_writable(&self) -> bool {
-        matches!(self.write_state, WriteState::Writable)
-    }
-
-    /// The fencing token this handle writes under.
-    pub fn fencing_token(&self) -> u64 {
-        self.token
-    }
-
-    /// The owner id this handle leases the store as.
-    pub fn owner(&self) -> &str {
-        &self.owner
-    }
-
-    /// Milliseconds until this handle's lease expires — negative once
-    /// it is already past — or `None` when the handle never acquired
-    /// a lease (degraded open). Renewals on the write path push the
-    /// expiry forward.
-    pub fn lease_remaining_ms(&self) -> Option<i64> {
-        if self.lease_expires_ms == 0 {
-            return None;
-        }
-        Some(self.lease_expires_ms as i64 - self.env.clock.wall_unix_ms() as i64)
     }
 
     /// The journal segment chain of the current generation, oldest
@@ -2024,97 +693,6 @@ impl Workspace {
         }
     }
 
-    /// Fails unless this handle currently holds the writer lease.
-    ///
-    /// The fast path is pure arithmetic: while the cached lease expiry
-    /// is in the future, nothing is read or written. Once it passes,
-    /// the lease file is re-read to arbitrate: if our token still
-    /// stands the lease is renewed; if a larger token appears (lease or
-    /// manifest), another writer took over and this handle fences
-    /// itself permanently — its queued work is discarded, never
-    /// written. A caller that is about to change state it will journal
-    /// checks this first, so a refused change never happens.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Degraded`] when the handle opened read-only or a
-    /// newer writer fenced it out; an I/O error when renewing the lease
-    /// fails.
-    pub fn check_writable(&mut self) -> Result<(), StoreError> {
-        if let WriteState::Degraded(reason) = &self.write_state {
-            return Err(StoreError::Degraded(reason.clone()));
-        }
-        let now = self.env.clock.wall_unix_ms();
-        if now < self.lease_expires_ms {
-            return Ok(());
-        }
-        let fence = |token: u64| DegradedReason::Fenced { token };
-        match read_lease(&self.env.fs, &self.root) {
-            Some(lease) if lease.token == self.token => {}
-            Some(lease) if lease.token > self.token => {
-                let reason = fence(lease.token);
-                self.write_state = WriteState::Degraded(reason.clone());
-                self.metrics.incr(names::STORE_FENCED_WRITES, 1);
-                return Err(StoreError::Degraded(reason));
-            }
-            _ => {
-                // No lease (or an older one): the manifest's token is
-                // the durable arbitration record.
-                if let Ok(manifest) = read_manifest(&self.env.fs, &self.root) {
-                    if manifest.fencing_token > self.token {
-                        let reason = fence(manifest.fencing_token);
-                        self.write_state = WriteState::Degraded(reason.clone());
-                        self.metrics.incr(names::STORE_FENCED_WRITES, 1);
-                        return Err(StoreError::Degraded(reason));
-                    }
-                }
-            }
-        }
-        let expires = now + self.lease_ms;
-        write_lease(&self.env.fs, &self.root, &self.owner, expires, self.token)?;
-        self.lease_expires_ms = expires;
-        self.metrics.incr(names::STORE_LEASE_RENEWALS, 1);
-        Ok(())
-    }
-
-    /// Rolls the active segment once it has reached the size bound:
-    /// starts `journal-G.K.log` and publishes the grown chain in the
-    /// MANIFEST. Runs only after a flush, so a batch never straddles
-    /// two segments. A segment it seals never ends in free space, which
-    /// recovery would read as damage: the flush's padding stops at the
-    /// bound, and free space left by a bound lowered after the padding
-    /// is cut off first.
-    fn maybe_roll(&mut self) -> Result<(), StoreError> {
-        if self.active_len < self.segment_max_bytes {
-            return Ok(());
-        }
-        self.check_writable()?;
-        if self.allocated > self.active_len {
-            let journal = self.journal.as_mut().ok_or_else(journal_missing)?;
-            journal.set_len(self.active_len)?;
-            journal.sync_all()?;
-        }
-        let name = segment_name(self.generation, self.segments.len() as u64);
-        let file = create_segment(&self.env.fs, &self.root, &name, &[])?;
-        let path = self.root.join(&name);
-        let mut segments = self.segments.clone();
-        segments.push(name);
-        publish_manifest(
-            &self.env.fs,
-            &self.root,
-            self.generation,
-            &segments,
-            self.token,
-        )?;
-        self.segments = segments;
-        self.journal = Some(file);
-        self.journal_path = path;
-        self.active_len = 0;
-        self.allocated = 0;
-        self.metrics.incr(names::STORE_SEGMENT_ROLLS, 1);
-        Ok(())
-    }
-
     /// Shuts the workspace down cleanly: flushes the pending frames and
     /// surfaces any write failure that the best-effort `Drop` would
     /// swallow. Call this at end of session when you need a positive
@@ -2130,214 +708,6 @@ impl Workspace {
         self.release_lease();
         Ok(())
     }
-
-    /// Releases the writer lease, if this handle still holds it. A
-    /// deposed handle's lease file belongs to the *new* writer (larger
-    /// token) and is left untouched. Best-effort: failure to remove an
-    /// expired lease only delays the next takeover.
-    fn release_lease(&self) {
-        if !self.is_writable() {
-            return;
-        }
-        if let Some(lease) = read_lease(&self.env.fs, &self.root) {
-            if lease.token == self.token {
-                let _ = self.env.fs.remove_file(&self.root.join(LEASE_FILE));
-            }
-        }
-    }
-
-    /// Takes a checkpoint of `session` by the cheapest of three routes.
-    ///
-    /// - **Sync** (the common case): when the session holds no
-    ///   unjournaled state ([`Session::has_unjournaled_changes`]) and
-    ///   the frames since the generation's newest snapshot frame (its
-    ///   base, at first) are smaller than it, the journal stands in for
-    ///   a snapshot. Only the pending frames are synced — nothing at
-    ///   all when none is pending.
-    /// - **Append**: otherwise the session is encoded once, and the
-    ///   snapshot becomes one [`JournalOp::Snapshot`] frame of the
-    ///   active segment, written and fsynced through the journal's one
-    ///   write path together with any deferred frames — one `write`,
-    ///   one `fdatasync`.
-    /// - **Rotate**, when keeping the snapshot would leave the
-    ///   generation's frames larger than four times it, or
-    ///   when the handle is poisoned: starts `journal-(N+1)` holding the
-    ///   snapshot as its frame 0, swaps the manifest, then deletes the
-    ///   old generation's files (best-effort — a crash between the
-    ///   manifest swap and the deletes leaves harmless orphans). The
-    ///   fresh generation clears the poison.
-    ///
-    /// After any checkpoint the frames after the newest snapshot hold
-    /// fewer bytes than it, so `open` replays at most that much on top
-    /// of it; a generation's frames exceed four times its newest
-    /// snapshot only by those frames, and its files exceed its frames
-    /// by at most one chunk of free space (64 KiB).
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialization errors, a snapshot over the 4 GiB frame
-    /// limit ([`StoreError::Format`]), or a lost lease
-    /// ([`StoreError::Degraded`]). An append that fails poisons the
-    /// handle like any failed journal write; a rotation that fails
-    /// leaves the old generation intact and current.
-    pub fn checkpoint(&mut self, session: &Session) -> Result<CheckpointKind, StoreError> {
-        self.check_writable()?;
-        if self.poisoned.is_none()
-            && !session.has_unjournaled_changes()
-            && !self.tail.needs_snapshot()
-        {
-            self.sync()?;
-            return Ok(CheckpointKind::Synced);
-        }
-        let frame = snapshot_frame(session)?;
-        let len = frame.len() as u64;
-        if self.poisoned.is_some() || self.generation_bytes + len > ROTATE_FACTOR * len {
-            self.rotate(frame)?;
-            return Ok(CheckpointKind::Rotated);
-        }
-        self.defer_frame(frame);
-        self.sync()?;
-        self.tail = SnapshotTail::new(len);
-        self.record_checkpoint(len);
-        Ok(CheckpointKind::Appended)
-    }
-
-    /// Makes the snapshot `frame` the base of a new generation: flushes
-    /// the pending frames into the old one, starts the next generation
-    /// with the snapshot as its frame 0, and retires the old generation
-    /// once the MANIFEST swap is durable. A poisoned handle is healed:
-    /// the torn tail behind the poison lies in the retired generation,
-    /// and the new head segment is clean.
-    fn rotate(&mut self, frame: Vec<u8>) -> Result<(), StoreError> {
-        // Pending frames belong to the old generation, which stays
-        // current until the manifest swap.
-        self.flush()?;
-        let next = self.generation + 1;
-        let journal = start_generation(&self.env.fs, &self.root, next, &frame, self.token)?;
-        self.poisoned = None;
-        retire(&self.env.fs, &self.root, &self.segments);
-        let len = frame.len() as u64;
-        self.generation = next;
-        self.journal = Some(journal);
-        self.segments = vec![segment_name(next, 0)];
-        self.journal_path = self.root.join(&self.segments[0]);
-        self.active_len = len;
-        self.allocated = len;
-        self.generation_bytes = len;
-        self.tail = SnapshotTail::new(len);
-        self.metrics.incr(names::STORE_ROTATIONS, 1);
-        self.record_checkpoint(len);
-        Ok(())
-    }
-
-    /// Counts one completed checkpoint of a `frame`-byte snapshot.
-    fn record_checkpoint(&self, frame: u64) {
-        self.metrics.incr(names::STORE_CHECKPOINTS, 1);
-        self.metrics.observe("store.checkpoint_bytes", frame);
-    }
-
-    /// Verifies every byte of the store — every frame of every journal
-    /// segment, the base in frame 0 included — and, when writable,
-    /// repairs any damage found: damaged regions and unreadable
-    /// segments are quarantined aside (never silently dropped), then
-    /// the store rotates to a new generation based on the live
-    /// `session`, re-baselining onto known-good files. In degraded mode
-    /// the scan still runs but nothing is mutated (`repaired` stays
-    /// `false`).
-    ///
-    /// The live session supersedes everything journaled — every
-    /// acknowledged operation is already applied to it — so the
-    /// re-baseline loses nothing; the quarantine files preserve the
-    /// rotted bytes for forensics.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors during the scan or repair; a lease loss surfaces as
-    /// [`StoreError::Degraded`].
-    pub fn scrub(&mut self, session: &Session) -> Result<ScrubReport, StoreError> {
-        let generation = self.generation;
-        if self.is_writable() {
-            // Queued frames must hit the disk before the scan reads it.
-            self.sync()?;
-        }
-        self.metrics.incr(names::STORE_SCRUBS, 1);
-        let mut segments = Vec::new();
-        let mut damaged = false;
-        let chain = self.segments.len();
-        for (i, name) in self.segments.clone().into_iter().enumerate() {
-            match self.env.fs.read(&self.root.join(&name)) {
-                Ok(buf) => {
-                    self.metrics
-                        .incr(names::STORE_SCRUB_BYTES, buf.len() as u64);
-                    let frames = frame_payloads(&buf);
-                    let valid_len = frames.last().map_or(0, |payload| payload.end);
-                    let free = free_tail(&buf[valid_len..], i + 1 == chain);
-                    let trailing = (buf.len() - valid_len - free) as u64;
-                    damaged |= trailing > 0;
-                    segments.push(SegmentScrub {
-                        name,
-                        frames_ok: frames.len(),
-                        bytes_ok: valid_len as u64,
-                        damaged_bytes: trailing,
-                        readable: true,
-                        quarantined_as: Vec::new(),
-                    });
-                }
-                Err(_) => {
-                    damaged = true;
-                    segments.push(SegmentScrub {
-                        name,
-                        frames_ok: 0,
-                        bytes_ok: 0,
-                        damaged_bytes: 0,
-                        readable: false,
-                        quarantined_as: Vec::new(),
-                    });
-                }
-            }
-        }
-        let mut repaired = false;
-        if damaged && self.is_writable() {
-            self.check_writable()?;
-            // Preserve every damaged byte range aside first; the
-            // checkpoint below retires the damaged files only after
-            // their evidence is safe.
-            for seg in &mut segments {
-                if !seg.readable {
-                    if let Some(q) = quarantine_rename(&self.env.fs, &self.root, &seg.name)? {
-                        seg.quarantined_as.push(q);
-                    }
-                } else if seg.damaged_bytes > 0 {
-                    let buf = self.env.fs.read(&self.root.join(&seg.name))?;
-                    let q = quarantine_bytes(
-                        &self.env.fs,
-                        &self.root,
-                        &seg.name,
-                        &buf[seg.bytes_ok as usize..],
-                    )?;
-                    self.metrics
-                        .observe(names::STORE_QUARANTINED_BYTES, seg.damaged_bytes);
-                    seg.quarantined_as.push(q);
-                }
-            }
-            // The live session holds every acknowledged operation, so a
-            // fresh generation re-baselines without loss — and retires
-            // the damaged files, which an appended snapshot would not.
-            self.check_writable()?;
-            self.rotate(snapshot_frame(session)?)?;
-            repaired = true;
-        }
-        if damaged {
-            self.metrics.incr(names::STORE_SCRUB_DAMAGE, 1);
-        }
-        Ok(ScrubReport {
-            generation,
-            segments,
-            damaged,
-            repaired,
-            fencing_token: self.token,
-        })
-    }
 }
 
 impl Drop for Workspace {
@@ -2351,7 +721,10 @@ impl Drop for Workspace {
 
 #[cfg(test)]
 mod tests {
+    use super::frame::frame_len;
+    use super::generation::{MANIFEST_FILE, ROTATE_FACTOR};
     use super::*;
+    use hercules_history::Payload;
     use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -3348,6 +1721,53 @@ mod tests {
                 .expect("reopens");
         assert_eq!(report.ops_replayed, 1);
         assert!(!report.truncated, "repair was durable and idempotent");
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_missing_mid_chain_segment_cuts_the_chain_and_reports_in_chain_order() {
+        let root = temp_root("mid-chain-hole");
+        let session = Session::odyssey("jbb");
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        ws.set_segment_max_bytes(1);
+        for n in 0..4 {
+            ws.append(&seed_op(n)).expect("appends");
+        }
+        let segments: Vec<String> = ws.segments().to_vec();
+        assert_eq!(segments.len(), 5, "each append rolled once");
+        drop(ws);
+        // A hole in the chain: segment 2 is gone, so segment 3's frame
+        // sits beyond it and must be quarantined, not replayed.
+        fs::remove_file(root.join(&segments[2])).expect("removes");
+
+        let (ws, _restored, report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("recovers");
+        assert_eq!(report.ops_replayed, 2, "segments 0 and 1 replay");
+        let rows: Vec<&String> = report.segments.iter().map(|s| &s.name).collect();
+        assert_eq!(rows, segments.iter().collect::<Vec<_>>(), "chain order");
+        assert_eq!(report.segments[2].quarantined_as, Vec::<String>::new());
+        let later: Vec<usize> = report.segments[3..]
+            .iter()
+            .map(|s| s.frames_quarantined)
+            .collect();
+        assert_eq!(later, [1, 0], "segment 3 held a frame, the active one none");
+        for seg in &report.segments[3..] {
+            assert_eq!(seg.quarantined_as, [format!("{}.quarantined-0", seg.name)]);
+            assert!(root.join(&seg.quarantined_as[0]).exists());
+            assert!(!root.join(&seg.name).exists());
+        }
+        assert_eq!(
+            ws.segments(),
+            &segments[..2],
+            "the chain ends before the hole"
+        );
+        drop(ws);
+        let (_ws, _restored, report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("reopens");
+        assert_eq!(report.ops_replayed, 2);
+        assert!(!report.truncated && !report.quarantined(), "{report}");
         fs::remove_dir_all(&root).ok();
     }
 

@@ -58,14 +58,12 @@ pub struct InstanceSpec {
 ///
 /// In JSON, inline bytes are one lowercase-hex string, two characters
 /// per byte; a shared payload is the holder's raw id as a JSON number
-/// (`"data": 17` means "the bytes of instance 17"). The hex form is
-/// what JSON documents (`HistorySpec`, a session document) and journal
-/// frames written before raw payloads hold; a journal frame the store
-/// writes now carries inline bytes raw, beside its JSON, and leaves an
-/// empty string in their place. Reading also accepts the legacy inline
-/// form, an array of byte values, so workspaces written before the hex
-/// form still open. A reader that predates shared payloads rejects the
-/// number instead of loading wrong bytes.
+/// (`"data": 17` means "the bytes of instance 17"). JSON documents
+/// (`HistorySpec`, a session document) hold the hex form; a journal
+/// frame carries inline bytes raw, beside its JSON, and leaves an empty
+/// string in their place. Any other JSON value is a decode error. A
+/// reader that predates shared payloads rejects the number instead of
+/// loading wrong bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// The bytes, written in full.
@@ -91,7 +89,9 @@ impl Deserialize for Payload {
                 DeError::custom("payload is not an even number of lowercase hex digits")
             }),
             Value::Int(_) | Value::UInt(_) => u64::deserialize_value(value).map(Payload::Shared),
-            _ => Vec::<u8>::deserialize_value(value).map(Payload::Inline),
+            _ => Err(DeError::custom(
+                "payload is neither a hex string nor an instance id",
+            )),
         }
     }
 }
@@ -264,16 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn payloads_serialize_as_hex_and_legacy_arrays_still_load() {
+    fn payloads_serialize_as_hex_or_an_id_and_nothing_else_loads() {
         let record =
             |data: &str| format!(r#"{{"entity":"Netlist","user":"u","created":3,"data":{data}}}"#);
         let hex: InstanceSpec = serde_json::from_str(&record(r#""6869""#)).expect("hex form");
-        let legacy: InstanceSpec =
-            serde_json::from_str(&record("[104,105]")).expect("legacy array form");
-        assert_eq!(hex, legacy);
         assert_eq!(hex.data, Some(Payload::Inline(b"hi".to_vec())));
         assert_eq!(
-            serde_json::to_string(&legacy).expect("serialize"),
+            serde_json::to_string(&hex).expect("serialize"),
             record(r#""6869""#)
         );
         let shared: InstanceSpec = serde_json::from_str(&record("17")).expect("shared form");
@@ -291,6 +288,7 @@ mod tests {
             r#""zz""#,
             r#""6G""#,
             r#""6869 ""#,
+            "[104,105]",
             "-1",
             "1.5",
             "true",

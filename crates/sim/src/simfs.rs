@@ -514,10 +514,12 @@ struct SimFileHandle {
 impl SimFileHandle {
     /// Writes `buf` at `offset` as one mutating operation. A write that
     /// hits the crash point may itself tear: a random prefix lands as
-    /// an unsynced extent before the failure.
+    /// an unsynced extent before the failure. A write issued after the
+    /// crash lands nothing: the disk is dead.
     fn write_at(&self, buf: &[u8], offset: usize) -> io::Result<()> {
         let mut inner = self.state.lock();
         let id = self.id;
+        let dead = inner.crashed;
         let step = SimFsState::step(
             &mut inner,
             &self.state.trace,
@@ -525,7 +527,7 @@ impl SimFileHandle {
         );
         let keep = match &step {
             Ok(_) => buf.len(),
-            Err(_) if inner.crashed => {
+            Err(_) if inner.crashed && !dead => {
                 let torn = inner.rng.below(buf.len() as u64 + 1) as usize;
                 self.state.trace.record(format!(
                     "crash.torn_write file={id} off={offset} keep={torn}"
@@ -653,6 +655,29 @@ mod tests {
         assert!(state.has_crashed());
         let err = fs.read(&dir.join("j")).expect_err("dead disk");
         assert!(is_sim_crash(&err));
+    }
+
+    #[test]
+    fn a_dead_disk_takes_no_writes() {
+        // The crash fires at a `remove_file`; a write issued on the dead
+        // disk afterwards must land in no crash image.
+        for seed in 0..16u64 {
+            let (fs, state) = fresh(seed);
+            let dir = Path::new("/ws");
+            fs.create_dir_all(dir).expect("mkdir");
+            let mut f = fs.create_truncate(&dir.join("j")).expect("create");
+            f.write_all(b"durable!").expect("write");
+            f.sync_all().expect("fsync");
+            fs.sync_dir(dir).expect("dirsync");
+            state.set_crash_at(Some(state.op_count() + 1));
+            let err = fs.remove_file(&dir.join("j")).expect_err("crashes");
+            assert!(is_sim_crash(&err), "unexpected error: {err}");
+            let err = f.write_all(b"too late").expect_err("dead disk");
+            assert!(is_sim_crash(&err), "unexpected error: {err}");
+            let image = Arc::new(state.crash_image());
+            let bytes = Fs::sim(image).read(&dir.join("j")).expect("durable file");
+            assert_eq!(bytes, b"durable!", "seed {seed}");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use hercules::audit::lint_workspace;
 use hercules::encaps::odyssey_registry;
 use hercules::exec::{ExecError, FailurePolicy, FaultPlan, FaultyEncapsulation, TaskAction};
 use hercules::flow::NodeId;
@@ -23,7 +24,7 @@ use hercules::history::{Derivation, InstanceId, Metadata, Payload};
 use hercules::store::{decode_op, encode_frame, scan_frames, JournalOp, StoreError, Workspace};
 use hercules::ui::Ui;
 use hercules::{eda, Session, SessionSpec};
-use serde::{Deserialize, Serialize, Value};
+use hercules_analyze::{Diagnostics, Severity};
 
 fn temp_root(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -724,149 +725,56 @@ fn registry_tracer_options_and_cache_changes_leave_the_session_journaled() {
     fs::remove_dir_all(&cache).ok();
 }
 
-/// The value under `key` in a JSON object.
-fn field<'a>(value: &'a mut Value, key: &str) -> Option<&'a mut Value> {
-    match value {
-        Value::Map(entries) => entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// The payload form `legacy_copy` rewrites a workspace into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Legacy {
-    /// Every payload as the array of byte values written before the
-    /// hex form (no shared payloads either).
-    Arrays,
-    /// Every shared payload as the hex string of the named instance's
-    /// bytes: the form written before shared payloads.
-    InlineHex,
-}
-
-/// Rewrites the payload of every record in `instances` (a JSON array
-/// of `InstanceSpec`s) into `form`, resolving shared payloads through
-/// `held`, the bytes of every earlier instance by id, and appending
-/// each record's bytes to it. Returns how many payloads it rewrote.
-fn legacy_payloads(instances: &mut Value, held: &mut Vec<Vec<u8>>, form: Legacy) -> usize {
-    let Value::Seq(records) = instances else {
-        panic!("instances is an array");
-    };
-    let mut rewritten = 0;
-    for record in records {
-        let Some(data) = field(record, "data") else {
-            held.push(Vec::new());
-            continue;
-        };
-        let (bytes, shared) = match Payload::deserialize_value(data).expect("payload") {
-            Payload::Inline(bytes) => (bytes, false),
-            Payload::Shared(holder) => (held[holder as usize].clone(), true),
-        };
-        if form == Legacy::Arrays || shared {
-            *data = match form {
-                Legacy::Arrays => bytes.serialize_value(),
-                Legacy::InlineHex => Payload::Inline(bytes.clone()).serialize_value(),
-            };
-            rewritten += 1;
-        }
-        held.push(bytes);
-    }
-    rewritten
-}
-
-/// Copies the workspace at `from` into a fresh directory in the layout
-/// written before frames — a plain-JSON MANIFEST naming
-/// `checkpoint-0.json`, which holds the base frame's document — and
-/// rewrites the checkpoint's payloads and, with `journal`, every
-/// journaled execution's payloads, re-framed, into `form`.
-fn legacy_copy(from: &Path, form: Legacy, journal: bool) -> PathBuf {
-    let dir = temp_root("legacy");
+/// A copy of the saved workspace at `from` in an older layout: its
+/// base and every later frame re-framed with the operation's JSON as
+/// the body, the layout written before raw payloads. With `unframed`,
+/// the layout written before frames: a plain-JSON MANIFEST naming
+/// `checkpoint-0.json`, which holds the base's document, and a journal
+/// of the frames after the base; else the original MANIFEST.
+fn older_layout_copy(from: &Path, unframed: bool) -> PathBuf {
+    let dir = temp_root(if unframed {
+        "pre-frames"
+    } else {
+        "json-bodies"
+    });
     fs::create_dir_all(&dir).expect("mkdir");
-    fs::write(
-        dir.join("MANIFEST"),
-        r#"{"generation":0,"checkpoint":"checkpoint-0.json","journal":"journal-0.log","segments":["journal-0.log"],"fencing_token":1}"#,
-    )
-    .expect("write manifest");
-
     let frames = fs::read(from.join("journal-0.log")).expect("journal");
     let scan = scan_frames(&frames);
-    let mut base = decode_op(&scan.payloads[0])
-        .expect("base decodes")
-        .serialize_value();
-    let checkpoint = field(&mut base, "Snapshot").expect("frame 0 is a snapshot");
-    let history = field(checkpoint, "history").expect("history");
-    let instances = field(history, "instances").expect("instances");
-    let mut held = Vec::new();
-    let rewritten = legacy_payloads(instances, &mut held, form);
-    assert!(
-        form == Legacy::InlineHex || rewritten > 0,
-        "checkpoint holds payloads"
-    );
-    let text = serde_json::to_string(&*checkpoint).expect("serializes");
-    assert_eq!(text.contains(r#""data":["#), form == Legacy::Arrays);
-    fs::write(dir.join("checkpoint-0.json"), text).expect("write checkpoint");
-
-    let frames = if journal {
-        let mut rewritten = 0;
-        let mut out = Vec::new();
-        for payload in &scan.payloads[1..] {
-            let mut op = decode_op(payload).expect("frame decodes").serialize_value();
-            if let Some(instances) = field(&mut op, "Exec").and_then(|e| field(e, "instances")) {
-                rewritten += legacy_payloads(instances, &mut held, form);
-            }
-            out.extend(
-                encode_frame(&serde_json::to_vec(&op).expect("serializes")).expect("frames"),
-            );
-        }
-        assert!(rewritten > 0, "journaled executions hold {form:?} rewrites");
-        out
-    } else {
-        frames[scan.offsets[0]..].to_vec()
-    };
-    fs::write(dir.join("journal-0.log"), frames).expect("write journal");
-    dir
-}
-
-/// Copies the workspace at `from` into a fresh directory, re-framing
-/// its base, and with `every_frame` every later frame too, as the JSON
-/// body with hex payloads that frames held before raw payloads. With
-/// `every_frame` the copy is in the layout that writer left; without,
-/// its JSON base is followed by the raw-payload frames this writer
-/// appended.
-fn json_body_copy(from: &Path, every_frame: bool) -> PathBuf {
-    let dir = temp_root("json-bodies");
-    fs::create_dir_all(&dir).expect("mkdir");
-    fs::copy(from.join("MANIFEST"), dir.join("MANIFEST")).expect("manifest");
-    let frames = fs::read(from.join("journal-0.log")).expect("journal");
-    let mut out = Vec::new();
-    for (k, body) in scan_frames(&frames).payloads.iter().enumerate() {
-        if k > 0 && !every_frame {
-            out.extend(encode_frame(body).expect("frames"));
-            continue;
-        }
+    let json_frame = |body: &[u8]| {
         let op = decode_op(body).expect("frame decodes");
-        let json = serde_json::to_vec(&op).expect("serializes");
-        if k == 0 {
-            let hex = String::from_utf8_lossy(&json).contains(r#""data":""#);
-            assert!(hex, "the JSON base holds hex payloads");
-        }
-        out.extend(encode_frame(&json).expect("frames"));
+        encode_frame(&serde_json::to_vec(&op).expect("serializes")).expect("frames")
+    };
+    let mut journal = Vec::new();
+    if unframed {
+        let JournalOp::Snapshot(base) = decode_op(&scan.payloads[0]).expect("decodes") else {
+            panic!("frame 0 is a snapshot");
+        };
+        fs::write(
+            dir.join("MANIFEST"),
+            r#"{"generation":0,"checkpoint":"checkpoint-0.json","segments":["journal-0.log"],"fencing_token":1}"#,
+        )
+        .expect("writes the manifest");
+        let document = base.to_json().expect("serializes");
+        fs::write(dir.join("checkpoint-0.json"), document).expect("writes the checkpoint");
+    } else {
+        fs::copy(from.join("MANIFEST"), dir.join("MANIFEST")).expect("copies the manifest");
+        journal.extend(json_frame(&scan.payloads[0]));
     }
-    fs::write(dir.join("journal-0.log"), out).expect("write journal");
+    for body in &scan.payloads[1..] {
+        journal.extend(json_frame(body));
+    }
+    fs::write(dir.join("journal-0.log"), journal).expect("writes the journal");
     dir
 }
 
-/// Workspaces in older layouts and payload forms open with the same
-/// history and the same blob count. In the layout written before
-/// frames: legacy integer arrays in both the checkpoint and the
-/// journal, a legacy checkpoint followed by raw-payload frames, and hex
-/// payloads with every shared payload written out in full (the form
-/// written before shared payloads); the writable open re-bases each at
-/// once onto a frames-only generation. In frames: every frame a JSON
-/// body with hex payloads, as written before raw payloads, and a JSON
-/// base followed by raw-payload frames; both open without a re-base.
+/// A workspace in a layout written before the current one fails the
+/// open with `StoreError::Corrupt` and changes nothing: no LEASE, no
+/// MANIFEST swap, no truncation and no quarantine file. herclint reports
+/// the unframed MANIFEST written before frames as HL0402, and a base
+/// whose body is JSON, written before raw payloads, as HL0404.
 #[test]
-fn legacy_array_payloads_open_with_the_same_history() {
-    let root = temp_root("legacy-src");
+fn an_older_layout_fails_the_open_and_changes_nothing() {
+    let root = temp_root("older-src");
     let mut ui = Ui::new(Session::odyssey("jbb"));
     ui.execute(&format!("save {}", root.display()))
         .expect("saves");
@@ -880,69 +788,38 @@ fn legacy_array_payloads_open_with_the_same_history() {
     ] {
         ui.execute(cmd).expect(cmd);
     }
-    let expected = SessionSpec::from_session(ui.session());
-    let payloads = |session: &Session| -> Vec<Option<Vec<u8>>> {
-        (0..session.db().len() as u64)
-            .map(|raw| {
-                let data = session.db().data_of(InstanceId::from_raw(raw));
-                data.expect("instance exists").map(<[u8]>::to_vec)
-            })
-            .collect()
-    };
-    let expected_payloads = payloads(ui.session());
-    let expected_blobs = ui.session().db().store().blob_count();
     drop(ui);
 
-    let mut copies = Vec::new();
-    for (form, journal) in [
-        (Legacy::Arrays, true),
-        (Legacy::Arrays, false),
-        (Legacy::InlineHex, true),
-    ] {
-        let case = format!("{form:?}, journal: {journal}");
-        copies.push((case, legacy_copy(&root, form, journal), true));
-    }
-    for every_frame in [true, false] {
-        let case = format!("JSON bodies, every frame: {every_frame}");
-        copies.push((case, json_body_copy(&root, every_frame), false));
-    }
-    for (case, dir, rebased) in copies {
-        let (ws, session, report) = Workspace::open_session(&dir, |s| odyssey_registry(s))
-            .unwrap_or_else(|e| panic!("legacy workspace ({case}) opens: {e}"));
-        assert_eq!(report.ops_replayed, 6, "{case}");
-        assert_eq!(report.bytes_discarded, 0, "{case}");
-        assert_eq!(session.db().len(), expected_payloads.len(), "{case}");
-        assert_eq!(payloads(&session), expected_payloads, "{case}");
-        assert_eq!(session.db().store().blob_count(), expected_blobs, "{case}");
-        assert_eq!(SessionSpec::from_session(&session), expected, "{case}");
-        if !rebased {
-            assert_eq!(ws.generation(), 0, "{case}: frames need no re-base");
-            drop(ws);
-            fs::remove_dir_all(&dir).ok();
-            continue;
+    for (unframed, code) in [(true, "HL0402"), (false, "HL0404")] {
+        let dir = older_layout_copy(&root, unframed);
+        let before = dir_files(&dir);
+        match Workspace::open_session(&dir, |s| odyssey_registry(s)) {
+            Err(StoreError::Corrupt { .. }) => {}
+            Err(e) => panic!("unframed: {unframed}: expected corruption, got: {e}"),
+            Ok((_ws, _session, report)) => panic!("unframed: {unframed}: opened ({report})"),
         }
-
-        // Re-based: generation 1's frame 0 holds the session, and the
-        // legacy files are gone.
-        assert_eq!(ws.generation(), 1, "{case}");
-        drop(ws);
-        let names: Vec<String> = fs::read_dir(&dir)
-            .expect("lists")
-            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .filter(|name| name != "LEASE")
-            .collect();
-        assert_eq!(names.len(), 2, "{case}: {names:?}");
+        let after = dir_files(&dir);
+        assert_eq!(after, before, "unframed: {unframed}: a file changed");
         assert!(
-            names.contains(&"journal-1.log".to_owned()),
-            "{case}: {names:?}"
+            after
+                .iter()
+                .all(|(name, _)| name != "LEASE" && !name.contains(".quarantined-")),
+            "unframed: {unframed}: {:?}",
+            after.iter().map(|(name, _)| name).collect::<Vec<_>>()
         );
-        let manifest = fs::read(dir.join("MANIFEST")).expect("manifest");
-        let framed = scan_frames(&manifest);
-        assert_eq!((framed.payloads.len(), framed.trailing), (1, 0), "{case}");
-        let (_ws, session, report) =
-            Workspace::open_session(&dir, |s| odyssey_registry(s)).expect("reopens");
-        assert_eq!((report.generation, report.ops_replayed), (1, 0), "{case}");
-        assert_eq!(SessionSpec::from_session(&session), expected, "{case}");
+        let mut out = Diagnostics::new();
+        lint_workspace(&dir, &mut out);
+        assert!(
+            out.iter()
+                .any(|d| d.code == code && d.severity == Severity::Error),
+            "unframed: {unframed}: expected {code}, got:\n{}",
+            out.render_text()
+        );
+        assert_eq!(
+            dir_files(&dir),
+            before,
+            "unframed: {unframed}: herclint wrote"
+        );
         fs::remove_dir_all(&dir).ok();
     }
     fs::remove_dir_all(&root).ok();

@@ -39,14 +39,20 @@ fn allowed(path: &Path, pattern: &str) -> bool {
     }
 }
 
-/// Strips `#[cfg(test)]`-gated modules: everything from a line holding
-/// the attribute through the end of the file (the convention in this
-/// workspace puts the test module last).
-fn strip_test_modules(source: &str) -> String {
-    match source.find("#[cfg(test)]") {
-        Some(idx) => source[..idx].to_owned(),
-        None => source.to_owned(),
+/// Strips the `#[cfg(test)]`-gated test module: everything from the
+/// line where the attribute starts at column 0 through the end of the
+/// file (the convention in this workspace puts the test module last).
+/// An indented attribute gates one item of production code, and the
+/// code after it is still scanned.
+fn strip_test_modules(source: &str) -> &str {
+    let mut end = 0;
+    for line in source.split_inclusive('\n') {
+        if line.starts_with("#[cfg(test)]") {
+            break;
+        }
+        end += line.len();
     }
+    &source[..end]
 }
 
 /// Every `.rs` file under `dir`.

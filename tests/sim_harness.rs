@@ -1724,6 +1724,82 @@ fn sim_scrub_and_repair_crash_sweep() {
     }
 }
 
+/// A latent read error on a mid-chain segment under a live handle:
+/// `scrub` reports the segment unreadable, renames it aside into
+/// quarantine and re-baselines onto a new generation from the live
+/// session, and the next `open` recovers that session with nothing left
+/// to repair.
+#[test]
+fn sim_scrub_quarantines_an_unreadable_segment_and_rebaselines() {
+    const TEST: &str = "sim_scrub_quarantines_an_unreadable_segment_and_rebaselines";
+    const APPENDS: usize = 3;
+    let seed = master_seed().wrapping_add(19);
+    let root = Path::new(WS_ROOT);
+    let name = "journal-0.1.log";
+    let sim = SimEnv::new(seed);
+    build_segmented_store(&sim, APPENDS);
+    let (mut ws, session, report) =
+        Workspace::open_session_in(root, |s| odyssey_registry(s), sim.env()).expect("clean open");
+    sim_assert(report.ops_replayed == APPENDS, seed, TEST, "clean replay");
+    let chain = ws.segments().to_vec();
+    sim_assert(
+        chain.len() > 2 && chain[1] == name,
+        seed,
+        TEST,
+        &format!("{name} must sit mid-chain, got {chain:?}"),
+    );
+    sim.fs_state().set_read_error(&root.join(name), true);
+
+    let scrubbed = ws.scrub(&session).expect("scrub repairs");
+    let rows: Vec<&str> = scrubbed.segments.iter().map(|s| s.name.as_str()).collect();
+    sim_assert(
+        rows == chain,
+        seed,
+        TEST,
+        &format!("rows in chain order: {scrubbed}"),
+    );
+    let row = &scrubbed.segments[1];
+    sim_assert(
+        !row.readable && scrubbed.damaged && scrubbed.repaired,
+        seed,
+        TEST,
+        &format!("scrub must find {name} unreadable and repair it, got: {scrubbed}"),
+    );
+    let aside = format!("{name}.quarantined-0");
+    sim_assert(
+        row.quarantined_as == [aside.clone()]
+            && sim.fs().exists(&root.join(&aside))
+            && !sim.fs().exists(&root.join(name)),
+        seed,
+        TEST,
+        &format!(
+            "{name} must be renamed aside as {aside}, got {:?}",
+            row.quarantined_as
+        ),
+    );
+    sim_assert(ws.generation() == 1, seed, TEST, "scrub re-baselines");
+    let expected = SessionSpec::from_session(&session);
+    drop(ws);
+
+    let (_ws, restored, report) =
+        Workspace::open_session_in(root, |s| odyssey_registry(s), sim.env()).expect("reopens");
+    sim_assert(
+        report.generation == 1
+            && report.ops_replayed == 0
+            && !report.truncated
+            && !report.quarantined(),
+        seed,
+        TEST,
+        &format!("the re-baselined store reopens clean, got: {report}"),
+    );
+    sim_assert(
+        SessionSpec::from_session(&restored) == expected,
+        seed,
+        TEST,
+        "the reopened session is the live one scrub re-baselined from",
+    );
+}
+
 /// Satellite: a crash point at every mutating disk op inside a
 /// stale-lease takeover. The takeover's MANIFEST/LEASE writes may tear
 /// anywhere; the next open by the same claimant must always succeed,

@@ -362,8 +362,8 @@ fn expired_and_superseded_leases_are_warnings() {
 #[test]
 fn stray_generation_files_are_reported() {
     let root = seeded_workspace("orphan");
-    fs::write(root.join("checkpoint-99.json"), b"{}").expect("writes");
     fs::write(root.join("journal-99.log"), b"").expect("writes");
+    fs::write(root.join("journal-99.1.log"), b"").expect("writes");
     let out = lint(&root);
     let orphans: Vec<_> = out.iter().filter(|d| d.code == "HL0409").collect();
     assert_eq!(orphans.len(), 2, "got:\n{}", out.render_text());
@@ -497,7 +497,7 @@ fn at_least_ten_distinct_codes_across_layers() {
     // Workspace layer: a torn tail and an orphan generation.
     let root = seeded_workspace("breadth");
     write_after_frames(&root.join("journal-0.log"), &[0xff; 5]);
-    fs::write(root.join("checkpoint-7.json"), b"{}").expect("writes");
+    fs::write(root.join("journal-7.log"), b"").expect("writes");
     lint_workspace(&root, &mut all);
     let _ = fs::remove_dir_all(&root);
 
