@@ -476,23 +476,32 @@ fn lease_state(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostic
 }
 
 /// HL0409: generation files present on disk but not named by MANIFEST.
-/// Harmless (a crash between a rotation's MANIFEST swap and its deletes
-/// leaves the previous generation behind) but worth knowing about when
-/// auditing disk use.
+/// Harmless but worth knowing about when auditing disk use: a crash
+/// between a rotation's MANIFEST swap and its deletes leaves the
+/// previous generation behind, and `save` over a workspace written
+/// before journal frames leaves its `checkpoint-N.json`, which nothing
+/// deletes because the store cannot read it.
 fn orphan_generations(root: &Path, env: &Env, manifest: &Manifest, out: &mut Diagnostics) {
-    for name in dir_names(root, env)
-        .into_iter()
-        .filter(|name| is_generation_file(name) && !manifest.segments.contains(name))
-    {
-        out.push(Diagnostic::new(
-            "HL0409",
-            Severity::Info,
-            Span::file(&name),
+    for name in dir_names(root, env) {
+        let message = if is_generation_file(&name) && !manifest.segments.contains(&name) {
             format!(
                 "`{name}` belongs to a generation MANIFEST does not reference \
                  (current generation is {})",
                 manifest.generation
-            ),
+            )
+        } else if name.starts_with("checkpoint-") && name.ends_with(".json") {
+            format!(
+                "`{name}` is a checkpoint of the layout before journal frames: \
+                 no layout the store reads uses it"
+            )
+        } else {
+            continue;
+        };
+        out.push(Diagnostic::new(
+            "HL0409",
+            Severity::Info,
+            Span::file(&name),
+            message,
         ));
     }
 }

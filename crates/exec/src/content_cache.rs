@@ -100,10 +100,11 @@ pub fn entry_from_outputs(
 /// entry against the consuming subtask: the output count must match
 /// and every entity name must resolve to a subtype of the expected
 /// product. Any mismatch (renamed entity, reshaped schema) degrades to
-/// a miss — the cache never forces a stale shape onto a run.
+/// a miss — the cache never forces a stale shape onto a run. The
+/// payloads move out of the entry; none is copied.
 pub fn outputs_from_entry(
     schema: &TaskSchema,
-    entry: &CacheEntry,
+    entry: CacheEntry,
     expected: &[EntityTypeId],
 ) -> Option<Vec<ToolOutput>> {
     if entry.outputs.len() != expected.len() {
@@ -111,14 +112,14 @@ pub fn outputs_from_entry(
     }
     entry
         .outputs
-        .iter()
+        .into_iter()
         .zip(expected)
         .map(|(out, &want)| {
             let entity = schema.entity_id(&out.entity)?;
-            schema.is_subtype_of(entity, want).then(|| ToolOutput {
+            schema.is_subtype_of(entity, want).then_some(ToolOutput {
                 entity,
-                data: out.data.clone(),
-                name: out.name.clone(),
+                data: out.data,
+                name: out.name,
             })
         })
         .collect()
@@ -226,14 +227,14 @@ mod tests {
         let key = key(&schema, inv.tool_data.as_deref(), vec![digest(b"d")]);
         let entry = entry_from_outputs(key, &schema, &inv, &produced, 42);
         assert_eq!(entry.tool, "Extractor");
-        let back = outputs_from_entry(&schema, &entry, &[extracted]).expect("resolves");
+        let back = outputs_from_entry(&schema, entry.clone(), &[extracted]).expect("resolves");
         assert_eq!(back, produced);
         // The cached entity satisfies its abstract supertype too.
         let netlist = schema.entity_id("Netlist").expect("entity");
-        assert!(outputs_from_entry(&schema, &entry, &[netlist]).is_some());
+        assert!(outputs_from_entry(&schema, entry.clone(), &[netlist]).is_some());
         // A reshaped expectation degrades to a miss.
         let layout = schema.entity_id("Layout").expect("entity");
-        assert!(outputs_from_entry(&schema, &entry, &[layout]).is_none());
-        assert!(outputs_from_entry(&schema, &entry, &[extracted, layout]).is_none());
+        assert!(outputs_from_entry(&schema, entry.clone(), &[layout]).is_none());
+        assert!(outputs_from_entry(&schema, entry, &[extracted, layout]).is_none());
     }
 }

@@ -3,16 +3,15 @@
 //! branches, and fault-tolerant supervision of every tool run.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{mpsc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 use hercules_cache::CacheKey;
 use hercules_flow::{NodeId, TaskGraph};
 use hercules_history::{Derivation, HistoryDb, InstanceId, Metadata};
-use hercules_obs::profile::{downstream_critical, TaskProfile};
-use hercules_obs::{Metrics, SpanId, Tracer};
+use hercules_obs::{names, Metrics, SpanId, Tracer};
 use hercules_schema::{EntityTypeId, TaskSchema};
 use hercules_sim::{Clock, Interleaver, SimInstant};
 
@@ -35,8 +34,9 @@ pub struct ExecOptions {
     pub parallel: bool,
     /// Worker threads for the parallel scheduler. `0` sizes the pool
     /// automatically (one per available core, at least 2), and the
-    /// pool never exceeds the subtask count. Ignored when `parallel`
-    /// is false.
+    /// pool never exceeds the subtask count. The pool starts at the
+    /// first subtask that needs a tool, so an execution the caches
+    /// answer whole starts none. Ignored when `parallel` is false.
     pub workers: usize,
     /// Reuse current cached results instead of re-running tools
     /// (§3.3's "has this extraction already been performed?").
@@ -72,13 +72,17 @@ pub struct ExecOptions {
     /// run's whole backoff schedule is a function of its seed. Zero
     /// (the default) reproduces the historical schedule.
     pub jitter_seed: u64,
-    /// Content-addressed result cache, consulted ahead of every tool
-    /// dispatch (`None`, the default, disables it). A hit replays the
-    /// cached outputs into the history — byte-identical to running the
-    /// tool — and a produced result is written back for future
-    /// sessions. Unlike `reuse_cached` (same workspace, current
-    /// instances) this matches on content, so it hits across sessions,
-    /// workspaces, and machines that share a tier.
+    /// Content-addressed result cache, looked up on the scheduling
+    /// thread before a subtask's tools are dispatched (`None`, the
+    /// default, disables it). A hit replays the cached outputs into the
+    /// history — byte-identical to running the tool — and a produced
+    /// result is written back for future sessions. Under the parallel
+    /// scheduler one execution runs each content key's tool at most
+    /// once at a time: a subtask whose key another subtask is
+    /// producing waits for it and replays its result. Unlike
+    /// `reuse_cached` (same workspace, current instances) this matches
+    /// on content, so it hits across sessions, workspaces, and machines
+    /// that share a tier.
     pub cache: Option<hercules_cache::ContentCache>,
 }
 
@@ -381,27 +385,19 @@ impl Executor {
     ) -> Result<(), ExecError> {
         let mut per_output: Vec<Vec<InstanceId>> = vec![Vec::new(); p.subtask.outputs.len()];
         let mut executed = 0usize;
-        for run in runs {
+        for (run, result) in p.runs.iter().zip(runs) {
             // A content-cache replay records the same history as a
             // fresh production; it just doesn't count as an execution.
-            let (tool_instance, input_instances, outputs, ran) = match run {
-                RunResult::Cached(instances) => {
+            let (outputs, ran) = match result {
+                RunResult::Current(instances) => {
                     for (slot, inst) in instances.into_iter().enumerate() {
                         per_output[slot].push(inst);
                     }
                     continue;
                 }
-                RunResult::Produced {
-                    tool_instance,
-                    input_instances,
-                    outputs,
-                } => (tool_instance, input_instances, outputs, true),
-                RunResult::Replayed {
-                    tool_instance,
-                    input_instances,
-                    outputs,
-                } => (tool_instance, input_instances, outputs, false),
+                RunResult::Outputs { outputs, ran } => (outputs, ran),
             };
+            let (tool_instance, input_instances) = (run.tool_instance, &run.input_instances);
             let key = (
                 tool_instance,
                 input_instances.clone(),
@@ -455,10 +451,10 @@ impl Executor {
 
     /// The event-driven dataflow executor: per-task dependency
     /// counters, a priority ready queue ordered by downstream
-    /// critical-path length, and a persistent worker pool. A task's
-    /// completion decrements its successors' counters and enqueues the
-    /// newly-ready ones immediately — disjoint sub-flows proceed
-    /// independently, with no barriers between levels (§3.3, Fig. 6).
+    /// critical-path length, and a worker pool. A task's completion
+    /// decrements its successors' counters and enqueues the newly-ready
+    /// ones immediately — disjoint sub-flows proceed independently,
+    /// with no barriers between levels (§3.3, Fig. 6).
     fn execute_dataflow(
         &self,
         flow: &TaskGraph,
@@ -482,13 +478,11 @@ impl Executor {
 
         let subtasks = group_subtasks(flow)?;
         let total = subtasks.len();
-        let workers = self.effective_workers(total);
 
         // One scheduler epoch spans the whole execution — the parent of
         // every task span.
         let epoch_span = tracer.begin_with("epoch", exec_span, |a| {
             a.uint("tasks", total as u64);
-            a.uint("workers", workers as u64);
         });
         let _epoch_guard = SpanGuard {
             tracer,
@@ -506,12 +500,16 @@ impl Executor {
             dead: HashSet::new(),
             seq: 0,
             in_flight: 0,
+            flights: Flights::default(),
         };
         let env = SchedEnv {
             flow,
             epoch,
             epoch_span,
             exec_span,
+            // A pool of one worker is the serial pump. An automatic
+            // pool has at least two, so choosing needs no core count.
+            parallel: self.options.parallel && total > 1 && self.options.workers != 1,
         };
         let queue = ReadyQueue::default();
 
@@ -523,12 +521,11 @@ impl Executor {
             }
         }
 
-        if self.options.parallel && workers > 1 {
+        if env.parallel {
             self.pump_parallel(
                 &mut st,
                 &env,
                 &queue,
-                workers,
                 db,
                 &mut invocation_cache,
                 &mut available,
@@ -538,9 +535,12 @@ impl Executor {
             // Serial dataflow: same ready-queue ordering by default;
             // under simulation the interleaver picks among every ready
             // candidate, so each dispatch is an explicit simulator
-            // event and one seed induces one schedule.
+            // event and one seed induces one schedule. One subtask runs
+            // at a time, so each is looked up when it is popped, after
+            // every earlier one wrote its results back: no claims.
             let schema = flow.schema();
-            while let Some(task) = queue.try_pop_pick(&self.options.interleave) {
+            while let Some(mut task) = queue.try_pop_pick(&self.options.interleave) {
+                self.resolve(schema, &mut task.prepared, None, db)?;
                 let outcome = task.prepared.run_all(schema, &self.options, &task.ctx);
                 self.finish_task(
                     &mut st,
@@ -567,16 +567,18 @@ impl Executor {
         Ok(report)
     }
 
-    /// Runs the scheduling loop against a persistent worker pool:
-    /// workers pull from the ready queue and report completions over a
-    /// channel; this thread commits serially and dispatches successors.
+    /// Runs the parallel scheduling loop. This thread completes the
+    /// subtasks that dispatch resolved whole ([`Executor::route`]),
+    /// commits serially and dispatches successors; workers pull the
+    /// subtasks that need a tool from the ready queue and report
+    /// completions over a channel. The pool starts with the first such
+    /// subtask.
     #[allow(clippy::too_many_arguments)]
     fn pump_parallel(
         &self,
         st: &mut SchedState,
         env: &SchedEnv<'_>,
         queue: &ReadyQueue,
-        workers: usize,
         db: &mut HistoryDb,
         invocation_cache: &mut InvocationCache,
         available: &mut HashMap<NodeId, Vec<InstanceId>>,
@@ -586,62 +588,64 @@ impl Executor {
         let options = &self.options;
         std::thread::scope(|scope| {
             let (done_tx, done_rx) = mpsc::channel::<Completion>();
-            for _ in 0..workers {
-                let done_tx = done_tx.clone();
-                let queue = &*queue;
-                scope.spawn(move || {
-                    while let Some(task) = queue.pop(&options.metrics, &options.clock) {
-                        // run_all catches tool panics itself; this
-                        // guards against panics in the engine's own
-                        // plumbing so one worker can never wedge the
-                        // scheduler waiting for a lost completion.
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                task.prepared.run_all(schema, options, &task.ctx)
-                            }))
-                            .unwrap_or_else(|payload| {
-                                SubtaskOutcome {
-                                    result: Err(ExecError::ToolPanicked {
-                                        tool: "subtask worker".into(),
-                                        message: supervise::panic_message(payload.as_ref()),
-                                    }),
-                                    attempts: 0,
-                                    duration: Duration::ZERO,
-                                    started: options.clock.since(task.ctx.epoch),
-                                }
-                            });
-                        let sent = done_tx.send(Completion {
-                            index: task.index,
-                            prepared: task.prepared,
-                            outcome,
+            // Held until the pool starts. Then only workers hold a
+            // sender, so a pool that exits whole ends `recv` instead of
+            // hanging it.
+            let mut done_tx = Some(done_tx);
+            let run = (|| loop {
+                if st.flights.queued {
+                    if let Some(done_tx) = done_tx.take() {
+                        let workers = self.pool_size(st.subtasks.len());
+                        options.tracer.instant("pool", env.epoch_span, |a| {
+                            a.uint("workers", workers as u64);
                         });
-                        if sent.is_err() {
-                            break;
+                        for _ in 0..workers {
+                            let done_tx = done_tx.clone();
+                            scope.spawn(move || work(queue, schema, options, &done_tx));
                         }
                     }
-                });
-            }
-            drop(done_tx);
-            let run = (|| {
-                while st.in_flight > 0 {
-                    let c = done_rx.recv().map_err(|_| ExecError::ToolPanicked {
-                        tool: "subtask worker".into(),
-                        message: "worker pool exited with tasks in flight".into(),
-                    })?;
+                }
+                // Complete what the lookups resolved before blocking:
+                // such a subtask gets no queue push, worker wake-up or
+                // channel send.
+                if let Some(mut task) = st.flights.resolved.pop_front() {
+                    let outcome = task.prepared.run_all(schema, options, &task.ctx);
                     self.finish_task(
                         st,
                         env,
                         queue,
-                        c.index,
-                        &c.prepared,
-                        c.outcome,
+                        task.index,
+                        &task.prepared,
+                        outcome,
                         db,
                         invocation_cache,
                         available,
                         report,
                     )?;
+                    continue;
                 }
-                Ok(())
+                if st.in_flight == 0 {
+                    return Ok(());
+                }
+                // Whatever is left is queued, running, or parked on a
+                // claimant that is: only a worker can make progress.
+                drop(done_tx.take());
+                let c = done_rx.recv().map_err(|_| ExecError::ToolPanicked {
+                    tool: "subtask worker".into(),
+                    message: "worker pool exited with tasks in flight".into(),
+                })?;
+                self.finish_task(
+                    st,
+                    env,
+                    queue,
+                    c.index,
+                    &c.prepared,
+                    c.outcome,
+                    db,
+                    invocation_cache,
+                    available,
+                    report,
+                )?;
             })();
             // Wake idle workers so the pool drains; in-flight tasks
             // finish their current run and exit on the next pop.
@@ -650,8 +654,9 @@ impl Executor {
         })
     }
 
-    /// Prepares one ready subtask and hands it to the queue, stamping
-    /// the dispatch instant (the start of its queue wait).
+    /// Prepares one ready subtask and stamps its dispatch instant (the
+    /// start of its queue wait). The serial pump queues it as it is;
+    /// the parallel pump routes it by its lookups first.
     fn dispatch_ready(
         &self,
         st: &mut SchedState,
@@ -667,20 +672,22 @@ impl Executor {
         st.task_state[index] = TaskState::Scheduled;
         st.in_flight += 1;
         st.seq += 1;
-        queue.push(
-            ReadyTask {
-                priority: st.priority[index],
-                seq: st.seq,
-                index,
-                prepared,
-                ctx: DispatchCtx {
-                    span: env.epoch_span,
-                    epoch: env.epoch,
-                    dispatched: self.options.clock.now(),
-                },
+        let task = ReadyTask {
+            priority: st.priority[index],
+            seq: st.seq,
+            index,
+            prepared,
+            ctx: DispatchCtx {
+                span: env.epoch_span,
+                epoch: env.epoch,
+                dispatched: self.options.clock.now(),
             },
-            metrics,
-        );
+        };
+        if env.parallel {
+            self.route(&mut st.flights, env.flow.schema(), task, queue, db)?;
+        } else {
+            queue.push(task, metrics);
+        }
         metrics.observe_duration(
             "exec.sched_dispatch_ns",
             self.options.clock.since(dispatch_started),
@@ -688,10 +695,101 @@ impl Executor {
         Ok(())
     }
 
+    /// Routes a ready subtask of the parallel pump by
+    /// [`Executor::resolve`]: one resolved whole waits for the
+    /// scheduling thread, one with a tool to run goes to the ready
+    /// queue, and one with a key another subtask claimed parks until
+    /// that claimant finishes.
+    fn route(
+        &self,
+        flights: &mut Flights,
+        schema: &TaskSchema,
+        mut task: ReadyTask,
+        queue: &ReadyQueue,
+        db: &HistoryDb,
+    ) -> Result<(), ExecError> {
+        match self.resolve(schema, &mut task.prepared, Some(&mut flights.claims), db)? {
+            Resolution::Resolved => flights.resolved.push_back(task),
+            Resolution::Invoke => {
+                flights.queued = true;
+                queue.push(task, &self.options.metrics);
+            }
+            Resolution::Wait(key) => {
+                self.options.metrics.incr(names::CACHE_WAITS, 1);
+                task.prepared.waits.push(key);
+                flights.waiters.entry(key).or_default().push(task);
+            }
+        }
+        Ok(())
+    }
+
+    /// Picks the route of each run not yet resolved, on the scheduling
+    /// thread: a content-cache hit replays its entry; a miss runs the
+    /// tool, and only then are its payloads copied; a run whose key an
+    /// earlier run of the same subtask invokes repeats that run's
+    /// outputs. With `claims` (the parallel pump) a miss claims its key
+    /// for this subtask, and a subtask with a run whose key is claimed
+    /// already waits, looking nothing up.
+    fn resolve(
+        &self,
+        schema: &TaskSchema,
+        prepared: &mut PreparedSubtask,
+        mut claims: Option<&mut HashSet<CacheKey>>,
+        db: &HistoryDb,
+    ) -> Result<Resolution, ExecError> {
+        if let Some(claims) = claims.as_deref() {
+            let claimed = prepared
+                .runs
+                .iter()
+                .filter(|r| matches!(r.route, Route::Unresolved))
+                .find_map(|r| r.key.filter(|k| claims.contains(k)));
+            if let Some(key) = claimed {
+                return Ok(Resolution::Wait(key));
+            }
+        }
+        let mut invoked: HashMap<CacheKey, usize> = HashMap::new();
+        for i in 0..prepared.runs.len() {
+            let run = &prepared.runs[i];
+            if !matches!(run.route, Route::Unresolved) {
+                continue;
+            }
+            let route = match (&self.options.cache, run.key) {
+                (Some(cache), Some(key)) => {
+                    if let Some(&first) = invoked.get(&key) {
+                        Route::Repeat(first)
+                    } else if let Some(outputs) = cache.lookup(&key).and_then(|entry| {
+                        content_cache::outputs_from_entry(schema, entry, &prepared.output_entities)
+                    }) {
+                        Route::Hit(outputs)
+                    } else {
+                        invoked.insert(key, i);
+                        if let Some(claims) = claims.as_deref_mut() {
+                            claims.insert(key);
+                            prepared.claimed.push(key);
+                        }
+                        Route::Invoke(prepared.invocation(db, run)?)
+                    }
+                }
+                _ => Route::Invoke(prepared.invocation(db, run)?),
+            };
+            prepared.runs[i].route = route;
+        }
+        let invokes = prepared
+            .runs
+            .iter()
+            .any(|r| matches!(r.route, Route::Invoke(_)));
+        Ok(if invokes {
+            Resolution::Invoke
+        } else {
+            Resolution::Resolved
+        })
+    }
+
     /// Handles one completed subtask on the scheduling thread: commits
     /// its products (or records the failure and skips its downstream
-    /// cone), then decrements successors' dependency counters and
-    /// dispatches the newly-ready ones.
+    /// cone), releases the content keys it claimed, then decrements
+    /// successors' dependency counters and dispatches the newly-ready
+    /// ones.
     #[allow(clippy::too_many_arguments)]
     fn finish_task(
         &self,
@@ -722,6 +820,7 @@ impl Executor {
                     available,
                     report,
                 )?;
+                self.release_claims(st, env, queue, prepared, db)?;
                 for j in st.successors[index].clone() {
                     st.dep_count[j] -= 1;
                     if st.dep_count[j] == 0 && st.task_state[j] == TaskState::Waiting {
@@ -770,32 +869,47 @@ impl Executor {
                     });
                     frontier.extend(st.successors[j].iter().copied());
                 }
-                Ok(())
+                self.release_claims(st, env, queue, prepared, db)
             }
         }
+    }
+
+    /// Releases the content keys a finished subtask claimed and routes
+    /// the subtasks parked on them again: after a success their lookups
+    /// hit; after a failure the first of them claims the key and runs
+    /// the tool, and the rest park on it.
+    fn release_claims(
+        &self,
+        st: &mut SchedState,
+        env: &SchedEnv<'_>,
+        queue: &ReadyQueue,
+        prepared: &PreparedSubtask,
+        db: &HistoryDb,
+    ) -> Result<(), ExecError> {
+        for key in &prepared.claimed {
+            st.flights.claims.remove(key);
+            for task in st.flights.waiters.remove(key).unwrap_or_default() {
+                self.route(&mut st.flights, env.flow.schema(), task, queue, db)?;
+            }
+        }
+        Ok(())
     }
 
     /// Sizes the worker pool: explicit [`ExecOptions::workers`], else
     /// one per available core (at least 2), never more than the number
     /// of subtasks.
-    fn effective_workers(&self, tasks: usize) -> usize {
-        if !self.options.parallel {
-            return 1;
-        }
-        let auto = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(2)
-            .max(2);
-        let chosen = if self.options.workers == 0 {
-            auto
-        } else {
-            self.options.workers
+    fn pool_size(&self, tasks: usize) -> usize {
+        let chosen = match self.options.workers {
+            0 => auto_workers(),
+            n => n,
         };
         chosen.clamp(1, tasks.max(1))
     }
 
     /// Prepares one subtask: resolves instances, computes the fan-out
-    /// and clones the payloads so runs can execute off-thread.
+    /// and keys each run from the digests the history holds. It copies
+    /// no payload: [`Executor::resolve`] copies a run's payloads once
+    /// its lookup missed.
     fn prepare(
         &self,
         flow: &TaskGraph,
@@ -820,11 +934,16 @@ impl Executor {
             Some(t) => available.get(&t).cloned().unwrap_or_default(),
             None => Vec::new(),
         };
-        let input_instances: Vec<(NodeId, Vec<InstanceId>)> = subtask
+        let input_instances: Vec<(EntityTypeId, Vec<InstanceId>)> = subtask
             .inputs
             .iter()
-            .map(|&i| (i, available.get(&i).cloned().unwrap_or_default()))
-            .collect();
+            .map(|&i| {
+                Ok((
+                    flow.entity_of(i)?,
+                    available.get(&i).cloned().unwrap_or_default(),
+                ))
+            })
+            .collect::<Result<_, ExecError>>()?;
 
         // Fan-out: cartesian product over multi-instance slots under
         // RunPerInstance; a single call under SingleCall.
@@ -861,12 +980,12 @@ impl Executor {
                         })
                         .collect();
                 }
-                for (node, instances) in &input_instances {
+                for (entity, instances) in &input_instances {
                     let mut next = Vec::with_capacity(combos.len() * instances.len());
                     for combo in &combos {
                         for &inst in instances {
                             let mut c = combo.clone();
-                            c.inputs.push((*node, vec![inst]));
+                            c.inputs.push((*entity, vec![inst]));
                             next.push(c);
                         }
                     }
@@ -882,7 +1001,6 @@ impl Executor {
             }
         };
 
-        // Pre-resolve payload bytes and cache hits for every run.
         let output_entities: Vec<EntityTypeId> = subtask
             .outputs
             .iter()
@@ -890,44 +1008,23 @@ impl Executor {
             .collect::<Result<_, _>>()?;
         let mut runs = Vec::with_capacity(combos.len());
         for combo in combos {
-            let flat_inputs: Vec<InstanceId> = combo
+            let input_instances: Vec<InstanceId> = combo
                 .inputs
                 .iter()
                 .flat_map(|(_, v)| v.iter().copied())
                 .collect();
-            if self.options.reuse_cached {
-                let cached: Option<Vec<InstanceId>> = output_entities
+            let current: Option<Vec<InstanceId>> = if self.options.reuse_cached {
+                output_entities
                     .iter()
-                    .map(|&e| db.current_cached(e, combo.tool, &flat_inputs))
-                    .collect();
-                if let Some(instances) = cached {
-                    runs.push(PreparedRun::Cached(instances));
-                    continue;
-                }
-            }
-            let tool_data = match combo.tool {
-                Some(t) => db.data_of(t)?.map(<[u8]>::to_vec),
-                None => None,
+                    .map(|&e| db.current_cached(e, combo.tool, &input_instances))
+                    .collect()
+            } else {
+                None
             };
-            let inputs: Vec<ToolInput> = combo
-                .inputs
-                .iter()
-                .map(|(node, instances)| {
-                    let entity = flow.entity_of(*node)?;
-                    let payloads: Result<Vec<Vec<u8>>, ExecError> = instances
-                        .iter()
-                        .map(|&i| Ok(db.data_of(i)?.map(<[u8]>::to_vec).unwrap_or_default()))
-                        .collect();
-                    Ok(ToolInput {
-                        entity,
-                        instances: payloads?,
-                    })
-                })
-                .collect::<Result<_, ExecError>>()?;
             // The content key folds the digests the history computed
             // when it stored each payload; only a cache reads it.
-            let key = match &self.options.cache {
-                Some(_) => {
+            let key = match (&self.options.cache, &current) {
+                (Some(_), None) => {
                     let tool = match combo.tool {
                         Some(t) => db.instance(t)?.data(),
                         None => None,
@@ -935,12 +1032,12 @@ impl Executor {
                     let inputs = combo
                         .inputs
                         .iter()
-                        .map(|(node, instances)| {
+                        .map(|(entity, instances)| {
                             let digests = instances
                                 .iter()
                                 .map(|&i| Ok(content_cache::input_digest(db.instance(i)?.data())))
                                 .collect::<Result<_, ExecError>>()?;
-                            Ok((flow.entity_of(*node)?, digests))
+                            Ok((*entity, digests))
                         })
                         .collect::<Result<Vec<_>, ExecError>>()?;
                     Some(content_cache::invocation_key(
@@ -951,18 +1048,14 @@ impl Executor {
                         &output_entities,
                     ))
                 }
-                None => None,
+                _ => None,
             };
-            runs.push(PreparedRun::Invoke {
-                invocation: Invocation {
-                    tool_entity: lookup_entity,
-                    tool_data,
-                    inputs,
-                    outputs: output_entities.clone(),
-                },
-                key,
+            runs.push(PreparedRun {
                 tool_instance: combo.tool,
-                input_instances: flat_inputs,
+                inputs: combo.inputs,
+                input_instances,
+                key,
+                route: current.map_or(Route::Unresolved, Route::Current),
             });
         }
         let mut dep_nodes = subtask.inputs.clone();
@@ -979,10 +1072,61 @@ impl Executor {
             inputs_attr: node_list(&dep_nodes),
             subtask: subtask.clone(),
             enc,
+            tool_entity: lookup_entity,
             runs,
             output_entities,
+            claimed: Vec::new(),
+            waits: Vec::new(),
         })
     }
+}
+
+/// One worker of the parallel pump: pops subtasks until the queue
+/// closes, runs each one's tools, and sends the outcome back to the
+/// scheduling thread.
+fn work(
+    queue: &ReadyQueue,
+    schema: &std::sync::Arc<TaskSchema>,
+    options: &ExecOptions,
+    done_tx: &mpsc::Sender<Completion>,
+) {
+    while let Some(mut task) = queue.pop(&options.metrics, &options.clock) {
+        // run_all catches tool panics itself; this guards against
+        // panics in the engine's own plumbing so one worker can never
+        // wedge the scheduler waiting for a lost completion.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            task.prepared.run_all(schema, options, &task.ctx)
+        }))
+        .unwrap_or_else(|payload| SubtaskOutcome {
+            result: Err(ExecError::ToolPanicked {
+                tool: "subtask worker".into(),
+                message: supervise::panic_message(payload.as_ref()),
+            }),
+            attempts: 0,
+            duration: Duration::ZERO,
+            started: options.clock.since(task.ctx.epoch),
+        });
+        let sent = done_tx.send(Completion {
+            index: task.index,
+            prepared: task.prepared,
+            outcome,
+        });
+        if sent.is_err() {
+            break;
+        }
+    }
+}
+
+/// The automatic pool size: one worker per available core, at least 2.
+/// The core count is asked of the operating system once per process.
+fn auto_workers() -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    *AUTO.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(2)
+            .max(2)
+    })
 }
 
 /// Renders nodes as the space-separated `n<index>` list used by trace
@@ -1014,7 +1158,8 @@ impl Drop for SpanGuard<'_> {
 /// Per-dispatch context threaded into subtask runs: the parent span of
 /// the task span (the scheduler epoch), the execution epoch (task start
 /// offsets are relative to it), and the dispatch instant (queue wait =
-/// how long a ready subtask sat before a worker picked it up).
+/// how long a ready subtask sat before it started running, parked time
+/// included).
 struct DispatchCtx {
     span: SpanId,
     epoch: SimInstant,
@@ -1026,7 +1171,7 @@ struct DispatchCtx {
 enum TaskState {
     /// Dependencies outstanding.
     Waiting,
-    /// In the ready queue or running on a worker.
+    /// Queued, parked on a claimant, or running.
     Scheduled,
     /// Committed, failed, or skipped.
     Terminal,
@@ -1049,8 +1194,38 @@ struct SchedState {
     /// Dispatch sequence counter (FIFO tiebreak among equal
     /// priorities).
     seq: u64,
-    /// Subtasks queued or running.
+    /// Subtasks queued, running, parked on a claimant, or awaiting
+    /// the scheduling thread.
     in_flight: usize,
+    /// The parallel pump's content-cache routing (unused by the serial
+    /// pump).
+    flights: Flights,
+}
+
+/// The parallel pump's content-cache routing state. The scheduling
+/// thread owns it, so it needs no lock.
+#[derive(Default)]
+struct Flights {
+    /// Content keys whose tool an in-flight subtask runs: single-flight
+    /// within one execution.
+    claims: HashSet<CacheKey>,
+    /// Subtasks parked until the claimant of a key finishes.
+    waiters: HashMap<CacheKey, Vec<ReadyTask>>,
+    /// Subtasks whose every run was resolved without a tool, in the
+    /// order they resolved: the scheduling thread completes them.
+    resolved: VecDeque<ReadyTask>,
+    /// Whether a subtask went to the ready queue; the pool starts then.
+    queued: bool,
+}
+
+/// Where [`Executor::resolve`] sends a subtask.
+enum Resolution {
+    /// Every run has its result: there is no tool to run.
+    Resolved,
+    /// At least one run needs its tool.
+    Invoke,
+    /// A run's key is claimed by another in-flight subtask.
+    Wait(CacheKey),
 }
 
 /// Immutable context of one dataflow execution.
@@ -1059,9 +1234,11 @@ struct SchedEnv<'a> {
     epoch: SimInstant,
     epoch_span: SpanId,
     exec_span: SpanId,
+    /// Whether the parallel pump runs this execution.
+    parallel: bool,
 }
 
-/// One dispatched subtask waiting for a worker.
+/// One dispatched subtask waiting to run.
 struct ReadyTask {
     /// Downstream critical-path length; longer poles pop first.
     priority: u64,
@@ -1223,71 +1400,80 @@ fn dependency_edges(
 
 /// Static dispatch priorities: each subtask's downstream critical-path
 /// length over estimated costs (one abstract unit per invocation plus
-/// one per output), computed with the profiler's critical-path
-/// analysis. The longest pole dispatches first, so a straggler branch
-/// starts as early as its dependencies allow.
+/// one per output), i.e. its own cost plus that of its costliest chain
+/// of consumers. The longest pole dispatches first, so a straggler
+/// branch starts as early as its dependencies allow. Subtasks come in
+/// topological order (see [`group_subtasks`]), so a reverse sweep has
+/// every consumer's length final before its producers read it.
 fn subtask_priorities(subtasks: &[Subtask], producers_of: &[Vec<usize>]) -> Vec<u64> {
-    let profiles: Vec<TaskProfile> = subtasks
-        .iter()
-        .enumerate()
-        .map(|(i, s)| TaskProfile {
-            label: format!("s{i}"),
-            total_ns: 1 + s.outputs.len() as u64,
-            self_ns: 0,
-            start_ns: 0,
-            tid: 0,
-            deps: producers_of[i].iter().map(|j| format!("s{j}")).collect(),
-            cache_hit: false,
-            queue_wait_ns: 0,
-        })
-        .collect();
-    let down = downstream_critical(&profiles);
-    (0..subtasks.len())
-        .map(|i| down.get(&format!("s{i}")).copied().unwrap_or(0))
-        .collect()
+    let mut down = vec![0u64; subtasks.len()];
+    for i in (0..subtasks.len()).rev() {
+        down[i] += 1 + subtasks[i].outputs.len() as u64;
+        for &j in &producers_of[i] {
+            down[j] = down[j].max(down[i]);
+        }
+    }
+    down
 }
 
 #[derive(Debug, Clone)]
 struct RunInputs {
     tool: Option<InstanceId>,
-    inputs: Vec<(NodeId, Vec<InstanceId>)>,
+    inputs: Vec<(EntityTypeId, Vec<InstanceId>)>,
 }
 
-enum PreparedRun {
-    Cached(Vec<InstanceId>),
-    Invoke {
-        invocation: Invocation,
-        /// Content-cache key, derived only when a cache is attached.
-        key: Option<CacheKey>,
-        tool_instance: Option<InstanceId>,
-        input_instances: Vec<InstanceId>,
-    },
+/// One run of a prepared subtask: the instances it reads and, once
+/// resolved, where its outputs come from.
+struct PreparedRun {
+    tool_instance: Option<InstanceId>,
+    /// Input instances by entity, in [`Invocation::inputs`] order.
+    inputs: Vec<(EntityTypeId, Vec<InstanceId>)>,
+    /// `inputs` flattened: the derivation its products record.
+    input_instances: Vec<InstanceId>,
+    /// Content-cache key, derived only when a cache is attached.
+    key: Option<CacheKey>,
+    route: Route,
+}
+
+/// Where one run's outputs come from.
+enum Route {
+    /// Not looked up yet (or already consumed by the run phase).
+    Unresolved,
+    /// A current instance per output (`reuse_cached`), found when the
+    /// subtask was prepared.
+    Current(Vec<InstanceId>),
+    /// A content-cache hit: the entry's outputs, replayed.
+    Hit(Vec<ToolOutput>),
+    /// The lookup missed: the tool runs on these payloads.
+    Invoke(Invocation),
+    /// The key of this subtask's run at that index, which invokes the
+    /// tool: its outputs are replayed.
+    Repeat(usize),
 }
 
 /// The outcome of one run, before recording.
 enum RunResult {
-    Cached(Vec<InstanceId>),
-    Produced {
-        tool_instance: Option<InstanceId>,
-        input_instances: Vec<InstanceId>,
-        outputs: Vec<ToolOutput>,
-    },
-    /// Outputs replayed from a content-cache hit: committed to the
-    /// history exactly like [`RunResult::Produced`] (so a warm run's
-    /// records are byte-identical to a cold run's), but not counted as
-    /// an execution.
-    Replayed {
-        tool_instance: Option<InstanceId>,
-        input_instances: Vec<InstanceId>,
-        outputs: Vec<ToolOutput>,
-    },
+    /// Current instances (`reuse_cached`): nothing to record.
+    Current(Vec<InstanceId>),
+    /// Outputs to record. A content-cache replay (`ran` false) commits
+    /// exactly like a fresh production, so a warm run's records are
+    /// byte-identical to a cold run's, but does not count as an
+    /// execution.
+    Outputs { outputs: Vec<ToolOutput>, ran: bool },
 }
 
 struct PreparedSubtask {
     subtask: Subtask,
     enc: std::sync::Arc<dyn Encapsulation>,
+    /// The entity whose encapsulation runs: the tool's, or the output's
+    /// for a composition.
+    tool_entity: EntityTypeId,
     runs: Vec<PreparedRun>,
     output_entities: Vec<EntityTypeId>,
+    /// Content keys this subtask claimed (parallel pump only).
+    claimed: Vec<CacheKey>,
+    /// Content keys this subtask was parked on, in order.
+    waits: Vec<CacheKey>,
     /// Trace label: the tool (or output) entity name plus the first
     /// output node, unique per subtask within one flow.
     label: String,
@@ -1407,10 +1593,42 @@ impl PreparedSubtask {
         }
     }
 
-    /// Runs every prepared invocation of the subtask, with supervision
-    /// and retries; stops at the first permanent failure.
+    /// The invocation of a run whose lookup missed: copies its tool and
+    /// input payloads out of the history.
+    fn invocation(&self, db: &HistoryDb, run: &PreparedRun) -> Result<Invocation, ExecError> {
+        let tool_data = match run.tool_instance {
+            Some(t) => db.data_of(t)?.map(<[u8]>::to_vec),
+            None => None,
+        };
+        let inputs = run
+            .inputs
+            .iter()
+            .map(|(entity, instances)| {
+                let payloads = instances
+                    .iter()
+                    .map(|&i| Ok(db.data_of(i)?.map(<[u8]>::to_vec).unwrap_or_default()))
+                    .collect::<Result<_, ExecError>>()?;
+                Ok(ToolInput {
+                    entity: *entity,
+                    instances: payloads,
+                })
+            })
+            .collect::<Result<_, ExecError>>()?;
+        Ok(Invocation {
+            tool_entity: self.tool_entity,
+            tool_data,
+            inputs,
+            outputs: self.output_entities.clone(),
+        })
+    }
+
+    /// Runs the subtask's resolved runs: replays hits and current
+    /// instances, and runs each missed run's tool under supervision
+    /// with retries, writing its result back to the content cache;
+    /// stops at the first permanent failure. It looks nothing up:
+    /// [`Executor::resolve`] routed every run on the scheduling thread.
     fn run_all(
-        &self,
+        &mut self,
         schema: &std::sync::Arc<TaskSchema>,
         options: &ExecOptions,
         ctx: &DispatchCtx,
@@ -1424,7 +1642,7 @@ impl PreparedSubtask {
         let invoked = self
             .runs
             .iter()
-            .filter(|r| matches!(r, PreparedRun::Invoke { .. }))
+            .filter(|r| matches!(r.route, Route::Invoke(_)))
             .count();
         let task_span = options.tracer.begin_with("task", ctx.span, |a| {
             a.str("task", self.label.as_str());
@@ -1434,41 +1652,45 @@ impl PreparedSubtask {
             a.bool("cache_hit", invoked == 0);
             a.uint("queue_wait_ns", queue_wait.as_nanos() as u64);
         });
+        for key in &self.waits {
+            options
+                .tracer
+                .instant("content_cache_wait", task_span, |a| {
+                    a.str("key", key.to_hex().as_str());
+                });
+        }
         let mut attempts = 0u32;
         let mut content_hits = 0u64;
-        let mut results = Vec::with_capacity(self.runs.len());
-        for (run_index, run) in self.runs.iter().enumerate() {
-            match run {
-                PreparedRun::Cached(instances) => {
-                    results.push(RunResult::Cached(instances.clone()));
-                }
-                PreparedRun::Invoke {
-                    invocation,
-                    key,
-                    tool_instance,
-                    input_instances,
-                } => {
-                    // Content cache first: a hit replays the recorded
-                    // outputs instead of dispatching the tool.
-                    if let (Some(cache), Some(key)) = (&options.cache, key) {
-                        if let Some(outputs) = cache.lookup(key).and_then(|entry| {
-                            content_cache::outputs_from_entry(schema, &entry, &self.output_entities)
-                        }) {
-                            content_hits += 1;
-                            options.tracer.instant("content_cache_hit", task_span, |a| {
-                                a.str("key", key.to_hex().as_str());
-                            });
-                            results.push(RunResult::Replayed {
-                                tool_instance: *tool_instance,
-                                input_instances: input_instances.clone(),
-                                outputs,
-                            });
-                            continue;
-                        }
+        let mut results: Vec<RunResult> = Vec::with_capacity(self.runs.len());
+        for run_index in 0..self.runs.len() {
+            let key = self.runs[run_index].key;
+            let route = std::mem::replace(&mut self.runs[run_index].route, Route::Unresolved);
+            let result = match route {
+                Route::Current(instances) => RunResult::Current(instances),
+                Route::Hit(outputs) => {
+                    content_hits += 1;
+                    if let Some(key) = key {
+                        options.tracer.instant("content_cache_hit", task_span, |a| {
+                            a.str("key", key.to_hex().as_str());
+                        });
                     }
+                    RunResult::Outputs {
+                        outputs,
+                        ran: false,
+                    }
+                }
+                Route::Repeat(of) => match &results[of] {
+                    RunResult::Outputs { outputs, .. } => RunResult::Outputs {
+                        outputs: outputs.clone(),
+                        ran: false,
+                    },
+                    RunResult::Current(_) => unreachable!("a repeated run invokes its tool"),
+                },
+                Route::Unresolved => unreachable!("every run is resolved before it runs"),
+                Route::Invoke(invocation) => {
                     let (result, used) = self.run_one(
                         schema,
-                        invocation,
+                        &invocation,
                         options,
                         self.retry_salt(run_index, options.jitter_seed),
                         task_span,
@@ -1476,26 +1698,24 @@ impl PreparedSubtask {
                     attempts = attempts.max(used);
                     match result {
                         Ok(outputs) => {
-                            // Write the fresh result back for future
-                            // sessions; insert is non-blocking (memory
-                            // now, persistent tiers asynchronously).
+                            // Write the fresh result back; insert is
+                            // non-blocking (memory now, persistent tiers
+                            // asynchronously), and a subtask parked on
+                            // this key looks it up after this one
+                            // finishes.
                             if let (Some(cache), Some(key)) = (&options.cache, key) {
                                 cache.insert(
-                                    key,
+                                    &key,
                                     &content_cache::entry_from_outputs(
-                                        *key,
+                                        key,
                                         schema,
-                                        invocation,
+                                        &invocation,
                                         &outputs,
                                         options.clock.wall_unix_ms(),
                                     ),
                                 );
                             }
-                            results.push(RunResult::Produced {
-                                tool_instance: *tool_instance,
-                                input_instances: input_instances.clone(),
-                                outputs,
-                            })
+                            RunResult::Outputs { outputs, ran: true }
                         }
                         Err(error) => {
                             let duration = options.clock.since(started);
@@ -1517,7 +1737,8 @@ impl PreparedSubtask {
                         }
                     }
                 }
-            }
+            };
+            results.push(result);
         }
         let duration = options.clock.since(started);
         options
@@ -1875,12 +2096,12 @@ mod tests {
             let prepared = executor
                 .prepare(&flow, &subtasks[0], &available, &db)
                 .expect("prepared");
-            let [PreparedRun::Invoke { key, .. }] = &prepared.runs[..] else {
+            let [run] = &prepared.runs[..] else {
                 panic!("one invocation expected");
             };
             let mut bound: Vec<InstanceId> = available.into_values().flatten().collect();
             bound.sort();
-            (key.expect("a cache is attached"), bound)
+            (run.key.expect("a cache is attached"), bound)
         };
         let (key_a, ids_a) = prepare(false);
         let (key_b, ids_b) = prepare(true);
@@ -2062,6 +2283,135 @@ mod tests {
         assert_eq!(rebuilt.single(perf), report.single(perf));
         assert_eq!(rebuilt.tasks, report.tasks);
         assert_eq!(rebuilt.is_complete(), report.is_complete());
+    }
+
+    /// The engine's priorities as the profiler computes them: one
+    /// labelled `TaskProfile` per subtask, through
+    /// `downstream_critical`.
+    fn profiler_priorities(subtasks: &[Subtask], producers_of: &[Vec<usize>]) -> Vec<u64> {
+        use hercules_obs::profile::{downstream_critical, TaskProfile};
+        let profiles: Vec<TaskProfile> = subtasks
+            .iter()
+            .enumerate()
+            .map(|(i, s)| TaskProfile {
+                label: format!("s{i}"),
+                total_ns: 1 + s.outputs.len() as u64,
+                self_ns: 0,
+                start_ns: 0,
+                tid: 0,
+                deps: producers_of[i].iter().map(|j| format!("s{j}")).collect(),
+                cache_hit: false,
+                queue_wait_ns: 0,
+            })
+            .collect();
+        let down = downstream_critical(&profiles);
+        (0..subtasks.len())
+            .map(|i| down[&format!("s{i}")])
+            .collect()
+    }
+
+    #[test]
+    fn priorities_match_the_profiler_on_fig6() {
+        let (schema, db, _) = setup();
+        let flow = hercules_flow::fixtures::fig6(schema.clone()).expect("fixture");
+        let mut binding = Binding::new();
+        binding.bind_latest(&flow, &db);
+        let available: HashMap<NodeId, Vec<InstanceId>> = binding
+            .iter()
+            .map(|(node, instances)| (node, instances.to_vec()))
+            .collect();
+        let subtasks = group_subtasks(&flow).expect("grouped");
+        let (_, _, producers_of) = dependency_edges(&subtasks, &available);
+        let priorities = subtask_priorities(&subtasks, &producers_of);
+        assert!(priorities.iter().any(|&p| p > 2), "fig6 has chains");
+        assert_eq!(priorities, profiler_priorities(&subtasks, &producers_of));
+    }
+
+    proptest::proptest! {
+        /// Generated DAGs in topological order, as `group_subtasks`
+        /// emits them: subtask `i` has 1–3 outputs and draws its
+        /// producers from the subtasks before it.
+        #[test]
+        fn priorities_match_the_profiler_on_generated_dags(
+            shape in proptest::prop::collection::vec(
+                (1usize..4, proptest::prop::collection::vec(0usize..64, 0..4)),
+                1..40,
+            ),
+        ) {
+            let subtasks: Vec<Subtask> = shape
+                .iter()
+                .map(|(outputs, _)| Subtask {
+                    outputs: vec![NodeId::from_index(0); *outputs],
+                    tool: None,
+                    inputs: Vec::new(),
+                })
+                .collect();
+            let producers_of: Vec<Vec<usize>> = shape
+                .iter()
+                .enumerate()
+                .map(|(i, (_, picks))| {
+                    let mut producers: Vec<usize> = picks
+                        .iter()
+                        .filter(|_| i > 0)
+                        .map(|k| k % i.max(1))
+                        .collect();
+                    producers.sort_unstable();
+                    producers.dedup();
+                    producers
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                subtask_priorities(&subtasks, &producers_of),
+                profiler_priorities(&subtasks, &producers_of)
+            );
+        }
+    }
+
+    /// A parallel run the content cache answers whole completes every
+    /// subtask on the scheduling thread: no pool starts, so every task
+    /// span shares the `execute` span's thread lane. The cold run
+    /// before it starts the pool.
+    #[test]
+    fn warm_parallel_run_starts_no_pool() {
+        let (schema, _, _) = setup();
+        let flow = hercules_flow::fixtures::fig6(schema.clone()).expect("fixture");
+        let cache = hercules_cache::ContentCache::in_memory(
+            hercules_cache::MemoryBudget::default(),
+            Clock::real(),
+            Metrics::disabled(),
+        );
+        for warm in [false, true] {
+            let mut db = HistoryDb::new(schema.clone());
+            toy::seed_everything(&mut db, "setup");
+            let ring = Arc::new(hercules_obs::RingBuffer::new(4096));
+            let mut executor = Executor::new(toy::text_registry(&schema));
+            let options = executor.options_mut();
+            options.parallel = true;
+            options.workers = 2;
+            options.cache = Some(cache.clone());
+            options.tracer = Tracer::new(ring.clone());
+            let mut binding = Binding::new();
+            binding.bind_latest(&flow, &db);
+            let report = executor.execute(&flow, &binding, &mut db).expect("runs");
+            let events = ring.snapshot();
+            let pools = events.iter().filter(|e| e.name == "pool").count();
+            if !warm {
+                assert!(report.runs() > 0, "the cold run invokes tools");
+                assert_eq!(pools, 1, "the cold run starts the pool once");
+                continue;
+            }
+            assert_eq!(report.runs(), 0, "the warm run invokes nothing");
+            assert_eq!(report.cache_hits(), report.tasks.len());
+            assert_eq!(pools, 0, "the warm run starts no pool");
+            let lane = |name: &str| -> HashSet<u64> {
+                events
+                    .iter()
+                    .filter(|e| e.name == name)
+                    .map(|e| e.tid)
+                    .collect()
+            };
+            assert_eq!(lane("task"), lane("execute"), "tasks ran on the caller");
+        }
     }
 
     #[test]

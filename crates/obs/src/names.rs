@@ -178,6 +178,13 @@ pub const CACHE_INSERTS: &str = "cache.inserts";
 /// 4 GiB or more, past the entry format's `u32` length fields.
 pub const CACHE_OVERSIZE: &str = "cache.oversize";
 
+/// Counter: subtasks parked because another in-flight subtask of the
+/// same execution was producing their content key (single-flight).
+/// A parked subtask replays the claimant's entry once it finishes, or
+/// claims the key if the claimant failed, so a cold execution runs
+/// each key's tool once however its subtasks are timed.
+pub const CACHE_WAITS: &str = "cache.waits";
+
 /// Histogram: wall nanoseconds per write-back to the disk tier.
 /// In the real environment write-backs run on a background thread, so
 /// this measures cache work, not executor hot-path stalls.
@@ -234,6 +241,7 @@ mod tests {
         (super::CACHE_DISK_HEALTHY, "cache."),
         (super::CACHE_INSERTS, "cache."),
         (super::CACHE_OVERSIZE, "cache."),
+        (super::CACHE_WAITS, "cache."),
         (super::CACHE_WRITEBACK_NS, "cache."),
         (super::CACHE_GC_RUNS, "cache."),
         (super::CACHE_GC_EVICTED, "cache."),

@@ -2,16 +2,19 @@
 //! warm run that replays cached results must be *byte-identical* to
 //! the cold run that produced them — same output data, same history
 //! records (ids, entities, metadata, blob hashes, derivations) — with
-//! only timings and the cache-hit marking allowed to differ. Distinct
-//! inputs must never collide into a wrong hit, and the disk tier must
-//! carry results across workspaces that share nothing but a cache
-//! directory.
+//! only timings and the cache-hit marking allowed to differ. That
+//! holds for a one-task flow and for a multi-task one, whose lookups
+//! and commits keep their order. Distinct inputs must never collide
+//! into a wrong hit, and the disk tier must carry results across
+//! workspaces that share nothing but a cache directory.
 
 use hercules::cache::{CacheConfig, ContentCache, MemoryBudget};
 use hercules::eda::{GateKind, Netlist, PlacementRules};
+use hercules::flow::NodeId;
 use hercules::history::{EntityInstance, Metadata};
 use hercules::obs::Metrics;
 use hercules::sim::{Clock, SimEnv};
+use hercules::ui::Ui;
 use hercules::Session;
 use proptest::prelude::*;
 
@@ -107,8 +110,89 @@ fn run_layout(
     (report.runs(), report.cache_hits(), records, data)
 }
 
+/// One serial `Verification` run (Fig. 8b: an edited netlist checked
+/// against the extraction of its own layout), driven through the REPL
+/// in a fresh session that shares only `cache` with other runs. Both
+/// edits take the editor script holding `netlist`; the subtasks are
+/// the two edits, the placer, the extractor and the verifier. Returns
+/// `(runs, cache_hits, history records, verification bytes)`.
+fn run_verification(
+    cache: ContentCache,
+    netlist: &[u8],
+) -> (usize, usize, Vec<EntityInstance>, Vec<u8>) {
+    let mut session = Session::odyssey("prop");
+    session.attach_content_cache(cache);
+    let editor = session
+        .schema()
+        .require("CircuitEditor")
+        .expect("known entity");
+    let script = session
+        .db_mut()
+        .record_primary(editor, Metadata::by("prop").named("gen-script"), netlist)
+        .expect("records the editor script");
+    let mut ui = Ui::new(session);
+    let select = |node: &str| format!("select {node} i{}", script.raw());
+    let lines = [
+        "goal Verification".to_owned(),
+        "expand n0".to_owned(),
+        "specialize n2 EditedNetlist".to_owned(),
+        "expand n2".to_owned(),
+        "expand n3".to_owned(),
+        "expand n6".to_owned(),
+        "specialize n8 EditedNetlist".to_owned(),
+        "expand n8".to_owned(),
+        "bind-latest".to_owned(),
+        select("n4"),
+        select("n10"),
+        "run".to_owned(),
+    ];
+    for line in &lines {
+        ui.execute(line)
+            .unwrap_or_else(|e| panic!("`{line}` fails: {e}"));
+    }
+    let session = ui.session();
+    let report = session.last_report().expect("the run reported");
+    let data = session
+        .db()
+        .data_of(report.single(NodeId::from_index(0)))
+        .expect("readable")
+        .expect("has data")
+        .to_vec();
+    let records: Vec<EntityInstance> = session.db().instances().cloned().collect();
+    (report.runs(), report.cache_hits(), records, data)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Hit equivalence for a multi-task flow under the serial pump:
+    /// each subtask is looked up when it is popped, after every earlier
+    /// one wrote its result back, so the cold run invokes each content
+    /// key once (the second edit replays the first) and the warm run
+    /// replays every subtask and records the cold run's history, ids
+    /// included.
+    #[test]
+    fn warm_multi_task_run_is_byte_identical_to_cold(
+        kinds in prop::collection::vec(0u8..=7, 1..12),
+    ) {
+        let netlist = netlist_bytes(&kinds);
+        let cache = ContentCache::in_memory(
+            MemoryBudget::default(),
+            Clock::real(),
+            Metrics::disabled(),
+        );
+        let (cold_runs, cold_hits, cold_records, cold_data) =
+            run_verification(cache.clone(), &netlist);
+        prop_assert_eq!(cold_runs, 4, "editor, placer, extractor and verifier run once");
+        prop_assert_eq!(cold_hits, 1, "the second edit replays the first");
+
+        let (warm_runs, warm_hits, warm_records, warm_data) =
+            run_verification(cache, &netlist);
+        prop_assert_eq!(warm_runs, 0, "warm run must replay from cache");
+        prop_assert_eq!(warm_hits, 5, "every subtask replays");
+        prop_assert_eq!(warm_data, cold_data, "verification bytes must match");
+        prop_assert_eq!(warm_records, cold_records, "history records must match");
+    }
 
     /// Hit equivalence: over generated input payloads, the warm run
     /// invokes no tools, reports the hit, and leaves a history

@@ -19,18 +19,28 @@
 //! automatically sized pool. Byte equality on every node also certifies
 //! dependency order: a consumer prepared before its producer committed
 //! would read missing inputs and change the bytes.
+//!
+//! With a content cache attached, every schedule also runs each
+//! content key's tool exactly once (single-flight): a term names its
+//! key as well as its invocation, so the oracle's count of distinct
+//! terms is the count of tool calls a cold run makes, and a warm re-run
+//! makes none. The `single_flight_*` tests pin the parallel pump's
+//! waits and its claimant failures on a key shared by root subtasks.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use hercules::cache::{ContentCache, MemoryBudget};
 use hercules::exec::{
     toy, Binding, Encapsulation, EncapsulationRegistry, ExecError, ExecReport, Executor,
-    FailurePolicy, TaskAction,
+    FailurePolicy, FaultPlan, FaultyEncapsulation, Invocation, TaskAction, ToolOutput,
 };
 use hercules::flow::{NodeId, TaskGraph};
 use hercules::history::{HistoryDb, Metadata};
+use hercules::obs::{EventKind, Metrics, RingBuffer, Tracer};
 use hercules::schema::{EntityTypeId, SchemaBuilder, TaskSchema};
-use hercules::sim::SimEnv;
+use hercules::sim::{Clock, SimEnv};
 use proptest::prelude::*;
 
 /// A generated layered DAG: its schema, the tool entities in creation
@@ -117,7 +127,15 @@ fn seed_and_bind(dag: &Dag) -> (TaskGraph, HistoryDb, Binding) {
 /// Registry: the shared text tool everywhere, except `failing`, which
 /// gets the always-failing tool.
 fn registry(dag: &Dag, failing: Option<EntityTypeId>) -> EncapsulationRegistry {
-    let text: Arc<dyn Encapsulation> = Arc::new(toy::TextTool::default());
+    registry_with(dag, failing, Arc::new(toy::TextTool::default()))
+}
+
+/// As [`registry`], with `text` standing in for the text tool.
+fn registry_with(
+    dag: &Dag,
+    failing: Option<EntityTypeId>,
+    text: Arc<dyn Encapsulation>,
+) -> EncapsulationRegistry {
     let fail: Arc<dyn Encapsulation> = Arc::new(toy::FailingTool);
     let mut reg = EncapsulationRegistry::new();
     for &t in &dag.tools {
@@ -158,17 +176,13 @@ fn schedules(seed: u64) -> Vec<Schedule> {
     all
 }
 
-fn run(
-    dag: &Dag,
-    flow: &TaskGraph,
-    db: &HistoryDb,
-    binding: &Binding,
-    failing: Option<EntityTypeId>,
+/// An executor over `registry` that sequences subtasks by `schedule`.
+fn executor(
+    registry: EncapsulationRegistry,
     schedule: Schedule,
     policy: FailurePolicy,
-) -> (Result<ExecReport, ExecError>, HistoryDb) {
-    let mut db = db.clone();
-    let mut executor = Executor::new(registry(dag, failing));
+) -> Executor {
+    let mut executor = Executor::new(registry);
     let options = executor.options_mut();
     options.failure = policy;
     match schedule {
@@ -181,8 +195,79 @@ fn run(
             options.workers = workers;
         }
     }
-    let report = executor.execute(flow, binding, &mut db);
+    executor
+}
+
+fn run(
+    dag: &Dag,
+    flow: &TaskGraph,
+    db: &HistoryDb,
+    binding: &Binding,
+    failing: Option<EntityTypeId>,
+    schedule: Schedule,
+    policy: FailurePolicy,
+) -> (Result<ExecReport, ExecError>, HistoryDb) {
+    let mut db = db.clone();
+    let report = executor(registry(dag, failing), schedule, policy).execute(flow, binding, &mut db);
     (report, db)
+}
+
+/// The text tool, counting its invocations.
+#[derive(Default)]
+struct Counted {
+    calls: AtomicUsize,
+}
+
+impl Encapsulation for Counted {
+    fn run(
+        &self,
+        schema: &TaskSchema,
+        invocation: &Invocation,
+    ) -> Result<Vec<ToolOutput>, ExecError> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        toy::TextTool::default().run(schema, invocation)
+    }
+}
+
+fn fresh_cache() -> ContentCache {
+    ContentCache::in_memory(MemoryBudget::default(), Clock::real(), Metrics::disabled())
+}
+
+/// The content-cache leg of one schedule under `ContinueDisjoint`: a
+/// cold run through a fresh in-memory cache, then a warm re-run through
+/// the same cache, each on its own copy of the history. Both must match
+/// the oracle; the cold run calls the text tool once per distinct
+/// content key among the surviving subtasks, and the warm one calls it
+/// never.
+fn check_cached(
+    dag: &Dag,
+    flow: &TaskGraph,
+    db: &HistoryDb,
+    binding: &Binding,
+    failing: Option<EntityTypeId>,
+    schedule: Schedule,
+    want: &Oracle,
+) -> Result<(), String> {
+    let cache = fresh_cache();
+    for (round, ran) in [("cold", want.ran), ("warm", 0)] {
+        let counted = Arc::new(Counted::default());
+        let mut executor = executor(
+            registry_with(dag, failing, counted.clone()),
+            schedule,
+            FailurePolicy::ContinueDisjoint,
+        );
+        executor.options_mut().cache = Some(cache.clone());
+        let mut db = db.clone();
+        let report = executor.execute(flow, binding, &mut db);
+        let calls = counted.calls.load(Ordering::SeqCst);
+        if calls != ran {
+            return Err(format!(
+                "{round} run made {calls} tool calls, predicted {ran}"
+            ));
+        }
+        check(flow, want, ran, (report, db)).map_err(|m| format!("{round} run: {m}"))?;
+    }
+    Ok(())
 }
 
 /// What the flow predicts for one execution.
@@ -243,9 +328,12 @@ fn oracle(
 }
 
 /// Checks one run against the oracle, describing the first mismatch.
+/// `want_ran` is the number of subtasks that must report `Ran`: the
+/// oracle's distinct invocations, or 0 for a run a cache answers.
 fn check(
     flow: &TaskGraph,
     want: &Oracle,
+    want_ran: usize,
     (report, db): (Result<ExecReport, ExecError>, HistoryDb),
 ) -> Result<(), String> {
     let report = report.map_err(|e| format!("execution failed: {e}"))?;
@@ -281,8 +369,14 @@ fn check(
             want.failed, want.skipped
         ));
     }
-    if ran != want.ran {
-        return Err(format!("{ran} subtasks ran, predicted {}", want.ran));
+    if ran != want_ran {
+        return Err(format!("{ran} subtasks ran, predicted {want_ran}"));
+    }
+    if report.runs() != want_ran {
+        return Err(format!(
+            "the report counts {} runs, predicted {want_ran}",
+            report.runs()
+        ));
     }
     for (&node, expected) in &want.bytes {
         let inst = report
@@ -300,6 +394,20 @@ fn check(
     Ok(())
 }
 
+/// The tools a goal actually depends on: only those appear in the
+/// flow, so a failing tool picked from them has a non-empty cone.
+fn tools_in_flow(dag: &Dag, flow: &TaskGraph) -> Vec<EntityTypeId> {
+    let present: BTreeSet<EntityTypeId> = flow
+        .node_ids()
+        .filter_map(|n| flow.entity_of(n).ok())
+        .collect();
+    dag.tools
+        .iter()
+        .copied()
+        .filter(|t| present.contains(t))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -315,7 +423,7 @@ proptest! {
         let want = oracle(&flow, &db, &binding, None);
         for schedule in schedules(seed) {
             let got = run(&dag, &flow, &db, &binding, None, schedule, FailurePolicy::Abort);
-            check(&flow, &want, got).map_err(|m| TestCaseError::fail(format!(
+            check(&flow, &want, want.ran, got).map_err(|m| TestCaseError::fail(format!(
                 "widths {widths:?}, seed {seed}, {schedule:?}: {m}"
             )))?;
         }
@@ -333,15 +441,7 @@ proptest! {
     ) {
         let dag = build_dag(&widths, seed);
         let (flow, db, binding) = seed_and_bind(&dag);
-        // Only tools a goal actually depends on appear in the flow;
-        // pick the failing one from those so the cone is non-empty.
-        let used: Vec<EntityTypeId> = {
-            let present: BTreeSet<EntityTypeId> = flow
-                .node_ids()
-                .filter_map(|n| flow.entity_of(n).ok())
-                .collect();
-            dag.tools.iter().copied().filter(|t| present.contains(t)).collect()
-        };
+        let used = tools_in_flow(&dag, &flow);
         prop_assert!(!used.is_empty());
         let failing = Some(used[failing_seed % used.len()]);
         let want = oracle(&flow, &db, &binding, failing);
@@ -351,12 +451,182 @@ proptest! {
                                    {failing_seed}, {schedule:?}");
             let got = run(&dag, &flow, &db, &binding, failing, schedule,
                           FailurePolicy::ContinueDisjoint);
-            check(&flow, &want, got)
+            check(&flow, &want, want.ran, got)
                 .map_err(|m| TestCaseError::fail(format!("{context}: {m}")))?;
 
             let (aborted, _) = run(&dag, &flow, &db, &binding, failing, schedule,
                                    FailurePolicy::Abort);
             prop_assert!(aborted.is_err(), "{}: Abort surfaces no failure", context);
+        }
+    }
+
+    /// Content-cache leg: through a fresh in-memory cache, every
+    /// schedule produces the predicted bytes and failure cones, calls
+    /// the text tool once per distinct content key among the surviving
+    /// subtasks, and a warm re-run calls it never. One case in three
+    /// runs without a failing tool.
+    #[test]
+    fn content_cache_runs_each_key_once_under_every_schedule(
+        widths in prop::collection::vec(1usize..4, 2..5),
+        seed in 0u64..u64::MAX,
+        failing_seed in 0usize..1usize << 16,
+    ) {
+        let dag = build_dag(&widths, seed);
+        let (flow, db, binding) = seed_and_bind(&dag);
+        let used = tools_in_flow(&dag, &flow);
+        let failing = (failing_seed % 3 != 0 && !used.is_empty())
+            .then(|| used[failing_seed % used.len()]);
+        let want = oracle(&flow, &db, &binding, failing);
+        for schedule in schedules(seed) {
+            check_cached(&dag, &flow, &db, &binding, failing, schedule, &want)
+                .map_err(|m| TestCaseError::fail(format!(
+                    "widths {widths:?}, seed {seed}, failing {failing:?}, {schedule:?}: {m}"
+                )))?;
+        }
+    }
+}
+
+/// A flow whose `k` root subtasks share one content key: the goal `D`
+/// seeded `k` times, each produced by its own `T` node from its own
+/// `S` node, all bound to the same instances. With `consumer`, each `D`
+/// also feeds its own `E` (by `U`), so a failed `D` has a cone.
+fn shared_key_flow(k: usize, consumer: bool) -> (Arc<TaskSchema>, TaskGraph, HistoryDb, Binding) {
+    let mut b = SchemaBuilder::new();
+    let s = b.data("S");
+    let t = b.tool("T");
+    let d = b.data("D");
+    b.functional(d, t);
+    b.data_dep(d, s);
+    let u = b.tool("U");
+    let e = b.data("E");
+    b.functional(e, u);
+    b.data_dep(e, d);
+    let schema = Arc::new(b.build().expect("valid schema"));
+    let mut db = HistoryDb::new(schema.clone());
+    db.record_primary(s, Metadata::by("prop"), b"s")
+        .expect("source seeds");
+    for tool in [t, u] {
+        db.record_primary(tool, Metadata::by("prop"), b"")
+            .expect("tool seeds");
+    }
+    let mut flow = TaskGraph::new(schema.clone());
+    for _ in 0..k {
+        let goal = flow.seed(if consumer { e } else { d }).expect("seeds");
+        flow.expand_all(goal).expect("expands");
+    }
+    let mut binding = Binding::new();
+    binding.bind_latest(&flow, &db);
+    (schema, flow, db, binding)
+}
+
+/// A registry with `t` for the tool `T` and the text tool for `U`.
+fn shared_key_registry(schema: &TaskSchema, t: Arc<dyn Encapsulation>) -> EncapsulationRegistry {
+    let mut reg = EncapsulationRegistry::new();
+    reg.register(schema.require("T").expect("known"), t);
+    reg.register(
+        schema.require("U").expect("known"),
+        Arc::new(toy::TextTool::default()),
+    );
+    reg
+}
+
+/// Under the parallel pump, `k` root subtasks that share one content
+/// key make one tool call and `k - 1` waits, whatever the timing: all
+/// `k` are dispatched while the queue is seeded, and the claimant's
+/// completion is handled on the scheduling thread only after that.
+#[test]
+fn single_flight_parks_every_other_root_behind_the_claimant() {
+    for k in [2, 3, 5] {
+        for workers in [2, 0] {
+            let (schema, flow, db, binding) = shared_key_flow(k, false);
+            let counted = Arc::new(Counted::default());
+            let mut executor = executor(
+                shared_key_registry(&schema, counted.clone()),
+                Schedule::Parallel { workers },
+                FailurePolicy::Abort,
+            );
+            let ring = Arc::new(RingBuffer::new(4096));
+            let metrics = Metrics::new();
+            let options = executor.options_mut();
+            options.cache = Some(fresh_cache());
+            options.metrics = metrics.clone();
+            options.tracer = Tracer::new(ring.clone());
+            let mut db = db.clone();
+            let report = executor.execute(&flow, &binding, &mut db).expect("runs");
+            let context = format!("k {k}, workers {workers}");
+            assert_eq!(counted.calls.load(Ordering::SeqCst), 1, "{context}");
+            assert_eq!(report.runs(), 1, "{context}");
+            assert!(report.is_complete(), "{context}");
+            let waits = metrics.snapshot().counters.get("cache.waits").copied();
+            assert_eq!(waits, Some(k as u64 - 1), "{context}");
+            let instants = ring
+                .snapshot()
+                .iter()
+                .filter(|e| e.kind == EventKind::Instant && e.name == "content_cache_wait")
+                .count();
+            assert_eq!(
+                instants,
+                k - 1,
+                "{context}: one wait instant per parked task"
+            );
+            let out = report.instances_of(flow.outputs()[0])[0];
+            assert_eq!(db.data_of(out).expect("present"), Some(&b"T(s)"[..]));
+        }
+    }
+}
+
+/// A claimant that fails or panics hands its key to the first waiter,
+/// so a deterministic failure fails each waiter in turn: under
+/// `ContinueDisjoint` the run terminates with every sharing subtask
+/// `Failed` and its consumer `Skipped`; under `Abort` the claimant's
+/// error returns after one tool call. The pool lives in a thread scope
+/// inside `execute`, so no worker runs on once it returns.
+#[test]
+fn single_flight_claimant_failure_fails_each_waiter_in_turn() {
+    let k = 3;
+    for plan in [None, Some(FaultPlan::AlwaysPanic)] {
+        for policy in [FailurePolicy::ContinueDisjoint, FailurePolicy::Abort] {
+            let (schema, flow, db, binding) = shared_key_flow(k, true);
+            let inner: Arc<dyn Encapsulation> = Arc::new(toy::FailingTool);
+            let tool =
+                FaultyEncapsulation::wrap(inner, plan.clone().unwrap_or(FaultPlan::FailTimes(0)));
+            let mut executor = executor(
+                shared_key_registry(&schema, tool.clone()),
+                Schedule::Parallel { workers: 2 },
+                policy,
+            );
+            let metrics = Metrics::new();
+            executor.options_mut().cache = Some(fresh_cache());
+            executor.options_mut().metrics = metrics.clone();
+            let mut db = db.clone();
+            let result = executor.execute(&flow, &binding, &mut db);
+            let context = format!("{plan:?}, {policy:?}");
+            match policy {
+                FailurePolicy::ContinueDisjoint => {
+                    let report = result.expect("partial failure is a report");
+                    assert_eq!(report.failed(), k, "{context}");
+                    assert_eq!(report.skipped(), k, "{context}");
+                    assert_eq!(report.runs(), 0, "{context}");
+                    assert_eq!(
+                        tool.calls(),
+                        k,
+                        "{context}: each waiter runs the tool in turn"
+                    );
+                    let waits = metrics.snapshot().counters.get("cache.waits").copied();
+                    assert_eq!(waits, Some((k * (k - 1) / 2) as u64), "{context}");
+                }
+                FailurePolicy::Abort => {
+                    let error = result.expect_err("the claimant's failure aborts");
+                    assert!(
+                        matches!(
+                            error,
+                            ExecError::ToolFailed { .. } | ExecError::ToolPanicked { .. }
+                        ),
+                        "{context}: {error}"
+                    );
+                    assert_eq!(tool.calls(), 1, "{context}: no waiter ran");
+                }
+            }
         }
     }
 }

@@ -371,6 +371,45 @@ fn stray_generation_files_are_reported() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// `save` over a workspace written before journal frames starts
+/// generation 0 and leaves the old `checkpoint-0.json` behind, since
+/// nothing deletes a file the store cannot read; HL0409 names it.
+#[test]
+fn a_pre_frames_checkpoint_left_by_save_is_reported() {
+    let root = temp_root("pre-frames-leftover");
+    fs::create_dir_all(&root).expect("creates");
+    fs::write(
+        root.join("MANIFEST"),
+        br#"{"generation":0,"checkpoint":"checkpoint-0.json","segments":["journal-0.log"],"fencing_token":1}"#,
+    )
+    .expect("writes");
+    fs::write(
+        root.join("checkpoint-0.json"),
+        br#"{"schema":{},"history":{"instances":[]}}"#,
+    )
+    .expect("writes");
+    fs::write(root.join("journal-0.log"), b"").expect("writes");
+    Workspace::create(&root, &Session::odyssey("auditor")).expect("saves over it");
+    assert!(
+        root.join("checkpoint-0.json").exists(),
+        "save deletes nothing it cannot read"
+    );
+
+    let out = lint(&root);
+    let leftovers: Vec<_> = out.iter().filter(|d| d.code == "HL0409").collect();
+    assert_eq!(leftovers.len(), 1, "got:\n{}", out.render_text());
+    assert_eq!(leftovers[0].severity, Severity::Info);
+    assert!(
+        leftovers[0].message.contains("`checkpoint-0.json`")
+            && leftovers[0]
+                .message
+                .contains("no layout the store reads uses it"),
+        "got: {}",
+        leftovers[0].message
+    );
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// Every file under `root`, by name, with its bytes.
 fn dir_files(root: &Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(root)
