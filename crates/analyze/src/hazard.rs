@@ -1,7 +1,7 @@
 //! The parallel-hazard detector (`HL03xx`).
 //!
 //! §3.3 claims disjoint sub-flows "could be executed in parallel"; the
-//! execution engine (`crates/exec/src/engine.rs`) and the cluster
+//! execution engine (`crates/exec/src/engine/`) and the cluster
 //! scheduler (`cluster.rs`) do exactly that — any two subtasks with no
 //! dependency path between them may run concurrently. This pass
 //! computes the engine's subtask grouping (interior nodes sharing one

@@ -75,7 +75,7 @@ fn bench_machine_sweep(c: &mut Criterion) {
     // flow onto k simulated machines. The measured quantity is the
     // scheduler itself; the schedule's makespan/speedup appear in
     // EXPERIMENTS.md (printed once below).
-    use hercules::exec::cluster::{simulate_schedule, UniformCost};
+    use hercules::exec::cluster::simulate_schedule;
     use hercules::flow::TaskGraph;
     use hercules::schema::synth::SynthConfig;
 
@@ -94,7 +94,7 @@ fn bench_machine_sweep(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fig06/machine_sweep");
     for machines in [1usize, 2, 4, 8, 16] {
-        let s = simulate_schedule(&flow, &UniformCost(10), machines).expect("schedules");
+        let s = simulate_schedule(&flow, machines).expect("schedules");
         eprintln!(
             "machine_sweep: k={machines} makespan={} speedup={:.2} efficiency={:.2}",
             s.makespan,
@@ -104,9 +104,7 @@ fn bench_machine_sweep(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("list_schedule", machines),
             &machines,
-            |b, &machines| {
-                b.iter(|| simulate_schedule(&flow, &UniformCost(10), machines).expect("schedules"))
-            },
+            |b, &machines| b.iter(|| simulate_schedule(&flow, machines).expect("schedules")),
         );
     }
     group.finish();

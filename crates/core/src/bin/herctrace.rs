@@ -248,12 +248,8 @@ fn run() -> Result<(), String> {
         render(&events, &opts.format, None)
     } else if let Some(machines) = opts.schedule {
         let flow = fixture_flow(&opts.fixture)?;
-        let schedule = hercules_exec::cluster::simulate_schedule(
-            &flow,
-            &hercules_exec::cluster::UniformCost(10),
-            machines,
-        )
-        .map_err(|e| format!("schedule: {e}"))?;
+        let schedule = hercules_exec::cluster::simulate_schedule(&flow, machines)
+            .map_err(|e| format!("schedule: {e}"))?;
         let events = schedule_to_trace(&schedule, Some(&flow));
         render(&events, &opts.format, None)
     } else {

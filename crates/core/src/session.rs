@@ -713,24 +713,9 @@ impl Session {
     pub fn run(&mut self) -> Result<&ExecReport, HerculesError> {
         let flow = self.flow.as_ref().ok_or(HerculesError::NoActiveFlow)?;
         self.unjournaled = true;
-        match self.executor.execute(flow, &self.binding, &mut self.db) {
-            Ok(report) => {
-                self.events.push(ExecEvent::from_report(
-                    "run",
-                    &report,
-                    &self.tracer,
-                    &self.clock,
-                ));
-                self.last_report = Some(report);
-                Ok(self.last_report.as_ref().expect("just set"))
-            }
-            Err(e) => {
-                let e: HerculesError = e.into();
-                self.events
-                    .push(ExecEvent::aborted("run", &e, &self.tracer, &self.clock));
-                Err(e)
-            }
-        }
+        let result = self.executor.execute(flow, &self.binding, &mut self.db);
+        let report = self.log_execution("run", result, |report| report)?;
+        Ok(self.last_report.insert(report))
     }
 
     /// Resumes the last partially failed execution: re-runs only the
@@ -768,24 +753,8 @@ impl Session {
         self.executor.options_mut().reuse_cached = true;
         let result = self.executor.execute(flow, &self.binding, &mut self.db);
         self.executor.options_mut().reuse_cached = prev;
-        match result {
-            Ok(report) => {
-                self.events.push(ExecEvent::from_report(
-                    "resume",
-                    &report,
-                    &self.tracer,
-                    &self.clock,
-                ));
-                self.last_report = Some(report);
-                Ok(self.last_report.as_ref().expect("just set"))
-            }
-            Err(e) => {
-                let e: HerculesError = e.into();
-                self.events
-                    .push(ExecEvent::aborted("resume", &e, &self.tracer, &self.clock));
-                Err(e)
-            }
-        }
+        let report = self.log_execution("resume", result, |report| report)?;
+        Ok(self.last_report.insert(report))
     }
 
     /// Executes only the sub-flow rooted at `node` ("a subflow may be
@@ -806,27 +775,8 @@ impl Session {
             }
         }
         self.unjournaled = true;
-        match self.executor.execute(&sub, &sub_binding, &mut self.db) {
-            Ok(report) => {
-                self.events.push(ExecEvent::from_report(
-                    "run-subflow",
-                    &report,
-                    &self.tracer,
-                    &self.clock,
-                ));
-                Ok(report)
-            }
-            Err(e) => {
-                let e: HerculesError = e.into();
-                self.events.push(ExecEvent::aborted(
-                    "run-subflow",
-                    &e,
-                    &self.tracer,
-                    &self.clock,
-                ));
-                Err(e)
-            }
-        }
+        let result = self.executor.execute(&sub, &sub_binding, &mut self.db);
+        self.log_execution("run-subflow", result, |report| report)
     }
 
     /// Stores the current flow in the catalog for the plan-based
@@ -872,20 +822,29 @@ impl Session {
         instance: InstanceId,
     ) -> Result<hercules_exec::RetraceReport, HerculesError> {
         self.unjournaled = true;
-        match hercules_exec::retrace(&self.executor, &mut self.db, instance) {
-            Ok(report) => {
-                self.events.push(ExecEvent::from_report(
-                    "retrace",
-                    &report.report,
-                    &self.tracer,
-                    &self.clock,
-                ));
-                Ok(report)
+        let result = hercules_exec::retrace(&self.executor, &mut self.db, instance);
+        self.log_execution("retrace", result, |retraced| &retraced.report)
+    }
+
+    /// Logs one execution under `verb` in the event log: its report
+    /// when it finished, else the error that aborted it.
+    fn log_execution<T>(
+        &mut self,
+        verb: &str,
+        result: Result<T, hercules_exec::ExecError>,
+        report_of: impl Fn(&T) -> &ExecReport,
+    ) -> Result<T, HerculesError> {
+        match result {
+            Ok(done) => {
+                let event =
+                    ExecEvent::from_report(verb, report_of(&done), &self.tracer, &self.clock);
+                self.events.push(event);
+                Ok(done)
             }
             Err(e) => {
                 let e: HerculesError = e.into();
                 self.events
-                    .push(ExecEvent::aborted("retrace", &e, &self.tracer, &self.clock));
+                    .push(ExecEvent::aborted(verb, &e, &self.tracer, &self.clock));
                 Err(e)
             }
         }

@@ -2,56 +2,28 @@
 //! machines").
 //!
 //! The 1993 setting ran tools on a farm of workstations; this module
-//! simulates list-scheduling a flow's subtasks onto `k` machines with a
-//! per-task cost model, producing the makespan and per-machine
+//! simulates list-scheduling a flow's subtasks onto `k` machines at a
+//! fixed cost per subtask, producing the makespan and per-machine
 //! timeline. It is a *planning* tool — the real executor runs threads —
 //! used to answer "how many machines would this flow keep busy?" and to
-//! drive the distribution ablation bench.
-
-use std::collections::HashMap;
+//! drive the distribution ablation bench. It schedules the engine's own
+//! subtasks (one per shared tool application, Fig. 5) by the engine's
+//! own dispatch priorities, so a plan predicts the order a run
+//! dispatches in.
 
 use hercules_flow::{NodeId, TaskGraph};
 
+use crate::engine::{dependency_edges, group_subtasks, subtask_priorities};
 use crate::error::ExecError;
 
-/// Cost model: simulated duration of the task producing a node, in
-/// abstract work units.
-pub trait CostModel {
-    /// Returns the cost of the subtask whose (first) output is `node`.
-    fn cost(&self, flow: &TaskGraph, node: NodeId) -> u64;
-}
-
-/// Every task costs the same.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformCost(pub u64);
-
-impl CostModel for UniformCost {
-    fn cost(&self, _flow: &TaskGraph, _node: NodeId) -> u64 {
-        self.0
-    }
-}
-
-/// Cost proportional to the task's input count (a crude proxy for data
-/// volume).
-#[derive(Debug, Clone, Copy)]
-pub struct FaninCost {
-    /// Cost per input edge.
-    pub per_input: u64,
-    /// Fixed overhead per invocation.
-    pub base: u64,
-}
-
-impl CostModel for FaninCost {
-    fn cost(&self, flow: &TaskGraph, node: NodeId) -> u64 {
-        self.base + self.per_input * flow.producers_of(node).count() as u64
-    }
-}
+/// Simulated duration of every subtask, in abstract work units.
+pub const TASK_COST: u64 = 10;
 
 /// One scheduled task.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduledTask {
-    /// Output node identifying the subtask.
-    pub node: NodeId,
+    /// Output nodes of the subtask, as in [`crate::TaskRecord::outputs`].
+    pub outputs: Vec<NodeId>,
     /// Machine index it ran on.
     pub machine: usize,
     /// Start time.
@@ -93,9 +65,11 @@ impl Schedule {
     }
 }
 
-/// List-schedules the flow's interior tasks onto `machines` identical
-/// machines: at every point the earliest-available machine takes the
-/// ready task with the most downstream work (critical-path first).
+/// List-schedules the flow's subtasks onto `machines` identical
+/// machines, each subtask taking [`TASK_COST`]: at every point the
+/// earliest-available machine takes the ready subtask whose inputs are
+/// ready first, the one with the higher engine priority (the longest
+/// downstream pole) on a tie.
 ///
 /// # Errors
 ///
@@ -105,95 +79,58 @@ impl Schedule {
 /// # Examples
 ///
 /// ```
-/// use hercules_exec::cluster::{simulate_schedule, UniformCost};
+/// use hercules_exec::cluster::simulate_schedule;
 /// use hercules_flow::fixtures;
 /// use hercules_schema::fixtures as schemas;
 ///
 /// # fn main() -> Result<(), hercules_exec::ExecError> {
 /// let schema = std::sync::Arc::new(schemas::fig1());
 /// let flow = fixtures::fig6(schema)?;
-/// let one = simulate_schedule(&flow, &UniformCost(10), 1)?;
-/// let two = simulate_schedule(&flow, &UniformCost(10), 2)?;
+/// let one = simulate_schedule(&flow, 1)?;
+/// let two = simulate_schedule(&flow, 2)?;
 /// assert!(two.makespan < one.makespan, "the disjoint branches overlap");
 /// # Ok(())
 /// # }
 /// ```
-pub fn simulate_schedule(
-    flow: &TaskGraph,
-    costs: &dyn CostModel,
-    machines: usize,
-) -> Result<Schedule, ExecError> {
+pub fn simulate_schedule(flow: &TaskGraph, machines: usize) -> Result<Schedule, ExecError> {
     flow.validate_for_execution()?;
     let machines = machines.max(1);
-    let order = flow.topo_order()?;
-    let interior: Vec<NodeId> = order
-        .iter()
-        .copied()
-        .filter(|&n| flow.is_expanded(n))
-        .collect();
+    let subtasks = group_subtasks(flow)?;
+    // A plan has no binding: every leaf is ready at time 0.
+    let producers_of = dependency_edges(&subtasks, |_| true).producers_of;
+    let priority = subtask_priorities(&subtasks, &producers_of);
 
-    // Downstream work per node (critical-path priority).
-    let mut downstream: HashMap<NodeId, u64> = HashMap::new();
-    for &node in order.iter().rev() {
-        let own = if flow.is_expanded(node) {
-            costs.cost(flow, node)
-        } else {
-            0
-        };
-        let below = flow
-            .consumers_of(node)
-            .map(|e| downstream.get(&e.target()).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        downstream.insert(node, own + below);
-    }
-
-    // Earliest time each node's data is available (leaves at 0).
-    let mut ready_at: HashMap<NodeId, u64> = HashMap::new();
-    for node in flow.node_ids() {
-        if !flow.is_expanded(node) {
-            ready_at.insert(node, 0);
-        }
-    }
+    // When each subtask's outputs are ready; `None` until scheduled.
+    let mut done_at: Vec<Option<u64>> = vec![None; subtasks.len()];
     let mut machine_free = vec![0u64; machines];
-    let mut pending: Vec<NodeId> = interior.clone();
-    let mut tasks = Vec::with_capacity(pending.len());
-    let mut total_work = 0u64;
+    let mut tasks = Vec::with_capacity(subtasks.len());
 
-    while !pending.is_empty() {
-        // Ready tasks: all producers available.
-        let mut ready: Vec<(NodeId, u64)> = pending
-            .iter()
-            .filter_map(|&n| {
-                let inputs_ready: Option<u64> = flow
-                    .producers_of(n)
-                    .map(|e| ready_at.get(&e.source()).copied())
-                    .collect::<Option<Vec<u64>>>()
-                    .map(|v| v.into_iter().max().unwrap_or(0));
-                inputs_ready.map(|t| (n, t))
+    while tasks.len() < subtasks.len() {
+        // Ready subtasks: every producer scheduled. Earliest inputs
+        // first, then the engine's priority, then its dispatch order.
+        let next = (0..subtasks.len())
+            .filter(|&i| done_at[i].is_none())
+            .filter_map(|i| {
+                let inputs_ready = producers_of[i]
+                    .iter()
+                    .try_fold(0, |ready, &j| done_at[j].map(|end| ready.max(end)))?;
+                Some((inputs_ready, std::cmp::Reverse(priority[i]), i))
             })
-            .collect();
-        if ready.is_empty() {
+            .min();
+        let Some((inputs_ready, _, i)) = next else {
             return Err(ExecError::Flow(hercules_flow::FlowError::Cycle));
-        }
-        // Critical-path-first tie-breaking, deterministic.
-        ready.sort_by_key(|&(n, t)| (t, std::cmp::Reverse(downstream[&n]), n));
-        let (node, data_ready) = ready[0];
-        pending.retain(|&p| p != node);
-
+        };
         let (machine, &free_at) = machine_free
             .iter()
             .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
+            .min_by_key(|&(m, &t)| (t, m))
             .expect("at least one machine");
-        let start = free_at.max(data_ready);
-        let cost = costs.cost(flow, node);
-        let end = start + cost;
-        total_work += cost;
+        let start = free_at.max(inputs_ready);
+        let end = start + TASK_COST;
         machine_free[machine] = end;
-        ready_at.insert(node, end);
+        done_at[i] = Some(end);
         tasks.push(ScheduledTask {
-            node,
+            outputs: subtasks[i].outputs.clone(),
             machine,
             start,
             end,
@@ -203,10 +140,10 @@ pub fn simulate_schedule(
     tasks.sort_by_key(|t| (t.start, t.machine));
     let makespan = tasks.iter().map(|t| t.end).max().unwrap_or(0);
     Ok(Schedule {
+        total_work: TASK_COST * tasks.len() as u64,
         tasks,
         machines,
         makespan,
-        total_work,
     })
 }
 
@@ -215,6 +152,7 @@ mod tests {
     use super::*;
     use hercules_flow::fixtures;
     use hercules_schema::fixtures as schemas;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     fn fig6_flow() -> TaskGraph {
@@ -225,7 +163,7 @@ mod tests {
     #[test]
     fn one_machine_serializes_everything() {
         let flow = fig6_flow();
-        let s = simulate_schedule(&flow, &UniformCost(10), 1).expect("schedules");
+        let s = simulate_schedule(&flow, 1).expect("schedules");
         assert_eq!(s.makespan, s.total_work, "no overlap on one machine");
         assert!((s.speedup() - 1.0).abs() < 1e-9);
         assert_eq!(s.tasks.len(), flow.interior().len());
@@ -234,8 +172,8 @@ mod tests {
     #[test]
     fn two_machines_overlap_the_disjoint_branches() {
         let flow = fig6_flow();
-        let one = simulate_schedule(&flow, &UniformCost(10), 1).expect("schedules");
-        let two = simulate_schedule(&flow, &UniformCost(10), 2).expect("schedules");
+        let one = simulate_schedule(&flow, 1).expect("schedules");
+        let two = simulate_schedule(&flow, 2).expect("schedules");
         // Fig. 6: the edited-netlist branch and the extraction branch
         // overlap; the verification still waits for both.
         assert_eq!(one.makespan, 30, "3 tasks x 10");
@@ -246,8 +184,8 @@ mod tests {
     #[test]
     fn extra_machines_beyond_the_width_are_idle() {
         let flow = fig6_flow();
-        let two = simulate_schedule(&flow, &UniformCost(10), 2).expect("schedules");
-        let ten = simulate_schedule(&flow, &UniformCost(10), 10).expect("schedules");
+        let two = simulate_schedule(&flow, 2).expect("schedules");
+        let ten = simulate_schedule(&flow, 10).expect("schedules");
         assert_eq!(two.makespan, ten.makespan, "width-2 flow");
         assert!(ten.efficiency() < two.efficiency());
     }
@@ -256,23 +194,19 @@ mod tests {
     fn dependencies_are_never_violated() {
         let schema = Arc::new(schemas::fig1());
         let flow = fixtures::fig5(schema).expect("fixture");
-        let s = simulate_schedule(
-            &flow,
-            &FaninCost {
-                per_input: 3,
-                base: 5,
-            },
-            3,
-        )
-        .expect("schedules");
-        let end_of: HashMap<NodeId, u64> = s.tasks.iter().map(|t| (t.node, t.end)).collect();
+        let s = simulate_schedule(&flow, 3).expect("schedules");
+        let end_of: HashMap<NodeId, u64> = s
+            .tasks
+            .iter()
+            .flat_map(|t| t.outputs.iter().map(move |&o| (o, t.end)))
+            .collect();
         for t in &s.tasks {
-            for e in flow.producers_of(t.node) {
+            for e in t.outputs.iter().flat_map(|&o| flow.producers_of(o)) {
                 if let Some(&producer_end) = end_of.get(&e.source()) {
                     assert!(
                         producer_end <= t.start,
-                        "{} started before its input finished",
-                        t.node
+                        "{:?} started before its input finished",
+                        t.outputs
                     );
                 }
             }
@@ -280,7 +214,7 @@ mod tests {
         // No machine runs two tasks at once.
         for a in &s.tasks {
             for b in &s.tasks {
-                if a.node != b.node && a.machine == b.machine {
+                if a.outputs != b.outputs && a.machine == b.machine {
                     assert!(a.end <= b.start || b.end <= a.start);
                 }
             }
@@ -290,15 +224,15 @@ mod tests {
     #[test]
     fn schedule_is_deterministic() {
         let flow = fig6_flow();
-        let a = simulate_schedule(&flow, &UniformCost(7), 3).expect("schedules");
-        let b = simulate_schedule(&flow, &UniformCost(7), 3).expect("schedules");
+        let a = simulate_schedule(&flow, 3).expect("schedules");
+        let b = simulate_schedule(&flow, 3).expect("schedules");
         assert_eq!(a, b);
     }
 
     #[test]
     fn zero_machines_clamps_to_one() {
         let flow = fig6_flow();
-        let s = simulate_schedule(&flow, &UniformCost(1), 0).expect("schedules");
+        let s = simulate_schedule(&flow, 0).expect("schedules");
         assert_eq!(s.machines, 1);
     }
 }

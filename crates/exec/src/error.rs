@@ -35,7 +35,8 @@ pub enum ExecError {
     /// The tool returned outputs that do not match the subtask's
     /// products.
     WrongOutputs { tool: String, detail: String },
-    /// Multi-instance fan-out exceeded the configured limit.
+    /// Multi-instance fan-out exceeded the limit of 1,024 runs per
+    /// subtask.
     FanOutTooLarge { runs: usize, limit: usize },
     /// [`ExecReport::try_single`](crate::ExecReport::try_single) was
     /// asked for the single instance of a node that has zero or

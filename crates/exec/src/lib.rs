@@ -17,6 +17,11 @@
 //! * [`retrace`] recalls the flow behind an instance and re-executes it
 //!   against the newest input versions — design-consistency
 //!   maintenance;
+//! * [`cluster`] plans a flow on `k` simulated machines: it
+//!   list-schedules the executor's own subtasks by the executor's own
+//!   priorities at a fixed cost each, and [`trace`] turns a finished
+//!   report or a plan into trace events whose tasks carry the labels
+//!   and `outputs`/`inputs` attributes of a live run;
 //! * every tool invocation is *supervised* ([`run_supervised`]): panics
 //!   and watchdog-deadline overruns become structured errors, failed
 //!   invocations retry per [`RetryPolicy`], and under

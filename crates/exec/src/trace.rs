@@ -10,40 +10,10 @@
 //! [`ExecOptions::tracer`]: crate::ExecOptions::tracer
 
 use hercules_flow::TaskGraph;
-use hercules_obs::{AttrValue, EventKind, SpanId, TraceEvent};
+use hercules_obs::{AttrList, AttrValue, EventKind, SpanId, TraceEvent};
 
 use crate::cluster::Schedule;
-use crate::engine::{ExecReport, TaskAction, TaskRecord};
-
-/// Reconstructs the trace label of a task record — the same label a
-/// live run would have attached (tool entity name + first output node).
-pub fn task_label(record: &TaskRecord, flow: Option<&TaskGraph>) -> String {
-    let Some(first) = record.outputs.first().copied() else {
-        return "task".into();
-    };
-    match flow {
-        Some(flow) => {
-            let lookup = flow.tool_of(first).unwrap_or(first);
-            match flow.entity_of(lookup) {
-                Ok(entity) => format!("{}#n{}", flow.schema().entity(entity).name(), first.index()),
-                Err(_) => format!("task#n{}", first.index()),
-            }
-        }
-        None => format!("task#n{}", first.index()),
-    }
-}
-
-fn node_list(nodes: &[hercules_flow::NodeId]) -> String {
-    let mut out = String::new();
-    for (i, n) in nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push('n');
-        out.push_str(&n.index().to_string());
-    }
-    out
-}
+use crate::engine::{node_list, ExecReport, TaskAction, TaskIdentity, TaskRecord};
 
 /// Assigns compact lanes to `(start, end)` intervals so overlapping
 /// tasks land on different lanes — a reconstruction of the worker
@@ -72,10 +42,10 @@ fn assign_lanes(intervals: &[(u64, u64)]) -> Vec<u64> {
 
 /// Synthesizes a trace-event stream from a finished report.
 ///
-/// Passing the flow the report came from recovers task labels and the
-/// dependency attributes (`outputs`/`inputs`), so the profiler can
-/// rebuild the exact task DAG; without it, tasks keep node-derived
-/// labels and no dependency edges.
+/// Passing the flow the report came from gives each task the label and
+/// the `outputs`/`inputs` attributes the live run gave it, so the
+/// profiler can rebuild the exact task DAG; without it, tasks keep
+/// node-derived labels and no dependency edges.
 ///
 /// Wall-clock stamps are zero (the report does not store them); all
 /// analysis works on the monotonic offsets. Skipped subtasks become
@@ -113,31 +83,15 @@ pub fn report_to_trace(report: &ExecReport, flow: Option<&TaskGraph>) -> Vec<Tra
     for (record, (&(start, end), &lane)) in ran.iter().zip(intervals.iter().zip(&lanes)) {
         let id = SpanId(next_id);
         next_id += 1;
-        let mut attrs: Vec<(String, AttrValue)> = vec![
-            ("task".into(), AttrValue::Str(task_label(record, flow))),
-            ("outputs".into(), AttrValue::Str(node_list(&record.outputs))),
-            (
-                "attempts".into(),
-                AttrValue::UInt(u64::from(record.attempts)),
-            ),
-            (
-                "cache_hit".into(),
-                AttrValue::Bool(record.action == TaskAction::Cached),
-            ),
-        ];
-        if let (Some(flow), Some(&first)) = (flow, record.outputs.first()) {
-            let mut deps = flow.data_inputs_of(first);
-            deps.sort();
-            if let Some(tool) = flow.tool_of(first) {
-                deps.push(tool);
-            }
-            attrs.push(("inputs".into(), AttrValue::Str(node_list(&deps))));
-        }
+        let mut attrs = AttrList::default();
+        TaskIdentity::of(flow, &record.outputs).attach(&mut attrs);
+        attrs.uint("attempts", u64::from(record.attempts));
+        attrs.bool("cache_hit", record.action == TaskAction::Cached);
         if let TaskAction::Failed { error } = &record.action {
-            attrs.push(("ok".into(), AttrValue::Bool(false)));
-            attrs.push(("error".into(), AttrValue::Str(error.to_string())));
+            attrs.bool("ok", false);
+            attrs.str("error", error.to_string());
         } else {
-            attrs.push(("ok".into(), AttrValue::Bool(true)));
+            attrs.bool("ok", true);
         }
         events.push(TraceEvent {
             kind: EventKind::Begin,
@@ -147,7 +101,7 @@ pub fn report_to_trace(report: &ExecReport, flow: Option<&TaskGraph>) -> Vec<Tra
             mono_ns: start,
             wall_unix_ms: 0,
             tid: lane,
-            attrs,
+            attrs: attrs.into_pairs(),
         });
         events.push(TraceEvent {
             kind: EventKind::End,
@@ -192,7 +146,9 @@ pub fn report_to_trace(report: &ExecReport, flow: Option<&TaskGraph>) -> Vec<Tra
 
 /// Renders a simulated [`Schedule`] as trace events (one lane per
 /// machine, one abstract work unit = 1µs), so `chrome://tracing` can
-/// display the planning-side Gantt next to real executions.
+/// display the planning-side Gantt next to real executions. With the
+/// flow, each task carries the label and `outputs`/`inputs` attributes
+/// a live run of the same subtask carries.
 pub fn schedule_to_trace(schedule: &Schedule, flow: Option<&TaskGraph>) -> Vec<TraceEvent> {
     const UNIT_NS: u64 = 1_000;
     let root = SpanId(1);
@@ -212,17 +168,9 @@ pub fn schedule_to_trace(schedule: &Schedule, flow: Option<&TaskGraph>) -> Vec<T
     });
     for (next_id, task) in (2u64..).zip(schedule.tasks.iter()) {
         let id = SpanId(next_id);
-        let label = match flow {
-            Some(flow) => match flow.entity_of(task.node) {
-                Ok(entity) => format!(
-                    "{}#n{}",
-                    flow.schema().entity(entity).name(),
-                    task.node.index()
-                ),
-                Err(_) => format!("task#n{}", task.node.index()),
-            },
-            None => format!("task#n{}", task.node.index()),
-        };
+        let mut attrs = AttrList::default();
+        TaskIdentity::of(flow, &task.outputs).attach(&mut attrs);
+        attrs.uint("machine", task.machine as u64);
         events.push(TraceEvent {
             kind: EventKind::Begin,
             id,
@@ -231,10 +179,7 @@ pub fn schedule_to_trace(schedule: &Schedule, flow: Option<&TaskGraph>) -> Vec<T
             mono_ns: task.start * UNIT_NS,
             wall_unix_ms: 0,
             tid: task.machine as u64,
-            attrs: vec![
-                ("task".into(), AttrValue::Str(label)),
-                ("machine".into(), AttrValue::UInt(task.machine as u64)),
-            ],
+            attrs: attrs.into_pairs(),
         });
         events.push(TraceEvent {
             kind: EventKind::End,
@@ -264,7 +209,7 @@ pub fn schedule_to_trace(schedule: &Schedule, flow: Option<&TaskGraph>) -> Vec<T
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{simulate_schedule, UniformCost};
+    use crate::cluster::simulate_schedule;
     use crate::toy;
     use crate::{Binding, Executor};
     use hercules_history::HistoryDb;
@@ -326,7 +271,7 @@ mod tests {
     fn schedule_exports_per_machine_lanes() {
         let schema = Arc::new(fixtures::fig1());
         let flow = hercules_flow::fixtures::fig6(schema).expect("fixture");
-        let schedule = simulate_schedule(&flow, &UniformCost(10), 2).expect("schedules");
+        let schedule = simulate_schedule(&flow, 2).expect("schedules");
         let events = schedule_to_trace(&schedule, Some(&flow));
         let machines: std::collections::HashSet<u64> = events
             .iter()

@@ -14,6 +14,7 @@
 //! flap to warn on the first retry.
 
 use crate::metrics::MetricsSnapshot;
+use crate::names;
 use crate::span::json;
 
 /// Severity of a single check or a whole report.
@@ -50,9 +51,9 @@ impl HealthStatus {
 /// Configurable thresholds mapping raw signals to statuses.
 #[derive(Debug, Clone)]
 pub struct HealthThresholds {
-    /// Ready-queue depth (gauge `exec.queue_depth`) above which the
-    /// scheduler is considered backed up.
-    pub queue_depth_warn: i64,
+    /// Peak ready-queue depth (the max of the `exec.queue_depth`
+    /// histogram) above which the scheduler is considered backed up.
+    pub queue_depth_warn: u64,
     /// Retry-per-run rate that warns / goes critical.
     pub retry_rate_warn: f64,
     /// See [`Self::retry_rate_warn`].
@@ -279,7 +280,10 @@ impl HealthReport {
         }
 
         let counter = |name: &str| metrics.counters.get(name).copied().unwrap_or(0);
-        let depth = metrics.gauges.get("exec.queue_depth").copied().unwrap_or(0);
+        let depth = metrics
+            .histograms
+            .get(names::EXEC_QUEUE_DEPTH)
+            .map_or(0, |h| h.max);
         push(
             "sched.queue_depth",
             if depth > t.queue_depth_warn {
@@ -288,11 +292,11 @@ impl HealthReport {
                 HealthStatus::Ok
             },
             depth.to_string(),
-            "ready tasks awaiting a worker (last sample)".into(),
+            "peak ready tasks awaiting a worker".into(),
         );
 
-        let runs = counter("exec.runs");
-        let retries = counter("exec.retries");
+        let runs = counter(names::EXEC_RUNS);
+        let retries = counter(names::EXEC_RETRIES);
         if runs > 0 {
             let rate = retries as f64 / runs as f64;
             let status = if rate >= t.retry_rate_critical {
@@ -317,7 +321,7 @@ impl HealthReport {
             );
         }
 
-        let skipped = counter("exec.skipped_subtasks");
+        let skipped = counter(names::EXEC_SKIPPED_SUBTASKS);
         let attempts_den = runs + skipped;
         if attempts_den > 0 {
             let rate = skipped as f64 / attempts_den as f64;
@@ -343,7 +347,7 @@ impl HealthReport {
             );
         }
 
-        let hits = counter("exec.cache_hits");
+        let hits = counter(names::EXEC_CACHE_HITS);
         let lookups = hits + runs;
         if lookups >= t.min_cache_lookups {
             let rate = hits as f64 / lookups as f64;
@@ -601,9 +605,9 @@ mod tests {
         // Heavy retries trip critical; a cold cache past the lookup
         // floor trips warn.
         let m = Metrics::new();
-        m.incr("exec.runs", 40);
-        m.incr("exec.retries", 25);
-        m.incr("exec.cache_hits", 0);
+        m.incr(names::EXEC_RUNS, 40);
+        m.incr(names::EXEC_RETRIES, 25);
+        m.incr(names::EXEC_CACHE_HITS, 0);
         let report =
             HealthReport::build(0, None, None, &m.snapshot(), &HealthThresholds::default());
         let by_name = |n: &str| report.checks.iter().find(|c| c.name == n).unwrap().status;
@@ -615,7 +619,7 @@ mod tests {
     #[test]
     fn thresholds_are_configurable() {
         let m = Metrics::new();
-        m.gauge_set("exec.queue_depth", 10);
+        m.observe(names::EXEC_QUEUE_DEPTH, 10);
         let strict = HealthThresholds {
             queue_depth_warn: 5,
             ..HealthThresholds::default()

@@ -9,9 +9,10 @@
 //!
 //! Names are grouped into families by prefix — `store.` for the
 //! durable workspace, `telemetry.` for the flight recorder,
-//! `health.` for the aggregated health model, and `analyze.` for the
-//! lint/index layer — see each constant for the semantics and the
-//! instrument kind (counter vs gauge vs histogram).
+//! `health.` for the aggregated health model, `exec.` for the
+//! executor signals health reads, and `analyze.` for the lint/index
+//! layer — see each constant for the semantics and the instrument kind
+//! (counter vs gauge vs histogram).
 
 /// Counter: checkpoints that wrote a snapshot, scrub re-baselines
 /// included — snapshots appended to the journal and rotations alike. A
@@ -107,6 +108,24 @@ pub const HEALTH_CHECKS: &str = "health.checks";
 
 /// Gauge: latest overall health status — 0 ok, 1 warn, 2 critical.
 pub const HEALTH_STATUS: &str = "health.status";
+
+/// Counter: tool invocations the executor ran, over every execution.
+/// Content-cache replays and current instances are not counted.
+pub const EXEC_RUNS: &str = "exec.runs";
+
+/// Counter: retried tool attempts (each retry after a failed attempt).
+pub const EXEC_RETRIES: &str = "exec.retries";
+
+/// Counter: subtasks skipped because a subtask upstream failed.
+pub const EXEC_SKIPPED_SUBTASKS: &str = "exec.skipped_subtasks";
+
+/// Counter: subtasks every output of which came from a cache, without
+/// running a tool.
+pub const EXEC_CACHE_HITS: &str = "exec.cache_hits";
+
+/// Histogram: the ready queue's length after each push; its `max` is
+/// the peak number of subtasks that waited for a worker at once.
+pub const EXEC_QUEUE_DEPTH: &str = "exec.queue_depth";
 
 /// Histogram: wall nanoseconds per whole-history lint run (full or
 /// incremental), one observation per REPL `lint`/`stale`.
@@ -223,6 +242,11 @@ mod tests {
         (super::TELEMETRY_METRIC_EXPORTS, "telemetry."),
         (super::HEALTH_CHECKS, "health."),
         (super::HEALTH_STATUS, "health."),
+        (super::EXEC_RUNS, "exec."),
+        (super::EXEC_RETRIES, "exec."),
+        (super::EXEC_SKIPPED_SUBTASKS, "exec."),
+        (super::EXEC_CACHE_HITS, "exec."),
+        (super::EXEC_QUEUE_DEPTH, "exec."),
         (super::ANALYZE_LINT_NS, "analyze."),
         (super::ANALYZE_PASS_NS, "analyze."),
         (super::ANALYZE_CONE_INSTANCES, "analyze."),

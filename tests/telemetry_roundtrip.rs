@@ -98,3 +98,41 @@ fn workspace_records_telemetry_health_and_prometheus() {
 
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// The `sched.queue_depth` check reports the peak ready-queue depth a
+/// real parallel run recorded. Fig. 6's two disjoint branches are both
+/// queued while the queue is seeded, before the pool starts, so the
+/// peak is 2 whatever the timing.
+#[test]
+fn health_reports_the_peak_ready_depth_of_a_parallel_run() {
+    let schema = std::sync::Arc::new(hercules::schema::fixtures::fig1());
+    let mut session = Session::new(
+        schema.clone(),
+        hercules::exec::toy::text_registry(&schema),
+        "jbb",
+    );
+    let options = session.executor_mut().options_mut();
+    options.parallel = true;
+    options.workers = 2;
+    hercules::exec::toy::seed_everything(session.db_mut(), "setup");
+    session.install_flow(hercules::flow::fixtures::fig6(schema).expect("fixture"));
+    session.bind_latest().expect("binds");
+    session.run().expect("runs");
+
+    let peak = session
+        .metrics()
+        .snapshot()
+        .histograms
+        .get(names::EXEC_QUEUE_DEPTH)
+        .expect("queue depth recorded")
+        .max;
+    assert_eq!(peak, 2, "both branch roots queued at once");
+    let health = Ui::new(session).health_report();
+    let depth = health
+        .checks
+        .iter()
+        .find(|c| c.name == "sched.queue_depth")
+        .expect("queue-depth check");
+    assert_eq!(depth.value, peak.to_string(), "{}", health.render_text());
+    assert_eq!(depth.status, HealthStatus::Ok);
+}

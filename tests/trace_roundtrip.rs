@@ -9,8 +9,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hercules::exec::{report_to_trace, toy};
+use hercules::exec::cluster::simulate_schedule;
+use hercules::exec::{report_to_trace, schedule_to_trace, toy};
 use hercules::obs::profile::{self, ProfileReport};
+use hercules::obs::{AttrValue, EventKind, TraceEvent};
 use hercules::{Session, Workspace};
 
 fn temp_root(tag: &str) -> std::path::PathBuf {
@@ -189,4 +191,51 @@ fn old_journals_without_timestamps_still_load() {
         serde_json::from_str(r#"{"outputs":[0],"action":"Cached","attempts":1,"duration_ms":42}"#)
             .expect("old record parses");
     assert_eq!(record.started_us, 0);
+}
+
+/// Task label → its `outputs` and `inputs` attributes, one entry per
+/// `task` span (a repeated label fails).
+fn task_identities(events: &[TraceEvent]) -> BTreeMap<String, (String, String)> {
+    let mut identities = BTreeMap::new();
+    for span in events
+        .iter()
+        .filter(|e| e.kind == EventKind::Begin && e.name == "task")
+    {
+        let attr = |key: &str| match span.attrs.iter().find(|(k, _)| k == key) {
+            Some((_, AttrValue::Str(value))) => value.clone(),
+            other => panic!("task span attribute `{key}`: {other:?}"),
+        };
+        let label = attr("task");
+        let previous = identities.insert(label.clone(), (attr("outputs"), attr("inputs")));
+        assert!(previous.is_none(), "two task spans labelled `{label}`");
+    }
+    identities
+}
+
+/// A live run, the trace replayed from its report, and a two-machine
+/// plan of the same flow name the same subtasks the same way: the
+/// planner schedules the engine's subtasks, and all three label and
+/// attribute spans through one function.
+#[test]
+fn live_replayed_and_planned_traces_agree() {
+    let schema = Arc::new(hercules::schema::fixtures::fig1());
+    for (name, flow) in [
+        ("fig5", hercules::flow::fixtures::fig5(schema.clone())),
+        ("fig6", hercules::flow::fixtures::fig6(schema.clone())),
+    ] {
+        let flow = flow.expect("fixture");
+        let mut session = Session::new(schema.clone(), toy::text_registry(&schema), "jbb");
+        toy::seed_everything(session.db_mut(), "setup");
+        session.install_flow(flow.clone());
+        session.bind_latest().expect("binds");
+        let report = session.run().expect("runs").clone();
+
+        let live = task_identities(&session.trace_events());
+        let replayed = task_identities(&report_to_trace(&report, Some(&flow)));
+        let plan = simulate_schedule(&flow, 2).expect("schedules");
+        let planned = task_identities(&schedule_to_trace(&plan, Some(&flow)));
+        assert_eq!(live.len(), report.tasks.len(), "{name}: one span per task");
+        assert_eq!(replayed, live, "{name}: replayed vs live");
+        assert_eq!(planned, live, "{name}: planned vs live");
+    }
 }
