@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::io;
+use std::sync::Arc;
 
 use crate::entry::CacheEntry;
 use crate::key::CacheKey;
@@ -29,13 +30,14 @@ pub trait CacheBackend: Send + Sync + fmt::Debug {
     fn tier(&self) -> &'static str;
 
     /// Looks `key` up. `Ok(None)` covers absent, torn, corrupt, and
-    /// mis-filed entries alike.
-    fn get(&self, key: &CacheKey) -> io::Result<Option<CacheEntry>>;
+    /// mis-filed entries alike. Entries are shared, not copied: a
+    /// caller that needs the payloads copies them outside the tier.
+    fn get(&self, key: &CacheKey) -> io::Result<Option<Arc<CacheEntry>>>;
 
     /// Stores `entry` under `key`, durably for persistent tiers.
     /// Overwrites are idempotent: the same key always maps to the same
     /// content.
-    fn put(&self, key: &CacheKey, entry: &CacheEntry) -> io::Result<()>;
+    fn put(&self, key: &CacheKey, entry: &Arc<CacheEntry>) -> io::Result<()>;
 
     /// Current occupancy.
     fn usage(&self) -> io::Result<TierUsage>;

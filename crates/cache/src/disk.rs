@@ -17,6 +17,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use hercules_digest::hex;
 use hercules_sim::Fs;
@@ -192,14 +193,18 @@ impl CacheBackend for DiskTier {
         "disk"
     }
 
-    fn get(&self, key: &CacheKey) -> io::Result<Option<CacheEntry>> {
+    fn get(&self, key: &CacheKey) -> io::Result<Option<Arc<CacheEntry>>> {
         let path = self.entry_path(key);
-        if !self.fs.exists(&path) {
-            return Ok(None);
-        }
-        let blob = self.fs.read(&path)?;
+        // One read, no existence probe: an entry that is absent, or
+        // was deleted a moment ago (another session's `gc` on a shared
+        // tier), is a miss, not an I/O error.
+        let blob = match self.fs.read(&path) {
+            Ok(blob) => blob,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
         match CacheEntry::decode_for(&blob, key) {
-            Some(entry) => Ok(Some(entry)),
+            Some(entry) => Ok(Some(Arc::new(entry))),
             None => {
                 // Torn, rotten, or mis-filed: drop it, report a miss.
                 self.drop_entry(&path);
@@ -208,7 +213,7 @@ impl CacheBackend for DiskTier {
         }
     }
 
-    fn put(&self, key: &CacheKey, entry: &CacheEntry) -> io::Result<()> {
+    fn put(&self, key: &CacheKey, entry: &Arc<CacheEntry>) -> io::Result<()> {
         let final_path = self.entry_path(key);
         if self.fs.exists(&final_path) {
             // Content-addressed: an existing entry is byte-identical.
@@ -242,9 +247,8 @@ mod tests {
     use super::*;
     use crate::entry::CachedOutput;
     use hercules_digest::sha256;
-    use std::sync::Arc;
 
-    fn entry(tag: u8, size: usize) -> (CacheKey, CacheEntry) {
+    fn entry(tag: u8, size: usize) -> (CacheKey, Arc<CacheEntry>) {
         let key = CacheKey::from_bytes(sha256(&[tag]));
         let entry = CacheEntry {
             key,
@@ -253,10 +257,11 @@ mod tests {
             outputs: vec![CachedOutput {
                 entity: "E".into(),
                 name: String::new(),
+                digest: sha256(&vec![tag; size]),
                 data: vec![tag; size],
             }],
         };
-        (key, entry)
+        (key, Arc::new(entry))
     }
 
     fn sim_tier(budget: u64) -> (Arc<hercules_sim::SimFsState>, DiskTier) {
@@ -281,6 +286,33 @@ mod tests {
         let usage = tier.usage().unwrap();
         assert_eq!(usage.entries, 1);
         assert_eq!(usage.bytes, e.encode().expect("encodable").len() as u64);
+    }
+
+    /// The disk operations the simulated disk logged while `f` ran.
+    fn fs_log<T>(sim: &hercules_sim::SimEnv, f: impl FnOnce() -> T) -> (T, Vec<String>) {
+        let before = sim.trace().len();
+        let out = f();
+        let lines = sim.trace().lines()[before..]
+            .iter()
+            .filter(|l| l.starts_with("fs."))
+            .cloned()
+            .collect();
+        (out, lines)
+    }
+
+    #[test]
+    fn a_lookup_is_one_read_and_no_existence_probe() {
+        let sim = hercules_sim::SimEnv::new(3);
+        let tier = DiskTier::open(sim.fs(), "/cache", 1 << 20).expect("open");
+        let (key, e) = entry(4, 32);
+        tier.put(&key, &e).unwrap();
+        let (hit, ops) = fs_log(&sim, || tier.get(&key).unwrap());
+        assert_eq!(hit.as_deref(), Some(&*e));
+        let reads = ops.iter().filter(|l| l.starts_with("fs.read ")).count();
+        assert_eq!((reads, ops.len()), (1, 1), "a hit is one read: {ops:?}");
+        let (missed, ops) = fs_log(&sim, || tier.get(&entry(5, 32).0).unwrap());
+        assert_eq!(missed, None);
+        assert!(ops.is_empty(), "a miss probes nothing first: {ops:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The cached value: one tool run's outputs, with a self-validating
-//! binary framing.
+//! The cached value: one tool run's outputs, each with its SHA-256,
+//! in a self-validating binary framing.
 //!
 //! Entries travel between tiers (and machines) as bytes, so the format
 //! carries everything needed to detect damage without trusting the
@@ -8,6 +8,11 @@
 //! blob filed under the wrong name all fail validation and are treated
 //! as a miss — the crash-safety argument for the disk tier reduces to
 //! "an entry either decodes and matches its key, or it does not exist".
+//!
+//! Each output carries the SHA-256 of its payload, computed once where
+//! the payload was produced, so a replay records it without hashing it
+//! again. The digest sits inside the CRC-covered payload: it is trusted
+//! exactly as far as the payload bytes beside it.
 
 use std::io;
 
@@ -16,8 +21,9 @@ use hercules_digest::crc32;
 use crate::key::CacheKey;
 
 /// Leading magic of every encoded entry; the trailing digit is the
-/// format version.
-pub const ENTRY_MAGIC: &[u8; 4] = b"HCE1";
+/// format version. `HCE1` entries, which carried no digests, fail to
+/// decode.
+pub const ENTRY_MAGIC: &[u8; 4] = b"HCE2";
 
 /// One output slot of a cached tool run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,6 +34,8 @@ pub struct CachedOutput {
     pub entity: String,
     /// Annotation name the tool gave the output (may be empty).
     pub name: String,
+    /// The SHA-256 of `data`, computed once, where it was produced.
+    pub digest: [u8; 32],
     /// The produced payload bytes.
     pub data: Vec<u8>,
 }
@@ -72,6 +80,7 @@ impl CacheEntry {
         for out in &self.outputs {
             push_bytes(&mut blob, out.entity.as_bytes())?;
             push_bytes(&mut blob, out.name.as_bytes())?;
+            blob.extend_from_slice(&out.digest);
             push_bytes(&mut blob, &out.data)?;
         }
         let crc = crc32(&blob[12..]);
@@ -93,7 +102,7 @@ impl CacheEntry {
         // Key, creation time, the tool's length field, the output count.
         let fixed = 32 + 8 + 4 + 4 + self.tool.len();
         let len = self.outputs.iter().fold(fixed, |len, o| {
-            len.saturating_add(12 + o.entity.len() + o.name.len())
+            len.saturating_add(OUTPUT_FRAMING + o.entity.len() + o.name.len())
                 .saturating_add(o.data.len())
         });
         length_field(len)
@@ -117,16 +126,22 @@ impl CacheEntry {
         let created_ms = u64::from_le_bytes(cur.take(8)?.try_into().ok()?);
         let tool = cur.string()?;
         let n = u32::from_le_bytes(cur.take(4)?.try_into().ok()?) as usize;
-        // An output needs ≥ 12 framing bytes; bounds the allocation.
-        if n > payload.len() / 12 + 1 {
+        // Each output needs its framing bytes; bounds the allocation.
+        if n > payload.len() / OUTPUT_FRAMING + 1 {
             return None;
         }
         let mut outputs = Vec::with_capacity(n);
         for _ in 0..n {
             let entity = cur.string()?;
             let name = cur.string()?;
+            let digest = cur.take(32)?.try_into().ok()?;
             let data = cur.bytes()?.to_vec();
-            outputs.push(CachedOutput { entity, name, data });
+            outputs.push(CachedOutput {
+                entity,
+                name,
+                digest,
+                data,
+            });
         }
         if !cur.buf.is_empty() {
             return None;
@@ -146,6 +161,10 @@ impl CacheEntry {
         (entry.key == *expected).then_some(entry)
     }
 }
+
+/// Encoded bytes of one output besides its strings and payload: three
+/// `u32` length fields and the 32-byte digest.
+const OUTPUT_FRAMING: usize = 12 + 32;
 
 /// Appends `bytes` after their length field.
 fn push_bytes(out: &mut Vec<u8>, bytes: &[u8]) -> io::Result<()> {
@@ -200,11 +219,13 @@ mod tests {
                 CachedOutput {
                     entity: "Performance".into(),
                     name: "perf".into(),
+                    digest: sha256(b"Simulator(Circuit, Stimuli)"),
                     data: b"Simulator(Circuit, Stimuli)".to_vec(),
                 },
                 CachedOutput {
                     entity: "SimulationLog".into(),
                     name: String::new(),
+                    digest: sha256(b""),
                     data: Vec::new(),
                 },
             ],
@@ -217,6 +238,20 @@ mod tests {
         let blob = entry.encode().expect("encodable");
         assert_eq!(CacheEntry::decode(&blob), Some(entry.clone()));
         assert_eq!(CacheEntry::decode_for(&blob, &entry.key), Some(entry));
+    }
+
+    #[test]
+    fn outputs_carry_their_payloads_sha256() {
+        let entry = sample();
+        for out in &entry.outputs {
+            assert_eq!(out.digest, sha256(&out.data));
+        }
+        let decoded = CacheEntry::decode(&entry.encode().expect("encodable")).expect("decodes");
+        assert_eq!(
+            decoded.outputs[0].digest,
+            sha256(b"Simulator(Circuit, Stimuli)")
+        );
+        assert_eq!(decoded.outputs[1].digest, sha256(b""));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::backend::{CacheBackend, TierUsage};
 use crate::entry::CacheEntry;
@@ -28,15 +28,15 @@ impl Default for MemoryBudget {
 
 #[derive(Debug, Default)]
 struct MemState {
-    map: HashMap<CacheKey, (u64, CacheEntry)>,
+    map: HashMap<CacheKey, (u64, Arc<CacheEntry>)>,
     bytes: u64,
     tick: u64,
 }
 
 /// The first tier: entries live decoded in memory, a `get` is a hash
-/// probe, and a budget caps residency — least-recently-used entries
-/// leave first. Eviction here loses nothing durable; the same key can
-/// be re-faulted from the disk tier.
+/// probe and a reference count, and a budget caps residency —
+/// least-recently-used entries leave first. Eviction here loses
+/// nothing durable; the same key can be re-faulted from the disk tier.
 #[derive(Debug)]
 pub struct MemoryTier {
     budget: MemoryBudget,
@@ -62,17 +62,17 @@ impl CacheBackend for MemoryTier {
         "mem"
     }
 
-    fn get(&self, key: &CacheKey) -> io::Result<Option<CacheEntry>> {
+    fn get(&self, key: &CacheKey) -> io::Result<Option<Arc<CacheEntry>>> {
         let mut state = self.lock();
         state.tick += 1;
         let tick = state.tick;
         Ok(state.map.get_mut(key).map(|(stamp, entry)| {
             *stamp = tick;
-            entry.clone()
+            Arc::clone(entry)
         }))
     }
 
-    fn put(&self, key: &CacheKey, entry: &CacheEntry) -> io::Result<()> {
+    fn put(&self, key: &CacheKey, entry: &Arc<CacheEntry>) -> io::Result<()> {
         let size = entry.payload_bytes();
         if size > self.budget.bytes {
             // Larger than the whole budget: admitting it would evict
@@ -82,7 +82,7 @@ impl CacheBackend for MemoryTier {
         let mut state = self.lock();
         state.tick += 1;
         let tick = state.tick;
-        if let Some((_, old)) = state.map.insert(*key, (tick, entry.clone())) {
+        if let Some((_, old)) = state.map.insert(*key, (tick, Arc::clone(entry))) {
             state.bytes -= old.payload_bytes();
         }
         state.bytes += size;
@@ -118,7 +118,7 @@ mod tests {
     use crate::entry::CachedOutput;
     use hercules_digest::sha256;
 
-    fn entry(tag: u8, size: usize) -> (CacheKey, CacheEntry) {
+    fn entry(tag: u8, size: usize) -> (CacheKey, Arc<CacheEntry>) {
         let key = CacheKey::from_bytes(sha256(&[tag]));
         let entry = CacheEntry {
             key,
@@ -127,10 +127,11 @@ mod tests {
             outputs: vec![CachedOutput {
                 entity: "E".into(),
                 name: String::new(),
+                digest: sha256(&vec![tag; size]),
                 data: vec![tag; size],
             }],
         };
-        (key, entry)
+        (key, Arc::new(entry))
     }
 
     #[test]
@@ -139,7 +140,8 @@ mod tests {
         let (key, e) = entry(1, 10);
         assert_eq!(tier.get(&key).unwrap(), None);
         tier.put(&key, &e).unwrap();
-        assert_eq!(tier.get(&key).unwrap(), Some(e));
+        let hit = tier.get(&key).unwrap().expect("resident");
+        assert!(Arc::ptr_eq(&hit, &e), "a hit shares the entry, not a copy");
         let usage = tier.usage().unwrap();
         assert_eq!((usage.entries, usage.bytes), (1, 10));
     }

@@ -5,7 +5,10 @@
 //! disk tier is written back *asynchronously* on a dedicated writer
 //! thread, so the executor's hot path never blocks on cache I/O. Under
 //! simulation write-back is synchronous instead, which makes
-//! crash-point sweeps over the disk tier deterministic.
+//! crash-point sweeps over the disk tier deterministic. The memory
+//! tier and the write-back queue share one `Arc<CacheEntry>`: an
+//! inserted entry's payloads are never copied, and a memory hit is a
+//! reference count.
 //!
 //! Every tier is best-effort: an I/O error degrades the cache (and
 //! shows up in `cache.*` metrics and the health report), it never
@@ -152,7 +155,10 @@ struct Writer {
 
 enum WriteJob {
     /// Write `entry` back to disk.
-    Put { key: CacheKey, entry: CacheEntry },
+    Put {
+        key: CacheKey,
+        entry: Arc<CacheEntry>,
+    },
     /// Barrier: ack once every job queued before it has drained.
     Flush(mpsc::Sender<()>),
 }
@@ -160,7 +166,7 @@ enum WriteJob {
 impl PersistentTiers {
     /// Writes one entry to disk, folding failures into counters —
     /// write-back is always best-effort.
-    fn write_back(&self, key: &CacheKey, entry: &CacheEntry) {
+    fn write_back(&self, key: &CacheKey, entry: &Arc<CacheEntry>) {
         let t0 = self.clock.now();
         if let Some(disk) = &self.disk {
             match disk.put(key, entry) {
@@ -266,8 +272,9 @@ impl ContentCache {
     }
 
     /// Looks a key up through the tiers, populating memory on a disk
-    /// hit. Errors degrade to misses.
-    pub fn lookup(&self, key: &CacheKey) -> Option<CacheEntry> {
+    /// hit. Errors degrade to misses. The entry is shared with the
+    /// memory tier; a caller that needs its payloads copies them.
+    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CacheEntry>> {
         let inner = &*self.inner;
         let tiers = &*inner.tiers;
         let metrics = self.metrics();
@@ -314,26 +321,25 @@ impl ContentCache {
     }
 
     /// Inserts a freshly produced result: memory immediately, the disk
-    /// tier via write-back. An entry too large to encode (4 GiB or
-    /// more) is not cached anywhere, only counted.
-    pub fn insert(&self, key: &CacheKey, entry: &CacheEntry) {
+    /// tier via write-back, both sharing `entry` without copying it. An
+    /// entry too large to encode (4 GiB or more) is not cached
+    /// anywhere, only counted.
+    pub fn insert(&self, key: &CacheKey, entry: CacheEntry) {
         if !entry.encodable() {
             self.metrics().incr(names::CACHE_OVERSIZE, 1);
             return;
         }
         self.inner.tiers.inserts.fetch_add(1, Ordering::Relaxed);
         self.metrics().incr(names::CACHE_INSERTS, 1);
-        let _ = self.inner.mem.put(key, entry);
+        let entry = Arc::new(entry);
+        let _ = self.inner.mem.put(key, &entry);
         if self.inner.sync_writes {
-            self.inner.tiers.write_back(key, entry);
+            self.inner.tiers.write_back(key, &entry);
             return;
         }
         let writer = self.inner.writer.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(w) = &*writer {
-            let _ = w.queue.send(WriteJob::Put {
-                key: *key,
-                entry: entry.clone(),
-            });
+            let _ = w.queue.send(WriteJob::Put { key: *key, entry });
         }
     }
 
@@ -443,6 +449,7 @@ mod tests {
             outputs: vec![CachedOutput {
                 entity: "E".into(),
                 name: String::new(),
+                digest: sha256(&[tag; 16]),
                 data: vec![tag; 16],
             }],
         };
@@ -455,8 +462,8 @@ mod tests {
             ContentCache::in_memory(MemoryBudget::default(), Clock::real(), Metrics::disabled());
         let (key, e) = entry(1);
         assert!(cache.lookup(&key).is_none());
-        cache.insert(&key, &e);
-        assert_eq!(cache.lookup(&key), Some(e));
+        cache.insert(&key, e.clone());
+        assert_eq!(cache.lookup(&key).as_deref(), Some(&e));
         let stats = cache.stats();
         assert_eq!(stats.tiers[0].hits, 1);
         assert_eq!(stats.tiers[0].misses, 1);
@@ -478,7 +485,7 @@ mod tests {
         .expect("open a");
         assert!(a.sync_writes(), "sim fs defaults to sync write-back");
         let (key, e) = entry(2);
-        a.insert(&key, &e);
+        a.insert(&key, e.clone());
         drop(a);
         // "Workspace B" opens the same root and hits on A's work.
         let b = ContentCache::open(
@@ -489,10 +496,42 @@ mod tests {
             metrics.clone(),
         )
         .expect("open b");
-        assert_eq!(b.lookup(&key), Some(e));
+        assert_eq!(b.lookup(&key).as_deref(), Some(&e));
         let snap = metrics.snapshot();
         assert_eq!(snap.counters[hercules_obs::names::CACHE_DISK_HITS], 1);
         assert_eq!(snap.gauges[hercules_obs::names::CACHE_DISK_HEALTHY], 1);
+    }
+
+    /// An entry another session's `gc` deleted from the shared tier,
+    /// like one never written, is a disk miss: no I/O error, and the
+    /// tier stays healthy.
+    #[test]
+    fn a_missing_disk_entry_is_a_miss_not_an_error() {
+        use hercules_obs::names::{CACHE_DISK_HEALTHY, CACHE_DISK_IO_ERRORS, CACHE_DISK_MISSES};
+        let sim = hercules_sim::SimEnv::new(23);
+        let metrics = Metrics::new();
+        let open = |disk_budget_bytes| {
+            let config = CacheConfig {
+                disk_budget_bytes,
+                ..CacheConfig::default()
+            };
+            ContentCache::open(&sim.fs(), "/shared", config, sim.clock(), metrics.clone())
+                .expect("open")
+        };
+        let (key, e) = entry(7);
+        open(1 << 20).insert(&key, e);
+        assert_eq!(
+            open(0).gc().expect("gc").evicted,
+            1,
+            "the other session's gc"
+        );
+        let reader = open(1 << 20);
+        assert!(reader.lookup(&key).is_none(), "deleted entry");
+        assert!(reader.lookup(&entry(8).0).is_none(), "never written");
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counters.get(CACHE_DISK_IO_ERRORS), None);
+        assert_eq!(snap.counters[CACHE_DISK_MISSES], 2);
+        assert_eq!(snap.gauges[CACHE_DISK_HEALTHY], 1);
     }
 
     #[test]
@@ -510,7 +549,7 @@ mod tests {
         .expect("open");
         assert!(!cache.sync_writes(), "a real fs writes back on a thread");
         let (key, e) = entry(3);
-        cache.insert(&key, &e);
+        cache.insert(&key, e.clone());
         cache.flush();
         drop(cache);
         let reopened = ContentCache::open(
@@ -521,7 +560,7 @@ mod tests {
             Metrics::disabled(),
         )
         .expect("reopen");
-        assert_eq!(reopened.lookup(&key), Some(e));
+        assert_eq!(reopened.lookup(&key).as_deref(), Some(&e));
         drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -543,8 +582,8 @@ mod tests {
         .expect("open");
         let (k1, e1) = entry(5);
         let (k2, e2) = entry(6);
-        cache.insert(&k1, &e1);
-        cache.insert(&k2, &e2);
+        cache.insert(&k1, e1);
+        cache.insert(&k2, e2);
         let report = cache.gc().expect("gc");
         assert_eq!(report.evicted, 2, "zero budget evicts everything");
         let snap = metrics.snapshot();

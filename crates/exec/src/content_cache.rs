@@ -11,6 +11,13 @@
 //! key costs the same however large the payloads are. Two invocations
 //! with the same key are byte-for-byte the same work, no matter which
 //! session, workspace, or machine prepared them.
+//!
+//! An entry carries each output's SHA-256 too, computed once, right
+//! after the tool ran: the run that produced the entry and every
+//! replay of it hand that digest to the history, which then hashes
+//! nothing.
+
+use std::sync::Arc;
 
 use hercules_cache::{CacheEntry, CacheKey, CachedOutput, KeyBuilder};
 use hercules_history::BlobHash;
@@ -22,8 +29,10 @@ use hercules_schema::EntityTypeId;
 /// Domain tag of the key derivation. Bumping the version invalidates
 /// every cached result at once — the escape hatch for semantic changes
 /// to the executor or the entry format. `v2` keys fold payload digests
-/// where `v1` keys folded payload bytes.
-const KEY_DOMAIN: &str = "hercules.exec.v2";
+/// where `v1` keys folded payload bytes; `v3` keys name entries in the
+/// `HCE2` format, whose outputs carry their digests, so no `HCE1`
+/// entry is ever looked up.
+const KEY_DOMAIN: &str = "hercules.exec.v3";
 
 /// Derives the content key of one prepared run. `tool` is the digest
 /// of the tool instance's payload (`None` when there is none), and
@@ -71,7 +80,8 @@ pub fn input_digest(data: Option<BlobHash>) -> BlobHash {
     data.unwrap_or(BlobHash::EMPTY)
 }
 
-/// Packages a successful run's outputs as a cache entry. Entity ids
+/// Packages a successful run's outputs, with their payloads' SHA-256
+/// `digests`, as a cache entry, copying each payload once. Entity ids
 /// are translated to names so the entry stays meaningful to any
 /// session speaking the same schema.
 pub fn entry_from_outputs(
@@ -79,6 +89,7 @@ pub fn entry_from_outputs(
     schema: &TaskSchema,
     invocation: &Invocation,
     outputs: &[ToolOutput],
+    digests: &[[u8; 32]],
     created_ms: u64,
 ) -> CacheEntry {
     CacheEntry {
@@ -87,42 +98,54 @@ pub fn entry_from_outputs(
         created_ms,
         outputs: outputs
             .iter()
-            .map(|o| CachedOutput {
+            .zip(digests)
+            .map(|(o, &digest)| CachedOutput {
                 entity: schema.entity(o.entity).name().to_owned(),
                 name: o.name.clone(),
+                digest,
                 data: o.data.clone(),
             })
             .collect(),
     }
 }
 
-/// Reconstitutes tool outputs from a cache entry, re-validating the
-/// entry against the consuming subtask: the output count must match
-/// and every entity name must resolve to a subtype of the expected
-/// product. Any mismatch (renamed entity, reshaped schema) degrades to
-/// a miss — the cache never forces a stale shape onto a run. The
-/// payloads move out of the entry; none is copied.
+/// Reconstitutes tool outputs, with their payloads' digests, from a
+/// cache entry, re-validating the entry against the consuming subtask:
+/// the output count must match and every entity name must resolve to a
+/// subtype of the expected product. Any mismatch (renamed entity,
+/// reshaped schema) degrades to a miss — the cache never forces a
+/// stale shape onto a run. The entry is shared with the cache's memory
+/// tier, so the payloads are copied here, once, outside its lock; an
+/// entry no tier holds gives up its payloads without a copy.
 pub fn outputs_from_entry(
     schema: &TaskSchema,
-    entry: CacheEntry,
+    entry: Arc<CacheEntry>,
     expected: &[EntityTypeId],
-) -> Option<Vec<ToolOutput>> {
+) -> Option<(Vec<ToolOutput>, Vec<[u8; 32]>)> {
     if entry.outputs.len() != expected.len() {
         return None;
     }
-    entry
+    let slots = entry
         .outputs
-        .into_iter()
+        .iter()
         .zip(expected)
         .map(|(out, &want)| {
             let entity = schema.entity_id(&out.entity)?;
-            schema.is_subtype_of(entity, want).then_some(ToolOutput {
-                entity,
-                data: out.data,
-                name: out.name,
-            })
+            schema.is_subtype_of(entity, want).then_some(entity)
         })
-        .collect()
+        .collect::<Option<Vec<_>>>()?;
+    let digests = entry.outputs.iter().map(|o| o.digest).collect();
+    let outputs = Arc::unwrap_or_clone(entry)
+        .outputs
+        .into_iter()
+        .zip(slots)
+        .map(|(out, entity)| ToolOutput {
+            entity,
+            data: out.data,
+            name: out.name,
+        })
+        .collect();
+    Some((outputs, digests))
 }
 
 #[cfg(test)]
@@ -187,7 +210,7 @@ mod tests {
         let layouts = vec![digest(&long), digest(b"design-a")];
         assert_eq!(
             key(&schema, Some(b"extract --fast"), layouts).to_hex(),
-            "e2bebab0c1950cb014990e3874fddbc13d31783ce9d721e926100642269152f9"
+            "feaeb10d0b0f9d550d94f8831273a050538d46e005a18f32df2bbc839efc3bbe"
         );
     }
 
@@ -225,10 +248,15 @@ mod tests {
             name: "fast".into(),
         }];
         let key = key(&schema, inv.tool_data.as_deref(), vec![digest(b"d")]);
-        let entry = entry_from_outputs(key, &schema, &inv, &produced, 42);
+        let hashed = [*digest(b"netlist-bytes").as_bytes()];
+        let entry = Arc::new(entry_from_outputs(
+            key, &schema, &inv, &produced, &hashed, 42,
+        ));
         assert_eq!(entry.tool, "Extractor");
-        let back = outputs_from_entry(&schema, entry.clone(), &[extracted]).expect("resolves");
+        let (back, digests) =
+            outputs_from_entry(&schema, entry.clone(), &[extracted]).expect("resolves");
         assert_eq!(back, produced);
+        assert_eq!(digests, hashed);
         // The cached entity satisfies its abstract supertype too.
         let netlist = schema.entity_id("Netlist").expect("entity");
         assert!(outputs_from_entry(&schema, entry.clone(), &[netlist]).is_some());

@@ -7,6 +7,7 @@ use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 use hercules_cache::CacheKey;
+use hercules_digest::sha256;
 use hercules_flow::TaskGraph;
 use hercules_history::{HistoryDb, InstanceId};
 use hercules_obs::{names, SpanId};
@@ -126,10 +127,10 @@ impl Executor {
                 (Some(cache), Some(key)) => {
                     if let Some(&first) = invoked.get(&key) {
                         Route::Repeat(first)
-                    } else if let Some(outputs) = cache.lookup(&key).and_then(|entry| {
+                    } else if let Some((outputs, digests)) = cache.lookup(&key).and_then(|entry| {
                         content_cache::outputs_from_entry(schema, entry, &prepared.output_entities)
                     }) {
-                        Route::Hit(outputs)
+                        Route::Hit { outputs, digests }
                     } else {
                         invoked.insert(key, i);
                         if let Some(claims) = claims.as_deref_mut() {
@@ -361,8 +362,12 @@ enum Route {
     /// A current instance per output (`reuse_cached`), found when the
     /// subtask was prepared.
     Current(Vec<InstanceId>),
-    /// A content-cache hit: the entry's outputs, replayed.
-    Hit(Vec<ToolOutput>),
+    /// A content-cache hit: the entry's outputs, replayed with the
+    /// digests the entry carries.
+    Hit {
+        outputs: Vec<ToolOutput>,
+        digests: Vec<[u8; 32]>,
+    },
     /// The lookup missed: the tool runs on these payloads.
     Invoke(Invocation),
     /// The key of this subtask's run at that index, which invokes the
@@ -377,8 +382,14 @@ pub(super) enum RunResult {
     /// Outputs to record. A content-cache replay (`ran` false) commits
     /// exactly like a fresh production, so a warm run's records are
     /// byte-identical to a cold run's, but does not count as an
-    /// execution.
-    Outputs { outputs: Vec<ToolOutput>, ran: bool },
+    /// execution. `digests` holds each output's SHA-256: the entry's
+    /// for a replay, hashed where the tool ran for a fresh production.
+    /// The history records them and hashes nothing.
+    Outputs {
+        outputs: Vec<ToolOutput>,
+        digests: Vec<[u8; 32]>,
+        ran: bool,
+    },
 }
 
 pub(super) struct PreparedSubtask {
@@ -537,9 +548,10 @@ impl PreparedSubtask {
 
     /// Runs the subtask's resolved runs: replays hits and current
     /// instances, and runs each missed run's tool under supervision
-    /// with retries, writing its result back to the content cache;
-    /// stops at the first permanent failure. It looks nothing up:
-    /// [`Executor::resolve`] routed every run on the scheduling thread.
+    /// with retries, hashing its outputs and writing them back to the
+    /// content cache; stops at the first permanent failure. It looks
+    /// nothing up: [`Executor::resolve`] routed every run on the
+    /// scheduling thread.
     pub(super) fn run_all(
         &mut self,
         schema: &std::sync::Arc<TaskSchema>,
@@ -578,21 +590,20 @@ impl PreparedSubtask {
             let route = std::mem::replace(&mut self.runs[run_index].route, Route::Unresolved);
             let result = match route {
                 Route::Current(instances) => RunResult::Current(instances),
-                Route::Hit(outputs) => {
+                Route::Hit { outputs, digests } => {
                     content_hits += 1;
-                    if let Some(key) = key {
-                        options.tracer.instant("content_cache_hit", task_span, |a| {
-                            a.str("key", key.to_hex().as_str());
-                        });
-                    }
                     RunResult::Outputs {
                         outputs,
+                        digests,
                         ran: false,
                     }
                 }
                 Route::Repeat(of) => match &results[of] {
-                    RunResult::Outputs { outputs, .. } => RunResult::Outputs {
+                    RunResult::Outputs {
+                        outputs, digests, ..
+                    } => RunResult::Outputs {
                         outputs: outputs.clone(),
+                        digests: digests.clone(),
                         ran: false,
                     },
                     RunResult::Current(_) => unreachable!("a repeated run invokes its tool"),
@@ -609,24 +620,34 @@ impl PreparedSubtask {
                     attempts = attempts.max(used);
                     match result {
                         Ok(outputs) => {
-                            // Write the fresh result back; insert is
-                            // non-blocking (memory now, persistent tiers
+                            // Hash the fresh result once, here, where
+                            // it was produced: the digests go into the
+                            // cache entry and on to the commit. Write
+                            // the result back; insert is non-blocking
+                            // (memory now, persistent tiers
                             // asynchronously), and a subtask parked on
                             // this key looks it up after this one
                             // finishes.
+                            let digests: Vec<[u8; 32]> =
+                                outputs.iter().map(|o| sha256(&o.data)).collect();
                             if let (Some(cache), Some(key)) = (&options.cache, key) {
                                 cache.insert(
                                     &key,
-                                    &content_cache::entry_from_outputs(
+                                    content_cache::entry_from_outputs(
                                         key,
                                         schema,
                                         &invocation,
                                         &outputs,
+                                        &digests,
                                         options.clock.wall_unix_ms(),
                                     ),
                                 );
                             }
-                            RunResult::Outputs { outputs, ran: true }
+                            RunResult::Outputs {
+                                outputs,
+                                digests,
+                                ran: true,
+                            }
                         }
                         Err(error) => {
                             let duration = options.clock.since(started);

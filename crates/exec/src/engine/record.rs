@@ -55,8 +55,10 @@ impl<'a> Recorder<'a> {
     /// Commits one successful subtask's runs: records every produced
     /// instance in the history (an invocation already committed in this
     /// execution shares its products instead) and publishes each
-    /// output's instances in the report. Returns what happened:
-    /// `Cached` when no run executed a tool.
+    /// output's instances in the report. Each payload moves into the
+    /// history with the digest it was hashed to where it was produced,
+    /// so the commit hashes nothing. Returns what happened: `Cached`
+    /// when no run executed a tool.
     pub(super) fn commit(
         &mut self,
         p: &PreparedSubtask,
@@ -67,14 +69,18 @@ impl<'a> Recorder<'a> {
         for (run, result) in p.runs.iter().zip(runs) {
             // A content-cache replay records the same history as a
             // fresh production; it just doesn't count as an execution.
-            let (outputs, ran) = match result {
+            let (outputs, digests, ran) = match result {
                 RunResult::Current(instances) => {
                     for (slot, inst) in instances.into_iter().enumerate() {
                         per_output[slot].push(inst);
                     }
                     continue;
                 }
-                RunResult::Outputs { outputs, ran } => (outputs, ran),
+                RunResult::Outputs {
+                    outputs,
+                    digests,
+                    ran,
+                } => (outputs, digests, ran),
             };
             let (tool_instance, input_instances) = (run.tool_instance, &run.input_instances);
             let key = (
@@ -104,9 +110,13 @@ impl<'a> Recorder<'a> {
                 if !out.name.is_empty() {
                     meta = meta.named(&out.name);
                 }
-                let inst = self
-                    .db
-                    .record_derived(out.entity, meta, &out.data, derivation)?;
+                let inst = self.db.record_derived_hashed(
+                    out.entity,
+                    meta,
+                    out.data,
+                    digests[slot],
+                    derivation,
+                )?;
                 per_output[slot].push(inst);
                 recorded.push(inst);
             }

@@ -18,10 +18,13 @@ use crate::instance::{EntityInstance, InstanceId, Metadata};
 use crate::store::{BlobHash, BlobStore};
 
 /// The physical data of a record being appended.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(crate) enum Data<'a> {
     /// These bytes, shared with any identical blob already stored.
     Bytes(&'a [u8]),
+    /// Owned bytes and their SHA-256, computed where they were
+    /// produced: stored like `Bytes`, moved in and not hashed again.
+    Hashed(Vec<u8>, [u8; 32]),
     /// One more reference to a blob already in the store (a persisted
     /// record that names the instance holding its bytes).
     Blob(BlobHash),
@@ -155,6 +158,25 @@ impl HistoryDb {
         self.record(entity, meta, Data::Bytes(data), Some(derivation))
     }
 
+    /// Records a derived instance like [`HistoryDb::record_derived`],
+    /// given the payload by value with its SHA-256 `digest`, computed
+    /// where the payload was produced: the blob store moves the bytes
+    /// in and hashes nothing (see [`BlobStore::put_hashed`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`HistoryDb::record_derived`].
+    pub fn record_derived_hashed(
+        &mut self,
+        entity: EntityTypeId,
+        meta: Metadata,
+        data: Vec<u8>,
+        digest: [u8; 32],
+        derivation: Derivation,
+    ) -> Result<InstanceId, HistoryError> {
+        self.record(entity, meta, Data::Hashed(data, digest), Some(derivation))
+    }
+
     /// Appends one record after the checks of
     /// [`HistoryDb::record_derived`]; a [`Data::Blob`] must name a blob
     /// the store holds ([`HistoryError::UnknownBlob`] otherwise). A
@@ -194,6 +216,7 @@ impl HistoryDb {
         }
         let blob = match data {
             Data::Bytes(bytes) => self.store.put(bytes),
+            Data::Hashed(bytes, digest) => self.store.put_hashed(bytes, digest),
             Data::Blob(blob) => {
                 if !self.store.share(blob) {
                     return Err(HistoryError::UnknownBlob);
@@ -649,6 +672,41 @@ mod tests {
         assert_eq!(db.store().blob_count(), 1, "footnote 5 sharing");
         assert_eq!(db.store().logical_bytes(), 20);
         assert_eq!(db.store().stored_bytes(), 10);
+    }
+
+    /// A payload recorded with its digest lands under the blob key a
+    /// plain record of the same bytes gets, without hashing them.
+    #[test]
+    fn a_hashed_record_shares_the_blob_of_a_plain_one() {
+        let (schema, mut db) = db();
+        let editor_ty = schema.require("CircuitEditor").expect("known");
+        let edited_ty = schema.require("EditedNetlist").expect("known");
+        let editor = db
+            .record_primary(editor_ty, Metadata::by("u"), b"ed")
+            .expect("ok");
+        let plain = db
+            .record_derived(
+                edited_ty,
+                Metadata::by("u"),
+                b"netlist",
+                Derivation::by_tool(editor, []),
+            )
+            .expect("ok");
+        let hashed_before = db.store().hashed_bytes();
+        let hashed = db
+            .record_derived_hashed(
+                edited_ty,
+                Metadata::by("u"),
+                b"netlist".to_vec(),
+                hercules_digest::sha256(b"netlist"),
+                Derivation::by_tool(editor, []),
+            )
+            .expect("ok");
+        let blob_of = |id| db.instance(id).expect("present").data();
+        assert_eq!(blob_of(hashed), blob_of(plain));
+        assert_eq!(db.shares_data_with(hashed).expect("ok"), Some(plain));
+        assert_eq!(db.store().hashed_bytes(), hashed_before, "nothing hashed");
+        assert_eq!(db.store().blob_count(), 2);
     }
 
     #[test]

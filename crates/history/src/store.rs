@@ -6,13 +6,16 @@
 //! other instances. For example, several design history instances could
 //! point to the same Unix RCS … file." The [`BlobStore`] reproduces this
 //! sharing: identical contents are stored once under one [`BlobHash`],
-//! with a reference count. The key is the SHA-256 digest that
-//! [`BlobStore::put`] computes once per payload, and it is the payload's
-//! content identity everywhere else too: the executor folds it into
-//! content-cache keys instead of hashing the bytes again. A key is only
-//! shared after comparing bytes, so even a hash collision can never make
-//! two different payloads share a blob.
+//! with a reference count. The key is the SHA-256 digest of the
+//! payload, computed once, and it is the payload's content identity
+//! everywhere else too: the executor folds it into content-cache keys
+//! instead of hashing the bytes again. [`BlobStore::put`] computes it;
+//! [`BlobStore::put_hashed`] takes one computed where the payload was
+//! produced (a tool's worker, or a content-cache entry that carries
+//! it). A key is only shared after comparing bytes, so even a hash
+//! collision can never make two different payloads share a blob.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -59,12 +62,26 @@ impl fmt::Display for BlobHash {
 /// assert_eq!(store.blob_count(), 1);
 /// assert_eq!(store.refcount(a), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct BlobStore {
     blobs: HashMap<BlobHash, (Vec<u8>, usize)>,
     stored_bytes: u64,
     logical_bytes: u64,
+    hashed_bytes: u64,
 }
+
+/// Two stores are equal when they hold the same blobs under the same
+/// keys with the same counts; how many bytes each hashed to get there
+/// is work done, not content.
+impl PartialEq for BlobStore {
+    fn eq(&self, other: &BlobStore) -> bool {
+        self.blobs == other.blobs
+            && self.stored_bytes == other.stored_bytes
+            && self.logical_bytes == other.logical_bytes
+    }
+}
+
+impl Eq for BlobStore {}
 
 impl BlobStore {
     /// Creates an empty store.
@@ -76,11 +93,30 @@ impl BlobStore {
     /// Returns the key the bytes are stored under; each call adds one
     /// reference.
     pub fn put(&mut self, bytes: &[u8]) -> BlobHash {
+        self.hashed_bytes += bytes.len() as u64;
+        let digest = sha256(bytes);
+        self.insert(Cow::Borrowed(bytes), digest)
+    }
+
+    /// Stores `bytes` like [`BlobStore::put`], given their SHA-256
+    /// `digest` instead of hashing them: the probe starts at `digest`,
+    /// a key hit still compares bytes, and new bytes are moved in, not
+    /// copied. Debug builds check that `digest` is the bytes' SHA-256.
+    pub fn put_hashed(&mut self, bytes: Vec<u8>, digest: [u8; 32]) -> BlobHash {
+        debug_assert!(
+            sha256(&bytes) == digest,
+            "a payload's digest must be the SHA-256 of its bytes"
+        );
+        self.insert(Cow::Owned(bytes), digest)
+    }
+
+    /// Adds one reference to `bytes`, probing from the key `digest`.
+    fn insert(&mut self, bytes: Cow<'_, [u8]>, digest: [u8; 32]) -> BlobHash {
         self.logical_bytes += bytes.len() as u64;
-        let mut key = BlobHash(sha256(bytes));
+        let mut key = BlobHash(digest);
         loop {
             match self.blobs.get_mut(&key) {
-                Some((stored, refs)) if stored.as_slice() == bytes => {
+                Some((stored, refs)) if stored[..] == bytes[..] => {
                     *refs += 1;
                     return key;
                 }
@@ -92,7 +128,7 @@ impl BlobStore {
                 }
                 None => {
                     self.stored_bytes += bytes.len() as u64;
-                    self.blobs.insert(key, (bytes.to_vec(), 1));
+                    self.blobs.insert(key, (bytes.into_owned(), 1));
                     return key;
                 }
             }
@@ -156,6 +192,13 @@ impl BlobStore {
     /// difference quantifies footnote 5's saving.
     pub fn logical_bytes(&self) -> u64 {
         self.logical_bytes
+    }
+
+    /// Returns the payload bytes this store has hashed:
+    /// [`BlobStore::put`] hashes what it stores, and
+    /// [`BlobStore::put_hashed`] hashes nothing.
+    pub fn hashed_bytes(&self) -> u64 {
+        self.hashed_bytes
     }
 }
 
@@ -229,6 +272,43 @@ mod tests {
         assert_eq!(s.get(h), None);
         assert_eq!(s.refcount(planted), 1, "the planted blob is untouched");
         assert_eq!(s.get(planted), Some(&b"not x"[..]));
+    }
+
+    #[test]
+    fn put_hashed_stores_like_put_without_hashing() {
+        let mut hashed = BlobStore::new();
+        let mut put = BlobStore::new();
+        for bytes in [&b"netlist v1"[..], b"netlist v1", b"layout", b""] {
+            assert_eq!(
+                hashed.put_hashed(bytes.to_vec(), sha256(bytes)),
+                put.put(bytes)
+            );
+        }
+        assert_eq!(hashed, put, "same blobs, keys and counts");
+        assert_eq!(hashed.hashed_bytes(), 0);
+        assert_eq!(put.hashed_bytes(), 26);
+        assert_eq!(put.logical_bytes(), 26);
+    }
+
+    #[test]
+    fn put_hashed_compares_bytes_on_a_colliding_key() {
+        let mut s = BlobStore::new();
+        let planted = BlobHash(sha256(b"x"));
+        s.blobs.insert(planted, (b"not x".to_vec(), 1));
+        let h = s.put_hashed(b"x".to_vec(), sha256(b"x"));
+        assert_ne!(h, planted, "different bytes take another key");
+        assert_eq!(s.get(h), Some(&b"x"[..]));
+        assert_eq!(s.put(b"x"), h, "put finds the same probed key");
+        assert_eq!(s.put_hashed(b"x".to_vec(), sha256(b"x")), h);
+        assert_eq!(s.refcount(h), 3);
+        assert_eq!(s.get(planted), Some(&b"not x"[..]));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "SHA-256 of its bytes")]
+    fn put_hashed_checks_the_digest_in_debug_builds() {
+        BlobStore::new().put_hashed(b"abc".to_vec(), sha256(b"abd"));
     }
 
     /// Fresh bytes are stored under their SHA-256 digest (the FIPS

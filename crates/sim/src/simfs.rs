@@ -285,7 +285,10 @@ impl SimFsState {
 
     pub(crate) fn exists(&self, path: &Path) -> bool {
         let inner = self.lock();
-        inner.current_ns.contains_key(path) || inner.dirs.contains(path)
+        let found = inner.current_ns.contains_key(path) || inner.dirs.contains(path);
+        self.trace
+            .record(format!("fs.exists path={} found={found}", path.display()));
+        found
     }
 
     pub(crate) fn create_truncate(self: &Arc<Self>, path: &Path) -> io::Result<Box<dyn FsFile>> {

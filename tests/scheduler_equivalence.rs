@@ -270,6 +270,24 @@ fn check_cached(
     Ok(())
 }
 
+/// Every record's blob key is the SHA-256 of its bytes, computed here:
+/// the history records the digests the executor and cache entries hand
+/// it without hashing, and only this check guards them in an optimized
+/// build.
+fn blob_keys_are_sha256(db: &HistoryDb) -> Result<(), String> {
+    for inst in db.instances() {
+        let bytes = db.data_of(inst.id()).map_err(|e| e.to_string())?;
+        let key = inst.data().map(|blob| *blob.as_bytes());
+        if key != bytes.map(hercules_digest::sha256) {
+            return Err(format!(
+                "{:?}'s blob key is not the SHA-256 of its bytes",
+                inst.id()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// What the flow predicts for one execution.
 #[derive(Debug, Default)]
 struct Oracle {
@@ -337,6 +355,7 @@ fn check(
     (report, db): (Result<ExecReport, ExecError>, HistoryDb),
 ) -> Result<(), String> {
     let report = report.map_err(|e| format!("execution failed: {e}"))?;
+    blob_keys_are_sha256(&db)?;
     let mut failed = BTreeSet::new();
     let mut skipped = BTreeSet::new();
     let mut ran = 0;

@@ -544,14 +544,15 @@ fn sim_checkpoint_crash_between_tmp_fsync_and_manifest_rename() {
 }
 
 /// The mutating disk operations a closure issued, as their trace lines
-/// without the `fs.` prefix and ` op=N` suffix (reads excluded).
+/// without the `fs.` prefix and ` op=N` suffix (reads, opens and
+/// existence probes excluded).
 fn fs_ops_of<T>(sim: &SimEnv, f: impl FnOnce() -> T) -> (T, Vec<String>) {
     let before = sim.trace().lines().len();
     let out = f();
     let ops = sim.trace().lines()[before..]
         .iter()
         .filter_map(|l| l.strip_prefix("fs."))
-        .filter(|l| !l.starts_with("read") && !l.starts_with("open"))
+        .filter(|l| !["read", "open", "exists"].iter().any(|p| l.starts_with(p)))
         .map(|l| l.rsplit_once(" op=").map_or(l, |(op, _)| op).to_owned())
         .collect();
     (out, ops)
@@ -2394,6 +2395,7 @@ fn cache_entry_for(seed: u64, i: u64) -> (hercules::cache::CacheKey, hercules::c
     b.field_u64("seed", seed);
     b.field_u64("index", i);
     let key = b.finish();
+    let data = vec![i as u8 ^ 0x5A; 64 + i as usize];
     let entry = hercules::cache::CacheEntry {
         key,
         tool: format!("SimTool{i}"),
@@ -2401,7 +2403,8 @@ fn cache_entry_for(seed: u64, i: u64) -> (hercules::cache::CacheKey, hercules::c
         outputs: vec![hercules::cache::CachedOutput {
             entity: "SimProduct".to_owned(),
             name: format!("run-{i}"),
-            data: vec![i as u8 ^ 0x5A; 64 + i as usize],
+            digest: hercules_digest::sha256(&data),
+            data,
         }],
     };
     (key, entry)
@@ -2439,7 +2442,7 @@ fn sim_cache_writeback_crash_sweep() {
     let open_ops = probe.fs_state().op_count();
     let mut after_ops = Vec::new();
     for (key, entry) in &entries {
-        cache.insert(key, entry);
+        cache.insert(key, entry.clone());
         after_ops.push(probe.fs_state().op_count());
     }
     let total_ops = probe.fs_state().op_count();
@@ -2464,13 +2467,13 @@ fn sim_cache_writeback_crash_sweep() {
         for (key, entry) in &entries {
             // Disk errors are swallowed into counters: the insert (and
             // the session around it) must keep going.
-            cache.insert(key, entry);
+            cache.insert(key, entry.clone());
         }
         // Degraded, not dead: the memory tier still serves everything.
         for (key, entry) in &entries {
             let got = cache.lookup(key);
             sim_assert(
-                got.as_ref() == Some(entry),
+                got.as_deref() == Some(entry),
                 seed,
                 TEST,
                 &format!("memory tier must keep serving after a disk crash at op {crash_at}"),
@@ -2494,7 +2497,7 @@ fn sim_cache_writeback_crash_sweep() {
         for (i, (key, expected)) in entries.iter().enumerate() {
             match fresh.lookup(key) {
                 Some(got) => sim_assert(
-                    got == *expected,
+                    *got == *expected,
                     seed,
                     TEST,
                     &format!("crash at op {crash_at}: entry {i} served with wrong bytes"),
@@ -2535,7 +2538,7 @@ fn sim_cache_writeback_crash_sweep() {
             if after_ops[i] < crash_at {
                 let got = fresh.lookup(key);
                 sim_assert(
-                    got.as_ref() == Some(expected),
+                    got.as_deref() == Some(expected),
                     seed,
                     TEST,
                     &format!("crash at op {crash_at}: gc evicted surviving entry {i}"),
