@@ -3,12 +3,12 @@
 //! §3.3 claims disjoint sub-flows "could be executed in parallel"; the
 //! execution engine (`crates/exec/src/engine/`) and the cluster
 //! scheduler (`cluster.rs`) do exactly that — any two subtasks with no
-//! dependency path between them may run concurrently. This pass
-//! computes the engine's subtask grouping (interior nodes sharing one
-//! tool node and one data-input set form a single multi-output
-//! subtask), derives the may-run-concurrently relation from graph
-//! reachability, and flags the conflicts the parallel-execution claim
-//! otherwise takes on faith:
+//! dependency path between them may run concurrently. This pass takes
+//! the engine's own subtask grouping ([`TaskGraph::subtasks`]: interior
+//! nodes sharing one tool node and one data-input set form a single
+//! multi-output subtask, and each composition stands alone), derives
+//! the may-run-concurrently relation from graph reachability, and flags
+//! the conflicts the parallel-execution claim otherwise takes on faith:
 //!
 //! * **write/write** (`HL0301`) — two concurrent subtasks both record
 //!   instances of the same entity type; which becomes the "latest"
@@ -21,43 +21,12 @@
 //!   queries over the family (`browse`, `bind-latest`) become
 //!   schedule-sensitive.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-use hercules_flow::{NodeId, TaskGraph};
+use hercules_flow::{NodeId, Subtask, TaskGraph};
 use hercules_schema::EntityTypeId;
 
 use crate::diag::{Diagnostic, Diagnostics, Severity, Span};
-
-/// One scheduled unit, as the engine groups it: the interior nodes a
-/// single tool invocation produces, plus what it consumes.
-#[derive(Debug, Clone)]
-struct Subtask {
-    /// Interior nodes this invocation constructs.
-    outputs: Vec<NodeId>,
-    /// Data-input nodes (leaves or other subtasks' outputs).
-    inputs: Vec<NodeId>,
-}
-
-/// Groups interior nodes exactly as the engine does: same tool node +
-/// same sorted data-input set = one multi-output subtask.
-fn group_subtasks(flow: &TaskGraph) -> Vec<Subtask> {
-    let mut groups: BTreeMap<(Option<NodeId>, Vec<NodeId>), Vec<NodeId>> = BTreeMap::new();
-    for id in flow.interior() {
-        let tool = flow.tool_of(id);
-        let mut inputs = flow.data_inputs_of(id);
-        inputs.sort_unstable();
-        groups.entry((tool, inputs)).or_default().push(id);
-    }
-    groups
-        .into_iter()
-        .map(|((tool, mut inputs), outputs)| {
-            if let Some(t) = tool {
-                inputs.push(t);
-            }
-            Subtask { outputs, inputs }
-        })
-        .collect()
-}
 
 /// The shared precomputation behind the pairwise hazard passes: the
 /// engine's subtask grouping plus the may-run-concurrently relation.
@@ -72,7 +41,15 @@ struct HazardCtx<'a> {
 impl<'a> HazardCtx<'a> {
     fn new(flow: &'a TaskGraph) -> Option<HazardCtx<'a>> {
         let order = flow.topo_order().ok()?;
-        let subtasks = group_subtasks(flow);
+        let mut subtasks = flow.subtasks().ok()?;
+        // Findings name subtasks in a fixed order that does not depend
+        // on the topological walk: by tool node, inputs, then outputs,
+        // each subtask's outputs by id.
+        for s in &mut subtasks {
+            s.outputs.sort_unstable();
+        }
+        subtasks
+            .sort_by(|a, b| (a.tool, &a.inputs, &a.outputs).cmp(&(b.tool, &b.inputs, &b.outputs)));
         if subtasks.len() < 2 {
             return None;
         }
@@ -137,12 +114,12 @@ impl<'a> HazardCtx<'a> {
             .collect()
     }
 
-    /// Leaf reads: bound instances consumed straight from the history.
+    /// Leaf reads: bound instances (data inputs or the tool) consumed
+    /// straight from the history.
     fn leaf_reads(&self, s: &Subtask) -> BTreeSet<EntityTypeId> {
-        s.inputs
-            .iter()
-            .filter(|&&n| !self.flow.is_expanded(n))
-            .filter_map(|&n| self.flow.entity_of(n).ok())
+        s.dependencies()
+            .filter(|&n| !self.flow.is_expanded(n))
+            .filter_map(|n| self.flow.entity_of(n).ok())
             .collect()
     }
 }

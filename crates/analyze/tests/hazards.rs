@@ -134,3 +134,44 @@ fn family_overlap_is_advisory_only() {
     assert_eq!(hit.severity, Severity::Info);
     assert!(hit.message.contains("Netlist"));
 }
+
+/// Two `Circuit` compositions over the same device models and netlist:
+/// a composition has no tool to share, so the engine schedules each
+/// one alone and they may run concurrently, both producing `Circuit`.
+/// The detector takes the engine's grouping, so this is one
+/// write/write hazard and nothing else.
+#[test]
+fn tool_less_compositions_with_equal_inputs_are_separate_subtasks() {
+    let schema = Arc::new(fixtures::fig1());
+    let mut flow = TaskGraph::new(schema.clone());
+    let mut node = |name: &str| {
+        flow.add_node_raw(schema.require(name).expect("known"))
+            .expect("valid")
+    };
+    let models = node("DeviceModels");
+    let netlist = node("Netlist");
+    let circuits = [node("Circuit"), node("Circuit")];
+    for c in circuits {
+        flow.add_edge_raw(models, c, hercules_schema::DepKind::Data)
+            .expect("edge");
+        flow.add_edge_raw(netlist, c, hercules_schema::DepKind::Data)
+            .expect("edge");
+    }
+    flow.validate_for_execution().expect("a complete flow");
+
+    let mut out = codes_of(&flow);
+    out.sort();
+    let hazards: Vec<String> = out
+        .iter()
+        .filter(|d| d.code.starts_with("HL03"))
+        .map(|d| d.to_string())
+        .collect();
+    assert_eq!(
+        hazards,
+        vec![
+            "warn[HL0301] subflow n2+n3: subtasks [n2] and [n3] can run in parallel and both \
+             produce `Circuit`; which instance becomes the latest version is schedule-dependent"
+                .to_owned()
+        ]
+    );
+}

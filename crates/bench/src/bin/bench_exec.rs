@@ -36,12 +36,10 @@ use hercules::cache::{CacheConfig, ContentCache};
 use hercules::exec::{toy, Binding, Executor, MultiInstanceMode};
 use hercules::flow::TaskGraph;
 use hercules::history::HistoryDb;
-use hercules::obs::{
-    profile, Collector, FlightRecorder, Metrics, MultiCollector, RingBuffer, Tracer,
-};
+use hercules::obs::{profile, FlightRecorder, Metrics, RingBuffer, Tracer};
 use hercules::schema::TaskSchema;
-use hercules::sim::{Clock, Fs};
-use hercules::{FlowOp, JournalOp, Session, Workspace};
+use hercules::sim::{Clock, Env, Fs};
+use hercules::{FlowOp, JournalOp, Session, SessionStamp, TelemetryWriter, Workspace};
 
 /// `--check` gate: the straggler fixture's makespan may exceed its
 /// measured critical path by at most this factor.
@@ -49,8 +47,9 @@ const STRAGGLER_GATE: f64 = 1.5;
 /// `--check` gate: group commit must beat per-frame fsync by this
 /// factor on journal-append throughput.
 const JOURNAL_GATE: f64 = 2.0;
-/// `--check` gate: adding the flight recorder to an already-traced
-/// straggler run must cost at most this much over the ring buffer
+/// `--check` gate: the flight recorder's drain after each traced
+/// straggler run (encoding the ring's new events and appending them to
+/// a telemetry sidecar) must cost at most this much over ring tracing
 /// alone.
 const RECORDER_GATE_PERCENT: f64 = 2.0;
 /// `--check` gate: a warm content-cache run of the repeated-subflow
@@ -185,53 +184,98 @@ enum Tracing {
     Off,
     /// Ring buffer + metrics registry — the standard live pipeline.
     Ring,
-    /// Ring buffer + metrics + flight recorder fan-out — the always-on
-    /// telemetry pipeline a durable workspace runs.
+    /// The ring pipeline plus what a durable workspace adds after each
+    /// command: the flight recorder encodes the ring's new events and
+    /// appends them to a telemetry sidecar.
     Recorder,
 }
 
-fn build_executor(
-    w: &Workload<'_>,
-    opts: &Options,
-    parallel: bool,
-    tracing: &Tracing,
-    workers: usize,
-) -> Executor {
-    let registry = toy::text_registry_with(
-        w.schema,
-        toy::TextTool {
-            mode: MultiInstanceMode::RunPerInstance,
-            work: Duration::from_micros(opts.work_us),
-        },
-    );
-    let mut executor = Executor::new(registry);
-    executor.options_mut().parallel = parallel;
-    executor.options_mut().workers = workers;
-    match tracing {
-        Tracing::Off => {}
-        Tracing::Ring => {
-            // The full live pipeline: every span lands in a ring buffer
-            // and every task updates the metrics registry.
-            executor.options_mut().tracer = Tracer::new(Arc::new(RingBuffer::new(65_536)));
-            executor.options_mut().metrics = Metrics::new();
-        }
-        Tracing::Recorder => {
-            let fanout: Arc<dyn Collector> = Arc::new(MultiCollector::new(vec![
-                Arc::new(RingBuffer::new(65_536)) as Arc<dyn Collector>,
-                Arc::new(FlightRecorder::new()) as Arc<dyn Collector>,
-            ]));
-            executor.options_mut().tracer = Tracer::new(fanout);
-            executor.options_mut().metrics = Metrics::new();
-        }
-    }
-    executor
+/// The flight recorder's part of a durable workspace's telemetry,
+/// over a real sidecar file in a scratch directory (removed on drop).
+struct Sidecar {
+    recorder: FlightRecorder,
+    writer: TelemetryWriter,
+    root: std::path::PathBuf,
 }
 
-fn time_once(executor: &Executor, w: &Workload<'_>) -> u64 {
-    let mut db = w.db.clone();
-    let started = Instant::now();
-    executor.execute(w.flow, w.binding, &mut db).expect("runs");
-    started.elapsed().as_nanos() as u64
+impl Sidecar {
+    fn attach(ring: Arc<RingBuffer>, metrics: Metrics) -> Sidecar {
+        let root =
+            std::env::temp_dir().join(format!("hercules-bench-telemetry-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).expect("creates the sidecar directory");
+        let writer = TelemetryWriter::attach(&root, Env::real(), metrics, &SessionStamp::default())
+            .expect("attaches the sidecar");
+        Sidecar {
+            recorder: FlightRecorder::new(ring),
+            writer,
+            root,
+        }
+    }
+}
+
+impl Drop for Sidecar {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
+}
+
+/// One measured configuration: its executor and, under
+/// [`Tracing::Recorder`], the sidecar each run drains into.
+struct Config {
+    executor: Executor,
+    sidecar: Option<Sidecar>,
+}
+
+impl Config {
+    fn new(
+        w: &Workload<'_>,
+        opts: &Options,
+        parallel: bool,
+        tracing: &Tracing,
+        workers: usize,
+    ) -> Config {
+        let registry = toy::text_registry_with(
+            w.schema,
+            toy::TextTool {
+                mode: MultiInstanceMode::RunPerInstance,
+                work: Duration::from_micros(opts.work_us),
+            },
+        );
+        let mut executor = Executor::new(registry);
+        executor.options_mut().parallel = parallel;
+        executor.options_mut().workers = workers;
+        let mut sidecar = None;
+        if !matches!(tracing, Tracing::Off) {
+            // The full live pipeline: every span lands in a ring buffer
+            // and every task updates the metrics registry.
+            let ring = Arc::new(RingBuffer::new(65_536));
+            let metrics = Metrics::new();
+            executor.options_mut().tracer = Tracer::new(ring.clone());
+            executor.options_mut().metrics = metrics.clone();
+            if matches!(tracing, Tracing::Recorder) {
+                sidecar = Some(Sidecar::attach(ring, metrics));
+            }
+        }
+        Config { executor, sidecar }
+    }
+
+    /// Times one run and, under [`Tracing::Recorder`], the drain after
+    /// it.
+    fn time_once(&mut self, w: &Workload<'_>) -> u64 {
+        let mut db = w.db.clone();
+        let started = Instant::now();
+        self.executor
+            .execute(w.flow, w.binding, &mut db)
+            .expect("runs");
+        if let Some(Sidecar {
+            recorder, writer, ..
+        }) = &mut self.sidecar
+        {
+            recorder.drain(|lines| writer.append(lines));
+        }
+        started.elapsed().as_nanos() as u64
+    }
 }
 
 fn measure(
@@ -253,11 +297,11 @@ fn measure_with(
     workers: usize,
 ) -> Sample {
     let tracing = if traced { Tracing::Ring } else { Tracing::Off };
-    let executor = build_executor(w, opts, parallel, &tracing, workers);
+    let mut config = Config::new(w, opts, parallel, &tracing, workers);
     // One warm-up iteration, then the measured runs.
     let mut runs_ns = Vec::with_capacity(opts.iters);
     for i in 0..=opts.iters {
-        let ns = time_once(&executor, w);
+        let ns = config.time_once(w);
         if i > 0 {
             runs_ns.push(ns);
         }
@@ -284,20 +328,20 @@ fn measure_paired(
     tracings: (Tracing, Tracing),
     workers: usize,
 ) -> (Sample, Sample) {
-    let base = build_executor(w, opts, parallel, &tracings.0, workers);
-    let instrumented = build_executor(w, opts, parallel, &tracings.1, workers);
+    let mut base = Config::new(w, opts, parallel, &tracings.0, workers);
+    let mut instrumented = Config::new(w, opts, parallel, &tracings.1, workers);
     let mut base_ns = Vec::with_capacity(opts.iters);
     let mut instrumented_ns = Vec::with_capacity(opts.iters);
     for i in 0..=opts.iters {
         // Alternate which side of the pair goes first so neither
         // systematically inherits the other's warmed caches.
         let (first, second, flipped) = if i % 2 == 0 {
-            (&base, &instrumented, false)
+            (&mut base, &mut instrumented, false)
         } else {
-            (&instrumented, &base, true)
+            (&mut instrumented, &mut base, true)
         };
-        let a = time_once(first, w);
-        let b = time_once(second, w);
+        let a = first.time_once(w);
+        let b = second.time_once(w);
         if i > 0 {
             let (base_run, instr_run) = if flipped { (b, a) } else { (a, b) };
             base_ns.push(base_run);
@@ -358,12 +402,12 @@ impl StragglerBound {
 /// warm-up), each profiled from its own span stream.
 fn critical_path_ns(w: &Workload<'_>, opts: &Options, workers: usize) -> u64 {
     let ring = Arc::new(RingBuffer::new(65_536));
-    let mut executor = build_executor(w, opts, true, &Tracing::Off, workers);
-    executor.options_mut().tracer = Tracer::new(ring.clone());
+    let mut config = Config::new(w, opts, true, &Tracing::Off, workers);
+    config.executor.options_mut().tracer = Tracer::new(ring.clone());
     let mut paths = Vec::with_capacity(opts.iters);
     for i in 0..=opts.iters {
         ring.clear();
-        time_once(&executor, w);
+        config.time_once(w);
         if i > 0 {
             paths.push(profile::profile(&ring.snapshot()).critical_path_ns);
         }
@@ -437,10 +481,10 @@ fn bench_cache(w: &Workload<'_>, opts: &Options) -> Result<CacheBench, String> {
         )
         .map_err(|e| e.to_string())
     };
-    let executor_with = |cache: ContentCache| {
-        let mut executor = build_executor(w, opts, true, &Tracing::Off, 0);
-        executor.options_mut().cache = Some(cache);
-        executor
+    let config_with = |cache: ContentCache| {
+        let mut config = Config::new(w, opts, true, &Tracing::Off, 0);
+        config.executor.options_mut().cache = Some(cache);
+        config
     };
     let median = |mut runs: Vec<u64>| -> u64 {
         runs.sort_unstable();
@@ -451,8 +495,8 @@ fn bench_cache(w: &Workload<'_>, opts: &Options) -> Result<CacheBench, String> {
     // lookup misses and every result is written back.
     let mut cold_runs = Vec::with_capacity(opts.iters);
     for i in 0..=opts.iters {
-        let executor = executor_with(open(root.join(format!("cold-{i}")))?);
-        let ns = time_once(&executor, w);
+        let mut config = config_with(open(root.join(format!("cold-{i}")))?);
+        let ns = config.time_once(w);
         if i > 0 {
             cold_runs.push(ns);
         }
@@ -460,10 +504,10 @@ fn bench_cache(w: &Workload<'_>, opts: &Options) -> Result<CacheBench, String> {
 
     // Warm: one cache populated by the first (discarded) iteration
     // serves all measured iterations.
-    let executor = executor_with(open(root.join("warm"))?);
+    let mut config = config_with(open(root.join("warm"))?);
     let mut warm_runs = Vec::with_capacity(opts.iters);
     for i in 0..=opts.iters {
-        let ns = time_once(&executor, w);
+        let ns = config.time_once(w);
         if i > 0 {
             warm_runs.push(ns);
         }
@@ -698,9 +742,9 @@ fn run() -> Result<ExitCode, String> {
         critical_path_ns: critical_path_ns(&sw, &opts, workers),
     };
 
-    // Flight-recorder overhead on the straggler fixture: the always-on
-    // telemetry pipeline (ring + recorder fan-out) against the ring
-    // alone, paired runs.
+    // Flight-recorder overhead on the straggler fixture: ring tracing
+    // plus the recorder's drain into a sidecar after each run, against
+    // ring tracing alone, paired runs.
     let (straggler_traced, straggler_recorder) = measure_paired(
         ("straggler_traced", "straggler_recorder"),
         &sw,

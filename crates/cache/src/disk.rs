@@ -102,22 +102,31 @@ impl DiskTier {
         }
     }
 
-    /// Visits every committed entry as a `(path, blob)` pair, in path
-    /// order for determinism, reading one blob at a time so a scan
-    /// never holds the whole tier. Missing shard directories read as
-    /// empty.
-    fn scan(&self, mut visit: impl FnMut(PathBuf, Vec<u8>)) -> io::Result<()> {
+    /// Every committed entry's path, in path order for determinism.
+    /// Missing shard directories read as empty.
+    fn entry_paths(&self) -> Vec<PathBuf> {
+        let mut entries = Vec::new();
         for shard in 0..=u8::MAX {
             let dir = self.root.join(hex::encode(&[shard]));
             let Ok(paths) = self.fs.list_dir(&dir) else {
                 continue;
             };
-            for path in paths {
-                if path.to_string_lossy().ends_with(ENTRY_SUFFIX) {
-                    let blob = self.fs.read(&path)?;
-                    visit(path, blob);
-                }
-            }
+            entries.extend(
+                paths
+                    .into_iter()
+                    .filter(|p| p.to_string_lossy().ends_with(ENTRY_SUFFIX)),
+            );
+        }
+        entries
+    }
+
+    /// Visits every committed entry as a `(path, blob)` pair, in path
+    /// order, reading one blob at a time so a scan never holds the
+    /// whole tier.
+    fn scan(&self, mut visit: impl FnMut(PathBuf, Vec<u8>)) -> io::Result<()> {
+        for path in self.entry_paths() {
+            let blob = self.fs.read(&path)?;
+            visit(path, blob);
         }
         Ok(())
     }
@@ -232,12 +241,13 @@ impl CacheBackend for DiskTier {
         Ok(())
     }
 
+    /// Sums entry file lengths; no entry is read.
     fn usage(&self) -> io::Result<TierUsage> {
         let mut usage = TierUsage::default();
-        self.scan(|_, blob| {
+        for path in self.entry_paths() {
             usage.entries += 1;
-            usage.bytes += blob.len() as u64;
-        })?;
+            usage.bytes += self.fs.file_len(&path)?;
+        }
         Ok(usage)
     }
 }
@@ -313,6 +323,25 @@ mod tests {
         let (missed, ops) = fs_log(&sim, || tier.get(&entry(5, 32).0).unwrap());
         assert_eq!(missed, None);
         assert!(ops.is_empty(), "a miss probes nothing first: {ops:?}");
+    }
+
+    #[test]
+    fn usage_reads_no_entry() {
+        let sim = hercules_sim::SimEnv::new(4);
+        let tier = DiskTier::open(sim.fs(), "/cache", 1 << 20).expect("open");
+        let mut bytes = 0;
+        for tag in 1..=3u8 {
+            let (key, e) = entry(tag, 40 * usize::from(tag));
+            tier.put(&key, &e).unwrap();
+            bytes += e.encode().expect("encodable").len() as u64;
+        }
+        let (usage, ops) = fs_log(&sim, || tier.usage().unwrap());
+        assert_eq!((usage.entries, usage.bytes), (3, bytes));
+        assert!(
+            !ops.iter().any(|l| l.starts_with("fs.read ")),
+            "usage read an entry: {ops:?}"
+        );
+        assert_eq!(ops.iter().filter(|l| l.starts_with("fs.len ")).count(), 3);
     }
 
     #[test]

@@ -6,9 +6,7 @@ use std::sync::Arc;
 use hercules_exec::{Binding, EncapsulationRegistry, ExecReport, Executor, TaskAction};
 use hercules_flow::{Expansion, FlowCatalog, FlowSpec, NodeId, TaskGraph};
 use hercules_history::{DerivationTree, HistoryDb, InstanceId};
-use hercules_obs::{
-    Collector, Metrics, MultiCollector, RealTime, RingBuffer, TimeSource, TraceEvent, Tracer,
-};
+use hercules_obs::{Metrics, RingBuffer, TraceEvent, Tracer};
 use hercules_schema::{EntityTypeId, TaskSchema};
 use hercules_sim::{Clock, Interleaver};
 use serde::{Deserialize, Serialize};
@@ -151,7 +149,7 @@ pub enum Approach {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Session {
     schema: Arc<TaskSchema>,
     db: HistoryDb,
@@ -168,8 +166,9 @@ pub struct Session {
     user: String,
     last_report: Option<ExecReport>,
     events: Vec<ExecEvent>,
-    /// In-memory trace ring the session tracer feeds; the REPL's
-    /// `trace`/`profile` commands read snapshots of it.
+    /// The trace ring the session tracer records into: the one store
+    /// of its events. The REPL's `trace`/`profile` commands read
+    /// snapshots of it and the workspace flight recorder drains it.
     trace_ring: Arc<RingBuffer>,
     tracer: Tracer,
     metrics: Metrics,
@@ -187,6 +186,35 @@ pub struct Session {
 /// Events the session's trace ring retains — enough for several full
 /// executions of a realistic flow before old spans age out.
 const TRACE_RING_CAPACITY: usize = 8192;
+
+impl Clone for Session {
+    /// A session of its own: the clone's tracer records into a copy of
+    /// this session's trace ring, so neither writes the other's
+    /// events. The metrics registry stays shared.
+    fn clone(&self) -> Session {
+        let trace_ring = Arc::new((*self.trace_ring).clone());
+        let tracer = self.tracer.fork(trace_ring.clone());
+        let mut executor = self.executor.clone();
+        executor.options_mut().tracer = tracer.clone();
+        Session {
+            schema: self.schema.clone(),
+            db: self.db.clone(),
+            executor,
+            catalog: self.catalog.clone(),
+            flow: self.flow.clone(),
+            tape: self.tape.clone(),
+            binding: self.binding.clone(),
+            user: self.user.clone(),
+            last_report: self.last_report.clone(),
+            events: self.events.clone(),
+            trace_ring,
+            tracer,
+            metrics: self.metrics.clone(),
+            clock: self.clock.clone(),
+            unjournaled: self.unjournaled,
+        }
+    }
+}
 
 impl Session {
     /// Creates a session over an arbitrary schema and tool registry,
@@ -245,31 +273,6 @@ impl Session {
         options.interleave = interleave;
         options.jitter_seed = jitter_seed;
         options.tracer = self.tracer.clone();
-    }
-
-    /// Tees every trace event into `sink` alongside the in-memory
-    /// ring (which keeps serving the REPL `trace`/`profile`
-    /// commands). The UI uses this to feed the workspace flight
-    /// recorder; calling it again replaces the previous sink.
-    ///
-    /// Event timestamps keep their current source — the session's
-    /// simulated clock when [`Session::set_sim`] installed one, real
-    /// time otherwise — so the tee never perturbs trace stamps.
-    pub fn attach_trace_sink(&mut self, sink: Arc<dyn Collector>) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let fanout: Arc<dyn Collector> = Arc::new(MultiCollector::new(vec![
-            self.trace_ring.clone() as Arc<dyn Collector>,
-            sink,
-        ]));
-        let time: Arc<dyn TimeSource> = if self.clock.is_sim() {
-            Arc::new(hercules_sim::ClockTimeSource::new(self.clock.clone()))
-        } else {
-            Arc::new(RealTime::new())
-        };
-        self.tracer = Tracer::with_time_source(fanout, time);
-        self.executor.options_mut().tracer = self.tracer.clone();
     }
 
     /// Creates the standard demonstration session: the Odyssey schema,
@@ -346,6 +349,12 @@ impl Session {
     /// Snapshot of the buffered trace events, oldest first.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.trace_ring.snapshot()
+    }
+
+    /// The trace ring the session's tracer records into (a flight
+    /// recorder drains it; see [`hercules_obs::FlightRecorder`]).
+    pub fn trace_ring(&self) -> &Arc<RingBuffer> {
+        &self.trace_ring
     }
 
     /// Empties the trace ring (e.g. to isolate the next run's trace).

@@ -11,15 +11,13 @@
 use std::fmt::Write as _;
 use std::path::Path;
 use std::str::SplitWhitespace;
-use std::sync::Arc;
 
 use hercules_analyze::{Diagnostics, HistoryLinter};
 use hercules_exec::{report_to_trace, Binding, ExecReport};
 use hercules_flow::{render, NodeId};
 use hercules_history::{InstanceId, InstanceSpec, RetraceCone};
 use hercules_obs::{
-    names, profile, AnalysisHealth, Collector, FlightRecorder, HealthReport, HealthThresholds,
-    MetricsSnapshot,
+    names, profile, AnalysisHealth, FlightRecorder, HealthReport, HealthThresholds, MetricsSnapshot,
 };
 
 use hercules_sim::Env;
@@ -284,24 +282,23 @@ pub struct Ui {
     /// index it walks belongs to the history database).
     linter: HistoryLinter,
     /// The always-on flight recorder, attached while a writable
-    /// workspace is: the session tracer tees span events into the
-    /// ring, and every command pumps the ring into the workspace's
-    /// `telemetry-N.jsonl` sidecar.
+    /// workspace is: every command encodes the session trace ring's new
+    /// events into the workspace's `telemetry-N.jsonl` sidecar.
     telemetry: Option<Telemetry>,
 }
 
 /// The attached flight-recorder state (see [`crate::telemetry`]).
 #[derive(Debug)]
 struct Telemetry {
-    recorder: Arc<FlightRecorder>,
+    recorder: FlightRecorder,
     writer: TelemetryWriter,
     /// Metrics as of the last periodic export; the next export writes
     /// the delta against this.
     last_snapshot: MetricsSnapshot,
     /// Wall-clock deadline for the next metrics-delta export.
     next_export_ms: u64,
-    /// Ring drop counter as of the last pump (the recorder reports a
-    /// lifetime total; the pump translates it into counter increments).
+    /// The recorder's dropped-event total as of the last pump (the
+    /// pump translates the lifetime total into counter increments).
     last_dropped: u64,
 }
 
@@ -474,8 +471,8 @@ impl Ui {
 
     /// Attaches the flight recorder to a freshly saved/opened
     /// *writable* workspace: opens a new `telemetry-N.jsonl` sidecar
-    /// with a durably anchored session stamp and tees the session
-    /// tracer into a bounded ring that [`Ui::pump_telemetry`] drains
+    /// with a durably anchored session stamp and points a recorder at
+    /// the session's trace ring, which [`Ui::pump_telemetry`] drains
     /// after every command. Degraded (read-only) workspaces get no
     /// recorder — a browser must not write into a store it does not
     /// own. Best-effort: attach failure costs telemetry, never the
@@ -494,11 +491,8 @@ impl Ui {
             &stamp,
         ) {
             Ok(writer) => {
-                let recorder = Arc::new(FlightRecorder::new());
-                self.session
-                    .attach_trace_sink(recorder.clone() as Arc<dyn Collector>);
                 self.telemetry = Some(Telemetry {
-                    recorder,
+                    recorder: FlightRecorder::new(self.session.trace_ring().clone()),
                     writer,
                     last_snapshot: self.session.metrics().snapshot(),
                     next_export_ms: self.env.clock.wall_unix_ms() + TELEMETRY_EXPORT_INTERVAL_MS,
@@ -513,15 +507,15 @@ impl Ui {
         }
     }
 
-    /// Drains the flight-recorder ring into the sidecar and, when the
-    /// export interval has elapsed, appends a metrics-delta record and
-    /// fsyncs the stream. Runs after every command; all I/O here is
-    /// best-effort (see [`crate::telemetry`]).
+    /// Encodes the trace events recorded since the last pump into the
+    /// sidecar and, when the export interval has elapsed, appends a
+    /// metrics-delta record and fsyncs the stream. Runs after every
+    /// command; all I/O here is best-effort (see [`crate::telemetry`]).
     fn pump_telemetry(&mut self) {
         let Some(t) = self.telemetry.as_mut() else {
             return;
         };
-        let metrics = self.session.metrics().clone();
+        let metrics = self.session.metrics();
         let now_ms = self.env.clock.wall_unix_ms();
         let mut export = false;
         if now_ms >= t.next_export_ms {
@@ -534,11 +528,9 @@ impl Ui {
             metrics.incr(names::TELEMETRY_METRIC_EXPORTS, 1);
             export = true;
         }
-        let bytes = t.recorder.drain();
-        if !bytes.is_empty() {
-            let records = bytes.iter().filter(|&&b| b == b'\n').count() as u64;
+        let records = t.recorder.drain(|lines| t.writer.append(lines));
+        if records > 0 {
             metrics.incr(names::TELEMETRY_RECORDS, records);
-            t.writer.append(&bytes);
         }
         let dropped = t.recorder.dropped();
         if dropped > t.last_dropped {

@@ -13,7 +13,7 @@
 
 use hercules_flow::{NodeId, TaskGraph};
 
-use crate::engine::{dependency_edges, group_subtasks, subtask_priorities};
+use crate::engine::{dependency_edges, subtask_priorities};
 use crate::error::ExecError;
 
 /// Simulated duration of every subtask, in abstract work units.
@@ -95,7 +95,7 @@ impl Schedule {
 pub fn simulate_schedule(flow: &TaskGraph, machines: usize) -> Result<Schedule, ExecError> {
     flow.validate_for_execution()?;
     let machines = machines.max(1);
-    let subtasks = group_subtasks(flow)?;
+    let subtasks = flow.subtasks()?;
     // A plan has no binding: every leaf is ready at time 0.
     let producers_of = dependency_edges(&subtasks, |_| true).producers_of;
     let priority = subtask_priorities(&subtasks, &producers_of);

@@ -8,14 +8,14 @@ use std::time::Duration;
 
 use hercules_cache::CacheKey;
 use hercules_digest::sha256;
-use hercules_flow::TaskGraph;
+use hercules_flow::{Subtask, TaskGraph};
 use hercules_history::{HistoryDb, InstanceId};
 use hercules_obs::{names, SpanId};
 use hercules_schema::{EntityTypeId, TaskSchema};
 use hercules_sim::SimInstant;
 
 use super::record::TaskIdentity;
-use super::schedule::{ReadyTask, SchedEnv, Subtask};
+use super::schedule::{ReadyTask, SchedEnv};
 use super::{ExecOptions, ExecReport, Executor};
 use crate::content_cache;
 use crate::encapsulation::{Encapsulation, Invocation, MultiInstanceMode, ToolInput, ToolOutput};
@@ -324,7 +324,7 @@ impl Executor {
             });
         }
         Ok(PreparedSubtask {
-            identity: TaskIdentity::of(Some(flow), &subtask.outputs),
+            identity: TaskIdentity::of_subtask(flow, subtask),
             subtask: subtask.clone(),
             enc,
             tool_entity: lookup_entity,
@@ -579,7 +579,7 @@ impl PreparedSubtask {
             options
                 .tracer
                 .instant("content_cache_wait", task_span, |a| {
-                    a.str("key", key.to_hex().as_str());
+                    a.str("key", key.to_hex());
                 });
         }
         let mut attempts = 0u32;

@@ -36,7 +36,7 @@ use crate::error::ExecError;
 use crate::policy::{FailurePolicy, RetryPolicy};
 
 pub(crate) use record::{node_list, TaskIdentity};
-pub(crate) use schedule::{dependency_edges, group_subtasks, subtask_priorities};
+pub(crate) use schedule::{dependency_edges, subtask_priorities};
 
 /// Options controlling one execution.
 #[derive(Debug, Clone)]
@@ -363,11 +363,11 @@ impl Executor {
 
 #[cfg(test)]
 mod tests {
-    use super::schedule::Subtask;
     use super::*;
     use crate::encapsulation::MultiInstanceMode;
     use crate::toy::{self, TextTool};
     use hercules_flow::Expansion;
+    use hercules_flow::Subtask;
     use hercules_history::Metadata;
     use hercules_schema::fixtures;
     use std::collections::HashSet;
@@ -648,7 +648,7 @@ mod tests {
     fn content_keys_ignore_instance_numbering() {
         let (schema, _, _) = setup();
         let (flow, _) = perf_flow(&schema);
-        let subtasks = group_subtasks(&flow).expect("grouped");
+        let subtasks = flow.subtasks().expect("grouped");
         let prepare = |unrelated_first: bool| {
             let mut db = HistoryDb::new(schema.clone());
             if unrelated_first {
@@ -893,7 +893,7 @@ mod tests {
         let flow = hercules_flow::fixtures::fig6(schema.clone()).expect("fixture");
         let mut binding = Binding::new();
         binding.bind_latest(&flow, &db);
-        let subtasks = group_subtasks(&flow).expect("grouped");
+        let subtasks = flow.subtasks().expect("grouped");
         let producers_of = dependency_edges(&subtasks, |n| !binding.get(n).is_empty()).producers_of;
         let priorities = subtask_priorities(&subtasks, &producers_of);
         assert!(priorities.iter().any(|&p| p > 2), "fig6 has chains");
@@ -901,7 +901,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Generated DAGs in topological order, as `group_subtasks`
+        /// Generated DAGs in topological order, as `TaskGraph::subtasks`
         /// emits them: subtask `i` has 1–3 outputs and draws its
         /// producers from the subtasks before it.
         #[test]

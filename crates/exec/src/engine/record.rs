@@ -3,14 +3,15 @@
 //! subtask.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
-use hercules_flow::{NodeId, TaskGraph};
+use hercules_flow::{NodeId, Subtask, TaskGraph};
 use hercules_history::{Derivation, HistoryDb, InstanceId, Metadata};
 use hercules_obs::AttrList;
 use hercules_schema::EntityTypeId;
 
 use super::dispatch::{PreparedSubtask, RunResult};
-use super::schedule::Subtask;
 use super::{ExecReport, TaskAction};
 use crate::binding::Binding;
 use crate::error::ExecError;
@@ -136,17 +137,18 @@ impl<'a> Recorder<'a> {
 /// How traces name one subtask. Live task spans, the spans
 /// [`crate::report_to_trace`] rebuilds from a report, and those
 /// [`crate::schedule_to_trace`] draws from a plan all carry it, so the
-/// profiler derives one task DAG from any of them.
+/// profiler derives one task DAG from any of them. The strings are
+/// shared with the spans that carry them, not copied per span.
 pub(crate) struct TaskIdentity {
     /// `<entity>#n<index>`: the entity whose encapsulation runs (the
     /// tool's, or the output's for a composition) and the first output
     /// node, unique per subtask within one flow.
-    pub(crate) label: String,
+    pub(crate) label: Arc<str>,
     /// Output nodes (see [`node_list`]).
-    outputs: String,
+    outputs: Arc<str>,
     /// Dependency nodes, data inputs then the tool node; unknown
     /// without the flow.
-    inputs: Option<String>,
+    inputs: Option<Arc<str>>,
 }
 
 impl TaskIdentity {
@@ -154,36 +156,50 @@ impl TaskIdentity {
     /// Without the flow the label names no entity (`task#n<index>`)
     /// and there is no `inputs` attribute.
     pub(crate) fn of(flow: Option<&TaskGraph>, outputs: &[NodeId]) -> TaskIdentity {
-        let subtask = flow
-            .zip(outputs.first())
-            .map(|(flow, &first)| (flow, Subtask::of_node(flow, first)));
+        match flow.zip(outputs.first()) {
+            Some((flow, &first)) => {
+                TaskIdentity::build(Some((flow, &Subtask::of_node(flow, first))), outputs)
+            }
+            None => TaskIdentity::build(None, outputs),
+        }
+    }
+
+    /// The identity of `subtask`, one of `flow`'s subtasks.
+    pub(crate) fn of_subtask(flow: &TaskGraph, subtask: &Subtask) -> TaskIdentity {
+        TaskIdentity::build(Some((flow, subtask)), &subtask.outputs)
+    }
+
+    fn build(subtask: Option<(&TaskGraph, &Subtask)>, outputs: &[NodeId]) -> TaskIdentity {
         let entity = subtask
-            .as_ref()
             .and_then(|(flow, s)| {
                 let entity = flow.entity_of(s.tool.unwrap_or(s.outputs[0])).ok()?;
                 Some(flow.schema().entity(entity).name())
             })
             .unwrap_or("task");
+        // Each string is written into one scratch buffer, then copied
+        // once into its shared allocation.
+        let mut text = String::with_capacity(32);
         TaskIdentity {
-            label: match outputs.first() {
-                Some(first) => format!("{entity}#n{}", first.index()),
-                None => entity.to_owned(),
-            },
-            outputs: node_list(outputs),
-            inputs: subtask.map(|(_, s)| {
-                let mut deps = s.inputs;
-                deps.extend(s.tool);
-                node_list(&deps)
+            label: shared(&mut text, |out| {
+                out.push_str(entity);
+                if let Some(first) = outputs.first() {
+                    let _ = write!(out, "#n{}", first.index());
+                }
             }),
+            outputs: shared(&mut text, |out| {
+                push_node_list(out, outputs.iter().copied())
+            }),
+            inputs: subtask
+                .map(|(_, s)| shared(&mut text, |out| push_node_list(out, s.dependencies()))),
         }
     }
 
     /// Adds the `task`, `outputs` and `inputs` attributes to a span.
     pub(crate) fn attach(&self, attrs: &mut AttrList) {
-        attrs.str("task", self.label.as_str());
-        attrs.str("outputs", self.outputs.as_str());
+        attrs.str("task", self.label.clone());
+        attrs.str("outputs", self.outputs.clone());
         if let Some(inputs) = &self.inputs {
-            attrs.str("inputs", inputs.as_str());
+            attrs.str("inputs", inputs.clone());
         }
     }
 }
@@ -192,12 +208,20 @@ impl TaskIdentity {
 /// attributes (the profiler derives the task DAG from these).
 pub(crate) fn node_list(nodes: &[NodeId]) -> String {
     let mut out = String::new();
-    for (i, n) in nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push('n');
-        out.push_str(&n.index().to_string());
-    }
+    push_node_list(&mut out, nodes.iter().copied());
     out
+}
+
+/// Renders `write`'s text into `scratch` and shares a copy of it.
+fn shared(scratch: &mut String, write: impl FnOnce(&mut String)) -> Arc<str> {
+    scratch.clear();
+    write(scratch);
+    Arc::from(scratch.as_str())
+}
+
+/// Appends [`node_list`]'s rendering of `nodes` to `out`.
+fn push_node_list(out: &mut String, nodes: impl IntoIterator<Item = NodeId>) {
+    for (i, n) in nodes.into_iter().enumerate() {
+        let _ = write!(out, "{}n{}", if i > 0 { " " } else { "" }, n.index());
+    }
 }

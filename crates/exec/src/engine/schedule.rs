@@ -7,7 +7,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::{mpsc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-use hercules_flow::{NodeId, TaskGraph};
+use hercules_flow::{NodeId, Subtask, TaskGraph};
 use hercules_history::HistoryDb;
 use hercules_obs::{names, Metrics, SpanId, Tracer};
 use hercules_schema::TaskSchema;
@@ -20,52 +20,6 @@ use crate::binding::Binding;
 use crate::error::ExecError;
 use crate::policy::FailurePolicy;
 use crate::supervise;
-
-/// One grouped subtask: output nodes sharing a tool application.
-#[derive(Debug, Clone)]
-pub(crate) struct Subtask {
-    pub(crate) outputs: Vec<NodeId>,
-    pub(crate) tool: Option<NodeId>,
-    pub(crate) inputs: Vec<NodeId>,
-}
-
-impl Subtask {
-    /// The one-output subtask that constructs `node`: its tool node and
-    /// its data inputs, sorted. [`group_subtasks`] merges those that
-    /// share both, so every output of a subtask reads the same.
-    pub(crate) fn of_node(flow: &TaskGraph, node: NodeId) -> Subtask {
-        let mut inputs = flow.data_inputs_of(node);
-        inputs.sort();
-        Subtask {
-            outputs: vec![node],
-            tool: flow.tool_of(node),
-            inputs,
-        }
-    }
-}
-
-/// Groups the interior nodes of a flow into subtasks: nodes sharing the
-/// same tool node *and* the same data-input set form one multi-output
-/// subtask (Fig. 5). Subtasks come in topological order.
-pub(crate) fn group_subtasks(flow: &TaskGraph) -> Result<Vec<Subtask>, ExecError> {
-    let order = flow.topo_order()?;
-    let mut subtasks: Vec<Subtask> = Vec::new();
-    for node in order {
-        if !flow.is_expanded(node) {
-            continue;
-        }
-        let own = Subtask::of_node(flow, node);
-        if let Some(existing) = subtasks
-            .iter_mut()
-            .find(|s| s.tool == own.tool && own.tool.is_some() && s.inputs == own.inputs)
-        {
-            existing.outputs.push(node);
-            continue;
-        }
-        subtasks.push(own);
-    }
-    Ok(subtasks)
-}
 
 /// The subtask-level dependency graph.
 pub(crate) struct Edges {
@@ -96,7 +50,7 @@ pub(crate) fn dependency_edges(subtasks: &[Subtask], bound: impl Fn(NodeId) -> b
     };
     for (i, s) in subtasks.iter().enumerate() {
         let mut seen = HashSet::new();
-        for dep in s.inputs.iter().copied().chain(s.tool) {
+        for dep in s.dependencies() {
             match producer.get(&dep) {
                 Some(&j) if j != i => {
                     if seen.insert(j) {
@@ -122,7 +76,7 @@ pub(crate) fn dependency_edges(subtasks: &[Subtask], bound: impl Fn(NodeId) -> b
 /// one per output), i.e. its own cost plus that of its costliest chain
 /// of consumers. The longest pole dispatches first, so a straggler
 /// branch starts as early as its dependencies allow. Subtasks come in
-/// topological order (see [`group_subtasks`]), so a reverse sweep has
+/// topological order (see [`TaskGraph::subtasks`]), so a reverse sweep has
 /// every consumer's length final before its producers read it.
 pub(crate) fn subtask_priorities(subtasks: &[Subtask], producers_of: &[Vec<usize>]) -> Vec<u64> {
     let mut down = vec![0u64; subtasks.len()];
@@ -309,7 +263,7 @@ impl ReadyQueue {
         candidates.sort_by(|a, b| b.cmp(a));
         let labels: Vec<&str> = candidates
             .iter()
-            .map(|t| t.prepared.identity.label.as_str())
+            .map(|t| &*t.prepared.identity.label)
             .collect();
         let pick = interleave.choose_labeled(&labels);
         let task = candidates.swap_remove(pick);
@@ -345,7 +299,7 @@ impl Executor {
 
         let tracer = &self.options.tracer;
         let mut rec = Recorder::new(db, binding, &self.options.user);
-        let subtasks = group_subtasks(flow)?;
+        let subtasks = flow.subtasks()?;
         let total = subtasks.len();
 
         // One scheduler epoch spans the whole execution — the parent of

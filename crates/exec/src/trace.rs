@@ -107,7 +107,7 @@ pub fn report_to_trace(report: &ExecReport, flow: Option<&TaskGraph>) -> Vec<Tra
             kind: EventKind::End,
             id,
             parent: SpanId::NONE,
-            name: String::new(),
+            name: "".into(),
             mono_ns: end,
             wall_unix_ms: 0,
             tid: lane,
@@ -126,7 +126,10 @@ pub fn report_to_trace(report: &ExecReport, flow: Option<&TaskGraph>) -> Vec<Tra
                 mono_ns: record.started.as_nanos() as u64,
                 wall_unix_ms: 0,
                 tid: 0,
-                attrs: vec![("outputs".into(), AttrValue::Str(node_list(&record.outputs)))],
+                attrs: vec![(
+                    "outputs".into(),
+                    AttrValue::Str(node_list(&record.outputs).into()),
+                )],
             });
         }
     }
@@ -134,7 +137,7 @@ pub fn report_to_trace(report: &ExecReport, flow: Option<&TaskGraph>) -> Vec<Tra
         kind: EventKind::End,
         id: root,
         parent: SpanId::NONE,
-        name: String::new(),
+        name: "".into(),
         mono_ns: root_end,
         wall_unix_ms: 0,
         tid: 0,
@@ -185,7 +188,7 @@ pub fn schedule_to_trace(schedule: &Schedule, flow: Option<&TaskGraph>) -> Vec<T
             kind: EventKind::End,
             id,
             parent: SpanId::NONE,
-            name: String::new(),
+            name: "".into(),
             mono_ns: task.end.max(task.start + 1) * UNIT_NS,
             wall_unix_ms: 0,
             tid: task.machine as u64,
@@ -196,7 +199,7 @@ pub fn schedule_to_trace(schedule: &Schedule, flow: Option<&TaskGraph>) -> Vec<T
         kind: EventKind::End,
         id: root,
         parent: SpanId::NONE,
-        name: String::new(),
+        name: "".into(),
         mono_ns: schedule.makespan * UNIT_NS,
         wall_unix_ms: 0,
         tid: 0,

@@ -175,7 +175,7 @@ impl TaskGraph {
             })?;
 
         let consumer_node = self.add_node_raw(consumer)?;
-        self.edges.push(FlowEdge {
+        self.push_edge(FlowEdge {
             source,
             target: consumer_node,
             kind: matched.kind(),
@@ -220,7 +220,7 @@ impl TaskGraph {
                     n
                 }
             };
-            self.edges.push(FlowEdge {
+            self.push_edge(FlowEdge {
                 source: source_node,
                 target,
                 kind: dep.kind(),
@@ -347,6 +347,7 @@ impl TaskGraph {
             }
         }
         self.edges.retain(|e| e.target != node);
+        self.reindex();
         let mut removed = Vec::new();
         loop {
             let mut changed = false;
@@ -356,6 +357,7 @@ impl TaskGraph {
                 }
                 if self.consumers_of(c).next().is_none() {
                     self.edges.retain(|e| e.target != c);
+                    self.reindex();
                     self.nodes[c.index()] = None;
                     removed.push(c);
                     changed = true;

@@ -39,7 +39,21 @@ pub struct TaskGraph {
     pub(crate) schema: Arc<TaskSchema>,
     /// Node slots; `None` is a tombstone left by removal.
     pub(crate) nodes: Vec<Option<FlowNode>>,
+    /// Edges in creation order. Added only through
+    /// [`TaskGraph::push_edge`]; whoever removes some calls
+    /// [`TaskGraph::reindex`].
     pub(crate) edges: Vec<FlowEdge>,
+    /// Per node slot, the indexes into `edges` of its producer and
+    /// consumer edges, in edge order: the adjacency queries walk a
+    /// node's own edges instead of every edge.
+    adjacency: Vec<Adjacency>,
+}
+
+/// One node slot's edges, as indexes into [`TaskGraph::edges`].
+#[derive(Debug, Clone, Default)]
+struct Adjacency {
+    producers: Vec<usize>,
+    consumers: Vec<usize>,
 }
 
 impl TaskGraph {
@@ -49,6 +63,35 @@ impl TaskGraph {
             schema,
             nodes: Vec::new(),
             edges: Vec::new(),
+            adjacency: Vec::new(),
+        }
+    }
+
+    /// Appends an edge between existing node slots and indexes it.
+    pub(crate) fn push_edge(&mut self, edge: FlowEdge) {
+        let index = self.edges.len();
+        self.index_edge(index, &edge);
+        self.edges.push(edge);
+    }
+
+    fn index_edge(&mut self, index: usize, edge: &FlowEdge) {
+        let slots = edge.source.index().max(edge.target.index()) + 1;
+        if self.adjacency.len() < slots {
+            self.adjacency.resize_with(slots, Adjacency::default);
+        }
+        self.adjacency[edge.target.index()].producers.push(index);
+        self.adjacency[edge.source.index()].consumers.push(index);
+    }
+
+    /// Rebuilds the adjacency index after edges were removed.
+    pub(crate) fn reindex(&mut self) {
+        for slot in &mut self.adjacency {
+            slot.producers.clear();
+            slot.consumers.clear();
+        }
+        for index in 0..self.edges.len() {
+            let edge = self.edges[index];
+            self.index_edge(index, &edge);
         }
     }
 
@@ -125,15 +168,24 @@ impl TaskGraph {
     }
 
     /// Returns the incoming (producer) edges of `id`: the tool and data
-    /// inputs of the task that constructs it.
+    /// inputs of the task that constructs it, in edge order. Costs
+    /// O(in-degree).
     pub fn producers_of(&self, id: NodeId) -> impl Iterator<Item = &FlowEdge> + '_ {
-        self.edges.iter().filter(move |e| e.target == id)
+        let indexes = self
+            .adjacency
+            .get(id.index())
+            .map_or(&[][..], |a| &a.producers);
+        indexes.iter().map(move |&i| &self.edges[i])
     }
 
     /// Returns the outgoing (consumer) edges of `id`: the tasks this node
-    /// feeds.
+    /// feeds, in edge order. Costs O(out-degree).
     pub fn consumers_of(&self, id: NodeId) -> impl Iterator<Item = &FlowEdge> + '_ {
-        self.edges.iter().filter(move |e| e.source == id)
+        let indexes = self
+            .adjacency
+            .get(id.index())
+            .map_or(&[][..], |a| &a.consumers);
+        indexes.iter().map(move |&i| &self.edges[i])
     }
 
     /// Returns the node supplying the tool for `id`'s task, if expanded.
@@ -326,7 +378,7 @@ impl TaskGraph {
         let map = |old: NodeId| mapping.iter().find(|(o, _)| *o == old).map(|(_, n)| *n);
         for e in &self.edges {
             if let (Some(s), Some(t)) = (map(e.source), map(e.target)) {
-                sub.edges.push(FlowEdge {
+                sub.push_edge(FlowEdge {
                     source: s,
                     target: t,
                     kind: e.kind,
@@ -354,13 +406,8 @@ impl TaskGraph {
                     continue;
                 }
                 comp[cur.index()] = c;
-                for e in &self.edges {
-                    if e.source == cur {
-                        stack.push(e.target);
-                    } else if e.target == cur {
-                        stack.push(e.source);
-                    }
-                }
+                stack.extend(self.consumers_of(cur).map(|e| e.target));
+                stack.extend(self.producers_of(cur).map(|e| e.source));
             }
         }
         let mut out = vec![Vec::new(); next];
@@ -408,7 +455,7 @@ impl TaskGraph {
     ) -> Result<(), FlowError> {
         self.node(source)?;
         self.node(target)?;
-        self.edges.push(FlowEdge {
+        self.push_edge(FlowEdge {
             source,
             target,
             kind,

@@ -61,6 +61,7 @@ mod graph;
 mod menu;
 mod node;
 mod spec;
+mod subtask;
 mod validate;
 
 pub mod fixtures;
@@ -75,3 +76,4 @@ pub use graph::TaskGraph;
 pub use menu::NodeMenu;
 pub use node::{FlowEdge, FlowNode, NodeId};
 pub use spec::{FlowEdgeSpec, FlowNodeSpec, FlowSpec};
+pub use subtask::Subtask;

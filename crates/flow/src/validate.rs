@@ -8,7 +8,7 @@
 
 use std::collections::HashSet;
 
-use hercules_schema::Dependency;
+use hercules_schema::{Dependency, EntityTypeId};
 
 use crate::error::FlowError;
 use crate::graph::TaskGraph;
@@ -40,7 +40,16 @@ impl TaskGraph {
     /// is structurally valid. This is the collector behind both the
     /// pass/fail gate and `herclint`'s exhaustive reporting.
     pub fn validate_all(&self) -> Vec<FlowError> {
+        self.check(false)
+    }
+
+    /// The checks behind [`TaskGraph::validate_all`] and, with
+    /// `completeness`, [`TaskGraph::validate_for_execution_all`]: each
+    /// node's edges are matched to dependency arcs once, and an interior
+    /// node's missing arcs come from that same matching.
+    fn check(&self, completeness: bool) -> Vec<FlowError> {
         let mut out = Vec::new();
+        let mut incomplete = Vec::new();
         if let Err(e) = self.topo_order() {
             out.push(e);
         }
@@ -62,10 +71,26 @@ impl TaskGraph {
             if functional > 1 {
                 out.push(FlowError::DuplicateFunctionalEdge(id));
             }
-            if let Err(e) = self.match_edges_to_deps(id) {
-                out.push(e);
+            match self.match_edges_to_deps(id) {
+                Err(e) => out.push(e),
+                // A matching is empty exactly when the node has no
+                // producer edges, i.e. is a leaf.
+                Ok(assignment) if completeness && !assignment.is_empty() => {
+                    let Ok(entity) = self.entity_of(id) else {
+                        continue;
+                    };
+                    let schema = self.schema();
+                    for dep in self.unmatched_required(entity, &assignment) {
+                        incomplete.push(FlowError::IncompleteExpansion {
+                            entity: schema.entity(entity).name().to_owned(),
+                            missing: schema.entity(dep.source()).name().to_owned(),
+                        });
+                    }
+                }
+                Ok(_) => {}
             }
         }
+        out.extend(incomplete);
         out
     }
 
@@ -86,25 +111,10 @@ impl TaskGraph {
 
     /// As [`TaskGraph::validate_all`], plus one
     /// [`FlowError::IncompleteExpansion`] per missing required
-    /// dependency of every interior node.
+    /// dependency of every interior node whose edges match (in node
+    /// order, after every structural violation).
     pub fn validate_for_execution_all(&self) -> Vec<FlowError> {
-        let mut out = self.validate_all();
-        for id in self.interior() {
-            // Nodes whose edges cannot be matched were already reported.
-            let Ok(missing) = self.missing_deps(id) else {
-                continue;
-            };
-            let Ok(entity) = self.entity_of(id) else {
-                continue;
-            };
-            for dep in missing {
-                out.push(FlowError::IncompleteExpansion {
-                    entity: self.schema().entity(entity).name().to_owned(),
-                    missing: self.schema().entity(dep.source()).name().to_owned(),
-                });
-            }
-        }
-        out
+        self.check(true)
     }
 
     /// Returns `true` if every required dependency of `id`'s entity has a
@@ -126,13 +136,24 @@ impl TaskGraph {
     pub fn missing_deps(&self, id: NodeId) -> Result<Vec<Dependency>, FlowError> {
         let entity = self.entity_of(id)?;
         let assignment = self.match_edges_to_deps(id)?;
-        let deps = self.schema().deps_of(entity);
-        Ok(deps
+        Ok(self.unmatched_required(entity, &assignment))
+    }
+
+    /// The required arcs of `entity` that `assignment` (from
+    /// [`TaskGraph::match_edges_to_deps`]) leaves unmatched, in schema
+    /// order.
+    fn unmatched_required(
+        &self,
+        entity: EntityTypeId,
+        assignment: &[Option<usize>],
+    ) -> Vec<Dependency> {
+        self.schema()
+            .deps_of(entity)
             .iter()
             .enumerate()
             .filter(|(di, d)| d.is_required() && !assignment.contains(&Some(*di)))
             .map(|(_, d)| **d)
-            .collect())
+            .collect()
     }
 
     /// Matches the incoming edges of `id` one-to-one to dependency arcs

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use crate::span::{json, AttrValue, EventKind, SpanId, TraceEvent};
+use crate::span::{json, Attr, EventKind, SpanId, TraceEvent};
 
 /// Renders `events` as a Chrome `trace_event` JSON document (an object
 /// with a `traceEvents` array, which both viewers accept).
@@ -72,7 +72,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
 }
 
 fn push_args(out: &mut String, begin: &TraceEvent, end: Option<&TraceEvent>) {
-    let end_attrs: &[(String, AttrValue)] = end.map(|e| e.attrs.as_slice()).unwrap_or(&[]);
+    let end_attrs: &[Attr] = end.map(|e| e.attrs.as_slice()).unwrap_or(&[]);
     if begin.attrs.is_empty() && end_attrs.is_empty() && begin.parent.is_none() {
         return;
     }
@@ -90,13 +90,7 @@ fn push_args(out: &mut String, begin: &TraceEvent, end: Option<&TraceEvent>) {
         first = false;
         json::push_string(out, k);
         out.push(':');
-        match v {
-            AttrValue::Str(s) => json::push_string(out, s),
-            AttrValue::Int(n) => out.push_str(&n.to_string()),
-            AttrValue::UInt(n) => out.push_str(&n.to_string()),
-            AttrValue::Float(f) => json::push_float(out, *f),
-            AttrValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        }
+        json::push_value(out, v);
     }
     out.push('}');
 }

@@ -9,19 +9,22 @@
 //! * [`TraceEvent`] / [`SpanId`] — spans with ids, parents, monotonic
 //!   *and* wall-clock timestamps, a thread lane, and typed attributes;
 //! * [`Tracer`] — a cheap, clonable, thread-safe handle that allocates
-//!   span ids and emits events; a disabled tracer is a few branch
-//!   instructions per call site, so instrumentation can stay threaded
-//!   through release builds;
-//! * [`Collector`] — the pluggable sink trait, with a bounded
-//!   [`RingBuffer`], a [`MultiCollector`] fan-out, and
-//!   [`chrome::to_chrome_trace`] for `about://tracing` /
-//!   Perfetto-loadable `trace_event` JSON;
+//!   span ids and moves each event into its ring; a disabled tracer is
+//!   a few branch instructions per call site, so instrumentation can
+//!   stay threaded through release builds. Span names and attribute
+//!   keys are `&'static str` literals and string values are shared, so
+//!   recording an event allocates only its attribute list;
+//! * [`RingBuffer`] — the bounded, numbered store of recent events:
+//!   the one place an event is kept, read by `trace`/`profile`,
+//!   [`chrome::to_chrome_trace`] (`about://tracing` /
+//!   Perfetto-loadable `trace_event` JSON) and the flight recorder;
 //! * [`Metrics`] — a registry of counters, gauges, and histograms with
 //!   fixed log₂ bucket boundaries (reproducible across runs, mergeable
-//!   across processes);
-//! * [`FlightRecorder`] — a bounded ring of encoded telemetry lines
-//!   (spans, instants, metric deltas) feeding the durable
-//!   `telemetry-N.jsonl` workspace sidecar;
+//!   across processes); updating a name already present allocates
+//!   nothing;
+//! * [`FlightRecorder`] — encodes, at drain time, the ring events after
+//!   its cursor (and periodic metric deltas) into one reused buffer of
+//!   JSONL lines for the durable `telemetry-N.jsonl` workspace sidecar;
 //! * [`HealthReport`] — typed ok/warn/critical aggregation of store,
 //!   scheduler, cache, and design-history staleness signals under
 //!   configurable [`HealthThresholds`];
@@ -66,11 +69,11 @@ mod recorder;
 mod span;
 mod tracer;
 
-pub use collect::{Collector, MultiCollector, RingBuffer};
+pub use collect::RingBuffer;
 pub use health::{
     AnalysisHealth, HealthCheck, HealthReport, HealthStatus, HealthThresholds, StoreHealth,
 };
 pub use metrics::{HistogramSnapshot, Metrics, MetricsSnapshot};
-pub use recorder::{FlightRecorder, DEFAULT_RECORDER_BUDGET};
-pub use span::{AttrList, AttrValue, EventKind, SpanId, TraceEvent};
+pub use recorder::FlightRecorder;
+pub use span::{Attr, AttrList, AttrValue, EventKind, SpanId, TraceEvent};
 pub use tracer::{RealTime, TimeSource, Tracer};

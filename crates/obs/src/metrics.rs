@@ -4,7 +4,7 @@
 //! from different runs (or different processes) line up exactly and can
 //! be merged by summing buckets — no configuration to drift.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use crate::span::json;
@@ -59,11 +59,13 @@ impl Histogram {
     }
 }
 
+/// The live registry. Hash maps, so an update finds its name with one
+/// hash and one key comparison; [`Metrics::snapshot`] sorts by name.
 #[derive(Debug, Default)]
 struct MetricsInner {
-    counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, i64>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
+    counters: Mutex<HashMap<String, u64>>,
+    gauges: Mutex<HashMap<String, i64>>,
+    histograms: Mutex<HashMap<String, Histogram>>,
 }
 
 /// A clonable, thread-safe metrics handle. Like [`Tracer`], a disabled
@@ -97,7 +99,7 @@ impl Metrics {
     pub fn incr(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
             let mut counters = inner.counters.lock().unwrap_or_else(|e| e.into_inner());
-            *counters.entry(name.to_owned()).or_insert(0) += delta;
+            update(&mut counters, name, |counter| *counter += delta);
         }
     }
 
@@ -105,7 +107,7 @@ impl Metrics {
     pub fn gauge_set(&self, name: &str, value: i64) {
         if let Some(inner) = &self.inner {
             let mut gauges = inner.gauges.lock().unwrap_or_else(|e| e.into_inner());
-            gauges.insert(name.to_owned(), value);
+            update(&mut gauges, name, |gauge| *gauge = value);
         }
     }
 
@@ -113,7 +115,7 @@ impl Metrics {
     pub fn observe(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
             let mut hists = inner.histograms.lock().unwrap_or_else(|e| e.into_inner());
-            hists.entry(name.to_owned()).or_default().observe(value);
+            update(&mut hists, name, |hist| hist.observe(value));
         }
     }
 
@@ -133,12 +135,16 @@ impl Metrics {
             .counters
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .clone();
+            .iter()
+            .map(|(name, &v)| (name.clone(), v))
+            .collect();
         let gauges = inner
             .gauges
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .clone();
+            .iter()
+            .map(|(name, &v)| (name.clone(), v))
+            .collect();
         let histograms = inner
             .histograms
             .lock()
@@ -162,6 +168,15 @@ impl Metrics {
             gauges,
             histograms,
         }
+    }
+}
+
+/// Applies `apply` to the entry `name`, first inserting a default one.
+/// A name already present is found without allocating its key.
+fn update<V: Default>(map: &mut HashMap<String, V>, name: &str, apply: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(value) => apply(value),
+        None => apply(map.entry(name.to_owned()).or_default()),
     }
 }
 
@@ -317,44 +332,55 @@ impl MetricsSnapshot {
 
     /// JSON object rendering (for `BENCH_exec.json` and tooling).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`MetricsSnapshot::to_json`]'s object to `out`.
+    pub fn encode_into(&self, out: &mut String) {
+        out.push_str("{\"counters\":{");
+        for (i, (name, &v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            json::push_string(&mut out, name);
+            json::push_string(out, name);
             out.push(':');
-            out.push_str(&v.to_string());
+            json::push_u64(out, v);
         }
         out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
+        for (i, (name, &v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            json::push_string(&mut out, name);
+            json::push_string(out, name);
             out.push(':');
-            out.push_str(&v.to_string());
+            json::push_i64(out, v);
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            json::push_string(&mut out, name);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":",
-                h.count, h.sum, h.min, h.max
-            ));
-            json::push_float(&mut out, h.mean());
-            out.push_str(&format!(
-                ",\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                h.quantile(0.5),
-                h.quantile(0.95),
-                h.quantile(0.99)
-            ));
+            json::push_string(out, name);
+            for (key, v) in [
+                (":{\"count\":", h.count),
+                (",\"sum\":", h.sum),
+                (",\"min\":", h.min),
+                (",\"max\":", h.max),
+            ] {
+                out.push_str(key);
+                json::push_u64(out, v);
+            }
+            out.push_str(",\"mean\":");
+            json::push_float(out, h.mean());
+            for (key, q) in [(",\"p50\":", 0.5), (",\"p95\":", 0.95), (",\"p99\":", 0.99)] {
+                out.push_str(key);
+                json::push_u64(out, h.quantile(q));
+            }
+            out.push('}');
         }
         out.push_str("}}");
-        out
     }
 }
 
@@ -514,6 +540,13 @@ mod tests {
         assert!(j.contains("\"tasks\":5"));
         assert!(j.contains("\"workers\":8"));
         assert!(j.contains("\"count\":1"));
+        assert_eq!(
+            j,
+            "{\"counters\":{\"tasks\":5},\"gauges\":{\"workers\":8},\"histograms\":{\"lat\":\
+             {\"count\":1,\"sum\":5,\"min\":5,\"max\":5,\"mean\":5,\"p50\":4,\"p95\":4,\"p99\":4}}}"
+        );
+        m.gauge_set("workers", -2);
+        assert!(m.snapshot().to_json().contains("\"workers\":-2"));
         let text = snap.render_text();
         assert!(text.contains("tasks"));
         assert!(text.contains("workers"));

@@ -8,9 +8,10 @@
 //! input of B. This keeps the crate dependency-free while letting the
 //! executor (which knows the graph) encode the exact DAG it ran.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::span::{AttrValue, EventKind, SpanId, TraceEvent};
+use crate::span::{Attr, AttrValue, EventKind, SpanId, TraceEvent};
 
 /// A reconstructed span: one Begin matched with its End.
 #[derive(Debug, Clone)]
@@ -20,7 +21,7 @@ pub struct Span {
     /// Parent span id ([`SpanId::NONE`] for roots).
     pub parent: SpanId,
     /// Span name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Start, monotonic ns.
     pub start_ns: u64,
     /// End, monotonic ns. Unclosed spans are truncated at the trace's
@@ -30,7 +31,7 @@ pub struct Span {
     pub tid: u64,
     /// Begin and End attributes, merged (End wins on key collision
     /// order — both are kept, lookups find the first).
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Vec<Attr>,
 }
 
 impl Span {
@@ -535,7 +536,7 @@ pub fn render_tree(spans: &[Span]) -> String {
         let label = span
             .attr_str("task")
             .map(|t| format!("{} [{}]", span.name, t))
-            .unwrap_or_else(|| span.name.clone());
+            .unwrap_or_else(|| span.name.to_string());
         out.push_str(&format!(
             "{:indent$}{} {} (+{})\n",
             "",
@@ -682,7 +683,7 @@ mod tests {
         assert!(down["b"] >= 5 && down["c"] >= 5, "cycle guard terminates");
     }
 
-    fn ev(kind: EventKind, id: u64, parent: u64, name: &str, t: u64) -> TraceEvent {
+    fn ev(kind: EventKind, id: u64, parent: u64, name: &'static str, t: u64) -> TraceEvent {
         TraceEvent {
             kind,
             id: SpanId(id),

@@ -1,6 +1,8 @@
 //! Span and event types: the wire format of the tracing core.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of one span within a trace. Ids are allocated by the
 /// [`Tracer`](crate::Tracer) and unique within its lifetime; `NONE`
@@ -27,8 +29,9 @@ impl fmt::Display for SpanId {
 /// A typed attribute value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
-    /// A string.
-    Str(String),
+    /// A string. Shared, so a string the emitter keeps (a subtask's
+    /// identity, say) is recorded by a reference-count increment.
+    Str(Arc<str>),
     /// A signed integer.
     Int(i64),
     /// An unsigned integer (ids, counts, byte sizes, nanoseconds).
@@ -51,41 +54,50 @@ impl fmt::Display for AttrValue {
     }
 }
 
+/// One attribute: its key and value. Keys recorded by a tracer are
+/// `&'static str` literals, borrowed; parsed or rebuilt events may own
+/// theirs.
+pub type Attr = (Cow<'static, str>, AttrValue);
+
 /// A builder over an attribute list, passed to the `*_with` tracer
 /// methods so attribute construction is skipped entirely when tracing
 /// is disabled.
 #[derive(Debug, Default)]
 pub struct AttrList {
-    pairs: Vec<(String, AttrValue)>,
+    pairs: Vec<Attr>,
 }
 
 impl AttrList {
-    /// Adds a string attribute.
-    pub fn str(&mut self, key: &str, value: impl Into<String>) -> &mut AttrList {
-        self.pairs.push((key.into(), AttrValue::Str(value.into())));
+    /// Adds a string attribute. An `Arc<str>` value is shared, not
+    /// copied.
+    pub fn str(&mut self, key: &'static str, value: impl Into<Arc<str>>) -> &mut AttrList {
+        self.pairs
+            .push((Cow::Borrowed(key), AttrValue::Str(value.into())));
         self
     }
 
     /// Adds a signed integer attribute.
-    pub fn int(&mut self, key: &str, value: i64) -> &mut AttrList {
-        self.pairs.push((key.into(), AttrValue::Int(value)));
+    pub fn int(&mut self, key: &'static str, value: i64) -> &mut AttrList {
+        self.pairs.push((Cow::Borrowed(key), AttrValue::Int(value)));
         self
     }
 
     /// Adds an unsigned integer attribute.
-    pub fn uint(&mut self, key: &str, value: u64) -> &mut AttrList {
-        self.pairs.push((key.into(), AttrValue::UInt(value)));
+    pub fn uint(&mut self, key: &'static str, value: u64) -> &mut AttrList {
+        self.pairs
+            .push((Cow::Borrowed(key), AttrValue::UInt(value)));
         self
     }
 
     /// Adds a boolean attribute.
-    pub fn bool(&mut self, key: &str, value: bool) -> &mut AttrList {
-        self.pairs.push((key.into(), AttrValue::Bool(value)));
+    pub fn bool(&mut self, key: &'static str, value: bool) -> &mut AttrList {
+        self.pairs
+            .push((Cow::Borrowed(key), AttrValue::Bool(value)));
         self
     }
 
     /// Consumes the builder into its pairs.
-    pub fn into_pairs(self) -> Vec<(String, AttrValue)> {
+    pub fn into_pairs(self) -> Vec<Attr> {
         self.pairs
     }
 }
@@ -124,8 +136,9 @@ pub struct TraceEvent {
     /// Enclosing span, or [`SpanId::NONE`] for roots.
     pub parent: SpanId,
     /// Span or event name (`execute`, `epoch`, `task`, `attempt`,
-    /// `retry`, …).
-    pub name: String,
+    /// `retry`, …): a literal for events a tracer records, empty on
+    /// `End` records.
+    pub name: Cow<'static, str>,
     /// Monotonic nanoseconds since the tracer's epoch.
     pub mono_ns: u64,
     /// Wall-clock milliseconds since the Unix epoch (derived from the
@@ -135,7 +148,7 @@ pub struct TraceEvent {
     /// created the tracer saw it first).
     pub tid: u64,
     /// Typed attributes.
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Vec<Attr>,
 }
 
 impl TraceEvent {
@@ -155,63 +168,117 @@ impl TraceEvent {
     /// Encodes the event as one line of JSON (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`TraceEvent::to_json`]'s line to `out` without
+    /// allocating: the flight recorder encodes into one reused buffer.
+    pub fn encode_into(&self, out: &mut String) {
         out.push_str("{\"k\":\"");
         out.push_str(self.kind.code());
         out.push_str("\",\"id\":");
-        out.push_str(&self.id.0.to_string());
+        json::push_u64(out, self.id.0);
         out.push_str(",\"p\":");
-        out.push_str(&self.parent.0.to_string());
+        json::push_u64(out, self.parent.0);
         out.push_str(",\"n\":");
-        json::push_string(&mut out, &self.name);
+        json::push_string(out, &self.name);
         out.push_str(",\"t\":");
-        out.push_str(&self.mono_ns.to_string());
+        json::push_u64(out, self.mono_ns);
         out.push_str(",\"w\":");
-        out.push_str(&self.wall_unix_ms.to_string());
+        json::push_u64(out, self.wall_unix_ms);
         out.push_str(",\"tid\":");
-        out.push_str(&self.tid.to_string());
+        json::push_u64(out, self.tid);
         if !self.attrs.is_empty() {
             out.push_str(",\"a\":");
-            json::push_attrs(&mut out, &self.attrs);
+            json::push_attrs(out, &self.attrs);
         }
         out.push('}');
-        out
     }
 }
 
-/// Minimal JSON encoding helpers (the crate is dependency-free).
+/// Minimal JSON encoding helpers (the crate is dependency-free). None
+/// of them allocates beyond growing `out`.
 pub(crate) mod json {
-    use super::AttrValue;
+    use super::{Attr, AttrValue};
 
     /// Appends `s` as a JSON string literal.
     pub fn push_string(out: &mut String, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
         out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
+        // Copy runs of plain characters whole. Every byte escaped here
+        // is ASCII, so each cut falls on a character boundary.
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escaped = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            out.push_str(&s[run..i]);
+            if escaped.is_empty() {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            } else {
+                out.push_str(escaped);
+            }
+            run = i + 1;
+        }
+        out.push_str(&s[run..]);
+        out.push('"');
+    }
+
+    /// Appends `v` in decimal.
+    pub fn push_u64(out: &mut String, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
             }
         }
-        out.push('"');
+        out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    }
+
+    /// Appends `v` in decimal.
+    pub fn push_i64(out: &mut String, v: i64) {
+        if v < 0 {
+            out.push('-');
+        }
+        push_u64(out, v.unsigned_abs());
     }
 
     /// Appends a float in a JSON-safe rendering (no NaN/Inf literals).
     pub fn push_float(out: &mut String, v: f64) {
         if v.is_finite() {
-            out.push_str(&format!("{v}"));
+            use std::fmt::Write as _;
+            let _ = write!(out, "{v}");
         } else {
             out.push_str("null");
         }
     }
 
+    /// Appends one attribute value.
+    pub fn push_value(out: &mut String, v: &AttrValue) {
+        match v {
+            AttrValue::Str(s) => push_string(out, s),
+            AttrValue::Int(n) => push_i64(out, *n),
+            AttrValue::UInt(n) => push_u64(out, *n),
+            AttrValue::Float(f) => push_float(out, *f),
+            AttrValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        }
+    }
+
     /// Appends an attribute map `{"k":v,…}`.
-    pub fn push_attrs(out: &mut String, attrs: &[(String, AttrValue)]) {
+    pub fn push_attrs(out: &mut String, attrs: &[Attr]) {
         out.push('{');
         for (i, (k, v)) in attrs.iter().enumerate() {
             if i > 0 {
@@ -219,13 +286,7 @@ pub(crate) mod json {
             }
             push_string(out, k);
             out.push(':');
-            match v {
-                AttrValue::Str(s) => push_string(out, s),
-                AttrValue::Int(n) => out.push_str(&n.to_string()),
-                AttrValue::UInt(n) => out.push_str(&n.to_string()),
-                AttrValue::Float(f) => push_float(out, *f),
-                AttrValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            }
+            push_value(out, v);
         }
         out.push('}');
     }
@@ -250,6 +311,43 @@ mod tests {
         let j = ev.to_json();
         assert!(j.contains("quote\\\"back\\\\slash\\nnewline\\u0001"));
         assert!(j.contains("\"k\":null"), "NaN must not leak: {j}");
+    }
+
+    #[test]
+    fn integers_and_strings_encode_without_formatting() {
+        let mut out = String::new();
+        for v in [0, 7, 10, 1_577_836_800_123, u64::MAX] {
+            out.clear();
+            json::push_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        for v in [0, -1, 42, i64::MIN, i64::MAX] {
+            out.clear();
+            json::push_i64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        out.clear();
+        json::push_string(&mut out, "π \u{1f}x\u{7f}\t");
+        assert_eq!(out, "\"π \\u001fx\u{7f}\\t\"");
+        let ev = TraceEvent {
+            kind: EventKind::Begin,
+            id: SpanId(12),
+            parent: SpanId(3),
+            name: "task".into(),
+            mono_ns: 1_000_000_007,
+            wall_unix_ms: 1_577_836_800_123,
+            tid: 1,
+            attrs: vec![
+                ("outputs".into(), AttrValue::Str("n1 n2".into())),
+                ("delta".into(), AttrValue::Int(-5)),
+                ("ok".into(), AttrValue::Bool(true)),
+            ],
+        };
+        assert_eq!(
+            ev.to_json(),
+            "{\"k\":\"B\",\"id\":12,\"p\":3,\"n\":\"task\",\"t\":1000000007,\
+             \"w\":1577836800123,\"tid\":1,\"a\":{\"outputs\":\"n1 n2\",\"delta\":-5,\"ok\":true}}"
+        );
     }
 
     #[test]

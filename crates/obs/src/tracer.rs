@@ -1,6 +1,8 @@
 //! The tracer: span-id allocation, the monotonic/wall clock pair, and
 //! event emission.
 
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -8,8 +10,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use crate::collect::Collector;
-use crate::span::{AttrList, EventKind, SpanId, TraceEvent};
+use crate::collect::RingBuffer;
+use crate::span::{Attr, AttrList, EventKind, SpanId, TraceEvent};
 
 /// Where a tracer's timestamps come from.
 ///
@@ -68,10 +70,22 @@ struct TracerInner {
     /// measured against.
     time: Arc<dyn TimeSource>,
     next_id: AtomicU64,
-    collector: Arc<dyn Collector>,
+    ring: Arc<RingBuffer>,
     /// Compact per-thread lanes for trace viewers: first thread seen
     /// gets lane 0, the next lane 1, and so on.
     lanes: Mutex<HashMap<ThreadId, u64>>,
+    /// Tells this tracer's entry in a thread's [`LANE`] cache apart.
+    serial: u64,
+}
+
+/// Serial numbers for [`TracerInner::serial`]; 0 is never issued.
+static NEXT_SERIAL: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// `(serial, lane)`: this thread's lane in the tracer it last
+    /// emitted through, so a run of events from one thread takes the
+    /// `lanes` lock once.
+    static LANE: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 /// A clonable, thread-safe tracing handle.
@@ -97,23 +111,43 @@ impl fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// A tracer emitting into `collector`. The epoch (both clocks) is
+    /// A tracer recording into `ring`. The epoch (both clocks) is
     /// captured here.
-    pub fn new(collector: Arc<dyn Collector>) -> Tracer {
-        Tracer::with_time_source(collector, Arc::new(RealTime::new()))
+    pub fn new(ring: Arc<RingBuffer>) -> Tracer {
+        Tracer::with_time_source(ring, Arc::new(RealTime::new()))
     }
 
     /// A tracer whose timestamps come from `time` instead of the
     /// machine clocks — the hook a deterministic simulator uses to
     /// make trace output replayable.
-    pub fn with_time_source(collector: Arc<dyn Collector>, time: Arc<dyn TimeSource>) -> Tracer {
+    pub fn with_time_source(ring: Arc<RingBuffer>, time: Arc<dyn TimeSource>) -> Tracer {
+        Tracer::build(ring, time, 1)
+    }
+
+    fn build(ring: Arc<RingBuffer>, time: Arc<dyn TimeSource>, next_id: u64) -> Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
                 time,
-                next_id: AtomicU64::new(1),
-                collector,
+                next_id: AtomicU64::new(next_id),
+                ring,
                 lanes: Mutex::new(HashMap::new()),
+                serial: NEXT_SERIAL.fetch_add(1, Ordering::Relaxed),
             })),
+        }
+    }
+
+    /// A tracer recording into `ring` on this tracer's clocks, whose
+    /// span ids continue where this tracer's stand — so the ids of
+    /// events copied from this tracer's ring stay unique. A disabled
+    /// tracer forks into a disabled one.
+    pub fn fork(&self, ring: Arc<RingBuffer>) -> Tracer {
+        match &self.inner {
+            Some(inner) => Tracer::build(
+                ring,
+                inner.time.clone(),
+                inner.next_id.load(Ordering::Relaxed),
+            ),
+            None => Tracer::disabled(),
         }
     }
 
@@ -147,10 +181,18 @@ impl Tracer {
     }
 
     fn lane(inner: &TracerInner) -> u64 {
-        let id = std::thread::current().id();
-        let mut lanes = inner.lanes.lock().unwrap_or_else(|e| e.into_inner());
-        let next = lanes.len() as u64;
-        *lanes.entry(id).or_insert(next)
+        LANE.with(|cached| {
+            let (serial, lane) = cached.get();
+            if serial == inner.serial {
+                return lane;
+            }
+            let id = std::thread::current().id();
+            let mut lanes = inner.lanes.lock().unwrap_or_else(|e| e.into_inner());
+            let next = lanes.len() as u64;
+            let lane = *lanes.entry(id).or_insert(next);
+            cached.set((inner.serial, lane));
+            lane
+        })
     }
 
     fn emit(
@@ -158,16 +200,16 @@ impl Tracer {
         kind: EventKind,
         id: SpanId,
         parent: SpanId,
-        name: &str,
-        attrs: Vec<(String, crate::AttrValue)>,
+        name: &'static str,
+        attrs: Vec<Attr>,
     ) {
         if let Some(inner) = &self.inner {
             let mono_ns = inner.time.mono_ns();
-            inner.collector.record(&TraceEvent {
+            inner.ring.record(TraceEvent {
                 kind,
                 id,
                 parent,
-                name: name.to_owned(),
+                name: Cow::Borrowed(name),
                 mono_ns,
                 wall_unix_ms: inner.time.epoch_wall_ms() + mono_ns / 1_000_000,
                 tid: Tracer::lane(inner),
@@ -177,7 +219,7 @@ impl Tracer {
     }
 
     /// Opens a span; returns its id ([`SpanId::NONE`] when disabled).
-    pub fn begin(&self, name: &str, parent: SpanId) -> SpanId {
+    pub fn begin(&self, name: &'static str, parent: SpanId) -> SpanId {
         self.begin_with(name, parent, |_| {})
     }
 
@@ -186,7 +228,7 @@ impl Tracer {
     /// a disabled tracer.
     pub fn begin_with(
         &self,
-        name: &str,
+        name: &'static str,
         parent: SpanId,
         build: impl FnOnce(&mut AttrList),
     ) -> SpanId {
@@ -221,7 +263,7 @@ impl Tracer {
     }
 
     /// Emits a point-in-time event under `parent`.
-    pub fn instant(&self, name: &str, parent: SpanId, build: impl FnOnce(&mut AttrList)) {
+    pub fn instant(&self, name: &'static str, parent: SpanId, build: impl FnOnce(&mut AttrList)) {
         let Some(inner) = &self.inner else {
             return;
         };
@@ -293,5 +335,37 @@ mod tests {
         t.end(root);
         let lanes: std::collections::HashSet<u64> = ring.snapshot().iter().map(|e| e.tid).collect();
         assert!(lanes.len() >= 2, "worker threads occupy their own lanes");
+    }
+
+    #[test]
+    fn a_thread_alternating_tracers_keeps_each_tracers_lanes() {
+        let (ring_a, ring_b) = (Arc::new(RingBuffer::new(16)), Arc::new(RingBuffer::new(16)));
+        let (a, b) = (Tracer::new(ring_a.clone()), Tracer::new(ring_b.clone()));
+        // A worker is `a`'s first thread (lane 0); this thread is then
+        // lane 1 of `a` but lane 0 of `b`, however the calls alternate.
+        std::thread::scope(|s| {
+            s.spawn(|| a.instant("worker", SpanId::NONE, |_| {}));
+        });
+        for _ in 0..2 {
+            a.instant("main", SpanId::NONE, |_| {});
+            b.instant("main", SpanId::NONE, |_| {});
+        }
+        let lanes = |r: &RingBuffer| r.snapshot().iter().map(|e| e.tid).collect::<Vec<_>>();
+        assert_eq!(lanes(&ring_a), vec![0, 1, 1]);
+        assert_eq!(lanes(&ring_b), vec![0, 0]);
+    }
+
+    #[test]
+    fn a_fork_records_elsewhere_and_continues_the_ids() {
+        let ring = Arc::new(RingBuffer::new(16));
+        let t = Tracer::new(ring.clone());
+        let first = t.begin("execute", SpanId::NONE);
+        let other = Arc::new(RingBuffer::new(16));
+        let fork = t.fork(other.clone());
+        let forked = fork.begin("execute", SpanId::NONE);
+        assert!(forked > first);
+        assert_eq!(ring.snapshot().len(), 1);
+        assert_eq!(other.snapshot().len(), 1);
+        assert!(!Tracer::disabled().fork(other).is_enabled());
     }
 }

@@ -112,6 +112,15 @@ impl Fs {
         }
     }
 
+    /// Length in bytes of the file at `path`, without reading its
+    /// contents.
+    pub fn file_len(&self, path: &Path) -> io::Result<u64> {
+        match &self.sim {
+            Some(state) => state.len(path),
+            None => std::fs::metadata(path).map(|m| m.len()),
+        }
+    }
+
     /// Creates `path` (truncating any existing content) for writing.
     pub fn create_truncate(&self, path: &Path) -> io::Result<Box<dyn FsFile>> {
         match &self.sim {
@@ -223,6 +232,7 @@ mod tests {
         assert!(!fs.exists(&a));
         assert!(fs.list_dir(&dir).expect("list").contains(&b));
         assert_eq!(fs.read(&b).expect("read"), b"hello");
+        assert_eq!(fs.file_len(&b).expect("length"), 5);
         let mut w = fs.open_write(&b).expect("write-open");
         w.write_all_at(b" world", 5).expect("write");
         w.write_all_at(b"!", 13).expect("write past the end");

@@ -283,6 +283,21 @@ impl SimFsState {
         Ok(bytes)
     }
 
+    pub(crate) fn len(&self, path: &Path) -> io::Result<u64> {
+        let inner = self.lock();
+        if inner.crashed {
+            return Err(crash_err("disk is dead"));
+        }
+        let id = *inner
+            .current_ns
+            .get(path)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, path.display().to_string()))?;
+        let len = inner.files[&id].current.len();
+        self.trace
+            .record(format!("fs.len path={} bytes={len}", path.display()));
+        Ok(len as u64)
+    }
+
     pub(crate) fn exists(&self, path: &Path) -> bool {
         let inner = self.lock();
         let found = inner.current_ns.contains_key(path) || inner.dirs.contains(path);

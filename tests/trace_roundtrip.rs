@@ -202,7 +202,7 @@ fn task_identities(events: &[TraceEvent]) -> BTreeMap<String, (String, String)> 
         .filter(|e| e.kind == EventKind::Begin && e.name == "task")
     {
         let attr = |key: &str| match span.attrs.iter().find(|(k, _)| k == key) {
-            Some((_, AttrValue::Str(value))) => value.clone(),
+            Some((_, AttrValue::Str(value))) => value.to_string(),
             other => panic!("task span attribute `{key}`: {other:?}"),
         };
         let label = attr("task");
