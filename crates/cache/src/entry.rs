@@ -13,8 +13,13 @@
 //! the payload was produced, so a replay records it without hashing it
 //! again. The digest sits inside the CRC-covered payload: it is trusted
 //! exactly as far as the payload bytes beside it.
+//!
+//! A payload is one shared, immutable buffer: decoding copies it once
+//! out of the entry's bytes, and every hit, replay and history record
+//! after that holds a reference to the same allocation.
 
 use std::io;
+use std::sync::Arc;
 
 use hercules_digest::crc32;
 
@@ -36,8 +41,9 @@ pub struct CachedOutput {
     pub name: String,
     /// The SHA-256 of `data`, computed once, where it was produced.
     pub digest: [u8; 32],
-    /// The produced payload bytes.
-    pub data: Vec<u8>,
+    /// The produced payload bytes, shared with every holder of this
+    /// payload instead of copied.
+    pub data: Arc<[u8]>,
 }
 
 /// One cached tool run: the outputs a run with this entry's key
@@ -110,7 +116,8 @@ impl CacheEntry {
 
     /// Decodes a blob, returning `None` on any validation failure:
     /// wrong magic, truncated, CRC mismatch, malformed structure, or
-    /// trailing garbage.
+    /// trailing garbage. Each payload is copied once, out of `blob`,
+    /// into its shared buffer.
     pub fn decode(blob: &[u8]) -> Option<CacheEntry> {
         if blob.len() < 12 || &blob[..4] != ENTRY_MAGIC {
             return None;
@@ -135,7 +142,7 @@ impl CacheEntry {
             let entity = cur.string()?;
             let name = cur.string()?;
             let digest = cur.take(32)?.try_into().ok()?;
-            let data = cur.bytes()?.to_vec();
+            let data = Arc::from(cur.bytes()?);
             outputs.push(CachedOutput {
                 entity,
                 name,
@@ -220,13 +227,13 @@ mod tests {
                     entity: "Performance".into(),
                     name: "perf".into(),
                     digest: sha256(b"Simulator(Circuit, Stimuli)"),
-                    data: b"Simulator(Circuit, Stimuli)".to_vec(),
+                    data: Arc::from(&b"Simulator(Circuit, Stimuli)"[..]),
                 },
                 CachedOutput {
                     entity: "SimulationLog".into(),
                     name: String::new(),
                     digest: sha256(b""),
-                    data: Vec::new(),
+                    data: Arc::from(&[][..]),
                 },
             ],
         }

@@ -128,7 +128,7 @@ mod tests {
                 entity: "E".into(),
                 name: String::new(),
                 digest: sha256(&vec![tag; size]),
-                data: vec![tag; size],
+                data: vec![tag; size].into(),
             }],
         };
         (key, Arc::new(entry))

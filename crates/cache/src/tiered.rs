@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
-use hercules_obs::{names, Metrics};
+use hercules_obs::{names, Counter, Gauge, Histogram, Metrics};
 use hercules_sim::{Clock, Fs};
 
 use crate::backend::CacheBackend;
@@ -144,7 +144,43 @@ struct PersistentTiers {
     disk_counters: TierCounters,
     inserts: AtomicU64,
     metrics: Metrics,
+    hot: HotMetrics,
     clock: Clock,
+}
+
+/// The metrics every lookup, insert and write-back updates, resolved
+/// once when the cache is built, so an update looks up no name.
+#[derive(Debug)]
+struct HotMetrics {
+    mem_lookup_ns: Histogram,
+    mem_hits: Counter,
+    mem_misses: Counter,
+    disk_lookup_ns: Histogram,
+    disk_hits: Counter,
+    disk_misses: Counter,
+    disk_dropped: Counter,
+    disk_io_errors: Counter,
+    disk_healthy: Gauge,
+    writeback_ns: Histogram,
+    inserts: Counter,
+}
+
+impl HotMetrics {
+    fn resolve(metrics: &Metrics) -> HotMetrics {
+        HotMetrics {
+            mem_lookup_ns: metrics.histogram(names::CACHE_MEM_LOOKUP_NS),
+            mem_hits: metrics.counter(names::CACHE_MEM_HITS),
+            mem_misses: metrics.counter(names::CACHE_MEM_MISSES),
+            disk_lookup_ns: metrics.histogram(names::CACHE_DISK_LOOKUP_NS),
+            disk_hits: metrics.counter(names::CACHE_DISK_HITS),
+            disk_misses: metrics.counter(names::CACHE_DISK_MISSES),
+            disk_dropped: metrics.counter(names::CACHE_DISK_DROPPED),
+            disk_io_errors: metrics.counter(names::CACHE_DISK_IO_ERRORS),
+            disk_healthy: metrics.gauge(names::CACHE_DISK_HEALTHY),
+            writeback_ns: metrics.histogram(names::CACHE_WRITEBACK_NS),
+            inserts: metrics.counter(names::CACHE_INSERTS),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -170,16 +206,15 @@ impl PersistentTiers {
         let t0 = self.clock.now();
         if let Some(disk) = &self.disk {
             match disk.put(key, entry) {
-                Ok(()) => self.metrics.gauge_set(names::CACHE_DISK_HEALTHY, 1),
+                Ok(()) => self.hot.disk_healthy.set(1),
                 Err(_) => {
                     self.disk_counters.errors.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.incr(names::CACHE_DISK_IO_ERRORS, 1);
-                    self.metrics.gauge_set(names::CACHE_DISK_HEALTHY, 0);
+                    self.hot.disk_io_errors.incr(1);
+                    self.hot.disk_healthy.set(0);
                 }
             }
         }
-        self.metrics
-            .observe_duration(names::CACHE_WRITEBACK_NS, self.clock.since(t0));
+        self.hot.writeback_ns.observe_duration(self.clock.since(t0));
     }
 }
 
@@ -229,6 +264,7 @@ impl ContentCache {
             disk,
             disk_counters: TierCounters::default(),
             inserts: AtomicU64::new(0),
+            hot: HotMetrics::resolve(&metrics),
             metrics,
             clock,
         });
@@ -273,21 +309,22 @@ impl ContentCache {
 
     /// Looks a key up through the tiers, populating memory on a disk
     /// hit. Errors degrade to misses. The entry is shared with the
-    /// memory tier; a caller that needs its payloads copies them.
+    /// memory tier, and its payloads with every holder of the entry: a
+    /// hit copies no payload byte.
     pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CacheEntry>> {
         let inner = &*self.inner;
         let tiers = &*inner.tiers;
-        let metrics = self.metrics();
+        let hot = &tiers.hot;
         let t0 = self.clock().now();
         let mem_hit = inner.mem.get(key).unwrap_or(None);
-        metrics.observe_duration(names::CACHE_MEM_LOOKUP_NS, self.clock().since(t0));
+        hot.mem_lookup_ns.observe_duration(self.clock().since(t0));
         if let Some(entry) = mem_hit {
             inner.mem_counters.hits.fetch_add(1, Ordering::Relaxed);
-            metrics.incr(names::CACHE_MEM_HITS, 1);
+            hot.mem_hits.incr(1);
             return Some(entry);
         }
         inner.mem_counters.misses.fetch_add(1, Ordering::Relaxed);
-        metrics.incr(names::CACHE_MEM_MISSES, 1);
+        hot.mem_misses.incr(1);
 
         if let Some(disk) = &tiers.disk {
             let t0 = self.clock().now();
@@ -295,25 +332,25 @@ impl ContentCache {
             let looked = disk.get(key);
             let dropped = disk.dropped_entries() - dropped_before;
             if dropped > 0 {
-                metrics.incr(names::CACHE_DISK_DROPPED, dropped);
+                hot.disk_dropped.incr(dropped);
             }
-            metrics.observe_duration(names::CACHE_DISK_LOOKUP_NS, self.clock().since(t0));
+            hot.disk_lookup_ns.observe_duration(self.clock().since(t0));
             match looked {
                 Ok(Some(entry)) => {
                     tiers.disk_counters.hits.fetch_add(1, Ordering::Relaxed);
-                    metrics.incr(names::CACHE_DISK_HITS, 1);
-                    metrics.gauge_set(names::CACHE_DISK_HEALTHY, 1);
+                    hot.disk_hits.incr(1);
+                    hot.disk_healthy.set(1);
                     let _ = inner.mem.put(key, &entry);
                     return Some(entry);
                 }
                 Ok(None) => {
                     tiers.disk_counters.misses.fetch_add(1, Ordering::Relaxed);
-                    metrics.incr(names::CACHE_DISK_MISSES, 1);
+                    hot.disk_misses.incr(1);
                 }
                 Err(_) => {
                     tiers.disk_counters.errors.fetch_add(1, Ordering::Relaxed);
-                    metrics.incr(names::CACHE_DISK_IO_ERRORS, 1);
-                    metrics.gauge_set(names::CACHE_DISK_HEALTHY, 0);
+                    hot.disk_io_errors.incr(1);
+                    hot.disk_healthy.set(0);
                 }
             }
         }
@@ -330,7 +367,7 @@ impl ContentCache {
             return;
         }
         self.inner.tiers.inserts.fetch_add(1, Ordering::Relaxed);
-        self.metrics().incr(names::CACHE_INSERTS, 1);
+        self.inner.tiers.hot.inserts.incr(1);
         let entry = Arc::new(entry);
         let _ = self.inner.mem.put(key, &entry);
         if self.inner.sync_writes {
@@ -450,7 +487,7 @@ mod tests {
                 entity: "E".into(),
                 name: String::new(),
                 digest: sha256(&[tag; 16]),
-                data: vec![tag; 16],
+                data: vec![tag; 16].into(),
             }],
         };
         (key, entry)

@@ -4,6 +4,7 @@
 
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::Arc;
 
 use hercules_digest::crc32;
 use hercules_history::{HistorySpec, InstanceSpec, Payload};
@@ -171,30 +172,44 @@ const RAW_BODY: u8 = 0xFF;
 /// [`StoreError::Format`] when the body is 4 GiB or more, too long for
 /// the frame's length field.
 pub fn encode_op(op: &JournalOp) -> Result<Vec<u8>, StoreError> {
+    let mut frame = Vec::new();
+    encode_op_into(op, &mut frame)?;
+    Ok(frame)
+}
+
+/// [`encode_op`] into the end of `out`, a buffer the caller reuses:
+/// appends the frame and returns its length. Each payload is copied
+/// once, into `out`. On an error `out` is left as it was: the lengths
+/// are checked before any byte is appended.
+///
+/// # Errors
+///
+/// As [`encode_op`].
+pub(super) fn encode_op_into(op: &JournalOp, out: &mut Vec<u8>) -> Result<usize, StoreError> {
     let mut payloads = Vec::new();
     let json = serde_json::to_vec(&*skeleton(op, &mut payloads))?;
     let raw: usize = payloads.iter().map(|payload| payload.len()).sum();
     let body = 1 + 4 + json.len() + 4 + 4 * payloads.len() + raw;
     // Every length below is at most `body`, so each fits its u32 field.
     let len = frame_len(body)?;
-    let put_len =
-        |frame: &mut Vec<u8>, n: usize| frame.extend_from_slice(&(n as u32).to_le_bytes());
-    let mut frame = Vec::with_capacity(8 + body);
-    frame.extend_from_slice(&[0; 8]); // the header, filled in below
-    frame.push(RAW_BODY);
-    put_len(&mut frame, json.len());
-    frame.extend_from_slice(&json);
-    put_len(&mut frame, payloads.len());
+    let put_len = |out: &mut Vec<u8>, n: usize| out.extend_from_slice(&(n as u32).to_le_bytes());
+    let start = out.len();
+    out.reserve(8 + body);
+    out.extend_from_slice(&[0; 8]); // the header, filled in below
+    out.push(RAW_BODY);
+    put_len(out, json.len());
+    out.extend_from_slice(&json);
+    put_len(out, payloads.len());
     for payload in &payloads {
-        put_len(&mut frame, payload.len());
+        put_len(out, payload.len());
     }
     for payload in &payloads {
-        frame.extend_from_slice(payload);
+        out.extend_from_slice(payload);
     }
-    let crc = crc32(&frame[8..]);
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame[4..8].copy_from_slice(&crc.to_le_bytes());
-    Ok(frame)
+    let crc = crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(8 + body)
 }
 
 /// `op` with every inline payload an empty placeholder, pushing the
@@ -206,6 +221,7 @@ fn skeleton<'a>(op: &'a JournalOp, payloads: &mut Vec<&'a [u8]>) -> Cow<'a, Jour
             .iter()
             .any(|record| matches!(record.data, Some(Payload::Inline(_))))
     };
+    let placeholder: Arc<[u8]> = Arc::from(&[][..]);
     let mut strip = |records: &'a [InstanceSpec]| -> Vec<InstanceSpec> {
         records
             .iter()
@@ -218,8 +234,8 @@ fn skeleton<'a>(op: &'a JournalOp, payloads: &mut Vec<&'a [u8]>) -> Cow<'a, Jour
                 keywords: record.keywords.clone(),
                 data: match &record.data {
                     Some(Payload::Inline(bytes)) => {
-                        payloads.push(bytes);
-                        Some(Payload::Inline(Vec::new()))
+                        payloads.push(&bytes[..]);
+                        Some(Payload::Inline(Arc::clone(&placeholder)))
                     }
                     data => data.clone(),
                 },
@@ -254,7 +270,8 @@ fn skeleton<'a>(op: &'a JournalOp, payloads: &mut Vec<&'a [u8]>) -> Cow<'a, Jour
 
 /// Decodes one frame body, as [`scan_frames`] yields it, in the layout
 /// [`encode_op`] writes. The body must account for every byte of every
-/// section.
+/// section. Each payload is copied once, out of `body`, into the shared
+/// buffer that replaying the operation makes the history's blob.
 ///
 /// # Errors
 ///
@@ -270,7 +287,7 @@ pub fn decode_op(body: &[u8]) -> Result<JournalOp, StoreError> {
     let mut op: JournalOp = serde_json::from_slice(take(&mut rest, json_len)?)?;
     let count = take_len(&mut rest)?;
     let mut lengths = take(&mut rest, count.saturating_mul(4))?;
-    let slots: Vec<&mut Vec<u8>> = match &mut op {
+    let slots: Vec<&mut Arc<[u8]>> = match &mut op {
         JournalOp::Exec(spec) => &mut spec.instances[..],
         JournalOp::Snapshot(spec) => &mut spec.history.instances[..],
         _ => &mut [],
@@ -292,7 +309,7 @@ pub fn decode_op(body: &[u8]) -> Result<JournalOp, StoreError> {
             return Err(body_error("a payload placeholder holds bytes".into()));
         }
         let len = take_len(&mut lengths)?;
-        *slot = take(&mut rest, len)?.to_vec();
+        *slot = Arc::from(take(&mut rest, len)?);
     }
     if !rest.is_empty() {
         return Err(body_error(format!(

@@ -96,7 +96,9 @@
 //! serializes the operation's JSON without its payloads, copies each
 //! inline payload once, into the frame, and fills the 8-byte header in
 //! place. The journal has one write path. [`Workspace::append_deferred`]
-//! encodes a frame into the handle's pending buffer; [`Workspace::sync`]
+//! encodes a frame directly into the handle's pending buffer, which
+//! the handle reuses from write to write, so a command's frame lands in
+//! memory that earlier frames already touched; [`Workspace::sync`]
 //! writes every pending frame with one `write` at the active segment's
 //! write position and makes them durable with one `fsync`, then rolls
 //! the segment once it reaches its size bound. [`Workspace::append`] is
@@ -148,7 +150,7 @@ use std::path::{Path, PathBuf};
 
 use hercules_flow::NodeId;
 use hercules_history::{InstanceId, InstanceSpec};
-use hercules_obs::{names, Metrics};
+use hercules_obs::{names, Histogram, Metrics};
 use hercules_sim::{Env, FsFile};
 use serde::{Deserialize, Serialize};
 
@@ -168,6 +170,7 @@ pub(crate) use generation::{
 };
 pub(crate) use lease::{read_lease, LEASE_FILE};
 
+use frame::encode_op_into;
 use generation::{retire, segment_name, snapshot_frame, start_generation, SnapshotTail};
 use lease::{write_lease, DEFAULT_LEASE_MS, DEFAULT_OWNER};
 
@@ -371,12 +374,27 @@ const DEFAULT_SEGMENT_MAX_BYTES: u64 = 64 * 1024 * 1024;
 /// written as it is. A constant, not a setting.
 const PREALLOC_CHUNK: u64 = 64 * 1024;
 
+/// The most pending-buffer capacity a handle keeps once its frames are
+/// written. A flush of smaller batches leaves the buffer allocated, so
+/// the next command encodes into memory that is already faulted in; a
+/// larger batch, such as a big snapshot, is freed once written. Four
+/// chunks hold a batch padded by one chunk of free space, with room
+/// to spare.
+const PENDING_KEEP: usize = 4 * PREALLOC_CHUNK as usize;
+
 /// The error for write paths reached without a journal handle (only
 /// possible in degraded mode, which rejects them earlier).
 fn journal_missing() -> StoreError {
     StoreError::Io(std::io::Error::other(
         "no journal handle (workspace is read-only)",
     ))
+}
+
+/// The histograms every append and sync updates, resolved once.
+#[derive(Debug, Default)]
+struct StoreMetrics {
+    append_bytes: Histogram,
+    fsync_ns: Histogram,
 }
 
 /// A durable workspace directory: the current journal handle plus the
@@ -393,6 +411,8 @@ pub struct Workspace {
     /// last one is the active segment `journal` points at.
     segments: Vec<String>,
     /// Encoded frames appended since the last flush, not yet written.
+    /// Cleared, not freed, by a flush, up to [`PENDING_KEEP`] bytes of
+    /// capacity.
     pending: Vec<u8>,
     /// Bytes appended to the active segment so far, pending ones
     /// included. The next flush writes its frames so that they end
@@ -413,6 +433,9 @@ pub struct Workspace {
     /// Roll the active segment once it reaches this size.
     segment_max_bytes: u64,
     metrics: Metrics,
+    /// `metrics`'s per-append histograms, resolved once by
+    /// [`Workspace::set_metrics`].
+    hot: StoreMetrics,
     env: Env,
     /// Sticky poison: once a journal write or fsync fails the tail may
     /// be torn mid-frame, so every later append or sync fails with this
@@ -515,6 +538,7 @@ impl Workspace {
             tail: SnapshotTail::new(len),
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
             metrics: Metrics::disabled(),
+            hot: StoreMetrics::default(),
             env,
             poisoned: None,
             write_state: WriteState::Writable,
@@ -567,6 +591,10 @@ impl Workspace {
     /// [`checkpoint`]: Workspace::checkpoint
     /// [`Session::metrics`]: crate::session::Session::metrics
     pub fn set_metrics(&mut self, metrics: Metrics) {
+        self.hot = StoreMetrics {
+            append_bytes: metrics.histogram("store.append_bytes"),
+            fsync_ns: metrics.histogram("store.fsync_ns"),
+        };
         self.metrics = metrics;
     }
 
@@ -589,7 +617,9 @@ impl Workspace {
     /// Encodes one operation into the pending buffer without writing
     /// it. The frame is durable only after a later [`sync`] (or
     /// [`append`]) returns; a crash before that loses at most the
-    /// pending frames, none of which was acknowledged.
+    /// pending frames, none of which was acknowledged. The frame is
+    /// encoded in place, at the end of the pending buffer; a refused or
+    /// failed append leaves that buffer as it was.
     ///
     /// [`sync`]: Workspace::sync
     /// [`append`]: Workspace::append
@@ -601,24 +631,29 @@ impl Workspace {
     pub fn append_deferred(&mut self, op: &JournalOp) -> Result<(), StoreError> {
         self.check_poisoned()?;
         self.check_writable()?;
-        let frame = encode_op(op)?;
-        self.metrics
-            .observe("store.append_bytes", frame.len() as u64);
-        self.defer_frame(frame);
+        let len = encode_op_into(op, &mut self.pending)?;
+        self.hot.append_bytes.observe(len as u64);
+        self.count_frame(len as u64);
         Ok(())
     }
 
-    /// Queues an encoded frame for the next flush.
+    /// Queues an encoded frame (a snapshot's) for the next flush. It
+    /// replaces an empty pending buffer too small to hold it instead of
+    /// being copied.
     fn defer_frame(&mut self, frame: Vec<u8>) {
-        self.active_len += frame.len() as u64;
-        self.generation_bytes += frame.len() as u64;
-        self.tail.push(frame.len() as u64, false);
-        if self.pending.is_empty() {
-            // One frame per sync is the common case: no copy.
+        self.count_frame(frame.len() as u64);
+        if self.pending.is_empty() && self.pending.capacity() < frame.len() {
             self.pending = frame;
         } else {
             self.pending.extend_from_slice(&frame);
         }
+    }
+
+    /// Counts a frame of `len` bytes appended to the pending buffer.
+    fn count_frame(&mut self, len: u64) {
+        self.active_len += len;
+        self.generation_bytes += len;
+        self.tail.push(len, false);
     }
 
     /// Makes every pending frame durable with one `write` and one
@@ -648,7 +683,9 @@ impl Workspace {
     /// so the next batches overwrite allocated bytes; the cap keeps a
     /// segment that rolls from ending in zeros. A fenced handle
     /// discards the frames instead, since another writer owns the
-    /// journal now; a write or fsync error poisons the handle.
+    /// journal now; a write or fsync error poisons the handle. Either
+    /// way the pending buffer is empty afterwards, and keeps its
+    /// capacity up to [`PENDING_KEEP`].
     fn flush(&mut self) -> Result<(), StoreError> {
         if self.pending.is_empty() {
             return Ok(());
@@ -661,27 +698,34 @@ impl Workspace {
             return Err(e);
         }
         let journal = self.journal.as_mut().ok_or_else(journal_missing)?;
-        // Taken, not cleared, so a large batch's buffer is freed once
-        // written instead of staying allocated for the session.
-        let mut batch = std::mem::take(&mut self.pending);
+        let batch = &mut self.pending;
         let end = self.active_len;
         let at = end - batch.len() as u64;
         if end > self.allocated && (batch.len() as u64) < PREALLOC_CHUNK {
             let padded = (end + PREALLOC_CHUNK).min(end.max(self.segment_max_bytes));
             batch.resize((padded - at) as usize, 0);
         }
-        let mut result = journal.write_all_at(&batch, at);
+        let mut result = journal.write_all_at(batch, at);
         if result.is_ok() {
             let fsync_started = self.env.clock.now();
             result = journal.sync_data();
-            self.metrics
-                .observe_duration("store.fsync_ns", self.env.clock.since(fsync_started));
+            self.hot
+                .fsync_ns
+                .observe_duration(self.env.clock.since(fsync_started));
+        }
+        let written = batch.len() as u64;
+        // Cleared, not taken: the next frames land in memory this batch
+        // already faulted in. A large batch's buffer is freed instead
+        // of staying allocated for the session.
+        batch.clear();
+        if batch.capacity() > PENDING_KEEP {
+            *batch = Vec::new();
         }
         if let Err(e) = result {
             self.poisoned = Some(e.to_string());
             return Err(StoreError::Io(e));
         }
-        self.allocated = self.allocated.max(at + batch.len() as u64);
+        self.allocated = self.allocated.max(at + written);
         Ok(())
     }
 
@@ -930,9 +974,9 @@ mod tests {
         let checkpoint_len = session.db().len();
         let mut ws = Workspace::create(&root, &session).expect("creates");
         ws.set_segment_max_bytes(1); // the failed frame lands in a later segment
-        let kept = netlist_record(Payload::Inline(b"kept".to_vec()));
+        let kept = netlist_record(Payload::Inline(b"kept".to_vec().into()));
         ws.append(&exec_op(vec![kept])).expect("appends");
-        let valid = netlist_record(Payload::Inline(b"dropped".to_vec()));
+        let valid = netlist_record(Payload::Inline(b"dropped".to_vec().into()));
         ws.append(&exec_op(vec![valid, bad])).expect("appends");
         drop(ws);
 
@@ -956,7 +1000,7 @@ mod tests {
     fn a_frame_with_an_unreplayable_second_record_leaves_no_trace() {
         let ghost = InstanceSpec {
             entity: "Ghost".into(),
-            ..netlist_record(Payload::Inline(b"ghost".to_vec()))
+            ..netlist_record(Payload::Inline(b"ghost".to_vec().into()))
         };
         assert_failed_frame_leaves_no_trace("unreplayable-record", ghost);
     }
@@ -1012,7 +1056,7 @@ mod tests {
         let mut session = Session::odyssey("jbb");
         let mut ws = Workspace::create(&root, &session).expect("creates");
         // A direct edit bypasses the journal; the snapshot captures it.
-        netlist_record(Payload::Inline(b"direct".to_vec()))
+        netlist_record(Payload::Inline(b"direct".to_vec().into()))
             .replay(session.db_mut())
             .expect("records");
         session.start_from_goal("Layout").expect("starts");
@@ -1086,10 +1130,9 @@ mod tests {
         );
         // Frames as large as the snapshot: replaying them would read
         // as much as a new snapshot, so the checkpoint writes one.
-        let big = exec_op(vec![netlist_record(Payload::Inline(vec![
-            7;
-            snapshot as usize
-        ]))]);
+        let big = exec_op(vec![netlist_record(Payload::Inline(
+            vec![7; snapshot as usize].into(),
+        ))]);
         big.replay(&mut session).expect("replays");
         ws.append(&big).expect("appends");
         session.mark_journaled();
@@ -1122,7 +1165,7 @@ mod tests {
         // an empty placeholder, the payload lengths, then the payloads
         // raw in record order.
         let mut document = spec;
-        let payloads: Vec<Vec<u8>> = document
+        let payloads: Vec<std::sync::Arc<[u8]>> = document
             .history
             .instances
             .iter_mut()
@@ -1145,7 +1188,7 @@ mod tests {
             body.extend(le(payload.len()));
         }
         for payload in &payloads {
-            body.extend(payload);
+            body.extend_from_slice(payload);
         }
         assert_eq!(snapshot, encode_frame(&body).expect("frames"));
         let scan = scan_frames(&snapshot);
@@ -1172,7 +1215,7 @@ mod tests {
         for k in 0..12u8 {
             // The history grows by one payload per checkpoint, and a
             // journaled frame lands between checkpoints.
-            let record = netlist_record(Payload::Inline(vec![k; 64 * (usize::from(k) + 1)]));
+            let record = netlist_record(Payload::Inline(vec![k; 64 * (usize::from(k) + 1)].into()));
             let op = exec_op(vec![record]);
             op.replay(&mut session).expect("replays");
             ws.append(&op).expect("appends");
@@ -1977,5 +2020,166 @@ mod tests {
             "nothing pending, nothing written"
         );
         fs::remove_dir_all(&root).ok();
+    }
+
+    /// A flush clears the pending buffer but keeps its capacity, up to
+    /// [`PENDING_KEEP`]: the next frame is encoded into the same
+    /// memory. A batch past that bound is freed once written.
+    #[test]
+    fn flush_reuses_the_pending_buffer_up_to_its_bound() {
+        let root = temp_root("pending-reuse");
+        let session = Session::odyssey("jbb");
+        let mut ws = Workspace::create(&root, &session).expect("creates");
+        ws.append(&JournalOp::Clear).expect("appends");
+        assert!(ws.pending.is_empty());
+        let kept = ws.pending.capacity();
+        assert!(kept > 0 && kept <= PENDING_KEEP, "capacity {kept} kept");
+        let buffer = ws.pending.as_ptr();
+        ws.append(&JournalOp::Clear).expect("appends");
+        assert_eq!(ws.pending.as_ptr(), buffer, "the next frame reused it");
+        let big = exec_op(vec![netlist_record(Payload::Inline(
+            vec![7; PENDING_KEEP].into(),
+        ))]);
+        ws.append(&big).expect("appends");
+        assert_eq!(ws.pending.capacity(), 0, "a large batch is freed");
+        drop(ws);
+        let (_ws, _restored, report) =
+            Workspace::open_session(&root, |s| crate::encaps::odyssey_registry(s))
+                .expect("reopens");
+        assert_eq!(report.ops_replayed, 3);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// One step of [`appends_leave_exactly_the_acknowledged_frames`].
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Defer an operation: `Clear`, or an execution recording a
+        /// payload of the given length.
+        Append(Option<usize>),
+        /// Sync the pending frames.
+        Sync,
+        /// Try the same append through a second handle that opened
+        /// read-only, because this handle's lease is live.
+        ReadOnly(Option<usize>),
+        /// Let the lease lapse and a second writer take over: every
+        /// later append or sync of this handle is refused.
+        Fence,
+    }
+
+    fn step() -> impl proptest::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        // Appends twice as often as syncs, each refusal once per eight
+        // steps; half the operations carry a payload.
+        (0u8..8, 0usize..3000).prop_map(|(kind, len)| {
+            let payload = (len % 2 == 1).then_some(len);
+            match kind {
+                0..=3 => Step::Append(payload),
+                4 | 5 => Step::Sync,
+                6 => Step::ReadOnly(payload),
+                _ => Step::Fence,
+            }
+        })
+    }
+
+    fn step_op(payload: Option<usize>) -> JournalOp {
+        match payload {
+            None => JournalOp::Clear,
+            Some(len) => exec_op(vec![netlist_record(Payload::Inline(
+                (0..len)
+                    .map(|i| (i % 251) as u8)
+                    .collect::<Vec<u8>>()
+                    .into(),
+            ))]),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random sequences of deferred appends, syncs and refused
+        /// appends (through a fenced handle or one that opened
+        /// degraded) leave the segment holding exactly the base and the
+        /// `encode_op` frames of the acknowledged operations, in order,
+        /// then only free space. A refused append adds no byte to any
+        /// pending buffer, so none can reach the disk later.
+        #[test]
+        fn appends_leave_exactly_the_acknowledged_frames(
+            steps in proptest::prop::collection::vec(step(), 1..24),
+        ) {
+            use std::time::Duration;
+
+            let sim = hercules_sim::SimEnv::new(0x9E4D);
+            let root = Path::new("/ws");
+            let segment = root.join("journal-0.log");
+            let registry = |s: &std::sync::Arc<hercules_schema::TaskSchema>| {
+                crate::encaps::odyssey_registry(s)
+            };
+            let session = Session::odyssey("a");
+            let mut ws = Workspace::create_in(root, &session, sim.env()).expect("creates");
+            let mut expected = sim.fs().read(&segment).expect("the base");
+            let mut pending = Vec::new();
+            let mut successor = None;
+            for step in steps {
+                match step {
+                    Step::Append(payload) => {
+                        let op = step_op(payload);
+                        let before = ws.pending.clone();
+                        match ws.append_deferred(&op) {
+                            Ok(()) => {
+                                let frame = encode_op(&op).expect("encodes");
+                                proptest::prop_assert_eq!(&ws.pending[before.len()..], &frame[..]);
+                                pending.extend_from_slice(&frame);
+                            }
+                            Err(_) => proptest::prop_assert!(successor.is_some()),
+                        }
+                        proptest::prop_assert_eq!(&ws.pending[..before.len()], &before[..]);
+                        proptest::prop_assert_eq!(&ws.pending, &pending);
+                    }
+                    Step::Sync => {
+                        match ws.sync() {
+                            Ok(()) => expected.append(&mut pending),
+                            Err(_) => {
+                                proptest::prop_assert!(successor.is_some());
+                                pending.clear();
+                            }
+                        }
+                        proptest::prop_assert!(ws.pending.is_empty());
+                    }
+                    Step::ReadOnly(payload) => {
+                        let (mut reader, _, _) = Workspace::open_session_as(
+                            root, registry, sim.env(), "reader", 30_000,
+                        )
+                        .expect("opens");
+                        if successor.is_none() {
+                            proptest::prop_assert!(!reader.is_writable());
+                        }
+                        if !reader.is_writable() {
+                            proptest::prop_assert!(reader.append_deferred(&step_op(payload)).is_err());
+                            proptest::prop_assert!(reader.pending.is_empty());
+                        }
+                    }
+                    Step::Fence => {
+                        if successor.is_none() {
+                            sim.clock().advance(Duration::from_millis(31_000));
+                            let (next, _, _) = Workspace::open_session_as(
+                                root, registry, sim.env(), "b", 30_000,
+                            )
+                            .expect("takes over");
+                            successor = Some(next);
+                        }
+                    }
+                }
+            }
+            // A fenced handle's last sync fails and discards its frames.
+            if ws.sync().is_ok() {
+                expected.append(&mut pending);
+            }
+            drop(ws);
+            drop(successor);
+            let bytes = sim.fs().read(&segment).expect("the segment");
+            let scan = scan_frames(&bytes);
+            proptest::prop_assert_eq!(&bytes[..scan.valid_len], &expected[..]);
+            proptest::prop_assert_eq!(scan.trailing, 0);
+        }
     }
 }

@@ -18,7 +18,7 @@ use super::generation::{
 use super::lease::{
     read_lease, write_lease, DegradedReason, WriteState, DEFAULT_LEASE_MS, DEFAULT_OWNER,
 };
-use super::{JournalOp, StoreError, Workspace, DEFAULT_SEGMENT_MAX_BYTES};
+use super::{JournalOp, StoreError, StoreMetrics, Workspace, DEFAULT_SEGMENT_MAX_BYTES};
 use crate::session::Session;
 
 /// Per-segment recovery detail: what survived, what was quarantined.
@@ -501,6 +501,7 @@ impl Workspace {
             tail,
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
             metrics: Metrics::disabled(),
+            hot: StoreMetrics::default(),
             env,
             poisoned: None,
             write_state: match degraded_reason {

@@ -16,15 +16,48 @@
 //! after the tool ran: the run that produced the entry and every
 //! replay of it hand that digest to the history, which then hashes
 //! nothing.
+//!
+//! Each payload is one shared buffer from there on. A fresh output
+//! moves into it once, where it is hashed (`SharedOutput::share`), and
+//! a disk hit's payload is copied once out of the entry's file; the
+//! cache entry and the history record share that buffer, and a replay
+//! hands the history the entry's own buffer. No payload byte is copied
+//! again before the journal frame is encoded.
 
 use std::sync::Arc;
 
 use hercules_cache::{CacheEntry, CacheKey, CachedOutput, KeyBuilder};
+use hercules_digest::sha256;
 use hercules_history::BlobHash;
 use hercules_schema::TaskSchema;
 
 use crate::encapsulation::{Invocation, ToolOutput};
 use hercules_schema::EntityTypeId;
+
+/// One output on its way to the history: its entity, its annotation
+/// name, and its payload in a shared buffer with the buffer's SHA-256.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SharedOutput {
+    pub(crate) entity: EntityTypeId,
+    pub(crate) name: String,
+    pub(crate) data: Arc<[u8]>,
+    pub(crate) digest: [u8; 32],
+}
+
+impl SharedOutput {
+    /// Moves a tool's fresh output into a shared buffer, hashing it
+    /// once: the only copy a produced payload makes on its way to the
+    /// cache entry and the history.
+    pub(crate) fn share(output: ToolOutput) -> SharedOutput {
+        let data: Arc<[u8]> = output.data.into();
+        SharedOutput {
+            entity: output.entity,
+            name: output.name,
+            digest: sha256(&data),
+            data,
+        }
+    }
+}
 
 /// Domain tag of the key derivation. Bumping the version invalidates
 /// every cached result at once — the escape hatch for semantic changes
@@ -80,16 +113,14 @@ pub fn input_digest(data: Option<BlobHash>) -> BlobHash {
     data.unwrap_or(BlobHash::EMPTY)
 }
 
-/// Packages a successful run's outputs, with their payloads' SHA-256
-/// `digests`, as a cache entry, copying each payload once. Entity ids
-/// are translated to names so the entry stays meaningful to any
-/// session speaking the same schema.
-pub fn entry_from_outputs(
+/// Packages a successful run's shared outputs as a cache entry that
+/// shares their payload buffers. Entity ids are translated to names so
+/// the entry stays meaningful to any session speaking the same schema.
+pub(crate) fn entry_from_outputs(
     key: CacheKey,
     schema: &TaskSchema,
     invocation: &Invocation,
-    outputs: &[ToolOutput],
-    digests: &[[u8; 32]],
+    outputs: &[SharedOutput],
     created_ms: u64,
 ) -> CacheEntry {
     CacheEntry {
@@ -98,54 +129,45 @@ pub fn entry_from_outputs(
         created_ms,
         outputs: outputs
             .iter()
-            .zip(digests)
-            .map(|(o, &digest)| CachedOutput {
+            .map(|o| CachedOutput {
                 entity: schema.entity(o.entity).name().to_owned(),
                 name: o.name.clone(),
-                digest,
-                data: o.data.clone(),
+                digest: o.digest,
+                data: Arc::clone(&o.data),
             })
             .collect(),
     }
 }
 
-/// Reconstitutes tool outputs, with their payloads' digests, from a
-/// cache entry, re-validating the entry against the consuming subtask:
-/// the output count must match and every entity name must resolve to a
-/// subtype of the expected product. Any mismatch (renamed entity,
-/// reshaped schema) degrades to a miss — the cache never forces a
-/// stale shape onto a run. The entry is shared with the cache's memory
-/// tier, so the payloads are copied here, once, outside its lock; an
-/// entry no tier holds gives up its payloads without a copy.
-pub fn outputs_from_entry(
+/// Reconstitutes a run's outputs from a cache entry, re-validating the
+/// entry against the consuming subtask: the output count must match
+/// and every entity name must resolve to a subtype of the expected
+/// product. Any mismatch (renamed entity, reshaped schema) degrades to
+/// a miss — the cache never forces a stale shape onto a run. Each
+/// output shares the entry's payload buffer and carries its digest: a
+/// hit copies no payload byte.
+pub(crate) fn outputs_from_entry(
     schema: &TaskSchema,
-    entry: Arc<CacheEntry>,
+    entry: &CacheEntry,
     expected: &[EntityTypeId],
-) -> Option<(Vec<ToolOutput>, Vec<[u8; 32]>)> {
+) -> Option<Vec<SharedOutput>> {
     if entry.outputs.len() != expected.len() {
         return None;
     }
-    let slots = entry
+    entry
         .outputs
         .iter()
         .zip(expected)
         .map(|(out, &want)| {
             let entity = schema.entity_id(&out.entity)?;
-            schema.is_subtype_of(entity, want).then_some(entity)
+            schema.is_subtype_of(entity, want).then(|| SharedOutput {
+                entity,
+                name: out.name.clone(),
+                data: Arc::clone(&out.data),
+                digest: out.digest,
+            })
         })
-        .collect::<Option<Vec<_>>>()?;
-    let digests = entry.outputs.iter().map(|o| o.digest).collect();
-    let outputs = Arc::unwrap_or_clone(entry)
-        .outputs
-        .into_iter()
-        .zip(slots)
-        .map(|(out, entity)| ToolOutput {
-            entity,
-            data: out.data,
-            name: out.name,
-        })
-        .collect();
-    Some((outputs, digests))
+        .collect()
 }
 
 #[cfg(test)]
@@ -242,27 +264,28 @@ mod tests {
         let schema = fixtures::fig1();
         let inv = invocation(&schema, b"d");
         let extracted = schema.entity_id("ExtractedNetlist").expect("entity");
-        let produced = vec![ToolOutput {
+        let produced = vec![SharedOutput::share(ToolOutput {
             entity: extracted,
             data: b"netlist-bytes".to_vec(),
             name: "fast".into(),
-        }];
+        })];
+        assert_eq!(produced[0].digest, *digest(b"netlist-bytes").as_bytes());
         let key = key(&schema, inv.tool_data.as_deref(), vec![digest(b"d")]);
-        let hashed = [*digest(b"netlist-bytes").as_bytes()];
-        let entry = Arc::new(entry_from_outputs(
-            key, &schema, &inv, &produced, &hashed, 42,
-        ));
+        let entry = entry_from_outputs(key, &schema, &inv, &produced, 42);
         assert_eq!(entry.tool, "Extractor");
-        let (back, digests) =
-            outputs_from_entry(&schema, entry.clone(), &[extracted]).expect("resolves");
+        assert!(Arc::ptr_eq(&entry.outputs[0].data, &produced[0].data));
+        let back = outputs_from_entry(&schema, &entry, &[extracted]).expect("resolves");
         assert_eq!(back, produced);
-        assert_eq!(digests, hashed);
+        assert!(
+            Arc::ptr_eq(&back[0].data, &entry.outputs[0].data),
+            "a hit shares the entry's buffer"
+        );
         // The cached entity satisfies its abstract supertype too.
         let netlist = schema.entity_id("Netlist").expect("entity");
-        assert!(outputs_from_entry(&schema, entry.clone(), &[netlist]).is_some());
+        assert!(outputs_from_entry(&schema, &entry, &[netlist]).is_some());
         // A reshaped expectation degrades to a miss.
         let layout = schema.entity_id("Layout").expect("entity");
-        assert!(outputs_from_entry(&schema, entry.clone(), &[layout]).is_none());
-        assert!(outputs_from_entry(&schema, entry, &[extracted, layout]).is_none());
+        assert!(outputs_from_entry(&schema, &entry, &[layout]).is_none());
+        assert!(outputs_from_entry(&schema, &entry, &[extracted, layout]).is_none());
     }
 }

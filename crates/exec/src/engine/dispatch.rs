@@ -7,17 +7,16 @@ use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 use hercules_cache::CacheKey;
-use hercules_digest::sha256;
 use hercules_flow::{Subtask, TaskGraph};
 use hercules_history::{HistoryDb, InstanceId};
-use hercules_obs::{names, SpanId};
+use hercules_obs::SpanId;
 use hercules_schema::{EntityTypeId, TaskSchema};
 use hercules_sim::SimInstant;
 
 use super::record::TaskIdentity;
-use super::schedule::{ReadyTask, SchedEnv};
+use super::schedule::{ReadyTask, SchedEnv, TaskMetrics};
 use super::{ExecOptions, ExecReport, Executor};
-use crate::content_cache;
+use crate::content_cache::{self, SharedOutput};
 use crate::encapsulation::{Encapsulation, Invocation, MultiInstanceMode, ToolInput, ToolOutput};
 use crate::error::ExecError;
 use crate::supervise;
@@ -82,10 +81,10 @@ impl Executor {
             Resolution::Resolved => flights.resolved.push_back(task),
             Resolution::Invoke => {
                 flights.queued = true;
-                env.queue.push(task, &self.options.metrics);
+                env.queue.push(task, &env.metrics.queue_depth);
             }
             Resolution::Wait(key) => {
-                self.options.metrics.incr(names::CACHE_WAITS, 1);
+                env.metrics.cache_waits.incr(1);
                 task.prepared.waits.push(key);
                 flights.waiters.entry(key).or_default().push(task);
             }
@@ -94,8 +93,9 @@ impl Executor {
     }
 
     /// Picks the route of each run not yet resolved, on the scheduling
-    /// thread: a content-cache hit replays its entry; a miss runs the
-    /// tool, and only then are its payloads copied; a run whose key an
+    /// thread: a content-cache hit replays its entry's shared payloads;
+    /// a miss runs the tool, and only then are its inputs copied out of
+    /// the history; a run whose key an
     /// earlier run of the same subtask invokes repeats that run's
     /// outputs. With `claims` (the parallel pump) a miss claims its key
     /// for this subtask, and a subtask with a run whose key is claimed
@@ -127,10 +127,10 @@ impl Executor {
                 (Some(cache), Some(key)) => {
                     if let Some(&first) = invoked.get(&key) {
                         Route::Repeat(first)
-                    } else if let Some((outputs, digests)) = cache.lookup(&key).and_then(|entry| {
-                        content_cache::outputs_from_entry(schema, entry, &prepared.output_entities)
+                    } else if let Some(outputs) = cache.lookup(&key).and_then(|entry| {
+                        content_cache::outputs_from_entry(schema, &entry, &prepared.output_entities)
                     }) {
-                        Route::Hit { outputs, digests }
+                        Route::Hit(outputs)
                     } else {
                         invoked.insert(key, i);
                         if let Some(claims) = claims.as_deref_mut() {
@@ -362,12 +362,9 @@ enum Route {
     /// A current instance per output (`reuse_cached`), found when the
     /// subtask was prepared.
     Current(Vec<InstanceId>),
-    /// A content-cache hit: the entry's outputs, replayed with the
-    /// digests the entry carries.
-    Hit {
-        outputs: Vec<ToolOutput>,
-        digests: Vec<[u8; 32]>,
-    },
+    /// A content-cache hit: the entry's outputs, sharing its payload
+    /// buffers and replayed with the digests the entry carries.
+    Hit(Vec<SharedOutput>),
     /// The lookup missed: the tool runs on these payloads.
     Invoke(Invocation),
     /// The key of this subtask's run at that index, which invokes the
@@ -382,12 +379,12 @@ pub(super) enum RunResult {
     /// Outputs to record. A content-cache replay (`ran` false) commits
     /// exactly like a fresh production, so a warm run's records are
     /// byte-identical to a cold run's, but does not count as an
-    /// execution. `digests` holds each output's SHA-256: the entry's
-    /// for a replay, hashed where the tool ran for a fresh production.
-    /// The history records them and hashes nothing.
+    /// execution. Each output carries its shared payload buffer and
+    /// its SHA-256: the entry's for a replay, hashed where the tool ran
+    /// for a fresh production. The history keeps the buffers and hashes
+    /// nothing.
     Outputs {
-        outputs: Vec<ToolOutput>,
-        digests: Vec<[u8; 32]>,
+        outputs: Vec<SharedOutput>,
         ran: bool,
     },
 }
@@ -469,6 +466,7 @@ impl PreparedSubtask {
         schema: &std::sync::Arc<TaskSchema>,
         invocation: &Invocation,
         options: &ExecOptions,
+        metrics: &TaskMetrics,
         salt: u64,
         task_span: SpanId,
     ) -> (Result<Vec<ToolOutput>, ExecError>, u32) {
@@ -483,9 +481,9 @@ impl PreparedSubtask {
                     self.check_outputs(schema, invocation, &outputs)?;
                     Ok(outputs)
                 });
-            options
-                .metrics
-                .observe_duration("exec.attempt_ns", options.clock.since(attempt_started));
+            metrics
+                .attempt_ns
+                .observe_duration(options.clock.since(attempt_started));
             match result {
                 Ok(outputs) => {
                     options.tracer.end_with(attempt_span, |a| {
@@ -505,7 +503,7 @@ impl PreparedSubtask {
                     }
                     attempt += 1;
                     let delay = options.retry.delay_before(attempt, salt);
-                    options.metrics.incr(names::EXEC_RETRIES, 1);
+                    metrics.retries.incr(1);
                     options.tracer.instant("retry", task_span, |a| {
                         a.uint("attempt", u64::from(attempt));
                         a.str("cause", cause.as_str());
@@ -556,14 +554,13 @@ impl PreparedSubtask {
         &mut self,
         schema: &std::sync::Arc<TaskSchema>,
         options: &ExecOptions,
+        metrics: &TaskMetrics,
         ctx: &DispatchCtx,
     ) -> SubtaskOutcome {
         let started = options.clock.now();
         let started_offset = started.duration_since(ctx.epoch);
         let queue_wait = started.duration_since(ctx.dispatched);
-        options
-            .metrics
-            .observe_duration("exec.queue_wait_ns", queue_wait);
+        metrics.queue_wait_ns.observe_duration(queue_wait);
         let invoked = self
             .runs
             .iter()
@@ -590,20 +587,16 @@ impl PreparedSubtask {
             let route = std::mem::replace(&mut self.runs[run_index].route, Route::Unresolved);
             let result = match route {
                 Route::Current(instances) => RunResult::Current(instances),
-                Route::Hit { outputs, digests } => {
+                Route::Hit(outputs) => {
                     content_hits += 1;
                     RunResult::Outputs {
                         outputs,
-                        digests,
                         ran: false,
                     }
                 }
                 Route::Repeat(of) => match &results[of] {
-                    RunResult::Outputs {
-                        outputs, digests, ..
-                    } => RunResult::Outputs {
+                    RunResult::Outputs { outputs, .. } => RunResult::Outputs {
                         outputs: outputs.clone(),
-                        digests: digests.clone(),
                         ran: false,
                     },
                     RunResult::Current(_) => unreachable!("a repeated run invokes its tool"),
@@ -614,22 +607,24 @@ impl PreparedSubtask {
                         schema,
                         &invocation,
                         options,
+                        metrics,
                         self.retry_salt(run_index, options.jitter_seed),
                         task_span,
                     );
                     attempts = attempts.max(used);
                     match result {
                         Ok(outputs) => {
-                            // Hash the fresh result once, here, where
-                            // it was produced: the digests go into the
-                            // cache entry and on to the commit. Write
+                            // Move the fresh result into shared buffers
+                            // and hash it once, here, where it was
+                            // produced: the cache entry and the commit
+                            // share the buffers and the digests. Write
                             // the result back; insert is non-blocking
                             // (memory now, persistent tiers
                             // asynchronously), and a subtask parked on
                             // this key looks it up after this one
                             // finishes.
-                            let digests: Vec<[u8; 32]> =
-                                outputs.iter().map(|o| sha256(&o.data)).collect();
+                            let outputs: Vec<SharedOutput> =
+                                outputs.into_iter().map(SharedOutput::share).collect();
                             if let (Some(cache), Some(key)) = (&options.cache, key) {
                                 cache.insert(
                                     &key,
@@ -638,22 +633,15 @@ impl PreparedSubtask {
                                         schema,
                                         &invocation,
                                         &outputs,
-                                        &digests,
                                         options.clock.wall_unix_ms(),
                                     ),
                                 );
                             }
-                            RunResult::Outputs {
-                                outputs,
-                                digests,
-                                ran: true,
-                            }
+                            RunResult::Outputs { outputs, ran: true }
                         }
                         Err(error) => {
                             let duration = options.clock.since(started);
-                            options
-                                .metrics
-                                .observe_duration("exec.task_wall_ns", duration);
+                            metrics.task_wall_ns.observe_duration(duration);
                             let msg = error.to_string();
                             options.tracer.end_with(task_span, |a| {
                                 a.bool("ok", false);
@@ -673,9 +661,7 @@ impl PreparedSubtask {
             results.push(result);
         }
         let duration = options.clock.since(started);
-        options
-            .metrics
-            .observe_duration("exec.task_wall_ns", duration);
+        metrics.task_wall_ns.observe_duration(duration);
         options.tracer.end_with(task_span, |a| {
             a.bool("ok", true);
             a.uint("attempts", u64::from(attempts));

@@ -56,10 +56,10 @@ impl<'a> Recorder<'a> {
     /// Commits one successful subtask's runs: records every produced
     /// instance in the history (an invocation already committed in this
     /// execution shares its products instead) and publishes each
-    /// output's instances in the report. Each payload moves into the
-    /// history with the digest it was hashed to where it was produced,
-    /// so the commit hashes nothing. Returns what happened: `Cached`
-    /// when no run executed a tool.
+    /// output's instances in the report. Each payload's shared buffer
+    /// moves into the history with the digest it was hashed to where it
+    /// was produced, so the commit neither copies nor hashes a payload.
+    /// Returns what happened: `Cached` when no run executed a tool.
     pub(super) fn commit(
         &mut self,
         p: &PreparedSubtask,
@@ -70,18 +70,14 @@ impl<'a> Recorder<'a> {
         for (run, result) in p.runs.iter().zip(runs) {
             // A content-cache replay records the same history as a
             // fresh production; it just doesn't count as an execution.
-            let (outputs, digests, ran) = match result {
+            let (outputs, ran) = match result {
                 RunResult::Current(instances) => {
                     for (slot, inst) in instances.into_iter().enumerate() {
                         per_output[slot].push(inst);
                     }
                     continue;
                 }
-                RunResult::Outputs {
-                    outputs,
-                    digests,
-                    ran,
-                } => (outputs, digests, ran),
+                RunResult::Outputs { outputs, ran } => (outputs, ran),
             };
             let (tool_instance, input_instances) = (run.tool_instance, &run.input_instances);
             let key = (
@@ -111,13 +107,9 @@ impl<'a> Recorder<'a> {
                 if !out.name.is_empty() {
                     meta = meta.named(&out.name);
                 }
-                let inst = self.db.record_derived_hashed(
-                    out.entity,
-                    meta,
-                    out.data,
-                    digests[slot],
-                    derivation,
-                )?;
+                let inst = self
+                    .db
+                    .record_derived_hashed(out.entity, meta, out.data, out.digest, derivation)?;
                 per_output[slot].push(inst);
                 recorded.push(inst);
             }

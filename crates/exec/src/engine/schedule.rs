@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use hercules_flow::{NodeId, Subtask, TaskGraph};
 use hercules_history::HistoryDb;
-use hercules_obs::{names, Metrics, SpanId, Tracer};
+use hercules_obs::{names, Counter, Histogram, Metrics, SpanId, Tracer};
 use hercules_schema::TaskSchema;
 use hercules_sim::{Clock, Interleaver, SimInstant};
 
@@ -123,10 +123,39 @@ pub(super) struct SchedState {
     pub(super) flights: Flights,
 }
 
+/// The metrics every subtask updates, resolved once per execution from
+/// [`ExecOptions::metrics`], so an update looks up no name.
+pub(super) struct TaskMetrics {
+    pub(super) queue_wait_ns: Histogram,
+    pub(super) task_wall_ns: Histogram,
+    pub(super) attempt_ns: Histogram,
+    pub(super) retries: Counter,
+    pub(super) cache_waits: Counter,
+    pub(super) queue_depth: Histogram,
+    worker_idle_ns: Histogram,
+    sched_dispatch_ns: Histogram,
+}
+
+impl TaskMetrics {
+    fn resolve(metrics: &Metrics) -> TaskMetrics {
+        TaskMetrics {
+            queue_wait_ns: metrics.histogram("exec.queue_wait_ns"),
+            task_wall_ns: metrics.histogram("exec.task_wall_ns"),
+            attempt_ns: metrics.histogram("exec.attempt_ns"),
+            retries: metrics.counter(names::EXEC_RETRIES),
+            cache_waits: metrics.counter(names::CACHE_WAITS),
+            queue_depth: metrics.histogram(names::EXEC_QUEUE_DEPTH),
+            worker_idle_ns: metrics.histogram("exec.worker_idle_ns"),
+            sched_dispatch_ns: metrics.histogram("exec.sched_dispatch_ns"),
+        }
+    }
+}
+
 /// Immutable context of one dataflow execution.
 pub(super) struct SchedEnv<'a> {
     pub(super) flow: &'a TaskGraph,
     pub(super) queue: &'a ReadyQueue,
+    pub(super) metrics: TaskMetrics,
     epoch: SimInstant,
     epoch_span: SpanId,
     exec_span: SpanId,
@@ -163,8 +192,9 @@ impl ReadyTask {
         mut self,
         schema: &std::sync::Arc<TaskSchema>,
         options: &ExecOptions,
+        metrics: &TaskMetrics,
     ) -> Completion {
-        let outcome = self.prepared.run_all(schema, options, &self.ctx);
+        let outcome = self.prepared.run_all(schema, options, metrics, &self.ctx);
         Completion {
             index: self.index,
             prepared: self.prepared,
@@ -220,17 +250,18 @@ struct QueueState {
 }
 
 impl ReadyQueue {
-    pub(super) fn push(&self, task: ReadyTask, metrics: &Metrics) {
+    /// Queues a task, observing the queue's new length into `depth`.
+    pub(super) fn push(&self, task: ReadyTask, depth: &Histogram) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.heap.push(task);
-        metrics.observe(names::EXEC_QUEUE_DEPTH, state.heap.len() as u64);
+        depth.observe(state.heap.len() as u64);
         drop(state);
         self.ready.notify_one();
     }
 
     /// Pops the highest-priority ready task, blocking until one arrives
     /// or the queue closes. Time spent blocked is a worker's idle time.
-    fn pop(&self, metrics: &Metrics, clock: &Clock) -> Option<ReadyTask> {
+    fn pop(&self, idle_ns: &Histogram, clock: &Clock) -> Option<ReadyTask> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(task) = state.heap.pop() {
@@ -241,7 +272,7 @@ impl ReadyQueue {
             }
             let idle_from = clock.now();
             state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-            metrics.observe_duration("exec.worker_idle_ns", clock.since(idle_from));
+            idle_ns.observe_duration(clock.since(idle_from));
         }
     }
 
@@ -332,6 +363,7 @@ impl Executor {
         let env = SchedEnv {
             flow,
             queue: &queue,
+            metrics: TaskMetrics::resolve(&self.options.metrics),
             epoch,
             epoch_span,
             exec_span,
@@ -360,7 +392,7 @@ impl Executor {
             let schema = flow.schema();
             while let Some(mut task) = queue.try_pop_pick(&self.options.interleave) {
                 self.resolve(schema, &mut task.prepared, None, rec.db)?;
-                let done = task.complete(schema, &self.options);
+                let done = task.complete(schema, &self.options, &env.metrics);
                 self.finish_task(&mut st, &env, &mut rec, done)?;
             }
         }
@@ -390,6 +422,7 @@ impl Executor {
         let schema = env.flow.schema();
         let options = &self.options;
         let queue = env.queue;
+        let metrics = &env.metrics;
         std::thread::scope(|scope| {
             let (done_tx, done_rx) = mpsc::channel::<Completion>();
             // Held until the pool starts. Then only workers hold a
@@ -405,7 +438,7 @@ impl Executor {
                         });
                         for _ in 0..workers {
                             let done_tx = done_tx.clone();
-                            scope.spawn(move || work(queue, schema, options, &done_tx));
+                            scope.spawn(move || work(queue, schema, options, metrics, &done_tx));
                         }
                     }
                 }
@@ -413,7 +446,7 @@ impl Executor {
                 // such a subtask gets no queue push, worker wake-up or
                 // channel send.
                 if let Some(task) = st.flights.resolved.pop_front() {
-                    self.finish_task(st, env, rec, task.complete(schema, options))?;
+                    self.finish_task(st, env, rec, task.complete(schema, options, metrics))?;
                     continue;
                 }
                 if st.in_flight == 0 {
@@ -445,7 +478,6 @@ impl Executor {
         index: usize,
         rec: &Recorder<'_>,
     ) -> Result<(), ExecError> {
-        let metrics = &self.options.metrics;
         let dispatch_started = self.options.clock.now();
         let prepared = self.prepare(env.flow, &st.subtasks[index], &rec.report, rec.db)?;
         st.task_state[index] = TaskState::Scheduled;
@@ -465,12 +497,11 @@ impl Executor {
         if env.parallel {
             self.route(&mut st.flights, env, task, rec.db)?;
         } else {
-            env.queue.push(task, metrics);
+            env.queue.push(task, &env.metrics.queue_depth);
         }
-        metrics.observe_duration(
-            "exec.sched_dispatch_ns",
-            self.options.clock.since(dispatch_started),
-        );
+        env.metrics
+            .sched_dispatch_ns
+            .observe_duration(self.options.clock.since(dispatch_started));
         Ok(())
     }
 
@@ -573,14 +604,15 @@ fn work(
     queue: &ReadyQueue,
     schema: &std::sync::Arc<TaskSchema>,
     options: &ExecOptions,
+    metrics: &TaskMetrics,
     done_tx: &mpsc::Sender<Completion>,
 ) {
-    while let Some(mut task) = queue.pop(&options.metrics, &options.clock) {
+    while let Some(mut task) = queue.pop(&metrics.worker_idle_ns, &options.clock) {
         // run_all catches tool panics itself; this guards against
         // panics in the engine's own plumbing so one worker can never
         // wedge the scheduler waiting for a lost completion.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            task.prepared.run_all(schema, options, &task.ctx)
+            task.prepared.run_all(schema, options, metrics, &task.ctx)
         }))
         .unwrap_or_else(|payload| SubtaskOutcome {
             result: Err(ExecError::ToolPanicked {

@@ -22,9 +22,12 @@ use crate::store::{BlobHash, BlobStore};
 pub(crate) enum Data<'a> {
     /// These bytes, shared with any identical blob already stored.
     Bytes(&'a [u8]),
-    /// Owned bytes and their SHA-256, computed where they were
-    /// produced: stored like `Bytes`, moved in and not hashed again.
-    Hashed(Vec<u8>, [u8; 32]),
+    /// A shared buffer: stored like `Bytes`, hashed, but kept instead
+    /// of copied (a decoded journal frame's payload).
+    Shared(Arc<[u8]>),
+    /// A shared buffer and its SHA-256, computed where it was produced:
+    /// stored like `Shared`, and not hashed again.
+    Hashed(Arc<[u8]>, [u8; 32]),
     /// One more reference to a blob already in the store (a persisted
     /// record that names the instance holding its bytes).
     Blob(BlobHash),
@@ -159,9 +162,9 @@ impl HistoryDb {
     }
 
     /// Records a derived instance like [`HistoryDb::record_derived`],
-    /// given the payload by value with its SHA-256 `digest`, computed
-    /// where the payload was produced: the blob store moves the bytes
-    /// in and hashes nothing (see [`BlobStore::put_hashed`]).
+    /// given the payload as a shared buffer with its SHA-256 `digest`,
+    /// computed where the payload was produced: the blob store keeps
+    /// the buffer and hashes nothing (see [`BlobStore::put_hashed`]).
     ///
     /// # Errors
     ///
@@ -170,7 +173,7 @@ impl HistoryDb {
         &mut self,
         entity: EntityTypeId,
         meta: Metadata,
-        data: Vec<u8>,
+        data: Arc<[u8]>,
         digest: [u8; 32],
         derivation: Derivation,
     ) -> Result<InstanceId, HistoryError> {
@@ -216,6 +219,7 @@ impl HistoryDb {
         }
         let blob = match data {
             Data::Bytes(bytes) => self.store.put(bytes),
+            Data::Shared(bytes) => self.store.put_shared(bytes),
             Data::Hashed(bytes, digest) => self.store.put_hashed(bytes, digest),
             Data::Blob(blob) => {
                 if !self.store.share(blob) {
@@ -363,33 +367,6 @@ impl HistoryDb {
     pub fn newest_version_of(&self, id: InstanceId) -> Result<InstanceId, HistoryError> {
         self.instance(id)?;
         Ok(self.newest[id.index()])
-    }
-
-    /// Updates an instance's annotation (name, comment, keywords). The
-    /// user and timestamp are immutable provenance and cannot be edited.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoryError::UnknownInstance`] for out-of-range ids.
-    pub fn annotate(
-        &mut self,
-        id: InstanceId,
-        name: Option<&str>,
-        comment: Option<&str>,
-        keywords: Option<&[&str]>,
-    ) -> Result<(), HistoryError> {
-        self.instance(id)?;
-        let meta = &mut self.instances[id.index()].meta;
-        if let Some(n) = name {
-            meta.name = n.to_owned();
-        }
-        if let Some(c) = comment {
-            meta.comment = c.to_owned();
-        }
-        if let Some(kws) = keywords {
-            meta.keywords = kws.iter().map(|s| (*s).to_owned()).collect();
-        }
-        Ok(())
     }
 
     /// Returns the distinct users that have recorded instances, sorted.
@@ -646,22 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn annotate_updates_only_annotation_fields() {
-        let (schema, mut db) = db();
-        let stim_ty = schema.require("Stimuli").expect("known");
-        let id = db
-            .record_primary(stim_ty, Metadata::by("jbb"), b"s")
-            .expect("ok");
-        db.annotate(id, Some("ramp"), Some("slow ramp"), Some(&["test"]))
-            .expect("ok");
-        let m = db.instance(id).expect("present").meta();
-        assert_eq!(m.name, "ramp");
-        assert_eq!(m.comment, "slow ramp");
-        assert_eq!(m.keywords, vec!["test"]);
-        assert_eq!(m.user, "jbb", "user is immutable provenance");
-    }
-
-    #[test]
     fn shared_payloads_share_blobs() {
         let (schema, mut db) = db();
         let stim_ty = schema.require("Stimuli").expect("known");
@@ -697,7 +658,7 @@ mod tests {
             .record_derived_hashed(
                 edited_ty,
                 Metadata::by("u"),
-                b"netlist".to_vec(),
+                Arc::from(&b"netlist"[..]),
                 hercules_digest::sha256(b"netlist"),
                 Derivation::by_tool(editor, []),
             )

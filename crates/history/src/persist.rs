@@ -64,10 +64,14 @@ pub struct InstanceSpec {
 /// string in their place. Any other JSON value is a decode error. A
 /// reader that predates shared payloads rejects the number instead of
 /// loading wrong bytes.
+///
+/// Inline bytes are a shared buffer: [`InstanceSpec::capture`] hands
+/// out the history's own blob, and [`InstanceSpec::replay`] stores the
+/// buffer it is given, so neither copies the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// The bytes, written in full.
-    Inline(Vec<u8>),
+    Inline(Arc<[u8]>),
     /// The raw id of the earliest instance holding the same bytes
     /// ([`HistoryDb::shares_data_with`]).
     Shared(u64),
@@ -85,9 +89,11 @@ impl Serialize for Payload {
 impl Deserialize for Payload {
     fn deserialize_value(value: &Value) -> Result<Self, DeError> {
         match value {
-            Value::Str(text) => hex::decode(text).map(Payload::Inline).ok_or_else(|| {
-                DeError::custom("payload is not an even number of lowercase hex digits")
-            }),
+            Value::Str(text) => hex::decode(text)
+                .map(|bytes| Payload::Inline(bytes.into()))
+                .ok_or_else(|| {
+                    DeError::custom("payload is not an even number of lowercase hex digits")
+                }),
             Value::Int(_) | Value::UInt(_) => u64::deserialize_value(value).map(Payload::Shared),
             _ => Err(DeError::custom(
                 "payload is neither a hex string nor an instance id",
@@ -105,7 +111,8 @@ pub struct HistorySpec {
 
 impl InstanceSpec {
     /// Captures one instance of a database (the `index`-th record, in
-    /// creation order).
+    /// creation order). An inline payload is the history's blob itself,
+    /// shared, not copied.
     ///
     /// # Panics
     ///
@@ -117,8 +124,8 @@ impl InstanceSpec {
             Some(holder) => Some(Payload::Shared(holder.raw())),
             None => i
                 .data()
-                .and_then(|blob| db.store().get(blob))
-                .map(|bytes| Payload::Inline(bytes.to_vec())),
+                .and_then(|blob| db.store().get_shared(blob))
+                .map(|bytes| Payload::Inline(Arc::clone(bytes))),
         };
         InstanceSpec {
             entity: db.schema().entity(i.entity()).name().to_owned(),
@@ -136,9 +143,11 @@ impl InstanceSpec {
     }
 
     /// Replays this record into `db` through the normal checked entry
-    /// points, restoring its timestamp; returns the new instance id. A
-    /// shared payload adds a reference to the blob its holder keeps,
-    /// without copying or hashing the bytes.
+    /// points, restoring its timestamp; returns the new instance id. An
+    /// inline payload is hashed, and its buffer becomes the blob unless
+    /// equal bytes are stored already: it is not copied. A shared
+    /// payload adds a reference to the blob its holder keeps, without
+    /// copying or hashing the bytes.
     ///
     /// # Errors
     ///
@@ -151,7 +160,7 @@ impl InstanceSpec {
         let entity = db.schema().require(&self.entity)?;
         let data = match &self.data {
             None => Data::Bytes(&[]),
-            Some(Payload::Inline(bytes)) => Data::Bytes(bytes),
+            Some(Payload::Inline(bytes)) => Data::Shared(Arc::clone(bytes)),
             Some(Payload::Shared(holder)) => {
                 let holder = db.instance(InstanceId::from_raw(*holder))?;
                 Data::Blob(holder.data().ok_or(HistoryError::UnknownBlob)?)
@@ -268,7 +277,7 @@ mod tests {
         let record =
             |data: &str| format!(r#"{{"entity":"Netlist","user":"u","created":3,"data":{data}}}"#);
         let hex: InstanceSpec = serde_json::from_str(&record(r#""6869""#)).expect("hex form");
-        assert_eq!(hex.data, Some(Payload::Inline(b"hi".to_vec())));
+        assert_eq!(hex.data, Some(Payload::Inline(Arc::from(&b"hi"[..]))));
         assert_eq!(
             serde_json::to_string(&hex).expect("serialize"),
             record(r#""6869""#)
@@ -322,6 +331,34 @@ mod tests {
             loaded.data_of(InstanceId::from_raw(1)).expect("ok"),
             Some(&b"ed"[..])
         );
+    }
+
+    /// Capture hands out the history's blob, and replay keeps the
+    /// buffer it is given: neither copies the payload.
+    #[test]
+    fn capture_and_replay_share_the_payload_buffer() {
+        let (schema, db) = sample();
+        let spec = InstanceSpec::capture(&db, 1);
+        let blob = db.instance(InstanceId::from_raw(1)).expect("ok").data();
+        let stored = db
+            .store()
+            .get_shared(blob.expect("has data"))
+            .expect("stored");
+        let Some(Payload::Inline(captured)) = &spec.data else {
+            panic!("an inline payload: {:?}", spec.data);
+        };
+        assert!(Arc::ptr_eq(captured, stored));
+
+        let mut fresh = HistoryDb::new(schema);
+        InstanceSpec::capture(&db, 0)
+            .replay(&mut fresh)
+            .expect("replays");
+        let id = spec.replay(&mut fresh).expect("replays");
+        let blob = fresh.instance(id).expect("ok").data().expect("has data");
+        assert!(Arc::ptr_eq(
+            fresh.store().get_shared(blob).expect("stored"),
+            captured
+        ));
     }
 
     #[test]

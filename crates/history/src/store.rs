@@ -14,10 +14,18 @@
 //! produced (a tool's worker, or a content-cache entry that carries
 //! it). A key is only shared after comparing bytes, so even a hash
 //! collision can never make two different payloads share a blob.
+//!
+//! Sharing holds in memory too: a blob is one immutable `Arc<[u8]>`
+//! buffer. [`BlobStore::put_hashed`] and [`BlobStore::put_shared`]
+//! keep the caller's buffer instead of copying it, so a payload a
+//! content-cache entry holds, the history's blob and the journal's
+//! capture of it ([`BlobStore::get_shared`]) are one allocation. A key
+//! hit on that same allocation adds a reference without comparing,
+//! because equal pointers mean equal bytes.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use hercules_digest::{hex, sha256};
 
@@ -64,7 +72,7 @@ impl fmt::Display for BlobHash {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BlobStore {
-    blobs: HashMap<BlobHash, (Vec<u8>, usize)>,
+    blobs: HashMap<BlobHash, (Arc<[u8]>, usize)>,
     stored_bytes: u64,
     logical_bytes: u64,
     hashed_bytes: u64,
@@ -91,32 +99,44 @@ impl BlobStore {
 
     /// Stores `bytes`, sharing storage with identical prior content.
     /// Returns the key the bytes are stored under; each call adds one
-    /// reference.
+    /// reference. New bytes are copied into a buffer of their own.
     pub fn put(&mut self, bytes: &[u8]) -> BlobHash {
         self.hashed_bytes += bytes.len() as u64;
         let digest = sha256(bytes);
-        self.insert(Cow::Borrowed(bytes), digest)
+        self.insert(Bytes::Borrowed(bytes), digest)
     }
 
-    /// Stores `bytes` like [`BlobStore::put`], given their SHA-256
-    /// `digest` instead of hashing them: the probe starts at `digest`,
-    /// a key hit still compares bytes, and new bytes are moved in, not
-    /// copied. Debug builds check that `digest` is the bytes' SHA-256.
-    pub fn put_hashed(&mut self, bytes: Vec<u8>, digest: [u8; 32]) -> BlobHash {
+    /// Stores the shared buffer `bytes` like [`BlobStore::put`],
+    /// hashing it, but keeps the buffer itself when the bytes are new
+    /// instead of copying them: a journal frame's decoded payload
+    /// becomes the blob.
+    pub fn put_shared(&mut self, bytes: Arc<[u8]>) -> BlobHash {
+        self.hashed_bytes += bytes.len() as u64;
+        let digest = sha256(&bytes);
+        self.insert(Bytes::Shared(bytes), digest)
+    }
+
+    /// Stores the shared buffer `bytes` like [`BlobStore::put_shared`],
+    /// given their SHA-256 `digest` instead of hashing them: the probe
+    /// starts at `digest`, and new bytes are kept, not copied. A key hit
+    /// on the very buffer stored there adds a reference without
+    /// comparing; any other key hit compares bytes. Debug builds check
+    /// that `digest` is the bytes' SHA-256.
+    pub fn put_hashed(&mut self, bytes: Arc<[u8]>, digest: [u8; 32]) -> BlobHash {
         debug_assert!(
             sha256(&bytes) == digest,
             "a payload's digest must be the SHA-256 of its bytes"
         );
-        self.insert(Cow::Owned(bytes), digest)
+        self.insert(Bytes::Shared(bytes), digest)
     }
 
     /// Adds one reference to `bytes`, probing from the key `digest`.
-    fn insert(&mut self, bytes: Cow<'_, [u8]>, digest: [u8; 32]) -> BlobHash {
+    fn insert(&mut self, bytes: Bytes<'_>, digest: [u8; 32]) -> BlobHash {
         self.logical_bytes += bytes.len() as u64;
         let mut key = BlobHash(digest);
         loop {
             match self.blobs.get_mut(&key) {
-                Some((stored, refs)) if stored[..] == bytes[..] => {
+                Some((stored, refs)) if bytes.same_as(stored) => {
                     *refs += 1;
                     return key;
                 }
@@ -128,7 +148,7 @@ impl BlobStore {
                 }
                 None => {
                     self.stored_bytes += bytes.len() as u64;
-                    self.blobs.insert(key, (bytes.into_owned(), 1));
+                    self.blobs.insert(key, (bytes.into_shared(), 1));
                     return key;
                 }
             }
@@ -149,23 +169,13 @@ impl BlobStore {
 
     /// Returns the bytes stored under `hash`, if present.
     pub fn get(&self, hash: BlobHash) -> Option<&[u8]> {
-        self.blobs.get(&hash).map(|(b, _)| b.as_slice())
+        self.blobs.get(&hash).map(|(b, _)| &b[..])
     }
 
-    /// Drops one reference; removes the blob when the count reaches
-    /// zero. Returns the remaining reference count, or `None` if the
-    /// hash was unknown.
-    pub fn release(&mut self, hash: BlobHash) -> Option<usize> {
-        let (bytes_len, remaining) = {
-            let entry = self.blobs.get_mut(&hash)?;
-            entry.1 -= 1;
-            (entry.0.len() as u64, entry.1)
-        };
-        if remaining == 0 {
-            self.blobs.remove(&hash);
-            self.stored_bytes -= bytes_len;
-        }
-        Some(remaining)
+    /// Returns the buffer stored under `hash`, if present: the blob
+    /// itself, for a holder that shares it instead of copying it.
+    pub fn get_shared(&self, hash: BlobHash) -> Option<&Arc<[u8]>> {
+        self.blobs.get(&hash).map(|(b, _)| b)
     }
 
     /// Returns the reference count of a blob (0 if unknown).
@@ -176,11 +186,6 @@ impl BlobStore {
     /// Returns the number of distinct blobs stored.
     pub fn blob_count(&self) -> usize {
         self.blobs.len()
-    }
-
-    /// Returns `true` if nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.blobs.is_empty()
     }
 
     /// Returns the bytes physically stored (after sharing).
@@ -199,6 +204,42 @@ impl BlobStore {
     /// [`BlobStore::put_hashed`] hashes nothing.
     pub fn hashed_bytes(&self) -> u64 {
         self.hashed_bytes
+    }
+}
+
+/// Bytes on their way into the store: borrowed ones are copied into a
+/// buffer of their own if new, a shared buffer is kept.
+enum Bytes<'a> {
+    Borrowed(&'a [u8]),
+    Shared(Arc<[u8]>),
+}
+
+impl Bytes<'_> {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Bytes::Borrowed(bytes) => bytes,
+            Bytes::Shared(bytes) => bytes,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Whether these are the bytes of `stored`: the same buffer, or, a
+    /// comparison later, equal bytes.
+    fn same_as(&self, stored: &Arc<[u8]>) -> bool {
+        match self {
+            Bytes::Shared(bytes) if Arc::ptr_eq(bytes, stored) => true,
+            _ => self.as_slice() == &stored[..],
+        }
+    }
+
+    fn into_shared(self) -> Arc<[u8]> {
+        match self {
+            Bytes::Borrowed(bytes) => Arc::from(bytes),
+            Bytes::Shared(bytes) => bytes,
+        }
     }
 }
 
@@ -243,33 +284,17 @@ mod tests {
     }
 
     #[test]
-    fn release_frees_at_zero() {
-        let mut s = BlobStore::new();
-        let h = s.put(b"data");
-        s.put(b"data");
-        assert_eq!(s.release(h), Some(1));
-        assert_eq!(s.blob_count(), 1);
-        assert_eq!(s.release(h), Some(0));
-        assert!(s.is_empty());
-        assert_eq!(s.stored_bytes(), 0);
-        assert_eq!(s.release(h), None);
-    }
-
-    #[test]
     fn colliding_key_never_shares_different_bytes() {
         let mut s = BlobStore::new();
         // Plant different bytes under the key `b"x"` hashes to, as a
         // SHA-256 collision would.
         let planted = BlobHash(sha256(b"x"));
-        s.blobs.insert(planted, (b"not x".to_vec(), 1));
+        s.blobs.insert(planted, (Arc::from(&b"not x"[..]), 1));
         let h = s.put(b"x");
         assert_ne!(h, planted, "different bytes take another key");
         assert_eq!(s.get(h), Some(&b"x"[..]));
         assert_eq!(s.put(b"x"), h, "identical bytes still share");
         assert_eq!(s.refcount(h), 2);
-        assert_eq!(s.release(h), Some(1));
-        assert_eq!(s.release(h), Some(0));
-        assert_eq!(s.get(h), None);
         assert_eq!(s.refcount(planted), 1, "the planted blob is untouched");
         assert_eq!(s.get(planted), Some(&b"not x"[..]));
     }
@@ -280,7 +305,7 @@ mod tests {
         let mut put = BlobStore::new();
         for bytes in [&b"netlist v1"[..], b"netlist v1", b"layout", b""] {
             assert_eq!(
-                hashed.put_hashed(bytes.to_vec(), sha256(bytes)),
+                hashed.put_hashed(Arc::from(bytes), sha256(bytes)),
                 put.put(bytes)
             );
         }
@@ -294,21 +319,73 @@ mod tests {
     fn put_hashed_compares_bytes_on_a_colliding_key() {
         let mut s = BlobStore::new();
         let planted = BlobHash(sha256(b"x"));
-        s.blobs.insert(planted, (b"not x".to_vec(), 1));
-        let h = s.put_hashed(b"x".to_vec(), sha256(b"x"));
+        s.blobs.insert(planted, (Arc::from(&b"not x"[..]), 1));
+        let h = s.put_hashed(Arc::from(&b"x"[..]), sha256(b"x"));
         assert_ne!(h, planted, "different bytes take another key");
         assert_eq!(s.get(h), Some(&b"x"[..]));
         assert_eq!(s.put(b"x"), h, "put finds the same probed key");
-        assert_eq!(s.put_hashed(b"x".to_vec(), sha256(b"x")), h);
+        assert_eq!(s.put_hashed(Arc::from(&b"x"[..]), sha256(b"x")), h);
         assert_eq!(s.refcount(h), 3);
         assert_eq!(s.get(planted), Some(&b"not x"[..]));
+    }
+
+    /// A key hit on the very buffer stored under the key counts one
+    /// more reference to it; the buffer is kept, not copied.
+    #[test]
+    fn a_key_hit_on_the_same_buffer_counts_one_reference() {
+        let mut s = BlobStore::new();
+        let netlist: Arc<[u8]> = Arc::from(&b"netlist v1"[..]);
+        let digest = sha256(&netlist);
+        let h = s.put_hashed(netlist.clone(), digest);
+        assert!(Arc::ptr_eq(s.get_shared(h).expect("stored"), &netlist));
+        assert_eq!(s.put_hashed(netlist.clone(), digest), h);
+        assert_eq!(s.refcount(h), 2);
+        assert_eq!(
+            (s.blob_count(), s.stored_bytes(), s.logical_bytes()),
+            (1, 10, 20)
+        );
+        // The store and this test hold the buffer; nothing copied it.
+        assert_eq!(Arc::strong_count(&netlist), 2);
+    }
+
+    /// Equal bytes in two different buffers share one blob, the first
+    /// buffer stored.
+    #[test]
+    fn equal_bytes_in_two_buffers_share_one_blob() {
+        let mut s = BlobStore::new();
+        let first: Arc<[u8]> = Arc::from(&b"layout"[..]);
+        let second: Arc<[u8]> = Arc::from(&b"layout"[..]);
+        assert!(!Arc::ptr_eq(&first, &second));
+        let h = s.put_hashed(first.clone(), sha256(b"layout"));
+        assert_eq!(s.put_hashed(second.clone(), sha256(b"layout")), h);
+        assert_eq!(s.put_shared(second.clone()), h);
+        assert_eq!((s.blob_count(), s.refcount(h)), (1, 3));
+        assert!(Arc::ptr_eq(s.get_shared(h).expect("stored"), &first));
+        assert_eq!(
+            Arc::strong_count(&second),
+            1,
+            "the second buffer is not kept"
+        );
+    }
+
+    /// `put_shared` hashes the buffer like `put` and keeps it.
+    #[test]
+    fn put_shared_hashes_the_buffer_and_keeps_it() {
+        let mut shared = BlobStore::new();
+        let mut put = BlobStore::new();
+        let frame: Arc<[u8]> = Arc::from(&b"decoded payload"[..]);
+        let h = shared.put_shared(frame.clone());
+        assert_eq!(h, put.put(b"decoded payload"));
+        assert_eq!(shared, put);
+        assert_eq!(shared.hashed_bytes(), 15);
+        assert!(Arc::ptr_eq(shared.get_shared(h).expect("stored"), &frame));
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "SHA-256 of its bytes")]
     fn put_hashed_checks_the_digest_in_debug_builds() {
-        BlobStore::new().put_hashed(b"abc".to_vec(), sha256(b"abd"));
+        BlobStore::new().put_hashed(Arc::from(&b"abc"[..]), sha256(b"abd"));
     }
 
     /// Fresh bytes are stored under their SHA-256 digest (the FIPS

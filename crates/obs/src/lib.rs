@@ -73,7 +73,7 @@ pub use collect::RingBuffer;
 pub use health::{
     AnalysisHealth, HealthCheck, HealthReport, HealthStatus, HealthThresholds, StoreHealth,
 };
-pub use metrics::{HistogramSnapshot, Metrics, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use recorder::FlightRecorder;
 pub use span::{Attr, AttrList, AttrValue, EventKind, SpanId, TraceEvent};
 pub use tracer::{RealTime, TimeSource, Tracer};

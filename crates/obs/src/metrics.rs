@@ -3,8 +3,17 @@
 //! Histogram bucket boundaries are fixed powers of two, so snapshots
 //! from different runs (or different processes) line up exactly and can
 //! be merged by summing buckets — no configuration to drift.
+//!
+//! An update by name ([`Metrics::incr`], [`Metrics::gauge_set`],
+//! [`Metrics::observe`]) locks the registry and finds the name. A hot
+//! path resolves a handle once instead ([`Metrics::counter`],
+//! [`Metrics::gauge`], [`Metrics::histogram`]): a counter or gauge
+//! update is then one atomic operation, and a histogram update locks
+//! only that histogram. A metric enters snapshots at its first update,
+//! whichever way it is made, so resolving a handle changes no snapshot.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::span::json;
@@ -34,7 +43,7 @@ pub fn bucket_floor(i: usize) -> u64 {
 }
 
 #[derive(Debug, Default, Clone)]
-struct Histogram {
+struct Buckets {
     buckets: Vec<u64>,
     count: u64,
     sum: u64,
@@ -42,7 +51,7 @@ struct Histogram {
     max: u64,
 }
 
-impl Histogram {
+impl Buckets {
     fn observe(&mut self, value: u64) {
         if self.buckets.is_empty() {
             self.buckets = vec![0; HISTOGRAM_BUCKETS];
@@ -59,13 +68,63 @@ impl Histogram {
     }
 }
 
-/// The live registry. Hash maps, so an update finds its name with one
-/// hash and one key comparison; [`Metrics::snapshot`] sorts by name.
+/// A counter's cell. `touched` records that it was updated at least
+/// once: a resolved handle that never counted stays out of snapshots.
+#[derive(Debug, Default)]
+struct CounterCell {
+    value: AtomicU64,
+    touched: AtomicBool,
+}
+
+impl CounterCell {
+    fn add(&self, delta: u64) {
+        self.value.fetch_add(delta, Ordering::Relaxed);
+        self.touched.store(true, Ordering::Relaxed);
+    }
+
+    fn read(&self) -> Option<u64> {
+        self.touched
+            .load(Ordering::Relaxed)
+            .then(|| self.value.load(Ordering::Relaxed))
+    }
+}
+
+/// A gauge's cell; `touched` as for [`CounterCell`].
+#[derive(Debug, Default)]
+struct GaugeCell {
+    value: AtomicI64,
+    touched: AtomicBool,
+}
+
+impl GaugeCell {
+    fn set(&self, value: i64) {
+        self.value.store(value, Ordering::Relaxed);
+        self.touched.store(true, Ordering::Relaxed);
+    }
+
+    fn read(&self) -> Option<i64> {
+        self.touched
+            .load(Ordering::Relaxed)
+            .then(|| self.value.load(Ordering::Relaxed))
+    }
+}
+
+/// A histogram's cell, behind a lock of its own. It is in snapshots
+/// once it holds an observation.
+type HistogramCell = Mutex<Buckets>;
+
+fn lock_buckets(cell: &HistogramCell) -> std::sync::MutexGuard<'_, Buckets> {
+    cell.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The live registry: one cell per name, shared with every handle
+/// resolved for it. Hash maps, so a lookup by name costs one hash and
+/// one key comparison; [`Metrics::snapshot`] sorts by name.
 #[derive(Debug, Default)]
 struct MetricsInner {
-    counters: Mutex<HashMap<String, u64>>,
-    gauges: Mutex<HashMap<String, i64>>,
-    histograms: Mutex<HashMap<String, Histogram>>,
+    counters: Mutex<HashMap<String, Arc<CounterCell>>>,
+    gauges: Mutex<HashMap<String, Arc<GaugeCell>>>,
+    histograms: Mutex<HashMap<String, Arc<HistogramCell>>>,
 }
 
 /// A clonable, thread-safe metrics handle. Like [`Tracer`], a disabled
@@ -75,6 +134,56 @@ struct MetricsInner {
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     inner: Option<Arc<MetricsInner>>,
+}
+
+/// A counter resolved once by [`Metrics::counter`]: each update is one
+/// atomic add, with no lock and no name lookup. A handle of a disabled
+/// registry (and the default handle) records nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Option<Arc<CounterCell>>);
+
+impl Counter {
+    /// Adds `delta`, as [`Metrics::incr`] of the handle's name would.
+    pub fn incr(&self, delta: u64) {
+        if let Some(cell) = &self.0 {
+            cell.add(delta);
+        }
+    }
+}
+
+/// A gauge resolved once by [`Metrics::gauge`]: each update is one
+/// atomic store.
+#[derive(Debug, Clone, Default)]
+pub struct Gauge(Option<Arc<GaugeCell>>);
+
+impl Gauge {
+    /// Sets the level, as [`Metrics::gauge_set`] of the handle's name
+    /// would.
+    pub fn set(&self, value: i64) {
+        if let Some(cell) = &self.0 {
+            cell.set(value);
+        }
+    }
+}
+
+/// A histogram resolved once by [`Metrics::histogram`]: each update
+/// locks this histogram only and looks up no name.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram(Option<Arc<HistogramCell>>);
+
+impl Histogram {
+    /// Records one observation, as [`Metrics::observe`] of the handle's
+    /// name would.
+    pub fn observe(&self, value: u64) {
+        if let Some(cell) = &self.0 {
+            lock_buckets(cell).observe(value);
+        }
+    }
+
+    /// Records a duration in nanoseconds.
+    pub fn observe_duration(&self, duration: std::time::Duration) {
+        self.observe(duration.as_nanos() as u64);
+    }
 }
 
 impl Metrics {
@@ -95,28 +204,39 @@ impl Metrics {
         self.inner.is_some()
     }
 
+    /// Resolves the counter `name` once, for updates without a lookup.
+    pub fn counter(&self, name: &str) -> Counter {
+        Counter(self.inner.as_ref().map(|inner| cell(&inner.counters, name)))
+    }
+
+    /// Resolves the gauge `name` once, for updates without a lookup.
+    pub fn gauge(&self, name: &str) -> Gauge {
+        Gauge(self.inner.as_ref().map(|inner| cell(&inner.gauges, name)))
+    }
+
+    /// Resolves the histogram `name` once, for updates without a
+    /// lookup.
+    pub fn histogram(&self, name: &str) -> Histogram {
+        Histogram(
+            self.inner
+                .as_ref()
+                .map(|inner| cell(&inner.histograms, name)),
+        )
+    }
+
     /// Adds `delta` to the counter `name`.
     pub fn incr(&self, name: &str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            let mut counters = inner.counters.lock().unwrap_or_else(|e| e.into_inner());
-            update(&mut counters, name, |counter| *counter += delta);
-        }
+        self.counter(name).incr(delta);
     }
 
     /// Sets the gauge `name` to `value` (last write wins).
     pub fn gauge_set(&self, name: &str, value: i64) {
-        if let Some(inner) = &self.inner {
-            let mut gauges = inner.gauges.lock().unwrap_or_else(|e| e.into_inner());
-            update(&mut gauges, name, |gauge| *gauge = value);
-        }
+        self.gauge(name).set(value);
     }
 
     /// Records one observation into the histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
-        if let Some(inner) = &self.inner {
-            let mut hists = inner.histograms.lock().unwrap_or_else(|e| e.into_inner());
-            update(&mut hists, name, |hist| hist.observe(value));
-        }
+        self.histogram(name).observe(value);
     }
 
     /// Records a duration into the histogram `name` in nanoseconds.
@@ -126,7 +246,7 @@ impl Metrics {
         }
     }
 
-    /// Takes a consistent point-in-time copy of every metric.
+    /// Takes a point-in-time copy of every metric updated so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let Some(inner) = &self.inner else {
             return MetricsSnapshot::default();
@@ -136,31 +256,34 @@ impl Metrics {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .iter()
-            .map(|(name, &v)| (name.clone(), v))
+            .filter_map(|(name, cell)| Some((name.clone(), cell.read()?)))
             .collect();
         let gauges = inner
             .gauges
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .iter()
-            .map(|(name, &v)| (name.clone(), v))
+            .filter_map(|(name, cell)| Some((name.clone(), cell.read()?)))
             .collect();
         let histograms = inner
             .histograms
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .iter()
-            .map(|(name, h)| {
-                (
-                    name.clone(),
-                    HistogramSnapshot {
-                        count: h.count,
-                        sum: h.sum,
-                        min: h.min,
-                        max: h.max,
-                        buckets: h.buckets.clone(),
-                    },
-                )
+            .filter_map(|(name, cell)| {
+                let h = lock_buckets(cell);
+                (h.count > 0).then(|| {
+                    (
+                        name.clone(),
+                        HistogramSnapshot {
+                            count: h.count,
+                            sum: h.sum,
+                            min: h.min,
+                            max: h.max,
+                            buckets: h.buckets.clone(),
+                        },
+                    )
+                })
             })
             .collect();
         MetricsSnapshot {
@@ -171,12 +294,13 @@ impl Metrics {
     }
 }
 
-/// Applies `apply` to the entry `name`, first inserting a default one.
-/// A name already present is found without allocating its key.
-fn update<V: Default>(map: &mut HashMap<String, V>, name: &str, apply: impl FnOnce(&mut V)) {
-    match map.get_mut(name) {
-        Some(value) => apply(value),
-        None => apply(map.entry(name.to_owned()).or_default()),
+/// The cell registered under `name`, registering a fresh one first. A
+/// name already present is found without allocating its key.
+fn cell<C: Default>(map: &Mutex<HashMap<String, Arc<C>>>, name: &str) -> Arc<C> {
+    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    match map.get(name) {
+        Some(cell) => Arc::clone(cell),
+        None => Arc::clone(map.entry(name.to_owned()).or_default()),
     }
 }
 
@@ -510,6 +634,57 @@ mod tests {
         let full = second.delta(&MetricsSnapshot::default());
         assert_eq!(full.counters.get("ops"), Some(&15));
         assert_eq!(full.histograms["lat"].count, 3);
+    }
+
+    /// A handle updates the same metric as its name, and neither
+    /// resolving it nor cloning it puts anything in a snapshot.
+    #[test]
+    fn handles_update_like_names_and_appear_at_their_first_update() {
+        let by_name = Metrics::new();
+        let by_handle = Metrics::new();
+        let (ops, depth, lat) = (
+            by_handle.counter("ops"),
+            by_handle.gauge("depth"),
+            by_handle.histogram("lat"),
+        );
+        let _unused = (by_handle.counter("idle"), by_handle.gauge("level"));
+        let _also_unused = by_handle.histogram("quiet");
+        assert!(by_handle.snapshot().is_empty(), "resolving records nothing");
+        let before = by_handle.snapshot();
+        for v in [3u64, 0, 9] {
+            by_name.incr("ops", v);
+            ops.clone().incr(v);
+            by_name.gauge_set("depth", v as i64 - 4);
+            depth.set(v as i64 - 4);
+            by_name.observe("lat", v);
+            lat.observe(v);
+        }
+        by_name.incr("ops", 1);
+        by_handle.incr("ops", 1);
+        by_name.observe_duration("lat", std::time::Duration::from_nanos(70));
+        lat.observe_duration(std::time::Duration::from_nanos(70));
+        let (a, b) = (by_name.snapshot(), by_handle.snapshot());
+        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(b.counters["ops"], 13);
+        assert_eq!(b.gauges["depth"], 5);
+        assert_eq!(b.histograms["lat"].count, 4);
+        assert_eq!(
+            b.delta(&before).to_json(),
+            a.delta(&MetricsSnapshot::default()).to_json()
+        );
+        // A zero increment is an update, by name or by handle.
+        by_handle.counter("idle").incr(0);
+        assert_eq!(by_handle.snapshot().counters.get("idle"), Some(&0));
+    }
+
+    #[test]
+    fn disabled_handles_record_nothing() {
+        let m = Metrics::disabled();
+        m.counter("c").incr(1);
+        m.gauge("g").set(5);
+        m.histogram("h").observe(10);
+        Counter::default().incr(1);
+        assert!(m.snapshot().is_empty());
     }
 
     #[test]

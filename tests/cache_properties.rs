@@ -10,16 +10,20 @@
 //! entry carries and the history hashes nothing. Distinct inputs must
 //! never collide into a wrong hit, an entry in the previous format is
 //! never served, and the disk tier must carry results across
-//! workspaces that share nothing but a cache directory.
+//! workspaces that share nothing but a cache directory. A replayed
+//! payload is one buffer from the cache entry to the journal record,
+//! and the buffer a journal frame decodes to becomes the blob.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use hercules::cache::{CacheConfig, CacheKey, ContentCache, MemoryBudget};
 use hercules::eda::{GateKind, Netlist, PlacementRules};
 use hercules::flow::NodeId;
-use hercules::history::{EntityInstance, HistoryDb, Metadata};
+use hercules::history::{EntityInstance, HistoryDb, InstanceSpec, Metadata, Payload};
 use hercules::obs::Metrics;
 use hercules::sim::{Clock, SimEnv};
+use hercules::store::{decode_op, scan_frames, JournalOp};
 use hercules::ui::Ui;
 use hercules::Session;
 use hercules_digest::{crc32, sha256};
@@ -501,4 +505,137 @@ fn workspace_b_hits_on_workspace_a_results_via_shared_disk_tier() {
         .find(|t| t.tier == "disk")
         .expect("disk tier in stats");
     assert!(disk.hits >= 1, "the hit must come off the shared disk tier");
+}
+
+/// A `Ui` in `sim` over a fresh session holding `netlist` as an editor
+/// script, saved to `ws`, with a cache at `/cache` on the simulated
+/// disk, and a `Verification` flow built and bound up to its `run`.
+fn verification_ui(sim: &SimEnv, ws: &str, netlist: &[u8]) -> Ui {
+    let mut session = Session::odyssey("shared");
+    session.set_sim(sim.clock(), sim.interleave(), sim.jitter_seed());
+    let editor = session
+        .schema()
+        .require("CircuitEditor")
+        .expect("known entity");
+    let script = session
+        .db_mut()
+        .record_primary(editor, Metadata::by("shared").named("script"), netlist)
+        .expect("records the editor script");
+    let mut ui = Ui::new_in(session, sim.env());
+    let script = format!("i{}", script.raw());
+    for line in [
+        &format!("save {ws}"),
+        "cache open /cache",
+        "goal Verification",
+        "expand n0",
+        "specialize n2 EditedNetlist",
+        "expand n2",
+        "expand n3",
+        "expand n6",
+        "specialize n8 EditedNetlist",
+        "expand n8",
+        "bind-latest",
+        &format!("select n4 {script}"),
+        &format!("select n10 {script}"),
+    ] {
+        ui.execute(line)
+            .unwrap_or_else(|e| panic!("`{line}` fails: {e}"));
+    }
+    ui
+}
+
+/// A warm run moves no payload byte between the cache and the journal:
+/// each instance it records holds the very buffer its cache entry
+/// holds, and the journal's capture of the instance hands out that
+/// buffer. Replaying the run's journal frame, as `open` does, makes
+/// each buffer the frame decoded to the blob.
+#[test]
+fn a_warm_run_shares_each_payload_with_its_cache_entry() {
+    let sim = SimEnv::new(0x5AED);
+    let netlist = netlist_bytes(&[2, 6, 4, 0, 3, 7, 1, 5]);
+    let mut cold = verification_ui(&sim, "/ws-cold", &netlist);
+    cold.execute("run").expect("the cold run");
+    drop(cold);
+    let mut warm = verification_ui(&sim, "/ws-warm", &netlist);
+    let before = warm.session().clone();
+    let first_new = before.db().len();
+    warm.execute("run").expect("the warm run");
+    let session = warm.session();
+    let report = session.last_report().expect("the run reported");
+    assert_eq!(report.runs(), 0, "every result is replayed");
+
+    // Every payload buffer the cache holds: the warm run's lookups
+    // left each entry in the memory tier, which a lookup hands out.
+    let cache = session.content_cache().expect("a cache is open");
+    let cached: Vec<Arc<[u8]>> = sim
+        .fs_state()
+        .current_paths()
+        .iter()
+        .filter(|path| path.starts_with("/cache"))
+        .filter_map(|path| CacheKey::from_hex(path.file_stem()?.to_str()?))
+        .filter_map(|key| cache.lookup(&key))
+        .flat_map(|entry| {
+            entry
+                .outputs
+                .iter()
+                .map(|o| o.data.clone())
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert!(!cached.is_empty());
+
+    let db = session.db();
+    let mut new_blobs = 0;
+    for index in first_new..db.len() {
+        let id = db.instances().nth(index).expect("in range").id();
+        if db.shares_data_with(id).expect("known").is_some() {
+            continue; // an earlier record holds these bytes
+        }
+        new_blobs += 1;
+        let blob = db.instance(id).expect("known").data().expect("has data");
+        let stored = db.store().get_shared(blob).expect("stored");
+        assert!(
+            cached.iter().any(|buffer| Arc::ptr_eq(buffer, stored)),
+            "{id:?}: the blob is a copy of its cache entry's payload"
+        );
+        match InstanceSpec::capture(db, index).data {
+            Some(Payload::Inline(captured)) => assert!(
+                Arc::ptr_eq(&captured, stored),
+                "{id:?}: the capture copied the blob"
+            ),
+            other => panic!("{id:?}: captured {other:?}"),
+        }
+    }
+    assert!(new_blobs >= 3, "only {new_blobs} new payload(s)");
+
+    // The run's frame, decoded and replayed onto the session as it was
+    // before the run, as `open` replays it.
+    let journal = sim
+        .fs_state()
+        .current_paths()
+        .into_iter()
+        .find(|path| path.starts_with("/ws-warm") && path.ends_with("journal-0.log"))
+        .expect("the warm workspace's journal");
+    let bytes = sim.fs().read(&journal).expect("reads");
+    let scan = scan_frames(&bytes);
+    let op = decode_op(scan.payloads.last().expect("frames")).expect("decodes");
+    let JournalOp::Exec(spec) = &op else {
+        panic!("the last frame is not the run: {op:?}");
+    };
+    let mut reopened = before;
+    op.replay(&mut reopened).expect("replays");
+    let db = reopened.db();
+    let mut decoded = 0;
+    for (record, index) in spec.instances.iter().zip(first_new..) {
+        if let Some(Payload::Inline(buffer)) = &record.data {
+            let id = db.instances().nth(index).expect("replayed").id();
+            let blob = db.instance(id).expect("known").data().expect("has data");
+            assert!(
+                Arc::ptr_eq(db.store().get_shared(blob).expect("stored"), buffer),
+                "{id:?}: replay copied the decoded payload"
+            );
+            decoded += 1;
+        }
+    }
+    assert_eq!(decoded, new_blobs);
 }

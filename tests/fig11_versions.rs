@@ -140,7 +140,7 @@ fn shared_physical_data_across_versions() {
     let Ok(JournalOp::Snapshot(spec)) = decode_op(last) else {
         panic!("the checkpoint appended a snapshot frame");
     };
-    let c5_bytes = Some(Payload::Inline(b"c5".to_vec()));
+    let c5_bytes = Some(Payload::Inline(b"c5".to_vec().into()));
     let records = &spec.history.instances;
     assert_eq!(records.iter().filter(|i| i.data == c5_bytes).count(), 1);
     assert_eq!(records[ids[5].raw() as usize].data, c5_bytes);

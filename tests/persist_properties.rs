@@ -285,7 +285,7 @@ proptest! {
                 4 => JournalOp::BindLatest,
                 5 => JournalOp::Exec(ExecSpec {
                     instances: vec![
-                        record(Some(Payload::Inline(vec![b as u8; b]))),
+                        record(Some(Payload::Inline(vec![b as u8; b].into()))),
                         record(Some(Payload::Shared(a))),
                         record(Some(Payload::Shared(a + b as u64))),
                     ],
@@ -365,7 +365,7 @@ proptest! {
             _ => {
                 let mut instances: Vec<InstanceSpec> = payloads
                     .iter()
-                    .map(|pieces| record(Some(Payload::Inline(payload_bytes(pieces)))))
+                    .map(|pieces| record(Some(Payload::Inline(payload_bytes(pieces).into()))))
                     .collect();
                 instances.push(record(Some(Payload::Shared(a))));
                 instances.push(record(None));
@@ -488,12 +488,14 @@ fn temp_root(tag: &str) -> PathBuf {
 /// CRC-valid frame that does not parse, keeping the frames before it.
 #[test]
 fn bodies_that_misstate_a_section_fail_to_decode_and_are_quarantined() {
-    let placeholder = serde_json::to_vec(&netlist_exec(Payload::Inline(Vec::new()))).expect("json");
-    let filled = serde_json::to_vec(&netlist_exec(Payload::Inline(b"hi".to_vec()))).expect("json");
+    let placeholder =
+        serde_json::to_vec(&netlist_exec(Payload::Inline(Vec::new().into()))).expect("json");
+    let filled =
+        serde_json::to_vec(&netlist_exec(Payload::Inline(b"hi".to_vec().into()))).expect("json");
     let good = handmade_body(&placeholder, &[3], b"abc");
     assert_eq!(
         decode_op(&good).expect("a well-formed body decodes"),
-        netlist_exec(Payload::Inline(b"abc".to_vec()))
+        netlist_exec(Payload::Inline(b"abc".to_vec().into()))
     );
     let mut long_json = good.clone();
     long_json[1] += 1;
@@ -531,7 +533,7 @@ fn bodies_that_misstate_a_section_fail_to_decode_and_are_quarantined() {
         let _ = fs::remove_dir_all(&root);
         let mut session = Session::odyssey("prop");
         let mut ws = Workspace::create(&root, &session).expect("creates");
-        let kept = netlist_exec(Payload::Inline(b"kept".to_vec()));
+        let kept = netlist_exec(Payload::Inline(b"kept".to_vec().into()));
         ws.append(&kept).expect("appends");
         kept.replay(&mut session).expect("replays");
         drop(ws);

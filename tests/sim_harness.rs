@@ -2404,7 +2404,7 @@ fn cache_entry_for(seed: u64, i: u64) -> (hercules::cache::CacheKey, hercules::c
             entity: "SimProduct".to_owned(),
             name: format!("run-{i}"),
             digest: hercules_digest::sha256(&data),
-            data,
+            data: data.into(),
         }],
     };
     (key, entry)
